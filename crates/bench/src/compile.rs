@@ -14,13 +14,22 @@
 //! run in every configuration (`--smoke` runs a small pinned instance and
 //! relies on the same assertions); the speedup ratio is recorded, never
 //! gated, so CI stays robust to noisy neighbors.
+//!
+//! A second table runs a **narrow subject** — one team member of a
+//! `GroupedWorld` portal who may see about 1/64 of it — through the recursive
+//! portal queries, and reports the paper's §3.3 cost in deterministic
+//! counters: of the index candidates, how many were skipped from block
+//! headers and how many were examined one by one. `--smoke` gates that
+//! ratio, which a 1-CPU runner can.
 
 use crate::setup::{
     synth_column, xmark_doc, BenchDb, ColumnOracle, Q3_SINGLE_PATH, SUBJECT, TABLE1,
 };
 use crate::table::Table;
 use crate::Effort;
-use dol_nok::{ExecOptions, PlanCache, QueryEngine, Security};
+use dol_acl::CascadeRules;
+use dol_nok::{ExecOptions, ExecStats, PlanCache, QueryEngine, Security};
+use dol_workloads::{GroupedConfig, GroupedWorld};
 use std::io::Write;
 use std::time::Instant;
 
@@ -218,7 +227,8 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         rows.len(),
     );
 
-    write_json(seed, scale, nodes, &rows, &mix_speedups);
+    let narrow_rows = narrow(effort, seed, smoke);
+    write_json(seed, scale, nodes, &rows, &mix_speedups, &narrow_rows);
 
     if smoke {
         // The identity assertions already ran on every iteration; the smoke
@@ -237,7 +247,175 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     }
 }
 
-fn write_json(seed: u64, scale: f64, nodes: usize, rows: &[Row], mix: &[(String, f64)]) {
+/// The portal queries of the narrow-subject table; the first is the gated one.
+const NARROW_QUERIES: [&str; 4] = [
+    "//folder//doc",
+    "//team//folder/folder/doc",
+    "/workspace/department/team/folder/doc",
+    "/workspace/shared/area/folder/doc",
+];
+
+/// The most of its candidates `//folder//doc` may examine one by one for a
+/// subject who sees 1/64 of the portal.
+const NARROW_EXAMINED_BOUND: f64 = 0.10;
+
+/// One narrow-subject measurement: the compiled run's counters.
+struct NarrowRow {
+    query: &'static str,
+    security: &'static str,
+    stats: ExecStats,
+    answers: usize,
+}
+
+impl NarrowRow {
+    fn examined_ratio(&self) -> f64 {
+        self.stats.candidates_examined as f64 / self.stats.candidates.max(1) as f64
+    }
+}
+
+/// A `GroupedWorld` portal labeled for one member of its middle team under
+/// a narrow policy: the company sees the root node and `shared`, a
+/// department its own node and non-team children, a team its own subtree.
+/// (The stock rules grant the company the root, so everyone sees everything
+/// and §3.3 has nothing to skip.)
+fn narrow_portal(team_size: usize, seed: u64) -> BenchDb {
+    let world = GroupedWorld::generate(&GroupedConfig {
+        team_size,
+        initial_users: 0,
+        seed,
+        ..GroupedConfig::default()
+    });
+    let (company, depts, teams) = (world.company(), world.depts(), world.teams());
+    let doc = &world.doc;
+    let mut rules = CascadeRules::new(world.physical_subjects());
+    rules.add(company, doc.root(), true);
+    let mut team_roots = Vec::with_capacity(teams.len());
+    for (d, dept) in doc
+        .children(doc.root())
+        .filter(|&c| doc.name_of(c) == "department")
+        .enumerate()
+    {
+        rules.add(company, dept, false);
+        rules.add(depts[d], dept, true);
+        for team in doc.children(dept).filter(|&c| doc.name_of(c) == "team") {
+            rules.add(depts[d], team, false);
+            rules.add(teams[team_roots.len()], team, true);
+            team_roots.push(team);
+        }
+    }
+    assert_eq!(team_roots.len(), teams.len(), "portal shape changed");
+    let t = teams.len() / 2;
+    let mut col = rules.column(doc, company);
+    col.or_assign(&rules.column(doc, depts[t / (teams.len() / depts.len())]));
+    col.or_assign(&rules.column(doc, teams[t]));
+    BenchDb::build(world.doc, &ColumnOracle(col), 4096)
+}
+
+/// Runs the narrow-subject table; with `smoke`, gates the examined ratio.
+fn narrow(effort: Effort, seed: u64, smoke: bool) -> Vec<NarrowRow> {
+    let db = narrow_portal(if smoke { 1500 } else { effort.pick(4000, 9000) }, seed);
+    let engine = db.engine();
+    let mut rows = Vec::new();
+    for query in NARROW_QUERIES {
+        let plan = dol_nok::QueryPlan::new(dol_nok::parse_query(query).expect("portal query"));
+        for (security, sec) in [
+            ("binding", Security::BindingLevel(SUBJECT)),
+            ("subtree", Security::SubtreeVisibility(SUBJECT)),
+        ] {
+            let interpreted = engine
+                .execute_plan_opts(
+                    &plan,
+                    sec,
+                    ExecOptions {
+                        compiled: false,
+                        ..ExecOptions::default()
+                    },
+                )
+                .expect("interpreted run");
+            let compiled = engine
+                .execute_plan_opts(&plan, sec, ExecOptions::default())
+                .expect("compiled run");
+            assert_eq!(
+                compiled.matches, interpreted.matches,
+                "{query} ({security}): answers must be byte-identical"
+            );
+            let st = &compiled.stats;
+            assert_eq!(
+                st.candidates_examined + st.blocks_skipped,
+                st.candidates,
+                "{query} ({security}): every candidate is skipped or examined"
+            );
+            assert_eq!(st.blocks_skipped, interpreted.stats.blocks_skipped);
+            rows.push(NarrowRow {
+                query,
+                security,
+                stats: compiled.stats,
+                answers: compiled.matches.len(),
+            });
+        }
+    }
+    let mut t = Table::new(
+        &format!(
+            "narrow subject (1 team of 64, portal of {} nodes): section 3.3 cost in counters",
+            db.doc.len()
+        ),
+        &[
+            "query",
+            "security",
+            "candidates",
+            "skipped",
+            "examined",
+            "examined/cand",
+            "join tuples",
+            "logical reads",
+            "time",
+            "answers",
+        ],
+    );
+    for r in &rows {
+        t.row(&[
+            r.query.to_string(),
+            r.security.to_string(),
+            r.stats.candidates.to_string(),
+            r.stats.blocks_skipped.to_string(),
+            r.stats.candidates_examined.to_string(),
+            format!("{:.4}", r.examined_ratio()),
+            r.stats.join_pairs.to_string(),
+            r.stats.io.logical_reads.to_string(),
+            format!("{:.1} us", r.stats.elapsed.as_secs_f64() * 1e6),
+            r.answers.to_string(),
+        ]);
+    }
+    t.print();
+    if smoke {
+        for r in rows.iter().filter(|r| r.query == NARROW_QUERIES[0]) {
+            assert!(
+                r.answers > 0,
+                "the narrow subject sees nothing; the gate is vacuous"
+            );
+            assert!(
+                r.examined_ratio() <= NARROW_EXAMINED_BOUND,
+                "{} ({}): examined {} of {} candidates ({:.3} > {NARROW_EXAMINED_BOUND}): \
+                 header skipping no longer follows what the subject can see",
+                r.query,
+                r.security,
+                r.stats.candidates_examined,
+                r.stats.candidates,
+                r.examined_ratio(),
+            );
+        }
+    }
+    rows
+}
+
+fn write_json(
+    seed: u64,
+    scale: f64,
+    nodes: usize,
+    rows: &[Row],
+    mix: &[(String, f64)],
+    narrow: &[NarrowRow],
+) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"experiment\": \"compile\",\n");
@@ -264,6 +442,23 @@ fn write_json(seed: u64, scale: f64, nodes: usize, rows: &[Row], mix: &[(String,
             r.speedup_p50(),
             r.answers,
             if i + 1 < rows.len() { ",\n" } else { "\n" },
+        ));
+    }
+    out.push_str("  ],\n  \"narrow\": [\n");
+    for (i, r) in narrow.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"query\": \"{}\", \"security\": \"{}\", \"candidates\": {}, \
+             \"blocks_skipped\": {}, \"candidates_examined\": {}, \"join_pairs\": {}, \
+             \"logical_reads\": {}, \"answers\": {}}}{}",
+            r.query,
+            r.security,
+            r.stats.candidates,
+            r.stats.blocks_skipped,
+            r.stats.candidates_examined,
+            r.stats.join_pairs,
+            r.stats.io.logical_reads,
+            r.answers,
+            if i + 1 < narrow.len() { ",\n" } else { "\n" },
         ));
     }
     out.push_str("  ]\n}\n");

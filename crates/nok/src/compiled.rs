@@ -24,15 +24,17 @@
 //! `tests/proptest_compiled.rs` enforces this), including the fail-closed
 //! policy and the deadline check every
 //! [`DEADLINE_CHECK_MASK`](crate::matcher)` + 1` node visits. Page-skips are
-//! decided from a precomputed word-parallel skip mask
-//! ([`dol_core::EmbeddedDol::block_skip_mask`]) instead of a per-candidate
-//! codebook probe.
+//! decided before any matcher runs: the word-parallel skip mask
+//! ([`dol_core::EmbeddedDol::block_skip_mask`]) becomes a list of
+//! [`VisibleExtents`], and every candidate list is intersected with it by
+//! binary search, so a skipped run of blocks costs O(log n) however many
+//! candidates lie in it.
 //!
 //! For **leaf fragments** (single pattern node — the descendant sides of all
 //! `//`-joins, which dominate the Table-1 mix) the matcher additionally
 //! offers [`CompiledMatcher::match_leaf_candidates`]: candidates are grouped
 //! by block and classified in the *compressed domain* — block header first
-//! (skip mask / uniform-code test, zero I/O), then the code runs of the
+//! (uniform-code test, zero I/O), then the code runs of the
 //! execution's shared [`SnapshotCache`] (one latch per block per query),
 //! and — only under a value predicate — one [`StructStore::block_probe`]
 //! page scan producing word-packed tag/value masks, so only candidates
@@ -40,7 +42,8 @@
 //! §3.3 page-skip into a general early-exit inside partially-accessible
 //! blocks.
 
-use crate::matcher::{is_availability, Binding, MatchContext, MatchStats, DEADLINE_CHECK_MASK};
+use crate::join::{sort_dedup_rows, TupleTable};
+use crate::matcher::{is_availability, MatchContext, MatchStats, DEADLINE_CHECK_MASK};
 use crate::pattern::{Axis, PNodeId};
 use crate::plan::QueryPlan;
 use dol_core::AccessBitmap;
@@ -239,10 +242,17 @@ impl CompiledPlan {
     }
 }
 
+/// A visited data node: position, record, access-control code.
+type Loaded = (u64, NodeRec, u32);
+
 /// Executes one compiled fragment. Mirrors
 /// [`FragmentMatcher`](crate::matcher::FragmentMatcher) exactly — same
 /// answers, same fail-closed policy, same deadline cadence — but with flat
-/// table lookups, no per-call axis filtering, and word-mask page-skips.
+/// table lookups, no per-call axis filtering, and no heap allocation per
+/// binding: matches are enumerated as fixed-width rows on one reused stack
+/// and written straight into the caller's [`TupleTable`]. It never sees a
+/// candidate in a skippable block: the engine prunes those with
+/// [`VisibleExtents`].
 pub struct CompiledMatcher<'a> {
     ctx: &'a MatchContext<'a>,
     frag: &'a CompiledFragment,
@@ -252,55 +262,45 @@ pub struct CompiledMatcher<'a> {
     /// because a fragment root never appears in its own kin table, so its
     /// `carries_output` bit is never consulted.
     force_root_output: bool,
-    /// Precomputed §3.3 skip mask, one bit per block
-    /// ([`dol_core::EmbeddedDol::block_skip_mask`]); `None` disables
-    /// page-skipping (unsecured evaluation or ablation).
-    skip_mask: Option<&'a [u64]>,
-    /// Block-granular snapshot cache for the tree walk: one
-    /// [`StructStore::block_snapshot`](dol_storage::StructStore::block_snapshot)
-    /// page access amortizes every node load and sibling step landing in
-    /// the same block, instead of one page latch per visited node, while
-    /// records decode lazily so sparse walks never pay for slots they skip.
-    blk: BlockCache,
+    /// Per pattern node, the table column its binding goes to (exported
+    /// nodes, ascending) — `None` for nodes matched but not exported.
+    col_of: Vec<Option<usize>>,
+    /// Number of exported nodes: the arity of the rows this matcher emits.
+    arity: usize,
+    /// Block snapshots for the tree walk: one page access amortizes every
+    /// node load and sibling step landing in the same block, instead of one
+    /// page latch per visited node, and a walk that returns to a block (every
+    /// nested candidate does) finds it still there.
+    snaps: SnapshotCache,
+    /// The enumeration stack. A row is `1 + arity` words: a tag word, then
+    /// one position per column (0 where the row binds nothing yet). Every
+    /// [`scan_kin`](Self::scan_kin) in progress keeps one satisfied flag per
+    /// pattern node under its rows.
+    rows: Vec<u64>,
+    /// Scratch for the cross product at the end of
+    /// [`enum_node`](Self::enum_node); never live across a recursive call.
+    product: [Vec<u64>; 2],
     /// Match counters.
     pub stats: MatchStats,
 }
 
-/// The matcher's current cached block; `first > end` means empty.
-struct BlockCache {
-    /// First document position in the cached block.
-    first: u64,
-    /// One past the last cached position.
-    end: u64,
-    /// The block's page failed a non-availability read under secure
-    /// evaluation: every load in it answers fail-closed.
-    failed: bool,
-    /// The owned snapshot (`None` when `failed`).
-    snap: Option<BlockSnapshot>,
-}
-
-impl BlockCache {
-    fn empty() -> Self {
-        Self {
-            first: u64::MAX,
-            end: 0,
-            failed: false,
-            snap: None,
-        }
-    }
-}
-
-/// Per-execution shared block-snapshot cache for the compiled pipeline's
-/// **sequential** stages — leaf-candidate classification and the join's
-/// ancestor-interval fetch. Every distinct block is latched and snapshotted
-/// at most once per query, no matter how many fragments or join anchors land
-/// in it (a `//a//a` twig probes each candidate block once, not once per
-/// fragment plus once in the join). A block whose page fails a
+/// A cache of block snapshots: every distinct block is latched and
+/// snapshotted at most once per cache, however often it is probed. One
+/// execution holds a shared one for the compiled pipeline's **sequential**
+/// stages — leaf-candidate classification, the subtree-visibility path walk
+/// and the join's ancestor-interval fetch — so a `//a//a` twig probes each
+/// candidate block once, not once per fragment plus once in the join; each
+/// [`CompiledMatcher`] owns one for its tree walk. A block whose page fails a
 /// non-availability read under secure evaluation is cached as failed, so
 /// every later probe answers fail-closed without re-reading. Memory is one
-/// page copy per distinct block touched, released when the execution ends.
+/// page copy per distinct block touched, released with the cache.
+#[derive(Default)]
 pub struct SnapshotCache {
     slots: Vec<SnapState>,
+    /// The block [`at`](Self::at) resolved last, with its position range:
+    /// document-order callers mostly stay in it, sparing the directory
+    /// search.
+    last: (usize, std::ops::Range<u64>),
 }
 
 enum SnapState {
@@ -310,11 +310,28 @@ enum SnapState {
 }
 
 impl SnapshotCache {
-    /// An empty cache for a store with `block_count` blocks.
-    pub fn new(block_count: usize) -> Self {
-        let mut slots = Vec::with_capacity(block_count);
-        slots.resize_with(block_count, || SnapState::Missing);
-        Self { slots }
+    /// An empty cache; it sizes itself to the store on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The snapshot of the block holding document position `pos`, and
+    /// `pos`'s slot in it; `Ok(None)` as for [`get`](Self::get).
+    pub fn at(
+        &mut self,
+        store: &StructStore,
+        pos: u64,
+        fail_closed: bool,
+    ) -> Result<Option<(&BlockSnapshot, usize)>, StorageError> {
+        if !self.last.1.contains(&pos) {
+            let idx = store.block_of_pos(pos);
+            let info = store.block_info(idx);
+            self.last = (idx, info.first_pos..info.first_pos + u64::from(info.count));
+        }
+        let slot = (pos - self.last.1.start) as usize;
+        Ok(self
+            .get(store, self.last.0, fail_closed)?
+            .map(|snap| (snap, slot)))
     }
 
     /// The snapshot of block `idx`, taken on first use. `Ok(None)` means the
@@ -329,6 +346,10 @@ impl SnapshotCache {
         idx: usize,
         fail_closed: bool,
     ) -> Result<Option<&BlockSnapshot>, StorageError> {
+        if self.slots.is_empty() {
+            self.slots
+                .resize_with(store.block_count(), || SnapState::Missing);
+        }
         if matches!(self.slots[idx], SnapState::Missing) {
             match store.block_snapshot(idx) {
                 Ok(s) => self.slots[idx] = SnapState::Present(s),
@@ -346,20 +367,149 @@ impl SnapshotCache {
     }
 }
 
+/// The part of the document one evaluation may have to look at: the sorted,
+/// disjoint position ranges covered by maximal runs of blocks that the §3.3
+/// header test does **not** reject. Built once per evaluation from the same
+/// [`block_skip_mask`](dol_core::EmbeddedDol::block_skip_mask) the skip is
+/// defined by, so "outside every extent" and "in a skippable block" are the
+/// same set of positions. Evaluations that skip nothing (unsecured, or the
+/// fig-7 ablation) get the one extent covering the document.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VisibleExtents {
+    /// Half-open `[start, end)` position ranges, ascending, non-adjacent.
+    ranges: Vec<(u64, u64)>,
+}
+
+/// An ascending candidate list intersected with [`VisibleExtents`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct Pruned<'c> {
+    /// The candidates inside extents, as sub-slices of the input in order.
+    pub runs: Vec<&'c [u64]>,
+    /// How many candidates fell in the gaps — a sum of index differences,
+    /// one per gap, equal to what a per-candidate header probe would count.
+    pub skipped: u64,
+}
+
+impl VisibleExtents {
+    /// The whole document as one extent (none for an empty document).
+    pub fn all(total_nodes: u64) -> Self {
+        Self {
+            ranges: if total_nodes == 0 {
+                Vec::new()
+            } else {
+                vec![(0, total_nodes)]
+            },
+        }
+    }
+
+    /// The extents `skip_mask` leaves of `store`: bit `b & 63` of word
+    /// `b >> 6` set means block `b` is skippable.
+    pub fn from_skip_mask(store: &StructStore, skip_mask: &[u64]) -> Self {
+        Self::from_blocks(store.block_count(), store.total_nodes(), skip_mask, |b| {
+            store.block_info(b).first_pos
+        })
+    }
+
+    /// [`from_skip_mask`](Self::from_skip_mask) over an abstract block
+    /// directory: `nblocks` blocks, block `b` starting at `first_pos(b)`,
+    /// the last ending at `total_nodes`. Mask bits at and beyond `nblocks`
+    /// are ignored.
+    fn from_blocks(
+        nblocks: usize,
+        total_nodes: u64,
+        skip_mask: &[u64],
+        first_pos: impl Fn(usize) -> u64,
+    ) -> Self {
+        let mut ranges = Vec::new();
+        // First block of the run of visible blocks being extended, if any.
+        let mut open: Option<usize> = None;
+        for b in 0..nblocks {
+            let skipped = skip_mask[b >> 6] >> (b & 63) & 1 != 0;
+            match (skipped, open) {
+                (false, None) => open = Some(b),
+                (true, Some(first)) => {
+                    ranges.push((first_pos(first), first_pos(b)));
+                    open = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(first) = open {
+            ranges.push((first_pos(first), total_nodes));
+        }
+        Self { ranges }
+    }
+
+    /// The extents, ascending.
+    pub fn ranges(&self) -> &[(u64, u64)] {
+        &self.ranges
+    }
+
+    /// Whether `pos` lies inside an extent.
+    pub fn contains(&self, pos: u64) -> bool {
+        let after = self.ranges.partition_point(|&(start, _)| start <= pos);
+        after > 0 && pos < self.ranges[after - 1].1
+    }
+
+    /// Intersects an ascending candidate list with the extents. Each step
+    /// binary-searches past a whole extent or a whole gap, so the cost is
+    /// O(min(extents, runs) · log n) — independent of how many candidates
+    /// the gaps hold.
+    pub fn prune<'c>(&self, candidates: &'c [u64]) -> Pruned<'c> {
+        let mut runs = Vec::new();
+        let mut skipped = 0u64;
+        let mut i = 0;
+        let mut e = 0;
+        while i < candidates.len() {
+            let c = candidates[i];
+            e += self.ranges[e..].partition_point(|&(_, end)| end <= c);
+            let Some(&(start, end)) = self.ranges.get(e) else {
+                skipped += (candidates.len() - i) as u64;
+                break;
+            };
+            if c < start {
+                let gap = candidates[i..].partition_point(|&x| x < start);
+                skipped += gap as u64;
+                i += gap;
+            } else {
+                let run = candidates[i..].partition_point(|&x| x < end);
+                runs.push(&candidates[i..i + run]);
+                i += run;
+            }
+        }
+        Pruned { runs, skipped }
+    }
+}
+
 impl<'a> CompiledMatcher<'a> {
     /// Prepares a matcher for `frag` under `ctx`.
     pub fn new(
         ctx: &'a MatchContext<'a>,
         frag: &'a CompiledFragment,
         force_root_output: bool,
-        skip_mask: Option<&'a [u64]>,
     ) -> Self {
+        let mut arity = 0;
+        let col_of = frag
+            .nodes
+            .iter()
+            .enumerate()
+            .map(|(p, n)| {
+                let exported = n.is_output || (force_root_output && p == frag.root.index());
+                exported.then(|| {
+                    arity += 1;
+                    arity - 1
+                })
+            })
+            .collect();
         Self {
             ctx,
             frag,
             force_root_output,
-            skip_mask,
-            blk: BlockCache::empty(),
+            col_of,
+            arity,
+            snaps: SnapshotCache::new(),
+            rows: Vec::new(),
+            product: [Vec::new(), Vec::new()],
             stats: MatchStats::default(),
         }
     }
@@ -374,101 +524,72 @@ impl<'a> CompiledMatcher<'a> {
         self.ctx.access.is_some()
     }
 
-    #[inline]
-    fn block_skipped(&self, block: usize) -> bool {
-        match self.skip_mask {
-            Some(mask) => mask
-                .get(block >> 6)
-                .is_some_and(|w| w & (1u64 << (block & 63)) != 0),
-            None => false,
-        }
-    }
-
-    /// The `(record, code)` at `pos` through the block cache: a miss
-    /// snapshots the block with one page access; hits decode straight from
-    /// the owned snapshot with no latch. Fail-closed on data faults (the
-    /// failing block stays cached so every load in it answers `None` without
-    /// re-reading); availability outcomes propagate.
-    fn fetch(&mut self, pos: u64) -> Result<Option<(NodeRec, u32)>, StorageError> {
-        if !(self.blk.first <= pos && pos < self.blk.end) {
-            let store = self.ctx.store;
-            let idx = store.block_of_pos(pos);
-            let info = *store.block_info(idx);
-            let (snap, failed) = match store.block_snapshot(idx) {
-                Ok(snap) => (Some(snap), false),
-                Err(e) if self.fail_closed() && !is_availability(&e) => (None, true),
-                Err(e) => return Err(e),
-            };
-            self.blk = BlockCache {
-                first: info.first_pos,
-                end: info.first_pos + u64::from(info.count),
-                failed,
-                snap,
-            };
-        }
-        if self.blk.failed {
-            self.stats.blocks_failed_closed += 1;
-            return Ok(None);
-        }
-        let snap = self
-            .blk
-            .snap
-            .as_ref()
-            .expect("snapshot present unless failed");
-        let slot = (pos - self.blk.first) as usize;
-        Ok(Some((snap.node(slot), snap.code(slot))))
-    }
-
-    /// See [`FragmentMatcher::load_node`](crate::matcher::FragmentMatcher):
-    /// fail-closed on data faults, availability outcomes propagate, deadline
-    /// re-checked every `DEADLINE_CHECK_MASK + 1` visits.
-    fn load_node(&mut self, pos: u64) -> Result<Option<(NodeRec, u32)>, StorageError> {
+    /// Loads the node at `pos` through the snapshot cache: a miss snapshots
+    /// the block with one page access; hits decode straight from the owned
+    /// snapshot with no latch. As in
+    /// [`FragmentMatcher::load_node`](crate::matcher::FragmentMatcher):
+    /// fail-closed on data faults (the failing block stays cached, so every
+    /// load in it answers `None` without re-reading), availability outcomes
+    /// propagate, and the deadline is re-checked every
+    /// `DEADLINE_CHECK_MASK + 1` visits — before the read, so that a fault
+    /// cannot mask an expiry.
+    fn load_node(&mut self, pos: u64) -> Result<Option<Loaded>, StorageError> {
         if self.stats.nodes_visited & DEADLINE_CHECK_MASK == 0 {
             self.ctx.deadline.check()?;
         }
-        self.fetch(pos)
+        let fail_closed = self.fail_closed();
+        match self.snaps.at(self.ctx.store, pos, fail_closed)? {
+            Some((snap, slot)) => Ok(Some((pos, snap.node(slot), snap.code(slot)))),
+            None => {
+                self.stats.blocks_failed_closed += 1;
+                Ok(None)
+            }
+        }
     }
 
-    fn next_sibling(&mut self, pos: u64, rec: &NodeRec) -> Result<Option<u64>, StorageError> {
+    /// FOLLOWING-SIBLING of the node at `pos`, already loaded — the scan
+    /// that asked visits it next, so its record is decoded once.
+    fn next_sibling(&mut self, pos: u64, rec: &NodeRec) -> Result<Option<Loaded>, StorageError> {
         let next = pos + u64::from(rec.size);
         if next >= self.ctx.store.total_nodes() {
             return Ok(None);
         }
-        // The sibling test only needs the next record's depth, served from
-        // the block cache (the interpreted path pays a page latch here).
-        match self.fetch(next)? {
-            Some((nrec, _)) => Ok((nrec.depth == rec.depth).then_some(next)),
-            None => Ok(None),
-        }
+        Ok(self
+            .load_node(next)?
+            .filter(|(_, nrec, _)| nrec.depth == rec.depth))
     }
 
-    /// Attempts to match the fragment with its root bound to `pos`;
-    /// compiled twin of
+    /// Attempts to match the fragment with its root bound to `pos`,
+    /// appending one row per distinct output binding to `out`; compiled twin
+    /// of
     /// [`FragmentMatcher::match_root`](crate::matcher::FragmentMatcher::match_root).
-    pub fn match_root(&mut self, pos: u64) -> Result<Vec<Binding>, StorageError> {
+    pub fn match_root(&mut self, pos: u64, out: &mut TupleTable) -> Result<(), StorageError> {
+        debug_assert_eq!(
+            out.arity(),
+            self.arity,
+            "table matches the fragment's outputs"
+        );
         if !self.frag.satisfiable {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        if self.skip_mask.is_some() {
-            let block = self.ctx.store.block_of_pos(pos);
-            if self.block_skipped(block) {
-                self.stats.candidates_block_skipped += 1;
-                self.ctx.store.pool().note_page_skipped();
-                return Ok(Vec::new());
-            }
-        }
-        let Some((rec, code)) = self.load_node(pos)? else {
-            return Ok(Vec::new());
+        let Some((_, rec, code)) = self.load_node(pos)? else {
+            return Ok(());
         };
         self.stats.nodes_visited += 1;
         if !self.ctx.code_accessible(code) {
             self.stats.nodes_denied += 1;
-            return Ok(Vec::new());
+            return Ok(());
         }
         if !self.node_matches(self.frag.root, pos, &rec)? {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        self.enum_node(self.frag.root, pos, &rec)
+        self.rows.clear();
+        if self.enum_node(self.frag.root, pos, &rec)? {
+            for row in self.rows.chunks_exact(1 + self.arity) {
+                out.push(&row[1..]);
+            }
+        }
+        Ok(())
     }
 
     /// Tag and value test of `pnode` against the data node at `pos`.
@@ -507,118 +628,144 @@ impl<'a> CompiledMatcher<'a> {
         Ok(true)
     }
 
-    /// Enumerates output bindings for `pnode` matched at `pos` — the
-    /// compiled inner loop: kin ranges are slices of the flat table, no
-    /// per-call filtering or allocation beyond the binding sets themselves.
-    fn enum_node(
-        &mut self,
-        pnode: PNodeId,
-        pos: u64,
-        rec: &NodeRec,
-    ) -> Result<Vec<Binding>, StorageError> {
+    /// Enumerates the output bindings of `pnode` matched at `pos`, pushing
+    /// them as rows onto the stack; `false` (and nothing pushed) when some
+    /// pattern child finds no witness. Kin ranges are slices of the flat
+    /// table; the two scans leave their tagged rows above this node's own
+    /// row, and the cross product over the output-carrying kin replaces the
+    /// lot in place.
+    fn enum_node(&mut self, pnode: PNodeId, pos: u64, rec: &NodeRec) -> Result<bool, StorageError> {
         let frag = self.frag;
         let n = &frag.nodes[pnode.index()];
         let pchildren = &frag.kin[n.kin_start as usize..n.kin_mid as usize];
         let psiblings = &frag.kin[n.kin_mid as usize..n.kin_end as usize];
-        let own: Binding = if self.output(pnode) {
-            vec![(pnode, pos)]
-        } else {
-            Vec::new()
-        };
+        let stride = 1 + self.arity;
+        let own = self.rows.len();
+        self.rows.resize(own + stride, 0);
+        if let Some(col) = self.col_of[pnode.index()] {
+            self.rows[own + 1 + col] = pos;
+        }
         if pchildren.is_empty() && psiblings.is_empty() {
-            return Ok(vec![own]);
+            return Ok(true);
         }
-        let first = self.ctx.store.first_child_of(pos, rec);
-        let child_results = self.scan_kin(pchildren, first)?;
-        let next = self.next_sibling(pos, rec)?;
-        let sib_results = self.scan_kin(psiblings, next)?;
-        let (Some(child_results), Some(sib_results)) = (child_results, sib_results) else {
-            return Ok(Vec::new());
+        let child_scan = self.rows.len();
+        let first = match self.ctx.store.first_child_of(pos, rec) {
+            Some(first) if !pchildren.is_empty() => self.load_node(first)?,
+            _ => None,
         };
-        let mut acc: Vec<Binding> = vec![own];
-        for (&c, results) in pchildren
-            .iter()
-            .zip(&child_results)
-            .chain(psiblings.iter().zip(&sib_results))
-        {
-            if !frag.nodes[c.index()].carries_output {
-                continue;
-            }
-            let mut next = Vec::with_capacity(acc.len() * results.len());
-            for base in &acc {
-                for add in results {
-                    let mut merged = base.clone();
-                    merged.extend(add.iter().copied());
-                    next.push(merged);
+        let children_ok = self.scan_kin(pchildren, first)?;
+        let sibling_scan = self.rows.len();
+        let next = if psiblings.is_empty() {
+            None
+        } else {
+            self.next_sibling(pos, rec)?
+        };
+        let siblings_ok = self.scan_kin(psiblings, next)?;
+        if !(children_ok && siblings_ok) {
+            self.rows.truncate(own);
+            return Ok(false);
+        }
+        // Cross product: start from the own row, and for every kin that
+        // carries output pair each row so far with each of its rows. A row
+        // binds a column or holds 0 there, and two factors never bind the
+        // same column, so OR merges them.
+        let [mut acc, mut next_acc] = std::mem::take(&mut self.product);
+        acc.clear();
+        acc.extend_from_slice(&self.rows[own..child_scan]);
+        let end = self.rows.len();
+        for (pats, scan, scan_end) in [
+            (pchildren, child_scan, sibling_scan),
+            (psiblings, sibling_scan, end),
+        ] {
+            let scanned = &self.rows[scan + pats.len()..scan_end];
+            for (i, &c) in pats.iter().enumerate() {
+                if !frag.nodes[c.index()].carries_output {
+                    continue;
                 }
+                next_acc.clear();
+                for base in acc.chunks_exact(stride) {
+                    for add in scanned.chunks_exact(stride).filter(|r| r[0] == i as u64) {
+                        next_acc.push(0);
+                        next_acc.extend(base[1..].iter().zip(&add[1..]).map(|(b, a)| b | a));
+                    }
+                }
+                std::mem::swap(&mut acc, &mut next_acc);
             }
-            acc = next;
         }
-        for b in &mut acc {
-            b.sort_unstable_by_key(|&(p, _)| p);
-        }
-        acc.sort_unstable();
-        acc.dedup();
-        Ok(acc)
+        // Two witnesses of one sibling-axis pattern node can see the same
+        // later sibling: keep the rows a set, as the interpreted matcher does.
+        sort_dedup_rows(&mut acc, stride);
+        self.rows.truncate(own);
+        self.rows.extend_from_slice(&acc);
+        self.product = [acc, next_acc];
+        Ok(true)
     }
 
     /// Compiled twin of the interpreted `scan_kin`: matches `pats` against
-    /// the FOLLOWING-SIBLING chain from `start`.
-    fn scan_kin(
-        &mut self,
-        pats: &[PNodeId],
-        start: Option<u64>,
-    ) -> Result<Option<Vec<Vec<Binding>>>, StorageError> {
-        let frag = self.frag;
-        let mut results: Vec<Vec<Binding>> = vec![Vec::new(); pats.len()];
+    /// the FOLLOWING-SIBLING chain from `start`, in one pass. Pushes one
+    /// satisfied flag per pattern node, then — tagged with its index in
+    /// `pats` — every row of every output-carrying pattern node's matches;
+    /// `false` (and nothing left pushed) when some pattern node found no
+    /// witness.
+    fn scan_kin(&mut self, pats: &[PNodeId], start: Option<Loaded>) -> Result<bool, StorageError> {
         if pats.is_empty() {
-            return Ok(Some(results));
+            return Ok(true);
         }
-        let mut satisfied: Vec<bool> = vec![false; pats.len()];
+        let frag = self.frag;
+        let carries = |c: PNodeId| frag.nodes[c.index()].carries_output;
+        let flags = self.rows.len();
+        self.rows.resize(flags + pats.len(), 0);
         let mut u = start;
-        while let Some(upos) = u {
-            let Some((urec, ucode)) = self.load_node(upos)? else {
-                break;
-            };
+        while let Some((upos, urec, ucode)) = u {
             self.stats.nodes_visited += 1;
             if self.ctx.code_accessible(ucode) {
                 for (i, &c) in pats.iter().enumerate() {
-                    if satisfied[i] && !frag.nodes[c.index()].carries_output {
+                    // Existential pattern nodes stop at the first witness.
+                    if self.rows[flags + i] != 0 && !carries(c) {
                         continue;
                     }
                     if self.node_matches(c, upos, &urec)? {
-                        let bs = self.enum_node(c, upos, &urec)?;
-                        if !bs.is_empty() {
-                            satisfied[i] = true;
-                            results[i].extend(bs);
+                        let pushed = self.rows.len();
+                        if self.enum_node(c, upos, &urec)? {
+                            self.rows[flags + i] = 1;
+                            if carries(c) {
+                                let stride = 1 + self.arity;
+                                for tag in self.rows[pushed..].iter_mut().step_by(stride) {
+                                    *tag = i as u64;
+                                }
+                            } else {
+                                self.rows.truncate(pushed);
+                            }
                         }
                     }
                 }
             } else {
                 self.stats.nodes_denied += 1;
             }
-            if satisfied.iter().all(|&s| s)
-                && pats.iter().all(|&c| !frag.nodes[c.index()].carries_output)
-            {
+            let satisfied = &self.rows[flags..flags + pats.len()];
+            if satisfied.iter().all(|&s| s != 0) && pats.iter().all(|&c| !carries(c)) {
                 break;
             }
             u = self.next_sibling(upos, &urec)?;
         }
-        if satisfied.iter().any(|&s| !s) {
-            return Ok(None);
+        if self.rows[flags..flags + pats.len()].contains(&0) {
+            self.rows.truncate(flags);
+            return Ok(false);
         }
-        Ok(Some(results))
+        Ok(true)
     }
 
     /// Leaf fast path: matches a **single-node** fragment against a sorted
     /// (document-order) candidate list in the compressed domain, block by
-    /// block. For each block of candidates, in order:
+    /// block, appending one row per match to `out` (the root position when
+    /// the root is exported, else the bare "matched" bit of an arity-0
+    /// table). For each block of candidates, in order:
     ///
-    /// 1. the precomputed skip mask rejects fully-denied uniform blocks with
-    ///    zero I/O;
-    /// 2. a uniform block (`change` bit clear) is decided entirely from its
+    /// 1. a uniform block (`change` bit clear) is decided entirely from its
     ///    in-memory header: all-denied or — absent a value predicate —
-    ///    all-matched, again zero I/O;
+    ///    all-matched, zero I/O;
+    /// 2. a changing block without a value predicate is decided from the
+    ///    code runs of the execution's shared snapshot;
     /// 3. otherwise one [`StructStore::block_probe`] page scan yields
     ///    word-packed tag/value masks and the code runs, an
     ///    [`AccessBitmap`] classifies all slots with word ops, and only
@@ -629,26 +776,29 @@ impl<'a> CompiledMatcher<'a> {
     /// depth, and wildcards pass trivially). The deadline is checked before
     /// every page probe and every `DEADLINE_CHECK_MASK + 1` candidates;
     /// `nodes_visited` stays 0 on this path — no per-node record is ever
-    /// materialized.
+    /// materialized. Rows are appended in candidate order, so `out` stays
+    /// sorted by its one column.
     ///
     /// # Panics
-    /// Debug-asserts that the fragment is a leaf.
+    /// Debug-asserts that the fragment is a leaf and that `out` has the
+    /// fragment's one column (or none).
     pub fn match_leaf_candidates(
         &mut self,
         candidates: &[u64],
         snaps: &mut SnapshotCache,
-    ) -> Result<Vec<Binding>, StorageError> {
+        out: &mut TupleTable,
+    ) -> Result<(), StorageError> {
         debug_assert!(self.frag.leaf, "leaf fast path on a non-leaf fragment");
         if !self.frag.satisfiable {
-            return Ok(Vec::new());
+            return Ok(());
         }
         let root = self.frag.root;
         let root_tag = self.frag.root_tag();
         let value: Option<&str> = self.frag.nodes[root.index()].value.as_deref();
-        let emit = self.output(root);
+        let arity = usize::from(self.output(root));
+        debug_assert_eq!(out.arity(), arity, "table matches the leaf's outputs");
         let secure = self.ctx.access.is_some();
         let store = self.ctx.store;
-        let mut out: Vec<Binding> = Vec::new();
         let mut processed: u64 = 0;
         let mut i = 0usize;
         while i < candidates.len() {
@@ -656,25 +806,14 @@ impl<'a> CompiledMatcher<'a> {
             let block = store.block_of_pos(candidates[i]);
             let info = *store.block_info(block);
             let block_end = info.first_pos + u64::from(info.count);
-            let mut j = i + 1;
-            while j < candidates.len() && candidates[j] < block_end {
-                j += 1;
-            }
+            let j = i + candidates[i..].partition_point(|&c| c < block_end);
             let group = &candidates[i..j];
             i = j;
             if processed & DEADLINE_CHECK_MASK == 0 {
                 self.ctx.deadline.check()?;
             }
             processed += group.len() as u64;
-            // (1) §3.3 skip from the precomputed mask — zero I/O.
-            if self.block_skipped(block) {
-                self.stats.candidates_block_skipped += group.len() as u64;
-                for _ in group {
-                    store.pool().note_page_skipped();
-                }
-                continue;
-            }
-            // (2) Uniform block: the header decides accessibility for every
+            // (1) Uniform block: the header decides accessibility for every
             // slot — zero I/O unless a value must be read.
             if secure && !info.change {
                 if !self.ctx.code_accessible(info.first_code) {
@@ -682,28 +821,20 @@ impl<'a> CompiledMatcher<'a> {
                     continue;
                 }
                 if value.is_none() {
-                    if emit {
-                        out.extend(group.iter().map(|&pos| vec![(root, pos)]));
-                    } else {
-                        out.extend(group.iter().map(|_| Binding::new()));
-                    }
+                    out.push_positions(group);
                     continue;
                 }
             } else if !secure && value.is_none() {
                 // Unsecured, no predicate: index candidates are the answer.
-                if emit {
-                    out.extend(group.iter().map(|&pos| vec![(root, pos)]));
-                } else {
-                    out.extend(group.iter().map(|_| Binding::new()));
-                }
+                out.push_positions(group);
                 continue;
             }
-            // (3a) Secure changing block, no value predicate: the code runs
+            // (2) Secure changing block, no value predicate: the code runs
             // alone decide — the shared snapshot (one latch per block per
             // execution) answers each candidate's code; the tag is already
-            // proven by the index, exactly as paths (2)/(2b) trust it.
+            // proven by the index, exactly as path (1) trusts it.
             if value.is_none() {
-                debug_assert!(secure && info.change, "handled by (2)/(2b) otherwise");
+                debug_assert!(secure && info.change, "handled by (1) otherwise");
                 self.ctx.deadline.check()?;
                 let Some(snap) = snaps.get(store, block, true)? else {
                     self.stats.blocks_failed_closed += group.len() as u64;
@@ -712,18 +843,14 @@ impl<'a> CompiledMatcher<'a> {
                 for &pos in group {
                     let slot = (pos - info.first_pos) as usize;
                     if self.ctx.code_accessible(snap.code(slot)) {
-                        out.push(if emit {
-                            vec![(root, pos)]
-                        } else {
-                            Binding::new()
-                        });
+                        out.push(&[pos][..arity]);
                     } else {
                         self.stats.nodes_denied += 1;
                     }
                 }
                 continue;
             }
-            // (3b) Value predicate: full compressed-domain probe — one page
+            // (3) Value predicate: full compressed-domain probe — one page
             // access producing word-packed tag/value masks and the runs.
             self.ctx.deadline.check()?;
             let probe = match store.block_probe(block, root_tag) {
@@ -734,21 +861,17 @@ impl<'a> CompiledMatcher<'a> {
                 }
                 Err(e) => return Err(e),
             };
-            let access: Option<AccessBitmap> = match (&self.ctx.column, secure) {
-                (Some(col), _) => {
-                    let count = u64::from(probe.count);
-                    let runs = probe.runs.iter().enumerate().map(|(k, &(slot, code))| {
-                        let end = probe
-                            .runs
-                            .get(k + 1)
-                            .map_or(count, |&(next, _)| u64::from(next));
-                        (u64::from(slot), end, code)
-                    });
-                    Some(AccessBitmap::from_runs(count, runs, col))
-                }
-                (None, true) => None, // fall back to per-code checks below
-                (None, false) => None,
-            };
+            let access: Option<AccessBitmap> = self.ctx.column.as_ref().map(|col| {
+                let count = u64::from(probe.count);
+                let runs = probe.runs.iter().enumerate().map(|(k, &(slot, code))| {
+                    let end = probe
+                        .runs
+                        .get(k + 1)
+                        .map_or(count, |&(next, _)| u64::from(next));
+                    (u64::from(slot), end, code)
+                });
+                AccessBitmap::from_runs(count, runs, col)
+            });
             for &pos in group {
                 let slot = (pos - probe.first_pos) as usize;
                 let bit = 1u64 << (slot & 63);
@@ -792,19 +915,10 @@ impl<'a> CompiledMatcher<'a> {
                         _ => continue,
                     }
                 }
-                out.push(if emit {
-                    vec![(root, pos)]
-                } else {
-                    Binding::new()
-                });
+                out.push(&[pos][..arity]);
             }
         }
-        // Candidates arrive strictly ascending and blocks are processed in
-        // order, so the bindings are already sorted — dedup alone suffices
-        // (it collapses the all-empty bindings of a non-output fragment).
-        debug_assert!(out.windows(2).all(|w| w[0] <= w[1]), "leaf output sorted");
-        out.dedup();
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -867,16 +981,26 @@ mod tests {
         let plan = QueryPlan::new(parse_query(query).unwrap());
         let compiled = CompiledPlan::compile(&plan, f.doc.tags());
         let c = ctx(f, secure);
-        let mask = c
-            .column
-            .as_ref()
-            .map(|col| f.dol.block_skip_mask(&f.store, col));
         for ti in 0..plan.trees.len() {
             let mut im = FragmentMatcher::new(&c, &plan, ti);
-            let mut cm = CompiledMatcher::new(&c, compiled.fragment(ti), false, mask.as_deref());
+            let mut cm = CompiledMatcher::new(&c, compiled.fragment(ti), false);
+            let mut cols = plan.trees[ti].outputs.clone();
+            cols.sort_unstable();
             for &cand in candidates {
-                let a = im.match_root(cand).unwrap();
-                let b = cm.match_root(cand).unwrap();
+                // The interpreted bindings are sorted and distinct, each
+                // ascending by pattern node: exactly the compiled rows.
+                let a: Vec<Vec<u64>> = im
+                    .match_root(cand)
+                    .unwrap()
+                    .iter()
+                    .map(|b| {
+                        assert!(b.iter().map(|&(p, _)| p).eq(cols.iter().copied()));
+                        b.iter().map(|&(_, d)| d).collect()
+                    })
+                    .collect();
+                let mut b = TupleTable::new(cols.clone());
+                cm.match_root(cand, &mut b).unwrap();
+                let b: Vec<Vec<u64>> = (0..b.len()).map(|i| b.row(i).to_vec()).collect();
                 assert_eq!(a, b, "query {query} fragment {ti} candidate {cand}");
             }
         }
@@ -940,10 +1064,6 @@ mod tests {
             let compiled = CompiledPlan::compile(&plan, f.doc.tags());
             for secure in [None, Some(SubjectId(0))] {
                 let c = ctx(&f, secure);
-                let mask = c
-                    .column
-                    .as_ref()
-                    .map(|col| f.dol.block_skip_mask(&f.store, col));
                 for ti in 0..plan.trees.len() {
                     let frag = compiled.fragment(ti);
                     assert!(frag.is_leaf());
@@ -958,17 +1078,18 @@ mod tests {
                         }
                         want.extend(im.match_root(cand).unwrap());
                     }
-                    want.sort_unstable();
-                    want.dedup();
+                    let want: Vec<u64> = want.iter().map(|b| b[0].1).collect();
                     let tagged: Vec<u64> = all
                         .iter()
                         .copied()
                         .filter(|&p| Some(f.store.node(p).unwrap().tag) == frag.root_tag())
                         .collect();
-                    let mut cm = CompiledMatcher::new(&c, frag, false, mask.as_deref());
-                    let mut snaps = SnapshotCache::new(f.store.block_count());
-                    let got = cm.match_leaf_candidates(&tagged, &mut snaps).unwrap();
-                    assert_eq!(got, want, "fragment {ti} secure={secure:?}");
+                    let mut cm = CompiledMatcher::new(&c, frag, false);
+                    let mut snaps = SnapshotCache::new();
+                    let mut got = TupleTable::new(vec![frag.root()]);
+                    cm.match_leaf_candidates(&tagged, &mut snaps, &mut got)
+                        .unwrap();
+                    assert_eq!(got.into_column(0), want, "fragment {ti} secure={secure:?}");
                     assert_eq!(cm.stats.nodes_visited, 0, "compressed domain only");
                 }
             }
@@ -991,11 +1112,12 @@ mod tests {
         let tagged: Vec<u64> = (0..f.store.total_nodes())
             .filter(|&p| Some(f.store.node(p).unwrap().tag) == frag.root_tag())
             .collect();
-        let mut cm = CompiledMatcher::new(&c, frag, false, None);
-        let mut snaps = SnapshotCache::new(f.store.block_count());
-        let got = cm.match_leaf_candidates(&tagged, &mut snaps).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0], vec![(PNodeId(0), 2)]);
+        let mut cm = CompiledMatcher::new(&c, frag, false);
+        let mut snaps = SnapshotCache::new();
+        let mut got = TupleTable::new(vec![PNodeId(0)]);
+        cm.match_leaf_candidates(&tagged, &mut snaps, &mut got)
+            .unwrap();
+        assert_eq!(got.into_column(0), vec![2]);
     }
 
     #[test]
@@ -1015,11 +1137,145 @@ mod tests {
         let plan = QueryPlan::new(parse_query("//h/l").unwrap());
         let compiled = CompiledPlan::compile(&plan, f.doc.tags());
         let c = ctx(&f, None);
-        let mut plain = CompiledMatcher::new(&c, compiled.fragment(0), false, None);
-        let mut forced = CompiledMatcher::new(&c, compiled.fragment(0), true, None);
-        let a = plain.match_root(7).unwrap();
-        let b = forced.match_root(7).unwrap();
-        assert_eq!(a, vec![vec![(PNodeId(1), 11)]]);
-        assert_eq!(b, vec![vec![(PNodeId(0), 7), (PNodeId(1), 11)]]);
+        let mut plain = CompiledMatcher::new(&c, compiled.fragment(0), false);
+        let mut forced = CompiledMatcher::new(&c, compiled.fragment(0), true);
+        let mut a = TupleTable::new(vec![PNodeId(1)]);
+        let mut b = TupleTable::new(vec![PNodeId(0), PNodeId(1)]);
+        plain.match_root(7, &mut a).unwrap();
+        forced.match_root(7, &mut b).unwrap();
+        assert_eq!((a.len(), a.row(0)), (1, &[11][..]));
+        assert_eq!((b.len(), b.row(0)), (1, &[7, 11][..]));
+    }
+
+    /// Extents over a directory of `nblocks` blocks of ten positions each.
+    fn extents_of(nblocks: usize, mask: &[u64]) -> VisibleExtents {
+        VisibleExtents::from_blocks(nblocks, 10 * nblocks as u64, mask, |b| 10 * b as u64)
+    }
+
+    /// What `prune` must equal: a per-candidate probe of the same mask.
+    fn prune_naive(nblocks: usize, mask: &[u64], candidates: &[u64]) -> (Vec<u64>, u64) {
+        let skipped = |c: u64| {
+            let b = (c / 10) as usize;
+            b >= nblocks || mask[b >> 6] >> (b & 63) & 1 != 0
+        };
+        let kept: Vec<u64> = candidates
+            .iter()
+            .copied()
+            .filter(|&c| !skipped(c))
+            .collect();
+        let n = (candidates.len() - kept.len()) as u64;
+        (kept, n)
+    }
+
+    #[test]
+    fn extents_from_degenerate_masks() {
+        // Empty directory: nothing visible, everything skipped.
+        let none = extents_of(0, &[]);
+        assert!(none.ranges().is_empty());
+        assert!(!none.contains(0));
+        assert_eq!(none.prune(&[]).skipped, 0);
+        assert_eq!(VisibleExtents::all(0), none);
+        // All skipped.
+        let dark = extents_of(5, &[0b11111]);
+        assert!(dark.ranges().is_empty());
+        let p = dark.prune(&[0, 7, 49]);
+        assert!(p.runs.is_empty());
+        assert_eq!(p.skipped, 3);
+        // None skipped: one extent, the same as `all`.
+        let lit = extents_of(5, &[0]);
+        assert_eq!(lit.ranges(), &[(0, 50)]);
+        assert_eq!(lit, VisibleExtents::all(50));
+        let cands = [0, 7, 49];
+        let p = lit.prune(&cands);
+        assert_eq!(p.runs, vec![&cands[..]]);
+        assert_eq!(p.skipped, 0);
+    }
+
+    #[test]
+    fn extents_from_alternating_blocks_and_a_partial_last_word() {
+        // 70 blocks = one full mask word and six bits of a second; odd
+        // blocks skippable. Bits past block 69 are garbage and ignored.
+        let mask = [0xAAAA_AAAA_AAAA_AAAAu64, 0xFFFF_FFFF_FFFF_FFEAu64];
+        let e = extents_of(70, &mask);
+        let want: Vec<(u64, u64)> = (0..70).step_by(2).map(|b| (10 * b, 10 * b + 10)).collect();
+        assert_eq!(e.ranges(), &want[..]);
+        // A visible last block runs to the end of the document.
+        let e = extents_of(70, &[!0, !0 << 6 | 0b011111]);
+        assert_eq!(e.ranges(), &[(690, 700)]);
+        // Runs that span whole mask words.
+        let mask = [!0, 0, 0, !0, 0b0110];
+        let e = extents_of(260, &mask);
+        assert_eq!(e.ranges(), &[(640, 1920), (2560, 2570), (2590, 2600)]);
+        for pos in 0..2600 {
+            let b = (pos / 10) as usize;
+            assert_eq!(
+                e.contains(pos),
+                mask[b >> 6] >> (b & 63) & 1 == 0,
+                "pos {pos}"
+            );
+        }
+    }
+
+    #[test]
+    fn prune_counts_gaps_and_keeps_boundary_candidates() {
+        // Blocks 1 and 4 visible: extents [10,20) and [40,50).
+        let e = extents_of(6, &[0b101101]);
+        assert_eq!(e.ranges(), &[(10, 20), (40, 50)]);
+        let cands = [9, 10, 19, 20, 39, 40, 49, 50];
+        let p = e.prune(&cands);
+        assert_eq!(p.runs, vec![&cands[1..3], &cands[5..7]]);
+        assert_eq!(p.skipped, 4);
+        // Candidates only in gaps, only in extents, before and after all.
+        assert_eq!(e.prune(&[0, 25, 59]).skipped, 3);
+        assert_eq!(e.prune(&[12, 44]).skipped, 0);
+        assert_eq!(e.prune(&[12, 44]).runs.len(), 2);
+    }
+
+    #[test]
+    fn prune_matches_a_per_candidate_probe() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+        for _ in 0..200 {
+            let nblocks = rng.gen_range(1..200usize);
+            let density = [0.02, 0.5, 0.98][rng.gen_range(0..3usize)];
+            let mut mask = vec![0u64; nblocks.div_ceil(64)];
+            for b in 0..nblocks {
+                if rng.gen_bool(density) {
+                    mask[b >> 6] |= 1 << (b & 63);
+                }
+            }
+            let keep = [0.01, 0.3, 1.0][rng.gen_range(0..3usize)];
+            let cands: Vec<u64> = (0..10 * nblocks as u64)
+                .filter(|_| rng.gen_bool(keep))
+                .collect();
+            let p = extents_of(nblocks, &mask).prune(&cands);
+            let (kept, skipped) = prune_naive(nblocks, &mask, &cands);
+            assert_eq!(p.runs.concat(), kept);
+            assert_eq!(p.skipped, skipped);
+            assert!(p.runs.iter().all(|r| !r.is_empty()));
+        }
+    }
+
+    #[test]
+    fn extents_agree_with_the_scalar_skip_test_on_a_store() {
+        let doc = parse(FIG2).unwrap();
+        let mut map = AccessibilityMap::new(1, doc.len());
+        for p in 7..12 {
+            map.set(SubjectId(0), NodeId(p), true); // only h's subtree
+        }
+        for max_rec in [300, 3, 2] {
+            let f = fixture(FIG2, Some(&map), max_rec);
+            let col = f.dol.column(SubjectId(0));
+            let e =
+                VisibleExtents::from_skip_mask(&f.store, &f.dol.block_skip_mask(&f.store, &col));
+            for pos in 0..f.store.total_nodes() {
+                let block = f.store.block_of_pos(pos);
+                assert_eq!(
+                    e.contains(pos),
+                    !f.dol.block_skippable(&f.store, block, SubjectId(0)),
+                    "pos {pos} max_rec {max_rec}"
+                );
+            }
+        }
     }
 }

@@ -1,11 +1,11 @@
 //! The query engine: candidates → fragment matches → joins → answers.
 
 use crate::cache::fnv1a;
-use crate::compiled::{CompiledMatcher, CompiledPlan, SnapshotCache};
-use crate::join::{stack_tree_desc, VisibilityChecker};
-use crate::matcher::{is_availability, Binding, FragmentMatcher, MatchContext};
+use crate::compiled::{CompiledMatcher, CompiledPlan, SnapshotCache, VisibleExtents};
+use crate::join::{join_tables, TupleTable, VisibilityChecker};
+use crate::matcher::{FragmentMatcher, MatchContext, MatchStats};
 use crate::pattern::PNodeId;
-use crate::plan::QueryPlan;
+use crate::plan::{NokTree, QueryPlan};
 use crate::xpath::{parse_query, QueryParseError};
 use dol_acl::SubjectId;
 use dol_core::EmbeddedDol;
@@ -163,7 +163,13 @@ pub struct ExecStats {
     pub nodes_denied: u64,
     /// Candidates rejected from in-memory block headers without I/O.
     pub blocks_skipped: u64,
-    /// Structural-join output pairs.
+    /// Candidates that survived header pruning and were classified one by
+    /// one (`candidates - blocks_skipped`): the work that follows what the
+    /// subject can see rather than what the index lists.
+    pub candidates_examined: u64,
+    /// Tuples the structural joins emitted: one per ancestor–descendant
+    /// pair where both sides still carry a live column, one per surviving
+    /// row where the join ran as a semi-join.
     pub join_pairs: u64,
     /// Path nodes inspected by the subtree-visibility checker (ε-STD only).
     pub visibility_nodes: u64,
@@ -180,7 +186,7 @@ pub struct ExecStats {
 impl ExecStats {
     /// Folds one matcher's counters in (workers merge in chunk order, but
     /// these sums are order-independent).
-    fn add_match(&mut self, m: &crate::matcher::MatchStats) {
+    fn add_match(&mut self, m: &MatchStats) {
         self.nodes_visited += m.nodes_visited;
         self.nodes_denied += m.nodes_denied;
         self.blocks_skipped += m.candidates_block_skipped;
@@ -447,6 +453,7 @@ impl<'a> QueryEngine<'a> {
             Some(c) => self.run_pipeline_compiled(plan, c, security, opts, &mut stats),
             None => self.run_pipeline(plan, security, opts, &mut stats),
         });
+        stats.candidates_examined = stats.candidates - stats.blocks_skipped;
         stats.io = self.store.pool().stats().since(&io_before);
         stats.elapsed = start.elapsed();
         match outcome {
@@ -458,8 +465,26 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// Stages 1–4 of one evaluation; split out so the caller can attach the
-    /// partial stats to a deadline abort.
+    /// The per-evaluation match context: the subject's decoded column, the
+    /// ablation knob and the deadline.
+    fn match_context(
+        &self,
+        security: Security,
+        opts: &ExecOptions,
+    ) -> Result<MatchContext<'_>, QueryError> {
+        let access = match (security.subject(), self.dol) {
+            (Some(s), Some(dol)) => Some((dol, s)),
+            (Some(_), None) => return Err(QueryError::NoAccessControl),
+            (None, _) => None,
+        };
+        let mut ctx = MatchContext::new(self.store, self.values, self.tags, access, opts.page_skip);
+        ctx.deadline = opts.deadline.clone();
+        Ok(ctx)
+    }
+
+    /// Stage 1 of the interpreted baseline; split out so the caller can
+    /// attach the partial stats to a deadline abort. The interpreted matcher
+    /// probes block headers per candidate itself, so nothing is pruned here.
     fn run_pipeline(
         &self,
         plan: &QueryPlan,
@@ -467,15 +492,7 @@ impl<'a> QueryEngine<'a> {
         opts: &ExecOptions,
         stats: &mut ExecStats,
     ) -> Result<Vec<u64>, QueryError> {
-        let subject = security.subject();
-        let access = match (subject, self.dol) {
-            (Some(s), Some(dol)) => Some((dol, s)),
-            (Some(_), None) => return Err(QueryError::NoAccessControl),
-            (None, _) => None,
-        };
-        let mut ctx = MatchContext::new(self.store, self.values, self.tags, access, opts.page_skip);
-        ctx.deadline = opts.deadline.clone();
-        let ctx = ctx;
+        let ctx = self.match_context(security, opts)?;
 
         // Under subtree-visibility semantics every fragment root's binding
         // must be exported so its ancestor path can be checked.
@@ -492,80 +509,38 @@ impl<'a> QueryEngine<'a> {
             plan
         };
 
-        // 1. Match every fragment. With `parallelism > 1`, the candidate
-        //    list is split into contiguous chunks over scoped workers; each
-        //    worker runs its own matcher (sharing the context's decoded
-        //    column) and outputs are concatenated in chunk order, so the
-        //    tuple stream is byte-identical to sequential evaluation.
-        let workers = opts.effective_parallelism().max(1);
-        let mut results: Vec<Vec<Binding>> = Vec::with_capacity(plan.trees.len());
+        let mut tables: Vec<TupleTable> = Vec::with_capacity(plan.trees.len());
         for (i, tree) in plan.trees.iter().enumerate() {
-            let mut matcher = FragmentMatcher::new(&ctx, plan, i);
+            let probe = FragmentMatcher::new(&ctx, plan, i);
             let candidates: Cow<'_, [u64]> = if i == 0 && plan.pattern.anchored() {
                 Cow::Owned(vec![0u64])
-            } else if matcher.is_satisfiable() {
+            } else if probe.is_satisfiable() {
                 let root_value = plan.pattern.node(tree.root).value.as_deref();
-                self.candidates_for(matcher.root_tag(), root_value)
+                self.candidates_for(probe.root_tag(), root_value)
             } else {
                 Cow::Owned(Vec::new())
             };
             stats.candidates += candidates.len() as u64;
-            let tuples = if workers <= 1 || candidates.len() < 2 {
-                let mut tuples = Vec::new();
-                for &c in candidates.iter() {
-                    tuples.extend(matcher.match_root(c)?);
-                }
-                stats.add_match(&matcher.stats);
-                tuples
-            } else {
-                let chunk = candidates
-                    .len()
-                    .div_ceil(opts.workers_for(candidates.len()));
-                let per_chunk: Vec<_> = std::thread::scope(|scope| {
-                    let ctx = &ctx;
-                    let handles: Vec<_> = candidates
-                        .chunks(chunk)
-                        .map(|chunk| {
-                            scope.spawn(move || {
-                                // Thread-locals don't cross scope boundaries:
-                                // each worker installs the evaluation's
-                                // deadline for its own buffer-pool I/O.
-                                with_io_deadline(&ctx.deadline, || {
-                                    let mut m = FragmentMatcher::new(ctx, plan, i);
-                                    let mut tuples = Vec::new();
-                                    for &c in chunk {
-                                        tuples.extend(m.match_root(c)?);
-                                    }
-                                    Ok::<_, StorageError>((tuples, m.stats))
-                                })
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("matcher worker panicked"))
-                        .collect()
-                });
-                let mut tuples = Vec::new();
-                for r in per_chunk {
-                    let (t, ms) = r?;
-                    tuples.extend(t);
-                    stats.add_match(&ms);
-                }
-                tuples
-            };
-            let _ = tree;
-            results.push(tuples);
+            tables.push(match_runs(
+                || FragmentMatcher::new(&ctx, plan, i),
+                &[&candidates],
+                &fragment_cols(tree, false),
+                opts,
+                stats,
+            )?);
         }
-
-        self.finish_pipeline(plan, security, results, stats, None)
+        let extents = VisibleExtents::all(self.store.total_nodes());
+        let mut snaps = SnapshotCache::new();
+        self.finish_pipeline(plan, security, &ctx, &extents, tables, stats, &mut snaps)
     }
 
     /// Stage 1 of the compiled path: the same candidate seeding as the
     /// interpreted pipeline, executed through [`CompiledMatcher`] — with the
-    /// §3.3 skip mask precomputed **once** per evaluation (word-parallel,
-    /// from in-memory headers) and single-node fragments routed through the
-    /// compressed-domain leaf fast path.
+    /// §3.3 skip decided **once** per evaluation (word-parallel, from
+    /// in-memory headers) and turned into [`VisibleExtents`] that every
+    /// fragment's candidate list is intersected with before any matcher
+    /// runs, and single-node fragments routed through the compressed-domain
+    /// leaf fast path.
     fn run_pipeline_compiled(
         &self,
         plan: &QueryPlan,
@@ -574,39 +549,30 @@ impl<'a> QueryEngine<'a> {
         opts: &ExecOptions,
         stats: &mut ExecStats,
     ) -> Result<Vec<u64>, QueryError> {
-        let subject = security.subject();
-        let access = match (subject, self.dol) {
-            (Some(s), Some(dol)) => Some((dol, s)),
-            (Some(_), None) => return Err(QueryError::NoAccessControl),
-            (None, _) => None,
-        };
-        let mut ctx = MatchContext::new(self.store, self.values, self.tags, access, opts.page_skip);
-        ctx.deadline = opts.deadline.clone();
-        let ctx = ctx;
+        let ctx = self.match_context(security, opts)?;
         // GB semantics need every fragment root exported; the compiled path
         // passes a flag instead of cloning and re-lowering the plan (sound
         // because a fragment root never appears in its own kin table).
         let force_root_output = matches!(security, Security::SubtreeVisibility(_));
         // One word-parallel pass over the in-memory block directory replaces
         // the per-candidate skip probe. Purely in-memory: no I/O.
-        let skip_mask: Option<Vec<u64>> = match (&ctx.column, ctx.access) {
+        let extents = match (&ctx.column, ctx.access) {
             (Some(col), Some((dol, _))) if opts.page_skip => {
-                Some(dol.block_skip_mask(self.store, col))
+                VisibleExtents::from_skip_mask(self.store, &dol.block_skip_mask(self.store, col))
             }
-            _ => None,
+            _ => VisibleExtents::all(self.store.total_nodes()),
         };
-        let workers = opts.effective_parallelism().max(1);
         debug_assert_eq!(
             compiled.fragments().len(),
             plan.trees.len(),
             "compiled plan must be lowered from this query plan"
         );
-        // Shared per-execution snapshot cache: the sequential leaf fast path
-        // and the join's ancestor-interval fetch latch each distinct block at
-        // most once between them.
-        let mut snaps = SnapshotCache::new(self.store.block_count());
-        let mut results: Vec<Vec<Binding>> = Vec::with_capacity(plan.trees.len());
-        for i in 0..plan.trees.len() {
+        // Shared per-execution snapshot cache: the sequential leaf fast
+        // path, the visibility filter and the join's ancestor-interval fetch
+        // latch each distinct block at most once between them.
+        let mut snaps = SnapshotCache::new();
+        let mut tables: Vec<TupleTable> = Vec::with_capacity(plan.trees.len());
+        for (i, tree) in plan.trees.iter().enumerate() {
             let frag = compiled.fragment(i);
             let anchored_root = i == 0 && plan.pattern.anchored();
             let candidates: Cow<'_, [u64]> = if anchored_root {
@@ -617,217 +583,274 @@ impl<'a> QueryEngine<'a> {
                 Cow::Owned(Vec::new())
             };
             stats.candidates += candidates.len() as u64;
+            // Candidates in skippable blocks are counted, never visited: the
+            // count is an index difference per gap between extents.
+            let pruned = extents.prune(&candidates);
+            stats.blocks_skipped += pruned.skipped;
+            self.store.pool().note_pages_skipped(pruned.skipped);
+            let cols = fragment_cols(tree, force_root_output);
             // The leaf fast path classifies whole blocks in the compressed
             // domain; it requires candidates drawn from the tag index (an
             // anchored root's `[0]` is not), and is sequential by design —
             // it does no per-candidate work worth parallelizing.
-            let tuples = if frag.is_leaf() && !anchored_root {
-                let mut m =
-                    CompiledMatcher::new(&ctx, frag, force_root_output, skip_mask.as_deref());
-                let t = m.match_leaf_candidates(&candidates, &mut snaps)?;
-                stats.add_match(&m.stats);
-                t
-            } else if workers <= 1 || candidates.len() < 2 {
-                let mut m =
-                    CompiledMatcher::new(&ctx, frag, force_root_output, skip_mask.as_deref());
-                let mut tuples = Vec::new();
-                for &c in candidates.iter() {
-                    tuples.extend(m.match_root(c)?);
+            let table = if frag.is_leaf() && !anchored_root {
+                let mut m = CompiledMatcher::new(&ctx, frag, force_root_output);
+                let mut table = TupleTable::new(cols);
+                for run in &pruned.runs {
+                    m.match_leaf_candidates(run, &mut snaps, &mut table)?;
                 }
                 stats.add_match(&m.stats);
-                tuples
+                table
             } else {
-                let chunk = candidates
-                    .len()
-                    .div_ceil(opts.workers_for(candidates.len()));
-                let skip_mask = skip_mask.as_deref();
-                let per_chunk: Vec<_> = std::thread::scope(|scope| {
-                    let ctx = &ctx;
-                    let handles: Vec<_> = candidates
-                        .chunks(chunk)
-                        .map(|chunk| {
-                            scope.spawn(move || {
-                                with_io_deadline(&ctx.deadline, || {
-                                    let mut m = CompiledMatcher::new(
-                                        ctx,
-                                        frag,
-                                        force_root_output,
-                                        skip_mask,
-                                    );
-                                    let mut tuples = Vec::new();
-                                    for &c in chunk {
-                                        tuples.extend(m.match_root(c)?);
-                                    }
-                                    Ok::<_, StorageError>((tuples, m.stats))
-                                })
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("matcher worker panicked"))
-                        .collect()
-                });
-                let mut tuples = Vec::new();
-                for r in per_chunk {
-                    let (t, ms) = r?;
-                    tuples.extend(t);
-                    stats.add_match(&ms);
-                }
-                tuples
+                match_runs(
+                    || CompiledMatcher::new(&ctx, frag, force_root_output),
+                    &pruned.runs,
+                    &cols,
+                    opts,
+                    stats,
+                )?
             };
-            results.push(tuples);
+            tables.push(table);
         }
-        self.finish_pipeline(plan, security, results, stats, Some(&mut snaps))
+        self.finish_pipeline(plan, security, &ctx, &extents, tables, stats, &mut snaps)
     }
 
     /// Stages 2–4, shared by the interpreted and compiled paths: the
     /// subtree-visibility filter, the bottom-up structural joins, and the
-    /// returning-node projection. `snaps` (the compiled path) switches the
-    /// join's ancestor-interval fetch from per-binding `node()` loads to the
-    /// execution's shared [`SnapshotCache`] — one page access per distinct
-    /// block, shared with the leaf fast path that produced the bindings.
+    /// returning-node projection, all over one [`TupleTable`] per fragment.
+    /// Path nodes and join anchors are decoded from the execution's shared
+    /// [`SnapshotCache`] — one page access per distinct block.
+    #[allow(clippy::too_many_arguments)]
     fn finish_pipeline(
         &self,
         plan: &QueryPlan,
         security: Security,
-        mut results: Vec<Vec<Binding>>,
+        ctx: &MatchContext<'_>,
+        extents: &VisibleExtents,
+        mut tables: Vec<TupleTable>,
         stats: &mut ExecStats,
-        mut snaps: Option<&mut SnapshotCache>,
+        snaps: &mut SnapshotCache,
     ) -> Result<Vec<u64>, QueryError> {
-        let subject = security.subject();
         // 2. Subtree-visibility filter on fragment-root bindings.
-        if let Security::SubtreeVisibility(s) = security {
-            let Some(dol) = self.dol else {
+        if let Security::SubtreeVisibility(_) = security {
+            let Some(column) = ctx.column.as_deref() else {
                 return Err(QueryError::NoAccessControl);
             };
-            for (i, tree) in plan.trees.iter().enumerate() {
-                if results[i].is_empty() {
+            for (tree, table) in plan.trees.iter().zip(&mut tables) {
+                if table.is_empty() {
                     continue;
                 }
-                let root = tree.root;
+                let root = col_of(table, tree.root);
                 // Check in document order so the checker can share paths.
-                let mut order: Vec<usize> = (0..results[i].len()).collect();
-                order.sort_unstable_by_key(|&t| bound(&results[i][t], root));
-                let mut checker = VisibilityChecker::new(self.store, dol, s);
-                let mut keep = vec![false; results[i].len()];
-                for t in order {
-                    let pos = bound(&results[i][t], root);
-                    keep[t] = match checker.check(pos) {
-                        Ok(visible) => visible,
-                        Err(e) if !is_availability(&e) => {
-                            // Subtree visibility is always a secure mode:
-                            // an unverifiable ancestor path fails closed.
-                            stats.blocks_failed_closed += 1;
-                            false
-                        }
-                        Err(e) => return Err(e.into()),
-                    };
+                table.sort_by_col(root);
+                let mut checker = VisibilityChecker::new(self.store, column, extents, snaps);
+                let mut keep = Vec::with_capacity(table.len());
+                for t in 0..table.len() {
+                    keep.push(checker.check(table.get(t, root))?);
                 }
                 stats.visibility_nodes += checker.nodes_inspected;
-                let mut it = keep.into_iter();
-                results[i].retain(|_| it.next().unwrap_or(false));
+                // Subtree visibility is always a secure mode: an
+                // unverifiable ancestor path fails closed.
+                stats.blocks_failed_closed += checker.failed_closed;
+                table.retain(|t| keep[t]);
             }
         }
 
         // 3. Structural joins, bottom-up (desc_tree is always the greater
         //    index, so reverse order folds leaves into their ancestors).
-        for join in plan.joins.iter().rev() {
-            let desc_root = plan.trees[join.desc_tree].root;
-            let desc_tuples = std::mem::take(&mut results[join.desc_tree]);
-            let anc_tuples = std::mem::take(&mut results[join.anc_tree]);
-            if desc_tuples.is_empty() || anc_tuples.is_empty() {
-                results[join.anc_tree] = Vec::new();
-                continue;
+        let returning = plan.pattern.returning();
+        for (k, join) in plan.joins.iter().enumerate().rev() {
+            let mut desc = std::mem::take(&mut tables[join.desc_tree]);
+            let mut anc = std::mem::take(&mut tables[join.anc_tree]);
+            // The columns anything downstream still reads: the answer, the
+            // anchors of this tree's joins yet to run (earlier in the list),
+            // and the tree's root while it is still to be a descendant side.
+            let mut live = vec![returning];
+            live.extend(
+                plan.joins[..k]
+                    .iter()
+                    .filter(|j| j.anc_tree == join.anc_tree)
+                    .map(|j| j.anc_pnode),
+            );
+            if join.anc_tree != 0 {
+                live.push(plan.trees[join.anc_tree].root);
             }
-            // Sort both sides in document order of their join positions —
-            // unless a side already arrives sorted (leaf fast-path output
-            // and single-output fragments do), in which case the re-sort is
-            // elided.
-            let mut anc_sorted: Vec<&Binding> = anc_tuples.iter().collect();
-            if !is_sorted_by_bound(&anc_sorted, join.anc_pnode) {
-                anc_sorted.sort_unstable_by_key(|b| bound(b, join.anc_pnode));
+            if desc.is_empty() {
+                // Nothing can join: spare the anchors' interval fetch.
+                anc.clear();
             }
-            let mut desc_sorted: Vec<&Binding> = desc_tuples.iter().collect();
-            if !is_sorted_by_bound(&desc_sorted, desc_root) {
-                desc_sorted.sort_unstable_by_key(|b| bound(b, desc_root));
-            }
-            let mut anc_intervals = Vec::with_capacity(anc_sorted.len());
-            let mut anc_kept: Vec<&Binding> = Vec::with_capacity(anc_sorted.len());
-            // Batched interval fetch: the execution's snapshot cache serves
-            // every anchor in a block from one page access — usually one the
-            // leaf fast path already paid for; a failed block fails closed
-            // once per binding it hides.
-            for b in anc_sorted {
-                let pos = bound(b, join.anc_pnode);
-                if let Some(sn) = snaps.as_deref_mut() {
-                    let blk = self.store.block_of_pos(pos);
-                    match sn.get(self.store, blk, subject.is_some()) {
-                        Ok(Some(snap)) => {
-                            let size = snap.node((pos - snap.first_pos()) as usize).size;
-                            anc_intervals.push((pos, pos + u64::from(size)));
-                            anc_kept.push(b);
-                        }
-                        Ok(None) => stats.blocks_failed_closed += 1,
-                        Err(e) => return Err(e.into()),
-                    }
-                    continue;
-                }
-                match self.store.node(pos) {
-                    Ok(rec) => {
-                        anc_intervals.push((pos, pos + rec.size as u64));
-                        anc_kept.push(b);
-                    }
-                    Err(e) if subject.is_some() && !is_availability(&e) => {
-                        // Fail closed: a binding whose anchor can no longer
-                        // be verified is dropped from the join.
-                        stats.blocks_failed_closed += 1;
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            let anc_sorted = anc_kept;
-            let desc_positions: Vec<u64> =
-                desc_sorted.iter().map(|b| bound(b, desc_root)).collect();
-            let pairs = stack_tree_desc(&anc_intervals, &desc_positions);
-            stats.join_pairs += pairs.len() as u64;
-            let mut merged = Vec::with_capacity(pairs.len());
-            for (ai, dj) in pairs {
-                let mut t = anc_sorted[ai].clone();
-                t.extend(desc_sorted[dj].iter().copied());
-                t.sort_unstable_by_key(|&(p, _)| p);
-                t.dedup();
-                merged.push(t);
-            }
-            merged.sort_unstable();
-            merged.dedup();
-            results[join.anc_tree] = merged;
+            let anc_col = col_of(&anc, join.anc_pnode);
+            let desc_col = col_of(&desc, plan.trees[join.desc_tree].root);
+            anc.sort_by_col(anc_col);
+            desc.sort_by_col(desc_col);
+            let intervals =
+                self.anchor_intervals(&anc, anc_col, security.subject().is_some(), snaps, stats)?;
+            let (joined, emitted) = join_tables(&anc, anc_col, &intervals, &desc, desc_col, &live);
+            stats.join_pairs += emitted;
+            tables[join.anc_tree] = joined;
         }
 
         // 4. Project the returning node.
-        let returning = plan.pattern.returning();
-        let mut matches: Vec<u64> = results[0].iter().map(|b| bound(b, returning)).collect();
-        matches.sort_unstable();
-        matches.dedup();
-        Ok(matches)
+        let answer = tables.swap_remove(0);
+        let col = col_of(&answer, returning);
+        Ok(answer.into_column(col))
+    }
+
+    /// The subtree interval `[pos, pos + size)` of every anchor in column
+    /// `col` of `anc` (sorted by that column), decoded from the snapshot
+    /// cache. A block that failed closed hides its anchors: each gets the
+    /// empty interval, which joins with nothing, and counts once per row.
+    fn anchor_intervals(
+        &self,
+        anc: &TupleTable,
+        col: usize,
+        fail_closed: bool,
+        snaps: &mut SnapshotCache,
+        stats: &mut ExecStats,
+    ) -> Result<Vec<(u64, u64)>, StorageError> {
+        let mut intervals = Vec::with_capacity(anc.len());
+        for i in 0..anc.len() {
+            let pos = anc.get(i, col);
+            intervals.push(match snaps.at(self.store, pos, fail_closed)? {
+                Some((snap, slot)) => (pos, pos + u64::from(snap.node(slot).size)),
+                None => {
+                    stats.blocks_failed_closed += 1;
+                    (pos, pos)
+                }
+            });
+        }
+        Ok(intervals)
     }
 }
 
-/// The data position bound to `pnode` in a binding.
-fn bound(binding: &Binding, pnode: PNodeId) -> u64 {
-    binding
-        .iter()
-        .find(|&&(p, _)| p == pnode)
-        .map(|&(_, d)| d)
-        .expect("pattern node is an output of its fragment")
+/// What stage 1 needs of a matcher, interpreted or compiled: the matches of
+/// its fragment rooted at `pos`, as rows appended to `out`.
+trait RootMatcher {
+    fn match_root_into(&mut self, pos: u64, out: &mut TupleTable) -> Result<(), StorageError>;
+    fn stats(&self) -> &MatchStats;
 }
 
-/// Whether `tuples` is already non-decreasing in the position bound to
-/// `pnode` — the join's sort-elision test (O(n), no allocation).
-fn is_sorted_by_bound(tuples: &[&Binding], pnode: PNodeId) -> bool {
-    tuples
-        .windows(2)
-        .all(|w| bound(w[0], pnode) <= bound(w[1], pnode))
+impl RootMatcher for FragmentMatcher<'_> {
+    fn match_root_into(&mut self, pos: u64, out: &mut TupleTable) -> Result<(), StorageError> {
+        let mut row = Vec::with_capacity(out.arity());
+        for binding in self.match_root(pos)? {
+            debug_assert!(binding
+                .iter()
+                .map(|&(p, _)| p)
+                .eq(out.cols().iter().copied()));
+            row.clear();
+            row.extend(binding.iter().map(|&(_, d)| d));
+            out.push(&row);
+        }
+        Ok(())
+    }
+    fn stats(&self) -> &MatchStats {
+        &self.stats
+    }
+}
+
+impl RootMatcher for CompiledMatcher<'_> {
+    fn match_root_into(&mut self, pos: u64, out: &mut TupleTable) -> Result<(), StorageError> {
+        self.match_root(pos, out)
+    }
+    fn stats(&self) -> &MatchStats {
+        &self.stats
+    }
+}
+
+/// Matches one fragment rooted at every candidate of `runs`, in order, into
+/// a table over `cols`. With `parallelism > 1` the candidates are split into
+/// contiguous chunks over scoped workers; each worker runs its own matcher
+/// (sharing the context's decoded column) and the workers' tables are
+/// concatenated in chunk order, so the result is byte-identical to
+/// sequential evaluation.
+fn match_runs<M: RootMatcher>(
+    new_matcher: impl Fn() -> M + Sync,
+    runs: &[&[u64]],
+    cols: &[PNodeId],
+    opts: &ExecOptions,
+    stats: &mut ExecStats,
+) -> Result<TupleTable, StorageError> {
+    let match_chunk = |runs: &[&[u64]]| {
+        let mut m = new_matcher();
+        let mut table = TupleTable::new(cols.to_vec());
+        for &c in runs.iter().copied().flatten() {
+            m.match_root_into(c, &mut table)?;
+        }
+        Ok::<_, StorageError>((table, *m.stats()))
+    };
+    let total: usize = runs.iter().map(|r| r.len()).sum();
+    let per_chunk = if opts.effective_parallelism() <= 1 || total < 2 {
+        vec![match_chunk(runs)]
+    } else {
+        let chunks = split_runs(runs, total.div_ceil(opts.workers_for(total)));
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = chunks
+                .iter()
+                .map(|chunk| {
+                    let match_chunk = &match_chunk;
+                    // Thread-locals don't cross scope boundaries: each worker
+                    // installs the evaluation's deadline for its own
+                    // buffer-pool I/O.
+                    scope.spawn(move || with_io_deadline(&opts.deadline, || match_chunk(chunk)))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("matcher worker panicked"))
+                .collect()
+        })
+    };
+    let mut table = TupleTable::new(cols.to_vec());
+    for r in per_chunk {
+        let (t, ms) = r?;
+        table.append(t);
+        stats.add_match(&ms);
+    }
+    Ok(table)
+}
+
+/// Cuts `runs` into consecutive pieces of `chunk` candidates (the last may
+/// be shorter), splitting a run where a piece boundary falls inside it.
+fn split_runs<'c>(runs: &[&'c [u64]], chunk: usize) -> Vec<Vec<&'c [u64]>> {
+    let mut out = Vec::new();
+    let mut piece = Vec::new();
+    let mut room = chunk;
+    for &run in runs {
+        let mut run = run;
+        while !run.is_empty() {
+            let (head, tail) = run.split_at(room.min(run.len()));
+            piece.push(head);
+            room -= head.len();
+            run = tail;
+            if room == 0 {
+                out.push(std::mem::take(&mut piece));
+                room = chunk;
+            }
+        }
+    }
+    if !piece.is_empty() {
+        out.push(piece);
+    }
+    out
+}
+
+/// The columns of fragment `tree`'s match table: its outputs, plus its root
+/// when subtree visibility needs every root exported; ascending.
+fn fragment_cols(tree: &NokTree, force_root: bool) -> Vec<PNodeId> {
+    let mut cols = tree.outputs.clone();
+    if force_root && !cols.contains(&tree.root) {
+        cols.push(tree.root);
+    }
+    cols.sort_unstable();
+    cols
+}
+
+/// The column of `table` bound to `pnode`.
+fn col_of(table: &TupleTable, pnode: PNodeId) -> usize {
+    table
+        .col_of(pnode)
+        .expect("pattern node is a live output of its fragment")
 }
 
 /// Debug invariant behind the no-re-sort policy: index candidate lists are
@@ -1274,6 +1297,7 @@ mod tests {
                         assert_eq!(par.stats.nodes_visited, seq.stats.nodes_visited);
                         assert_eq!(par.stats.nodes_denied, seq.stats.nodes_denied);
                         assert_eq!(par.stats.blocks_skipped, seq.stats.blocks_skipped);
+                        assert_eq!(par.stats.candidates_examined, seq.stats.candidates_examined);
                         assert_eq!(par.stats.join_pairs, seq.stats.join_pairs);
                     }
                 }
@@ -1323,6 +1347,21 @@ mod tests {
             let r = engine.execute("//item[name]", sec).unwrap();
             assert!(r.matches.is_empty(), "{sec:?}");
             assert!(r.stats.blocks_failed_closed > 0, "{sec:?}");
+            // Masking never hides an expiry: the deadline is checked before
+            // the read that would fail closed.
+            pool.clear_cache().unwrap();
+            let plan = QueryPlan::new(parse_query("//item[name]").unwrap());
+            let opts = ExecOptions {
+                deadline: Deadline::after(Duration::ZERO),
+                ..ExecOptions::default()
+            };
+            assert!(
+                matches!(
+                    engine.execute_plan_opts(&plan, sec, opts),
+                    Err(QueryError::DeadlineExceeded(_))
+                ),
+                "{sec:?}"
+            );
         }
 
         // Unsecured evaluation has nothing to protect: the error surfaces.

@@ -266,7 +266,7 @@ impl<'a> FragmentMatcher<'a> {
             };
             if skippable {
                 self.stats.candidates_block_skipped += 1;
-                self.ctx.store.pool().note_page_skipped();
+                self.ctx.store.pool().note_pages_skipped(1);
                 return Ok(Vec::new());
             }
         }

@@ -4,6 +4,17 @@
 //! two-subject accessibility matrices, all three security semantics, both
 //! page-skip settings, and block sizes that force multi-block layouts.
 //!
+//! Two further properties aim at the shapes the engine's cost model turns
+//! on. *Narrow subjects* — granted one or two small contiguous subtrees of a
+//! document spread over dozens of blocks — leave most blocks skippable, so
+//! the visible extents have interior gaps and every candidate list is cut
+//! by them; *three-fragment twigs* with the returning node in the top,
+//! middle or bottom fragment drive both semi-join directions and the pair
+//! join. There the compiled path must agree with the interpreted one **and**
+//! with [`naive_eval`], sequential must equal parallel counter for counter,
+//! and `blocks_skipped` must equal an independent count of the candidates
+//! lying in skippable blocks.
+//!
 //! Deadline behavior is part of the contract: at any injected abort point
 //! each path must return either the full correct answer or a typed
 //! [`QueryError::DeadlineExceeded`] — never a partial or shrunken answer.
@@ -13,7 +24,11 @@
 
 use dol_acl::{AccessibilityMap, SubjectId};
 use dol_core::EmbeddedDol;
-use dol_nok::{Axis, ExecOptions, PatternTree, QueryEngine, QueryError, QueryPlan, Security};
+use dol_nok::reference::{naive_eval, RefSecurity};
+use dol_nok::{
+    Axis, ExecOptions, PNodeId, PatternTree, QueryEngine, QueryError, QueryPlan, QueryResult,
+    Security,
+};
 use dol_storage::{BufferPool, Deadline, MemDisk, StoreConfig, StructStore, ValueStore};
 use dol_xml::{Document, DocumentBuilder, NodeId};
 use proptest::prelude::*;
@@ -136,6 +151,276 @@ fn map_from_bits(bits: &[bool], n: usize) -> AccessibilityMap {
     map
 }
 
+/// A document of a few hundred nodes — a hundred-odd blocks at four records
+/// a block — nested deep enough for three-step descendant chains.
+fn arb_wide_doc() -> impl Strategy<Value = Document> {
+    proptest::collection::vec((0usize..4, 0u8..5), 250..700).prop_map(|raw| {
+        let mut b = DocumentBuilder::new();
+        b.open(TAGS[0]);
+        let mut depth = 1;
+        for (tag, action) in raw {
+            match action {
+                0 | 1 if depth < 10 => {
+                    b.open(TAGS[tag]);
+                    depth += 1;
+                }
+                2 | 3 => {
+                    b.leaf(TAGS[tag], None);
+                }
+                _ => {
+                    if depth > 1 {
+                        b.close();
+                        depth -= 1;
+                    }
+                }
+            }
+        }
+        while depth > 0 {
+            b.close();
+            depth -= 1;
+        }
+        b.finish().unwrap()
+    })
+}
+
+/// One subject's narrow grant: one or two picks, each resolved to a subtree
+/// of at most 1/16 of the document, optionally with the path down to it (so
+/// that subtree-visibility answers are not all empty).
+type Grant = Vec<(usize, bool)>;
+
+fn arb_grant() -> impl Strategy<Value = Grant> {
+    proptest::collection::vec((0usize..10_000, any::<bool>()), 1..3)
+}
+
+fn narrow_map(doc: &Document, grants: [&Grant; 2]) -> AccessibilityMap {
+    let n = doc.len();
+    let small = |id: NodeId| doc.subtree_range(id).len() <= (n / 16).max(1);
+    // The maximal small subtrees, largest first; picks land in the larger
+    // half so that a grant usually spans several blocks.
+    let mut roots: Vec<NodeId> = doc
+        .preorder()
+        .filter(|&id| small(id) && doc.parent(id).is_none_or(|p| !small(p)))
+        .collect();
+    roots.sort_by_key(|&id| std::cmp::Reverse(doc.subtree_range(id).len()));
+    let mut map = AccessibilityMap::new(2, n);
+    for (s, grant) in grants.into_iter().enumerate() {
+        let s = SubjectId(s as u32);
+        for &(pick, with_path) in grant {
+            let node = roots[pick % roots.len().div_ceil(2)];
+            for p in doc.subtree_range(node) {
+                map.set(s, NodeId(p), true);
+            }
+            if with_path {
+                for a in doc.ancestors(node) {
+                    map.set(s, a, true);
+                }
+            }
+        }
+    }
+    map
+}
+
+/// A three-fragment twig: a chain `//A//B//C` or a fork `//A[.//B]//C`, each
+/// fragment optionally widened by a child step (which takes it off the leaf
+/// fast path), returning from the chosen fragment.
+fn arb_three_fragment_twig() -> impl Strategy<Value = PatternTree> {
+    (
+        proptest::collection::vec(
+            (
+                proptest::option::of(0usize..4),
+                proptest::option::of(0usize..4),
+            ),
+            3,
+        ),
+        any::<bool>(),
+        0usize..3,
+        any::<bool>(),
+    )
+        .prop_map(|(frags, fork, returning_frag, return_kid)| {
+            let tag = |t: Option<usize>| t.map(|t| TAGS[t]);
+            let mut p = PatternTree::new(tag(frags[0].0), false);
+            let mut roots = vec![PNodeId(0)];
+            roots.push(p.add_child(roots[0], Axis::Descendant, tag(frags[1].0)));
+            let third_parent = if fork { roots[0] } else { roots[1] };
+            roots.push(p.add_child(third_parent, Axis::Descendant, tag(frags[2].0)));
+            let mut kids = [None; 3];
+            for (i, &(_, kid)) in frags.iter().enumerate() {
+                if let Some(k) = kid {
+                    kids[i] = Some(p.add_child(roots[i], Axis::Child, Some(TAGS[k])));
+                }
+            }
+            let ret = match kids[returning_frag] {
+                Some(kid) if return_kid => kid,
+                _ => roots[returning_frag],
+            };
+            p.set_returning(ret);
+            p
+        })
+}
+
+/// The candidates of `plan`'s fragments that lie in blocks `subject` may
+/// skip, counted from the document and the per-block scalar test alone.
+fn candidates_in_skippable_blocks(f: &Fixture, plan: &QueryPlan, subject: SubjectId) -> u64 {
+    let mut n = 0;
+    for (i, tree) in plan.trees.iter().enumerate() {
+        let tag_of = |m: PNodeId| plan.pattern.node(m).tag.as_deref();
+        // A fragment naming a tag the document lacks seeds no candidate.
+        if tree
+            .members
+            .iter()
+            .any(|&m| tag_of(m).is_some_and(|t| f.doc.tags().get(t).is_none()))
+        {
+            continue;
+        }
+        let root = plan.pattern.node(tree.root);
+        for id in f.doc.preorder() {
+            let seeded = if i == 0 && plan.pattern.anchored() {
+                // An anchored query starts from the document root alone.
+                id == f.doc.root()
+            } else {
+                // The tag index, narrowed by the tag+value index when the
+                // root names both.
+                root.tag.as_deref().is_none_or(|t| {
+                    f.doc.name_of(id) == t
+                        && (root.value.is_none()
+                            || f.doc.node(id).value.as_deref() == root.value.as_deref())
+                })
+            };
+            let block = f.store.block_of_pos(u64::from(id.0));
+            if seeded && f.dol.block_skippable(&f.store, block, subject) {
+                n += 1;
+            }
+        }
+    }
+    n
+}
+
+/// Everything the new shapes must satisfy for one (document, labeling,
+/// twig): see the module docs.
+fn check_narrow_case(f: &Fixture, map: &AccessibilityMap, pattern: &PatternTree) {
+    let engine = QueryEngine::new(&f.store, &f.values, f.doc.tags(), Some(&f.dol)).unwrap();
+    let plan = QueryPlan::new(pattern.clone());
+    let run = |sec: Security, opts: ExecOptions| -> Result<QueryResult, QueryError> {
+        engine.execute_plan_opts(&plan, sec, opts)
+    };
+    let subjects = [SubjectId(0), SubjectId(1)];
+    let modes = std::iter::once((Security::None, RefSecurity::None)).chain(
+        subjects.into_iter().flat_map(|s| {
+            [
+                (Security::BindingLevel(s), RefSecurity::Binding(map, s)),
+                (Security::SubtreeVisibility(s), RefSecurity::Subtree(map, s)),
+            ]
+        }),
+    );
+    for (sec, ref_sec) in modes {
+        let what = format!("query {} sec {:?}", pattern.to_query_string(), sec);
+        let expect = naive_eval(&f.doc, pattern, ref_sec);
+        let seq = run(sec, ExecOptions::default()).unwrap();
+        prop_assert_eq!(&seq.matches, &expect, "{}: compiled vs reference", &what);
+        let interpreted = run(
+            sec,
+            ExecOptions {
+                compiled: false,
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap();
+        prop_assert_eq!(
+            &interpreted.matches,
+            &expect,
+            "{}: interpreted vs reference",
+            &what
+        );
+        let unskipped = run(
+            sec,
+            ExecOptions {
+                page_skip: false,
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap();
+        prop_assert_eq!(&unskipped.matches, &expect, "{}: page_skip off", &what);
+        prop_assert_eq!(unskipped.stats.blocks_skipped, 0);
+
+        // The counters: skipped + examined = candidates, and skipped is
+        // exactly the candidates in skippable blocks, however it was counted.
+        let st = &seq.stats;
+        prop_assert_eq!(
+            st.candidates_examined + st.blocks_skipped,
+            st.candidates,
+            "{}",
+            &what
+        );
+        prop_assert_eq!(
+            st.blocks_skipped,
+            interpreted.stats.blocks_skipped,
+            "{}",
+            &what
+        );
+        prop_assert_eq!(st.blocks_skipped, st.io.pages_skipped, "{}", &what);
+        let independent = match sec {
+            Security::None => 0,
+            Security::BindingLevel(s) | Security::SubtreeVisibility(s) => {
+                candidates_in_skippable_blocks(f, &plan, s)
+            }
+        };
+        prop_assert_eq!(
+            st.blocks_skipped,
+            independent,
+            "{}: independent count",
+            &what
+        );
+
+        // Parallel evaluation: same answer, same counters.
+        let par = run(
+            sec,
+            ExecOptions {
+                parallelism: 4,
+                ..ExecOptions::default()
+            },
+        )
+        .unwrap();
+        prop_assert_eq!(&par.matches, &expect, "{}: parallelism 4", &what);
+        prop_assert_eq!(par.stats.candidates, st.candidates);
+        prop_assert_eq!(par.stats.candidates_examined, st.candidates_examined);
+        prop_assert_eq!(par.stats.blocks_skipped, st.blocks_skipped);
+        prop_assert_eq!(par.stats.nodes_denied, st.nodes_denied);
+        prop_assert_eq!(par.stats.nodes_visited, st.nodes_visited);
+        prop_assert_eq!(par.stats.join_pairs, st.join_pairs);
+        prop_assert_eq!(par.stats.visibility_nodes, st.visibility_nodes);
+
+        // Both abort points: the full answer or a typed abort, never less.
+        for cancel in [false, true] {
+            let deadline = if cancel {
+                let d = Deadline::never();
+                d.token().cancel();
+                d
+            } else {
+                Deadline::after(Duration::ZERO)
+            };
+            for parallelism in [1, 4] {
+                let opts = ExecOptions {
+                    deadline: deadline.clone(),
+                    parallelism,
+                    ..ExecOptions::default()
+                };
+                match run(sec, opts) {
+                    Ok(r) => prop_assert_eq!(
+                        &r.matches,
+                        &expect,
+                        "{}: completed answer must be full",
+                        &what
+                    ),
+                    Err(QueryError::DeadlineExceeded(stats)) => {
+                        prop_assert_eq!(stats.blocks_failed_closed, 0, "{}", &what)
+                    }
+                    Err(other) => prop_assert!(false, "{}: unexpected error {:?}", &what, other),
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -236,5 +521,34 @@ proptest! {
                 ),
             }
         }
+    }
+    /// Narrow subjects over multi-block documents, with the random twigs of
+    /// the core property: most blocks are skippable and the extents have
+    /// interior gaps.
+    #[test]
+    fn narrow_subjects_agree_everywhere(
+        doc in arb_wide_doc(),
+        pattern in arb_pattern(),
+        g0 in arb_grant(),
+        g1 in arb_grant(),
+    ) {
+        let map = narrow_map(&doc, [&g0, &g1]);
+        let f = build(doc, &map, 4);
+        check_narrow_case(&f, &map, &pattern);
+    }
+
+    /// Three-fragment twigs returning from the top, middle and bottom
+    /// fragment, under the same narrow subjects: both semi-join directions
+    /// and the pair join.
+    #[test]
+    fn three_fragment_twigs_agree_everywhere(
+        doc in arb_wide_doc(),
+        pattern in arb_three_fragment_twig(),
+        g0 in arb_grant(),
+        g1 in arb_grant(),
+    ) {
+        let map = narrow_map(&doc, [&g0, &g1]);
+        let f = build(doc, &map, 4);
+        check_narrow_case(&f, &map, &pattern);
     }
 }

@@ -829,9 +829,10 @@ impl BufferPool {
         self.disk.allocate_page()
     }
 
-    /// Records that the §3.3 page-skip test avoided reading one page.
-    pub fn note_page_skipped(&self) {
-        self.pages_skipped.fetch_add(1, Ordering::Relaxed);
+    /// Records that the §3.3 page-skip test rejected `n` candidates without
+    /// reading their pages — one add per skipped run, however long.
+    pub fn note_pages_skipped(&self, n: u64) {
+        self.pages_skipped.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Writes all dirty cached pages back to the disk. Pages pinned by an
@@ -2413,12 +2414,12 @@ mod tests {
     #[test]
     fn page_skip_counter() {
         let (pool, ids) = pool(4);
-        pool.note_page_skipped();
-        pool.note_page_skipped();
+        pool.note_pages_skipped(1);
+        pool.note_pages_skipped(1);
         assert_eq!(pool.stats().pages_skipped, 2);
         let snap = pool.stats();
-        pool.note_page_skipped();
-        assert_eq!(pool.stats().since(&snap).pages_skipped, 1);
+        pool.note_pages_skipped(40);
+        assert_eq!(pool.stats().since(&snap).pages_skipped, 40);
         pool.reset_stats();
         assert_eq!(pool.stats(), IoStats::default());
         let _ = ids;

@@ -776,6 +776,7 @@ fn fold_stats(acc: &mut ExecStats, s: &ExecStats) {
     acc.nodes_visited += s.nodes_visited;
     acc.nodes_denied += s.nodes_denied;
     acc.blocks_skipped += s.blocks_skipped;
+    acc.candidates_examined += s.candidates_examined;
     acc.join_pairs += s.join_pairs;
     acc.visibility_nodes += s.visibility_nodes;
     acc.blocks_failed_closed += s.blocks_failed_closed;

@@ -11,7 +11,11 @@
 //! speak only the framed wire protocol, and drives five phases:
 //!
 //! * **A — byte identity**: N client processes replay seeded query mixes;
-//!   every answer line must be byte-identical to the parent's oracle.
+//!   every answer line must be byte-identical to the parent's oracle. The
+//!   parent then sends the suite twice by hand and compares each reply
+//!   *payload* with the tree encoding of the oracle's answer — the first
+//!   pass answered partly by the engine, the second wholly from the result
+//!   cache's pre-encoded bytes — counting frames, payload bytes and writes.
 //! * **B — updates, connection kills, crash/restart**: ACL updates land over
 //!   the wire (acknowledged = durable through the group committer) and the
 //!   parent's in-memory mirror recomputes the oracle per prefix; clients that
@@ -39,8 +43,8 @@ use crate::Effort;
 use dol_acl::SubjectId;
 use dol_nok::Security;
 use dol_server::{
-    frame, proto, Client, ClientError, ErrorCode, Method, Request, Server, ServerConfig, UpdateOp,
-    WireSemantics,
+    frame, proto, Client, ClientError, ErrorCode, Json, Method, Request, Server, ServerConfig,
+    UpdateOp, WireSemantics,
 };
 use dol_workloads::{synth_multi, SynthAclConfig};
 use rand::rngs::StdRng;
@@ -338,6 +342,88 @@ fn assert_suite_exact(addr: &str, oracle: &Oracle, scratch: &Path, tag: &str) ->
     c.served
 }
 
+/// The deterministic wire counters of phase A's payload check.
+struct WireCounts {
+    /// Request/reply exchanges made.
+    frames: u64,
+    /// Reply payload bytes received (all compared with the oracle's).
+    payload_bytes: u64,
+    /// `write` calls the request frames took.
+    writes: u64,
+}
+
+/// A socket's write half that counts the `write` calls made on it.
+struct CountingWriter<'a> {
+    stream: &'a TcpStream,
+    writes: u64,
+}
+
+impl std::io::Write for CountingWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.stream.write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
+}
+
+/// Sends the whole suite twice down one hand-driven connection and demands
+/// every reply payload equal, byte for byte, the tree encoding of the
+/// oracle's answer at `epoch`. The first pass is answered partly by the
+/// engine (typed writer over the positions), the second wholly by result-
+/// cache hits on an idle connection (the cached bytes, spliced).
+fn assert_payload_identity(addr: &str, oracle: &Oracle, epoch: u64) -> WireCounts {
+    let stream = TcpStream::connect(addr).expect("payload-check connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut tx = CountingWriter {
+        stream: &stream,
+        writes: 0,
+    };
+    let mut rx = &stream;
+    let mut counts = WireCounts {
+        frames: 0,
+        payload_bytes: 0,
+        writes: 0,
+    };
+    let mut keys: Vec<OpKey> = oracle.keys().copied().collect();
+    keys.sort_unstable();
+    for key in keys.iter().chain(&keys) {
+        let id = counts.frames + 1;
+        let req = Request {
+            id,
+            method: query_method(*key),
+            deadline_ms: None,
+        };
+        frame::write_frame(&mut tx, &proto::encode_request(&req)).expect("payload-check write");
+        let payload = frame::read_frame(&mut rx, &[], dol_server::DEFAULT_MAX_FRAME)
+            .expect("payload-check response")
+            .expect("payload-check stream closed early");
+        let expect = proto::ok_response(
+            id,
+            Json::obj(vec![
+                (
+                    "matches",
+                    Json::Arr(oracle[key].iter().map(|&p| Json::Int(p as i64)).collect()),
+                ),
+                ("epoch", Json::Int(epoch as i64)),
+            ]),
+        );
+        assert_eq!(
+            payload, expect,
+            "phase A: reply payload for {key:?} is not the tree encoding of the oracle's answer"
+        );
+        counts.frames += 1;
+        counts.payload_bytes += payload.len() as u64;
+    }
+    counts.writes = tx.writes;
+    counts
+}
+
 /// Applies one ACL update over the wire (acknowledged = durable through the
 /// group committer) and mirrors it on the parent's in-memory twin.
 fn wire_update(ctl: &mut Client, mirror: &mut SecureXmlDb, rng: &mut StdRng) {
@@ -447,6 +533,17 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         a.refusals + a.conn_errors,
         0,
         "phase A: refusals on an unloaded server"
+    );
+    let epoch = Client::connect(&server.addr, Duration::from_secs(30))
+        .and_then(|mut c| c.stats())
+        .expect("stats")
+        .get("epoch")
+        .and_then(Json::as_uint)
+        .expect("stats carry the epoch");
+    let wire = assert_payload_identity(&server.addr, &oracle, epoch);
+    assert_eq!(
+        wire.writes, wire.frames,
+        "phase A: a request frame took more than one write"
     );
     t.row(&[
         "A identity".into(),
@@ -700,6 +797,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         ops,
         updates,
         &a,
+        &wire,
         b_served,
         &b3,
         restart_served,
@@ -720,6 +818,7 @@ fn write_json(
     ops: usize,
     updates: usize,
     a: &FileCheck,
+    wire: &WireCounts,
     b_served: u64,
     b3: &FileCheck,
     restart_served: u64,
@@ -734,6 +833,7 @@ fn write_json(
          \"clients\": {CLIENTS},\n  \"ops_per_client\": {ops},\n  \
          \"wire_updates\": {updates},\n  \
          \"identity_served\": {},\n  \"identity_wrong\": {},\n  \
+         \"frames\": {},\n  \"payload_bytes\": {},\n  \"writes_per_frame\": {},\n  \
          \"chaos_served\": {},\n  \"crash_window_served\": {},\n  \
          \"crash_window_conn_errors\": {},\n  \"restart_served\": {},\n  \
          \"overload_served\": {},\n  \"overload_refusals\": {},\n  \
@@ -741,6 +841,9 @@ fn write_json(
          \"drain_reopen_served\": {},\n  \"wrong_total\": 0\n}}\n",
         a.served,
         a.wrong,
+        wire.frames,
+        wire.payload_bytes,
+        wire.writes / wire.frames,
         b_served,
         b3.served,
         b3.conn_errors,

@@ -79,21 +79,30 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
+        let found = self.probe(key);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// [`get`](Self::get) for a caller that, finding nothing, hands the
+    /// question to a path ending in a full `get` of the same key: a hit
+    /// counts (and refreshes recency) as usual, a miss is left for that later
+    /// lookup to count, so `hits + misses` stays the number of questions
+    /// asked.
+    pub fn probe<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some((v, used)) => {
-                *used = tick;
-                let v = v.clone();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let (v, used) = inner.map.get_mut(key)?;
+        *used = tick;
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(v.clone())
     }
 
     /// Inserts (or replaces) `key`, evicting the least recently used entry

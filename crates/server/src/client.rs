@@ -5,7 +5,7 @@
 use crate::frame::{self, FrameError};
 use crate::json::Json;
 use crate::proto::{self, ErrorCode, Method, Request, UpdateOp, WireSemantics};
-use std::io;
+use std::io::{self, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -47,6 +47,20 @@ pub struct Client {
     stream: TcpStream,
     next_id: u64,
     max_frame: usize,
+    /// The request frame under assembly, reused from call to call.
+    frame: Vec<u8>,
+}
+
+/// Encodes `req` as one whole frame in `frame` and sends it in one write.
+pub(crate) fn send_request(
+    w: &mut impl Write,
+    frame: &mut Vec<u8>,
+    req: &Request,
+) -> io::Result<()> {
+    frame::begin_frame(frame);
+    proto::write_request(frame, req);
+    frame::seal_frame(frame);
+    w.write_all(frame)
 }
 
 impl Client {
@@ -60,6 +74,7 @@ impl Client {
             stream,
             next_id: 1,
             max_frame: frame::DEFAULT_MAX_FRAME,
+            frame: Vec::new(),
         })
     }
 
@@ -73,7 +88,7 @@ impl Client {
             method,
             deadline_ms,
         };
-        frame::write_frame(&mut self.stream, &proto::encode_request(&req))?;
+        send_request(&mut self.stream, &mut self.frame, &req)?;
         let payload = match frame::read_frame(&mut self.stream, &[], self.max_frame) {
             Ok(Some(p)) => p,
             Ok(None) => {
@@ -121,10 +136,7 @@ impl Client {
         )?;
         let arr = result
             .get("matches")
-            .and_then(|m| match m {
-                Json::Arr(a) => Some(a),
-                _ => None,
-            })
+            .and_then(Json::as_arr)
             .ok_or_else(|| ClientError::Protocol("query result missing `matches`".into()))?;
         arr.iter()
             .map(|v| {

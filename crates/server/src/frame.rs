@@ -133,22 +133,38 @@ pub fn read_frame(
     Ok(Some(payload))
 }
 
-/// Writes one frame (header + payload) and flushes.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let mut header = [0u8; HEADER_SIZE];
+/// Starts a frame in `buf`: empties it and reserves the header, which
+/// `seal_frame` fills in once the payload has been appended. A writer that
+/// produces its payload straight into `buf` thereby builds the whole frame in
+/// place, with no second buffer to copy from.
+pub(crate) fn begin_frame(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend_from_slice(&[0; HEADER_SIZE]);
+}
+
+/// Patches the length and CRC of everything after the header into the header
+/// `begin_frame` reserved. `frame` is then one complete frame and leaves in
+/// a single `write_all`.
+pub(crate) fn seal_frame(frame: &mut [u8]) {
+    let (header, payload) = frame.split_at_mut(HEADER_SIZE);
     header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     header[4..].copy_from_slice(&crc32c(payload).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+}
+
+/// Writes one frame and flushes. Header and payload leave in one write: on a
+/// `TCP_NODELAY` socket two writes are two segments and two wake-ups of the
+/// peer.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    w.write_all(&encode_frame(payload))?;
     w.flush()
 }
 
-/// Encodes one frame into a buffer (for tests and the client).
+/// Encodes one frame into a buffer.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_SIZE + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32c(payload).to_le_bytes());
+    begin_frame(&mut out);
     out.extend_from_slice(payload);
+    seal_frame(&mut out);
     out
 }
 

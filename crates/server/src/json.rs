@@ -8,9 +8,15 @@
 //! nesting depth is capped at [`MAX_DEPTH`] (a bit-flipped frame must not
 //! overflow the stack), and every error is a typed [`JsonError`] — no panics
 //! on any byte sequence, which the decoder property test exercises.
+//!
+//! Encoding and parsing both work on bytes. The encoder appends to a
+//! `Vec<u8>` through `write_u64` (two digits per table lookup) and
+//! `write_str` (plain runs copied whole), which `proto` also calls
+//! directly to write a reply without building a tree. The parser accumulates
+//! integers inline, validates UTF-8 only where it can matter (inside string
+//! literals), and builds an array of integers in one exactly sized step.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Maximum nesting depth the parser accepts. Well-formed protocol messages
 /// nest 3–4 levels; 32 leaves headroom without risking deep recursion on
@@ -48,7 +54,9 @@ pub enum JsonError {
     BadString(usize),
     /// Valid JSON followed by trailing non-whitespace bytes.
     Trailing(usize),
-    /// The input was not valid UTF-8.
+    /// A string literal was not valid UTF-8. (Outside string literals every
+    /// byte the grammar admits is ASCII, so a stray non-ASCII byte there is a
+    /// [`Syntax`](JsonError::Syntax) error.)
     Utf8,
 }
 
@@ -60,7 +68,7 @@ impl std::fmt::Display for JsonError {
             JsonError::BadNumber(at) => write!(f, "unsupported number at byte {at}"),
             JsonError::BadString(at) => write!(f, "bad string at byte {at}"),
             JsonError::Trailing(at) => write!(f, "trailing bytes at {at}"),
-            JsonError::Utf8 => write!(f, "input is not UTF-8"),
+            JsonError::Utf8 => write!(f, "string literal is not UTF-8"),
         }
     }
 }
@@ -120,71 +128,141 @@ impl Json {
     }
 
     /// Encodes the value as compact JSON text.
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
         self.encode_into(&mut out);
         out
     }
 
-    fn encode_into(&self, out: &mut String) {
+    /// Appends the value's compact JSON text to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Str(s) => encode_string(s, out),
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(true) => out.extend_from_slice(b"true"),
+            Json::Bool(false) => out.extend_from_slice(b"false"),
+            Json::Int(n) => write_i64(out, *n),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
-                out.push('[');
+                out.reserve(items.len() * 8); // a position and its comma
+                out.push(b'[');
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    v.encode_into(out);
+                    // As in the parser: no recursion per integer.
+                    match v {
+                        Json::Int(n) => write_i64(out, *n),
+                        v => v.encode_into(out),
+                    }
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Obj(m) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in m.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    encode_string(k, out);
-                    out.push(':');
+                    write_str(out, k);
+                    out.push(b':');
                     v.encode_into(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
 }
 
-fn encode_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
+/// `"00".."99"`, so the integer writer emits two digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"0001020304050607080910111213141516171819\
+2021222324252627282930313233343536373839\
+4041424344454647484950515253545556575859\
+6061626364656667686970717273747576777879\
+8081828384858687888990919293949596979899";
+
+/// The eight decimal digits of `n < 10^8`, zero-padded. The two halves and
+/// the four pairs are independent of one another, so the divisions overlap
+/// instead of queueing behind a running remainder.
+fn eight_digits(n: u32) -> [u8; 8] {
+    let (hi, lo) = (n / 10_000, n % 10_000);
+    let mut buf = [0u8; 8];
+    for (slot, pair) in [hi / 100, hi % 100, lo / 100, lo % 100]
+        .into_iter()
+        .enumerate()
+    {
+        let at = pair as usize * 2;
+        buf[slot * 2..slot * 2 + 2].copy_from_slice(&DIGIT_PAIRS[at..at + 2]);
+    }
+    buf
+}
+
+/// Appends `n` in decimal.
+pub(crate) fn write_u64(out: &mut Vec<u8>, n: u64) {
+    const BLOCK: u64 = 100_000_000;
+    if n >= BLOCK {
+        // Rare on this wire (positions, ids and epochs are small): the head
+        // recursively, then one zero-padded block of eight.
+        write_u64(out, n / BLOCK);
+        out.extend_from_slice(&eight_digits((n % BLOCK) as u32));
+        return;
+    }
+    let n = n as u32;
+    let digits = n.checked_ilog10().map_or(1, |log| log as usize + 1);
+    // Shift the padding zeros out of the block, append all eight bytes — a
+    // copy of constant size — and cut back to the digits.
+    let block = u64::from_be_bytes(eight_digits(n)) << ((8 - digits) * 8);
+    let len = out.len();
+    out.extend_from_slice(&block.to_be_bytes());
+    out.truncate(len + digits);
+}
+
+/// Appends `n` in decimal, with a leading `-` when negative.
+fn write_i64(out: &mut Vec<u8>, n: i64) {
+    if n < 0 {
+        out.push(b'-');
+    }
+    write_u64(out, n.unsigned_abs());
+}
+
+/// Appends `s` as a JSON string literal. Every byte that needs an escape is
+/// ASCII, so the runs between them are copied whole and stay valid UTF-8.
+pub(crate) fn write_str(out: &mut Vec<u8>, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    let mut run_start = 0;
+    for (i, &c) in bytes.iter().enumerate() {
+        if c != b'"' && c != b'\\' && c >= 0x20 {
+            continue;
+        }
+        out.extend_from_slice(&bytes[run_start..i]);
+        run_start = i + 1;
         match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            c => out.extend_from_slice(&[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(c >> 4)],
+                HEX[usize::from(c & 0xf)],
+            ]),
         }
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[run_start..]);
+    out.push(b'"');
 }
 
 /// Parses `bytes` as one JSON value (the protocol subset). Never panics.
 pub fn parse(bytes: &[u8]) -> Result<Json, JsonError> {
-    let text = std::str::from_utf8(bytes).map_err(|_| JsonError::Utf8)?;
     let mut p = Parser {
-        b: text.as_bytes(),
+        b: bytes,
         at: 0,
+        ints: Vec::new(),
     };
     p.skip_ws();
     let v = p.value(0)?;
@@ -198,6 +276,8 @@ pub fn parse(bytes: &[u8]) -> Result<Json, JsonError> {
 struct Parser<'a> {
     b: &'a [u8],
     at: usize,
+    /// Scratch for [`int_run`](Parser::int_run); empty between runs.
+    ints: Vec<i64>,
 }
 
 impl<'a> Parser<'a> {
@@ -240,33 +320,46 @@ impl<'a> Parser<'a> {
             Some(b'"') => self.string().map(Json::Str),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Int),
             _ => Err(JsonError::Syntax(self.at)),
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    #[inline]
+    fn number(&mut self) -> Result<i64, JsonError> {
         let start = self.at;
-        if self.peek() == Some(b'-') {
-            self.at += 1;
+        let negative = self.peek() == Some(b'-');
+        let digits_start = start + usize::from(negative);
+        // Accumulated inline; only trusted below for up to 18 digits, which
+        // cannot overflow (10^18 < 2^63).
+        let mut n = 0u64;
+        let mut digits = 0;
+        for &c in &self.b[digits_start..] {
+            let d = c.wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            n = n.wrapping_mul(10).wrapping_add(u64::from(d));
+            digits += 1;
         }
-        let digits_start = self.at;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.at += 1;
-        }
-        if self.at == digits_start {
+        self.at = digits_start + digits;
+        if digits == 0 {
             return Err(JsonError::Syntax(start));
         }
         // Fractions and exponents are outside the protocol subset.
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
             return Err(JsonError::BadNumber(start));
         }
-        // SAFETY of unwrap-free parse: the slice is ASCII digits with an
-        // optional leading '-'; only overflow can fail.
-        let text = std::str::from_utf8(&self.b[start..self.at]).map_err(|_| JsonError::Utf8)?;
-        text.parse::<i64>()
-            .map(Json::Int)
-            .map_err(|_| JsonError::BadNumber(start))
+        if digits <= 18 {
+            let n = n as i64;
+            return Ok(if negative { -n } else { n });
+        }
+        // 19 digits or more may overflow: take the checked path, which also
+        // accepts `i64::MIN` and long runs of leading zeros.
+        std::str::from_utf8(&self.b[start..self.at])
+            .ok()
+            .and_then(|text| text.parse::<i64>().ok())
+            .ok_or(JsonError::BadNumber(start))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -282,8 +375,9 @@ impl<'a> Parser<'a> {
                 }
                 self.at += 1;
             }
-            // The parser input was validated UTF-8 and runs break only at
-            // ASCII bytes, so the run is valid UTF-8.
+            // Runs break only at ASCII bytes, which never fall inside a
+            // multi-byte sequence: validating run by run validates the
+            // whole literal.
             out.push_str(
                 std::str::from_utf8(&self.b[run_start..self.at]).map_err(|_| JsonError::Utf8)?,
             );
@@ -356,15 +450,21 @@ impl<'a> Parser<'a> {
 
     fn array(&mut self, depth: usize) -> Result<Json, JsonError> {
         self.eat(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.at += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
+        if depth >= MAX_DEPTH {
+            return Err(JsonError::TooDeep); // whatever the element is
+        }
+        let mut items = Vec::new();
         loop {
             self.skip_ws();
-            items.push(self.value(depth + 1)?);
+            match self.peek() {
+                Some(b'-' | b'0'..=b'9') => self.int_run(&mut items)?,
+                _ => items.push(self.value(depth + 1)?),
+            }
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
@@ -375,6 +475,41 @@ impl<'a> Parser<'a> {
                 _ => return Err(JsonError::Syntax(self.at)),
             }
         }
+    }
+
+    /// Parses the integers from here to the first array element that is not
+    /// one and appends them to `items`, leaving the cursor after the last.
+    ///
+    /// The array that matters is a column of integers — an answer's position
+    /// list — so they skip the generic dispatch, and they are gathered as
+    /// plain `i64` first: the single `extend` below constructs each
+    /// [`Json::Int`] in place, where pushing the 32-byte enum one at a time
+    /// goes through a stack temporary and measured ten times slower. It also
+    /// reserves in `items` exactly the run's length, so the array that is one
+    /// run never regrows.
+    fn int_run(&mut self, items: &mut Vec<Json>) -> Result<(), JsonError> {
+        // An integer and its comma take two bytes at the very least and, in
+        // a position list, about seven: reserving the scratch for one per
+        // four bytes left spares its regrowth, and the cap bounds what a
+        // hostile frame can make the parser reserve.
+        self.ints.reserve(((self.b.len() - self.at) / 4).min(4096));
+        loop {
+            let n = self.number()?;
+            self.ints.push(n);
+            let after_number = self.at;
+            self.skip_ws();
+            if self.peek() == Some(b',') {
+                self.at += 1;
+                self.skip_ws();
+                if matches!(self.peek(), Some(b'-' | b'0'..=b'9')) {
+                    continue;
+                }
+            }
+            self.at = after_number;
+            break;
+        }
+        items.extend(self.ints.drain(..).map(Json::Int));
+        Ok(())
     }
 
     fn object(&mut self, depth: usize) -> Result<Json, JsonError> {
@@ -412,8 +547,13 @@ mod tests {
 
     fn roundtrip(v: &Json) {
         let text = v.encode();
-        let back = parse(text.as_bytes()).expect("reparse");
-        assert_eq!(&back, v, "round-trip through {text}");
+        let back = parse(&text).expect("reparse");
+        assert_eq!(
+            &back,
+            v,
+            "round-trip through {}",
+            String::from_utf8_lossy(&text)
+        );
     }
 
     #[test]

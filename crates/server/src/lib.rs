@@ -25,6 +25,8 @@
 
 pub mod client;
 pub mod frame;
+#[cfg(test)]
+mod io_counts;
 pub mod json;
 pub mod metrics;
 pub mod proto;

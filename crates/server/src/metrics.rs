@@ -30,7 +30,7 @@ pub const METHOD_NAMES: [&str; 9] = [
 ];
 
 /// The codes refusal counters are keyed by.
-const CODES: [ErrorCode; 10] = [
+const CODES: [ErrorCode; 11] = [
     ErrorCode::Overloaded,
     ErrorCode::RetentionExceeded,
     ErrorCode::StaleReader,
@@ -40,6 +40,7 @@ const CODES: [ErrorCode; 10] = [
     ErrorCode::InvalidRequest,
     ErrorCode::Draining,
     ErrorCode::Forbidden,
+    ErrorCode::ResponseTooLarge,
     ErrorCode::Internal,
 ];
 
@@ -167,6 +168,11 @@ impl Metrics {
     /// The slow-query counter.
     pub fn slow_queries(&self) -> u64 {
         self.slow_queries.load(Ordering::Relaxed)
+    }
+
+    /// In-flight requests cancelled because their client vanished.
+    pub fn cancelled_disconnects(&self) -> u64 {
+        self.cancelled_disconnects.load(Ordering::Relaxed)
     }
 
     /// Renders the Prometheus text exposition: the server's own counters

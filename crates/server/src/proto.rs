@@ -14,9 +14,18 @@
 //! back-off-and-retry conditions (`overloaded`, `retention_exceeded`,
 //! `stale_reader`) from heal-first conditions (`poisoned`,
 //! `shard_unavailable`) and hard refusals (`deadline_exceeded`,
-//! `invalid_request`, `draining`).
+//! `invalid_request`, `draining`, `response_too_large`).
+//!
+//! Encoding is typed and streaming: requests, query replies and error
+//! replies are written field by field into the caller's buffer (in practice
+//! the frame buffer the message is sent from), keys in the sorted order
+//! [`Json::encode`] would give them, so the bytes are those of the tree
+//! encoding without the tree. A query reply's position
+//! list — the one large value on the wire — is a column of like integers and
+//! gets the one integer writer, not a boxed value per element. The small
+//! admin replies still travel as a [`Json`] tree.
 
-use crate::json::Json;
+use crate::json::{self, write_str, write_u64, Json};
 use secure_xml::DbError;
 
 /// A decoded request frame.
@@ -165,6 +174,10 @@ pub enum ErrorCode {
     /// The operation is not enabled on this server (e.g. a testing-only
     /// update op without `--testing`).
     Forbidden,
+    /// The answer was computed but its frame would exceed the frame cap
+    /// every client enforces; the message carries the byte count and the
+    /// cap. Narrow the query — a retry draws the same refusal.
+    ResponseTooLarge,
     /// Any other typed database failure (storage, query, integrity, ...);
     /// the message carries the in-process rendering.
     Internal,
@@ -183,6 +196,7 @@ impl ErrorCode {
             ErrorCode::InvalidRequest => "invalid_request",
             ErrorCode::Draining => "draining",
             ErrorCode::Forbidden => "forbidden",
+            ErrorCode::ResponseTooLarge => "response_too_large",
             ErrorCode::Internal => "internal",
         }
     }
@@ -199,6 +213,7 @@ impl ErrorCode {
             "invalid_request" => ErrorCode::InvalidRequest,
             "draining" => ErrorCode::Draining,
             "forbidden" => ErrorCode::Forbidden,
+            "response_too_large" => ErrorCode::ResponseTooLarge,
             "internal" => ErrorCode::Internal,
             _ => return None,
         })
@@ -273,33 +288,40 @@ fn param_groups(params: &Json, key: &str) -> Result<Vec<u32>, String> {
 
 /// Decodes one frame payload into a [`Request`].
 pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
-    let v = crate::json::parse(payload).map_err(|_| DecodeError::Malformed)?;
-    let id = v
+    let Ok(Json::Obj(mut top)) = json::parse(payload) else {
+        return Err(DecodeError::Malformed);
+    };
+    let id = top
         .get("id")
         .and_then(Json::as_uint)
         .ok_or(DecodeError::Malformed)?;
     let invalid = |reason: String| DecodeError::Invalid { id, reason };
-    let name = v
-        .get("method")
-        .and_then(Json::as_str)
-        .ok_or_else(|| invalid("missing `method`".into()))?;
-    let deadline_ms = match v.get("deadline_ms") {
+    let deadline_ms = match top.get("deadline_ms") {
         None | Some(Json::Null) => None,
         Some(d) => Some(
             d.as_uint()
                 .ok_or_else(|| invalid("`deadline_ms` must be a non-negative integer".into()))?,
         ),
     };
-    let empty = Json::Obj(Default::default());
-    let params = v.get("params").unwrap_or(&empty);
+    // The query text is the one parameter worth moving rather than copying;
+    // taking `params` out of the parsed object is what allows it.
+    let mut params = top
+        .remove("params")
+        .unwrap_or_else(|| Json::Obj(Default::default()));
+    let name = top
+        .get("method")
+        .and_then(Json::as_str)
+        .ok_or_else(|| invalid("missing `method`".into()))?;
     let method = match name {
         "ping" => Method::Ping,
         "query" => {
-            let query = params
-                .get("query")
-                .and_then(Json::as_str)
-                .ok_or_else(|| invalid("missing `query`".into()))?
-                .to_string();
+            let query = match &mut params {
+                Json::Obj(m) => m.remove("query"),
+                _ => None,
+            };
+            let Some(Json::Str(query)) = query else {
+                return Err(invalid("missing `query`".into()));
+            };
             let semantics = match params.get("semantics").and_then(Json::as_str) {
                 Some("binding") | None => WireSemantics::Binding,
                 Some("subtree") => WireSemantics::Subtree,
@@ -309,7 +331,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
             let subject = if matches!(semantics, WireSemantics::None) {
                 params.get("subject").and_then(Json::as_uint).unwrap_or(0) as u32
             } else {
-                param_u32(params, "subject").map_err(invalid)?
+                param_u32(&params, "subject").map_err(invalid)?
             };
             Method::Query {
                 query,
@@ -324,17 +346,17 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
                 .ok_or_else(|| invalid("missing `op`".into()))?;
             let update = match op {
                 "set_node_access" => UpdateOp::SetNodeAccess {
-                    pos: param_u64(params, "pos").map_err(invalid)?,
-                    subject: param_u32(params, "subject").map_err(invalid)?,
-                    allow: param_bool(params, "allow").map_err(invalid)?,
+                    pos: param_u64(&params, "pos").map_err(invalid)?,
+                    subject: param_u32(&params, "subject").map_err(invalid)?,
+                    allow: param_bool(&params, "allow").map_err(invalid)?,
                 },
                 "set_subtree_access" => UpdateOp::SetSubtreeAccess {
-                    pos: param_u64(params, "pos").map_err(invalid)?,
-                    subject: param_u32(params, "subject").map_err(invalid)?,
-                    allow: param_bool(params, "allow").map_err(invalid)?,
+                    pos: param_u64(&params, "pos").map_err(invalid)?,
+                    subject: param_u32(&params, "subject").map_err(invalid)?,
+                    allow: param_bool(&params, "allow").map_err(invalid)?,
                 },
                 "fail_after_dirty" => UpdateOp::FailAfterDirty {
-                    pos: param_u64(params, "pos").map_err(invalid)?,
+                    pos: param_u64(&params, "pos").map_err(invalid)?,
                 },
                 other => return Err(invalid(format!("unknown update op `{other}`"))),
             };
@@ -349,12 +371,12 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
                         .ok_or_else(|| invalid("`copy_from` must be a u32".into()))?,
                 ),
             },
-            groups: param_groups(params, "groups").map_err(invalid)?,
+            groups: param_groups(&params, "groups").map_err(invalid)?,
         },
         "set_membership" => Method::SetMembership {
-            subject: param_u32(params, "subject").map_err(invalid)?,
-            group: param_u32(params, "group").map_err(invalid)?,
-            member: param_bool(params, "member").map_err(invalid)?,
+            subject: param_u32(&params, "subject").map_err(invalid)?,
+            group: param_u32(&params, "group").map_err(invalid)?,
+            member: param_bool(&params, "member").map_err(invalid)?,
         },
         "stats" => Method::Stats,
         "metrics" => Method::Metrics,
@@ -369,110 +391,193 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
     })
 }
 
-/// Encodes a request (client side).
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut top = vec![
-        ("id", Json::Int(req.id as i64)),
-        ("method", Json::Str(req.method.name().into())),
-    ];
-    if let Some(ms) = req.deadline_ms {
-        top.push(("deadline_ms", Json::Int(ms as i64)));
+fn semantics_name(semantics: WireSemantics) -> &'static str {
+    match semantics {
+        WireSemantics::None => "none",
+        WireSemantics::Binding => "binding",
+        WireSemantics::Subtree => "subtree",
     }
-    let params = match &req.method {
-        Method::Ping | Method::Stats | Method::Metrics | Method::Recover | Method::Shutdown => None,
+}
+
+fn write_bool(out: &mut Vec<u8>, b: bool) {
+    out.extend_from_slice(if b { b"true" } else { b"false" });
+}
+
+/// Appends `req` as a request payload: every object's keys in sorted order,
+/// as the tree encoder would emit them.
+pub(crate) fn write_request(out: &mut Vec<u8>, req: &Request) {
+    out.push(b'{');
+    if let Some(ms) = req.deadline_ms {
+        out.extend_from_slice(b"\"deadline_ms\":");
+        write_u64(out, ms);
+        out.push(b',');
+    }
+    out.extend_from_slice(b"\"id\":");
+    write_u64(out, req.id);
+    out.extend_from_slice(b",\"method\":");
+    write_str(out, req.method.name());
+    match &req.method {
+        Method::Ping | Method::Stats | Method::Metrics | Method::Recover | Method::Shutdown => {}
         Method::Query {
             query,
             subject,
             semantics,
-        } => Some(Json::obj(vec![
-            ("query", Json::Str(query.clone())),
-            ("subject", Json::Int(i64::from(*subject))),
-            (
-                "semantics",
-                Json::Str(
-                    match semantics {
-                        WireSemantics::None => "none",
-                        WireSemantics::Binding => "binding",
-                        WireSemantics::Subtree => "subtree",
-                    }
-                    .into(),
-                ),
-            ),
-        ])),
-        Method::Update(op) => Some(match op {
-            UpdateOp::SetNodeAccess {
+        } => {
+            out.extend_from_slice(b",\"params\":{\"query\":");
+            write_str(out, query);
+            out.extend_from_slice(b",\"semantics\":");
+            write_str(out, semantics_name(*semantics));
+            out.extend_from_slice(b",\"subject\":");
+            write_u64(out, u64::from(*subject));
+            out.push(b'}');
+        }
+        Method::Update(
+            op @ (UpdateOp::SetNodeAccess {
                 pos,
                 subject,
                 allow,
-            } => Json::obj(vec![
-                ("op", Json::Str("set_node_access".into())),
-                ("pos", Json::Int(*pos as i64)),
-                ("subject", Json::Int(i64::from(*subject))),
-                ("allow", Json::Bool(*allow)),
-            ]),
-            UpdateOp::SetSubtreeAccess {
-                pos,
-                subject,
-                allow,
-            } => Json::obj(vec![
-                ("op", Json::Str("set_subtree_access".into())),
-                ("pos", Json::Int(*pos as i64)),
-                ("subject", Json::Int(i64::from(*subject))),
-                ("allow", Json::Bool(*allow)),
-            ]),
-            UpdateOp::FailAfterDirty { pos } => Json::obj(vec![
-                ("op", Json::Str("fail_after_dirty".into())),
-                ("pos", Json::Int(*pos as i64)),
-            ]),
-        }),
-        Method::RegisterSubject { copy_from, groups } => {
-            let mut p = Vec::new();
-            if let Some(c) = copy_from {
-                p.push(("copy_from", Json::Int(i64::from(*c))));
             }
-            p.push((
-                "groups",
-                Json::Arr(groups.iter().map(|&g| Json::Int(i64::from(g))).collect()),
-            ));
-            Some(Json::obj(p))
+            | UpdateOp::SetSubtreeAccess {
+                pos,
+                subject,
+                allow,
+            }),
+        ) => {
+            out.extend_from_slice(b",\"params\":{\"allow\":");
+            write_bool(out, *allow);
+            out.extend_from_slice(b",\"op\":");
+            write_str(
+                out,
+                match op {
+                    UpdateOp::SetNodeAccess { .. } => "set_node_access",
+                    _ => "set_subtree_access",
+                },
+            );
+            out.extend_from_slice(b",\"pos\":");
+            write_u64(out, *pos);
+            out.extend_from_slice(b",\"subject\":");
+            write_u64(out, u64::from(*subject));
+            out.push(b'}');
+        }
+        Method::Update(UpdateOp::FailAfterDirty { pos }) => {
+            out.extend_from_slice(b",\"params\":{\"op\":\"fail_after_dirty\",\"pos\":");
+            write_u64(out, *pos);
+            out.push(b'}');
+        }
+        Method::RegisterSubject { copy_from, groups } => {
+            out.extend_from_slice(b",\"params\":{");
+            if let Some(c) = copy_from {
+                out.extend_from_slice(b"\"copy_from\":");
+                write_u64(out, u64::from(*c));
+                out.push(b',');
+            }
+            out.extend_from_slice(b"\"groups\":[");
+            for (i, g) in groups.iter().enumerate() {
+                if i > 0 {
+                    out.push(b',');
+                }
+                write_u64(out, u64::from(*g));
+            }
+            out.extend_from_slice(b"]}");
         }
         Method::SetMembership {
             subject,
             group,
             member,
-        } => Some(Json::obj(vec![
-            ("subject", Json::Int(i64::from(*subject))),
-            ("group", Json::Int(i64::from(*group))),
-            ("member", Json::Bool(*member)),
-        ])),
-    };
-    if let Some(p) = params {
-        top.push(("params", p));
+        } => {
+            out.extend_from_slice(b",\"params\":{\"group\":");
+            write_u64(out, u64::from(*group));
+            out.extend_from_slice(b",\"member\":");
+            write_bool(out, *member);
+            out.extend_from_slice(b",\"subject\":");
+            write_u64(out, u64::from(*subject));
+            out.push(b'}');
+        }
     }
-    Json::obj(top).encode().into_bytes()
+    out.push(b'}');
+}
+
+/// Encodes a request (client side).
+pub fn encode_request(req: &Request) -> Vec<u8> {
+    let mut out = Vec::with_capacity(128);
+    write_request(&mut out, req);
+    out
+}
+
+/// Appends a success response carrying `result`.
+pub(crate) fn write_ok(out: &mut Vec<u8>, id: u64, result: &Json) {
+    out.extend_from_slice(b"{\"id\":");
+    write_u64(out, id);
+    out.extend_from_slice(b",\"result\":");
+    result.encode_into(out);
+    out.push(b'}');
+}
+
+/// Appends `"matches":[p1,p2,…]`, the member of a query result that carries
+/// the answer. It depends on the answer alone — not on the request id or the
+/// epoch around it — which is what lets the result cache keep these bytes
+/// beside the entry they encode.
+pub fn write_matches_member(out: &mut Vec<u8>, matches: &[u64]) {
+    out.reserve(12 + matches.len() * 8);
+    out.extend_from_slice(b"\"matches\":[");
+    for (i, &pos) in matches.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        write_u64(out, pos);
+    }
+    out.push(b']');
+}
+
+/// `{"id":…,"result":{"epoch":…,` — what precedes a query result's
+/// `matches` member; `}}` follows it.
+fn query_ok_head(out: &mut Vec<u8>, id: u64, epoch: u64) {
+    out.extend_from_slice(b"{\"id\":");
+    write_u64(out, id);
+    out.extend_from_slice(b",\"result\":{\"epoch\":");
+    write_u64(out, epoch);
+    out.push(b',');
+}
+
+/// Appends a query's success response straight from the answer.
+pub fn write_query_ok(out: &mut Vec<u8>, id: u64, epoch: u64, matches: &[u64]) {
+    query_ok_head(out, id, epoch);
+    write_matches_member(out, matches);
+    out.extend_from_slice(b"}}");
+}
+
+/// Appends a query's success response around an already encoded
+/// [`matches` member](write_matches_member): what a result-cache hit costs.
+pub fn write_query_ok_spliced(out: &mut Vec<u8>, id: u64, epoch: u64, matches_member: &[u8]) {
+    out.reserve(64 + matches_member.len());
+    query_ok_head(out, id, epoch);
+    out.extend_from_slice(matches_member);
+    out.extend_from_slice(b"}}");
+}
+
+/// Appends a typed error response (fail-closed: no result attached).
+pub(crate) fn write_err(out: &mut Vec<u8>, id: u64, code: ErrorCode, message: &str) {
+    out.extend_from_slice(b"{\"error\":{\"code\":");
+    write_str(out, code.as_str());
+    out.extend_from_slice(b",\"message\":");
+    write_str(out, message);
+    out.extend_from_slice(b"},\"id\":");
+    write_u64(out, id);
+    out.push(b'}');
 }
 
 /// Encodes a success response.
 pub fn ok_response(id: u64, result: Json) -> Vec<u8> {
-    Json::obj(vec![("id", Json::Int(id as i64)), ("result", result)])
-        .encode()
-        .into_bytes()
+    let mut out = Vec::new();
+    write_ok(&mut out, id, &result);
+    out
 }
 
 /// Encodes a typed error response (fail-closed: no result attached).
 pub fn err_response(id: u64, code: ErrorCode, message: &str) -> Vec<u8> {
-    Json::obj(vec![
-        ("id", Json::Int(id as i64)),
-        (
-            "error",
-            Json::obj(vec![
-                ("code", Json::Str(code.as_str().into())),
-                ("message", Json::Str(message.into())),
-            ]),
-        ),
-    ])
-    .encode()
-    .into_bytes()
+    let mut out = Vec::new();
+    write_err(&mut out, id, code, message);
+    out
 }
 
 /// A decoded response (client side): the echoed id plus either a result or
@@ -485,23 +590,28 @@ pub struct Response {
     pub outcome: Result<Json, (ErrorCode, String)>,
 }
 
-/// Decodes a response frame payload (client side).
+/// Decodes a response frame payload (client side). The result (or the error
+/// message) is moved out of the parsed object, never copied.
 pub fn decode_response(payload: &[u8]) -> Option<Response> {
-    let v = crate::json::parse(payload).ok()?;
-    let id = v.get("id").and_then(Json::as_uint)?;
-    if let Some(err) = v.get("error") {
+    let Json::Obj(mut top) = json::parse(payload).ok()? else {
+        return None;
+    };
+    let id = top.get("id").and_then(Json::as_uint)?;
+    if let Some(mut err) = top.remove("error") {
         let code = ErrorCode::parse(err.get("code").and_then(Json::as_str)?)?;
-        let message = err
-            .get("message")
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
+        let message = match &mut err {
+            Json::Obj(m) => match m.remove("message") {
+                Some(Json::Str(s)) => s,
+                _ => String::new(),
+            },
+            _ => String::new(),
+        };
         return Some(Response {
             id,
             outcome: Err((code, message)),
         });
     }
-    let result = v.get("result")?.clone();
+    let result = top.remove("result")?;
     Some(Response {
         id,
         outcome: Ok(result),
@@ -560,11 +670,46 @@ mod tests {
                 method: Method::Shutdown,
                 deadline_ms: None,
             },
+            Request {
+                id: 6,
+                method: Method::Update(UpdateOp::SetNodeAccess {
+                    pos: u64::from(u32::MAX) + 1,
+                    subject: 0,
+                    allow: true,
+                }),
+                deadline_ms: Some(9),
+            },
+            Request {
+                id: 7,
+                method: Method::Update(UpdateOp::FailAfterDirty { pos: 1 }),
+                deadline_ms: None,
+            },
+            Request {
+                id: 8,
+                method: Method::RegisterSubject {
+                    copy_from: Some(2),
+                    groups: vec![],
+                },
+                deadline_ms: None,
+            },
+            Request {
+                id: 9,
+                method: Method::Query {
+                    query: "//a\n\u{1}é".into(),
+                    subject: 0,
+                    semantics: WireSemantics::None,
+                },
+                deadline_ms: None,
+            },
         ];
         for req in cases {
             let bytes = encode_request(&req);
             let back = decode_request(&bytes).expect("decode");
             assert_eq!(back, req);
+            // The typed writer emits what the tree encoder would: sorted
+            // keys, compact, so re-encoding the parsed tree changes nothing.
+            let tree = json::parse(&bytes).expect("a request is JSON");
+            assert_eq!(tree.encode(), bytes);
         }
     }
 
@@ -647,6 +792,7 @@ mod tests {
             ErrorCode::InvalidRequest,
             ErrorCode::Draining,
             ErrorCode::Forbidden,
+            ErrorCode::ResponseTooLarge,
             ErrorCode::Internal,
         ] {
             assert_eq!(ErrorCode::parse(code.as_str()), Some(code));

@@ -10,6 +10,22 @@
 //! client disconnect *cancel* its in-flight requests: the reader sees the
 //! EOF and fires every [`CancelToken`] it registered.
 //!
+//! The reader thread answers by itself what cannot block — a `ping`, or a
+//! `query` the secure result cache already holds — when the connection is
+//! idle: nothing of it in flight on the worker (so responses keep request
+//! order) and no further request already buffered (a pipelining client keeps
+//! the reader free to admit, refuse and cancel). Such an answer passes the
+//! same gates as any other (drain check, admission slot, deadline) and does
+//! no cancellable work, so there is nothing for a disconnect to cancel and
+//! nothing for a drain to wait on. Everything else crosses to the worker.
+//!
+//! Every reply is assembled as one whole frame — header reserved, payload
+//! written in place, length and CRC patched — and leaves in one write; a
+//! reply whose frame would exceed the cap clients enforce is replaced by a
+//! typed `response_too_large` refusal. The socket's read half goes through
+//! a buffered reader, so a request frame, or a pipelined burst, costs one
+//! `read`.
+//!
 //! ## Robustness properties
 //!
 //! * **Admission control**: a server-wide in-flight cap; a request that
@@ -44,7 +60,7 @@ use secure_xml::{
     ServerStats,
 };
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -182,9 +198,92 @@ impl Shared {
 /// One unit of admitted work travelling from reader to worker.
 struct Job {
     req: Request,
+    /// Position in the connection's request stream: the key of its cancel
+    /// token. (`req.id` is the client's to choose, and to repeat.)
+    seq: u64,
     deadline: Deadline,
     started: Instant,
     _slot: AdmissionSlot,
+}
+
+/// Cancel tokens of the requests a connection has handed to its worker and
+/// not yet answered, by [`Job::seq`]. Empty means the connection has nothing
+/// in flight.
+type InFlight = Arc<Mutex<HashMap<u64, secure_xml::CancelToken>>>;
+
+/// What a successfully executed request answers with.
+enum Reply {
+    /// A query's answer: encoded from the positions, never through a tree.
+    Matches { epoch: u64, matches: Vec<u64> },
+    /// One of the small admin results.
+    Admin(Json),
+}
+
+/// Assembles each reply as one whole frame in a buffer it reuses, and sends
+/// it to the connection's shared write half in a single write. The reader
+/// thread and the worker thread of a connection own one each.
+pub(crate) struct ReplyWriter<W> {
+    frame: Vec<u8>,
+    sock: Arc<Mutex<W>>,
+    max_frame: usize,
+}
+
+impl<W: Write> ReplyWriter<W> {
+    pub(crate) fn new(sock: Arc<Mutex<W>>, max_frame: usize) -> Self {
+        Self {
+            frame: Vec::new(),
+            sock,
+            max_frame,
+        }
+    }
+
+    /// Builds the frame answering request `id`, its payload appended by
+    /// `body`. A payload over the frame cap would be dropped, with the
+    /// connection, by the client's decoder: it is replaced by a typed
+    /// refusal, and `Err` tells the caller which to count.
+    pub(crate) fn assemble(
+        &mut self,
+        id: u64,
+        body: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<(), ErrorCode> {
+        frame::begin_frame(&mut self.frame);
+        body(&mut self.frame);
+        let len = self.frame.len() - frame::HEADER_SIZE;
+        let outcome = if len > self.max_frame {
+            // Start over in a fresh buffer: the oversized one is not worth
+            // keeping for the life of the connection.
+            self.frame = Vec::new();
+            frame::begin_frame(&mut self.frame);
+            let message = format!(
+                "response of {len} bytes exceeds the {}-byte frame cap",
+                self.max_frame
+            );
+            proto::write_err(&mut self.frame, id, ErrorCode::ResponseTooLarge, &message);
+            Err(ErrorCode::ResponseTooLarge)
+        } else {
+            Ok(())
+        };
+        frame::seal_frame(&mut self.frame);
+        outcome
+    }
+
+    fn assemble_err(&mut self, id: u64, code: ErrorCode, message: &str) {
+        // A refusal is a few dozen bytes; it cannot itself be too large.
+        let _ = self.assemble(id, |out| proto::write_err(out, id, code, message));
+    }
+
+    /// Sends the assembled frame: one write.
+    pub(crate) fn send(&mut self) -> bool {
+        mlock(&self.sock).write_all(&self.frame).is_ok()
+    }
+
+    /// Counts and sends a refusal decided on the reader thread, before the
+    /// request reached a method.
+    fn refuse(&mut self, metrics: &Metrics, id: u64, code: ErrorCode, message: &str) {
+        metrics.record_refusal(code);
+        self.assemble_err(id, code, message);
+        self.send();
+    }
 }
 
 /// A running wire server. Dropping it drains and waits.
@@ -322,13 +421,17 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream, conn_id: u64) {
 }
 
 fn serve_conn(shared: &Arc<Shared>, stream: &mut TcpStream, conn_id: u64) {
+    // One `read` fills the buffer with whatever has arrived — a request
+    // frame, or a pipelined burst of them — and the decoder below is served
+    // from it.
+    let mut rd = BufReader::new(&*stream);
     // Protocol sniff: the first four bytes distinguish an HTTP scrape
     // (`GET `) from a frame header. They are spliced back into the frame
     // decoder otherwise, so no byte is lost.
     let mut sniff = [0u8; 4];
     let mut got = 0;
     while got < sniff.len() {
-        match stream.read(&mut sniff[got..]) {
+        match rd.read(&mut sniff[got..]) {
             Ok(0) => break,
             Ok(n) => got += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -347,7 +450,7 @@ fn serve_conn(shared: &Arc<Shared>, stream: &mut TcpStream, conn_id: u64) {
         return; // clean close before any byte
     }
     if &sniff == b"GET " {
-        serve_http_metrics(shared, stream);
+        serve_http_metrics(shared, &mut rd);
         return;
     }
 
@@ -355,21 +458,20 @@ fn serve_conn(shared: &Arc<Shared>, stream: &mut TcpStream, conn_id: u64) {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
     };
-    let inflight: Arc<Mutex<HashMap<u64, secure_xml::CancelToken>>> =
-        Arc::new(Mutex::new(HashMap::new()));
+    let inflight: InFlight = Arc::new(Mutex::new(HashMap::new()));
     let (tx, rx) = mpsc::channel::<Job>();
     let worker = {
         let shared = Arc::clone(shared);
-        let writer = Arc::clone(&writer);
+        let out = ReplyWriter::new(Arc::clone(&writer), shared.cfg.max_frame);
         let inflight = Arc::clone(&inflight);
-        thread::spawn(move || worker_loop(shared, writer, inflight, rx, conn_id))
+        thread::spawn(move || worker_loop(shared, out, inflight, rx, conn_id))
     };
+    let mut out = ReplyWriter::new(writer, shared.cfg.max_frame);
 
-    let mut first = true;
+    let mut next_seq = 0u64;
     loop {
-        let preread: &[u8] = if first { &sniff } else { &[] };
-        first = false;
-        let payload = match frame::read_frame(stream, preread, shared.cfg.max_frame) {
+        let preread: &[u8] = if next_seq == 0 { &sniff } else { &[] };
+        let payload = match frame::read_frame(&mut rd, preread, shared.cfg.max_frame) {
             Ok(Some(p)) => p,
             Ok(None) => break, // clean close on a frame boundary
             Err(_) => {
@@ -377,6 +479,8 @@ fn serve_conn(shared: &Arc<Shared>, stream: &mut TcpStream, conn_id: u64) {
                 break;
             }
         };
+        let seq = next_seq;
+        next_seq += 1;
         match proto::decode_request(&payload) {
             Err(DecodeError::Malformed) => {
                 // The stream cannot be trusted past an undecodable record.
@@ -384,52 +488,45 @@ fn serve_conn(shared: &Arc<Shared>, stream: &mut TcpStream, conn_id: u64) {
                 break;
             }
             Err(DecodeError::Invalid { id, reason }) => {
-                shared.metrics.record_refusal(ErrorCode::InvalidRequest);
-                write_response(
-                    &writer,
-                    &proto::err_response(id, ErrorCode::InvalidRequest, &reason),
-                );
+                out.refuse(&shared.metrics, id, ErrorCode::InvalidRequest, &reason);
             }
             Ok(req) => {
                 if shared.draining.load(Ordering::SeqCst)
                     && !matches!(req.method, Method::Shutdown | Method::Ping)
                 {
-                    shared.metrics.record_refusal(ErrorCode::Draining);
-                    write_response(
-                        &writer,
-                        &proto::err_response(
-                            req.id,
-                            ErrorCode::Draining,
-                            "server is draining; no new requests admitted",
-                        ),
+                    out.refuse(
+                        &shared.metrics,
+                        req.id,
+                        ErrorCode::Draining,
+                        "server is draining; no new requests admitted",
                     );
                     continue;
                 }
-                let slot = match shared.admission.try_acquire() {
-                    Some(s) => s,
-                    None => {
-                        shared.metrics.record_refusal(ErrorCode::Overloaded);
-                        write_response(
-                            &writer,
-                            &proto::err_response(
-                                req.id,
-                                ErrorCode::Overloaded,
-                                "server at its in-flight request cap",
-                            ),
-                        );
-                        continue;
-                    }
+                let Some(slot) = shared.admission.try_acquire() else {
+                    out.refuse(
+                        &shared.metrics,
+                        req.id,
+                        ErrorCode::Overloaded,
+                        "server at its in-flight request cap",
+                    );
+                    continue;
                 };
                 // The budget starts now: queue wait counts against it.
                 let deadline = match req.deadline_ms {
                     Some(ms) => Deadline::after(Duration::from_millis(ms)),
                     None => Deadline::never(),
                 };
-                mlock(&inflight).insert(req.id, deadline.token());
+                let started = Instant::now();
+                let idle = rd.buffer().is_empty() && mlock(&inflight).is_empty();
+                if idle && answer_inline(shared, &req, &deadline, started, &mut out) {
+                    continue; // answered; `slot` is released here
+                }
+                mlock(&inflight).insert(seq, deadline.token());
                 let job = Job {
                     req,
+                    seq,
                     deadline,
-                    started: Instant::now(),
+                    started,
                     _slot: slot,
                 };
                 if tx.send(job).is_err() {
@@ -454,42 +551,113 @@ fn serve_conn(shared: &Arc<Shared>, stream: &mut TcpStream, conn_id: u64) {
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn write_response(writer: &Arc<Mutex<TcpStream>>, payload: &[u8]) -> bool {
-    let mut w = mlock(writer);
-    frame::write_frame(&mut *w, payload).is_ok()
+fn security_of(semantics: WireSemantics, subject: u32) -> Security {
+    match semantics {
+        WireSemantics::None => Security::None,
+        WireSemantics::Binding => Security::BindingLevel(SubjectId(subject)),
+        WireSemantics::Subtree => Security::SubtreeVisibility(SubjectId(subject)),
+    }
+}
+
+fn pong() -> Json {
+    Json::obj(vec![("pong", Json::Bool(true))])
+}
+
+fn elapsed_us(since: Instant) -> u64 {
+    since.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+}
+
+/// The reader thread's own answers: a `ping`, or a `query` the secure
+/// result cache holds for a fresh snapshot. Neither can block on the engine,
+/// the disk or the committer, so neither needs a cancel token or a worker.
+/// A query hit is the cached `"matches":[…]` bytes with the id and the epoch
+/// written around them; the position list itself is never touched. Returns
+/// `false`, having counted nothing, for what the worker must do.
+fn answer_inline<W: Write>(
+    shared: &Shared,
+    req: &Request,
+    deadline: &Deadline,
+    started: Instant,
+    out: &mut ReplyWriter<W>,
+) -> bool {
+    let id = req.id;
+    // As on the worker, the latency recorded is the time to an answer; its
+    // encoding and its write are the wire's.
+    let (latency_us, outcome) = match &req.method {
+        Method::Ping => (
+            elapsed_us(started),
+            out.assemble(id, |frame| proto::write_ok(frame, id, &pong())),
+        ),
+        // An expired budget is refused by the worker's dispatch gate, like
+        // every other: a warm cache does not get to answer it.
+        Method::Query {
+            query,
+            subject,
+            semantics,
+        } if !deadline.is_expired() => {
+            let reader = rlock(&shared.db).reader();
+            let hit = reader.cached_encoded(query, security_of(*semantics, *subject), |matches| {
+                let mut member = Vec::new();
+                proto::write_matches_member(&mut member, matches);
+                member.into()
+            });
+            let Some(member) = hit else {
+                return false;
+            };
+            (
+                elapsed_us(started),
+                out.assemble(id, |frame| {
+                    proto::write_query_ok_spliced(frame, id, reader.epoch(), &member)
+                }),
+            )
+        }
+        _ => return false,
+    };
+    shared
+        .metrics
+        .record(req.method.name(), latency_us, outcome);
+    out.send();
+    true
 }
 
 fn worker_loop(
     shared: Arc<Shared>,
-    writer: Arc<Mutex<TcpStream>>,
-    inflight: Arc<Mutex<HashMap<u64, secure_xml::CancelToken>>>,
+    mut out: ReplyWriter<TcpStream>,
+    inflight: InFlight,
     rx: mpsc::Receiver<Job>,
     conn_id: u64,
 ) {
     while let Ok(job) = rx.recv() {
         let id = job.req.id;
-        let name = job.req.method.name();
-        let is_shutdown = matches!(job.req.method, Method::Shutdown);
-        let outcome = execute(&shared, &job, conn_id);
-        mlock(&inflight).remove(&id);
-        let latency_us = job.started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
-        match outcome {
-            Ok(result) => {
-                shared.metrics.record(name, latency_us, Ok(()));
-                write_response(&writer, &proto::ok_response(id, result));
-                if is_shutdown {
-                    shared.draining.store(true, Ordering::SeqCst);
-                }
+        let executed = execute(&shared, &job, conn_id);
+        let latency_us = elapsed_us(job.started);
+        let outcome = match executed {
+            Ok(Reply::Matches { epoch, matches }) => out.assemble(id, |frame| {
+                proto::write_query_ok(frame, id, epoch, &matches)
+            }),
+            Ok(Reply::Admin(result)) => {
+                out.assemble(id, |frame| proto::write_ok(frame, id, &result))
             }
             Err((code, message)) => {
-                shared.metrics.record(name, latency_us, Err(code));
-                write_response(&writer, &proto::err_response(id, code, &message));
+                out.assemble_err(id, code, &message);
+                Err(code)
             }
+        };
+        shared
+            .metrics
+            .record(job.req.method.name(), latency_us, outcome);
+        out.send();
+        // Un-registered only once the response is on the wire: an empty
+        // registry is the reader's licence to answer the next request
+        // itself, and that answer must not overtake this one.
+        mlock(&inflight).remove(&job.seq);
+        if outcome.is_ok() && matches!(job.req.method, Method::Shutdown) {
+            shared.draining.store(true, Ordering::SeqCst);
         }
     }
 }
 
-fn execute(shared: &Arc<Shared>, job: &Job, conn_id: u64) -> Result<Json, (ErrorCode, String)> {
+fn execute(shared: &Arc<Shared>, job: &Job, conn_id: u64) -> Result<Reply, (ErrorCode, String)> {
     let deadline = &job.deadline;
     // Uniform dispatch gate: a budget spent in the queue (or cancelled by a
     // vanished client) is a bounded refusal *before* any work — even work a
@@ -501,8 +669,8 @@ fn execute(shared: &Arc<Shared>, job: &Job, conn_id: u64) -> Result<Json, (Error
             "deadline expired before dispatch".to_string(),
         )
     };
-    match &job.req.method {
-        Method::Ping => Ok(Json::obj(vec![("pong", Json::Bool(true))])),
+    let admin = match &job.req.method {
+        Method::Ping => Ok(pong()),
         Method::Query {
             query,
             subject,
@@ -511,11 +679,7 @@ fn execute(shared: &Arc<Shared>, job: &Job, conn_id: u64) -> Result<Json, (Error
             if deadline.is_expired() {
                 return Err(expired());
             }
-            let security = match semantics {
-                WireSemantics::None => Security::None,
-                WireSemantics::Binding => Security::BindingLevel(SubjectId(*subject)),
-                WireSemantics::Subtree => Security::SubtreeVisibility(SubjectId(*subject)),
-            };
+            let security = security_of(*semantics, *subject);
             let mut reader = rlock(&shared.db).reader();
             let opts = ExecOptions {
                 deadline: deadline.clone(),
@@ -532,16 +696,13 @@ fn execute(shared: &Arc<Shared>, job: &Job, conn_id: u64) -> Result<Json, (Error
                 shared.cfg.seed.wrapping_add(conn_id),
                 move || rlock(&db).reader(),
             );
-            match res {
-                Ok(r) => Ok(Json::obj(vec![
-                    (
-                        "matches",
-                        Json::Arr(r.matches.iter().map(|&p| Json::Int(p as i64)).collect()),
-                    ),
-                    ("epoch", Json::Int(reader.epoch() as i64)),
-                ])),
+            return match res {
+                Ok(r) => Ok(Reply::Matches {
+                    epoch: reader.epoch(),
+                    matches: r.matches,
+                }),
                 Err(e) => Err(shared.wire_error(&e)),
-            }
+            };
         }
         Method::Update(op) => {
             if deadline.is_expired() {
@@ -649,7 +810,8 @@ fn execute(shared: &Arc<Shared>, job: &Job, conn_id: u64) -> Result<Json, (Error
             }
         }
         Method::Shutdown => Ok(Json::obj(vec![("draining", Json::Bool(true))])),
-    }
+    };
+    admin.map(Reply::Admin)
 }
 
 /// Renders the aggregate snapshot as the `stats` method's JSON body.
@@ -699,13 +861,13 @@ fn stats_json(s: &ServerStats) -> Json {
 }
 
 /// Answers an HTTP `GET` (any path) with the Prometheus text and closes.
-fn serve_http_metrics(shared: &Arc<Shared>, stream: &mut TcpStream) {
+fn serve_http_metrics(shared: &Arc<Shared>, rd: &mut BufReader<&TcpStream>) {
     // Consume the rest of the request head, bounded: stop at the blank
     // line, 4 KiB, or the read timeout — whichever first.
     let mut head = Vec::with_capacity(256);
     let mut buf = [0u8; 256];
     while head.len() < 4096 && !head.windows(4).any(|w| w == b"\r\n\r\n") {
-        match stream.read(&mut buf) {
+        match rd.read(&mut buf) {
             Ok(0) => break,
             Ok(n) => head.extend_from_slice(&buf[..n]),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -719,6 +881,7 @@ fn serve_http_metrics(shared: &Arc<Shared>, stream: &mut TcpStream) {
         body.len(),
         body
     );
+    let mut stream = *rd.get_ref();
     let _ = stream.write_all(resp.as_bytes());
     let _ = stream.flush();
 }

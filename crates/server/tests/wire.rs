@@ -47,8 +47,9 @@ proptest! {
         // and a decoded payload must actually checksum-match.
         let mut r = Cursor::new(bytes.clone());
         let _ = frame::read_frame(&mut r, &[], DEFAULT_MAX_FRAME);
-        // The request decoder on raw bytes.
+        // The request and response decoders on raw bytes.
         let _ = proto::decode_request(&bytes);
+        let _ = proto::decode_response(&bytes);
         // The JSON parser on raw bytes.
         let _ = dol_server::json::parse(&bytes);
     }
@@ -72,6 +73,230 @@ proptest! {
         if let Ok(Some(decoded)) = frame::read_frame(&mut r, &[], DEFAULT_MAX_FRAME) {
             prop_assert_eq!(decoded, payload);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The typed codec against its oracles: the tree encoder for what it writes,
+// `str::parse` for the integers it reads, and a mutation sweep over encoded
+// replies for what it must never accept.
+// ---------------------------------------------------------------------------
+
+/// A value with exactly `digits` decimal digits (1..=19), within `i64`.
+fn with_digits(digits: u32, pick: u64) -> u64 {
+    let lo = if digits == 1 {
+        0
+    } else {
+        10u64.pow(digits - 1)
+    };
+    let hi = if digits == 19 {
+        i64::MAX as u64
+    } else {
+        10u64.pow(digits) - 1
+    };
+    lo + pick % (hi - lo + 1)
+}
+
+/// Positions spread over every digit length, with the edges mixed in.
+fn arb_matches() -> impl Strategy<Value = Vec<u64>> {
+    let value = (0u32..21, any::<u64>()).prop_map(|(class, pick)| match class {
+        0 => 0,
+        20 => i64::MAX as u64,
+        digits => with_digits(digits, pick),
+    });
+    proptest::collection::vec(value, 0..40)
+}
+
+fn tree_reply(id: u64, epoch: u64, matches: &[u64]) -> Vec<u8> {
+    proto::ok_response(
+        id,
+        Json::obj(vec![
+            (
+                "matches",
+                Json::Arr(matches.iter().map(|&p| Json::Int(p as i64)).collect()),
+            ),
+            ("epoch", Json::Int(epoch as i64)),
+        ]),
+    )
+}
+
+/// A random protocol value: scalars at the leaves, arrays and objects above,
+/// strings drawn from an alphabet that needs every kind of escape.
+fn random_json(rng: &mut proptest::TestRng, depth: u32) -> Json {
+    const ALPHABET: [char; 10] = ['a', 'Z', '"', '\\', '\n', '\t', '\u{1}', 'é', '🦀', ' '];
+    let string = |rng: &mut proptest::TestRng| -> String {
+        (0..rng.below(6))
+            .map(|_| ALPHABET[rng.below(ALPHABET.len() as u64) as usize])
+            .collect()
+    };
+    match rng.below(if depth == 0 { 5 } else { 7 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.below(2) == 1),
+        2 => Json::Int(rng.next_u64() as i64),
+        3 => Json::Int(rng.below(100_000) as i64 - 50_000),
+        4 => Json::Str(string(rng)),
+        5 => Json::Arr(
+            (0..rng.below(5))
+                .map(|_| random_json(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.below(4))
+                .map(|_| (string(rng), random_json(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn typed_query_reply_is_the_tree_encoding_byte_for_byte(
+        // Anything an `i64` holds: the tree oracle stores ids and epochs so.
+        id in any::<u64>().prop_map(|v| v >> 1),
+        epoch in any::<u64>().prop_map(|v| v >> 1),
+        small in any::<bool>(),
+        matches in arb_matches(),
+    ) {
+        // Half the cases with the small ids and epochs real traffic has.
+        let (id, epoch) = if small { (id % 1000, epoch % 1000) } else { (id, epoch) };
+        let oracle = tree_reply(id, epoch, &matches);
+        let mut typed = Vec::new();
+        proto::write_query_ok(&mut typed, id, epoch, &matches);
+        prop_assert_eq!(&typed, &oracle);
+        // The cache-hit form: the member encoded once, the rest around it.
+        let mut member = Vec::new();
+        proto::write_matches_member(&mut member, &matches);
+        let mut spliced = Vec::new();
+        proto::write_query_ok_spliced(&mut spliced, id, epoch, &member);
+        prop_assert_eq!(&spliced, &oracle);
+        // And it reads back as what was written.
+        let back = proto::decode_response(&typed).expect("decodable").outcome.expect("ok");
+        let got: Option<Vec<u64>> = back
+            .get("matches")
+            .and_then(Json::as_arr)
+            .and_then(|a| a.iter().map(Json::as_uint).collect());
+        prop_assert_eq!(got, Some(matches));
+        prop_assert_eq!(back.get("epoch").and_then(Json::as_uint), Some(epoch));
+    }
+
+    #[test]
+    fn parse_inverts_encode(seed in any::<u64>()) {
+        let v = random_json(&mut proptest::TestRng::new(seed), 3);
+        prop_assert_eq!(dol_server::json::parse(&v.encode()), Ok(v));
+    }
+
+    #[test]
+    fn inline_integers_agree_with_str_parse(
+        len in 1usize..21,
+        negative in any::<bool>(),
+        leading_zeros in 0usize..3,
+        digits in proptest::collection::vec(0u8..10, 20),
+    ) {
+        let zeros = leading_zeros.min(len - 1);
+        let mut text = String::from(if negative { "-" } else { "" });
+        text.push_str(&"0".repeat(zeros));
+        text.extend(digits[..len - zeros].iter().map(|d| char::from(b'0' + d)));
+        check_integer(&text);
+    }
+}
+
+fn check_integer(text: &str) {
+    use dol_server::json::{parse, JsonError};
+    let expect = match text.parse::<i64>() {
+        Ok(n) => Ok(Json::Int(n)),
+        Err(_) => Err(JsonError::BadNumber(0)),
+    };
+    assert_eq!(parse(text.as_bytes()), expect, "{text}");
+}
+
+#[test]
+fn integer_edges_agree_with_str_parse() {
+    let max = i64::MAX.to_string();
+    let min = i64::MIN.to_string();
+    for text in [
+        "0",
+        "-0",
+        "007",
+        "-007",
+        &max,
+        &min,
+        "9223372036854775808",  // i64::MAX + 1
+        "-9223372036854775809", // i64::MIN - 1
+        "999999999999999999",   // 18 digits: the last inline length
+        "1000000000000000000",  // 19 digits: the first checked one
+        "00000000000000000009", // 20 digits, value 9
+        "99999999999999999999",
+    ] {
+        check_integer(text);
+    }
+    use dol_server::json::{parse, JsonError};
+    assert_eq!(parse(b"1.5"), Err(JsonError::BadNumber(0)));
+    assert_eq!(parse(b"1e3"), Err(JsonError::BadNumber(0)));
+    assert_eq!(parse(b"-"), Err(JsonError::Syntax(0)));
+}
+
+#[derive(Debug, Clone)]
+enum Mutation {
+    /// One bit flipped at this offset (modulo the frame length).
+    Flip(usize, u8),
+    /// The frame cut short by this many bytes.
+    Truncate(usize),
+    /// These bytes written over the frame at this offset.
+    Splice(usize, Vec<u8>),
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (any::<usize>(), 0u8..8).prop_map(|(at, bit)| Mutation::Flip(at, bit)),
+        (1usize..64).prop_map(Mutation::Truncate),
+        (
+            any::<usize>(),
+            proptest::collection::vec(any::<u8>(), 1..12)
+        )
+            .prop_map(|(at, bytes)| Mutation::Splice(at, bytes)),
+    ]
+}
+
+fn mutate(bytes: &[u8], mutation: &Mutation) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    match mutation {
+        Mutation::Flip(at, bit) => out[at % bytes.len()] ^= 1 << bit,
+        Mutation::Truncate(cut) => out.truncate(bytes.len().saturating_sub(*cut)),
+        Mutation::Splice(at, patch) => {
+            let at = at % bytes.len();
+            for (dst, src) in out[at..].iter_mut().zip(patch) {
+                *dst = *src;
+            }
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn corrupted_reply_frames_never_yield_other_matches(
+        id in 0u64..1_000_000,
+        epoch in 0u64..1_000,
+        matches in arb_matches(),
+        mutation in arb_mutation(),
+    ) {
+        let mut payload = Vec::new();
+        proto::write_query_ok(&mut payload, id, epoch, &matches);
+        // Through the frame: whatever still passes the CRC is the reply
+        // that was sent, and decodes to the matches that were sent.
+        let wire = mutate(&frame::encode_frame(&payload), &mutation);
+        if let Ok(Some(got)) = frame::read_frame(&mut Cursor::new(wire), &[], DEFAULT_MAX_FRAME) {
+            prop_assert_eq!(&got, &payload);
+            prop_assert_eq!(proto::decode_response(&got), proto::decode_response(&payload));
+        }
+        // Past the frame (a CRC collision, or a hostile peer that checksums
+        // its garbage): the decoder alone must hold. It may refuse or it
+        // may read some other well-formed reply; it must not panic.
+        let _ = proto::decode_response(&mutate(&payload, &mutation));
     }
 }
 
@@ -347,6 +572,123 @@ fn disconnect_mid_request_cancels_and_releases_admission_slot() {
         .query("//book", 0, WireSemantics::Binding, None)
         .expect("query after slot release");
     assert!(!matches.is_empty());
+}
+
+// ---------------------------------------------------------------------------
+// Regression: pipelined requests that repeat a client-chosen id each keep
+// their own cancel token.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn duplicate_inflight_ids_are_each_cancelled_on_disconnect() {
+    // As above, a slow committer holds the worker; behind the update sit two
+    // queries carrying the *same* id. Keyed by id, the second's token would
+    // replace the first's in the cancel registry.
+    let cfg = ServerConfig {
+        max_inflight: 3,
+        commit: GroupCommitConfig {
+            flush_interval: Duration::from_millis(300),
+            ..GroupCommitConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let server = Server::start(test_db(), cfg).expect("bind");
+    let addr = server.local_addr().to_string();
+    {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        stream.set_nodelay(true).unwrap();
+        let mut wire = frame::encode_frame(&proto::encode_request(&Request {
+            id: 1,
+            method: Method::Update(UpdateOp::SetNodeAccess {
+                pos: 1,
+                subject: 1,
+                allow: false,
+            }),
+            deadline_ms: None,
+        }));
+        let query = frame::encode_frame(&proto::encode_request(&Request {
+            id: 7,
+            method: Method::Query {
+                query: "//book".into(),
+                subject: 0,
+                semantics: WireSemantics::Binding,
+            },
+            deadline_ms: Some(60_000),
+        }));
+        wire.extend_from_slice(&query);
+        wire.extend_from_slice(&query);
+        stream.write_all(&wire).expect("write");
+        let start = Instant::now();
+        while server.in_flight() < 3 && start.elapsed() < Duration::from_secs(5) {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(
+            server.in_flight(),
+            3,
+            "all three requests should hold slots"
+        );
+        drop(stream); // abrupt disconnect, update still committing
+    }
+    let start = Instant::now();
+    while server.in_flight() > 0 && start.elapsed() < Duration::from_secs(10) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.in_flight(), 0, "slots leaked after disconnect");
+    // The update and *both* queries were registered, so all three tokens
+    // fired, and both queries were refused at dispatch through theirs.
+    assert_eq!(server.metrics().cancelled_disconnects(), 3);
+    assert_eq!(server.metrics().refusals(ErrorCode::DeadlineExceeded), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Regression: an answer too large for any client's frame decoder is a typed
+// refusal on a connection that stays open, not an oversize frame.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn oversized_answer_is_refused_typed_and_the_connection_lives() {
+    let books: String = (0..400).map(|i| format!("<book>{i}</book>")).collect();
+    let db = SecureXmlDb::from_xml(
+        &format!("<lib><shelf>{books}</shelf><mag>m</mag></lib>"),
+        &FnOracle::new(1, |_, _| true),
+    )
+    .expect("build db");
+    let cfg = ServerConfig {
+        max_frame: 512,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(db, cfg).expect("bind");
+    let mut c = Client::connect(&server.local_addr().to_string(), Duration::from_secs(10))
+        .expect("connect");
+
+    // Twice: the first miss executes on the worker, the second is a
+    // result-cache hit answered on the reader thread. Both must refuse.
+    for _ in 0..2 {
+        match c.query("//book", 0, WireSemantics::Binding, None) {
+            Err(ClientError::Server(ErrorCode::ResponseTooLarge, msg)) => {
+                assert!(
+                    msg.contains("512-byte frame cap") && msg.contains("response of "),
+                    "the refusal should carry the size and the cap: {msg}"
+                );
+            }
+            other => panic!("expected response_too_large, got {other:?}"),
+        }
+    }
+    // The connection is still usable, and answers that fit still arrive.
+    c.ping().expect("ping after the refusal");
+    assert_eq!(
+        c.query("//mag", 0, WireSemantics::Binding, None)
+            .expect("a small answer")
+            .len(),
+        1
+    );
+    assert_eq!(server.metrics().refusals(ErrorCode::ResponseTooLarge), 2);
+    let text = c.metrics_text();
+    // The metrics text itself outgrows this cap; it is refused the same way.
+    assert!(matches!(
+        text,
+        Err(ClientError::Server(ErrorCode::ResponseTooLarge, _))
+    ));
 }
 
 // ---------------------------------------------------------------------------

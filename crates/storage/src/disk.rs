@@ -8,8 +8,9 @@
 use crate::page::{Page, PageId, PAGE_SIZE};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Errors from the storage layer.
 #[derive(Debug)]
@@ -237,9 +238,18 @@ impl Disk for MemDisk {
 
 /// A file-backed disk. Pages are stored contiguously at offset
 /// `id * PAGE_SIZE`.
+///
+/// Reads and writes are positional (`pread`/`pwrite`): one system call per
+/// page, no file cursor to share, and so no lock between two threads reading
+/// cold pages. Only allocation is serialised, because it alone extends the
+/// file.
 pub struct FileDisk {
-    file: Mutex<File>,
-    pages: Mutex<u32>,
+    file: File,
+    /// Allocated pages. Published (`Release`) only after the new page's
+    /// zeroes are in the file, so a reader that sees an id in range
+    /// (`Acquire`) finds the page behind it.
+    pages: AtomicU32,
+    alloc: Mutex<()>,
 }
 
 impl FileDisk {
@@ -251,60 +261,59 @@ impl FileDisk {
             .create(true)
             .truncate(true)
             .open(path)?;
-        Ok(Self {
-            file: Mutex::new(file),
-            pages: Mutex::new(0),
-        })
+        Ok(Self::over(file, 0))
     }
 
     /// Opens an existing disk file at `path`.
     pub fn open(path: &Path) -> Result<Self, StorageError> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let len = file.metadata()?.len();
-        Ok(Self {
-            file: Mutex::new(file),
-            pages: Mutex::new((len / PAGE_SIZE as u64) as u32),
-        })
+        Ok(Self::over(file, (len / PAGE_SIZE as u64) as u32))
+    }
+
+    fn over(file: File, pages: u32) -> Self {
+        Self {
+            file,
+            pages: AtomicU32::new(pages),
+            alloc: Mutex::new(()),
+        }
+    }
+
+    fn offset_of(&self, id: PageId) -> Result<u64, StorageError> {
+        if id.0 >= self.pages.load(Ordering::Acquire) {
+            return Err(StorageError::PageOutOfRange(id));
+        }
+        Ok(id.index() as u64 * PAGE_SIZE as u64)
     }
 }
 
 impl Disk for FileDisk {
     fn read_page(&self, id: PageId, buf: &mut Page) -> Result<(), StorageError> {
-        if id.0 >= *self.pages.lock() {
-            return Err(StorageError::PageOutOfRange(id));
-        }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id.index() as u64 * PAGE_SIZE as u64))?;
-        file.read_exact(buf.bytes_mut())?;
+        self.file
+            .read_exact_at(buf.bytes_mut(), self.offset_of(id)?)?;
         Ok(())
     }
 
     fn write_page(&self, id: PageId, buf: &Page) -> Result<(), StorageError> {
-        if id.0 >= *self.pages.lock() {
-            return Err(StorageError::PageOutOfRange(id));
-        }
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id.index() as u64 * PAGE_SIZE as u64))?;
-        file.write_all(buf.bytes())?;
+        self.file.write_all_at(buf.bytes(), self.offset_of(id)?)?;
         Ok(())
     }
 
     fn allocate_page(&self) -> Result<PageId, StorageError> {
-        let mut pages = self.pages.lock();
-        let id = PageId(*pages);
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(id.index() as u64 * PAGE_SIZE as u64))?;
-        file.write_all(Page::zeroed().bytes())?;
-        *pages += 1;
+        let _serialised = self.alloc.lock();
+        let id = PageId(self.pages.load(Ordering::Acquire));
+        self.file
+            .write_all_at(Page::zeroed().bytes(), id.index() as u64 * PAGE_SIZE as u64)?;
+        self.pages.store(id.0 + 1, Ordering::Release);
         Ok(id)
     }
 
     fn num_pages(&self) -> u32 {
-        *self.pages.lock()
+        self.pages.load(Ordering::Acquire)
     }
 
     fn sync(&self) -> Result<(), StorageError> {
-        self.file.lock().sync_all()?;
+        self.file.sync_all()?;
         Ok(())
     }
 }
@@ -354,6 +363,59 @@ mod tests {
         let mut r = Page::zeroed();
         disk.read_page(PageId(1), &mut r).unwrap();
         assert_eq!(r.get_u64(0), 42);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn filedisk_concurrent_readers_see_exact_pages() {
+        let dir = std::env::temp_dir().join(format!("dol-disk-conc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let disk = FileDisk::create(&dir.join("disk.bin")).unwrap();
+        // Page `i` is filled with words derived from `i`, so a read that
+        // landed on another page's bytes (a shared cursor moved between a
+        // seek and its read) cannot pass.
+        const PAGES: u32 = 64;
+        const SLOTS: usize = crate::page::PAYLOAD_SIZE / 8;
+        let word = |page: u32, slot: usize| u64::from(page) << 32 | slot as u64;
+        for i in 0..PAGES {
+            let id = disk.allocate_page().unwrap();
+            let mut p = Page::zeroed();
+            for slot in 0..SLOTS {
+                p.put_u64(slot * 8, word(i, slot));
+            }
+            disk.write_page(id, &p).unwrap();
+        }
+        // Eight readers at once: each sweeps its own stride of pages (the
+        // strides are disjoint) and then every page (all of them overlap),
+        // while a ninth thread keeps allocating past the end.
+        let go = std::sync::Barrier::new(9);
+        std::thread::scope(|s| {
+            for t in 0..8u32 {
+                let (disk, go) = (&disk, &go);
+                s.spawn(move || {
+                    go.wait();
+                    let mut p = Page::zeroed();
+                    let own = (0..PAGES).filter(|i| i % 8 == t);
+                    for i in own.chain(0..PAGES).cycle().take(4 * PAGES as usize) {
+                        disk.read_page(PageId(i), &mut p).unwrap();
+                        for slot in 0..SLOTS {
+                            assert_eq!(p.get_u64(slot * 8), word(i, slot), "page {i}");
+                        }
+                    }
+                });
+            }
+            let (disk, go) = (&disk, &go);
+            s.spawn(move || {
+                go.wait();
+                for k in 0..32 {
+                    assert_eq!(disk.allocate_page().unwrap(), PageId(PAGES + k));
+                }
+            });
+        });
+        assert_eq!(disk.num_pages(), PAGES + 32);
+        let mut p = Page::zeroed();
+        disk.read_page(PageId(PAGES + 31), &mut p).unwrap();
+        assert_eq!(p.get_u64(0), 0, "allocated pages read back zeroed");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -63,7 +63,7 @@ use dol_nok::{
 use dol_storage::{with_read_epoch, BPlusTree, IoStats, StructStore, ValueStore};
 use dol_xml::{Document, TagId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// What makes a cached secure result reusable: the query text (as its FNV-1a
@@ -79,6 +79,12 @@ type ResultKey = (u64, Security, u64, u64);
 struct CachedResult {
     query: Box<str>,
     result: QueryResult,
+    /// The matches as some front door sends them, encoded on the first
+    /// [`DbReader::cached_encoded`] hit by that caller's encoder. Opaque
+    /// here: the facade stores the bytes, it never reads them. They live and
+    /// die with the entry, so whatever fences or evicts the result fences
+    /// and evicts its encoding too.
+    encoded: OnceLock<Arc<[u8]>>,
 }
 
 /// Plan- and result-cache capacities. The serve mix has a handful of hot
@@ -377,9 +383,35 @@ impl DbReader {
             Arc::new(CachedResult {
                 query: query.into(),
                 result: result.clone(),
+                encoded: OnceLock::new(),
             }),
         );
         Ok(result)
+    }
+
+    /// The answer to `query` if — and only if — the secure result cache
+    /// holds it for this snapshot, as the bytes `encode` makes of the
+    /// matches. `encode` runs at most once per cached entry (the first hit);
+    /// every later hit is one lookup and one refcount bump, and never
+    /// touches the match list. A database has one front door, so one
+    /// encoding: the first caller's encoder decides the bytes every later
+    /// caller gets for that entry.
+    ///
+    /// `None` means "ask [`query_opts`](Self::query_opts)": the entry is
+    /// absent, or this snapshot is not servable. A hit is counted in
+    /// [`CacheStats::result_hits`]; a miss is not counted here, because the
+    /// `query_opts` call it sends the caller to will count it.
+    pub fn cached_encoded(
+        &self,
+        query: &str,
+        security: Security,
+        encode: impl FnOnce(&[u64]) -> Arc<[u8]>,
+    ) -> Option<Arc<[u8]>> {
+        self.check_servable().ok()?;
+        let key: ResultKey = (fnv1a(query), security, self.seen, self.codebook_version);
+        let hit = self.caches.results.probe(&key)?;
+        (&*hit.query == query)
+            .then(|| Arc::clone(hit.encoded.get_or_init(|| encode(&hit.result.matches))))
     }
 
     /// [`query`](Self::query) with bounded automatic re-snapshotting: when

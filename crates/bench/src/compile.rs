@@ -1,19 +1,14 @@
-//! Interpreted vs compiled twig execution on the Table-1 mix.
+//! Compiled twig execution on the Table-1 mix, checked against the reference
+//! evaluator.
 //!
-//! Both sides run with a **warm plan cache** (the query is parsed once, so
-//! the comparison isolates execution, not lexing) and **no result cache**
-//! (the engine has none — every run touches the matcher). The compiled side
-//! reuses one [`dol_nok::CompiledPlan`] lowering from the
-//! [`dol_nok::PlanCache`]; the interpreted side re-derives its matcher
-//! tables per execution, which is exactly what the lowering amortizes. Each
-//! query runs under both security modes and against both a cold and a warm
-//! buffer pool, reporting p50/p99 latencies, per-query speedups, and the
-//! mix-level p50 speedup the acceptance gate reads.
-//!
-//! Answers are asserted byte-identical between the two paths on **every**
-//! run in every configuration (`--smoke` runs a small pinned instance and
-//! relies on the same assertions); the speedup ratio is recorded, never
-//! gated, so CI stays robust to noisy neighbors.
+//! Every query is parsed and lowered **once** through a
+//! [`dol_nok::PlanCache`], then run repeatedly through that one
+//! [`dol_nok::CompiledPlan`] under both security modes and against both a
+//! cold and a warm buffer pool; the engine has no result cache, so every run
+//! touches the matcher. The answer of **every** run in every configuration
+//! is asserted equal to [`naive_eval`]'s (`--smoke` runs a small pinned
+//! instance and relies on the same assertions). Time is `perf/`'s business:
+//! nothing here is timed.
 //!
 //! A second table runs a **narrow subject** — one team member of a
 //! `GroupedWorld` portal who may see about 1/64 of it — through the recursive
@@ -22,82 +17,48 @@
 //! headers and how many were examined one by one. `--smoke` gates that
 //! ratio, which a 1-CPU runner can.
 
-use crate::setup::{
-    synth_column, xmark_doc, BenchDb, ColumnOracle, Q3_SINGLE_PATH, SUBJECT, TABLE1,
-};
+use crate::setup::{synth_column, xmark_doc, BenchDb, Q3_SINGLE_PATH, SUBJECT, TABLE1};
 use crate::table::Table;
 use crate::Effort;
-use dol_acl::CascadeRules;
+use dol_acl::{AccessibilityMap, BitVec, CascadeRules};
+use dol_nok::reference::{naive_eval, RefSecurity};
 use dol_nok::{ExecOptions, ExecStats, PlanCache, QueryEngine, Security};
 use dol_workloads::{GroupedConfig, GroupedWorld};
+use dol_xml::Document;
 use std::io::Write;
-use std::time::Instant;
 
-/// One (query, security, cache-temperature) measurement pair.
+/// Runs of each (query, security, pool) configuration, every one checked.
+const RUNS: usize = 3;
+
+/// One (query, security, cache-temperature) configuration.
 struct Row {
     query_id: &'static str,
     security: &'static str,
     cache: &'static str,
-    interpreted_p50_us: f64,
-    interpreted_p99_us: f64,
-    compiled_p50_us: f64,
-    compiled_p99_us: f64,
     answers: usize,
 }
 
-impl Row {
-    fn speedup_p50(&self) -> f64 {
-        if self.compiled_p50_us == 0.0 {
-            return 1.0;
-        }
-        self.interpreted_p50_us / self.compiled_p50_us
-    }
-}
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1e3
-}
-
-/// Times `iters` runs of `run`, returning sorted latencies in nanoseconds.
-/// `prepare` runs before each iteration outside the timed window (the cold
-/// configurations clear the buffer pool there).
-fn time_runs(
-    iters: usize,
-    mut prepare: impl FnMut(),
-    mut run: impl FnMut() -> Vec<u64>,
-    expect: &[u64],
-) -> Vec<u64> {
-    let mut ns = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        prepare();
-        let t = Instant::now();
-        let matches = run();
-        ns.push(t.elapsed().as_nanos() as u64);
-        assert_eq!(matches, expect, "answers must be byte-identical every run");
-    }
-    ns.sort_unstable();
-    ns
+/// A one-subject labeling of `doc` from `col`: the oracle the database is
+/// built from and the map the reference evaluator reads.
+fn single_subject_map(doc: &Document, col: BitVec) -> AccessibilityMap {
+    let mut map = AccessibilityMap::new(1, doc.len());
+    *map.column_mut(SUBJECT) = col;
+    map
 }
 
 /// Runs the compiled-execution experiment. `smoke` pins a small instance;
-/// the byte-identity assertions hold in every mode.
+/// the reference assertions hold in every mode.
 pub fn run(effort: Effort, seed: u64, smoke: bool) {
     let scale = if smoke { 0.05 } else { effort.scale(0.2, 1.0) };
-    let warm_iters = if smoke { 9 } else { effort.pick(31, 101) };
-    let cold_iters = if smoke { 5 } else { effort.pick(9, 21) };
     let doc = xmark_doc(scale);
     let nodes = doc.len();
-    let col = synth_column(&doc, 0.6, 0.05, seed);
-    let db = BenchDb::build(doc, &ColumnOracle(col), 4096);
+    let map = single_subject_map(&doc, synth_column(&doc, 0.6, 0.05, seed));
+    let db = BenchDb::build(doc, &map, 4096);
     let engine: QueryEngine<'_> = db.engine();
     let cache = PlanCache::new(16);
 
     println!(
-        "compiled vs interpreted twig execution (XMark {nodes} nodes, seed {seed}, \
+        "compiled twig execution vs the reference evaluator (XMark {nodes} nodes, seed {seed}, \
          warm plan cache, no result cache)\n"
     );
 
@@ -105,65 +66,38 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     queries.push(Q3_SINGLE_PATH);
     let mut rows: Vec<Row> = Vec::new();
     for (qid, q) in &queries {
-        // Parse once, lower once: the warm plan cache both sides share.
+        // Parse once, lower once: every run below reuses this lowering.
         let (plan, compiled) = cache
             .get_or_compile(q, db.doc.tags())
             .expect("Table-1 query parses");
-        for (sec_name, sec) in [
-            ("none", Security::None),
-            ("binding", Security::BindingLevel(SUBJECT)),
+        for (sec_name, sec, ref_sec) in [
+            ("none", Security::None, RefSecurity::None),
+            (
+                "binding",
+                Security::BindingLevel(SUBJECT),
+                RefSecurity::Binding(&map, SUBJECT),
+            ),
         ] {
-            let interp_opts = ExecOptions {
-                compiled: false,
-                ..ExecOptions::default()
-            };
-            // The interpreted answer is the reference for both paths.
-            let expect = engine
-                .execute_plan_opts(&plan, sec, interp_opts.clone())
-                .expect("interpreted run")
-                .matches;
+            let expect = naive_eval(&db.doc, &plan.pattern, ref_sec);
             for (cache_name, cold) in [("warm", false), ("cold", true)] {
-                let iters = if cold { cold_iters } else { warm_iters };
-                let prepare = || {
+                for run in 0..RUNS {
                     if cold {
                         db.pool.clear_cache().expect("clear");
                     }
-                };
-                let interp = time_runs(
-                    iters,
-                    prepare,
-                    || {
-                        engine
-                            .execute_plan_opts(&plan, sec, interp_opts.clone())
-                            .expect("interpreted run")
-                            .matches
-                    },
-                    &expect,
-                );
-                let prepare = || {
-                    if cold {
-                        db.pool.clear_cache().expect("clear");
-                    }
-                };
-                let comp = time_runs(
-                    iters,
-                    prepare,
-                    || {
-                        engine
-                            .execute_compiled_opts(&plan, &compiled, sec, ExecOptions::default())
-                            .expect("compiled run")
-                            .matches
-                    },
-                    &expect,
-                );
+                    let got = engine
+                        .execute_compiled_opts(&plan, &compiled, sec, ExecOptions::default())
+                        .expect("compiled run")
+                        .matches;
+                    assert_eq!(
+                        got, expect,
+                        "{qid} ({sec_name}, {cache_name} pool) run {run}: answer differs from \
+                         the reference"
+                    );
+                }
                 rows.push(Row {
                     query_id: qid,
                     security: sec_name,
                     cache: cache_name,
-                    interpreted_p50_us: percentile_us(&interp, 0.50),
-                    interpreted_p99_us: percentile_us(&interp, 0.99),
-                    compiled_p50_us: percentile_us(&comp, 0.50),
-                    compiled_p99_us: percentile_us(&comp, 0.99),
                     answers: expect.len(),
                 });
             }
@@ -172,68 +106,32 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
 
     let mut t = Table::new(
         "query -> automaton compilation",
-        &[
-            "query",
-            "security",
-            "pool",
-            "interp p50",
-            "interp p99",
-            "compiled p50",
-            "compiled p99",
-            "speedup",
-            "answers",
-        ],
+        &["query", "security", "pool", "runs", "answers"],
     );
     for r in &rows {
         t.row(&[
             r.query_id.to_string(),
             r.security.to_string(),
             r.cache.to_string(),
-            format!("{:.1} us", r.interpreted_p50_us),
-            format!("{:.1} us", r.interpreted_p99_us),
-            format!("{:.1} us", r.compiled_p50_us),
-            format!("{:.1} us", r.compiled_p99_us),
-            format!("{:.2}x", r.speedup_p50()),
+            RUNS.to_string(),
             r.answers.to_string(),
         ]);
     }
     t.print();
-
-    // Mix-level p50 speedup (warm pool): the acceptance-gate number. The
-    // Table-1 mix time is the sum of per-query p50s, per security mode.
-    let mix = |sec: &str, cache: &str| -> (f64, f64) {
-        rows.iter()
-            .filter(|r| r.security == sec && r.cache == cache)
-            .fold((0.0, 0.0), |(i, c), r| {
-                (i + r.interpreted_p50_us, c + r.compiled_p50_us)
-            })
-    };
-    let mut mix_speedups: Vec<(String, f64)> = Vec::new();
-    for sec in ["none", "binding"] {
-        for cache in ["warm", "cold"] {
-            let (i, c) = mix(sec, cache);
-            let s = if c == 0.0 { 1.0 } else { i / c };
-            println!(
-                "Table-1 mix ({sec}, {cache} pool): interpreted {i:.1} us vs compiled {c:.1} us \
-                 -> {s:.2}x p50 speedup"
-            );
-            mix_speedups.push((format!("{sec}_{cache}"), s));
-        }
-    }
     println!(
-        "({} lowerings for {} (query, mode, pool) configurations; every run's answer was \
-         byte-identical to the interpreted reference.)\n",
+        "({} lowerings for {} (query, mode, pool) configurations; every run's answer equalled \
+         the reference evaluator's.)\n",
         cache.compiles(),
         rows.len(),
     );
 
     let narrow_rows = narrow(effort, seed, smoke);
-    write_json(seed, scale, nodes, &rows, &mix_speedups, &narrow_rows);
+    write_json(seed, scale, nodes, &rows, &narrow_rows);
 
     if smoke {
-        // The identity assertions already ran on every iteration; the smoke
-        // gate just confirms the experiment exercised both modes and the
-        // lowering was reused across every run of a query.
+        // The reference assertions already ran on every run; the smoke gate
+        // just confirms the experiment exercised both modes and the lowering
+        // was reused across every run of a query.
         assert_eq!(
             cache.compiles() as usize,
             queries.len(),
@@ -259,7 +157,7 @@ const NARROW_QUERIES: [&str; 4] = [
 /// subject who sees 1/64 of the portal.
 const NARROW_EXAMINED_BOUND: f64 = 0.10;
 
-/// One narrow-subject measurement: the compiled run's counters.
+/// One narrow-subject measurement: the run's counters.
 struct NarrowRow {
     query: &'static str,
     security: &'static str,
@@ -278,7 +176,7 @@ impl NarrowRow {
 /// department its own node and non-team children, a team its own subtree.
 /// (The stock rules grant the company the root, so everyone sees everything
 /// and §3.3 has nothing to skip.)
-fn narrow_portal(team_size: usize, seed: u64) -> BenchDb {
+fn narrow_portal(team_size: usize, seed: u64) -> (BenchDb, AccessibilityMap) {
     let world = GroupedWorld::generate(&GroupedConfig {
         team_size,
         initial_users: 0,
@@ -308,49 +206,49 @@ fn narrow_portal(team_size: usize, seed: u64) -> BenchDb {
     let mut col = rules.column(doc, company);
     col.or_assign(&rules.column(doc, depts[t / (teams.len() / depts.len())]));
     col.or_assign(&rules.column(doc, teams[t]));
-    BenchDb::build(world.doc, &ColumnOracle(col), 4096)
+    let map = single_subject_map(doc, col);
+    (BenchDb::build(world.doc, &map, 4096), map)
 }
 
 /// Runs the narrow-subject table; with `smoke`, gates the examined ratio.
 fn narrow(effort: Effort, seed: u64, smoke: bool) -> Vec<NarrowRow> {
-    let db = narrow_portal(if smoke { 1500 } else { effort.pick(4000, 9000) }, seed);
+    let (db, map) = narrow_portal(if smoke { 1500 } else { effort.pick(4000, 9000) }, seed);
     let engine = db.engine();
     let mut rows = Vec::new();
     for query in NARROW_QUERIES {
         let plan = dol_nok::QueryPlan::new(dol_nok::parse_query(query).expect("portal query"));
-        for (security, sec) in [
-            ("binding", Security::BindingLevel(SUBJECT)),
-            ("subtree", Security::SubtreeVisibility(SUBJECT)),
+        for (security, sec, ref_sec) in [
+            (
+                "binding",
+                Security::BindingLevel(SUBJECT),
+                RefSecurity::Binding(&map, SUBJECT),
+            ),
+            (
+                "subtree",
+                Security::SubtreeVisibility(SUBJECT),
+                RefSecurity::Subtree(&map, SUBJECT),
+            ),
         ] {
-            let interpreted = engine
-                .execute_plan_opts(
-                    &plan,
-                    sec,
-                    ExecOptions {
-                        compiled: false,
-                        ..ExecOptions::default()
-                    },
-                )
-                .expect("interpreted run");
-            let compiled = engine
+            let got = engine
                 .execute_plan_opts(&plan, sec, ExecOptions::default())
                 .expect("compiled run");
             assert_eq!(
-                compiled.matches, interpreted.matches,
-                "{query} ({security}): answers must be byte-identical"
+                got.matches,
+                naive_eval(&db.doc, &plan.pattern, ref_sec),
+                "{query} ({security}): answer differs from the reference"
             );
-            let st = &compiled.stats;
+            let st = &got.stats;
             assert_eq!(
                 st.candidates_examined + st.blocks_skipped,
                 st.candidates,
                 "{query} ({security}): every candidate is skipped or examined"
             );
-            assert_eq!(st.blocks_skipped, interpreted.stats.blocks_skipped);
+            assert_eq!(st.blocks_skipped, st.io.pages_skipped);
             rows.push(NarrowRow {
                 query,
                 security,
-                stats: compiled.stats,
-                answers: compiled.matches.len(),
+                stats: got.stats,
+                answers: got.matches.len(),
             });
         }
     }
@@ -368,7 +266,6 @@ fn narrow(effort: Effort, seed: u64, smoke: bool) -> Vec<NarrowRow> {
             "examined/cand",
             "join tuples",
             "logical reads",
-            "time",
             "answers",
         ],
     );
@@ -382,7 +279,6 @@ fn narrow(effort: Effort, seed: u64, smoke: bool) -> Vec<NarrowRow> {
             format!("{:.4}", r.examined_ratio()),
             r.stats.join_pairs.to_string(),
             r.stats.io.logical_reads.to_string(),
-            format!("{:.1} us", r.stats.elapsed.as_secs_f64() * 1e6),
             r.answers.to_string(),
         ]);
     }
@@ -408,38 +304,22 @@ fn narrow(effort: Effort, seed: u64, smoke: bool) -> Vec<NarrowRow> {
     rows
 }
 
-fn write_json(
-    seed: u64,
-    scale: f64,
-    nodes: usize,
-    rows: &[Row],
-    mix: &[(String, f64)],
-    narrow: &[NarrowRow],
-) {
+fn write_json(seed: u64, scale: f64, nodes: usize, rows: &[Row], narrow: &[NarrowRow]) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"experiment\": \"compile\",\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str(&format!("  \"xmark_scale\": {scale},\n"));
     out.push_str(&format!("  \"nodes\": {nodes},\n"));
-    for (name, s) in mix {
-        out.push_str(&format!("  \"mix_speedup_p50_{name}\": {s:.3},\n"));
-    }
+    out.push_str(&format!("  \"runs_per_configuration\": {RUNS},\n"));
     out.push_str("  \"runs\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"query\": \"{}\", \"security\": \"{}\", \"pool\": \"{}\", \
-             \"interpreted_p50_us\": {:.2}, \"interpreted_p99_us\": {:.2}, \
-             \"compiled_p50_us\": {:.2}, \"compiled_p99_us\": {:.2}, \
-             \"speedup_p50\": {:.3}, \"answers\": {}}}{}",
+             \"answers\": {}}}{}",
             r.query_id,
             r.security,
             r.cache,
-            r.interpreted_p50_us,
-            r.interpreted_p99_us,
-            r.compiled_p50_us,
-            r.compiled_p99_us,
-            r.speedup_p50(),
             r.answers,
             if i + 1 < rows.len() { ",\n" } else { "\n" },
         ));

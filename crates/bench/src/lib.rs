@@ -18,7 +18,7 @@
 //! | [`fig8`] | §4.2 extension: (ε-)STD joins under both secure semantics |
 //! | [`updates`] | Proposition 1 / §3.4: update costs and transition growth |
 //! | [`ablation`] | design-choice ablations: codebook, page skip, block size |
-//! | [`compile`] | interpreted vs compiled twig execution on the Table-1 mix (not a paper artifact) |
+//! | [`compile`] | compiled twig execution on the Table-1 mix against the reference evaluator, plus the narrow-subject §3.3 counters (not a paper artifact) |
 //! | [`parallel`] | parallel candidate matching: worker-count scaling (not a paper artifact) |
 //! | [`serve`] | multi-client secure-query serving: snapshot readers, caches, shared latches (not a paper artifact) |
 //! | [`faults`] | fault injection: checksum detection, fail-closed semantics, verify overhead (not a paper artifact) |

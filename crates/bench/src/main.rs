@@ -16,9 +16,9 @@
 //! chaos schedule to CI size (its gates — zero wrong answers, zero
 //! unrecovered poison windows, breaker trip/probe and deadline-abort
 //! coverage — are asserted in every mode), and pins the `compile`
-//! experiment to a small instance whose byte-identity assertions
-//! (compiled answers ≡ interpreted answers, one lowering per query) gate
-//! CI while the speedup ratio is recorded, never gated.
+//! experiment to a small instance whose assertions (every run's answer ≡
+//! the reference evaluator's, one lowering per query, the narrow-subject
+//! examined ratio) gate CI.
 //!
 //! The `net` experiment re-execs this binary into server and client
 //! processes via the hidden `__net-server` / `__net-client` argv modes,

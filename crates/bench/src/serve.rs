@@ -8,11 +8,10 @@
 //! `Arc`, so the serving path takes no database-wide lock — page accesses on
 //! the warm buffer pool take *shared* latches, and warm result-cache hits do
 //! no page I/O at all. An optional writer interleaves single-node ACL
-//! updates; with the MVCC epoch ring (the default protocol) overtaken
-//! readers keep serving their pinned epoch, so a snapshot refresh happens
-//! only when a reader outlives the retention window (`RetentionExceeded`,
-//! the `query_with_retry` fallback) — a `StaleReader` retry would mean the
-//! ring failed and is gated to zero in every mix.
+//! updates; under the MVCC epoch ring overtaken readers keep serving their
+//! pinned epoch, so a snapshot refresh happens only when a reader outlives
+//! the retention window (`RetentionExceeded`, the `query_with_retry`
+//! fallback).
 //!
 //! Every [`PROBE_EVERY`]-th operation carries an already-expired deadline;
 //! whatever the cache holds, its outcome is accounted a **bounded refusal**
@@ -21,8 +20,8 @@
 //! would let the in-process and wire availability columns disagree).
 //!
 //! Reported per client count: QPS, p50/p99 latency, plan/result cache hit
-//! rates, the shared-vs-exclusive page-latch ratio, stale retries, and an
-//! order-independent fingerprint of every result (equal across same-seed
+//! rates, the shared-vs-exclusive page-latch ratio, retention refreshes, and
+//! an order-independent fingerprint of every result (equal across same-seed
 //! runs — re-checked here by running one mix twice). Every read-only result
 //! is also compared against a sequential oracle computed up front. Machine-
 //! readable output goes to `BENCH_serve.json`.
@@ -101,13 +100,11 @@ struct MixReport {
     result_hit_rate: f64,
     shared_reads: u64,
     exclusive_fallbacks: u64,
-    /// Snapshot refreshes caused by `StaleReader` — the legacy protocol's
-    /// cost. With the epoch ring enabled this must stay 0: pinned readers
-    /// are never evicted by writers.
-    stale_retries: u64,
-    /// Snapshot refreshes caused by `RetentionExceeded` — the MVCC
-    /// fallback for readers held past the retention window.
+    /// Snapshot refreshes caused by `RetentionExceeded` — the fallback for
+    /// readers held past the retention window.
     retention_refreshes: u64,
+    /// Refusals that outlasted [`MAX_STALE_RETRIES`] refreshes and escaped
+    /// to the client.
     stale_errors: u64,
     divergences: u64,
     /// Expired-deadline probe operations — all of them refused, whether the
@@ -149,7 +146,6 @@ struct ClientOutcome {
     latencies_ns: Vec<u64>,
     queries: u64,
     updates: u64,
-    stale_retries: u64,
     retention_refreshes: u64,
     stale_errors: u64,
     divergences: u64,
@@ -294,7 +290,6 @@ fn run_mix(
         result_hit_rate: hit_rate(caches.result_hits, caches.result_misses),
         shared_reads: io.read_shared,
         exclusive_fallbacks: io.read_exclusive_fallback,
-        stale_retries: outcomes.iter().map(|o| o.stale_retries).sum(),
         retention_refreshes: outcomes.iter().map(|o| o.retention_refreshes).sum(),
         stale_errors: outcomes.iter().map(|o| o.stale_errors).sum(),
         divergences: outcomes.iter().map(|o| o.divergences).sum(),
@@ -320,7 +315,6 @@ fn run_client(
         latencies_ns: Vec::with_capacity(cfg.ops_per_client),
         queries: 0,
         updates: 0,
-        stale_retries: 0,
         retention_refreshes: 0,
         stale_errors: 0,
         divergences: 0,
@@ -356,10 +350,6 @@ fn run_client(
                         break;
                     }
                     Err(DbError::DeadlineExceeded(_)) => break,
-                    Err(DbError::StaleReader { .. }) => {
-                        out.stale_retries += 1;
-                        reader = db.read().expect("db lock").reader();
-                    }
                     Err(DbError::RetentionExceeded { .. }) => {
                         out.retention_refreshes += 1;
                         reader = db.read().expect("db lock").reader();
@@ -375,29 +365,15 @@ fn run_client(
         let key = draw_op(&mut rng, cum, &cfg.pool);
         let security = security_of(key);
         let t0 = Instant::now();
-        // The same refresh loop `query_with_retry` runs, unrolled here so
-        // the two snapshot-refresh causes are counted apart: `StaleReader`
-        // is the legacy protocol's eviction (gated to zero under the epoch
-        // ring), `RetentionExceeded` the MVCC fallback for a snapshot held
-        // past the retention window.
-        let mut attempts = 0u32;
-        let outcome = loop {
-            match reader.query(TABLE1[key.0].1, security) {
-                Err(e) if attempts < MAX_STALE_RETRIES => {
-                    match e {
-                        DbError::StaleReader { .. } => out.stale_retries += 1,
-                        DbError::RetentionExceeded { .. } => out.retention_refreshes += 1,
-                        other => break Err(other),
-                    }
-                    attempts += 1;
-                    reader = db.read().expect("db lock").reader();
-                }
-                other => break other,
-            }
-        };
+        // A snapshot held past the retention window is refreshed (and the
+        // refresh counted) by the retry ladder.
+        let outcome = reader.query_with_retry(TABLE1[key.0].1, security, MAX_STALE_RETRIES, || {
+            out.retention_refreshes += 1;
+            db.read().expect("db lock").reader()
+        });
         let result = match outcome {
             Ok(r) => Some(r),
-            Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {
+            Err(DbError::RetentionExceeded { .. }) => {
                 out.stale_errors += 1;
                 None
             }
@@ -436,7 +412,7 @@ fn json_object(r: &MixReport) -> String {
          \"qps\": {:.1}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \
          \"plan_hit_rate\": {:.4}, \"plan_compiles\": {}, \"result_hit_rate\": {:.4}, \
          \"shared_reads\": {}, \"exclusive_fallbacks\": {}, \"shared_ratio\": {:.4}, \
-         \"stale_retries\": {}, \"retention_refreshes\": {}, \
+         \"retention_refreshes\": {}, \
          \"stale_errors\": {}, \"bounded_refusals\": {}, \"warm_refusals\": {}, \
          \"availability\": {:.4}, \
          \"deadline_aborts\": {}, \"divergences\": {}, \
@@ -454,7 +430,6 @@ fn json_object(r: &MixReport) -> String {
         r.shared_reads,
         r.exclusive_fallbacks,
         r.shared_ratio(),
-        r.stale_retries,
         r.retention_refreshes,
         r.stale_errors,
         r.bounded_refusals,
@@ -603,7 +578,6 @@ pub fn run(effort: Effort, seed: u64, max_clients: usize, smoke: bool, subjects:
             "plan hits",
             "compiles",
             "shared latch",
-            "stale retries",
             "refreshes",
             "avail",
             "refused",
@@ -648,7 +622,8 @@ pub fn run(effort: Effort, seed: u64, max_clients: usize, smoke: bool, subjects:
     push_row(&mut t, &replay);
     runs.push(replay);
 
-    // Update mix: client 0 interleaves ACL updates; stale readers retry.
+    // Update mix: client 0 interleaves ACL updates; readers held past the
+    // retention window refresh.
     let update_cfg = MixConfig {
         clients: 2,
         ops_per_client: ops,
@@ -684,13 +659,6 @@ pub fn run(effort: Effort, seed: u64, max_clients: usize, smoke: bool, subjects:
             assert_eq!(
                 r.stale_errors, 0,
                 "stale-read errors escaped the retry loop"
-            );
-            // The headline MVCC gate: with the epoch ring enabled (the
-            // default protocol) a writer never evicts a pinned reader, so
-            // no mix — updates included — may retry on StaleReader.
-            assert_eq!(
-                r.stale_retries, 0,
-                "a StaleReader retry under the epoch ring: a writer evicted a reader"
             );
             // Bounded-refusal accounting: every expired-deadline probe is
             // deterministic in count, and each one resolves either as a
@@ -759,7 +727,6 @@ fn push_row(t: &mut Table, r: &MixReport) {
         pct(r.plan_hit_rate),
         r.plan_compiles.to_string(),
         pct(r.shared_ratio()),
-        r.stale_retries.to_string(),
         r.retention_refreshes.to_string(),
         pct(r.availability()),
         r.bounded_refusals.to_string(),
@@ -820,12 +787,10 @@ mod tests {
         let b = run_mix(&db, &oracle, &cfg);
         assert_eq!(a.fingerprint, b.fingerprint, "same-seed mixes must agree");
         assert_eq!(a.divergences + b.divergences, 0);
-        assert_eq!(a.stale_retries + b.stale_retries, 0);
         assert_eq!(a.retention_refreshes + b.retention_refreshes, 0);
         assert!(b.result_hit_rate > 0.9, "second run must be cache-warm");
 
-        // And with updates: under the epoch ring the writer never evicts a
-        // reader, so nothing is stale and nothing escapes.
+        // And with updates: no refusal escapes the refresh ladder.
         let upd = run_mix(
             &db,
             &oracle,
@@ -839,9 +804,5 @@ mod tests {
         );
         assert!(upd.updates > 0);
         assert_eq!(upd.stale_errors, 0);
-        assert_eq!(
-            upd.stale_retries, 0,
-            "the ring must keep pinned readers servable"
-        );
     }
 }

@@ -40,7 +40,7 @@
 //! every served result equals the pre- or post-toggle oracle exactly, or is
 //! a fail-closed *subset* with `blocks_failed_closed > 0`; zero unexpected
 //! errors — only typed availability errors (`BreakerOpen`,
-//! `DeadlineExceeded`) and absorbed `StaleReader` retries ever surface;
+//! `DeadlineExceeded`) and absorbed `RetentionExceeded` refreshes ever surface;
 //! zero unrecovered poison windows; at least one breaker trip, fast-fail,
 //! and half-open probe; at least one deadline abort, one warm-hit bounded
 //! refusal, and one cancellation, reconciled against
@@ -81,9 +81,9 @@ const PROBE_SUBJECT: SubjectId = SubjectId(2);
 const READERS: usize = 2;
 /// Updater threads pushing toggle commits through the group committer.
 const UPDATERS: usize = 2;
-/// Snapshot-refresh budget per reader operation (`StaleReader` in legacy
-/// mode, `RetentionExceeded` past the ring window; the updaters are finite
-/// per window, so a retry always lands).
+/// Snapshot-refresh budget per reader operation (`RetentionExceeded` past
+/// the ring window; the updaters are finite per window, so a retry always
+/// lands).
 const MAX_STALE_RETRIES: u32 = 100_000;
 
 /// Oracle key: (Table-1 query index, subject, subtree-visibility?).
@@ -128,8 +128,7 @@ struct Counters {
     bounded_refusals: AtomicU64,
     /// `CancelToken` cancellations aborted the same way.
     cancel_aborts: AtomicU64,
-    /// Fresh snapshots taken inside `query_with_retry` (legacy stale
-    /// retries or MVCC retention-window expiries).
+    /// Fresh snapshots taken after a retention-window expiry.
     stale_refreshes: AtomicU64,
     /// Answers classified against an observer-recorded *per-epoch* oracle
     /// (the strict check; the rest use the either-oracle fallback).
@@ -260,16 +259,12 @@ fn reader_loop(
                     match reader.query_opts(TABLE1[0].1, sec, opts) {
                         Ok(_) => c.bump(&c.bounded_refusals),
                         Err(DbError::DeadlineExceeded(_)) => c.bump(&c.deadline_aborts),
-                        Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {
-                            reader = fresh(c)
-                        }
+                        Err(DbError::RetentionExceeded { .. }) => reader = fresh(c),
                         Err(e) if is_availability(&e) => c.bump(&c.availability_errors),
                         Err(_) => c.bump(&c.unexpected_errors),
                     }
                 }
-                Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {
-                    reader = fresh(c)
-                }
+                Err(DbError::RetentionExceeded { .. }) => reader = fresh(c),
                 Err(e) if is_availability(&e) => c.bump(&c.availability_errors),
                 Err(_) => c.bump(&c.unexpected_errors),
             }
@@ -287,9 +282,7 @@ fn reader_loop(
                     assert_eq!(stats.blocks_failed_closed, 0, "abort is not fail-closed");
                     c.bump(&c.deadline_aborts);
                 }
-                Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {
-                    reader = fresh(c)
-                }
+                Err(DbError::RetentionExceeded { .. }) => reader = fresh(c),
                 Err(e) if is_availability(&e) => c.bump(&c.availability_errors),
                 Ok(_) => c.bump(&c.unexpected_errors),
                 Err(_) => c.bump(&c.unexpected_errors),
@@ -429,7 +422,7 @@ fn drain_suite(reader: &DbReader, allow: &Oracle, deny: &Oracle, c: &Counters, s
                     served.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(e) if is_availability(&e) => c.bump(&c.availability_errors),
-                Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {}
+                Err(DbError::RetentionExceeded { .. }) => {}
                 Err(e) => {
                     c.bump(&c.unexpected_errors);
                     eprintln!("degraded suite: unexpected error: {e}");

@@ -462,8 +462,8 @@ impl Codebook {
 
     /// Marks a subject's column as removed. Lookups for that subject return
     /// deny; entries that become duplicates are merged by compaction
-    /// (stop-the-world [`compact`](Codebook::compact) or the incremental
-    /// plan). Only entries that actually granted the subject are touched.
+    /// ([`begin_compaction`](Codebook::begin_compaction)). Only entries that
+    /// actually granted the subject are touched.
     pub fn remove_subject(&mut self, subject: SubjectId) {
         let col = match &mut self.groups {
             None => {
@@ -537,14 +537,13 @@ impl Codebook {
     // ------------------------------------------------------------------
 
     /// Compacts away removed columns and merges duplicate entries **in one
-    /// stop-the-world step**, returning a remapping `old code → new code`
-    /// the caller must apply to embedded transition data (the lazy
-    /// redundancy correction of §3.4). Flat subject ids shift with the
-    /// retired columns; factored logical ids are stable (the group table's
-    /// column bindings are remapped internally). Prefer the incremental
-    /// plan ([`begin_compaction`](Codebook::begin_compaction)) on live
-    /// stores.
-    pub fn compact(&mut self) -> Vec<u32> {
+    /// stop-the-world step**, returning a remapping `old code → new code` —
+    /// the reference the incremental plan's final numbering is tested
+    /// against. Flat subject ids shift with the retired columns; factored
+    /// logical ids are stable (the group table's column bindings are
+    /// remapped internally).
+    #[cfg(test)]
+    pub(crate) fn compact(&mut self) -> Vec<u32> {
         let keep: Vec<usize> = (0..self.width).filter(|&s| !self.removed[s]).collect();
         let mut new_entries: Vec<BitVec> = Vec::new();
         let mut new_index: HashMap<BitVec, u32> = HashMap::new();

@@ -294,22 +294,12 @@ impl EmbeddedDol {
         store.set_code_run(start, end, code)
     }
 
-    /// Performs the §3.4 lazy cleanup after subject removals: compacts the
-    /// codebook (dropping removed columns, merging duplicate entries) and
-    /// rewrites every embedded code through the resulting remap in one
-    /// **stop-the-world** pass over the blocks. Live stores should prefer
-    /// the incremental driver
-    /// ([`begin_compaction`](EmbeddedDol::begin_compaction) +
-    /// [`compaction_tick`](EmbeddedDol::compaction_tick)), which does the
-    /// same cleanup in bounded-work steps.
-    pub fn compact_subjects(&mut self, store: &mut StructStore) -> Result<(), StorageError> {
-        let remap = self.codebook.compact();
-        store.remap_codes(&remap)
-    }
-
-    /// Arms an incremental compaction plan (no block is touched yet).
-    /// Returns `false` when there is nothing to compact or a plan is
-    /// already active.
+    /// Arms an incremental compaction plan — the §3.4 lazy cleanup after
+    /// subject removals: dropping removed columns, merging duplicate entries
+    /// and rewriting the embedded codes through the resulting remap, in the
+    /// bounded-work steps of [`compaction_tick`](EmbeddedDol::compaction_tick).
+    /// No block is touched yet. Returns `false` when there is nothing to
+    /// compact or a plan is already active.
     pub fn begin_compaction(&mut self) -> bool {
         self.codebook.begin_compaction()
     }
@@ -545,13 +535,14 @@ mod tests {
     }
 
     #[test]
-    fn compact_subjects_preserves_semantics_and_shrinks() {
+    fn compaction_preserves_semantics_and_shrinks() {
         for max_rec in [300, 3] {
             let (mut store, mut dol, map, doc) = setup(max_rec);
             // Removing subject 1 makes the "subtree of d" ACL redundant.
             dol.codebook_mut().remove_subject(SubjectId(1));
             let entries_before = dol.codebook().len();
-            dol.compact_subjects(&mut store).unwrap();
+            assert!(dol.begin_compaction());
+            while !dol.compaction_tick(&mut store, 1).unwrap().finished {}
             store.check_integrity().unwrap();
             assert!(dol.codebook().len() < entries_before);
             assert_eq!(dol.codebook().width(), 1);

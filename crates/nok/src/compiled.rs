@@ -1,12 +1,24 @@
-//! Compiled twig execution — query→automaton lowering.
+//! Fragment matching — Algorithm 1 (NPM) and its secure variant ε-NoK, run
+//! as a compiled automaton.
 //!
-//! [`FragmentMatcher`](crate::matcher::FragmentMatcher) re-derives per-query
-//! facts on every candidate: it chases `PatternTree` child vectors through
-//! pointer-sized `PNodeId` indirections, re-filters each pattern node's
-//! children by axis into fresh `Vec`s on every `enum_node` call, and decides
-//! page-skips with a per-candidate binary search plus codebook probe. This
-//! module lowers a parsed [`QueryPlan`] **once** into a [`CompiledPlan`] — a
-//! flat, cache-friendly automaton:
+//! A fragment match starts from a candidate data node for the fragment root
+//! (seeded by the engine from a tag index) and proceeds by top-down
+//! navigation: `FIRST-CHILD` / `FOLLOWING-SIBLING` over the block-oriented
+//! encoding, exactly as in the paper. The data children of each matched node
+//! are scanned **once**; in secure mode each loaded child's accessibility is
+//! checked from the code on its own page (`ACCESS(u)`, Algorithm 1 line 6)
+//! and inaccessible children are never recursed into — which is sound for
+//! the binding-level (Cho et al.) semantics because an inaccessible node
+//! cannot participate in any surviving binding. Where Algorithm 1 reports
+//! existence plus the returning node's matches, [`CompiledMatcher`]
+//! enumerates the distinct tuples over the fragment's *output* pattern nodes
+//! (fragment root / join anchors / returning node), which is what the
+//! structural-join stage consumes; pattern children whose subtree carries no
+//! output are matched existentially with early exit.
+//!
+//! Per-query facts are derived **once**, not per candidate: a parsed
+//! [`QueryPlan`] is lowered into a [`CompiledPlan`] — a flat, cache-friendly
+//! automaton:
 //!
 //! * per pattern node, one [`CNode`] record with the tag **pre-resolved** to a
 //!   [`TagId`] (integer compare, no string hashing), the value predicate
@@ -19,12 +31,12 @@
 //!   cached plan is revalidated in O(1) against any snapshot (the interner is
 //!   append-only: equal length ⇒ identical resolution).
 //!
-//! [`CompiledMatcher`] executes the automaton with semantics **identical** to
-//! the interpreted matcher (the differential property test in
-//! `tests/proptest_compiled.rs` enforces this), including the fail-closed
-//! policy and the deadline check every
-//! [`DEADLINE_CHECK_MASK`](crate::matcher)` + 1` node visits. Page-skips are
-//! decided before any matcher runs: the word-parallel skip mask
+//! [`CompiledMatcher`] executes the automaton; its answers are checked
+//! against [`naive_eval`](crate::reference::naive_eval) (the differential
+//! property tests in `tests/proptest_compiled.rs` and
+//! `tests/proptest_engine.rs`), including the fail-closed policy and the
+//! deadline check every [`DEADLINE_CHECK_MASK`]` + 1` node visits. Page-skips
+//! are decided before any matcher runs: the word-parallel skip mask
 //! ([`dol_core::EmbeddedDol::block_skip_mask`]) becomes a list of
 //! [`VisibleExtents`], and every candidate list is intersected with it by
 //! binary search, so a skipped run of blocks costs O(log n) however many
@@ -43,13 +55,100 @@
 //! blocks.
 
 use crate::join::{sort_dedup_rows, TupleTable};
-use crate::matcher::{is_availability, MatchContext, MatchStats, DEADLINE_CHECK_MASK};
 use crate::pattern::{Axis, PNodeId};
 use crate::plan::QueryPlan;
-use dol_core::AccessBitmap;
+use dol_acl::SubjectId;
+use dol_core::{AccessBitmap, EmbeddedDol, SubjectColumn};
 use dol_storage::disk::StorageError;
-use dol_storage::{BlockSnapshot, NodeRec, StructStore};
+use dol_storage::{BlockSnapshot, Deadline, NodeRec, StructStore, ValueStore};
 use dol_xml::{TagId, TagInterner};
+use std::sync::Arc;
+
+/// Whether `e` is an *availability* outcome — the caller's deadline expired
+/// (or was cancelled), or the buffer pool's circuit breaker refused the
+/// operation. These must never be masked by the fail-closed policy: masking
+/// would silently shrink a secure answer, whereas the contract of a timed-out
+/// or breaker-refused query is a typed error and *no* answer.
+#[inline]
+pub(crate) fn is_availability(e: &StorageError) -> bool {
+    matches!(
+        e,
+        StorageError::DeadlineExceeded | StorageError::BreakerOpen
+    )
+}
+
+/// Deadline checks piggy-back on node loads, once every this many visited
+/// nodes (power of two; the check itself is an atomic load plus, for real
+/// deadlines, one `Instant::now()`).
+pub(crate) const DEADLINE_CHECK_MASK: u64 = 0xFF;
+
+/// Everything a fragment match needs to read.
+pub struct MatchContext<'a> {
+    /// The structural block store.
+    pub store: &'a StructStore,
+    /// Character data (for value predicates).
+    pub values: &'a ValueStore,
+    /// Tag name resolution.
+    pub tags: &'a TagInterner,
+    /// `Some((dol, subject))` enables ε-NoK accessibility checking.
+    pub access: Option<(&'a EmbeddedDol, SubjectId)>,
+    /// Decoded accessibility column for the subject, shared by every matcher
+    /// (and every worker thread) of one evaluation. When present, the
+    /// per-node check is a single shift-and-mask on an immutable snapshot —
+    /// no codebook lock, no ACL-entry read.
+    pub column: Option<Arc<SubjectColumn>>,
+    /// The evaluation's cooperative time budget, checked between node loads
+    /// (every [`DEADLINE_CHECK_MASK`]` + 1` visits). Defaults to
+    /// [`Deadline::never`]; expiry surfaces as
+    /// [`StorageError::DeadlineExceeded`] and is never fail-closed-masked.
+    pub deadline: Deadline,
+}
+
+impl<'a> MatchContext<'a> {
+    /// Builds a context, decoding the subject's column once up front when
+    /// access control is attached.
+    pub fn new(
+        store: &'a StructStore,
+        values: &'a ValueStore,
+        tags: &'a TagInterner,
+        access: Option<(&'a EmbeddedDol, SubjectId)>,
+    ) -> Self {
+        let column = access.map(|(dol, s)| dol.column(s));
+        Self {
+            store,
+            values,
+            tags,
+            access,
+            column,
+            deadline: Deadline::never(),
+        }
+    }
+
+    /// Whether the node whose code is `code` is accessible (always true in
+    /// unsecured mode).
+    #[inline]
+    pub fn code_accessible(&self, code: u32) -> bool {
+        match (&self.column, self.access) {
+            (Some(col), _) => col.check_code(code),
+            (None, Some((dol, s))) => dol.check_code(code, s),
+            (None, None) => true,
+        }
+    }
+}
+
+/// Counters accumulated during matching.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct MatchStats {
+    /// Data nodes loaded (structure + piggy-backed code).
+    pub nodes_visited: u64,
+    /// Nodes rejected by the accessibility check.
+    pub nodes_denied: u64,
+    /// Reads that failed (corrupt or unreadable page) during secure
+    /// evaluation and were treated as entirely inaccessible instead of
+    /// aborting — the fail-closed policy. Always 0 in unsecured mode, where
+    /// storage errors propagate to the caller.
+    pub blocks_failed_closed: u64,
+}
 
 /// One pattern node, lowered: everything `node_matches`/`enum_node` need,
 /// flat and resolved.
@@ -245,14 +344,11 @@ impl CompiledPlan {
 /// A visited data node: position, record, access-control code.
 type Loaded = (u64, NodeRec, u32);
 
-/// Executes one compiled fragment. Mirrors
-/// [`FragmentMatcher`](crate::matcher::FragmentMatcher) exactly — same
-/// answers, same fail-closed policy, same deadline cadence — but with flat
-/// table lookups, no per-call axis filtering, and no heap allocation per
-/// binding: matches are enumerated as fixed-width rows on one reused stack
-/// and written straight into the caller's [`TupleTable`]. It never sees a
-/// candidate in a skippable block: the engine prunes those with
-/// [`VisibleExtents`].
+/// Executes one compiled fragment with flat table lookups, no per-call axis
+/// filtering, and no heap allocation per binding: matches are enumerated as
+/// fixed-width rows on one reused stack and written straight into the
+/// caller's [`TupleTable`]. It never sees a candidate in a skippable block:
+/// the engine prunes those with [`VisibleExtents`].
 pub struct CompiledMatcher<'a> {
     ctx: &'a MatchContext<'a>,
     frag: &'a CompiledFragment,
@@ -519,6 +615,11 @@ impl<'a> CompiledMatcher<'a> {
         self.frag.nodes[p.index()].is_output || (self.force_root_output && p == self.frag.root)
     }
 
+    /// Whether storage failures must be masked as inaccessibility. Secure
+    /// evaluation (ε-NoK) may never answer with data it could not verify, so
+    /// a corrupt or unreadable block simply hides its nodes — the answer can
+    /// only shrink, never leak. Unsecured evaluation has nothing to protect
+    /// and reports the error instead.
     #[inline]
     fn fail_closed(&self) -> bool {
         self.ctx.access.is_some()
@@ -526,13 +627,13 @@ impl<'a> CompiledMatcher<'a> {
 
     /// Loads the node at `pos` through the snapshot cache: a miss snapshots
     /// the block with one page access; hits decode straight from the owned
-    /// snapshot with no latch. As in
-    /// [`FragmentMatcher::load_node`](crate::matcher::FragmentMatcher):
-    /// fail-closed on data faults (the failing block stays cached, so every
-    /// load in it answers `None` without re-reading), availability outcomes
-    /// propagate, and the deadline is re-checked every
-    /// `DEADLINE_CHECK_MASK + 1` visits — before the read, so that a fault
-    /// cannot mask an expiry.
+    /// snapshot with no latch. In secure mode a data fault yields `Ok(None)`
+    /// ("treat as inaccessible") and bumps `blocks_failed_closed` (the
+    /// failing block stays cached, so every load in it answers `None`
+    /// without re-reading); deadline expiry and breaker refusal are
+    /// availability outcomes, not data faults, and always propagate. The
+    /// deadline is re-checked every `DEADLINE_CHECK_MASK + 1` visits —
+    /// before the read, so that a fault cannot mask an expiry.
     fn load_node(&mut self, pos: u64) -> Result<Option<Loaded>, StorageError> {
         if self.stats.nodes_visited & DEADLINE_CHECK_MASK == 0 {
             self.ctx.deadline.check()?;
@@ -560,9 +661,9 @@ impl<'a> CompiledMatcher<'a> {
     }
 
     /// Attempts to match the fragment with its root bound to `pos`,
-    /// appending one row per distinct output binding to `out`; compiled twin
-    /// of
-    /// [`FragmentMatcher::match_root`](crate::matcher::FragmentMatcher::match_root).
+    /// appending one row per distinct output binding to `out` (none = no
+    /// match). The candidate's own tag/value/accessibility are (re)checked
+    /// here.
     pub fn match_root(&mut self, pos: u64, out: &mut TupleTable) -> Result<(), StorageError> {
         debug_assert_eq!(
             out.arity(),
@@ -693,7 +794,7 @@ impl<'a> CompiledMatcher<'a> {
             }
         }
         // Two witnesses of one sibling-axis pattern node can see the same
-        // later sibling: keep the rows a set, as the interpreted matcher does.
+        // later sibling: keep the rows a set.
         sort_dedup_rows(&mut acc, stride);
         self.rows.truncate(own);
         self.rows.extend_from_slice(&acc);
@@ -701,8 +802,8 @@ impl<'a> CompiledMatcher<'a> {
         Ok(true)
     }
 
-    /// Compiled twin of the interpreted `scan_kin`: matches `pats` against
-    /// the FOLLOWING-SIBLING chain from `start`, in one pass. Pushes one
+    /// Matches `pats` against the FOLLOWING-SIBLING chain from `start`, in
+    /// one pass, with per-node accessibility checks. Pushes one
     /// satisfied flag per pattern node, then — tagged with its index in
     /// `pats` — every row of every output-carrying pattern node's matches;
     /// `false` (and nothing left pushed) when some pattern node found no
@@ -925,7 +1026,8 @@ impl<'a> CompiledMatcher<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::FragmentMatcher;
+    use crate::pattern::PatternTree;
+    use crate::reference::{naive_eval, RefSecurity};
     use crate::xpath::parse_query;
     use dol_acl::{AccessibilityMap, FnOracle, SubjectId};
     use dol_core::EmbeddedDol;
@@ -971,54 +1073,184 @@ mod tests {
             &f.values,
             f.doc.tags(),
             secure.map(|s| (&f.dol, s)),
-            true,
         )
     }
 
-    /// Compiled and interpreted matchers agree binding-for-binding on the
-    /// same candidates, secure and not.
-    fn assert_agree(f: &Fixture, query: &str, secure: Option<SubjectId>, candidates: &[u64]) {
+    /// The output columns of a single-fragment plan, ascending.
+    fn output_cols(plan: &QueryPlan) -> Vec<PNodeId> {
+        assert_eq!(plan.trees.len(), 1, "single-fragment queries only");
+        let mut cols = plan.trees[0].outputs.clone();
+        cols.sort_unstable();
+        cols
+    }
+
+    /// The bindings of single-fragment `query` rooted at each of
+    /// `candidates`, in order, as `(pattern node, position)` rows.
+    fn run(
+        f: &Fixture,
+        query: &str,
+        secure: Option<SubjectId>,
+        candidates: &[u64],
+    ) -> Vec<Vec<(u32, u64)>> {
         let plan = QueryPlan::new(parse_query(query).unwrap());
         let compiled = CompiledPlan::compile(&plan, f.doc.tags());
         let c = ctx(f, secure);
-        for ti in 0..plan.trees.len() {
-            let mut im = FragmentMatcher::new(&c, &plan, ti);
-            let mut cm = CompiledMatcher::new(&c, compiled.fragment(ti), false);
-            let mut cols = plan.trees[ti].outputs.clone();
-            cols.sort_unstable();
-            for &cand in candidates {
-                // The interpreted bindings are sorted and distinct, each
-                // ascending by pattern node: exactly the compiled rows.
-                let a: Vec<Vec<u64>> = im
-                    .match_root(cand)
-                    .unwrap()
-                    .iter()
-                    .map(|b| {
-                        assert!(b.iter().map(|&(p, _)| p).eq(cols.iter().copied()));
-                        b.iter().map(|&(_, d)| d).collect()
-                    })
-                    .collect();
-                let mut b = TupleTable::new(cols.clone());
-                cm.match_root(cand, &mut b).unwrap();
-                let b: Vec<Vec<u64>> = (0..b.len()).map(|i| b.row(i).to_vec()).collect();
-                assert_eq!(a, b, "query {query} fragment {ti} candidate {cand}");
-            }
+        let cols = output_cols(&plan);
+        let mut m = CompiledMatcher::new(&c, compiled.fragment(0), false);
+        let mut out = TupleTable::new(cols.clone());
+        for &cand in candidates {
+            m.match_root(cand, &mut out).unwrap();
         }
+        (0..out.len())
+            .map(|i| {
+                cols.iter()
+                    .zip(out.row(i))
+                    .map(|(p, &d)| (p.0, d))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Checks single-fragment `query` against [`naive_eval`] with every
+    /// position offered as a candidate root: the candidates that match at
+    /// all are the reference's answer with the fragment root returning, and
+    /// the rows over all candidates are the reference's answer proper.
+    fn assert_matches_reference(
+        f: &Fixture,
+        query: &str,
+        secure: Option<(&AccessibilityMap, SubjectId)>,
+    ) {
+        let pattern = parse_query(query).unwrap();
+        let sec = secure.map_or(RefSecurity::None, |(m, s)| RefSecurity::Binding(m, s));
+        let plan = QueryPlan::new(pattern.clone());
+        let compiled = CompiledPlan::compile(&plan, f.doc.tags());
+        let c = ctx(f, secure.map(|(_, s)| s));
+        let cols = output_cols(&plan);
+        assert_eq!(cols, vec![pattern.returning()]);
+        let mut m = CompiledMatcher::new(&c, compiled.fragment(0), false);
+        let mut matched_roots = Vec::new();
+        let mut answers = Vec::new();
+        for cand in 0..f.store.total_nodes() {
+            let mut out = TupleTable::new(cols.clone());
+            m.match_root(cand, &mut out).unwrap();
+            if !out.is_empty() {
+                matched_roots.push(cand);
+            }
+            answers.extend(out.into_column(0));
+        }
+        answers.sort_unstable();
+        answers.dedup();
+        let mut rooted = pattern.clone();
+        rooted.set_returning(pattern.root());
+        let who = secure.map(|(_, s)| s);
+        assert_eq!(
+            matched_roots,
+            naive_eval(&f.doc, &rooted, sec),
+            "query {query} subject {who:?}: matching roots"
+        );
+        assert_eq!(
+            answers,
+            naive_eval(&f.doc, &pattern, sec),
+            "query {query} subject {who:?}: answers"
+        );
     }
 
     const FIG2: &str = "<a><b/><c/><d/><e><f/><g/><h><i/><j/><k/><l/></h></e></a>";
 
+    /// A one-subject map under which subject 0 sees every node of `doc`.
+    fn all_visible(doc: &Document) -> AccessibilityMap {
+        let mut map = AccessibilityMap::new(1, doc.len());
+        for p in 0..doc.len() as u32 {
+            map.set(SubjectId(0), NodeId(p), true);
+        }
+        map
+    }
+
     #[test]
-    fn compiled_matches_interpreted_on_figure_2() {
+    fn figure_2_fragment_matches() {
+        // NoK fragment a[b][c] matches at the root.
         let f = fixture(FIG2, None, 300);
-        let all: Vec<u64> = (0..f.store.total_nodes()).collect();
+        let res = run(&f, "/a[b][c]", None, &[0]);
+        assert_eq!(res, vec![vec![(0, 0)]]);
+        // h[j][k]/l: candidate h at position 7.
+        let res = run(&f, "//h[j][k]/l", None, &[7]);
+        assert_eq!(res.len(), 1);
+        assert_eq!(res[0], vec![(3, 11)]); // l is pattern node 3, data 11
+    }
+
+    #[test]
+    fn missing_branch_fails() {
+        let f = fixture(FIG2, None, 300);
+        assert!(run(&f, "/a[b][zz]", None, &[0]).is_empty());
+        assert!(run(&f, "//h[j][k]/m", None, &[7]).is_empty());
+    }
+
+    #[test]
+    fn multiple_bindings_enumerated() {
+        let f = fixture("<r><x><n/></x><x><n/><n/></x></r>", None, 300);
+        // //x/n with x candidates 1 and 3: bindings n=2, n=4, n=5.
+        let res = run(&f, "//x/n", None, &[1, 3]);
+        let nodes: Vec<u64> = res.iter().map(|b| b[0].1).collect();
+        assert_eq!(nodes, vec![2, 4, 5]);
+    }
+
+    #[test]
+    fn value_predicates_checked() {
+        let f = fixture(
+            "<r><item><name>gold</name></item><item><name>salt</name></item></r>",
+            None,
+            300,
+        );
+        let res = run(&f, "//item[name=\"gold\"]", None, &[1, 3]);
+        assert_eq!(res.len(), 1);
+        assert_eq!(res[0][0].1, 1);
+        assert_matches_reference(&f, "//item[name=\"gold\"]", None);
+    }
+
+    #[test]
+    fn wildcard_steps() {
+        let f = fixture(FIG2, None, 300);
+        let res = run(&f, "/a/*", None, &[0]);
+        assert_eq!(res.len(), 4); // b, c, d, e
+    }
+
+    #[test]
+    fn unmatchable_tag_short_circuits() {
+        let f = fixture(FIG2, None, 300);
+        assert!(run(&f, "//nosuchtag", None, &[0]).is_empty());
+        f.store.pool().reset_stats();
+        assert!(run(&f, "//h[nosuchtag]", None, &[7]).is_empty());
+        assert_eq!(
+            f.store.pool().stats().logical_reads,
+            0,
+            "an unsatisfiable fragment reads nothing"
+        );
+    }
+
+    #[test]
+    fn figure_2_matches_reference() {
+        let f = fixture(FIG2, None, 300);
         for q in ["/a[b][c]", "//h[j][k]/l", "/a/*", "//h[j][k]/m", "//nosuch"] {
-            assert_agree(&f, q, None, &all);
+            assert_matches_reference(&f, q, None);
         }
     }
 
     #[test]
-    fn compiled_matches_interpreted_secure() {
+    fn secure_matching_prunes_denied_nodes() {
+        let doc = parse(FIG2).unwrap();
+        let mut map = all_visible(&doc);
+        // Deny j (position 9): h[j][k]/l must fail for this subject.
+        map.set(SubjectId(0), NodeId(9), false);
+        let f = fixture(FIG2, Some(&map), 300);
+        assert!(run(&f, "//h[j][k]/l", Some(SubjectId(0)), &[7]).is_empty());
+        // But h[k]/l still succeeds (j not referenced).
+        assert_eq!(run(&f, "//h[k]/l", Some(SubjectId(0)), &[7]).len(), 1);
+        // Unsecured evaluation is unaffected.
+        assert_eq!(run(&f, "//h[j][k]/l", None, &[7]).len(), 1);
+    }
+
+    #[test]
+    fn secure_matching_matches_reference() {
         let doc = parse(FIG2).unwrap();
         let mut map = AccessibilityMap::new(2, doc.len());
         for p in 0..doc.len() as u32 {
@@ -1030,28 +1262,62 @@ mod tests {
         }
         for max_rec in [300, 3, 2] {
             let f = fixture(FIG2, Some(&map), max_rec);
-            let all: Vec<u64> = (0..f.store.total_nodes()).collect();
             for s in [SubjectId(0), SubjectId(1)] {
                 for q in ["//h[j][k]/l", "//h[k]/l", "/a[b][c]", "//h/*"] {
-                    assert_agree(&f, q, Some(s), &all);
+                    assert_matches_reference(&f, q, Some((&map, s)));
                 }
             }
         }
     }
 
     #[test]
-    fn compiled_values_checked() {
-        let f = fixture(
-            "<r><item><name>gold</name></item><item><name>salt</name></item></r>",
-            None,
-            300,
-        );
-        let all: Vec<u64> = (0..f.store.total_nodes()).collect();
-        assert_agree(&f, "//item[name=\"gold\"]", None, &all);
+    fn denied_candidate_root_fails_fast() {
+        let doc = parse(FIG2).unwrap();
+        let mut map = AccessibilityMap::new(1, doc.len());
+        map.set(SubjectId(0), NodeId(0), true); // only the root accessible
+        let f = fixture(FIG2, Some(&map), 300);
+        assert!(run(&f, "//h", Some(SubjectId(0)), &[7]).is_empty());
+        let plan = QueryPlan::new(parse_query("//h/l").unwrap());
+        let compiled = CompiledPlan::compile(&plan, f.doc.tags());
+        let c = ctx(&f, Some(SubjectId(0)));
+        let mut m = CompiledMatcher::new(&c, compiled.fragment(0), false);
+        let mut out = TupleTable::new(output_cols(&plan));
+        m.match_root(7, &mut out).unwrap();
+        assert!(out.is_empty());
+        // Rejected on its own code: the kin scan never started.
+        assert_eq!((m.stats.nodes_visited, m.stats.nodes_denied), (1, 1));
+        assert_eq!(run(&f, "/a", Some(SubjectId(0)), &[0]).len(), 1);
     }
 
     #[test]
-    fn leaf_fast_path_matches_interpreted() {
+    fn expired_deadline_is_never_masked_by_fail_closed() {
+        let doc = parse(FIG2).unwrap();
+        let map = all_visible(&doc);
+        let f = fixture(FIG2, Some(&map), 300);
+        let plan = QueryPlan::new(parse_query("//h[j][k]/l").unwrap());
+        let compiled = CompiledPlan::compile(&plan, f.doc.tags());
+        let expired = Deadline::after(std::time::Duration::ZERO);
+        // Cancellation through a token behaves identically.
+        let cancelled = Deadline::never();
+        cancelled.token().cancel();
+        for deadline in [expired, cancelled] {
+            let mut c = ctx(&f, Some(SubjectId(0)));
+            c.deadline = deadline;
+            let mut m = CompiledMatcher::new(&c, compiled.fragment(0), false);
+            let mut out = TupleTable::new(output_cols(&plan));
+            // Secure mode would normally mask storage errors; the deadline
+            // must abort the match instead of shrinking the answer.
+            assert!(matches!(
+                m.match_root(7, &mut out),
+                Err(StorageError::DeadlineExceeded)
+            ));
+            assert!(out.is_empty());
+            assert_eq!(m.stats.blocks_failed_closed, 0, "not a data fault");
+        }
+    }
+
+    #[test]
+    fn leaf_fast_path_matches_reference() {
         let doc = parse(FIG2).unwrap();
         let mut map = AccessibilityMap::new(1, doc.len());
         for p in [0u32, 4, 7, 8, 9, 10, 11] {
@@ -1064,21 +1330,14 @@ mod tests {
             let compiled = CompiledPlan::compile(&plan, f.doc.tags());
             for secure in [None, Some(SubjectId(0))] {
                 let c = ctx(&f, secure);
-                for ti in 0..plan.trees.len() {
+                let sec = secure.map_or(RefSecurity::None, |s| RefSecurity::Binding(&map, s));
+                for (ti, tree) in plan.trees.iter().enumerate() {
                     let frag = compiled.fragment(ti);
                     assert!(frag.is_leaf());
-                    // Interpreted reference over every position with the
-                    // fragment's tag.
-                    let mut im = FragmentMatcher::new(&c, &plan, ti);
-                    let mut want = Vec::new();
-                    for &cand in &all {
-                        let rec = f.store.node(cand).unwrap();
-                        if Some(rec.tag) != frag.root_tag() {
-                            continue;
-                        }
-                        want.extend(im.match_root(cand).unwrap());
-                    }
-                    let want: Vec<u64> = want.iter().map(|b| b[0].1).collect();
+                    // The reference answer to the fragment alone: every
+                    // (accessible) node carrying its tag.
+                    let tag = plan.pattern.node(tree.root).tag.as_deref();
+                    let want = naive_eval(&f.doc, &PatternTree::new(tag, false), sec);
                     let tagged: Vec<u64> = all
                         .iter()
                         .copied()
@@ -1103,8 +1362,8 @@ mod tests {
             None,
             2,
         );
-        let mut pt = crate::pattern::PatternTree::new(Some("name"), false);
-        pt.set_value(crate::pattern::PNodeId(0), "gold");
+        let mut pt = PatternTree::new(Some("name"), false);
+        pt.set_value(PNodeId(0), "gold");
         let plan = QueryPlan::new(pt);
         let compiled = CompiledPlan::compile(&plan, f.doc.tags());
         let c = ctx(&f, None);

@@ -1,9 +1,11 @@
 //! The query engine: candidates → fragment matches → joins → answers.
 
 use crate::cache::fnv1a;
-use crate::compiled::{CompiledMatcher, CompiledPlan, SnapshotCache, VisibleExtents};
+use crate::compiled::{
+    CompiledFragment, CompiledMatcher, CompiledPlan, MatchContext, MatchStats, SnapshotCache,
+    VisibleExtents,
+};
 use crate::join::{join_tables, TupleTable, VisibilityChecker};
-use crate::matcher::{FragmentMatcher, MatchContext, MatchStats};
 use crate::pattern::PNodeId;
 use crate::plan::{NokTree, QueryPlan};
 use crate::xpath::{parse_query, QueryParseError};
@@ -104,11 +106,6 @@ pub struct ExecOptions {
     /// [`QueryError::DeadlineExceeded`] carrying the partial-work stats —
     /// never with a partial answer, and never masked by fail-closed.
     pub deadline: Deadline,
-    /// Execute through the compiled automaton ([`CompiledPlan`]) rather than
-    /// the interpreted matcher (default: true). Answers are identical either
-    /// way (the differential property test enforces it); the flag exists for
-    /// the interpreted baseline in benchmarks and differential tests.
-    pub compiled: bool,
 }
 
 impl Default for ExecOptions {
@@ -117,7 +114,6 @@ impl Default for ExecOptions {
             page_skip: true,
             parallelism: 1,
             deadline: Deadline::never(),
-            compiled: true,
         }
     }
 }
@@ -189,7 +185,6 @@ impl ExecStats {
     fn add_match(&mut self, m: &MatchStats) {
         self.nodes_visited += m.nodes_visited;
         self.nodes_denied += m.nodes_denied;
-        self.blocks_skipped += m.candidates_block_skipped;
         self.blocks_failed_closed += m.blocks_failed_closed;
     }
 }
@@ -400,21 +395,17 @@ impl<'a> QueryEngine<'a> {
     /// on expiry the query aborts with [`QueryError::DeadlineExceeded`]
     /// carrying the counters and I/O accumulated so far.
     ///
-    /// With [`ExecOptions::compiled`] (the default) the plan is lowered to a
-    /// [`CompiledPlan`] for this call; long-lived callers should cache the
-    /// lowering and use [`execute_compiled_opts`](Self::execute_compiled_opts).
+    /// The plan is lowered to a [`CompiledPlan`] for this call; long-lived
+    /// callers should cache the lowering and use
+    /// [`execute_compiled_opts`](Self::execute_compiled_opts).
     pub fn execute_plan_opts(
         &self,
         plan: &QueryPlan,
         security: Security,
         opts: ExecOptions,
     ) -> Result<QueryResult, QueryError> {
-        if opts.compiled {
-            let compiled = CompiledPlan::compile(plan, self.tags);
-            self.run_timed(plan, Some(&compiled), security, &opts)
-        } else {
-            self.run_timed(plan, None, security, &opts)
-        }
+        let compiled = CompiledPlan::compile(plan, self.tags);
+        self.run_timed(plan, &compiled, security, &opts)
     }
 
     /// Evaluates a plan through a pre-lowered automaton (normally from the
@@ -430,28 +421,25 @@ impl<'a> QueryEngine<'a> {
         opts: ExecOptions,
     ) -> Result<QueryResult, QueryError> {
         if compiled.is_current(self.tags) {
-            self.run_timed(plan, Some(compiled), security, &opts)
+            self.run_timed(plan, compiled, security, &opts)
         } else {
-            let fresh = CompiledPlan::compile(plan, self.tags);
-            self.run_timed(plan, Some(&fresh), security, &opts)
+            self.execute_plan_opts(plan, security, opts)
         }
     }
 
-    /// Timing, I/O delta, and deadline-abort plumbing shared by the
-    /// interpreted and compiled paths.
+    /// Timing, I/O delta, and deadline-abort plumbing around the pipeline.
     fn run_timed(
         &self,
         plan: &QueryPlan,
-        compiled: Option<&CompiledPlan>,
+        compiled: &CompiledPlan,
         security: Security,
         opts: &ExecOptions,
     ) -> Result<QueryResult, QueryError> {
         let start = Instant::now();
         let io_before = self.store.pool().stats();
         let mut stats = ExecStats::default();
-        let outcome = with_io_deadline(&opts.deadline, || match compiled {
-            Some(c) => self.run_pipeline_compiled(plan, c, security, opts, &mut stats),
-            None => self.run_pipeline(plan, security, opts, &mut stats),
+        let outcome = with_io_deadline(&opts.deadline, || {
+            self.run_pipeline(plan, compiled, security, opts, &mut stats)
         });
         stats.candidates_examined = stats.candidates - stats.blocks_skipped;
         stats.io = self.store.pool().stats().since(&io_before);
@@ -465,8 +453,8 @@ impl<'a> QueryEngine<'a> {
         }
     }
 
-    /// The per-evaluation match context: the subject's decoded column, the
-    /// ablation knob and the deadline.
+    /// The per-evaluation match context: the subject's decoded column and
+    /// the deadline.
     fn match_context(
         &self,
         security: Security,
@@ -477,71 +465,20 @@ impl<'a> QueryEngine<'a> {
             (Some(_), None) => return Err(QueryError::NoAccessControl),
             (None, _) => None,
         };
-        let mut ctx = MatchContext::new(self.store, self.values, self.tags, access, opts.page_skip);
+        let mut ctx = MatchContext::new(self.store, self.values, self.tags, access);
         ctx.deadline = opts.deadline.clone();
         Ok(ctx)
     }
 
-    /// Stage 1 of the interpreted baseline; split out so the caller can
-    /// attach the partial stats to a deadline abort. The interpreted matcher
-    /// probes block headers per candidate itself, so nothing is pruned here.
+    /// Stage 1: candidates seeded from the tag(+value) index and matched
+    /// through [`CompiledMatcher`] — with the §3.3 skip decided **once** per
+    /// evaluation (word-parallel, from in-memory headers) and turned into
+    /// [`VisibleExtents`] that every fragment's candidate list is
+    /// intersected with before any matcher runs, and single-node fragments
+    /// routed through the compressed-domain leaf fast path. Split out of
+    /// [`run_timed`](Self::run_timed) so the caller can attach the partial
+    /// stats to a deadline abort.
     fn run_pipeline(
-        &self,
-        plan: &QueryPlan,
-        security: Security,
-        opts: &ExecOptions,
-        stats: &mut ExecStats,
-    ) -> Result<Vec<u64>, QueryError> {
-        let ctx = self.match_context(security, opts)?;
-
-        // Under subtree-visibility semantics every fragment root's binding
-        // must be exported so its ancestor path can be checked.
-        let mut plan_gb;
-        let plan = if matches!(security, Security::SubtreeVisibility(_)) {
-            plan_gb = plan.clone();
-            for t in &mut plan_gb.trees {
-                if !t.outputs.contains(&t.root) {
-                    t.outputs.push(t.root);
-                }
-            }
-            &plan_gb
-        } else {
-            plan
-        };
-
-        let mut tables: Vec<TupleTable> = Vec::with_capacity(plan.trees.len());
-        for (i, tree) in plan.trees.iter().enumerate() {
-            let probe = FragmentMatcher::new(&ctx, plan, i);
-            let candidates: Cow<'_, [u64]> = if i == 0 && plan.pattern.anchored() {
-                Cow::Owned(vec![0u64])
-            } else if probe.is_satisfiable() {
-                let root_value = plan.pattern.node(tree.root).value.as_deref();
-                self.candidates_for(probe.root_tag(), root_value)
-            } else {
-                Cow::Owned(Vec::new())
-            };
-            stats.candidates += candidates.len() as u64;
-            tables.push(match_runs(
-                || FragmentMatcher::new(&ctx, plan, i),
-                &[&candidates],
-                &fragment_cols(tree, false),
-                opts,
-                stats,
-            )?);
-        }
-        let extents = VisibleExtents::all(self.store.total_nodes());
-        let mut snaps = SnapshotCache::new();
-        self.finish_pipeline(plan, security, &ctx, &extents, tables, stats, &mut snaps)
-    }
-
-    /// Stage 1 of the compiled path: the same candidate seeding as the
-    /// interpreted pipeline, executed through [`CompiledMatcher`] — with the
-    /// §3.3 skip decided **once** per evaluation (word-parallel, from
-    /// in-memory headers) and turned into [`VisibleExtents`] that every
-    /// fragment's candidate list is intersected with before any matcher
-    /// runs, and single-node fragments routed through the compressed-domain
-    /// leaf fast path.
-    fn run_pipeline_compiled(
         &self,
         plan: &QueryPlan,
         compiled: &CompiledPlan,
@@ -550,12 +487,12 @@ impl<'a> QueryEngine<'a> {
         stats: &mut ExecStats,
     ) -> Result<Vec<u64>, QueryError> {
         let ctx = self.match_context(security, opts)?;
-        // GB semantics need every fragment root exported; the compiled path
-        // passes a flag instead of cloning and re-lowering the plan (sound
-        // because a fragment root never appears in its own kin table).
+        // GB semantics need every fragment root exported so its ancestor
+        // path can be checked; a flag does it without re-lowering the plan
+        // (sound because a fragment root never appears in its own kin table).
         let force_root_output = matches!(security, Security::SubtreeVisibility(_));
-        // One word-parallel pass over the in-memory block directory replaces
-        // the per-candidate skip probe. Purely in-memory: no I/O.
+        // One word-parallel pass over the in-memory block directory decides
+        // the skip for every candidate. Purely in-memory: no I/O.
         let extents = match (&ctx.column, ctx.access) {
             (Some(col), Some((dol, _))) if opts.page_skip => {
                 VisibleExtents::from_skip_mask(self.store, &dol.block_skip_mask(self.store, col))
@@ -603,7 +540,9 @@ impl<'a> QueryEngine<'a> {
                 table
             } else {
                 match_runs(
-                    || CompiledMatcher::new(&ctx, frag, force_root_output),
+                    &ctx,
+                    frag,
+                    force_root_output,
                     &pruned.runs,
                     &cols,
                     opts,
@@ -615,9 +554,9 @@ impl<'a> QueryEngine<'a> {
         self.finish_pipeline(plan, security, &ctx, &extents, tables, stats, &mut snaps)
     }
 
-    /// Stages 2–4, shared by the interpreted and compiled paths: the
-    /// subtree-visibility filter, the bottom-up structural joins, and the
-    /// returning-node projection, all over one [`TupleTable`] per fragment.
+    /// Stages 2–4: the subtree-visibility filter, the bottom-up structural
+    /// joins, and the returning-node projection, all over one
+    /// [`TupleTable`] per fragment.
     /// Path nodes and join anchors are decoded from the execution's shared
     /// [`SnapshotCache`] — one page access per distinct block.
     #[allow(clippy::too_many_arguments)]
@@ -723,61 +662,28 @@ impl<'a> QueryEngine<'a> {
     }
 }
 
-/// What stage 1 needs of a matcher, interpreted or compiled: the matches of
-/// its fragment rooted at `pos`, as rows appended to `out`.
-trait RootMatcher {
-    fn match_root_into(&mut self, pos: u64, out: &mut TupleTable) -> Result<(), StorageError>;
-    fn stats(&self) -> &MatchStats;
-}
-
-impl RootMatcher for FragmentMatcher<'_> {
-    fn match_root_into(&mut self, pos: u64, out: &mut TupleTable) -> Result<(), StorageError> {
-        let mut row = Vec::with_capacity(out.arity());
-        for binding in self.match_root(pos)? {
-            debug_assert!(binding
-                .iter()
-                .map(|&(p, _)| p)
-                .eq(out.cols().iter().copied()));
-            row.clear();
-            row.extend(binding.iter().map(|&(_, d)| d));
-            out.push(&row);
-        }
-        Ok(())
-    }
-    fn stats(&self) -> &MatchStats {
-        &self.stats
-    }
-}
-
-impl RootMatcher for CompiledMatcher<'_> {
-    fn match_root_into(&mut self, pos: u64, out: &mut TupleTable) -> Result<(), StorageError> {
-        self.match_root(pos, out)
-    }
-    fn stats(&self) -> &MatchStats {
-        &self.stats
-    }
-}
-
 /// Matches one fragment rooted at every candidate of `runs`, in order, into
 /// a table over `cols`. With `parallelism > 1` the candidates are split into
 /// contiguous chunks over scoped workers; each worker runs its own matcher
 /// (sharing the context's decoded column) and the workers' tables are
 /// concatenated in chunk order, so the result is byte-identical to
 /// sequential evaluation.
-fn match_runs<M: RootMatcher>(
-    new_matcher: impl Fn() -> M + Sync,
+fn match_runs(
+    ctx: &MatchContext<'_>,
+    frag: &CompiledFragment,
+    force_root_output: bool,
     runs: &[&[u64]],
     cols: &[PNodeId],
     opts: &ExecOptions,
     stats: &mut ExecStats,
 ) -> Result<TupleTable, StorageError> {
     let match_chunk = |runs: &[&[u64]]| {
-        let mut m = new_matcher();
+        let mut m = CompiledMatcher::new(ctx, frag, force_root_output);
         let mut table = TupleTable::new(cols.to_vec());
         for &c in runs.iter().copied().flatten() {
-            m.match_root_into(c, &mut table)?;
+            m.match_root(c, &mut table)?;
         }
-        Ok::<_, StorageError>((table, *m.stats()))
+        Ok::<_, StorageError>((table, m.stats))
     };
     let total: usize = runs.iter().map(|r| r.len()).sum();
     let per_chunk = if opts.effective_parallelism() <= 1 || total < 2 {
@@ -865,6 +771,7 @@ fn debug_assert_doc_order(list: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{naive_eval, RefSecurity};
     use dol_acl::{AccessibilityMap, FnOracle};
     use dol_storage::{BufferPool, FaultConfig, FaultDisk, MemDisk, StoreConfig};
     use dol_xml::{parse, Document, NodeId};
@@ -1082,33 +989,42 @@ mod tests {
     fn stats_populated() {
         let d = db(DOC, None, 2);
         let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
-        let plan = QueryPlan::new(parse_query("//site//name").unwrap());
-        // Default (compiled) execution: both fragments are single-node, so
-        // the leaf fast path answers from the index plus block headers —
-        // zero nodes materialized; the join still reads pages for intervals.
+        // Both fragments are single-node, so the leaf fast path answers from
+        // the index plus block headers — zero nodes materialized; the join
+        // still reads pages for intervals.
         let r = engine.execute("//site//name", Security::None).unwrap();
-        assert_eq!(r.matches.len(), 3);
+        assert_eq!(r.matches, vec![4, 7, 10]);
         assert!(r.stats.candidates >= 4);
         assert_eq!(r.stats.nodes_visited, 0, "leaf fast path decodes no node");
         assert!(r.stats.join_pairs >= 3);
         assert!(r.stats.io.logical_reads > 0);
-        // The interpreted baseline visits every candidate and agrees.
-        let interp = engine
-            .execute_plan_opts(
-                &plan,
-                Security::None,
-                ExecOptions {
-                    compiled: false,
-                    ..ExecOptions::default()
-                },
-            )
-            .unwrap();
-        assert_eq!(interp.matches, r.matches);
-        assert!(interp.stats.nodes_visited > 0);
+        // A fragment with a child step walks the tree from every candidate.
+        let walked = engine.execute("//item[name]", Security::None).unwrap();
+        assert_eq!(walked.matches, vec![3, 6]);
+        assert!(walked.stats.nodes_visited > 0);
     }
 
     #[test]
-    fn compiled_matches_interpreted_end_to_end() {
+    fn block_skip_counts() {
+        // Deny everything: with tiny blocks the one `h` candidate is rejected
+        // from the in-memory headers.
+        let fig2 = "<a><b/><c/><d/><e><f/><g/><h><i/><j/><k/><l/></h></e></a>";
+        let map = AccessibilityMap::new(1, parse(fig2).unwrap().len());
+        let d = db(fig2, Some(&map), 2);
+        let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
+        d.store.pool().reset_stats();
+        let r = engine
+            .execute("//h", Security::BindingLevel(SubjectId(0)))
+            .unwrap();
+        assert!(r.matches.is_empty());
+        assert_eq!((r.stats.candidates, r.stats.blocks_skipped), (1, 1));
+        assert_eq!(r.stats.candidates_examined, 0);
+        assert_eq!(d.store.pool().stats().logical_reads, 0, "no page touched");
+        assert_eq!(d.store.pool().stats().pages_skipped, 1, "skip counted");
+    }
+
+    #[test]
+    fn engine_matches_reference_end_to_end() {
         let doc = parse(DOC).unwrap();
         let mut map = AccessibilityMap::new(1, doc.len());
         for p in 0..doc.len() as u32 {
@@ -1128,36 +1044,33 @@ mod tests {
                 "/regions",
                 "//nosuchtag",
             ] {
-                let plan = QueryPlan::new(parse_query(q).unwrap());
-                for sec in [
-                    Security::None,
-                    Security::BindingLevel(SubjectId(0)),
-                    Security::SubtreeVisibility(SubjectId(0)),
+                let pattern = parse_query(q).unwrap();
+                let plan = QueryPlan::new(pattern.clone());
+                for (sec, ref_sec) in [
+                    (Security::None, RefSecurity::None),
+                    (
+                        Security::BindingLevel(SubjectId(0)),
+                        RefSecurity::Binding(&map, SubjectId(0)),
+                    ),
+                    (
+                        Security::SubtreeVisibility(SubjectId(0)),
+                        RefSecurity::Subtree(&map, SubjectId(0)),
+                    ),
                 ] {
+                    let expect = naive_eval(&d.doc, &pattern, ref_sec);
                     for page_skip in [true, false] {
-                        let compiled = engine
+                        let got = engine
                             .execute_plan_opts(
                                 &plan,
                                 sec,
                                 ExecOptions {
                                     page_skip,
-                                    ..ExecOptions::default()
-                                },
-                            )
-                            .unwrap();
-                        let interpreted = engine
-                            .execute_plan_opts(
-                                &plan,
-                                sec,
-                                ExecOptions {
-                                    page_skip,
-                                    compiled: false,
                                     ..ExecOptions::default()
                                 },
                             )
                             .unwrap();
                         assert_eq!(
-                            compiled.matches, interpreted.matches,
+                            got.matches, expect,
                             "{q} {sec:?} page_skip={page_skip} max_rec={max_rec}"
                         );
                     }
@@ -1266,40 +1179,30 @@ mod tests {
                 Security::SubtreeVisibility(SubjectId(0)),
             ] {
                 let plan = QueryPlan::new(parse_query(q).unwrap());
-                for compiled in [true, false] {
-                    let seq = engine
+                let seq = engine
+                    .execute_plan_opts(&plan, sec, ExecOptions::default())
+                    .unwrap();
+                for parallelism in [0, 2, 3, 7] {
+                    let par = engine
                         .execute_plan_opts(
                             &plan,
                             sec,
                             ExecOptions {
-                                compiled,
+                                parallelism,
                                 ..ExecOptions::default()
                             },
                         )
                         .unwrap();
-                    for parallelism in [0, 2, 3, 7] {
-                        let par = engine
-                            .execute_plan_opts(
-                                &plan,
-                                sec,
-                                ExecOptions {
-                                    parallelism,
-                                    compiled,
-                                    ..ExecOptions::default()
-                                },
-                            )
-                            .unwrap();
-                        assert_eq!(
-                            par.matches, seq.matches,
-                            "query {q} parallelism {parallelism} compiled {compiled}"
-                        );
-                        assert_eq!(par.stats.candidates, seq.stats.candidates);
-                        assert_eq!(par.stats.nodes_visited, seq.stats.nodes_visited);
-                        assert_eq!(par.stats.nodes_denied, seq.stats.nodes_denied);
-                        assert_eq!(par.stats.blocks_skipped, seq.stats.blocks_skipped);
-                        assert_eq!(par.stats.candidates_examined, seq.stats.candidates_examined);
-                        assert_eq!(par.stats.join_pairs, seq.stats.join_pairs);
-                    }
+                    assert_eq!(
+                        par.matches, seq.matches,
+                        "query {q} parallelism {parallelism}"
+                    );
+                    assert_eq!(par.stats.candidates, seq.stats.candidates);
+                    assert_eq!(par.stats.nodes_visited, seq.stats.nodes_visited);
+                    assert_eq!(par.stats.nodes_denied, seq.stats.nodes_denied);
+                    assert_eq!(par.stats.blocks_skipped, seq.stats.blocks_skipped);
+                    assert_eq!(par.stats.candidates_examined, seq.stats.candidates_examined);
+                    assert_eq!(par.stats.join_pairs, seq.stats.join_pairs);
                 }
             }
         }

@@ -20,11 +20,12 @@
 //! 2. [`plan`] partitions the pattern tree into **NoK subtrees** — maximal
 //!    fragments connected only by parent/child ("next-of-kin") edges — linked
 //!    by ancestor–descendant join edges.
-//! 3. [`matcher`] finds matches of each NoK subtree by top-down navigation
-//!    over the [`dol_storage::StructStore`] (Algorithm 1, ε-NoK): candidate
-//!    roots are seeded from a tag B+-tree index, and in secure mode every
-//!    visited node's accessibility is checked from the code piggy-backed on
-//!    its own page, with whole blocks skipped via the in-memory header test.
+//! 3. [`compiled`] lowers each NoK subtree to a flat automaton and finds its
+//!    matches by top-down navigation over the [`dol_storage::StructStore`]
+//!    (Algorithm 1, ε-NoK): candidate roots are seeded from a tag B+-tree
+//!    index, and in secure mode every visited node's accessibility is
+//!    checked from the code piggy-backed on its own page, with whole blocks
+//!    skipped via the in-memory header test.
 //! 4. [`join`] combines subtree matches with a Stack-Tree-Desc structural
 //!    join; the subtree-visibility variant (ε-STD) implements the stricter
 //!    Gabillon–Bruno semantics in which an inaccessible node hides its whole
@@ -45,7 +46,6 @@ pub mod cache;
 pub mod compiled;
 pub mod engine;
 pub mod join;
-pub mod matcher;
 pub mod pattern;
 pub mod plan;
 pub mod reference;

@@ -311,7 +311,7 @@ struct SavepointState {
 /// One sealed commit's worth of pre-images: the state of every page the
 /// commit dirtied, *as of* epoch `as_of` — the epoch that was current while
 /// the transaction ran (the facade bumps the epoch only after a successful
-/// ring-mode commit). A reader pinned to epoch `e ≤ as_of` whose page was
+/// commit). A reader pinned to epoch `e ≤ as_of` whose page was
 /// untouched between `e` and `as_of` finds its epoch-`e` bytes here.
 struct VersionDelta {
     as_of: u64,
@@ -544,11 +544,6 @@ impl BufferPool {
         self.ring_active.store(true, Ordering::Release);
     }
 
-    /// Whether the MVCC version ring is enabled.
-    pub fn version_ring_enabled(&self) -> bool {
-        self.ring_active.load(Ordering::Acquire)
-    }
-
     /// Oldest epoch the version ring can still serve (0 when the ring is
     /// disabled).
     pub fn ring_floor(&self) -> u64 {
@@ -556,8 +551,8 @@ impl BufferPool {
     }
 
     /// Whether a reader pinned to `epoch` can still be served whole-epoch
-    /// answers. Always true with the ring disabled (the legacy
-    /// single-version mode has its own staleness protocol).
+    /// answers. Always true with the ring disabled (a bare pool has one
+    /// version of every page and no epochs to fall behind).
     pub fn epoch_servable(&self, epoch: u64) -> bool {
         match self.ring.lock().as_ref() {
             Some(r) => epoch >= r.floor,
@@ -2587,7 +2582,6 @@ mod tests {
         let (pool, ids) = pool(8);
         let epoch = Arc::new(AtomicU64::new(0));
         pool.enable_version_ring(Arc::clone(&epoch), 4);
-        assert!(pool.version_ring_enabled());
         // Epoch 0 state: ids[0] untouched (zero). Commit 1 writes 11,
         // commit 2 writes 22; ids[1] changes only in commit 2.
         commit_and_bump::<StorageError>(&pool, &epoch, || {

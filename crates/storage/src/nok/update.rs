@@ -201,18 +201,11 @@ impl StructStore {
         Ok(())
     }
 
-    /// Rewrites every embedded access-control code through `remap`
-    /// (`new_code = remap[old_code]`), merging transitions that become
-    /// redundant — the deferred cleanup after `Codebook::compact`: "any such
-    /// redundancy can be corrected lazily" (§3.4). One sequential pass over
-    /// the blocks.
-    pub fn remap_codes(&mut self, remap: &[u32]) -> Result<(), StorageError> {
-        self.remap_codes_range(0..self.dir.len(), remap, None)?;
-        Ok(())
-    }
-
-    /// [`remap_codes`](StructStore::remap_codes) over one **slice** of the
-    /// block directory — the bounded-work step incremental compaction is
+    /// Rewrites the embedded access-control codes of one **slice** of the
+    /// block directory through `remap` (`new_code = remap[old_code]`),
+    /// merging transitions that become redundant — the deferred cleanup
+    /// after a codebook compaction: "any such redundancy can be corrected
+    /// lazily" (§3.4), and the bounded-work step incremental compaction is
     /// built from. `prev` seeds the cross-slice run-merge state (the mapped
     /// code in effect at the end of the block before `blocks.start`; `None`
     /// when starting at block 0), and the mapped code at the end of the last
@@ -723,14 +716,15 @@ mod tests {
     }
 
     #[test]
-    fn remap_codes_merges_redundant_transitions() {
+    fn remap_codes_range_merges_redundant_transitions() {
         for max_rec in [300usize, 3] {
             let doc = doc12();
             // Codes 0,1,2 cycling: every node a transition.
             let mut store = secured_store(&doc, max_rec, |p| (p % 3) as u32);
             assert_eq!(store.logical_transition_count().unwrap(), 11);
             // Merge codes 1 and 2 into 1: runs collapse pairwise.
-            store.remap_codes(&[0, 1, 1]).unwrap();
+            let all = 0..store.block_count();
+            store.remap_codes_range(all, &[0, 1, 1], None).unwrap();
             store.check_integrity().unwrap();
             let expect: Vec<u32> = (0..11u64).map(|p| if p % 3 == 0 { 0 } else { 1 }).collect();
             assert_eq!(codes_of(&store), expect);
@@ -740,7 +734,8 @@ mod tests {
             assert_eq!(store.logical_transition_count().unwrap(), 8);
             // Identity remap is a no-op.
             let before = codes_of(&store);
-            store.remap_codes(&[0, 1, 1]).unwrap();
+            let all = 0..store.block_count();
+            store.remap_codes_range(all, &[0, 1, 1], None).unwrap();
             store.check_integrity().unwrap();
             assert_eq!(codes_of(&store), before);
         }

@@ -108,16 +108,6 @@ pub enum DbError {
     /// no longer be trusted against the pages, so every further update is
     /// refused until the database is reopened.
     Poisoned,
-    /// A [`DbReader`] snapshot was overtaken by an update: the reader was
-    /// stamped with epoch `seen`, but the database has advanced to `now`.
-    /// The query result (if any was computed) may mix pre- and post-update
-    /// pages and has been discarded; take a fresh reader and retry.
-    StaleReader {
-        /// The update epoch the reader was created at.
-        seen: u64,
-        /// The database's current update epoch.
-        now: u64,
-    },
     /// A [`DbReader`] pinned to epoch `seen` outlived the MVCC version
     /// ring's retention window: the oldest epoch still servable is `oldest`
     /// and the database has advanced to `now`. Any in-flight result was
@@ -168,11 +158,6 @@ impl std::fmt::Display for DbError {
             DbError::Poisoned => write!(
                 f,
                 "database handle poisoned by a failed or superseding update; reopen to continue"
-            ),
-            DbError::StaleReader { seen, now } => write!(
-                f,
-                "snapshot reader at epoch {seen} overtaken by update (database at epoch {now}); \
-                 take a fresh reader and retry"
             ),
             DbError::RetentionExceeded { seen, oldest, now } => write!(
                 f,
@@ -230,13 +215,10 @@ pub struct DbConfig {
     /// Node records per structure block (see [`StoreConfig`]).
     pub max_records_per_block: usize,
     /// MVCC retention: how many committed epochs the version ring keeps
-    /// alive behind the current one. With `N > 0`, a [`DbReader`] pinned to
-    /// any of the last `N + 1` epochs keeps answering whole-epoch results —
-    /// zero [`DbError::StaleReader`] inside the window — and a reader beyond
-    /// it gets [`DbError::RetentionExceeded`] with a refresh path. `0`
-    /// disables the ring entirely: the legacy epoch-fencing protocol
-    /// (updates overtake every live reader, which fails fast with
-    /// `StaleReader`).
+    /// alive behind the current one. A [`DbReader`] pinned to any of the
+    /// last `N + 1` epochs keeps answering whole-epoch results, and a reader
+    /// beyond it gets [`DbError::RetentionExceeded`] with a refresh path.
+    /// The ring is always armed: `0` is served as `1`.
     pub epoch_retain: usize,
 }
 
@@ -256,23 +238,18 @@ impl Default for DbConfig {
 /// pairs as subjects, as the paper suggests in §2; the experiment harness
 /// does exactly that for the LiveLink workload.)
 pub struct SecureXmlDb {
-    // The read-side state is `Arc`-shared so [`SecureXmlDb::reader`] can
-    // hand out cheap snapshot handles; updates go through `Arc::make_mut`,
-    // which clones a mirror only while a reader still holds it (copy on
-    // write). Page *contents* are shared through the pool regardless — the
-    // epoch protocol below is what keeps overtaken readers honest.
-    doc: Arc<Document>,
-    store: Arc<StructStore>,
-    values: Arc<ValueStore>,
-    dol: Arc<EmbeddedDol>,
-    tag_index: Arc<BPlusTree<TagId, Vec<u64>>>,
-    value_index: Arc<BPlusTree<(TagId, u64), Vec<u64>>>,
+    /// The read-side state, `Arc`-shared so [`SecureXmlDb::reader`] can hand
+    /// out cheap snapshot handles; updates go through `Arc::make_mut`, which
+    /// clones a mirror only while a reader still holds it (copy on write).
+    /// Page *contents* are shared through the pool regardless — the version
+    /// ring is what serves an overtaken reader its own epoch's pages.
+    mirrors: MirrorSnapshot,
     pool: Arc<BufferPool>,
-    /// Update epoch: bumped at the start of every update transaction
-    /// (successful or not). [`DbReader`]s stamp it at creation and verify
-    /// it before and after each query, failing with
-    /// [`DbError::StaleReader`] instead of returning a possibly mixed-epoch
-    /// answer. Also the result-cache invalidation stamp.
+    /// Update epoch: bumped after every committed update transaction (and
+    /// by a successful recovery). [`DbReader`]s stamp it at creation, pin
+    /// their page reads to it, and are refused with
+    /// [`DbError::RetentionExceeded`] once the version ring no longer
+    /// retains it. Also part of every result-cache key.
     epoch: Arc<AtomicU64>,
     /// Compiled-plan and secure-result caches, shared with every reader.
     caches: Arc<reader::QueryCaches>,
@@ -329,9 +306,10 @@ pub struct SecureXmlDb {
 pub type UpdateFn = Box<dyn Fn(&mut SecureXmlDb) -> Result<(), DbError> + Send>;
 
 /// The `Arc`-shared read-side state of a [`SecureXmlDb`] at one instant.
-/// Capturing it is six reference bumps; holding it makes the next update's
-/// `Arc::make_mut` copy-on-write instead of mutating in place (the price of
-/// having a known-good state to fall back to).
+/// Cloning it is six reference bumps; holding a clone makes the next
+/// update's `Arc::make_mut` copy-on-write instead of mutating in place (the
+/// price of having a known-good state to fall back to).
+#[derive(Clone)]
 pub(crate) struct MirrorSnapshot {
     pub(crate) doc: Arc<Document>,
     pub(crate) store: Arc<StructStore>,
@@ -342,15 +320,44 @@ pub(crate) struct MirrorSnapshot {
 }
 
 impl MirrorSnapshot {
-    fn capture(db: &SecureXmlDb) -> Self {
-        Self {
-            doc: Arc::clone(&db.doc),
-            store: Arc::clone(&db.store),
-            values: Arc::clone(&db.values),
-            dol: Arc::clone(&db.dol),
-            tag_index: Arc::clone(&db.tag_index),
-            value_index: Arc::clone(&db.value_index),
+    /// A query engine over these mirrors and their indexes.
+    pub(crate) fn engine(&self) -> QueryEngine<'_> {
+        let mut engine = QueryEngine::with_index(
+            &self.store,
+            &self.values,
+            self.doc.tags(),
+            Some(&self.dol),
+            &self.tag_index,
+        );
+        engine.set_value_index(&self.value_index);
+        engine
+    }
+
+    /// Executes `query` against the pages behind these mirrors — the one way
+    /// the handle and its readers drive the engine. The plan and its
+    /// lowering come from `caches` (fenced on these mirrors' tag space:
+    /// `get_or_compile` re-lowers if tags grew since it was cached, and
+    /// `execute_compiled_opts` falls back to an ephemeral recompile if this
+    /// interner is older than the cached lowering); a deadline abort is
+    /// counted there. Nothing is result-cached or epoch-pinned here.
+    pub(crate) fn execute(
+        &self,
+        caches: &reader::QueryCaches,
+        query: &str,
+        security: Security,
+        opts: ExecOptions,
+    ) -> Result<QueryResult, DbError> {
+        let (plan, compiled) = caches
+            .plans()
+            .get_or_compile(query, self.doc.tags())
+            .map_err(QueryError::Parse)?;
+        let exec = self
+            .engine()
+            .execute_compiled_opts(&plan, &compiled, security, opts);
+        if let Err(QueryError::DeadlineExceeded(_)) = exec {
+            caches.note_deadline_abort();
         }
+        Ok(exec?)
     }
 }
 
@@ -393,23 +400,33 @@ impl SecureXmlDb {
                 values.put(u64::from(id.0), v)?;
             }
         }
-        let tag_index = build_tag_index(&store)?;
-        let value_index = build_value_index(&store, &values)?;
-        let epoch = Arc::new(AtomicU64::new(0));
-        if cfg.epoch_retain > 0 {
-            pool.enable_version_ring(Arc::clone(&epoch), cfg.epoch_retain);
-        }
-        Ok(Self {
+        let mirrors = MirrorSnapshot {
+            tag_index: Arc::new(build_tag_index(&store)?),
+            value_index: Arc::new(build_value_index(&store, &values)?),
             doc: Arc::new(doc),
             store: Arc::new(store),
             values: Arc::new(values),
             dol: Arc::new(dol),
-            tag_index: Arc::new(tag_index),
-            value_index: Arc::new(value_index),
+        };
+        Ok(Self::assemble(mirrors, pool, cfg, false))
+    }
+
+    /// Wraps freshly built or loaded mirrors into a healthy handle at epoch
+    /// 0, arming the version ring on `pool`.
+    fn assemble(
+        mirrors: MirrorSnapshot,
+        pool: Arc<BufferPool>,
+        cfg: DbConfig,
+        persistent: bool,
+    ) -> Self {
+        let epoch = Arc::new(AtomicU64::new(0));
+        pool.enable_version_ring(Arc::clone(&epoch), cfg.epoch_retain.max(1));
+        Self {
+            mirrors,
             pool,
             epoch,
             caches: Arc::new(reader::QueryCaches::default()),
-            persistent: false,
+            persistent,
             image_path: None,
             poisoned: AtomicBool::new(false),
             detached: AtomicBool::new(false),
@@ -418,7 +435,7 @@ impl SecureXmlDb {
             prepared: None,
             auto_compact_blocks: 0,
             in_maintenance: false,
-        })
+        }
     }
 
     /// Builds a **group-factored** database: `oracle` labels the document
@@ -434,7 +451,7 @@ impl SecureXmlDb {
     ) -> Result<Self, DbError> {
         let mut db = Self::from_document(doc, oracle)?;
         db.run_txn(move |db| {
-            Arc::make_mut(&mut db.dol)
+            Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
                 .attach_group_space(space);
             Ok(())
@@ -458,33 +475,19 @@ impl SecureXmlDb {
         f: impl FnOnce(&mut Self) -> Result<R, DbError>,
     ) -> Result<R, DbError> {
         // Inside a batch the enclosing run_batch owns the transaction, the
-        // epoch protocol, and the mirror snapshots; the member's update
-        // methods just run their bodies in the open transaction.
+        // epoch bump, and the mirror snapshots; the member's update methods
+        // just run their bodies in the open transaction.
         if self.in_batch {
             return f(self);
         }
         if self.poisoned.load(Ordering::Acquire) {
             return Err(DbError::Poisoned);
         }
-        let ring = self.pool.version_ring_enabled();
-        if !ring {
-            // Legacy single-version protocol: bump the epoch *before* any
-            // page changes. A reader that observes even one post-update byte
-            // was created before this store (readers are handed out through
-            // `&self`, updates come through `&mut self`), so its
-            // end-of-query epoch check must fail. SeqCst pairs with the
-            // readers' SeqCst loads; the pool's own locks order the page
-            // writes behind it. Bumping also invalidates the whole result
-            // cache (its keys carry the epoch); dropping the dead entries
-            // keeps the LRU from nursing unreachable results.
-            self.epoch.fetch_add(1, Ordering::SeqCst);
-            self.caches.invalidate_results();
-        }
         // Capture the pre-transaction mirrors. Holding these Arcs forces the
         // transaction body's `Arc::make_mut`s to copy-on-write, so on failure
         // a known-good mirror set (matching the rolled-back pages) survives
         // for degraded readers and in-process recovery.
-        let before = MirrorSnapshot::capture(self);
+        let before = self.mirrors.clone();
         let pool = self.pool.clone();
         let res = pool.atomic_update(|| {
             let r = f(self)?;
@@ -494,20 +497,10 @@ impl SecureXmlDb {
             Ok(r)
         });
         match &res {
-            Ok(_) if ring => {
-                // MVCC protocol: the commit sealed a delta preserving this
-                // epoch's pages, so pinned readers stay servable — bump only
-                // *after* success, and evict result-cache entries keyed on
-                // epochs the ring no longer retains (entries inside the
-                // window stay valid: their epoch's pages are reconstructible
-                // forever within the window).
-                self.epoch.fetch_add(1, Ordering::SeqCst);
-                self.caches.evict_dead_epochs(self.pool.ring_floor());
-            }
-            Ok(_) => {}
+            Ok(_) => self.publish_epoch(),
             Err(_) => {
-                // No epoch bump in ring mode: the rollback restored the
-                // pages, so the current epoch still describes them.
+                // No epoch bump: the rollback restored the pages, so the
+                // current epoch still describes them.
                 *self
                     .rollback_mirrors
                     .lock()
@@ -524,7 +517,7 @@ impl SecureXmlDb {
         if res.is_ok()
             && self.auto_compact_blocks > 0
             && !self.in_maintenance
-            && self.dol.codebook().compaction().is_some()
+            && self.mirrors.dol.codebook().compaction().is_some()
         {
             self.in_maintenance = true;
             let budget = self.auto_compact_blocks;
@@ -544,14 +537,16 @@ impl SecureXmlDb {
         self.run_txn(f)
     }
 
-    /// Restores a captured mirror snapshot over the live mirrors.
-    fn restore_mirrors(&mut self, snap: MirrorSnapshot) {
-        self.doc = snap.doc;
-        self.store = snap.store;
-        self.values = snap.values;
-        self.dol = snap.dol;
-        self.tag_index = snap.tag_index;
-        self.value_index = snap.value_index;
+    /// Makes a committed transaction visible: the commit sealed a delta
+    /// preserving the current epoch's pages, so pinned readers stay
+    /// servable — the epoch is bumped only *after* success (SeqCst pairs
+    /// with the readers' SeqCst loads), and result-cache entries keyed on
+    /// epochs the ring no longer retains are evicted (entries inside the
+    /// window stay valid: their epoch's pages are reconstructible for as
+    /// long as the window holds them).
+    fn publish_epoch(&self) {
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.caches.evict_dead_epochs(self.pool.ring_floor());
     }
 
     /// Runs `members` as one **group commit**: every member executes inside
@@ -571,8 +566,7 @@ impl SecureXmlDb {
     /// handle exactly like a failed solo update.
     ///
     /// The epoch advances once per batch: all members land in the same new
-    /// epoch, and (with the version ring enabled) readers pinned to older
-    /// retained epochs keep answering.
+    /// epoch, and readers pinned to older retained epochs keep answering.
     pub fn run_batch(&mut self, members: &[UpdateFn]) -> Result<Vec<Result<(), DbError>>, DbError> {
         if self.in_batch || self.pool.in_transaction() {
             return Err(DbError::Storage(StorageError::Io(std::io::Error::other(
@@ -585,13 +579,7 @@ impl SecureXmlDb {
         if members.is_empty() {
             return Ok(Vec::new());
         }
-        let ring = self.pool.version_ring_enabled();
-        if !ring {
-            // Legacy protocol: fence readers before the first page changes.
-            self.epoch.fetch_add(1, Ordering::SeqCst);
-            self.caches.invalidate_results();
-        }
-        let batch_before = MirrorSnapshot::capture(self);
+        let batch_before = self.mirrors.clone();
         let pool = self.pool.clone();
         pool.txn_begin();
         self.in_batch = true;
@@ -599,7 +587,7 @@ impl SecureXmlDb {
         let mut abort: Option<DbError> = None;
         for member in members {
             // Per-member isolation: mirrors snapshot + page savepoint.
-            let member_before = MirrorSnapshot::capture(self);
+            let member_before = self.mirrors.clone();
             if let Err(e) = pool.txn_savepoint() {
                 abort = Some(e.into());
                 break;
@@ -616,7 +604,7 @@ impl SecureXmlDb {
                     // The member failed: reject it without harming its
                     // peers — pages back to the savepoint, mirrors back to
                     // the member snapshot.
-                    self.restore_mirrors(member_before);
+                    self.mirrors = member_before;
                     match pool.txn_rollback_to_savepoint() {
                         Ok(()) => results.push(Err(e)),
                         Err(sp_err) => {
@@ -634,13 +622,7 @@ impl SecureXmlDb {
             // snapshot restores the matching mirrors — the database is
             // exactly as before the call, so the caller may replay solo.
             pool.txn_rollback();
-            self.restore_mirrors(batch_before);
-            if ring {
-                return Err(e);
-            }
-            // Legacy mode bumped the epoch up front; the pages rolled back,
-            // so invalidate again and leave the bump (readers re-snapshot).
-            self.caches.invalidate_results();
+            self.mirrors = batch_before;
             return Err(e);
         }
         let commit = (|| -> Result<(), DbError> {
@@ -651,10 +633,7 @@ impl SecureXmlDb {
         })();
         match commit {
             Ok(()) => {
-                if ring {
-                    self.epoch.fetch_add(1, Ordering::SeqCst);
-                    self.caches.evict_dead_epochs(self.pool.ring_floor());
-                }
+                self.publish_epoch();
                 Ok(results)
             }
             Err(e) => {
@@ -700,8 +679,7 @@ impl SecureXmlDb {
         if self.poisoned.load(Ordering::Acquire) {
             return Err(DbError::Poisoned);
         }
-        let ring = self.pool.version_ring_enabled();
-        let before = MirrorSnapshot::capture(self);
+        let before = self.mirrors.clone();
         let pool = self.pool.clone();
         pool.txn_begin();
         self.in_batch = true; // member update methods join this transaction
@@ -722,19 +700,13 @@ impl SecureXmlDb {
                 Err(e) => {
                     // txn_prepare rolled the pages back on failure; restore
                     // the matching mirrors. Clean abort: no poison.
-                    self.restore_mirrors(before);
-                    if !ring {
-                        self.caches.invalidate_results();
-                    }
+                    self.mirrors = before;
                     Err(e.into())
                 }
             },
             Err(e) => {
                 pool.txn_rollback();
-                self.restore_mirrors(before);
-                if !ring {
-                    self.caches.invalidate_results();
-                }
+                self.mirrors = before;
                 Err(e)
             }
         }
@@ -764,26 +736,14 @@ impl SecureXmlDb {
                 "finish_prepared gtid mismatch",
             ))));
         }
-        let ring = self.pool.version_ring_enabled();
         if !commit {
             self.pool.txn_finish_prepared(false)?;
-            self.restore_mirrors(before);
-            if !ring {
-                // Legacy mode has no pre-bump to undo here (run_prepared
-                // never bumps); invalidate defensively all the same.
-                self.caches.invalidate_results();
-            }
+            self.mirrors = before;
             return Ok(());
         }
         match self.pool.txn_finish_prepared(true) {
             Ok(()) => {
-                if ring {
-                    self.epoch.fetch_add(1, Ordering::SeqCst);
-                    self.caches.evict_dead_epochs(self.pool.ring_floor());
-                } else {
-                    self.epoch.fetch_add(1, Ordering::SeqCst);
-                    self.caches.invalidate_results();
-                }
+                self.publish_epoch();
                 Ok(())
             }
             Err(e) => {
@@ -806,9 +766,8 @@ impl SecureXmlDb {
         self.prepared.as_ref().map(|(g, _)| *g)
     }
 
-    /// The oldest epoch the MVCC version ring still retains (0 when the
-    /// ring is disabled). A [`DbReader`] pinned below this floor gets
-    /// [`DbError::RetentionExceeded`].
+    /// The oldest epoch the MVCC version ring still retains. A [`DbReader`]
+    /// pinned below this floor gets [`DbError::RetentionExceeded`].
     pub fn retention_floor(&self) -> u64 {
         self.pool.ring_floor()
     }
@@ -836,9 +795,10 @@ impl SecureXmlDb {
     /// Either way the rebuilt state must pass
     /// [`verify_integrity`](Self::verify_integrity) before the poison latch
     /// is cleared; on failure the handle stays poisoned and the error is
-    /// returned. Success bumps the update epoch (outstanding readers fail
-    /// [`DbError::StaleReader`] and re-snapshot), drops all cached results,
-    /// and resets the I/O circuit breaker.
+    /// returned. Success bumps the update epoch and raises the version
+    /// ring's barrier (outstanding readers fail
+    /// [`DbError::RetentionExceeded`] and re-snapshot), drops all cached
+    /// results, and resets the I/O circuit breaker.
     ///
     /// A handle *detached* by a same-path [`save_to`](Self::save_to)
     /// compaction cannot recover — the on-disk image no longer matches this
@@ -887,13 +847,7 @@ impl SecureXmlDb {
             self.pool.discard_cache_and_txn();
             let wal = self.pool.wal().ok_or(DbError::Poisoned)?;
             let report = wal.recover_onto_with_decisions(self.pool.disk().as_ref(), decided)?;
-            let img = persist::load_image(&self.pool)?;
-            self.doc = Arc::new(img.doc);
-            self.store = Arc::new(img.store);
-            self.values = Arc::new(img.values);
-            self.dol = Arc::new(EmbeddedDol::from_codebook(img.codebook));
-            self.tag_index = Arc::new(img.tag_index);
-            self.value_index = Arc::new(img.value_index);
+            self.mirrors = persist::load_image(&self.pool)?;
             *self
                 .rollback_mirrors
                 .lock()
@@ -904,18 +858,12 @@ impl SecureXmlDb {
             // restore the matching pre-transaction mirrors. If the snapshot
             // is gone (already consumed by a failed recovery), reopening is
             // the only way out.
-            let snap = self
+            self.mirrors = self
                 .rollback_mirrors
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .take()
                 .ok_or(DbError::Poisoned)?;
-            self.doc = snap.doc;
-            self.store = snap.store;
-            self.values = snap.values;
-            self.dol = snap.dol;
-            self.tag_index = snap.tag_index;
-            self.value_index = snap.value_index;
             None
         };
         // Never declare health unverified: the poison latch stays set if the
@@ -949,9 +897,15 @@ impl SecureXmlDb {
     /// Returns [`DbError::Integrity`] naming the first violation. The chaos
     /// soak runs this after every in-process recovery.
     pub fn verify_integrity(&self) -> Result<(), DbError> {
-        self.store.check_integrity().map_err(DbError::Integrity)?;
-        let items = self.store.read_block_range(0..self.store.block_count())?;
-        let codebook_len = self.dol.codebook().len() as u32;
+        self.mirrors
+            .store
+            .check_integrity()
+            .map_err(DbError::Integrity)?;
+        let items = self
+            .mirrors
+            .store
+            .read_block_range(0..self.mirrors.store.block_count())?;
+        let codebook_len = self.mirrors.dol.codebook().len() as u32;
         let mut prev: Option<u32> = None;
         for (pos, item) in items.iter().enumerate() {
             if item.code >= codebook_len {
@@ -978,8 +932,8 @@ impl SecureXmlDb {
         }
         // Block headers against the records in each block.
         let mut pos = 0usize;
-        for b in 0..self.store.block_count() {
-            let info = self.store.block_info(b);
+        for b in 0..self.mirrors.store.block_count() {
+            let info = self.mirrors.store.block_info(b);
             let count = info.count as usize;
             let Some(first) = items.get(pos) else {
                 return Err(DbError::Integrity(format!(
@@ -1034,39 +988,16 @@ impl SecureXmlDb {
         security: Security,
         opts: ExecOptions,
     ) -> Result<QueryResult, DbError> {
-        let (plan, compiled) = self
-            .caches
-            .plans()
-            .get_or_compile(query, self.doc.tags())
-            .map_err(QueryError::Parse)?;
-        let mut engine = QueryEngine::with_index(
-            &self.store,
-            &self.values,
-            self.doc.tags(),
-            Some(&self.dol),
-            &self.tag_index,
-        );
-        engine.set_value_index(&self.value_index);
-        let exec = if opts.compiled {
-            engine.execute_compiled_opts(&plan, &compiled, security, opts)
-        } else {
-            engine.execute_plan_opts(&plan, security, opts)
-        };
-        match exec {
-            Err(e @ QueryError::DeadlineExceeded(_)) => {
-                self.caches.note_deadline_abort();
-                Err(e.into())
-            }
-            other => Ok(other?),
-        }
+        self.mirrors.execute(&self.caches, query, security, opts)
     }
 
     /// A cheap snapshot handle for concurrent read-only serving: shares the
     /// store, indexes, and DOL by `Arc`, is stamped with the current update
     /// epoch, and serves queries through the plan and secure-result caches
-    /// (a warm result hit does zero page I/O). Readers overtaken by an
-    /// update fail fast with [`DbError::StaleReader`] rather than return a
-    /// mixed-epoch answer; take a fresh reader and retry.
+    /// (a warm result hit does zero page I/O). A reader overtaken by
+    /// updates keeps answering as of its own epoch for as long as the
+    /// version ring retains it; past that it is refused with
+    /// [`DbError::RetentionExceeded`] — take a fresh reader and retry.
     ///
     /// **Degraded mode:** a poisoned handle keeps serving readers. If the
     /// poison came from a failed (rolled-back) update, the reader snapshots
@@ -1080,15 +1011,18 @@ impl SecureXmlDb {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
             if let Some(snap) = snap.as_ref() {
-                return DbReader::degraded(self, snap);
+                return DbReader::new(self, snap.clone());
             }
         }
-        DbReader::new(self)
+        DbReader::new(self, self.mirrors.clone())
     }
 
     /// Whether `subject` may access the node at `pos`.
     pub fn accessible(&self, pos: u64, subject: SubjectId) -> Result<bool, DbError> {
-        Ok(self.dol.accessible(&self.store, pos, subject)?)
+        Ok(self
+            .mirrors
+            .dol
+            .accessible(&self.mirrors.store, pos, subject)?)
     }
 
     /// Grants or revokes one subject's access to a single node (§3.4).
@@ -1098,12 +1032,12 @@ impl SecureXmlDb {
         subject: SubjectId,
         allow: bool,
     ) -> Result<(), DbError> {
-        if pos >= self.store.total_nodes() {
+        if pos >= self.mirrors.store.total_nodes() {
             return Err(DbError::InvalidNode(pos));
         }
         self.run_txn(|db| {
-            let dol = Arc::make_mut(&mut db.dol);
-            let store = Arc::make_mut(&mut db.store);
+            let dol = Arc::make_mut(&mut db.mirrors.dol);
+            let store = Arc::make_mut(&mut db.mirrors.store);
             dol.set_node(store, pos, subject, allow)?;
             // A code rewrite can split blocks, shifting directory indices
             // under an in-flight compaction cursor.
@@ -1120,13 +1054,13 @@ impl SecureXmlDb {
         subject: SubjectId,
         allow: bool,
     ) -> Result<(), DbError> {
-        if pos >= self.store.total_nodes() {
+        if pos >= self.mirrors.store.total_nodes() {
             return Err(DbError::InvalidNode(pos));
         }
-        let size = self.store.node(pos)?.size as u64;
+        let size = self.mirrors.store.node(pos)?.size as u64;
         self.run_txn(|db| {
-            let dol = Arc::make_mut(&mut db.dol);
-            let store = Arc::make_mut(&mut db.store);
+            let dol = Arc::make_mut(&mut db.mirrors.dol);
+            let store = Arc::make_mut(&mut db.mirrors.store);
             dol.set_subtree(store, pos, pos + size, subject, allow)?;
             dol.codebook_mut().mark_compaction_dirty();
             Ok(())
@@ -1137,7 +1071,7 @@ impl SecureXmlDb {
     /// pure codebook operation (§3.4).
     pub fn add_subject(&mut self, copy_from: Option<SubjectId>) -> Result<SubjectId, DbError> {
         self.run_txn(|db| {
-            Ok(Arc::make_mut(&mut db.dol)
+            Ok(Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
                 .add_subject(copy_from))
         })
@@ -1146,7 +1080,7 @@ impl SecureXmlDb {
     /// Removes a subject lazily (codebook-only; §3.4).
     pub fn remove_subject(&mut self, subject: SubjectId) -> Result<(), DbError> {
         self.run_txn(|db| {
-            Arc::make_mut(&mut db.dol)
+            Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
                 .remove_subject(subject);
             Ok(())
@@ -1166,7 +1100,7 @@ impl SecureXmlDb {
     /// recovers onto a step boundary; re-calling finishes the job.
     pub fn compact_subjects(&mut self) -> Result<(), DbError> {
         let armed = self.begin_compaction()?;
-        if !armed && self.dol.codebook().compaction().is_none() {
+        if !armed && self.mirrors.dol.codebook().compaction().is_none() {
             return Ok(()); // nothing to merge, nothing to retire
         }
         loop {
@@ -1180,7 +1114,7 @@ impl SecureXmlDb {
     /// Returns `false` when the codebook has nothing to compact or a plan
     /// is already active.
     pub fn begin_compaction(&mut self) -> Result<bool, DbError> {
-        self.run_txn(|db| Ok(Arc::make_mut(&mut db.dol).begin_compaction()))
+        self.run_txn(|db| Ok(Arc::make_mut(&mut db.mirrors.dol).begin_compaction()))
     }
 
     /// Runs one bounded compaction step as its own transaction, rewriting
@@ -1189,8 +1123,8 @@ impl SecureXmlDb {
     /// piggy-back a step on every update commit.
     pub fn compaction_tick(&mut self, max_blocks: usize) -> Result<CompactionProgress, DbError> {
         self.run_txn(|db| {
-            let dol = Arc::make_mut(&mut db.dol);
-            let store = Arc::make_mut(&mut db.store);
+            let dol = Arc::make_mut(&mut db.mirrors.dol);
+            let store = Arc::make_mut(&mut db.mirrors.store);
             Ok(dol.compaction_tick(store, max_blocks)?)
         })
     }
@@ -1198,7 +1132,7 @@ impl SecureXmlDb {
     /// Remaining compaction work in blocks (0 = no active plan) — the
     /// backlog gauge for maintenance schedulers.
     pub fn compaction_backlog(&self) -> u64 {
-        self.dol.compaction_backlog(&self.store)
+        self.mirrors.dol.compaction_backlog(&self.mirrors.store)
     }
 
     /// Sets the auto-compaction budget: when `blocks_per_txn > 0`, every
@@ -1216,7 +1150,7 @@ impl SecureXmlDb {
     /// (see [`from_document_factored`](SecureXmlDb::from_document_factored)).
     pub fn add_grouped_subject(&mut self, parents: &[SubjectId]) -> Result<SubjectId, DbError> {
         self.run_txn(|db| {
-            Ok(Arc::make_mut(&mut db.dol)
+            Ok(Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
                 .add_grouped_subject(parents))
         })
@@ -1232,7 +1166,7 @@ impl SecureXmlDb {
     ) -> Result<SubjectId, DbError> {
         assert!(count > 0, "empty bulk add");
         self.run_txn(|db| {
-            let cb = Arc::make_mut(&mut db.dol).codebook_mut();
+            let cb = Arc::make_mut(&mut db.mirrors.dol).codebook_mut();
             let first = cb.add_grouped_subject(parents);
             for _ in 1..count {
                 cb.add_grouped_subject(parents);
@@ -1251,7 +1185,7 @@ impl SecureXmlDb {
         member: bool,
     ) -> Result<bool, DbError> {
         self.run_txn(|db| {
-            Ok(Arc::make_mut(&mut db.dol)
+            Ok(Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
                 .set_membership(subject, group, member))
         })
@@ -1262,7 +1196,7 @@ impl SecureXmlDb {
     /// her groups). Queries then run under the returned id. Codebook-only.
     pub fn create_union_view(&mut self, subjects: &[SubjectId]) -> Result<SubjectId, DbError> {
         self.run_txn(|db| {
-            Ok(Arc::make_mut(&mut db.dol)
+            Ok(Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
                 .add_subject_union(subjects))
         })
@@ -1282,23 +1216,24 @@ impl SecureXmlDb {
 
     /// Deletes the subtree rooted at `pos` (structural update, §3.4).
     pub fn delete_subtree(&mut self, pos: u64) -> Result<(), DbError> {
-        if pos == 0 || pos >= self.store.total_nodes() {
+        if pos == 0 || pos >= self.mirrors.store.total_nodes() {
             return Err(DbError::InvalidNode(pos));
         }
-        let size = self.store.node(pos)?.size as u64;
+        let size = self.mirrors.store.node(pos)?.size as u64;
         self.run_txn(|db| {
-            let store = Arc::make_mut(&mut db.store);
-            let values = Arc::make_mut(&mut db.values);
-            let doc = Arc::make_mut(&mut db.doc);
+            let store = Arc::make_mut(&mut db.mirrors.store);
+            let values = Arc::make_mut(&mut db.mirrors.values);
+            let doc = Arc::make_mut(&mut db.mirrors.doc);
             store.delete_run(pos, pos + size)?;
             values.remove_range(pos, pos + size);
             values.shift_positions(pos + size, -(size as i64));
             doc.delete_subtree(NodeId(pos as u32))
                 .map_err(|_| DbError::InvalidNode(pos))?;
-            db.tag_index = Arc::new(build_tag_index(&db.store)?);
-            db.value_index = Arc::new(build_value_index(&db.store, &db.values)?);
+            db.mirrors.tag_index = Arc::new(build_tag_index(&db.mirrors.store)?);
+            db.mirrors.value_index =
+                Arc::new(build_value_index(&db.mirrors.store, &db.mirrors.values)?);
             // Blocks moved; an in-flight compaction cursor is stale.
-            Arc::make_mut(&mut db.dol)
+            Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
                 .mark_compaction_dirty();
             Ok(())
@@ -1311,13 +1246,13 @@ impl SecureXmlDb {
     /// explicit rights can follow up with
     /// [`set_subtree_access`](SecureXmlDb::set_subtree_access).
     pub fn insert_subtree(&mut self, parent_pos: u64, subtree: &Document) -> Result<u64, DbError> {
-        if parent_pos >= self.store.total_nodes() || subtree.is_empty() {
+        if parent_pos >= self.mirrors.store.total_nodes() || subtree.is_empty() {
             return Err(DbError::InvalidNode(parent_pos));
         }
         self.run_txn(|db| {
-            let store = Arc::make_mut(&mut db.store);
-            let values = Arc::make_mut(&mut db.values);
-            let doc = Arc::make_mut(&mut db.doc);
+            let store = Arc::make_mut(&mut db.mirrors.store);
+            let values = Arc::make_mut(&mut db.mirrors.values);
+            let doc = Arc::make_mut(&mut db.mirrors.doc);
             let parent_rec = store.node(parent_pos)?;
             let at = parent_pos + parent_rec.size as u64;
             let code = store.code_at(at - 1)?;
@@ -1346,9 +1281,10 @@ impl SecureXmlDb {
             }
             doc.insert_subtree(NodeId(parent_pos as u32), None, subtree)
                 .map_err(|_| DbError::InvalidNode(parent_pos))?;
-            db.tag_index = Arc::new(build_tag_index(&db.store)?);
-            db.value_index = Arc::new(build_value_index(&db.store, &db.values)?);
-            Arc::make_mut(&mut db.dol)
+            db.mirrors.tag_index = Arc::new(build_tag_index(&db.mirrors.store)?);
+            db.mirrors.value_index =
+                Arc::new(build_value_index(&db.mirrors.store, &db.mirrors.values)?);
+            Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
                 .mark_compaction_dirty();
             Ok(at)
@@ -1360,18 +1296,18 @@ impl SecureXmlDb {
     /// subtree keeps its access controls: its per-run codes travel with it.
     /// Returns the subtree root's new document position.
     pub fn move_subtree(&mut self, pos: u64, new_parent_pos: u64) -> Result<u64, DbError> {
-        let total = self.store.total_nodes();
+        let total = self.mirrors.store.total_nodes();
         if pos == 0 || pos >= total || new_parent_pos >= total {
             return Err(DbError::InvalidNode(pos.max(new_parent_pos)));
         }
-        let size = self.store.node(pos)?.size as u64;
+        let size = self.mirrors.store.node(pos)?.size as u64;
         if new_parent_pos >= pos && new_parent_pos < pos + size {
             return Err(DbError::InvalidNode(new_parent_pos)); // own descendant
         }
         self.run_txn(|db| {
-            let store = Arc::make_mut(&mut db.store);
-            let vals = Arc::make_mut(&mut db.values);
-            let doc = Arc::make_mut(&mut db.doc);
+            let store = Arc::make_mut(&mut db.mirrors.store);
+            let vals = Arc::make_mut(&mut db.mirrors.values);
+            let doc = Arc::make_mut(&mut db.mirrors.doc);
             // Capture the subtree: structure from the master document,
             // per-node codes from the embedded runs.
             let sub = doc.copy_subtree(NodeId(pos as u32));
@@ -1429,9 +1365,10 @@ impl SecureXmlDb {
             }
             doc.insert_subtree(NodeId(parent as u32), None, &sub)
                 .map_err(|_| DbError::InvalidNode(parent))?;
-            db.tag_index = Arc::new(build_tag_index(&db.store)?);
-            db.value_index = Arc::new(build_value_index(&db.store, &db.values)?);
-            Arc::make_mut(&mut db.dol)
+            db.mirrors.tag_index = Arc::new(build_tag_index(&db.mirrors.store)?);
+            db.mirrors.value_index =
+                Arc::new(build_value_index(&db.mirrors.store, &db.mirrors.values)?);
+            Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
                 .mark_compaction_dirty();
             Ok(at)
@@ -1450,14 +1387,18 @@ impl SecureXmlDb {
         }
         // Copy the document, delete inaccessible subtrees (shallowest first;
         // re-resolve positions after each deletion since ids shift).
-        let mut pruned = (*self.doc).clone();
+        let mut pruned = (*self.mirrors.doc).clone();
         // Collect inaccessible positions against the *original* numbering.
         let mut doomed: Vec<u64> = Vec::new();
         let mut pos = 0u64;
-        let total = self.store.total_nodes();
+        let total = self.mirrors.store.total_nodes();
         while pos < total {
-            if !self.dol.accessible(&self.store, pos, subject)? {
-                let size = self.store.node(pos)?.size as u64;
+            if !self
+                .mirrors
+                .dol
+                .accessible(&self.mirrors.store, pos, subject)?
+            {
+                let size = self.mirrors.store.node(pos)?.size as u64;
                 doomed.push(pos);
                 pos += size; // nested inaccessible nodes go with the subtree
             } else {
@@ -1475,7 +1416,7 @@ impl SecureXmlDb {
 
     /// DOL storage statistics.
     pub fn dol_stats(&self) -> Result<DolStats, DbError> {
-        Ok(self.dol.stats(&self.store)?)
+        Ok(self.mirrors.dol.stats(&self.mirrors.store)?)
     }
 
     /// Buffer-pool I/O counters.
@@ -1509,8 +1450,8 @@ impl SecureXmlDb {
         self.pool.reset_breaker();
     }
 
-    /// The current update epoch (starts at 0, bumped by every update
-    /// transaction — successful or not).
+    /// The current update epoch (starts at 0, bumped by every committed
+    /// update transaction and by a successful recovery).
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
@@ -1534,7 +1475,7 @@ impl SecureXmlDb {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.store.total_nodes() as usize
+        self.mirrors.store.total_nodes() as usize
     }
 
     /// A database is never empty.
@@ -1544,27 +1485,27 @@ impl SecureXmlDb {
 
     /// The in-memory master document (tags, values, navigation).
     pub fn document(&self) -> &Document {
-        &self.doc
+        &self.mirrors.doc
     }
 
     /// The underlying block store.
     pub fn store(&self) -> &StructStore {
-        &self.store
+        &self.mirrors.store
     }
 
     /// The embedded DOL.
     pub fn dol(&self) -> &EmbeddedDol {
-        &self.dol
+        &self.mirrors.dol
     }
 
     /// The value store.
     pub fn values(&self) -> &ValueStore {
-        &self.values
+        &self.mirrors.values
     }
 
     /// Fetches the value of the node at `pos`.
     pub fn value(&self, pos: u64) -> Result<Option<String>, DbError> {
-        Ok(self.values.get(pos)?)
+        Ok(self.mirrors.values.get(pos)?)
     }
 }
 

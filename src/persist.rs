@@ -25,15 +25,14 @@
 //! [`SecureXmlDb::open_from`] replays the log *before* reading any page, so
 //! a crash between page flushes is invisible to the reader.
 
-use crate::{DbConfig, DbError, SecureXmlDb};
+use crate::{DbConfig, DbError, MirrorSnapshot, SecureXmlDb};
 use dol_core::{Codebook, EmbeddedDol};
 use dol_nok::{build_tag_index, build_value_index};
 use dol_storage::disk::StorageError;
 use dol_storage::{
-    BPlusTree, BufferPool, Disk, FileDisk, PageId, StoreConfig, StructStore, ValueStore, Wal,
-    PAYLOAD_SIZE,
+    BufferPool, Disk, FileDisk, PageId, StoreConfig, StructStore, ValueStore, Wal, PAYLOAD_SIZE,
 };
-use dol_xml::{Document, NodeId, TagId, TagInterner};
+use dol_xml::{NodeId, TagInterner};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -203,24 +202,14 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts, DbError> {
     })
 }
 
-/// The complete read-side state decoded from an image: everything
-/// [`SecureXmlDb`] mirrors in memory. Produced by [`load_image`], consumed
-/// by [`SecureXmlDb::open_on`] (fresh handle) and [`SecureXmlDb::recover`]
-/// (rebuilding a poisoned handle's mirrors in place).
-pub(crate) struct LoadedImage {
-    pub(crate) doc: Document,
-    pub(crate) store: StructStore,
-    pub(crate) values: ValueStore,
-    pub(crate) codebook: Codebook,
-    pub(crate) tag_index: BPlusTree<TagId, Vec<u64>>,
-    pub(crate) value_index: BPlusTree<(TagId, u64), Vec<u64>>,
-}
-
-/// Loads a version-2 image through `pool`: catalog, structure chain, meta
-/// blob, value store, master document, and both B+-tree indexes. The pool's
-/// cache must reflect the durable page state (fresh pool, or one whose cache
-/// was discarded after write-ahead-log recovery).
-pub(crate) fn load_image(pool: &Arc<BufferPool>) -> Result<LoadedImage, DbError> {
+/// Loads a version-2 image through `pool` into the complete read-side state
+/// [`SecureXmlDb`] mirrors in memory: catalog, structure chain, meta blob,
+/// value store, master document, and both B+-tree indexes — for
+/// [`SecureXmlDb::open_on`] (fresh handle) and [`SecureXmlDb::recover`]
+/// (rebuilding a poisoned handle's mirrors in place). The pool's cache must
+/// reflect the durable page state (fresh pool, or one whose cache was
+/// discarded after write-ahead-log recovery).
+pub(crate) fn load_image(pool: &Arc<BufferPool>) -> Result<MirrorSnapshot, DbError> {
     let cat = pool
         .with_page(PageId(0), |p| {
             if p.get_u32(0) != MAGIC {
@@ -271,15 +260,13 @@ pub(crate) fn load_image(pool: &Arc<BufferPool>) -> Result<LoadedImage, DbError>
         let v = values.get(pos)?.expect("indexed value exists");
         doc.set_value(NodeId(pos as u32), Some(&v));
     }
-    let tag_index = build_tag_index(&store)?;
-    let value_index = build_value_index(&store, &values)?;
-    Ok(LoadedImage {
-        doc,
-        store,
-        values,
-        codebook: meta.codebook,
-        tag_index,
-        value_index,
+    Ok(MirrorSnapshot {
+        tag_index: Arc::new(build_tag_index(&store)?),
+        value_index: Arc::new(build_value_index(&store, &values)?),
+        doc: Arc::new(doc),
+        store: Arc::new(store),
+        values: Arc::new(values),
+        dol: Arc::new(EmbeddedDol::from_codebook(meta.codebook)),
     })
 }
 
@@ -307,16 +294,20 @@ impl SecureXmlDb {
     /// catalog and meta recover atomically with the data pages. Superseded
     /// meta pages leak until the next [`save_to`](SecureXmlDb::save_to).
     pub(crate) fn rewrite_meta(&mut self) -> Result<(), DbError> {
-        let meta = encode_meta(self.dol.codebook(), &self.tag_blob(), &self.values);
+        let meta = encode_meta(
+            self.mirrors.dol.codebook(),
+            &self.tag_blob(),
+            &self.mirrors.values,
+        );
         let meta_head = write_blob(&self.pool, &meta)?;
         write_catalog(
             &self.pool,
             &Catalog {
-                struct_first: self.store.block_info(0).page,
-                max_records: self.store.config().max_records_per_block as u32,
+                struct_first: self.mirrors.store.block_info(0).page,
+                max_records: self.mirrors.store.config().max_records_per_block as u32,
                 meta_head,
                 meta_bytes: meta.len() as u64,
-                total_nodes: self.store.total_nodes(),
+                total_nodes: self.mirrors.store.total_nodes(),
             },
         )?;
         Ok(())
@@ -482,32 +473,9 @@ impl SecureXmlDb {
         wal.recover_onto_with_decisions(data.as_ref(), decided)?;
 
         let pool = Arc::new(BufferPool::new(data, cfg.buffer_pool_pages));
-        let img = load_image(&pool)?;
+        let mirrors = load_image(&pool)?;
         pool.attach_wal(wal);
-        let epoch = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        if cfg.epoch_retain > 0 {
-            pool.enable_version_ring(Arc::clone(&epoch), cfg.epoch_retain);
-        }
-        Ok(SecureXmlDb {
-            doc: Arc::new(img.doc),
-            store: Arc::new(img.store),
-            values: Arc::new(img.values),
-            dol: Arc::new(EmbeddedDol::from_codebook(img.codebook)),
-            tag_index: Arc::new(img.tag_index),
-            value_index: Arc::new(img.value_index),
-            pool,
-            epoch,
-            caches: Arc::new(crate::reader::QueryCaches::default()),
-            persistent: true,
-            image_path: None,
-            poisoned: std::sync::atomic::AtomicBool::new(false),
-            detached: std::sync::atomic::AtomicBool::new(false),
-            rollback_mirrors: std::sync::Mutex::new(None),
-            in_batch: false,
-            prepared: None,
-            auto_compact_blocks: 0,
-            in_maintenance: false,
-        })
+        Ok(Self::assemble(mirrors, pool, cfg, true))
     }
 }
 

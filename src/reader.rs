@@ -8,29 +8,20 @@
 //! number of them can run on separate threads while the owner keeps the
 //! `&mut self` update API to itself.
 //!
-//! Two snapshot protocols exist, selected by
-//! [`crate::DbConfig::epoch_retain`]:
+//! The buffer pool's **version ring** keeps the pre-images of the last
+//! [`crate::DbConfig::epoch_retain`] committed epochs. Every query pins its
+//! page reads to the reader's stamped epoch
+//! ([`dol_storage::with_read_epoch`]), so a reader anywhere inside the
+//! retention window keeps answering whole-epoch results — a concurrent
+//! commit never turns it stale. Only a reader that outlives the window
+//! fails, with the typed [`DbError::RetentionExceeded`] carrying the refresh
+//! path; it is never served a wrong or torn answer.
 //!
-//! * **MVCC (the default, `epoch_retain > 0`).** The buffer pool's version
-//!   ring keeps the pre-images of the last N committed epochs. Every query
-//!   pins its page reads to the reader's stamped epoch
-//!   ([`dol_storage::with_read_epoch`]), so a reader anywhere inside the
-//!   retention window keeps answering whole-epoch results *forever* — a
-//!   concurrent commit never turns it stale. Only a reader that outlives
-//!   the window fails, with the typed [`DbError::RetentionExceeded`]
-//!   carrying the refresh path; it is never served a wrong or torn answer.
-//! * **Legacy epoch fencing (`epoch_retain: 0`).** Every update transaction
-//!   bumps the epoch *before* touching any page; a reader verifies the
-//!   epoch both before and after executing a query and fails with
-//!   [`DbError::StaleReader`] instead of returning an answer that might mix
-//!   pre- and post-update pages.
-//!
-//! In both modes the window is torn-*set*, never torn-*page*: individual
-//! pages only change under the buffer pool's exclusive latch, so a racing
-//! reader sees each page whole — the end-of-query servability check exists
-//! because a query spans many pages and two epochs' worth of them do not
-//! form a snapshot (under MVCC it only fires when the ring's floor advanced
-//! past the pin mid-query).
+//! The window is torn-*set*, never torn-*page*: individual pages only change
+//! under the buffer pool's exclusive latch, so a racing reader sees each
+//! page whole — the end-of-query servability check exists because a query
+//! spans many pages and two epochs' worth of them do not form a snapshot (it
+//! only fires when the ring's floor advanced past the pin mid-query).
 //!
 //! Two caches ride along, shared by the database handle and every reader:
 //!
@@ -42,26 +33,23 @@
 //!   codebook version) → result`. A warm hit returns the cached matches
 //!   with **zero page I/O** — the key's epoch and codebook-version stamps
 //!   prove the cached answer is still the answer, so not even a §3.3
-//!   header probe is needed. Under MVCC an old-epoch entry stays *valid*
-//!   as long as the ring can serve its epoch — commits evict exactly the
-//!   keys whose epoch fell below the retention floor
-//!   (`QueryCaches::evict_dead_epochs`); in legacy mode every bump
-//!   invalidates wholesale. Codebook-only changes such as
+//!   header probe is needed. An old-epoch entry stays *valid* as long as
+//!   the ring can serve its epoch — commits evict exactly the keys whose
+//!   epoch fell below the retention floor
+//!   (`QueryCaches::evict_dead_epochs`). Codebook-only changes such as
 //!   [`SecureXmlDb::add_subject`] are additionally fenced by the codebook
 //!   version stamp carried from PR 1.
 //!
 //! [`SecureXmlDb::query`] deliberately bypasses the result cache (the
 //! fail-closed fault tests re-run identical queries expecting *different*
 //! answers as disk faults arm and disarm); only readers serve cached
-//! results.
+//! results. Both drive the engine through the same
+//! `MirrorSnapshot::execute`.
 
 use crate::{DbError, MirrorSnapshot, SecureXmlDb};
-use dol_core::EmbeddedDol;
-use dol_nok::{
-    fnv1a, ExecOptions, LruCache, PlanCache, QueryEngine, QueryError, QueryResult, Security,
-};
-use dol_storage::{with_read_epoch, BPlusTree, IoStats, StructStore, ValueStore};
-use dol_xml::{Document, TagId};
+use dol_nok::{fnv1a, ExecOptions, LruCache, PlanCache, QueryResult, Security};
+use dol_storage::{with_read_epoch, IoStats};
+use dol_xml::Document;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -117,21 +105,17 @@ impl QueryCaches {
         &self.plans
     }
 
-    /// Drops every cached result. Called on each legacy-mode epoch bump
-    /// (the keys carry the epoch so the entries are already unreachable —
-    /// clearing just stops the LRU from nursing dead weight) and on
-    /// [`SecureXmlDb::recover`], where the ring barrier kills every old
-    /// epoch at once.
+    /// Drops every cached result. Called on [`SecureXmlDb::recover`], where
+    /// the ring barrier kills every old epoch at once.
     pub(crate) fn invalidate_results(&self) {
         self.results.clear();
     }
 
-    /// MVCC cache hygiene: drops exactly the results keyed on epochs the
-    /// version ring can no longer serve (`epoch < floor`). Entries at or
-    /// above the floor stay — under MVCC an old-epoch answer remains *the*
-    /// answer for readers pinned to that epoch. Called on every commit that
-    /// advances the ring, so no dead-epoch entry outlives the commit that
-    /// killed its epoch.
+    /// Cache hygiene: drops exactly the results keyed on epochs the version
+    /// ring can no longer serve (`epoch < floor`). Entries at or above the
+    /// floor stay — an old-epoch answer remains *the* answer for readers
+    /// pinned to that epoch. Called on every commit that advances the ring,
+    /// so no dead-epoch entry outlives the commit that killed its epoch.
     pub(crate) fn evict_dead_epochs(&self, floor: u64) {
         self.results.retain(|k| k.2 >= floor);
     }
@@ -174,20 +158,15 @@ pub struct CacheStats {
 
 /// A snapshot read handle created by [`SecureXmlDb::reader`].
 ///
-/// Cloning the handle is cheap (seven `Arc` bumps) and stamps nothing new:
+/// Cloning the handle is cheap (eight `Arc` bumps) and stamps nothing new:
 /// clones share the original's epoch stamp. Readers are `Send`, so the
-/// usual serving shape is one reader per client thread. Under MVCC (the
-/// default) a reader keeps answering across concurrent updates for as long
-/// as the version ring retains its epoch, and is re-created only on
-/// [`DbError::RetentionExceeded`]; in legacy mode (`epoch_retain: 0`) it is
-/// re-created whenever a query fails with [`DbError::StaleReader`].
+/// usual serving shape is one reader per client thread. A reader keeps
+/// answering across concurrent updates for as long as the version ring
+/// retains its epoch, and is re-created only on
+/// [`DbError::RetentionExceeded`].
+#[derive(Clone)]
 pub struct DbReader {
-    doc: Arc<Document>,
-    store: Arc<StructStore>,
-    values: Arc<ValueStore>,
-    dol: Arc<EmbeddedDol>,
-    tag_index: Arc<BPlusTree<TagId, Vec<u64>>>,
-    value_index: Arc<BPlusTree<(TagId, u64), Vec<u64>>>,
+    snap: MirrorSnapshot,
     epoch: Arc<AtomicU64>,
     caches: Arc<QueryCaches>,
     /// The update epoch this snapshot was taken at.
@@ -196,59 +175,21 @@ pub struct DbReader {
     codebook_version: u64,
 }
 
-impl Clone for DbReader {
-    fn clone(&self) -> Self {
-        Self {
-            doc: Arc::clone(&self.doc),
-            store: Arc::clone(&self.store),
-            values: Arc::clone(&self.values),
-            dol: Arc::clone(&self.dol),
-            tag_index: Arc::clone(&self.tag_index),
-            value_index: Arc::clone(&self.value_index),
-            epoch: Arc::clone(&self.epoch),
-            caches: Arc::clone(&self.caches),
-            seen: self.seen,
-            codebook_version: self.codebook_version,
-        }
-    }
-}
-
 impl DbReader {
-    pub(crate) fn new(db: &SecureXmlDb) -> Self {
+    /// A reader over `snap` — the live mirrors, or, on a poisoned database,
+    /// the stashed pre-transaction mirrors (the state matching the
+    /// rolled-back pages). Either way it is stamped with the *current*
+    /// epoch: no further update can commit while the handle is poisoned, so
+    /// a degraded snapshot stays fresh until [`SecureXmlDb::recover`] bumps
+    /// the epoch — and raises the version ring's barrier — at which point it
+    /// fails [`DbError::RetentionExceeded`] like any outlived reader.
+    pub(crate) fn new(db: &SecureXmlDb, snap: MirrorSnapshot) -> Self {
         Self {
-            doc: Arc::clone(&db.doc),
-            store: Arc::clone(&db.store),
-            values: Arc::clone(&db.values),
-            dol: Arc::clone(&db.dol),
-            tag_index: Arc::clone(&db.tag_index),
-            value_index: Arc::clone(&db.value_index),
-            epoch: Arc::clone(&db.epoch),
-            caches: Arc::clone(&db.caches),
-            seen: db.epoch.load(Ordering::SeqCst),
-            codebook_version: db.dol.codebook().version(),
-        }
-    }
-
-    /// A degraded-mode reader over a poisoned database's stashed
-    /// pre-transaction mirrors (the state matching the rolled-back pages).
-    /// Stamped with the *current* epoch: no further update can commit while
-    /// the handle is poisoned, so the snapshot stays fresh until
-    /// [`SecureXmlDb::recover`] bumps the epoch — and raises the version
-    /// ring's barrier — at which point it fails
-    /// [`DbError::RetentionExceeded`] (MVCC) or [`DbError::StaleReader`]
-    /// (legacy) like any outlived reader.
-    pub(crate) fn degraded(db: &SecureXmlDb, snap: &MirrorSnapshot) -> Self {
-        Self {
-            doc: Arc::clone(&snap.doc),
-            store: Arc::clone(&snap.store),
-            values: Arc::clone(&snap.values),
-            dol: Arc::clone(&snap.dol),
-            tag_index: Arc::clone(&snap.tag_index),
-            value_index: Arc::clone(&snap.value_index),
             epoch: Arc::clone(&db.epoch),
             caches: Arc::clone(&db.caches),
             seen: db.epoch.load(Ordering::SeqCst),
             codebook_version: snap.dol.codebook().version(),
+            snap,
         }
     }
 
@@ -257,11 +198,10 @@ impl DbReader {
         self.seen
     }
 
-    /// Whether an update has overtaken this snapshot. In legacy mode
-    /// (`epoch_retain: 0`) a stale reader fails every further query with
-    /// [`DbError::StaleReader`]; under MVCC it keeps answering as of its
-    /// pinned epoch for as long as the version ring retains it — staleness
-    /// only means "a newer epoch exists", not "unservable".
+    /// Whether an update has overtaken this snapshot. A stale reader keeps
+    /// answering as of its pinned epoch for as long as the version ring
+    /// retains it — staleness only means "a newer epoch exists", not
+    /// "unservable".
     pub fn is_stale(&self) -> bool {
         self.epoch.load(Ordering::SeqCst) != self.seen
     }
@@ -271,26 +211,16 @@ impl DbReader {
     /// version ring decides: an epoch at or above the retention floor is
     /// served whole from the ring's pre-images ([`with_read_epoch`] pins the
     /// pool reads); one below it gets the typed [`DbError::RetentionExceeded`]
-    /// with the refresh path. With the ring disabled this is the legacy
-    /// fail-fast [`DbError::StaleReader`] protocol.
+    /// with the refresh path.
     fn check_servable(&self) -> Result<(), DbError> {
         let now = self.epoch.load(Ordering::SeqCst);
-        if now == self.seen {
+        let pool = self.snap.store.pool();
+        if now == self.seen || pool.epoch_servable(self.seen) {
             return Ok(());
         }
-        let pool = self.store.pool();
-        if pool.version_ring_enabled() {
-            if pool.epoch_servable(self.seen) {
-                return Ok(());
-            }
-            return Err(DbError::RetentionExceeded {
-                seen: self.seen,
-                oldest: pool.ring_floor(),
-                now,
-            });
-        }
-        Err(DbError::StaleReader {
+        Err(DbError::RetentionExceeded {
             seen: self.seen,
+            oldest: pool.ring_floor(),
             now,
         })
     }
@@ -302,12 +232,10 @@ impl DbReader {
     /// statistics report an all-zero [`IoStats`] and zero elapsed time for
     /// the call). On a miss the query executes normally and the result is
     /// cached — but only after a second servability check proves the whole
-    /// execution was answerable as of this snapshot's epoch. Under MVCC the
-    /// execution is pinned to that epoch (concurrent commits never tear or
-    /// stale it); a result whose epoch fell out of the retention window
-    /// mid-flight is discarded and reported as
-    /// [`DbError::RetentionExceeded`]. In legacy mode results overtaken
-    /// mid-flight are discarded and reported as [`DbError::StaleReader`].
+    /// execution was answerable as of this snapshot's epoch. The execution
+    /// is pinned to that epoch (concurrent commits never tear or stale it);
+    /// a result whose epoch fell out of the retention window mid-flight is
+    /// discarded and reported as [`DbError::RetentionExceeded`].
     pub fn query(&self, query: &str, security: Security) -> Result<QueryResult, DbError> {
         self.query_opts(query, security, ExecOptions::default())
     }
@@ -336,47 +264,16 @@ impl DbReader {
             }
             // Hash collision: fall through, execute, and overwrite.
         }
-        // The compiled lowering is fenced on the snapshot's tag space:
-        // `get_or_compile` re-lowers if tags grew since it was cached, and
-        // `execute_compiled_opts` falls back to an ephemeral recompile if
-        // this snapshot's interner is older than the cached lowering.
-        let (plan, compiled) = self
-            .caches
-            .plans
-            .get_or_compile(query, self.doc.tags())
-            .map_err(QueryError::Parse)?;
-        let mut engine = QueryEngine::with_index(
-            &self.store,
-            &self.values,
-            self.doc.tags(),
-            Some(&self.dol),
-            &self.tag_index,
-        );
-        engine.set_value_index(&self.value_index);
-        // Pin every page read to this snapshot's epoch: with the version
-        // ring enabled, the pool serves each page as of `seen` even while
-        // commits land concurrently (a no-op in legacy mode).
-        let exec = with_read_epoch(self.seen, || {
-            if opts.compiled {
-                engine.execute_compiled_opts(&plan, &compiled, security, opts)
-            } else {
-                engine.execute_plan_opts(&plan, security, opts)
-            }
-        });
-        let result = match exec {
-            Ok(r) => r,
-            Err(e @ QueryError::DeadlineExceeded(_)) => {
-                self.caches.note_deadline_abort();
-                return Err(e.into());
-            }
-            Err(e) => return Err(e.into()),
-        };
+        // Pin every page read to this snapshot's epoch: the pool serves each
+        // page as of `seen` even while commits land concurrently.
+        let result = with_read_epoch(self.seen, || {
+            self.snap.execute(&self.caches, query, security, opts)
+        })?;
         // Cache (and return) only results that were servable end-to-end:
-        // in legacy mode that means computed entirely inside one epoch;
-        // under MVCC it means the retention floor never advanced past the
-        // pin mid-query (a pinned read past the floor may have been served
-        // a live frame, so the result is discarded unseen). This is the
-        // only place the query string is cloned.
+        // the retention floor never advanced past the pin mid-query (a
+        // pinned read past the floor may have been served a live frame, so
+        // the result is discarded unseen). This is the only place the query
+        // string is cloned.
         self.check_servable()?;
         self.caches.results.insert(
             key,
@@ -415,12 +312,11 @@ impl DbReader {
     }
 
     /// [`query`](Self::query) with bounded automatic re-snapshotting: when
-    /// the query fails [`DbError::StaleReader`] (legacy mode: an update
-    /// overtook this snapshot mid-flight) or [`DbError::RetentionExceeded`]
-    /// (MVCC: the snapshot outlived the version ring's retention window),
-    /// `refresh` is called for a fresh reader — typically `|| db.reader()`
-    /// through whatever latch guards the handle — which replaces `self`,
-    /// and the query is retried, at most `max_retries` times.
+    /// the query fails [`DbError::RetentionExceeded`] (the snapshot outlived
+    /// the version ring's retention window), `refresh` is called for a fresh
+    /// reader — typically `|| db.reader()` through whatever latch guards the
+    /// handle — which replaces `self`, and the query is retried, at most
+    /// `max_retries` times.
     /// [`DbError::Overloaded`] (admission control shed the request) is
     /// retried on the same ladder after an exponential backoff pause (the
     /// [`RetryPolicy`](crate::RetryPolicy) default schedule) — shedding is
@@ -428,11 +324,10 @@ impl DbReader {
     /// retries would defeat it. Every other outcome (including the final
     /// staleness or overload failure) is returned as-is.
     ///
-    /// With the version ring enabled the staleness arm is a *fallback*, not
-    /// the common path: inside the retention window plain
-    /// [`query`](Self::query) never fails for snapshot-age reasons, so the
-    /// refresh closure only runs for readers held across more committed
-    /// epochs than the ring retains.
+    /// The staleness arm is a *fallback*, not the common path: inside the
+    /// retention window plain [`query`](Self::query) never fails for
+    /// snapshot-age reasons, so the refresh closure only runs for readers
+    /// held across more committed epochs than the ring retains.
     pub fn query_with_retry<F>(
         &mut self,
         query: &str,
@@ -506,7 +401,9 @@ impl DbReader {
     /// Whether `subject` may access the node at `pos` in this snapshot.
     pub fn accessible(&self, pos: u64, subject: dol_acl::SubjectId) -> Result<bool, DbError> {
         self.check_servable()?;
-        let ok = with_read_epoch(self.seen, || self.dol.accessible(&self.store, pos, subject))?;
+        let ok = with_read_epoch(self.seen, || {
+            self.snap.dol.accessible(&self.snap.store, pos, subject)
+        })?;
         self.check_servable()?;
         Ok(ok)
     }
@@ -514,19 +411,19 @@ impl DbReader {
     /// Fetches the value of the node at `pos` in this snapshot.
     pub fn value(&self, pos: u64) -> Result<Option<String>, DbError> {
         self.check_servable()?;
-        let v = with_read_epoch(self.seen, || self.values.get(pos))?;
+        let v = with_read_epoch(self.seen, || self.snap.values.get(pos))?;
         self.check_servable()?;
         Ok(v)
     }
 
     /// The snapshot's master document.
     pub fn document(&self) -> &Document {
-        &self.doc
+        &self.snap.doc
     }
 
     /// Number of nodes in the snapshot.
     pub fn len(&self) -> usize {
-        self.store.total_nodes() as usize
+        self.snap.store.total_nodes() as usize
     }
 
     /// A snapshot is never empty.
@@ -579,9 +476,7 @@ pub fn jittered_backoff(policy: &crate::RetryPolicy, seed: u64, attempt: u32) ->
 /// Classifies a query outcome for the retry loop: `None` is terminal.
 fn retry_action(outcome: &Result<QueryResult, DbError>) -> Option<RetryAction> {
     match outcome {
-        Err(DbError::StaleReader { .. } | DbError::RetentionExceeded { .. }) => {
-            Some(RetryAction::Refresh)
-        }
+        Err(DbError::RetentionExceeded { .. }) => Some(RetryAction::Refresh),
         Err(DbError::Overloaded) => Some(RetryAction::Backoff),
         _ => None,
     }
@@ -610,10 +505,6 @@ mod tests {
     fn retry_loop_classifies_overload_as_backoff() {
         // Snapshot-age failures re-snapshot; shed load backs off in place;
         // everything else (including success) is terminal.
-        assert_eq!(
-            retry_action(&Err(DbError::StaleReader { seen: 0, now: 1 })),
-            Some(RetryAction::Refresh)
-        );
         assert_eq!(
             retry_action(&Err(DbError::RetentionExceeded {
                 seen: 0,
@@ -724,9 +615,8 @@ mod tests {
 
     #[test]
     fn overtaken_reader_keeps_serving_its_pinned_epoch() {
-        // MVCC (the default config): an update does NOT evict the reader —
-        // it keeps answering as of epoch 0 while a fresh reader sees the
-        // new epoch.
+        // An update does NOT evict the reader — it keeps answering as of
+        // epoch 0 while a fresh reader sees the new epoch.
         let mut db = two_subject_db();
         let r = db.reader();
         assert_eq!(r.epoch(), 0);
@@ -768,36 +658,42 @@ mod tests {
     }
 
     #[test]
-    fn legacy_mode_overtaken_reader_fails_fast_with_stale_reader() {
+    fn epoch_retain_zero_is_served_as_one() {
         let xml = "<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>";
         let doc = dol_xml::parse(xml).unwrap();
         let mut map = AccessibilityMap::new(2, doc.len());
         for p in 0..doc.len() as u32 {
             map.set(SubjectId(0), NodeId(p), true);
         }
-        for p in [0u32, 3, 4, 5] {
-            map.set(SubjectId(1), NodeId(p), true);
-        }
         let cfg = crate::DbConfig {
             epoch_retain: 0,
             ..crate::DbConfig::default()
         };
-        let mut db = SecureXmlDb::with_config(doc, &map, cfg).unwrap();
-        let r = db.reader();
-        assert_eq!(r.epoch(), 0);
-        db.set_subtree_access(1, SubjectId(1), true).unwrap();
-        assert!(r.is_stale());
-        match r.query("//b/c", Security::BindingLevel(SubjectId(1))) {
-            Err(DbError::StaleReader { seen: 0, now: 1 }) => {}
-            other => panic!("expected StaleReader, got {other:?}"),
+        let sec = Security::BindingLevel(SubjectId(1));
+        let built = SecureXmlDb::with_config(doc, &map, cfg).unwrap();
+        // The same config opens a persisted image.
+        let data = Arc::new(dol_storage::MemDisk::new());
+        built.save_to_disk(data.clone()).unwrap();
+        let opened =
+            SecureXmlDb::open_on(data, Arc::new(dol_storage::MemDisk::new()), cfg).unwrap();
+        for mut db in [built, opened] {
+            let r = db.reader();
+            db.set_subtree_access(1, SubjectId(1), true).unwrap();
+            // One epoch behind is inside the window of one.
+            assert!(r.is_stale());
+            assert_eq!(r.query("//b/c", sec).unwrap().matches, Vec::<u64>::new());
+            assert_eq!(db.reader().query("//b/c", sec).unwrap().matches, vec![2]);
+            // Two behind is not.
+            db.set_subtree_access(1, SubjectId(1), false).unwrap();
+            assert!(matches!(
+                r.query("//b/c", sec),
+                Err(DbError::RetentionExceeded {
+                    seen: 0,
+                    oldest: 1,
+                    now: 2
+                })
+            ));
         }
-        let r2 = db.reader();
-        assert_eq!(
-            r2.query("//b/c", Security::BindingLevel(SubjectId(1)))
-                .unwrap()
-                .matches,
-            vec![2]
-        );
     }
 
     #[test]

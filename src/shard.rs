@@ -66,8 +66,7 @@ use crate::{DbConfig, DbError, SecureXmlDb};
 use dol_acl::{AccessOracle, AccessibilityMap, BitVec, SubjectId};
 use dol_nok::reference::{naive_eval, RefSecurity};
 use dol_nok::{
-    parse_query, Axis, ExecStats, PNodeId, PatternTree, QueryEngine, QueryPlan, QueryResult,
-    Security,
+    parse_query, Axis, ExecStats, PNodeId, PatternTree, QueryPlan, QueryResult, Security,
 };
 use dol_storage::checksum::crc32c;
 use dol_storage::{Disk, PageId, RecoveryReport, StorageError, PAGE_SIZE};
@@ -760,15 +759,7 @@ fn eval_pattern(
     security: Security,
 ) -> Result<QueryResult, DbError> {
     let plan = QueryPlan::new(pat.clone());
-    let mut engine = QueryEngine::with_index(
-        &db.store,
-        &db.values,
-        db.doc.tags(),
-        Some(&db.dol),
-        &db.tag_index,
-    );
-    engine.set_value_index(&db.value_index);
-    Ok(engine.execute_plan(&plan, security)?)
+    Ok(db.mirrors.engine().execute_plan(&plan, security)?)
 }
 
 fn fold_stats(acc: &mut ExecStats, s: &ExecStats) {

@@ -3,13 +3,13 @@
 //!
 //! Three sections, one database protocol:
 //!
-//! 1. **Throughput at equal durability** — the same update sequence on a
+//! 1. **Fsyncs at equal durability** — the same update sequence on a
 //!    real file-backed database, committed solo (one WAL transaction and
 //!    one fsync per update) vs group-committed (`run_batch`, K updates
 //!    per WAL transaction and fsync). Both end in byte-equal query
 //!    answers; the batched column amortizes the per-transaction catalog +
-//!    meta rewrite and the sync, which is where the throughput headline
-//!    comes from.
+//!    meta rewrite and the sync. What that buys in time is `perf/`'s to
+//!    measure; here it is counted.
 //! 2. **Pinned readers under a writer** — snapshot readers pinned to
 //!    every retained epoch keep answering their own epoch's oracle
 //!    exactly while batches commit over them; a reader that outlives the
@@ -25,9 +25,8 @@
 //! The correctness gates (zero untyped reader failures, zero invariant violations,
 //! solo ≡ batched answers, counter reconciliation, batched fsyncs/update
 //! at most a fifth of solo) are asserted in **every** mode; `--smoke`
-//! only pins the effort so CI runs a deterministic small instance. The
-//! throughput ratio is recorded in `BENCH_mvcc.json`, never gated — it
-//! depends on the disk behind the temp dir.
+//! only pins the effort so CI runs a deterministic small instance.
+//! Nothing is timed.
 
 use crate::table::Table;
 use crate::Effort;
@@ -42,7 +41,6 @@ use secure_xml::{
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use std::time::Instant;
 
 /// Epochs the version ring retains in every section.
 const RETAIN: usize = 4;
@@ -61,40 +59,22 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     let effort = if smoke { Effort::Quick } else { effort };
     println!("MVCC epoch ring + group commit (seed {seed}, retain {RETAIN}, K={BATCH_K})\n");
 
-    let tp = throughput(effort, seed);
+    let durability = equal_durability(effort, seed);
     let pr = pinned_readers(effort, seed);
     let cc = concurrent(effort, seed);
 
     let mut t = Table::new("mvcc", &["section", "updates", "metric", "value"]);
     t.row(&[
-        "throughput".into(),
-        tp.updates.to_string(),
-        "solo updates/s".into(),
-        format!("{:.0}", tp.solo_ups),
-    ]);
-    t.row(&[
-        "throughput".into(),
-        tp.updates.to_string(),
-        "batched updates/s".into(),
-        format!("{:.0}", tp.batched_ups),
-    ]);
-    t.row(&[
-        "throughput".into(),
-        tp.updates.to_string(),
-        "batched/solo ratio".into(),
-        format!("{:.2}x", tp.ratio),
-    ]);
-    t.row(&[
-        "throughput".into(),
-        tp.updates.to_string(),
+        "equal durability".into(),
+        durability.updates.to_string(),
         "fsyncs/update solo".into(),
-        format!("{:.3}", tp.solo_fsyncs_per_update),
+        format!("{:.3}", durability.solo_fsyncs_per_update),
     ]);
     t.row(&[
-        "throughput".into(),
-        tp.updates.to_string(),
+        "equal durability".into(),
+        durability.updates.to_string(),
         "fsyncs/update batched".into(),
-        format!("{:.3}", tp.batched_fsyncs_per_update),
+        format!("{:.3}", durability.batched_fsyncs_per_update),
     ]);
     t.row(&[
         "pinned readers".into(),
@@ -146,19 +126,16 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
          commit; past the {RETAIN}-epoch window they fail typed and refresh.)\n"
     );
 
-    write_json(seed, &tp, &pr, &cc);
+    write_json(seed, &durability, &pr, &cc);
 
     if smoke {
         println!("mvcc --smoke: all assertions passed\n");
     }
 }
 
-/// Section 1 results: solo vs group-committed update throughput.
-struct Throughput {
+/// Section 1 results: solo vs group-committed fsyncs per update.
+struct EqualDurability {
     updates: usize,
-    solo_ups: f64,
-    batched_ups: f64,
-    ratio: f64,
     solo_fsyncs_per_update: f64,
     batched_fsyncs_per_update: f64,
 }
@@ -223,7 +200,7 @@ fn suite_answers(reader: &DbReader) -> Vec<Vec<u64>> {
 
 /// Solo vs batched commits of the same update sequence on file-backed
 /// disks (real fsyncs), ending in identical states.
-fn throughput(effort: Effort, seed: u64) -> Throughput {
+fn equal_durability(effort: Effort, seed: u64) -> EqualDurability {
     let dir = std::env::temp_dir().join(format!("dol-bench-mvcc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
 
@@ -259,11 +236,9 @@ fn throughput(effort: Effort, seed: u64) -> Throughput {
     let mut solo = open("solo");
     let wal = solo.store().pool().wal().expect("wal attached");
     let fsyncs_before = wal.stats().commits;
-    let start = Instant::now();
     for &(pos, allow) in &ops {
         solo.set_node_access(pos, SUBJECT, allow).expect("solo set");
     }
-    let solo_secs = start.elapsed().as_secs_f64();
     let solo_fsyncs = wal.stats().commits - fsyncs_before;
 
     // Batched: K updates fold into one WAL transaction and one fsync.
@@ -271,7 +246,6 @@ fn throughput(effort: Effort, seed: u64) -> Throughput {
     let wal = batched.store().pool().wal().expect("wal attached");
     let fsyncs_before = wal.stats().commits;
     let epoch_before = batched.epoch();
-    let start = Instant::now();
     for chunk in ops.chunks(BATCH_K) {
         let members: Vec<UpdateFn> = chunk
             .iter()
@@ -282,10 +256,9 @@ fn throughput(effort: Effort, seed: u64) -> Throughput {
         let results = batched.run_batch(&members).expect("batch commit");
         assert!(
             results.iter().all(|r| r.is_ok()),
-            "every throughput member is a valid update"
+            "every member is a valid update"
         );
     }
-    let batched_secs = start.elapsed().as_secs_f64();
     let batched_fsyncs = wal.stats().commits - fsyncs_before;
     let batches = updates.div_ceil(BATCH_K) as u64;
     assert_eq!(
@@ -325,11 +298,8 @@ fn throughput(effort: Effort, seed: u64) -> Throughput {
         "group commit must amortize fsyncs at least 5x \
          (solo {solo_fpu:.3}/update, batched {batched_fpu:.3}/update)"
     );
-    Throughput {
+    EqualDurability {
         updates,
-        solo_ups: updates as f64 / solo_secs,
-        batched_ups: updates as f64 / batched_secs,
-        ratio: solo_secs / batched_secs,
         solo_fsyncs_per_update: solo_fpu,
         batched_fsyncs_per_update: batched_fpu,
     }
@@ -607,30 +577,21 @@ fn concurrent(effort: Effort, seed: u64) -> Concurrent {
     }
 }
 
-fn write_json(seed: u64, tp: &Throughput, pr: &Pinned, cc: &Concurrent) {
+fn write_json(seed: u64, durability: &EqualDurability, pr: &Pinned, cc: &Concurrent) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"experiment\": \"mvcc\",\n");
     out.push_str(&format!("  \"seed\": {seed},\n"));
     out.push_str(&format!("  \"epoch_retain\": {RETAIN},\n"));
     out.push_str(&format!("  \"batch_k\": {BATCH_K},\n"));
-    out.push_str(&format!("  \"updates\": {},\n", tp.updates));
-    out.push_str(&format!(
-        "  \"solo_updates_per_sec\": {:.1},\n",
-        tp.solo_ups
-    ));
-    out.push_str(&format!(
-        "  \"batched_updates_per_sec\": {:.1},\n",
-        tp.batched_ups
-    ));
-    out.push_str(&format!("  \"throughput_ratio\": {:.2},\n", tp.ratio));
+    out.push_str(&format!("  \"updates\": {},\n", durability.updates));
     out.push_str(&format!(
         "  \"fsyncs_per_update_solo\": {:.4},\n",
-        tp.solo_fsyncs_per_update
+        durability.solo_fsyncs_per_update
     ));
     out.push_str(&format!(
         "  \"fsyncs_per_update_batched\": {:.4},\n",
-        tp.batched_fsyncs_per_update
+        durability.batched_fsyncs_per_update
     ));
     out.push_str(&format!("  \"pinned_commits\": {},\n", pr.commits));
     out.push_str(&format!(

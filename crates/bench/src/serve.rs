@@ -1,5 +1,5 @@
-//! `serve` — multi-client secure-query serving throughput (not a paper
-//! artifact).
+//! `serve` — multi-client secure-query serving correctness and cache/latch
+//! accounting (not a paper artifact; time is measured by `perf/`).
 //!
 //! N client threads replay a Zipf-weighted mix of the Table-1 queries over a
 //! shared [`SecureXmlDb`], each through its own [`secure_xml::DbReader`]
@@ -19,7 +19,7 @@
 //! door refuses the same request at dispatch, so counting it as served
 //! would let the in-process and wire availability columns disagree).
 //!
-//! Reported per client count: QPS, p50/p99 latency, plan/result cache hit
+//! Reported per client count: plan/result cache hit
 //! rates, the shared-vs-exclusive page-latch ratio, retention refreshes, and
 //! an order-independent fingerprint of every result (equal across same-seed
 //! runs — re-checked here by running one mix twice). Every read-only result
@@ -28,8 +28,7 @@
 //!
 //! `--smoke` runs a pinned-seed configuration and asserts determinism, zero
 //! divergences, zero stale-read errors, and a >90% shared-latch ratio on the
-//! read-only mix. Throughput is *reported but not gated*: the CI container
-//! has a single CPU, so thread scaling is measured for shape, not asserted.
+//! read-only mix. Nothing is timed.
 
 use crate::setup::{xmark_doc, TABLE1};
 use crate::table::{pct, Table};
@@ -44,7 +43,7 @@ use secure_xml::{CacheStats, DbError, Deadline, ExecOptions, SecureXmlDb};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::sync::{Arc, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Pinned seed for CI smoke runs (the paper's submission date).
 pub const DEFAULT_SEED: u64 = 20050405;
@@ -90,9 +89,6 @@ struct MixReport {
     read_only: bool,
     queries: u64,
     updates: u64,
-    qps: f64,
-    p50_us: f64,
-    p99_us: f64,
     plan_hit_rate: f64,
     /// Query→automaton lowerings during the mix. After the first mix warms
     /// the plan cache this stays 0: serving reuses cached lowerings.
@@ -143,7 +139,6 @@ impl MixReport {
 }
 
 struct ClientOutcome {
-    latencies_ns: Vec<u64>,
     queries: u64,
     updates: u64,
     retention_refreshes: u64,
@@ -211,14 +206,6 @@ fn sequential_oracle(db: &SecureXmlDb, pool: &[u32]) -> HashMap<OpKey, Vec<u64>>
     oracle
 }
 
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    if sorted_ns.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ns.len() - 1) as f64 * p).round() as usize;
-    sorted_ns[idx] as f64 / 1e3
-}
-
 fn cache_delta(after: CacheStats, before: CacheStats) -> CacheStats {
     CacheStats {
         plan_hits: after.plan_hits - before.plan_hits,
@@ -250,7 +237,6 @@ fn run_mix(
         (g.io_stats(), g.cache_stats())
     };
     let cum = zipf_cumulative();
-    let start = Instant::now();
     let outcomes: Vec<ClientOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.clients)
             .map(|client| {
@@ -263,7 +249,6 @@ fn run_mix(
             .map(|h| h.join().expect("client"))
             .collect()
     });
-    let elapsed = start.elapsed();
     let (io1, cache1) = {
         let g = db.read().expect("db lock");
         (g.io_stats(), g.cache_stats())
@@ -271,20 +256,11 @@ fn run_mix(
     let io = io1.since(&io0);
     let caches = cache_delta(cache1, cache0);
 
-    let mut latencies: Vec<u64> = outcomes
-        .iter()
-        .flat_map(|o| o.latencies_ns.iter().copied())
-        .collect();
-    latencies.sort_unstable();
-    let queries: u64 = outcomes.iter().map(|o| o.queries).sum();
     MixReport {
         clients: cfg.clients,
         read_only: cfg.update_every == 0,
-        queries,
+        queries: outcomes.iter().map(|o| o.queries).sum(),
         updates: outcomes.iter().map(|o| o.updates).sum(),
-        qps: queries as f64 / elapsed.as_secs_f64(),
-        p50_us: percentile_us(&latencies, 0.50),
-        p99_us: percentile_us(&latencies, 0.99),
         plan_hit_rate: hit_rate(caches.plan_hits, caches.plan_misses),
         plan_compiles: caches.plan_compiles,
         result_hit_rate: hit_rate(caches.result_hits, caches.result_misses),
@@ -312,7 +288,6 @@ fn run_client(
         StdRng::seed_from_u64(cfg.seed ^ (client as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let mut reader = db.read().expect("db lock").reader();
     let mut out = ClientOutcome {
-        latencies_ns: Vec::with_capacity(cfg.ops_per_client),
         queries: 0,
         updates: 0,
         retention_refreshes: 0,
@@ -338,7 +313,6 @@ fn run_client(
             // deadline lapsed before dispatch, warm cache or not, so both
             // outcomes here are bounded refusals — never "served".
             let key = draw_op(&mut rng, cum, &cfg.pool);
-            let t0 = Instant::now();
             loop {
                 let opts = ExecOptions {
                     deadline: Deadline::after(Duration::ZERO),
@@ -358,13 +332,11 @@ fn run_client(
                 }
             }
             out.bounded_refusals += 1;
-            out.latencies_ns.push(t0.elapsed().as_nanos() as u64);
             out.queries += 1;
             continue;
         }
         let key = draw_op(&mut rng, cum, &cfg.pool);
         let security = security_of(key);
-        let t0 = Instant::now();
         // A snapshot held past the retention window is refreshed (and the
         // refresh counted) by the retry ladder.
         let outcome = reader.query_with_retry(TABLE1[key.0].1, security, MAX_STALE_RETRIES, || {
@@ -379,7 +351,6 @@ fn run_client(
             }
             Err(e) => panic!("client {client} query failed: {e}"),
         };
-        out.latencies_ns.push(t0.elapsed().as_nanos() as u64);
         out.queries += 1;
         let Some(result) = result else { continue };
         // Fingerprint the (operation, answer) pair, order-sensitively
@@ -409,7 +380,6 @@ fn run_client(
 fn json_object(r: &MixReport) -> String {
     format!(
         "{{\"clients\": {}, \"read_only\": {}, \"queries\": {}, \"updates\": {}, \
-         \"qps\": {:.1}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \
          \"plan_hit_rate\": {:.4}, \"plan_compiles\": {}, \"result_hit_rate\": {:.4}, \
          \"shared_reads\": {}, \"exclusive_fallbacks\": {}, \"shared_ratio\": {:.4}, \
          \"retention_refreshes\": {}, \
@@ -421,9 +391,6 @@ fn json_object(r: &MixReport) -> String {
         r.read_only,
         r.queries,
         r.updates,
-        r.qps,
-        r.p50_us,
-        r.p99_us,
         r.plan_hit_rate,
         r.plan_compiles,
         r.result_hit_rate,
@@ -508,7 +475,7 @@ fn corporate_space(departments: usize, teams_per_dept: usize) -> (GroupSpace, Ve
     (space, teams)
 }
 
-/// Runs the serving benchmark. `max_clients` caps the thread-scaling sweep
+/// Runs the serving experiment. `max_clients` caps the client-count sweep
 /// (`0` = default of 4); `smoke` pins a small deterministic configuration
 /// and asserts the invariants CI depends on. `subjects` lifts the serving
 /// population off the hardcoded 4: `0` keeps the legacy flat build
@@ -564,16 +531,13 @@ pub fn run(effort: Effort, seed: u64, max_clients: usize, smoke: bool, subjects:
 
     let mut t = Table::new(
         &format!(
-            "secure serving throughput (XMark {nodes} nodes, {subject_count} subjects \
+            "secure serving (XMark {nodes} nodes, {subject_count} subjects \
              ({} in the mix pool), Zipf Table-1 mix, {ops} ops/client, seed {seed})",
             pool.len()
         ),
         &[
             "clients",
             "mode",
-            "QPS",
-            "p50",
-            "p99",
             "result hits",
             "plan hits",
             "compiles",
@@ -587,8 +551,7 @@ pub fn run(effort: Effort, seed: u64, max_clients: usize, smoke: bool, subjects:
     );
     let mut runs: Vec<MixReport> = Vec::new();
 
-    // Read-only thread-scaling sweep. On the 1-CPU CI container the QPS
-    // column measures overhead, not scaling — reported, never gated.
+    // Read-only sweep over client counts.
     let mut clients = 1usize;
     while clients <= max_clients {
         let cfg = MixConfig {
@@ -720,9 +683,6 @@ fn push_row(t: &mut Table, r: &MixReport) {
         } else {
             format!("updates/{}", 8)
         },
-        format!("{:.0}", r.qps),
-        format!("{:.1} us", r.p50_us),
-        format!("{:.1} us", r.p99_us),
         pct(r.result_hit_rate),
         pct(r.plan_hit_rate),
         r.plan_compiles.to_string(),

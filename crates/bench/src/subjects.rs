@@ -7,10 +7,11 @@
 //! registers users purely through the membership table
 //! ([`SecureXmlDb::add_grouped_subjects`]) and at every step measures
 //!
-//! * p50/p99 secure-query latency over a sampled user pool (both secure
-//!   semantics), **gated** to stay within 1.25× of the 4-subject baseline
-//!   (+300 µs noise floor) — derived columns are cached and version-fenced,
-//!   so per-query cost must not grow with the population;
+//! * logical page reads per secure query over a sampled user pool (both
+//!   secure semantics), **gated** to stay within 1.25× of the 4-subject
+//!   baseline — a user's derived column is the OR of its group closure, so
+//!   what a query touches must not grow with the population (the counter
+//!   repeats exactly for one seed; time is `perf/`'s to measure);
 //! * codebook + membership bytes, **gated** sub-linear in subject count and
 //!   reported against the flat one-column-per-subject equivalent;
 //! * answer correctness: sampled users' visible sets equal the OR of their
@@ -33,14 +34,10 @@ use dol_nok::Security;
 use dol_workloads::{GroupedConfig, GroupedWorld};
 use secure_xml::{SecureXmlDb, COMPACT_TICK_BLOCKS};
 use std::io::Write as _;
-use std::time::Instant;
 
-/// Latency-gate slack: p50 at every step must stay within
-/// `P50_RATIO × baseline + P50_EPSILON`.
-const P50_RATIO: f64 = 1.25;
-/// Absolute noise floor for the latency gate (seconds) — sub-millisecond
-/// queries on a shared CI box jitter by more than 25%.
-const P50_EPSILON: f64 = 300e-6;
+/// Cost gate: logical reads per query at every step must stay within
+/// `READS_RATIO ×` the baseline step's.
+const READS_RATIO: f64 = 1.25;
 /// Bytes gate: growing the population by `r` may grow codebook+membership
 /// bytes by at most `0.9 × r` (strictly sub-linear).
 const BYTES_RATIO: f64 = 0.9;
@@ -85,39 +82,27 @@ fn sample_pool(batches: &[Batch], n: usize) -> Vec<(SubjectId, SubjectId)> {
 
 struct StepReport {
     subjects: usize,
-    p50: f64,
-    p99: f64,
+    reads_per_query: f64,
     bytes: usize,
     membership_bytes: usize,
     flat_bytes: usize,
     entries: usize,
 }
 
-/// Measures the query mix over the pool, returning (p50, p99) in seconds.
-/// One warm-up pass first: the gate is about steady-state serving, not the
-/// one-off derivation of a cold subject column.
-fn measure(db: &SecureXmlDb, pool: &[(SubjectId, SubjectId)], reps: usize) -> (f64, f64) {
+/// Runs the query mix over the pool under both secure semantics and
+/// returns the mean logical page reads per query.
+fn reads_per_query(db: &SecureXmlDb, pool: &[(SubjectId, SubjectId)]) -> f64 {
+    let mut reads = 0u64;
+    let mut queries = 0u64;
     for q in QUERIES {
         for &(u, _) in pool {
-            let _ = db.query(q, Security::BindingLevel(u)).expect("warmup");
-        }
-    }
-    let mut lat = Vec::with_capacity(reps * QUERIES.len() * pool.len() * 2);
-    for _ in 0..reps {
-        for q in QUERIES {
-            for &(u, _) in pool {
-                let t = Instant::now();
-                let _ = db.query(q, Security::BindingLevel(u)).expect("query");
-                lat.push(t.elapsed().as_secs_f64());
-                let t = Instant::now();
-                let _ = db.query(q, Security::SubtreeVisibility(u)).expect("query");
-                lat.push(t.elapsed().as_secs_f64());
+            for sec in [Security::BindingLevel(u), Security::SubtreeVisibility(u)] {
+                reads += db.query(q, sec).expect("query").stats.io.logical_reads;
+                queries += 1;
             }
         }
     }
-    lat.sort_by(f64::total_cmp);
-    let pick = |p: f64| lat[((lat.len() - 1) as f64 * p) as usize];
-    (pick(0.5), pick(0.99))
+    reads as f64 / queries as f64
 }
 
 /// Spot-checks that each sampled user's visible set is exactly the OR of
@@ -185,7 +170,6 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         }
         s
     };
-    let reps = if smoke { 3 } else { effort.pick(5, 9) };
     let cfg = GroupedConfig {
         initial_users: 4,
         seed,
@@ -223,16 +207,15 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         "subjects: factored codebook scaling",
         &[
             "subjects",
-            "p50",
-            "p99",
+            "reads/query",
             "entries",
             "codebook+membership",
             "flat equivalent",
-            "p50 vs base",
+            "reads vs base",
         ],
     );
     let mut reports: Vec<StepReport> = Vec::new();
-    let mut base_p50 = 0.0f64;
+    let mut base_reads = 0.0f64;
     let mut base_bytes = 0usize;
     let mut base_subjects = 0usize;
     for &target in &steps {
@@ -260,28 +243,26 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         }
         let pool = sample_pool(&batches, POOL);
         check_answers(&db, &world, &pool);
-        let (p50, p99) = measure(&db, &pool, reps);
+        let reads = reads_per_query(&db, &pool);
         let cb = db.dol().codebook();
         let report = StepReport {
             subjects: target,
-            p50,
-            p99,
+            reads_per_query: reads,
             bytes: cb.bytes(),
             membership_bytes: cb.membership_bytes(),
             flat_bytes: cb.flat_equivalent_bytes(),
             entries: cb.len(),
         };
         if reports.is_empty() {
-            base_p50 = p50;
+            base_reads = reads;
             base_bytes = report.bytes;
             base_subjects = target;
         } else {
-            // Latency gate: flat in the population size.
+            // Cost gate: flat in the population size.
             assert!(
-                p50 <= base_p50 * P50_RATIO + P50_EPSILON,
-                "p50 at {target} subjects regressed: {:.1}µs vs {:.1}µs baseline",
-                p50 * 1e6,
-                base_p50 * 1e6
+                reads <= base_reads * READS_RATIO,
+                "logical reads per query at {target} subjects regressed: \
+                 {reads:.1} vs {base_reads:.1} baseline"
             );
             // Bytes gate: strictly sub-linear in the population size.
             let subject_ratio = target as f64 / base_subjects as f64;
@@ -294,21 +275,19 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         }
         t.row(&[
             target.to_string(),
-            format!("{:.1}µs", p50 * 1e6),
-            format!("{:.1}µs", p99 * 1e6),
+            format!("{reads:.1}"),
             report.entries.to_string(),
             fmt_bytes(report.bytes),
             fmt_bytes(report.flat_bytes),
-            format!("{:.2}x", p50 / base_p50),
+            format!("{:.2}x", reads / base_reads),
         ]);
         reports.push(report);
     }
     t.print();
     println!(
-        "(Gates: p50 within {P50_RATIO}x of the 4-subject baseline (+{:.0}µs floor) at every\n\
-         step; codebook+membership bytes sub-linear ({BYTES_RATIO} x subject ratio); sampled\n\
-         users' visible sets equal their independently computed group-closure OR.)\n",
-        P50_EPSILON * 1e6
+        "(Gates: logical reads per query within {READS_RATIO}x of the 4-subject baseline at\n\
+         every step; codebook+membership bytes sub-linear ({BYTES_RATIO} x subject ratio); sampled\n\
+         users' visible sets equal their independently computed group-closure OR.)\n"
     );
 
     // ---- incremental compaction under churn ---------------------------
@@ -357,16 +336,15 @@ fn write_json(seed: u64, world: &GroupedWorld, reports: &[StepReport], ticks: us
         "  \"physical_columns\": {},\n",
         world.physical_subjects()
     ));
-    out.push_str(&format!("  \"p50_ratio_gate\": {P50_RATIO},\n"));
+    out.push_str(&format!("  \"reads_ratio_gate\": {READS_RATIO},\n"));
     out.push_str(&format!("  \"bytes_ratio_gate\": {BYTES_RATIO},\n"));
     out.push_str("  \"steps\": [\n");
     for (i, r) in reports.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"subjects\": {}, \"p50_us\": {:.2}, \"p99_us\": {:.2}, \"entries\": {}, \
+            "    {{\"subjects\": {}, \"logical_reads_per_query\": {:.2}, \"entries\": {}, \
              \"codebook_bytes\": {}, \"membership_bytes\": {}, \"flat_equivalent_bytes\": {}}}{}\n",
             r.subjects,
-            r.p50 * 1e6,
-            r.p99 * 1e6,
+            r.reads_per_query,
             r.entries,
             r.bytes,
             r.membership_bytes,

@@ -68,11 +68,13 @@
 //! [attached](BufferPool::attach_wal), the after-images of every dirtied
 //! page are committed to the log — synced *before* any of them may be
 //! lazily flushed (WAL-before-data) — so a crash at any later point redoes
-//! the whole transaction or none of it. Nested `atomic_update` calls join
-//! the outermost transaction (a subtree move is a delete + insert in one
-//! atom); inner failures must be propagated outward. Transactions serialize
-//! updates: they are for the single-writer update path, not for concurrent
-//! writers. With no transaction open, every code path — and every I/O
+//! the whole transaction or none of it. A pool has **one** transaction at
+//! a time and it does not nest: opening a second one while the first is
+//! open is a typed error (a caller that wants several mutations in one atom
+//! — a subtree move is a delete + insert — runs them inside one scope).
+//! Transactions serialize updates: they are for the single-writer update
+//! path, not for concurrent writers. With no transaction open, every code
+//! path — and every I/O
 //! counter — is bit-identical to the pre-WAL pool, so experiment replays
 //! are unaffected.
 
@@ -269,9 +271,6 @@ fn victim_slot(frames: &[Frame]) -> usize {
 
 /// State of the open [`BufferPool::atomic_update`] transaction.
 struct TxnState {
-    /// Nesting depth: inner `atomic_update` calls join the outermost
-    /// transaction and only bump this counter.
-    depth: usize,
     /// First-touch pre-images (page bytes + prior dirty flag) for rollback.
     /// Pages with a pre-image must not reach the data disk mid-transaction.
     pre: HashMap<PageId, (Page, bool)>,
@@ -286,8 +285,8 @@ struct TxnState {
     /// committer (see [`BufferPool::txn_savepoint`]).
     savepoint: Option<SavepointState>,
     /// Savepoints released so far — one per committed batch member. The
-    /// outermost commit records `releases.max(1)` as the WAL batch record's
-    /// member count.
+    /// commit records `releases.max(1)` as the WAL batch record's member
+    /// count.
     releases: u32,
     /// Set by [`BufferPool::txn_prepare`]: the after-images are durable in
     /// the WAL under a `Prepare` record and the transaction awaits its
@@ -331,7 +330,7 @@ struct VersionRing {
     /// Sealed deltas, oldest first; `as_of` is non-decreasing.
     committed: VecDeque<VersionDelta>,
     /// Pre-images captured by the open transaction: promoted to a sealed
-    /// delta at the outermost commit, discarded on rollback.
+    /// delta at commit, discarded on rollback.
     open: HashMap<PageId, Page>,
     /// Oldest epoch still servable.
     floor: u64,
@@ -521,7 +520,7 @@ impl BufferPool {
 
     /// Enables MVCC retention: from now on the pool keeps the pre-images of
     /// the last `retain` committed transactions (one sealed delta per
-    /// outermost commit, empty commits included), each stamped with the
+    /// commit, empty commits included), each stamped with the
     /// value of `epoch` — the database epoch counter — at seal time, read
     /// *before* the facade bumps it. A reader pinned with
     /// [`with_read_epoch`] to any epoch ≥ [`ring_floor`](Self::ring_floor)
@@ -969,10 +968,10 @@ impl BufferPool {
     /// to the attached WAL (one synced log append) before returning; a crash
     /// at any later moment recovers the whole mutation. On failure the
     /// dirtied pages are rolled back to their pre-images and the error is
-    /// returned — the cache and disk are exactly as before `f` ran. Nested
-    /// calls join the outermost transaction; inner errors must be propagated
-    /// (an inner `Err` that the outer closure swallows leaves the inner
-    /// mutations in the joined transaction).
+    /// returned — the cache and disk are exactly as before `f` ran. Calling
+    /// it (or [`txn_begin`](Self::txn_begin)) from inside `f` is refused
+    /// with a typed error, which `f` must propagate: transactions do not
+    /// nest.
     ///
     /// Without an attached WAL this still gives all-or-nothing semantics in
     /// the cache (rollback on error), just no crash durability.
@@ -980,7 +979,7 @@ impl BufferPool {
         &self,
         f: impl FnOnce() -> Result<R, E>,
     ) -> Result<R, E> {
-        self.txn_begin();
+        self.txn_begin()?;
         match f() {
             Ok(r) => match self.txn_commit() {
                 Ok(()) => Ok(r),
@@ -1012,29 +1011,33 @@ impl BufferPool {
         wal.checkpoint()
     }
 
-    /// Opens (or nests into) the pool transaction. Prefer
-    /// [`atomic_update`](Self::atomic_update); this is public for the group
-    /// committer, which interleaves [savepoints](Self::txn_savepoint) with
-    /// member closures and cannot express a batch as one closure. Every
-    /// `txn_begin` must be paired with [`txn_commit`](Self::txn_commit) or
+    /// Opens the pool transaction; refused with a typed error while one is
+    /// already open (transactions do not nest — the caller that owns the
+    /// open one runs further mutations inside it). The closure form is
+    /// [`atomic_update`](Self::atomic_update); this is public for the
+    /// database facade, which interleaves [savepoints](Self::txn_savepoint)
+    /// with batch-member closures and ends a distributed transaction with
+    /// [`txn_prepare`](Self::txn_prepare), neither of which fits one
+    /// closure. Every successful `txn_begin` must be paired with
+    /// [`txn_commit`](Self::txn_commit), `txn_prepare` or
     /// [`txn_rollback`](Self::txn_rollback).
-    pub fn txn_begin(&self) {
+    pub fn txn_begin(&self) -> Result<(), StorageError> {
         let mut txn = self.txn.lock();
-        match txn.as_mut() {
-            Some(t) => t.depth += 1,
-            None => {
-                *txn = Some(TxnState {
-                    depth: 1,
-                    pre: HashMap::new(),
-                    order: Vec::new(),
-                    shadow: HashMap::new(),
-                    savepoint: None,
-                    releases: 0,
-                    prepared: false,
-                });
-                self.txn_active.store(true, Ordering::Release);
-            }
+        if txn.is_some() {
+            return Err(StorageError::Io(std::io::Error::other(
+                "txn_begin inside an open transaction",
+            )));
         }
+        *txn = Some(TxnState {
+            pre: HashMap::new(),
+            order: Vec::new(),
+            shadow: HashMap::new(),
+            savepoint: None,
+            releases: 0,
+            prepared: false,
+        });
+        self.txn_active.store(true, Ordering::Release);
+        Ok(())
     }
 
     /// Establishes a savepoint inside the open transaction: a later
@@ -1043,7 +1046,7 @@ impl BufferPool {
     /// transaction work intact — the isolation boundary between group-commit
     /// batch members. One savepoint may be active at a time (members run
     /// strictly in sequence); an unreleased savepoint is folded into the
-    /// outermost commit.
+    /// commit.
     pub fn txn_savepoint(&self) -> Result<(), StorageError> {
         let mut txn = self.txn.lock();
         let t = txn.as_mut().ok_or_else(|| {
@@ -1169,49 +1172,14 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Commits the innermost scope; the outermost commit writes the WAL.
-    /// Public for the group committer (see [`txn_begin`](Self::txn_begin)).
+    /// Commits the open transaction: the after-images of every page it
+    /// dirtied reach the attached WAL as one synced append, then the
+    /// transaction closes. A failure before the append is durable rolls the
+    /// transaction back. Public for the database facade (see
+    /// [`txn_begin`](Self::txn_begin)).
     pub fn txn_commit(&self) -> Result<(), StorageError> {
-        {
-            let mut txn = self.txn.lock();
-            let t = txn.as_mut().expect("commit without an open transaction");
-            if t.prepared {
-                return Err(StorageError::Io(std::io::Error::other(
-                    "commit of a prepared transaction (use txn_finish_prepared)",
-                )));
-            }
-            if t.depth > 1 {
-                t.depth -= 1;
-                return Ok(());
-            }
-        }
-        // Outermost commit. Snapshot the dirtied-page order; the transaction
-        // stays open while their images are read, and no shard lock is
-        // taken while the txn lock is held. An unreleased savepoint (a batch
-        // member that succeeded without an explicit release) folds into the
-        // commit; `members` sizes the WAL batch record.
-        let (order, members) = self.fold_savepoint_and_order();
-        let wal = self.wal();
-        if let Some(wal) = &wal {
-            if !order.is_empty() {
-                let mut images = Vec::with_capacity(order.len());
-                for &id in &order {
-                    match self.page_image(id) {
-                        Ok(img) => images.push((id, img)),
-                        Err(e) => {
-                            self.txn_rollback();
-                            return Err(e);
-                        }
-                    }
-                }
-                let txn_id = self.next_txn_id.fetch_add(1, Ordering::Relaxed);
-                if let Err(e) = wal.commit_batch(txn_id, &images, members) {
-                    self.txn_rollback();
-                    return Err(e);
-                }
-            }
-        }
-        self.txn_close_durable(&order, wal)
+        let order = self.txn_log_images(None)?;
+        self.txn_close_durable(&order, self.wal())
     }
 
     /// First half of a distributed commit: appends the open transaction's
@@ -1219,53 +1187,68 @@ impl BufferPool {
     /// (durable, synced), then leaves the transaction **open and marked
     /// prepared** — its pages keep spilling to the transaction shadow, so no
     /// post-prepare byte can reach the data disk before the decision, and
-    /// the pool refuses checkpoints exactly as for any open transaction.
-    /// Must be the outermost scope. On a WAL append failure the transaction
-    /// is rolled back and the error returned (a clean abort vote).
+    /// the pool refuses checkpoints exactly as for any open transaction. On
+    /// a WAL append failure the transaction is rolled back and the error
+    /// returned (a clean abort vote).
     ///
     /// Without an attached WAL this only marks the transaction prepared —
     /// all-or-nothing in the cache, no crash durability, mirroring
     /// [`atomic_update`](Self::atomic_update)'s contract.
     pub fn txn_prepare(&self, gtid: u64) -> Result<(), StorageError> {
-        {
-            let mut txn = self.txn.lock();
-            let t = txn.as_mut().expect("prepare without an open transaction");
-            if t.prepared {
-                return Err(StorageError::Io(std::io::Error::other(
-                    "transaction already prepared",
-                )));
-            }
-            if t.depth > 1 {
-                return Err(StorageError::Io(std::io::Error::other(
-                    "prepare inside a nested transaction scope",
-                )));
-            }
-        }
-        let (order, members) = self.fold_savepoint_and_order();
-        if let Some(wal) = self.wal() {
-            if !order.is_empty() {
-                let mut images = Vec::with_capacity(order.len());
-                for &id in &order {
-                    match self.page_image(id) {
-                        Ok(img) => images.push((id, img)),
-                        Err(e) => {
-                            self.txn_rollback();
-                            return Err(e);
-                        }
-                    }
-                }
-                let txn_id = self.next_txn_id.fetch_add(1, Ordering::Relaxed);
-                if let Err(e) = wal.prepare(txn_id, &images, gtid, members) {
-                    self.txn_rollback();
-                    return Err(e);
-                }
-            }
-        }
-        let mut txn = self.txn.lock();
-        if let Some(t) = txn.as_mut() {
+        self.txn_log_images(Some(gtid))?;
+        if let Some(t) = self.txn.lock().as_mut() {
             t.prepared = true;
         }
         Ok(())
+    }
+
+    /// The logging half shared by commit (`gtid == None`) and prepare. An
+    /// already-prepared transaction is refused (only
+    /// [`txn_finish_prepared`](Self::txn_finish_prepared) may close it). An
+    /// unreleased savepoint (a batch member that succeeded without an
+    /// explicit release) folds into the transaction; the released count
+    /// sizes the WAL batch record. The transaction stays open while the
+    /// dirtied pages' images are read, in first-dirtied order, and no shard
+    /// lock is taken while the txn lock is held. Any failure rolls the
+    /// transaction back. Returns the dirtied-page order.
+    fn txn_log_images(&self, gtid: Option<u64>) -> Result<Vec<PageId>, StorageError> {
+        let (order, members) = {
+            let mut txn = self.txn.lock();
+            let t = txn.as_mut().expect("commit without an open transaction");
+            if t.prepared {
+                return Err(StorageError::Io(std::io::Error::other(
+                    "transaction already prepared (use txn_finish_prepared)",
+                )));
+            }
+            if t.savepoint.take().is_some() {
+                t.releases += 1;
+            }
+            (t.order.clone(), t.releases.max(1))
+        };
+        let Some(wal) = self.wal() else {
+            return Ok(order);
+        };
+        if order.is_empty() {
+            return Ok(order);
+        }
+        let logged = order
+            .iter()
+            .map(|&id| Ok((id, self.page_image(id)?)))
+            .collect::<Result<Vec<_>, StorageError>>()
+            .and_then(|images| {
+                let txn_id = self.next_txn_id.fetch_add(1, Ordering::Relaxed);
+                match gtid {
+                    None => wal.commit_batch(txn_id, &images, members),
+                    Some(gtid) => wal.prepare(txn_id, &images, gtid, members),
+                }
+            });
+        match logged {
+            Ok(_) => Ok(order),
+            Err(e) => {
+                self.txn_rollback();
+                Err(e)
+            }
+        }
     }
 
     /// Second half of a distributed commit: closes the transaction left
@@ -1297,18 +1280,6 @@ impl BufferPool {
             return Ok(());
         }
         self.txn_close_durable(&order, self.wal())
-    }
-
-    /// Shared pre-WAL step of commit and prepare: folds an unreleased
-    /// savepoint into the transaction and snapshots the dirtied-page order
-    /// plus the batch member count.
-    fn fold_savepoint_and_order(&self) -> (Vec<PageId>, u32) {
-        let mut txn = self.txn.lock();
-        let t = txn.as_mut().expect("no open transaction");
-        if t.savepoint.take().is_some() {
-            t.releases += 1;
-        }
-        (t.order.clone(), t.releases.max(1))
     }
 
     /// The post-WAL half of a commit: write back spilled shadows, close the
@@ -1385,19 +1356,15 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Rolls back the innermost scope; the outermost rollback restores every
-    /// pre-image (bytes and dirty flag) into the cache. Public for the group
-    /// committer (see [`txn_begin`](Self::txn_begin)).
+    /// Rolls back the open transaction: every pre-image (bytes and dirty
+    /// flag) is restored into the cache. Public for the database facade
+    /// (see [`txn_begin`](Self::txn_begin)).
     pub fn txn_rollback(&self) {
-        let state = {
-            let mut txn = self.txn.lock();
-            let t = txn.as_mut().expect("rollback without an open transaction");
-            if t.depth > 1 {
-                t.depth -= 1;
-                return;
-            }
-            txn.take().expect("checked above")
-        };
+        let state = self
+            .txn
+            .lock()
+            .take()
+            .expect("rollback without an open transaction");
         for id in &state.order {
             let (image, was_dirty) = state.pre.get(id).expect("order tracks pre");
             let shard = self.shard_of(*id);
@@ -2172,7 +2139,7 @@ mod tests {
         let ids: Vec<PageId> = (0..2).map(|_| data.allocate_page().unwrap()).collect();
         let pool = BufferPool::new(data.clone(), 8);
         pool.attach_wal(Arc::new(Wal::open(log.clone()).unwrap()));
-        pool.txn_begin();
+        pool.txn_begin().unwrap();
         pool.with_page_mut(ids[0], |p| p.put_u32(0, 41)).unwrap();
         pool.txn_prepare(900).unwrap();
         // Prepared but undecided: the transaction is still open, a plain
@@ -2214,7 +2181,7 @@ mod tests {
         pool.attach_wal(Arc::new(Wal::open(log.clone()).unwrap()));
         pool.with_page_mut(ids[0], |p| p.put_u32(0, 5)).unwrap();
         pool.flush_all().unwrap();
-        pool.txn_begin();
+        pool.txn_begin().unwrap();
         pool.with_page_mut(ids[0], |p| p.put_u32(0, 99)).unwrap();
         pool.txn_prepare(901).unwrap();
         pool.txn_finish_prepared(false).unwrap();
@@ -2230,7 +2197,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_atomic_updates_join_one_transaction() {
+    fn txn_begin_on_an_open_transaction_is_a_typed_error() {
         use crate::wal::Wal;
         let data = Arc::new(MemDisk::new());
         let log = Arc::new(MemDisk::new());
@@ -2240,13 +2207,24 @@ mod tests {
         pool.attach_wal(wal.clone());
         pool.atomic_update(|| -> Result<(), StorageError> {
             pool.with_page_mut(ids[0], |p| p.put_u32(0, 1))?;
-            pool.atomic_update(|| pool.with_page_mut(ids[1], |p| p.put_u32(0, 2)))?;
+            // Neither entry point nests; the refusal leaves the open
+            // transaction exactly as it was.
+            assert!(matches!(pool.txn_begin(), Err(StorageError::Io(_))));
+            let inner: Result<(), StorageError> =
+                pool.atomic_update(|| pool.with_page_mut(ids[1], |p| p.put_u32(0, 2)));
+            assert!(matches!(inner, Err(StorageError::Io(_))));
             assert!(pool.in_transaction());
             pool.with_page_mut(ids[3], |p| p.put_u32(0, 3))
         })
         .unwrap();
         assert!(!pool.in_transaction());
-        assert_eq!(wal.stats().commits, 1, "nested scopes commit once");
+        assert_eq!(wal.stats().commits, 1);
+        assert_eq!(pool.with_page(ids[0], |p| p.get_u32(0)).unwrap(), 1);
+        assert_eq!(pool.with_page(ids[1], |p| p.get_u32(0)).unwrap(), 0);
+        assert_eq!(pool.with_page(ids[3], |p| p.get_u32(0)).unwrap(), 3);
+        // A closed transaction can be followed by a fresh one.
+        pool.txn_begin().unwrap();
+        pool.txn_rollback();
     }
 
     #[test]
@@ -2689,7 +2667,7 @@ mod tests {
     #[test]
     fn savepoint_rollback_unwinds_exactly_the_member_suffix() {
         let (pool, ids) = pool(8);
-        pool.txn_begin();
+        pool.txn_begin().unwrap();
         pool.with_page_mut(ids[0], |p| p.put_u32(0, 1)).unwrap();
         pool.txn_savepoint().unwrap();
         // The member touches a page the txn already owns (ids[0]) and one
@@ -2715,7 +2693,7 @@ mod tests {
         let pool = BufferPool::new(data, 8);
         let wal = Arc::new(Wal::open(log).unwrap());
         pool.attach_wal(wal.clone());
-        pool.txn_begin();
+        pool.txn_begin().unwrap();
         for (i, id) in ids.iter().take(3).enumerate() {
             pool.txn_savepoint().unwrap();
             pool.with_page_mut(*id, |p| p.put_u32(0, i as u32 + 1))
@@ -2735,7 +2713,7 @@ mod tests {
         let (pool, ids) = pool(2);
         pool.with_page_mut(ids[0], |p| p.put_u32(0, 5)).unwrap();
         pool.flush_all().unwrap();
-        pool.txn_begin();
+        pool.txn_begin().unwrap();
         pool.txn_savepoint().unwrap();
         pool.with_page_mut(ids[0], |p| p.put_u32(0, 77)).unwrap();
         // Touch two other pages so ids[0] is evicted while dirty.

@@ -269,7 +269,7 @@ fn member_fails(t: u64) -> bool {
 /// WAL transaction (this is exactly what the database facade's `run_batch`
 /// drives underneath).
 fn apply_batch(pool: &BufferPool, b: u64, seed: u64) -> Result<(), StorageError> {
-    pool.txn_begin();
+    pool.txn_begin()?;
     for t in b * BATCH..(b + 1) * BATCH {
         if let Err(e) = pool.txn_savepoint() {
             pool.txn_rollback();

@@ -90,7 +90,7 @@ use dol_storage::{
 use dol_xml::{Document, NodeId, TagId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Errors from the high-level database API.
 #[derive(Debug)]
@@ -103,10 +103,10 @@ pub enum DbError {
     Query(QueryError),
     /// A node id was out of range or structurally invalid for the operation.
     InvalidNode(u64),
-    /// A previous update failed and rolled back its pages, or the on-disk
-    /// image was compacted underneath this handle: the in-memory mirrors can
-    /// no longer be trusted against the pages, so every further update is
-    /// refused until the database is reopened.
+    /// A previous update transaction failed (its pages rolled back, the
+    /// in-memory mirrors restored to match), or the on-disk image was
+    /// compacted underneath this handle: every further update is refused
+    /// until the database is [recovered](SecureXmlDb::recover) or reopened.
     Poisoned,
     /// A [`DbReader`] pinned to epoch `seen` outlived the MVCC version
     /// ring's retention window: the oldest epoch still servable is `oldest`
@@ -261,10 +261,11 @@ pub struct SecureXmlDb {
     /// compares against it to tell same-path compaction from a save to a
     /// fresh destination.
     image_path: Option<PathBuf>,
-    /// Set when a failed update rolled back its pages (the in-memory
-    /// mirrors may have advanced past them) or when [`SecureXmlDb::save_to`]
-    /// compacted the image underneath this handle; every further update
-    /// fails with [`DbError::Poisoned`] until the database is
+    /// Set when an update transaction failed (its pages rolled back and the
+    /// mirrors were restored to match, but whatever broke it is still out
+    /// there) or when [`SecureXmlDb::save_to`] compacted the image
+    /// underneath this handle; every further update fails with
+    /// [`DbError::Poisoned`] until the database is
     /// [recovered](SecureXmlDb::recover) or reopened.
     poisoned: AtomicBool,
     /// Set by a same-path [`SecureXmlDb::save_to`] compaction: the on-disk
@@ -272,32 +273,33 @@ pub struct SecureXmlDb {
     /// [`SecureXmlDb::recover`] is impossible — only a reopen from the path
     /// can continue.
     detached: AtomicBool,
-    /// The pre-transaction mirror snapshot stashed when an update poisons
-    /// the handle. The failed transaction's pages rolled back to their
-    /// pre-images, so these mirrors — not the possibly-advanced live ones —
-    /// are what matches the pages: degraded [readers](SecureXmlDb::reader)
-    /// serve from them, and in-memory [`SecureXmlDb::recover`] restores
-    /// them.
-    rollback_mirrors: Mutex<Option<MirrorSnapshot>>,
-    /// Set while [`run_batch`](SecureXmlDb::run_batch) is driving member
-    /// closures: their internal `run_txn` calls short-circuit into the
-    /// already-open batch transaction instead of opening their own.
-    in_batch: bool,
-    /// The in-flight distributed transaction, if any: its global id and the
-    /// pre-transaction mirror snapshot captured by
-    /// [`run_prepared`](SecureXmlDb::run_prepared), consumed by
-    /// [`finish_prepared`](SecureXmlDb::finish_prepared) (restored on
-    /// abort, dropped on commit).
-    prepared: Option<(u64, MirrorSnapshot)>,
-    /// When non-zero, every successful update transaction is followed by
-    /// one incremental-compaction step rewriting at most this many blocks
-    /// (in its own transaction). `0` (the default) leaves compaction fully
-    /// manual — see [`set_auto_compaction`](SecureXmlDb::set_auto_compaction).
-    auto_compact_blocks: usize,
-    /// Re-entrancy guard: set while the post-commit maintenance hook is
-    /// driving a compaction step, whose own commit must not re-trigger the
-    /// hook.
-    in_maintenance: bool,
+    /// Who owns the one update transaction, if anyone.
+    txn: TxnScope,
+}
+
+/// The state of a [`SecureXmlDb`]'s one update transaction — the only thing
+/// the update path consults to decide who may open, join or close it.
+/// `before` is the mirror set captured when the transaction opened: holding
+/// its `Arc`s forces the transaction body's `Arc::make_mut`s to copy on
+/// write, so a failed transaction puts back exactly the mirrors that match
+/// its rolled-back pages.
+enum TxnScope {
+    /// No transaction: an update method opens (and commits) its own.
+    Idle,
+    /// A driver — a bare update method, [`SecureXmlDb::run_update`],
+    /// [`SecureXmlDb::run_batch`] or [`SecureXmlDb::run_prepared`] — is
+    /// between begin and close: update methods called now run their bodies
+    /// in its transaction, and no second driver may start.
+    Open { before: MirrorSnapshot },
+    /// [`SecureXmlDb::run_prepared`] logged the transaction under `gtid`;
+    /// it stays open in the pool, invisible, until
+    /// [`SecureXmlDb::finish_prepared`] delivers the decision.
+    Prepared { gtid: u64, before: MirrorSnapshot },
+}
+
+/// The typed refusal for a transaction driver called out of turn.
+fn out_of_turn(msg: impl Into<String>) -> DbError {
+    DbError::Storage(StorageError::Io(std::io::Error::other(msg.into())))
 }
 
 /// One group-commit batch member: an update closure the batch committer can
@@ -430,11 +432,7 @@ impl SecureXmlDb {
             image_path: None,
             poisoned: AtomicBool::new(false),
             detached: AtomicBool::new(false),
-            rollback_mirrors: Mutex::new(None),
-            in_batch: false,
-            prepared: None,
-            auto_compact_blocks: 0,
-            in_maintenance: false,
+            txn: TxnScope::Idle,
         }
     }
 
@@ -459,77 +457,128 @@ impl SecureXmlDb {
         Ok(db)
     }
 
-    /// Runs `f` as one crash-consistent transaction: every page it dirties
-    /// is captured, and on commit the after-images reach the write-ahead log
-    /// (when one is attached) before any data page. On a persistent database
-    /// the catalog and meta blob are rewritten inside the same transaction,
-    /// so a crash anywhere leaves the image in exactly the before- or
-    /// after-state. If `f` fails, the pages roll back to their pre-images —
-    /// but in-memory mirrors (master document, value index, codebook, tag
-    /// and value B+-trees) may have advanced past them, so the handle is
-    /// **poisoned**: every further update fails with [`DbError::Poisoned`]
-    /// until the database is reopened (queries keep working against the
-    /// in-memory state).
+    /// Opens the handle's one update transaction for the driver `who`: the
+    /// guards (no scope already open, handle not poisoned), the
+    /// pre-transaction mirror snapshot, and the pool transaction — the only
+    /// place any of the three happens.
+    fn begin(&mut self, who: &str) -> Result<(), DbError> {
+        if !matches!(self.txn, TxnScope::Idle) {
+            return Err(out_of_turn(format!("{who} inside an open transaction")));
+        }
+        if self.is_poisoned() {
+            return Err(DbError::Poisoned);
+        }
+        self.pool.txn_begin()?;
+        self.txn = TxnScope::Open {
+            before: self.mirrors.clone(),
+        };
+        Ok(())
+    }
+
+    /// Closes the open scope. On a persistent database the catalog and meta
+    /// blob are rewritten inside the transaction, so a crash anywhere leaves
+    /// the image in exactly the before- or after-state. Then, with
+    /// `gtid == None`, the transaction **commits** (after-images to the
+    /// write-ahead log before any data page) and the epoch is published; a
+    /// failure poisons the handle. With `gtid == Some(g)` it is **prepared**
+    /// under `g` and stays open and invisible until
+    /// [`finish_prepared`](Self::finish_prepared); a failure is a clean
+    /// abort vote.
+    fn close(&mut self, gtid: Option<u64>) -> Result<(), DbError> {
+        let logged = (|| -> Result<(), DbError> {
+            if self.persistent {
+                self.rewrite_meta()?;
+            }
+            match gtid {
+                None => self.pool.txn_commit()?,
+                Some(gtid) => self.pool.txn_prepare(gtid)?,
+            }
+            Ok(())
+        })();
+        match (logged, gtid) {
+            (Ok(()), None) => {
+                self.txn = TxnScope::Idle;
+                self.publish_epoch();
+                Ok(())
+            }
+            (Ok(()), Some(gtid)) => {
+                if let TxnScope::Open { before } = std::mem::replace(&mut self.txn, TxnScope::Idle)
+                {
+                    self.txn = TxnScope::Prepared { gtid, before };
+                }
+                Ok(())
+            }
+            (Err(e), None) => {
+                self.poison();
+                Err(e)
+            }
+            (Err(e), Some(_)) => {
+                self.abort();
+                Err(e)
+            }
+        }
+    }
+
+    /// The clean-abort path: pages back to their pre-images (unless the
+    /// pool already rolled them back itself, as a failed commit or prepare
+    /// does), mirrors back to the snapshot `begin` took. No epoch bump —
+    /// the current epoch still describes the pages — and the handle stays
+    /// healthy.
+    fn abort(&mut self) {
+        if self.pool.in_transaction() {
+            self.pool.txn_rollback();
+        }
+        if let TxnScope::Open { before } | TxnScope::Prepared { before, .. } =
+            std::mem::replace(&mut self.txn, TxnScope::Idle)
+        {
+            self.mirrors = before;
+        }
+    }
+
+    /// The poisoning path: a clean abort, then every further update is
+    /// refused with [`DbError::Poisoned`] until
+    /// [`recover`](Self::recover) or a reopen. The handle and its readers
+    /// keep answering the (restored) pre-transaction state.
+    fn poison(&mut self) {
+        self.abort();
+        self.poisoned.store(true, Ordering::Release);
+    }
+
+    /// Runs `f` in the handle's transaction: in the scope a driver already
+    /// opened — **the** join rule, the only one — or else in a scope of its
+    /// own, where an `Err` from `f` poisons the handle. Every update method
+    /// runs its body through here.
     fn run_txn<R>(
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<R, DbError>,
     ) -> Result<R, DbError> {
-        // Inside a batch the enclosing run_batch owns the transaction, the
-        // epoch bump, and the mirror snapshots; the member's update methods
-        // just run their bodies in the open transaction.
-        if self.in_batch {
+        if matches!(self.txn, TxnScope::Open { .. }) {
             return f(self);
         }
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(DbError::Poisoned);
-        }
-        // Capture the pre-transaction mirrors. Holding these Arcs forces the
-        // transaction body's `Arc::make_mut`s to copy-on-write, so on failure
-        // a known-good mirror set (matching the rolled-back pages) survives
-        // for degraded readers and in-process recovery.
-        let before = self.mirrors.clone();
-        let pool = self.pool.clone();
-        let res = pool.atomic_update(|| {
-            let r = f(self)?;
-            if self.persistent {
-                self.rewrite_meta()?;
-            }
-            Ok(r)
-        });
-        match &res {
-            Ok(_) => self.publish_epoch(),
-            Err(_) => {
-                // No epoch bump: the rollback restored the pages, so the
-                // current epoch still describes them.
-                *self
-                    .rollback_mirrors
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner()) = Some(before);
-                self.poisoned.store(true, Ordering::Release);
+        self.begin("update")?;
+        match f(self) {
+            Ok(r) => self.close(None).map(|()| r),
+            Err(e) => {
+                self.poison();
+                Err(e)
             }
         }
-        // Post-commit maintenance: piggy-back one bounded compaction step on
-        // this commit when auto-compaction is enabled and a plan is armed.
-        // The step runs as its own transaction (its failure poisons the
-        // handle through the normal path but does not undo the user's
-        // already-committed transaction); the `in_maintenance` guard stops
-        // the step's own commit from re-entering this hook.
-        if res.is_ok()
-            && self.auto_compact_blocks > 0
-            && !self.in_maintenance
-            && self.mirrors.dol.codebook().compaction().is_some()
-        {
-            self.in_maintenance = true;
-            let budget = self.auto_compact_blocks;
-            let _ = self.compaction_tick(budget);
-            self.in_maintenance = false;
-        }
-        res
     }
 
-    /// Runs one update closure as its own crash-consistent transaction —
-    /// the public solo-commit path, used by the group committer to replay
-    /// members of a batch that could not be committed together.
+    /// Runs one update closure as one crash-consistent transaction — the
+    /// public solo-commit path, used by the group committer to replay
+    /// members of a batch that could not be committed together. The update
+    /// methods `f` calls run their bodies inside this transaction: one
+    /// write-ahead-log commit, one meta rewrite, one epoch for all of them.
+    ///
+    /// If `f` (or the commit) fails, the pages roll back to their
+    /// pre-images, the in-memory mirrors are restored to match them, and
+    /// the handle is **poisoned**: every further update fails with
+    /// [`DbError::Poisoned`] until [`recover`](Self::recover) or a reopen
+    /// (queries keep answering the pre-transaction state). `f` must
+    /// propagate the errors of the update methods it calls — a swallowed
+    /// one leaves that method's partial work in the transaction. Called
+    /// from inside an open transaction, `f` simply joins it.
     pub fn run_update(
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<(), DbError>,
@@ -550,7 +599,7 @@ impl SecureXmlDb {
     }
 
     /// Runs `members` as one **group commit**: every member executes inside
-    /// a single pool transaction, so the whole batch reaches the write-ahead
+    /// a single transaction, so the whole batch reaches the write-ahead
     /// log as one WAL transaction and one sync — K updates, one fsync, and a
     /// power cut anywhere commits all of them or none.
     ///
@@ -567,93 +616,47 @@ impl SecureXmlDb {
     ///
     /// The epoch advances once per batch: all members land in the same new
     /// epoch, and readers pinned to older retained epochs keep answering.
+    /// Called from inside an open transaction (a member closure, a
+    /// `run_update` closure) the batch is refused with a typed
+    /// `Storage(Io(..))` error and the open transaction is untouched.
     pub fn run_batch(&mut self, members: &[UpdateFn]) -> Result<Vec<Result<(), DbError>>, DbError> {
-        if self.in_batch || self.pool.in_transaction() {
-            return Err(DbError::Storage(StorageError::Io(std::io::Error::other(
-                "run_batch inside an open transaction",
-            ))));
-        }
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(DbError::Poisoned);
-        }
+        self.begin("run_batch")?;
         if members.is_empty() {
+            // Nothing to commit, and no epoch to spend on it.
+            self.abort();
             return Ok(Vec::new());
         }
-        let batch_before = self.mirrors.clone();
         let pool = self.pool.clone();
-        pool.txn_begin();
-        self.in_batch = true;
         let mut results: Vec<Result<(), DbError>> = Vec::with_capacity(members.len());
-        let mut abort: Option<DbError> = None;
         for member in members {
-            // Per-member isolation: mirrors snapshot + page savepoint.
+            // Per-member isolation: mirrors snapshot + page savepoint. A
+            // savepoint operation failing is the batch mechanism failing:
+            // abandon the whole transaction cleanly — the database is
+            // exactly as before the call, so the caller may replay solo.
             let member_before = self.mirrors.clone();
-            if let Err(e) = pool.txn_savepoint() {
-                abort = Some(e.into());
-                break;
-            }
-            match member(self) {
-                Ok(()) => match pool.txn_release_savepoint() {
-                    Ok(()) => results.push(Ok(())),
-                    Err(e) => {
-                        abort = Some(e.into());
-                        break;
-                    }
-                },
+            let isolated = pool.txn_savepoint().and_then(|()| match member(self) {
+                Ok(()) => pool.txn_release_savepoint().map(|()| Ok(())),
                 Err(e) => {
                     // The member failed: reject it without harming its
                     // peers — pages back to the savepoint, mirrors back to
                     // the member snapshot.
                     self.mirrors = member_before;
-                    match pool.txn_rollback_to_savepoint() {
-                        Ok(()) => results.push(Err(e)),
-                        Err(sp_err) => {
-                            abort = Some(sp_err.into());
-                            break;
-                        }
-                    }
+                    pool.txn_rollback_to_savepoint().map(|()| Err(e))
+                }
+            });
+            match isolated {
+                Ok(result) => results.push(result),
+                Err(e) => {
+                    self.abort();
+                    return Err(e.into());
                 }
             }
         }
-        self.in_batch = false;
-        if let Some(e) = abort {
-            // The batch mechanism failed: abandon the whole transaction
-            // cleanly. The rollback restores every page pre-image, the
-            // snapshot restores the matching mirrors — the database is
-            // exactly as before the call, so the caller may replay solo.
-            pool.txn_rollback();
-            self.mirrors = batch_before;
-            return Err(e);
-        }
-        let commit = (|| -> Result<(), DbError> {
-            if self.persistent {
-                self.rewrite_meta()?;
-            }
-            Ok(pool.txn_commit()?)
-        })();
-        match commit {
-            Ok(()) => {
-                self.publish_epoch();
-                Ok(results)
-            }
-            Err(e) => {
-                // rewrite_meta may have failed before the commit was
-                // attempted — the transaction is then still open.
-                if pool.in_transaction() {
-                    pool.txn_rollback();
-                }
-                *self
-                    .rollback_mirrors
-                    .lock()
-                    .unwrap_or_else(|er| er.into_inner()) = Some(batch_before);
-                self.poisoned.store(true, Ordering::Release);
-                Err(e)
-            }
-        }
+        self.close(None).map(|()| results)
     }
 
     /// First half of a distributed (cross-shard) commit: runs `f` inside a
-    /// pool transaction and **prepares** it under the global transaction id
+    /// transaction and **prepares** it under the global transaction id
     /// `gtid` — the after-images reach the write-ahead log (synced) under a
     /// `Prepare` record, but the transaction stays open and *invisible*:
     /// no dirty byte can reach the data disk, recovery presumes abort, the
@@ -665,48 +668,19 @@ impl SecureXmlDb {
     /// vote**: pages and mirrors are rolled back and the handle stays
     /// healthy — unlike [`run_update`](Self::run_update), nothing poisons,
     /// because no cover story is needed for a transaction that was never
-    /// visible.
+    /// visible. Called from inside an open transaction, or while another
+    /// prepared transaction awaits its decision, it is refused with a typed
+    /// `Storage(Io(..))` error and that transaction is untouched.
     pub fn run_prepared(
         &mut self,
         gtid: u64,
         f: impl FnOnce(&mut Self) -> Result<(), DbError>,
     ) -> Result<(), DbError> {
-        if self.in_batch || self.prepared.is_some() || self.pool.in_transaction() {
-            return Err(DbError::Storage(StorageError::Io(std::io::Error::other(
-                "run_prepared inside an open transaction",
-            ))));
-        }
-        if self.poisoned.load(Ordering::Acquire) {
-            return Err(DbError::Poisoned);
-        }
-        let before = self.mirrors.clone();
-        let pool = self.pool.clone();
-        pool.txn_begin();
-        self.in_batch = true; // member update methods join this transaction
-        let body = (|| -> Result<(), DbError> {
-            f(self)?;
-            if self.persistent {
-                self.rewrite_meta()?;
-            }
-            Ok(())
-        })();
-        self.in_batch = false;
-        match body {
-            Ok(()) => match pool.txn_prepare(gtid) {
-                Ok(()) => {
-                    self.prepared = Some((gtid, before));
-                    Ok(())
-                }
-                Err(e) => {
-                    // txn_prepare rolled the pages back on failure; restore
-                    // the matching mirrors. Clean abort: no poison.
-                    self.mirrors = before;
-                    Err(e.into())
-                }
-            },
+        self.begin("run_prepared")?;
+        match f(self) {
+            Ok(()) => self.close(Some(gtid)),
             Err(e) => {
-                pool.txn_rollback();
-                self.mirrors = before;
+                self.abort();
                 Err(e)
             }
         }
@@ -724,36 +698,34 @@ impl SecureXmlDb {
     /// ([`recover_with_decisions`](Self::recover_with_decisions) with
     /// `gtid` decided) replays the prepared images from the log.
     pub fn finish_prepared(&mut self, gtid: u64, commit: bool) -> Result<(), DbError> {
-        let (g, before) = self
-            .prepared
-            .take()
-            .ok_or(DbError::Storage(StorageError::Io(std::io::Error::other(
-                "finish_prepared without a prepared transaction",
-            ))))?;
-        if g != gtid {
-            self.prepared = Some((g, before));
-            return Err(DbError::Storage(StorageError::Io(std::io::Error::other(
-                "finish_prepared gtid mismatch",
-            ))));
+        match self.prepared_gtid() {
+            Some(g) if g == gtid => {}
+            Some(_) => return Err(out_of_turn("finish_prepared gtid mismatch")),
+            None => {
+                return Err(out_of_turn(
+                    "finish_prepared without a prepared transaction",
+                ))
+            }
         }
         if !commit {
             self.pool.txn_finish_prepared(false)?;
-            self.mirrors = before;
+            self.abort();
             return Ok(());
         }
-        match self.pool.txn_finish_prepared(true) {
+        // Committed whatever happens next: the decision is durable and so
+        // are the prepared images, so the live (after) mirrors describe the
+        // pages and the before-snapshot is dropped.
+        let closed = self.pool.txn_finish_prepared(true);
+        self.txn = TxnScope::Idle;
+        match closed {
             Ok(()) => {
                 self.publish_epoch();
                 Ok(())
             }
             Err(e) => {
-                // The decision is commit and the prepared images are durable
-                // in the log; only the local write-back failed. The live
-                // (after) mirrors describe the committed state, so no
-                // before-snapshot is stashed: degraded readers serve the
-                // committed image, and recovery with this gtid decided
-                // replays the pages underneath it.
-                self.poisoned.store(true, Ordering::Release);
+                // Only the local write-back failed; recovery with this gtid
+                // decided replays the pages underneath the mirrors.
+                self.poison();
                 Err(e.into())
             }
         }
@@ -763,7 +735,10 @@ impl SecureXmlDb {
     /// any (between [`run_prepared`](Self::run_prepared) and
     /// [`finish_prepared`](Self::finish_prepared)).
     pub fn prepared_gtid(&self) -> Option<u64> {
-        self.prepared.as_ref().map(|(g, _)| *g)
+        match self.txn {
+            TxnScope::Prepared { gtid, .. } => Some(gtid),
+            _ => None,
+        }
     }
 
     /// The oldest epoch the MVCC version ring still retains. A [`DbReader`]
@@ -788,17 +763,17 @@ impl SecureXmlDb {
     ///   [`open_on`](Self::open_on) does first), and all in-memory mirrors
     ///   — master document, block store, value store, DOL, tag and value
     ///   indexes — are rebuilt from the recovered pages.
-    /// * On an **in-memory** database, the failed transaction already
-    ///   rolled its pages back to their pre-images; the pre-transaction
-    ///   mirror snapshot is restored to match them.
+    /// * On an **in-memory** database there is nothing to rebuild: the
+    ///   failed transaction rolled its pages back to their pre-images and
+    ///   restored the matching mirrors when it failed.
     ///
-    /// Either way the rebuilt state must pass
+    /// Either way the state must pass
     /// [`verify_integrity`](Self::verify_integrity) before the poison latch
-    /// is cleared; on failure the handle stays poisoned and the error is
-    /// returned. Success bumps the update epoch and raises the version
-    /// ring's barrier (outstanding readers fail
-    /// [`DbError::RetentionExceeded`] and re-snapshot), drops all cached
-    /// results, and resets the I/O circuit breaker.
+    /// is cleared; on failure the handle stays poisoned, the error is
+    /// returned, and a later call may try again. Success bumps the update
+    /// epoch and raises the version ring's barrier (outstanding readers
+    /// fail [`DbError::RetentionExceeded`] and re-snapshot), drops all
+    /// cached results, and resets the I/O circuit breaker.
     ///
     /// A handle *detached* by a same-path [`save_to`](Self::save_to)
     /// compaction cannot recover — the on-disk image no longer matches this
@@ -829,11 +804,9 @@ impl SecureXmlDb {
         // forever absent) in the catalog.
         if let Some(gtid) = self.prepared_gtid() {
             let commit = decided.contains(&gtid);
-            if let Err(e) = self.finish_prepared(gtid, commit) {
-                // A failed finish poisons; fall through into full recovery
-                // below, which rebuilds from the log + decisions.
-                let _ = e;
-            }
+            // A failed finish poisons; fall through into full recovery
+            // below, which rebuilds from the log + decisions.
+            let _ = self.finish_prepared(gtid, commit);
         }
         if !self.is_poisoned() {
             self.pool.reset_breaker();
@@ -848,26 +821,14 @@ impl SecureXmlDb {
             let wal = self.pool.wal().ok_or(DbError::Poisoned)?;
             let report = wal.recover_onto_with_decisions(self.pool.disk().as_ref(), decided)?;
             self.mirrors = persist::load_image(&self.pool)?;
-            *self
-                .rollback_mirrors
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()) = None;
             Some(report)
         } else {
-            // In-memory: the rollback already restored the page pre-images;
-            // restore the matching pre-transaction mirrors. If the snapshot
-            // is gone (already consumed by a failed recovery), reopening is
-            // the only way out.
-            self.mirrors = self
-                .rollback_mirrors
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                .ok_or(DbError::Poisoned)?;
+            // In-memory: the failed transaction already restored the page
+            // pre-images and the mirrors that match them.
             None
         };
         // Never declare health unverified: the poison latch stays set if the
-        // rebuilt state is inconsistent (e.g. torn pages with no log to redo
+        // state is inconsistent (e.g. torn pages with no log to redo
         // from).
         self.verify_integrity()?;
         self.poisoned.store(false, Ordering::Release);
@@ -999,22 +960,12 @@ impl SecureXmlDb {
     /// version ring retains it; past that it is refused with
     /// [`DbError::RetentionExceeded`] — take a fresh reader and retry.
     ///
-    /// **Degraded mode:** a poisoned handle keeps serving readers. If the
-    /// poison came from a failed (rolled-back) update, the reader snapshots
-    /// the stashed *pre-transaction* mirrors — the state that matches the
-    /// rolled-back pages — so reads stay consistent while updates are
+    /// **Degraded mode:** a poisoned handle keeps serving readers. A failed
+    /// update put the mirrors back to the pre-transaction state its
+    /// rolled-back pages hold, so reads stay consistent while updates are
     /// refused, until [`recover`](Self::recover) or a reopen.
     pub fn reader(&self) -> DbReader {
-        if self.poisoned.load(Ordering::Acquire) {
-            let snap = self
-                .rollback_mirrors
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if let Some(snap) = snap.as_ref() {
-                return DbReader::new(self, snap.clone());
-            }
-        }
-        DbReader::new(self, self.mirrors.clone())
+        DbReader::new(self)
     }
 
     /// Whether `subject` may access the node at `pos`.
@@ -1118,9 +1069,7 @@ impl SecureXmlDb {
     }
 
     /// Runs one bounded compaction step as its own transaction, rewriting
-    /// at most `max_blocks` blocks. Drive this from a maintenance loop —
-    /// or let [`set_auto_compaction`](SecureXmlDb::set_auto_compaction)
-    /// piggy-back a step on every update commit.
+    /// at most `max_blocks` blocks. Drive this from a maintenance loop.
     pub fn compaction_tick(&mut self, max_blocks: usize) -> Result<CompactionProgress, DbError> {
         self.run_txn(|db| {
             let dol = Arc::make_mut(&mut db.mirrors.dol);
@@ -1133,15 +1082,6 @@ impl SecureXmlDb {
     /// backlog gauge for maintenance schedulers.
     pub fn compaction_backlog(&self) -> u64 {
         self.mirrors.dol.compaction_backlog(&self.mirrors.store)
-    }
-
-    /// Sets the auto-compaction budget: when `blocks_per_txn > 0`, every
-    /// successful update commit is followed by one compaction step of at
-    /// most that many blocks (in its own transaction) while a plan is
-    /// active. `0` pauses the background drain; the armed plan is kept and
-    /// resumes when re-enabled or driven manually.
-    pub fn set_auto_compaction(&mut self, blocks_per_txn: usize) {
-        self.auto_compact_blocks = blocks_per_txn;
     }
 
     /// Adds a logical subject with the given direct parent groups — a
@@ -1780,23 +1720,41 @@ mod tests {
         let sec = Security::BindingLevel(SubjectId(1));
         assert_eq!(db.query("//d/e", sec).unwrap().matches, vec![4]);
 
-        // Arm: every cache-miss read fails permanently; the update fails
-        // inside its transaction and poisons the handle.
+        // Arm: every cache-miss read fails permanently. The transaction's
+        // codebook edit advances the in-memory mirrors, then its node edit
+        // dies on the first page it reads: the handle is poisoned.
         db.pool.clear_cache().unwrap();
         disk.set_armed(true);
-        assert!(db.set_node_access(4, SubjectId(1), false).is_err());
+        let failed = db.run_update(|d| {
+            d.remove_subject(SubjectId(1))?;
+            d.set_node_access(4, SubjectId(1), false)
+        });
+        assert!(matches!(failed, Err(DbError::Storage(_))));
         assert!(db.is_poisoned());
         assert!(matches!(
             db.set_node_access(4, SubjectId(1), true),
             Err(DbError::Poisoned)
         ));
+        assert_eq!(db.epoch(), 0, "a failed transaction publishes nothing");
         disk.set_armed(false);
 
-        // Degraded mode: readers keep serving the pre-transaction state.
+        // Degraded mode: the handle and its readers all keep answering the
+        // pre-transaction state — subject 1 still has its rights.
+        assert_eq!(db.query("//d/e", sec).unwrap().matches, vec![4]);
+        assert!(db.accessible(4, SubjectId(1)).unwrap());
         let degraded = db.reader();
         assert_eq!(degraded.query("//d/e", sec).unwrap().matches, vec![4]);
 
-        // In-process recovery restores the pre-transaction state, verified.
+        // A recovery that cannot verify (the disk fails again underneath
+        // it) leaves the handle poisoned and consumes nothing ...
+        db.pool.clear_cache().unwrap();
+        disk.set_armed(true);
+        assert!(db.recover().is_err());
+        assert!(db.is_poisoned());
+        disk.set_armed(false);
+
+        // ... so a second attempt restores the pre-transaction state,
+        // verified.
         let report = db.recover().unwrap();
         assert!(report.is_none(), "in-memory recovery has no log to replay");
         assert!(!db.is_poisoned());

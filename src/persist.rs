@@ -15,7 +15,7 @@
 //! codebook bytes, the tag-name table, and an explicit serialized value
 //! index. That makes the whole image updatable in place: every update
 //! transaction on a persistent database rewrites the meta blob and the
-//! catalog inside the same [`BufferPool::atomic_update`] as the structural
+//! catalog inside the same [`BufferPool`] transaction as the structural
 //! pages, so the write-ahead log recovers catalog, meta and data together —
 //! the reopened database is in exactly the before- or after-state of each
 //! update. (Superseded meta pages are not reclaimed in place;
@@ -167,11 +167,16 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts, DbError> {
             self.0 = rest;
             Ok(head)
         }
+        fn array<const N: usize>(&mut self) -> Result<[u8; N], DbError> {
+            self.take(N)?
+                .try_into()
+                .map_err(|_| invalid_data("meta blob truncated"))
+        }
         fn u32(&mut self) -> Result<u32, DbError> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+            Ok(u32::from_le_bytes(self.array()?))
         }
         fn u64(&mut self) -> Result<u64, DbError> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+            Ok(u64::from_le_bytes(self.array()?))
         }
     }
     let mut r = Reader(bytes);
@@ -199,6 +204,16 @@ fn decode_meta(bytes: &[u8]) -> Result<MetaParts, DbError> {
         value_pages,
         value_tail,
         value_index,
+    })
+}
+
+/// The value the store's index holds for `pos`. The positions come from that
+/// same index, so a miss means index and log disagree: typed, never a panic.
+fn indexed_value(values: &ValueStore, pos: u64) -> Result<String, DbError> {
+    values.get(pos)?.ok_or_else(|| {
+        DbError::Integrity(format!(
+            "value index names position {pos} but holds no value for it"
+        ))
     })
 }
 
@@ -257,8 +272,15 @@ pub(crate) fn load_image(pool: &Arc<BufferPool>) -> Result<MirrorSnapshot, DbErr
     // Reconstruct the in-memory master document (tags + values).
     let mut doc = store.to_document(&tags)?;
     for (pos, _) in values.iter_lens() {
-        let v = values.get(pos)?.expect("indexed value exists");
-        doc.set_value(NodeId(pos as u32), Some(&v));
+        // The index is persisted bytes: a position past the document would
+        // index out of the node table.
+        if pos >= doc.len() as u64 {
+            return Err(invalid_data(format!(
+                "value index names position {pos}, document has {} nodes",
+                doc.len()
+            )));
+        }
+        doc.set_value(NodeId(pos as u32), Some(&indexed_value(&values, pos)?));
     }
     Ok(MirrorSnapshot {
         tag_index: Arc::new(build_tag_index(&store)?),
@@ -331,8 +353,7 @@ impl SecureXmlDb {
         // 2. Value log, re-packed in position order.
         let mut new_values = ValueStore::new(pool.clone());
         for (pos, _) in self.values().iter_lens() {
-            let v = self.values().get(pos)?.expect("indexed value exists");
-            new_values.put(pos, &v)?;
+            new_values.put(pos, &indexed_value(self.values(), pos)?)?;
         }
 
         // 3. Meta blob (codebook + tags + value index) and catalog.
@@ -566,6 +587,39 @@ mod tests {
         std::fs::write(&path, vec![0u8; 8192]).unwrap();
         assert!(SecureXmlDb::open_from(&path).is_err());
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn value_index_naming_a_missing_node_is_a_typed_open_error() {
+        use super::{read_blob, write_blob, BufferPool, PageId, StorageError};
+        use crate::{DbConfig, DbError};
+        use dol_storage::MemDisk;
+        use std::sync::Arc;
+        let db = all_access_db("<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>");
+        let data = Arc::new(MemDisk::new());
+        db.save_to_disk(data.clone()).unwrap();
+        // Corrupt the image the way a bad sector would, checksums intact:
+        // point the last value-index entry (`pos u64 | off u64 | len u32`,
+        // the final 20 bytes of the meta blob) at a position the document
+        // does not have, and chain the edited blob from the catalog.
+        {
+            let pool = BufferPool::new(data.clone(), 16);
+            let (head, len) = pool
+                .with_page(PageId(0), |p| (PageId(p.get_u32(16)), p.get_u64(20)))
+                .unwrap();
+            let mut meta = read_blob(&pool, head, len).unwrap();
+            let at = meta.len() - 20;
+            meta[at..at + 8].copy_from_slice(&10_000u64.to_le_bytes());
+            let head = write_blob(&pool, &meta).unwrap();
+            pool.with_page_mut(PageId(0), |p| p.put_u32(16, head.0))
+                .unwrap();
+            pool.flush_all().unwrap();
+        }
+        let opened = SecureXmlDb::open_on(data, Arc::new(MemDisk::new()), DbConfig::default());
+        assert!(matches!(
+            opened.err(),
+            Some(DbError::Storage(StorageError::Io(e))) if e.kind() == std::io::ErrorKind::InvalidData
+        ));
     }
 
     #[test]

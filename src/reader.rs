@@ -176,14 +176,14 @@ pub struct DbReader {
 }
 
 impl DbReader {
-    /// A reader over `snap` — the live mirrors, or, on a poisoned database,
-    /// the stashed pre-transaction mirrors (the state matching the
-    /// rolled-back pages). Either way it is stamped with the *current*
-    /// epoch: no further update can commit while the handle is poisoned, so
-    /// a degraded snapshot stays fresh until [`SecureXmlDb::recover`] bumps
-    /// the epoch — and raises the version ring's barrier — at which point it
-    /// fails [`DbError::RetentionExceeded`] like any outlived reader.
-    pub(crate) fn new(db: &SecureXmlDb, snap: MirrorSnapshot) -> Self {
+    /// A reader over `db`'s mirrors, stamped with the current epoch. On a
+    /// poisoned database those are the pre-transaction mirrors the failed
+    /// update restored, and no further update can commit, so a degraded
+    /// snapshot stays fresh until [`SecureXmlDb::recover`] bumps the epoch
+    /// — and raises the version ring's barrier — at which point it fails
+    /// [`DbError::RetentionExceeded`] like any outlived reader.
+    pub(crate) fn new(db: &SecureXmlDb) -> Self {
+        let snap = db.mirrors.clone();
         Self {
             epoch: Arc::clone(&db.epoch),
             caches: Arc::clone(&db.caches),

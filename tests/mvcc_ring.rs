@@ -112,6 +112,102 @@ fn run_batch_commits_members_atomically_in_one_epoch() {
     }
 }
 
+/// The suite's database saved onto fresh in-memory disks and reopened with
+/// a write-ahead log attached: every update rewrites the meta blob.
+fn persistent_twin() -> SecureXmlDb {
+    use secure_xml::storage::MemDisk;
+    use std::sync::Arc;
+    let data = Arc::new(MemDisk::new());
+    build(RETAIN).save_to_disk(data.clone()).unwrap();
+    let cfg = DbConfig {
+        epoch_retain: RETAIN,
+        ..DbConfig::default()
+    };
+    SecureXmlDb::open_on(data, Arc::new(MemDisk::new()), cfg).unwrap()
+}
+
+#[test]
+fn run_update_around_an_update_method_is_one_transaction() {
+    // (WAL commits, WAL records, WAL bytes, pool page writes) so far.
+    let cost = |db: &SecureXmlDb| {
+        let wal = db.store().pool().wal().expect("wal attached").stats();
+        let writes = db.io_stats().physical_writes;
+        (wal.commits, wal.records, wal.bytes_logged, writes)
+    };
+    let mut direct = persistent_twin();
+    let mut wrapped = persistent_twin();
+    assert_eq!(cost(&wrapped), cost(&direct));
+
+    direct.set_node_access(3, SubjectId(1), true).unwrap();
+    wrapped
+        .run_update(|d| {
+            d.set_node_access(3, SubjectId(1), true)?;
+            assert_eq!(d.epoch(), 0, "nothing is published before the commit");
+            Ok(())
+        })
+        .unwrap();
+
+    assert_eq!(direct.epoch(), 1);
+    assert_eq!(wrapped.epoch(), 1, "one transaction, one epoch");
+    assert_eq!(
+        cost(&wrapped),
+        cost(&direct),
+        "the wrapper logs and writes exactly what the bare method does"
+    );
+    assert_eq!(suite_oracle(&wrapped), suite_oracle(&direct));
+}
+
+#[test]
+fn a_driver_started_inside_an_open_transaction_is_refused_and_the_outer_commits() {
+    use secure_xml::storage::StorageError;
+    fn refused<T>(r: Result<T, DbError>) -> bool {
+        matches!(r, Err(DbError::Storage(StorageError::Io(_))))
+    }
+    let grant_6 = |d: &mut SecureXmlDb| d.set_node_access(6, SubjectId(1), true);
+    let mut db = build(RETAIN);
+    let members: Vec<UpdateFn> = vec![Box::new(move |d: &mut SecureXmlDb| {
+        d.set_node_access(3, SubjectId(1), true)?;
+        let inner: Vec<UpdateFn> = vec![Box::new(grant_6)];
+        assert!(refused(d.run_batch(&inner)));
+        assert!(refused(d.run_prepared(7, grant_6)));
+        assert!(refused(d.finish_prepared(7, true)));
+        Ok(())
+    })];
+    let results = db.run_batch(&members).unwrap();
+    assert!(results[0].is_ok());
+    assert_eq!(db.epoch(), 1);
+    assert!(!db.is_poisoned());
+    assert_eq!(db.prepared_gtid(), None);
+    assert!(db.accessible(3, SubjectId(1)).unwrap(), "the outer member");
+    assert!(
+        !db.accessible(6, SubjectId(1)).unwrap(),
+        "no refused driver"
+    );
+
+    // The same rule inside a solo transaction and a prepared one.
+    db.run_update(|d| {
+        assert!(refused(d.run_batch(&[])));
+        assert!(refused(d.run_prepared(8, grant_6)));
+        d.set_node_access(2, SubjectId(1), false)
+    })
+    .unwrap();
+    assert_eq!(db.epoch(), 2);
+    db.run_prepared(9, |d| {
+        assert!(refused(d.run_batch(&[])));
+        assert!(refused(d.run_prepared(10, grant_6)));
+        grant_6(d)
+    })
+    .unwrap();
+    // Prepared and undecided: no driver and no bare update method may start.
+    assert!(refused(db.run_batch(&[])));
+    assert!(refused(db.set_node_access(2, SubjectId(1), true)));
+    assert_eq!(db.prepared_gtid(), Some(9));
+    db.finish_prepared(9, true).unwrap();
+    assert_eq!(db.epoch(), 3);
+    assert!(!db.accessible(2, SubjectId(1)).unwrap());
+    assert!(db.accessible(6, SubjectId(1)).unwrap());
+}
+
 #[test]
 fn empty_and_all_failing_batches_still_advance_one_epoch() {
     let mut db = build(RETAIN);

@@ -64,8 +64,8 @@ impl CascadeRules {
         let mut stack: Vec<(u32, Option<bool>)> = Vec::new();
         let mut effect: Option<bool> = None;
         for id in doc.preorder() {
-            while stack.last().is_some_and(|&(end, _)| end <= id.0) {
-                effect = stack.pop().unwrap().1;
+            while let Some((_, prev)) = stack.pop_if(|&mut (end, _)| end <= id.0) {
+                effect = prev;
             }
             if let Some(rules) = self.by_node.get(&id) {
                 for &(s, allow) in rules {
@@ -129,8 +129,7 @@ impl CascadeRules {
         let mut out: Vec<(u64, BitVec)> = Vec::new();
         let mut dirty = true; // emit position 0 unconditionally
         for id in doc.preorder() {
-            while frames.last().is_some_and(|&(end, _)| end <= id.0) {
-                let (_, ds) = frames.pop().unwrap();
+            while let Some((_, ds)) = frames.pop_if(|&mut (end, _)| end <= id.0) {
                 effect[ds].pop();
                 let bit = *effect[ds].last().unwrap_or(&false);
                 if row.get(ds) != bit {

@@ -1,4 +1,9 @@
 #![warn(missing_docs)]
+// Policies and membership tables are decoded from persisted bytes:
+// production code must return typed errors, never unwrap. Tests may unwrap
+// freely.
+#![warn(clippy::unwrap_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 //! Fine-grained access-control model for XML (paper §2).
 //!

@@ -193,8 +193,7 @@ impl Policy {
         // Frames of (subtree end, saved inherited states) to undo on exit.
         let mut frames: Vec<(u32, Vec<(usize, Option<Effect>)>)> = Vec::new();
         for id in doc.preorder() {
-            while frames.last().is_some_and(|(end, _)| *end <= id.0) {
-                let (_, undo) = frames.pop().unwrap();
+            while let Some((_, undo)) = frames.pop_if(|(end, _)| *end <= id.0) {
                 for (s, saved) in undo {
                     inherited[s] = saved;
                 }
@@ -223,9 +222,11 @@ impl Policy {
                         m
                     });
                 for (s, effects) in by_subject {
-                    let e = self.combine(effects.into_iter()).unwrap();
-                    undo.push((s, inherited[s]));
-                    inherited[s] = Some(e);
+                    // Every list holds at least the rule that created it.
+                    if let Some(e) = self.combine(effects.into_iter()) {
+                        undo.push((s, inherited[s]));
+                        inherited[s] = Some(e);
+                    }
                 }
                 if !undo.is_empty() {
                     frames.push((id.0 + doc.node(id).size, undo));

@@ -142,15 +142,9 @@ fn block_size(effort: Effort) {
                 values.put(u64::from(id.0), v).expect("values");
             }
         }
-        let tag_index = dol_nok::build_tag_index(&store).expect("index");
+        let index = dol_nok::NodeIndex::build(&store, &values).expect("index");
         let cold_reads = {
-            let engine = dol_nok::QueryEngine::with_index(
-                &store,
-                &values,
-                doc.tags(),
-                Some(&dol),
-                &tag_index,
-            );
+            let engine = dol_nok::QueryEngine::new(&store, &values, doc.tags(), Some(&dol), &index);
             pool.clear_cache().expect("clear");
             pool.reset_stats();
             let _ = engine

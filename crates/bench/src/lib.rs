@@ -19,7 +19,6 @@
 //! | [`updates`] | Proposition 1 / §3.4: update costs and transition growth |
 //! | [`ablation`] | design-choice ablations: codebook, page skip, block size |
 //! | [`compile`] | compiled twig execution on the Table-1 mix against the reference evaluator, plus the narrow-subject §3.3 counters (not a paper artifact) |
-//! | [`parallel`] | parallel candidate matching: worker-count scaling (not a paper artifact) |
 //! | [`serve`] | multi-client secure-query serving: snapshot readers, caches, shared latches (not a paper artifact) |
 //! | [`faults`] | fault injection: checksum detection, fail-closed semantics, verify overhead (not a paper artifact) |
 //! | [`crash`] | crash-recovery torture: power cut at every physical write point, recovery must land on a state boundary (not a paper artifact) |
@@ -38,7 +37,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod mvcc;
 pub mod net;
-pub mod parallel;
 pub mod queries;
 pub mod serve;
 pub mod setup;

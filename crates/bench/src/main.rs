@@ -1,15 +1,13 @@
 //! `experiments` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! experiments [--quick|--full] [--parallelism=N] [--seed=N] [--clients=N] [--subjects=N]
-//!             [--smoke]
-//!             [fig4a fig4b fig5 fig6 storage queries fig7 fig8 updates compile parallel faults crash mvcc serve soak shard subjects net | all]
+//! experiments [--quick|--full] [--seed=N] [--clients=N] [--subjects=N] [--smoke]
+//!             [fig4a fig4b fig5 fig6 storage queries fig7 fig8 updates ablation compile faults crash mvcc serve soak shard subjects net | all]
 //! ```
 //!
-//! `--parallelism=N` caps the worker sweep of the `parallel` experiment
-//! (`0` = all available cores, the default). `--seed=N` re-seeds the
-//! `faults`, `crash`, `mvcc`, `serve`, `soak`, and `compile` experiments'
-//! deterministic schedules. `--clients=N` caps the `serve` experiment's
+//! `--seed=N` re-seeds the `faults`, `crash`, `mvcc`, `serve`, `soak`,
+//! `shard`, `subjects`, `net` and `compile` experiments' deterministic
+//! schedules. `--clients=N` caps the `serve` experiment's
 //! client sweep, and `--smoke` makes `serve` run a small pinned
 //! configuration that asserts determinism, zero oracle divergences, zero
 //! stale-read errors, and a >90% shared-latch ratio, shrinks the `soak`
@@ -25,8 +23,8 @@
 //! handled before normal argument parsing.
 
 use dol_bench::{
-    ablation, compile, crash, faults, fig4, fig56, fig7, fig8, mvcc, net, parallel, queries, serve,
-    shard, soak, storage, subjects, updates, Effort,
+    ablation, compile, crash, faults, fig4, fig56, fig7, fig8, mvcc, net, queries, serve, shard,
+    soak, storage, subjects, updates, Effort,
 };
 
 fn main() {
@@ -39,7 +37,6 @@ fn main() {
         _ => {}
     }
     let mut effort = Effort::Quick;
-    let mut parallelism = 0usize;
     let mut seed = faults::DEFAULT_SEED;
     let mut clients = 0usize;
     let mut subjects = 0usize;
@@ -50,30 +47,24 @@ fn main() {
             "--quick" => effort = Effort::Quick,
             "--full" => effort = Effort::Full,
             "--smoke" => smoke = true,
-            other => match other.strip_prefix("--parallelism=") {
-                Some(n) => match n.parse() {
-                    Ok(n) => parallelism = n,
-                    Err(_) => eprintln!("bad --parallelism value `{n}` (ignored)"),
+            other => match (
+                other.strip_prefix("--seed="),
+                other.strip_prefix("--clients="),
+                other.strip_prefix("--subjects="),
+            ) {
+                (Some(n), _, _) => match n.parse() {
+                    Ok(n) => seed = n,
+                    Err(_) => eprintln!("bad --seed value `{n}` (ignored)"),
                 },
-                None => match (
-                    other.strip_prefix("--seed="),
-                    other.strip_prefix("--clients="),
-                    other.strip_prefix("--subjects="),
-                ) {
-                    (Some(n), _, _) => match n.parse() {
-                        Ok(n) => seed = n,
-                        Err(_) => eprintln!("bad --seed value `{n}` (ignored)"),
-                    },
-                    (None, Some(n), _) => match n.parse() {
-                        Ok(n) => clients = n,
-                        Err(_) => eprintln!("bad --clients value `{n}` (ignored)"),
-                    },
-                    (None, None, Some(n)) => match n.parse() {
-                        Ok(n) => subjects = n,
-                        Err(_) => eprintln!("bad --subjects value `{n}` (ignored)"),
-                    },
-                    (None, None, None) => selected.push(other.to_string()),
+                (None, Some(n), _) => match n.parse() {
+                    Ok(n) => clients = n,
+                    Err(_) => eprintln!("bad --clients value `{n}` (ignored)"),
                 },
+                (None, None, Some(n)) => match n.parse() {
+                    Ok(n) => subjects = n,
+                    Err(_) => eprintln!("bad --subjects value `{n}` (ignored)"),
+                },
+                (None, None, None) => selected.push(other.to_string()),
             },
         }
     }
@@ -89,7 +80,6 @@ fn main() {
             "updates".into(),
             "ablation".into(),
             "compile".into(),
-            "parallel".into(),
             "faults".into(),
             "crash".into(),
             "mvcc".into(),
@@ -124,7 +114,6 @@ fn main() {
             "updates" => updates::run(effort),
             "ablation" => ablation::run(effort),
             "compile" => compile::run(effort, seed, smoke),
-            "parallel" => parallel::run(effort, parallelism),
             "faults" => faults::run(effort, seed),
             "crash" => crash::run(effort, seed),
             "mvcc" => mvcc::run(effort, seed, smoke),

@@ -124,18 +124,16 @@ fn oracle_of(db: &SecureXmlDb) -> Oracle {
 // ---------------------------------------------------------------- children
 
 /// Hidden `__net-server` mode: open the image (replaying its log) and serve
-/// until a wire `shutdown` drains. Args: `image max_inflight testing seed`.
+/// until a wire `shutdown` drains. Args: `image max_inflight testing`.
 pub fn server_child(args: &[String]) {
-    let usage = "__net-server <image> <max_inflight> <testing 0|1> <seed>";
+    let usage = "__net-server <image> <max_inflight> <testing 0|1>";
     let image = args.first().unwrap_or_else(|| panic!("{usage}"));
     let max_inflight: usize = args[1].parse().unwrap_or_else(|_| panic!("{usage}"));
     let testing = args[2] == "1";
-    let seed: u64 = args[3].parse().unwrap_or_else(|_| panic!("{usage}"));
     let db = SecureXmlDb::open_from(Path::new(image)).expect("open image");
     let cfg = ServerConfig {
         max_inflight,
         testing,
-        seed,
         idle_timeout: Duration::from_secs(30),
         ..ServerConfig::default()
     };
@@ -245,14 +243,13 @@ struct ServerProc {
     stdout: BufReader<ChildStdout>,
 }
 
-fn spawn_server(image: &Path, max_inflight: usize, seed: u64) -> ServerProc {
+fn spawn_server(image: &Path, max_inflight: usize) -> ServerProc {
     let exe = std::env::current_exe().expect("current_exe");
     let mut child = Command::new(exe)
         .arg("__net-server")
         .arg(image)
         .arg(max_inflight.to_string())
         .arg("1") // chaos phases need the fault-injection method
-        .arg(seed.to_string())
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn server process");
@@ -497,7 +494,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     );
 
     // ---- phase A: byte identity across processes --------------------
-    let server = spawn_server(&image, 64, seed);
+    let server = spawn_server(&image, 64);
     let outs: Vec<PathBuf> = (0..CLIENTS)
         .map(|i| scratch.join(format!("client-{i}.txt")))
         .collect();
@@ -601,7 +598,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     // Restart on the same image: write-ahead-log replay must land exactly
     // the last acknowledged state. The restarted server keeps a 2-slot
     // admission window for the overload phase.
-    let server = spawn_server(&image, 2, seed);
+    let server = spawn_server(&image, 2);
     let restart_served = assert_suite_exact(&server.addr, &oracle, &scratch, "post-restart");
     t.row(&[
         "B restart".into(),

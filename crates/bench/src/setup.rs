@@ -2,10 +2,10 @@
 
 use dol_acl::{AccessOracle, BitVec, SubjectId};
 use dol_core::EmbeddedDol;
-use dol_nok::build_tag_index;
-use dol_storage::{BPlusTree, BufferPool, Disk, MemDisk, StoreConfig, StructStore, ValueStore};
+use dol_nok::NodeIndex;
+use dol_storage::{BufferPool, Disk, MemDisk, StoreConfig, StructStore, ValueStore};
 use dol_workloads::{xmark, SynthAclConfig, XmarkConfig};
-use dol_xml::{Document, NodeId, TagId};
+use dol_xml::{Document, NodeId};
 use std::sync::Arc;
 
 /// A fully-built secured database over a generated document, owning
@@ -19,8 +19,8 @@ pub struct BenchDb {
     pub values: ValueStore,
     /// The embedded DOL.
     pub dol: EmbeddedDol,
-    /// The tag index.
-    pub tag_index: BPlusTree<TagId, Vec<u64>>,
+    /// The node index seeding every match.
+    pub index: NodeIndex,
     /// The buffer pool (for I/O accounting and cache clearing).
     pub pool: Arc<BufferPool>,
 }
@@ -57,25 +57,25 @@ impl BenchDb {
                 values.put(u64::from(id.0), v).expect("value store");
             }
         }
-        let tag_index = build_tag_index(&store).expect("tag index");
+        let index = NodeIndex::build(&store, &values).expect("node index");
         BenchDb {
             doc,
             store,
             values,
             dol,
-            tag_index,
+            index,
             pool,
         }
     }
 
     /// A query engine borrowing this database.
     pub fn engine(&self) -> dol_nok::QueryEngine<'_> {
-        dol_nok::QueryEngine::with_index(
+        dol_nok::QueryEngine::new(
             &self.store,
             &self.values,
             self.doc.tags(),
             Some(&self.dol),
-            &self.tag_index,
+            &self.index,
         )
     }
 }

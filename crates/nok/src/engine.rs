@@ -1,10 +1,9 @@
 //! The query engine: candidates → fragment matches → joins → answers.
 
-use crate::cache::fnv1a;
 use crate::compiled::{
-    CompiledFragment, CompiledMatcher, CompiledPlan, MatchContext, MatchStats, SnapshotCache,
-    VisibleExtents,
+    CompiledMatcher, CompiledPlan, MatchContext, MatchStats, SnapshotCache, VisibleExtents,
 };
+use crate::index::NodeIndex;
 use crate::join::{join_tables, TupleTable, VisibilityChecker};
 use crate::pattern::PNodeId;
 use crate::plan::{NokTree, QueryPlan};
@@ -12,10 +11,9 @@ use crate::xpath::{parse_query, QueryParseError};
 use dol_acl::SubjectId;
 use dol_core::EmbeddedDol;
 use dol_storage::disk::StorageError;
-use dol_storage::{with_io_deadline, BPlusTree, Deadline, IoStats, StructStore, ValueStore};
+use dol_storage::{with_io_deadline, Deadline, IoStats, StructStore, ValueStore};
 use dol_xml::{TagId, TagInterner};
 use std::borrow::Cow;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// The security mode of one evaluation. `Hash`/`Eq` so a (query, security)
@@ -93,13 +91,6 @@ impl From<StorageError> for QueryError {
 pub struct ExecOptions {
     /// Enable the §3.3 page-skip optimization (default: true).
     pub page_skip: bool,
-    /// Worker threads for candidate matching: `1` (the default) evaluates
-    /// sequentially on the calling thread, `0` uses all available cores, any
-    /// other value spawns exactly that many scoped workers. Results are
-    /// byte-identical to sequential evaluation at every setting: candidates
-    /// are split into contiguous chunks and worker outputs are concatenated
-    /// in chunk order.
-    pub parallelism: usize,
     /// Cooperative deadline/cancellation for the whole evaluation (default:
     /// [`Deadline::never`]). The matcher checks it between node loads and
     /// the buffer pool between retry attempts; expiry aborts the query with
@@ -112,39 +103,8 @@ impl Default for ExecOptions {
     fn default() -> Self {
         Self {
             page_skip: true,
-            parallelism: 1,
             deadline: Deadline::never(),
         }
-    }
-}
-
-/// The machine's core count, detected once per process.
-/// `available_parallelism` can cost a syscall (cgroup probing on Linux), and
-/// `parallelism: 0` resolves through here on every fragment of every query.
-fn detected_parallelism() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-impl ExecOptions {
-    /// The effective worker count (`0` resolved to the core count, looked
-    /// up once per process).
-    pub fn effective_parallelism(&self) -> usize {
-        match self.parallelism {
-            0 => detected_parallelism(),
-            n => n,
-        }
-    }
-
-    /// The worker count for one candidate list: effective parallelism
-    /// clamped to the number of candidates, so no worker is spawned without
-    /// a chunk to process (and never zero, so it is safe as a divisor).
-    pub fn workers_for(&self, candidates: usize) -> usize {
-        self.effective_parallelism().clamp(1, candidates.max(1))
     }
 }
 
@@ -180,8 +140,7 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Folds one matcher's counters in (workers merge in chunk order, but
-    /// these sums are order-independent).
+    /// Folds one matcher's counters in.
     fn add_match(&mut self, m: &MatchStats) {
         self.nodes_visited += m.nodes_visited;
         self.nodes_denied += m.nodes_denied;
@@ -199,178 +158,58 @@ pub struct QueryResult {
     pub stats: ExecStats,
 }
 
-/// A query engine over one secured (or unsecured) document store.
-///
-/// Construction scans the store once to build the tag B+-tree index used to
-/// seed NoK pattern matching (§4.1: "using B+ trees on the subtree root's
-/// value or tag names to start the matching").
+/// A query engine over one secured (or unsecured) document store and the
+/// [`NodeIndex`] that seeds its matching.
 pub struct QueryEngine<'a> {
     store: &'a StructStore,
     values: &'a ValueStore,
     tags: &'a TagInterner,
     dol: Option<&'a EmbeddedDol>,
-    tag_index: IndexRef<'a>,
-    /// Optional tag+value index: built by `new`, absent in `with_index`
-    /// engines unless supplied.
-    value_index: ValueIndexRef<'a>,
-}
-
-enum ValueIndexRef<'a> {
-    None,
-    Owned(BPlusTree<(TagId, u64), Vec<u64>>),
-    Borrowed(&'a BPlusTree<(TagId, u64), Vec<u64>>),
-}
-
-impl ValueIndexRef<'_> {
-    fn get(&self) -> Option<&BPlusTree<(TagId, u64), Vec<u64>>> {
-        match self {
-            ValueIndexRef::None => None,
-            ValueIndexRef::Owned(t) => Some(t),
-            ValueIndexRef::Borrowed(t) => Some(t),
-        }
-    }
-}
-
-enum IndexRef<'a> {
-    Owned(BPlusTree<TagId, Vec<u64>>),
-    Borrowed(&'a BPlusTree<TagId, Vec<u64>>),
-}
-
-impl IndexRef<'_> {
-    fn get(&self) -> &BPlusTree<TagId, Vec<u64>> {
-        match self {
-            IndexRef::Owned(t) => t,
-            IndexRef::Borrowed(t) => t,
-        }
-    }
-}
-
-/// Builds the tag index of a store: `tag → ascending positions`.
-pub fn build_tag_index(store: &StructStore) -> Result<BPlusTree<TagId, Vec<u64>>, StorageError> {
-    let mut tag_index: BPlusTree<TagId, Vec<u64>> = BPlusTree::new();
-    for entry in store.iter() {
-        let (pos, rec) = entry?;
-        match tag_index.get_mut(&rec.tag) {
-            Some(v) => v.push(pos),
-            None => {
-                tag_index.insert(rec.tag, vec![pos]);
-            }
-        }
-    }
-    Ok(tag_index)
-}
-
-/// Builds the tag+value index: `(tag, value hash) → ascending positions` of
-/// value-carrying nodes — the other B+-tree the paper starts matching from
-/// (§4.1: "B+ trees on the subtree root's value or tag names").
-pub fn build_value_index(
-    store: &StructStore,
-    values: &ValueStore,
-) -> Result<BPlusTree<(TagId, u64), Vec<u64>>, StorageError> {
-    let mut idx: BPlusTree<(TagId, u64), Vec<u64>> = BPlusTree::new();
-    for entry in store.iter() {
-        let (pos, rec) = entry?;
-        if !rec.has_value {
-            continue;
-        }
-        let Some(v) = values.get(pos)? else { continue };
-        let key = (rec.tag, value_hash(&v));
-        match idx.get_mut(&key) {
-            Some(list) => list.push(pos),
-            None => {
-                idx.insert(key, vec![pos]);
-            }
-        }
-    }
-    Ok(idx)
-}
-
-/// A stable 64-bit value hash for the value index — the shared FNV-1a from
-/// the cache layer ([`fnv1a`]). Collisions are harmless: the matcher
-/// re-checks the actual value.
-fn value_hash(v: &str) -> u64 {
-    fnv1a(v)
+    index: &'a NodeIndex,
 }
 
 impl<'a> QueryEngine<'a> {
-    /// Builds an engine (and its tag index) over a store.
+    /// An engine over `store` seeded from `index`, which the caller built
+    /// from that same store and keeps current.
     pub fn new(
         store: &'a StructStore,
         values: &'a ValueStore,
         tags: &'a TagInterner,
         dol: Option<&'a EmbeddedDol>,
-    ) -> Result<Self, StorageError> {
-        Ok(Self {
-            store,
-            values,
-            tags,
-            dol,
-            tag_index: IndexRef::Owned(build_tag_index(store)?),
-            value_index: ValueIndexRef::Owned(build_value_index(store, values)?),
-        })
-    }
-
-    /// Builds an engine over a store with an externally maintained tag
-    /// index (so long-lived databases don't rescan the store per query).
-    pub fn with_index(
-        store: &'a StructStore,
-        values: &'a ValueStore,
-        tags: &'a TagInterner,
-        dol: Option<&'a EmbeddedDol>,
-        tag_index: &'a BPlusTree<TagId, Vec<u64>>,
+        index: &'a NodeIndex,
     ) -> Self {
         Self {
             store,
             values,
             tags,
             dol,
-            tag_index: IndexRef::Borrowed(tag_index),
-            value_index: ValueIndexRef::None,
+            index,
         }
     }
 
-    /// Attaches an externally maintained tag+value index (see
-    /// [`build_value_index`]) so value-constrained fragment roots seed from
-    /// it.
-    pub fn set_value_index(&mut self, idx: &'a BPlusTree<(TagId, u64), Vec<u64>>) {
-        self.value_index = ValueIndexRef::Borrowed(idx);
-    }
-
     /// The positions of every node with `tag` (ascending), or of every node
-    /// for the wildcard. Borrows straight from the tag index when possible —
-    /// a candidate list is consulted once per query, and cloning (or
-    /// re-sorting) the hottest tag's full position vector per call dominated
-    /// the serve mix. Index lists are built by one document-order scan and
-    /// are therefore already strictly ascending; that invariant is
-    /// debug-asserted here (the leaf fast path and the join sort-elision
-    /// depend on it) instead of re-sorted away.
+    /// for the wildcard. Borrows straight from the index — a candidate list
+    /// is consulted once per query, and cloning (or re-sorting) the hottest
+    /// tag's full position vector per call dominated the serve mix. Index
+    /// lists are built by one document-order scan and are therefore already
+    /// strictly ascending; that invariant is debug-asserted here (the leaf
+    /// fast path and the join sort-elision depend on it) instead of
+    /// re-sorted away.
     pub fn candidates(&self, tag: Option<TagId>) -> Cow<'_, [u64]> {
         match tag {
-            Some(t) => match self.tag_index.get().get(&t) {
-                Some(v) => {
-                    debug_assert_doc_order(v);
-                    Cow::Borrowed(v.as_slice())
-                }
-                None => Cow::Owned(Vec::new()),
-            },
+            Some(t) => borrowed_doc_order(self.index.by_tag(t)),
             None => Cow::Owned((0..self.store.total_nodes()).collect()),
         }
     }
 
     /// Candidate positions for a fragment root with an optional value
-    /// constraint: the tag+value index narrows the list when available
-    /// (hash collisions are re-checked by the matcher).
+    /// constraint, which narrows the list through the tag+value half of the
+    /// index (hash collisions are re-checked by the matcher).
     pub fn candidates_for(&self, tag: Option<TagId>, value: Option<&str>) -> Cow<'_, [u64]> {
-        if let (Some(t), Some(v), Some(idx)) = (tag, value, self.value_index.get()) {
-            return match idx.get(&(t, value_hash(v))) {
-                Some(list) => {
-                    debug_assert_doc_order(list);
-                    Cow::Borrowed(list.as_slice())
-                }
-                None => Cow::Owned(Vec::new()),
-            };
+        match (tag, value) {
+            (Some(t), Some(v)) => borrowed_doc_order(self.index.by_value(t, v)),
+            _ => self.candidates(tag),
         }
-        self.candidates(tag)
     }
 
     /// Parses and evaluates `query` under `security`.
@@ -391,7 +230,7 @@ impl<'a> QueryEngine<'a> {
     /// Evaluates a pre-built plan with explicit execution options.
     ///
     /// The options' [`deadline`](ExecOptions::deadline) is installed as the
-    /// calling thread's (and every worker's) I/O deadline for the duration;
+    /// calling thread's I/O deadline for the duration;
     /// on expiry the query aborts with [`QueryError::DeadlineExceeded`]
     /// carrying the counters and I/O accumulated so far.
     ///
@@ -504,9 +343,9 @@ impl<'a> QueryEngine<'a> {
             plan.trees.len(),
             "compiled plan must be lowered from this query plan"
         );
-        // Shared per-execution snapshot cache: the sequential leaf fast
-        // path, the visibility filter and the join's ancestor-interval fetch
-        // latch each distinct block at most once between them.
+        // Shared per-execution snapshot cache: the leaf fast path, the
+        // visibility filter and the join's ancestor-interval fetch latch
+        // each distinct block at most once between them.
         let mut snaps = SnapshotCache::new();
         let mut tables: Vec<TupleTable> = Vec::with_capacity(plan.trees.len());
         for (i, tree) in plan.trees.iter().enumerate() {
@@ -527,28 +366,20 @@ impl<'a> QueryEngine<'a> {
             self.store.pool().note_pages_skipped(pruned.skipped);
             let cols = fragment_cols(tree, force_root_output);
             // The leaf fast path classifies whole blocks in the compressed
-            // domain; it requires candidates drawn from the tag index (an
-            // anchored root's `[0]` is not), and is sequential by design —
-            // it does no per-candidate work worth parallelizing.
-            let table = if frag.is_leaf() && !anchored_root {
-                let mut m = CompiledMatcher::new(&ctx, frag, force_root_output);
-                let mut table = TupleTable::new(cols);
+            // domain; it requires candidates drawn from the index (an
+            // anchored root's `[0]` is not).
+            let mut m = CompiledMatcher::new(&ctx, frag, force_root_output);
+            let mut table = TupleTable::new(cols);
+            if frag.is_leaf() && !anchored_root {
                 for run in &pruned.runs {
                     m.match_leaf_candidates(run, &mut snaps, &mut table)?;
                 }
-                stats.add_match(&m.stats);
-                table
             } else {
-                match_runs(
-                    &ctx,
-                    frag,
-                    force_root_output,
-                    &pruned.runs,
-                    &cols,
-                    opts,
-                    stats,
-                )?
-            };
+                for &c in pruned.runs.iter().copied().flatten() {
+                    m.match_root(c, &mut table)?;
+                }
+            }
+            stats.add_match(&m.stats);
             tables.push(table);
         }
         self.finish_pipeline(plan, security, &ctx, &extents, tables, stats, &mut snaps)
@@ -662,85 +493,6 @@ impl<'a> QueryEngine<'a> {
     }
 }
 
-/// Matches one fragment rooted at every candidate of `runs`, in order, into
-/// a table over `cols`. With `parallelism > 1` the candidates are split into
-/// contiguous chunks over scoped workers; each worker runs its own matcher
-/// (sharing the context's decoded column) and the workers' tables are
-/// concatenated in chunk order, so the result is byte-identical to
-/// sequential evaluation.
-fn match_runs(
-    ctx: &MatchContext<'_>,
-    frag: &CompiledFragment,
-    force_root_output: bool,
-    runs: &[&[u64]],
-    cols: &[PNodeId],
-    opts: &ExecOptions,
-    stats: &mut ExecStats,
-) -> Result<TupleTable, StorageError> {
-    let match_chunk = |runs: &[&[u64]]| {
-        let mut m = CompiledMatcher::new(ctx, frag, force_root_output);
-        let mut table = TupleTable::new(cols.to_vec());
-        for &c in runs.iter().copied().flatten() {
-            m.match_root(c, &mut table)?;
-        }
-        Ok::<_, StorageError>((table, m.stats))
-    };
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    let per_chunk = if opts.effective_parallelism() <= 1 || total < 2 {
-        vec![match_chunk(runs)]
-    } else {
-        let chunks = split_runs(runs, total.div_ceil(opts.workers_for(total)));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| {
-                    let match_chunk = &match_chunk;
-                    // Thread-locals don't cross scope boundaries: each worker
-                    // installs the evaluation's deadline for its own
-                    // buffer-pool I/O.
-                    scope.spawn(move || with_io_deadline(&opts.deadline, || match_chunk(chunk)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("matcher worker panicked"))
-                .collect()
-        })
-    };
-    let mut table = TupleTable::new(cols.to_vec());
-    for r in per_chunk {
-        let (t, ms) = r?;
-        table.append(t);
-        stats.add_match(&ms);
-    }
-    Ok(table)
-}
-
-/// Cuts `runs` into consecutive pieces of `chunk` candidates (the last may
-/// be shorter), splitting a run where a piece boundary falls inside it.
-fn split_runs<'c>(runs: &[&'c [u64]], chunk: usize) -> Vec<Vec<&'c [u64]>> {
-    let mut out = Vec::new();
-    let mut piece = Vec::new();
-    let mut room = chunk;
-    for &run in runs {
-        let mut run = run;
-        while !run.is_empty() {
-            let (head, tail) = run.split_at(room.min(run.len()));
-            piece.push(head);
-            room -= head.len();
-            run = tail;
-            if room == 0 {
-                out.push(std::mem::take(&mut piece));
-                room = chunk;
-            }
-        }
-    }
-    if !piece.is_empty() {
-        out.push(piece);
-    }
-    out
-}
-
 /// The columns of fragment `tree`'s match table: its outputs, plus its root
 /// when subtree visibility needs every root exported; ascending.
 fn fragment_cols(tree: &NokTree, force_root: bool) -> Vec<PNodeId> {
@@ -759,13 +511,15 @@ fn col_of(table: &TupleTable, pnode: PNodeId) -> usize {
         .expect("pattern node is a live output of its fragment")
 }
 
-/// Debug invariant behind the no-re-sort policy: index candidate lists are
-/// produced by one document-order scan and must be strictly ascending.
-fn debug_assert_doc_order(list: &[u64]) {
+/// Borrows an index list as a candidate list. Debug invariant behind the
+/// no-re-sort policy: index lists are produced by one document-order scan
+/// and must be strictly ascending.
+fn borrowed_doc_order(list: &[u64]) -> Cow<'_, [u64]> {
     debug_assert!(
         list.windows(2).all(|w| w[0] < w[1]),
         "index candidate list must be strictly ascending in document order"
     );
+    Cow::Borrowed(list)
 }
 
 #[cfg(test)]
@@ -782,6 +536,19 @@ mod tests {
         values: ValueStore,
         doc: Document,
         dol: EmbeddedDol,
+        index: NodeIndex,
+    }
+
+    impl Db {
+        fn engine(&self) -> QueryEngine<'_> {
+            QueryEngine::new(
+                &self.store,
+                &self.values,
+                self.doc.tags(),
+                Some(&self.dol),
+                &self.index,
+            )
+        }
     }
 
     fn db(xml: &str, map: Option<&AccessibilityMap>, max_rec: usize) -> Db {
@@ -801,17 +568,18 @@ mod tests {
                 values.put(u64::from(id.0), v).unwrap();
             }
         }
+        let index = NodeIndex::build(&store, &values).unwrap();
         Db {
             store,
             values,
             doc,
             dol,
+            index,
         }
     }
 
     fn query(d: &Db, q: &str, sec: Security) -> Vec<u64> {
-        let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
-        engine.execute(q, sec).unwrap().matches
+        d.engine().execute(q, sec).unwrap().matches
     }
 
     const DOC: &str = "<site><regions><africa><item><name>gold</name><quantity>1</quantity>\
@@ -819,41 +587,6 @@ mod tests {
                        <categories><category><name>metals</name></category></categories></site>";
     // positions: site=0 regions=1 africa=2 item=3 name=4 quantity=5 item=6
     //            name=7 categories=8 category=9 name=10
-
-    #[test]
-    fn parallelism_zero_resolves_once_and_workers_clamp() {
-        let auto = ExecOptions {
-            parallelism: 0,
-            ..ExecOptions::default()
-        };
-        let n = auto.effective_parallelism();
-        assert!(n >= 1, "core detection must never resolve to zero");
-        // The process-wide cache makes repeated resolution stable (and
-        // syscall-free after the first lookup).
-        assert_eq!(auto.effective_parallelism(), n);
-        assert_eq!(detected_parallelism(), n);
-        // Worker counts are clamped to the candidate list: never zero
-        // (safe divisor), never more workers than candidates.
-        assert_eq!(auto.workers_for(0), 1);
-        assert_eq!(auto.workers_for(1), 1);
-        assert!(auto.workers_for(usize::MAX) >= n);
-        let eight = ExecOptions {
-            parallelism: 8,
-            ..ExecOptions::default()
-        };
-        assert_eq!(eight.workers_for(3), 3);
-        assert_eq!(eight.workers_for(8), 8);
-        assert_eq!(eight.workers_for(100), 8);
-        // Chunk sizing through the clamp never yields more chunks than
-        // candidates and always covers the whole list.
-        for candidates in [1usize, 2, 3, 7, 8, 9, 1000] {
-            let workers = eight.workers_for(candidates);
-            let chunk = candidates.div_ceil(workers);
-            let chunks = candidates.div_ceil(chunk);
-            assert!(chunks <= candidates);
-            assert!(chunk * chunks >= candidates);
-        }
-    }
 
     #[test]
     fn single_fragment_queries() {
@@ -974,7 +707,7 @@ mod tests {
     #[test]
     fn secure_without_dol_errors() {
         let d = db(DOC, None, 300);
-        let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), None).unwrap();
+        let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), None, &d.index);
         assert!(matches!(
             engine.execute("//item", Security::BindingLevel(SubjectId(0))),
             Err(QueryError::NoAccessControl)
@@ -988,7 +721,7 @@ mod tests {
     #[test]
     fn stats_populated() {
         let d = db(DOC, None, 2);
-        let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
+        let engine = d.engine();
         // Both fragments are single-node, so the leaf fast path answers from
         // the index plus block headers — zero nodes materialized; the join
         // still reads pages for intervals.
@@ -1011,7 +744,7 @@ mod tests {
         let fig2 = "<a><b/><c/><d/><e><f/><g/><h><i/><j/><k/><l/></h></e></a>";
         let map = AccessibilityMap::new(1, parse(fig2).unwrap().len());
         let d = db(fig2, Some(&map), 2);
-        let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
+        let engine = d.engine();
         d.store.pool().reset_stats();
         let r = engine
             .execute("//h", Security::BindingLevel(SubjectId(0)))
@@ -1033,7 +766,7 @@ mod tests {
         map.set(SubjectId(0), NodeId(5), false);
         for max_rec in [300, 2] {
             let d = db(DOC, Some(&map), max_rec);
-            let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
+            let engine = d.engine();
             for q in [
                 "/site/regions/africa/item[name][quantity]",
                 "//site//name",
@@ -1082,7 +815,7 @@ mod tests {
     #[test]
     fn stale_compiled_plan_recompiles_and_answers() {
         let d = db(DOC, None, 300);
-        let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
+        let engine = d.engine();
         let plan = QueryPlan::new(parse_query("//item[name]").unwrap());
         // Lower against a *smaller* tag space (simulating a plan cached
         // before this document's tags were interned): the fence detects it
@@ -1107,19 +840,18 @@ mod tests {
     #[test]
     fn value_index_narrows_candidates() {
         let d = db(DOC, None, 300);
-        let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
+        let engine = d.engine();
         // //name="gold": the value index seeds exactly the matching node.
         let narrowed = engine.execute("//name[=\"gold\"]", Security::None).unwrap();
         assert_eq!(narrowed.matches, vec![4]);
         assert_eq!(narrowed.stats.candidates, 1, "value index should seed 1");
-        // Without the value index (borrowed-index engine), all `name` nodes
-        // are candidates — same answer, more work.
-        let tag_index = build_tag_index(&d.store).unwrap();
-        let plain =
-            QueryEngine::with_index(&d.store, &d.values, d.doc.tags(), Some(&d.dol), &tag_index);
-        let wide = plain.execute("//name[=\"gold\"]", Security::None).unwrap();
-        assert_eq!(wide.matches, narrowed.matches);
-        assert!(wide.stats.candidates > narrowed.stats.candidates);
+        // The narrowed list is drawn from the tag's own candidates.
+        let name = d.doc.tags().get("name");
+        let wide = engine.candidates(name);
+        assert!(wide.len() > 1);
+        for p in engine.candidates_for(name, Some("gold")).iter() {
+            assert!(wide.contains(p));
+        }
     }
 
     #[test]
@@ -1159,56 +891,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_exactly() {
-        let doc = parse(DOC).unwrap();
-        let mut map = AccessibilityMap::new(1, doc.len());
-        for p in 0..doc.len() as u32 {
-            map.set(SubjectId(0), NodeId(p), true);
-        }
-        map.set(SubjectId(0), NodeId(5), false);
-        let d = db(DOC, Some(&map), 2);
-        let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
-        for q in [
-            "//site//name",
-            "//item[name]",
-            "/site/regions/africa/item[name][quantity]",
-        ] {
-            for sec in [
-                Security::None,
-                Security::BindingLevel(SubjectId(0)),
-                Security::SubtreeVisibility(SubjectId(0)),
-            ] {
-                let plan = QueryPlan::new(parse_query(q).unwrap());
-                let seq = engine
-                    .execute_plan_opts(&plan, sec, ExecOptions::default())
-                    .unwrap();
-                for parallelism in [0, 2, 3, 7] {
-                    let par = engine
-                        .execute_plan_opts(
-                            &plan,
-                            sec,
-                            ExecOptions {
-                                parallelism,
-                                ..ExecOptions::default()
-                            },
-                        )
-                        .unwrap();
-                    assert_eq!(
-                        par.matches, seq.matches,
-                        "query {q} parallelism {parallelism}"
-                    );
-                    assert_eq!(par.stats.candidates, seq.stats.candidates);
-                    assert_eq!(par.stats.nodes_visited, seq.stats.nodes_visited);
-                    assert_eq!(par.stats.nodes_denied, seq.stats.nodes_denied);
-                    assert_eq!(par.stats.blocks_skipped, seq.stats.blocks_skipped);
-                    assert_eq!(par.stats.candidates_examined, seq.stats.candidates_examined);
-                    assert_eq!(par.stats.join_pairs, seq.stats.join_pairs);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn storage_failures_fail_closed_in_secure_modes() {
         let doc = parse(DOC).unwrap();
         let mut map = AccessibilityMap::new(1, doc.len());
@@ -1236,7 +918,8 @@ mod tests {
                 values.put(u64::from(id.0), v).unwrap();
             }
         }
-        let engine = QueryEngine::new(&store, &values, doc.tags(), Some(&dol)).unwrap();
+        let index = NodeIndex::build(&store, &values).unwrap();
+        let engine = QueryEngine::new(&store, &values, doc.tags(), Some(&dol), &index);
         pool.flush_all().unwrap();
         fault.set_armed(true);
 
@@ -1292,7 +975,7 @@ mod tests {
             map.set(SubjectId(0), NodeId(p), true);
         }
         let d = db(DOC, Some(&map), 2);
-        let engine = QueryEngine::new(&d.store, &d.values, d.doc.tags(), Some(&d.dol)).unwrap();
+        let engine = d.engine();
         let plan = QueryPlan::new(parse_query("//item[name]").unwrap());
         for sec in [
             Security::None,
@@ -1329,16 +1012,6 @@ mod tests {
                 Err(QueryError::DeadlineExceeded(_))
             ));
         }
-        // Parallel workers propagate the abort too.
-        let opts = ExecOptions {
-            parallelism: 3,
-            deadline: Deadline::after(Duration::ZERO),
-            ..ExecOptions::default()
-        };
-        assert!(matches!(
-            engine.execute_plan_opts(&plan, Security::BindingLevel(SubjectId(0)), opts),
-            Err(QueryError::DeadlineExceeded(_))
-        ));
     }
 
     #[test]
@@ -1368,7 +1041,8 @@ mod tests {
                 values.put(u64::from(id.0), v).unwrap();
             }
         }
-        let engine = QueryEngine::new(&store, &values, doc.tags(), Some(&dol)).unwrap();
+        let index = NodeIndex::build(&store, &values).unwrap();
+        let engine = QueryEngine::new(&store, &values, doc.tags(), Some(&dol), &index);
         pool.flush_all().unwrap();
         pool.set_retry_policy(RetryPolicy {
             max_attempts: 1,

@@ -128,20 +128,6 @@ impl TupleTable {
         }
     }
 
-    /// Moves every row of `other` (same columns) to the end of `self`.
-    pub fn append(&mut self, other: TupleTable) {
-        debug_assert_eq!(self.cols, other.cols, "same columns");
-        if self.cols.is_empty() {
-            self.len = self.len.max(other.len);
-        } else if self.rows.is_empty() {
-            self.rows = other.rows;
-            self.len = other.len;
-        } else {
-            self.rows.extend_from_slice(&other.rows);
-            self.len += other.len;
-        }
-    }
-
     /// Drops every row, keeping the columns.
     pub fn clear(&mut self) {
         self.rows.clear();
@@ -610,18 +596,14 @@ mod tests {
         assert_eq!(rows_of(&t), [[3, 9], [7, 1], [7, 2]]);
         t.retain(|i| i != 1);
         assert_eq!(rows_of(&t), [[3, 9], [7, 2]]);
-        let mut u = table(&[1, 4], &[&[0, 0]]);
-        u.append(t.clone());
-        assert_eq!(u.len(), 3);
-        assert_eq!(u.clone().into_column(1), [0, 2, 9]);
-        u.clear();
-        assert!(u.is_empty() && u.arity() == 2);
+        assert_eq!(t.clone().into_column(1), [2, 9]);
+        t.clear();
+        assert!(t.is_empty() && t.arity() == 2);
         // Arity 0 is one bit: pushes are idempotent.
         let mut z = TupleTable::new(Vec::new());
         assert!(z.is_empty());
         z.push(&[]);
         z.push_positions(&[5, 6]);
-        z.append(table(&[], &[&[]]));
         assert_eq!(z.len(), 1);
         z.sort_dedup();
         assert_eq!(z.len(), 1);

@@ -22,8 +22,8 @@
 //!    by ancestor–descendant join edges.
 //! 3. [`compiled`] lowers each NoK subtree to a flat automaton and finds its
 //!    matches by top-down navigation over the [`dol_storage::StructStore`]
-//!    (Algorithm 1, ε-NoK): candidate roots are seeded from a tag B+-tree
-//!    index, and in secure mode every visited node's accessibility is
+//!    (Algorithm 1, ε-NoK): candidate roots are seeded from the
+//!    [`NodeIndex`], and in secure mode every visited node's accessibility is
 //!    checked from the code piggy-backed on its own page, with whole blocks
 //!    skipped via the in-memory header test.
 //! 4. [`join`] combines subtree matches with a Stack-Tree-Desc structural
@@ -45,6 +45,7 @@
 pub mod cache;
 pub mod compiled;
 pub mod engine;
+pub mod index;
 pub mod join;
 pub mod pattern;
 pub mod plan;
@@ -53,10 +54,8 @@ pub mod xpath;
 
 pub use cache::{fnv1a, LruCache, PlanCache};
 pub use compiled::{CompiledFragment, CompiledMatcher, CompiledPlan};
-pub use engine::{
-    build_tag_index, build_value_index, ExecOptions, ExecStats, QueryEngine, QueryError,
-    QueryResult, Security,
-};
+pub use engine::{ExecOptions, ExecStats, QueryEngine, QueryError, QueryResult, Security};
+pub use index::NodeIndex;
 pub use pattern::{Axis, PNodeId, PatternNode, PatternTree};
 pub use plan::{JoinEdge, NokTree, QueryPlan};
 pub use xpath::{parse_query, QueryParseError};

@@ -10,9 +10,8 @@
 //! the visible extents have interior gaps and every candidate list is cut
 //! by them; *three-fragment twigs* with the returning node in the top,
 //! middle or bottom fragment drive both semi-join directions and the pair
-//! join. There, besides the answer, sequential must equal parallel counter
-//! for counter, and `blocks_skipped` must equal an independent count of the
-//! candidates lying in skippable blocks.
+//! join. There, besides the answer, `blocks_skipped` must equal an
+//! independent count of the candidates lying in skippable blocks.
 //!
 //! Deadline behavior is part of the contract: at any injected abort point
 //! the engine must return either the full correct answer or a typed
@@ -24,8 +23,8 @@ use dol_acl::{AccessibilityMap, SubjectId};
 use dol_core::EmbeddedDol;
 use dol_nok::reference::{naive_eval, RefSecurity};
 use dol_nok::{
-    Axis, ExecOptions, PNodeId, PatternTree, QueryEngine, QueryError, QueryPlan, QueryResult,
-    Security,
+    Axis, ExecOptions, NodeIndex, PNodeId, PatternTree, QueryEngine, QueryError, QueryPlan,
+    QueryResult, Security,
 };
 use dol_storage::{BufferPool, Deadline, MemDisk, StoreConfig, StructStore, ValueStore};
 use dol_xml::{Document, DocumentBuilder, NodeId};
@@ -108,6 +107,19 @@ struct Fixture {
     values: ValueStore,
     dol: EmbeddedDol,
     doc: Document,
+    index: NodeIndex,
+}
+
+impl Fixture {
+    fn engine(&self) -> QueryEngine<'_> {
+        QueryEngine::new(
+            &self.store,
+            &self.values,
+            self.doc.tags(),
+            Some(&self.dol),
+            &self.index,
+        )
+    }
 }
 
 fn build(doc: Document, map: &AccessibilityMap, max_rec: usize) -> Fixture {
@@ -127,11 +139,13 @@ fn build(doc: Document, map: &AccessibilityMap, max_rec: usize) -> Fixture {
             values.put(u64::from(id.0), v).unwrap();
         }
     }
+    let index = NodeIndex::build(&store, &values).unwrap();
     Fixture {
         store,
         values,
         dol,
         doc,
+        index,
     }
 }
 
@@ -296,7 +310,7 @@ fn candidates_in_skippable_blocks(f: &Fixture, plan: &QueryPlan, subject: Subjec
 /// Everything the new shapes must satisfy for one (document, labeling,
 /// twig): see the module docs.
 fn check_narrow_case(f: &Fixture, map: &AccessibilityMap, pattern: &PatternTree) {
-    let engine = QueryEngine::new(&f.store, &f.values, f.doc.tags(), Some(&f.dol)).unwrap();
+    let engine = f.engine();
     let plan = QueryPlan::new(pattern.clone());
     let run = |sec: Security, opts: ExecOptions| -> Result<QueryResult, QueryError> {
         engine.execute_plan_opts(&plan, sec, opts)
@@ -349,24 +363,6 @@ fn check_narrow_case(f: &Fixture, map: &AccessibilityMap, pattern: &PatternTree)
             &what
         );
 
-        // Parallel evaluation: same answer, same counters.
-        let par = run(
-            sec,
-            ExecOptions {
-                parallelism: 4,
-                ..ExecOptions::default()
-            },
-        )
-        .unwrap();
-        prop_assert_eq!(&par.matches, &expect, "{}: parallelism 4", &what);
-        prop_assert_eq!(par.stats.candidates, st.candidates);
-        prop_assert_eq!(par.stats.candidates_examined, st.candidates_examined);
-        prop_assert_eq!(par.stats.blocks_skipped, st.blocks_skipped);
-        prop_assert_eq!(par.stats.nodes_denied, st.nodes_denied);
-        prop_assert_eq!(par.stats.nodes_visited, st.nodes_visited);
-        prop_assert_eq!(par.stats.join_pairs, st.join_pairs);
-        prop_assert_eq!(par.stats.visibility_nodes, st.visibility_nodes);
-
         // Both abort points: the full answer or a typed abort, never less.
         for cancel in [false, true] {
             let deadline = if cancel {
@@ -376,24 +372,21 @@ fn check_narrow_case(f: &Fixture, map: &AccessibilityMap, pattern: &PatternTree)
             } else {
                 Deadline::after(Duration::ZERO)
             };
-            for parallelism in [1, 4] {
-                let opts = ExecOptions {
-                    deadline: deadline.clone(),
-                    parallelism,
-                    ..ExecOptions::default()
-                };
-                match run(sec, opts) {
-                    Ok(r) => prop_assert_eq!(
-                        &r.matches,
-                        &expect,
-                        "{}: completed answer must be full",
-                        &what
-                    ),
-                    Err(QueryError::DeadlineExceeded(stats)) => {
-                        prop_assert_eq!(stats.blocks_failed_closed, 0, "{}", &what)
-                    }
-                    Err(other) => prop_assert!(false, "{}: unexpected error {:?}", &what, other),
+            let opts = ExecOptions {
+                deadline,
+                ..ExecOptions::default()
+            };
+            match run(sec, opts) {
+                Ok(r) => prop_assert_eq!(
+                    &r.matches,
+                    &expect,
+                    "{}: completed answer must be full",
+                    &what
+                ),
+                Err(QueryError::DeadlineExceeded(stats)) => {
+                    prop_assert_eq!(stats.blocks_failed_closed, 0, "{}", &what)
                 }
+                Err(other) => prop_assert!(false, "{}: unexpected error {:?}", &what, other),
             }
         }
     }
@@ -414,7 +407,7 @@ proptest! {
     ) {
         let map = map_from_bits(&bits, doc.len());
         let f = build(doc, &map, max_rec);
-        let engine = QueryEngine::new(&f.store, &f.values, f.doc.tags(), Some(&f.dol)).unwrap();
+        let engine = f.engine();
         let plan = QueryPlan::new(pattern.clone());
         let (s0, s1) = (SubjectId(0), SubjectId(1));
         for (sec, ref_sec) in [
@@ -451,7 +444,7 @@ proptest! {
     ) {
         let map = map_from_bits(&bits, doc.len());
         let f = build(doc, &map, 4);
-        let engine = QueryEngine::new(&f.store, &f.values, f.doc.tags(), Some(&f.dol)).unwrap();
+        let engine = f.engine();
         let plan = QueryPlan::new(pattern.clone());
         for sec in [
             Security::None,

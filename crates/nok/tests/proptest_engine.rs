@@ -5,7 +5,7 @@
 use dol_acl::{AccessibilityMap, SubjectId};
 use dol_core::EmbeddedDol;
 use dol_nok::reference::{naive_eval, RefSecurity};
-use dol_nok::{Axis, ExecOptions, PatternTree, QueryEngine, QueryPlan, Security};
+use dol_nok::{fnv1a, Axis, NodeIndex, PatternTree, QueryEngine, QueryPlan, Security};
 use dol_storage::{BufferPool, MemDisk, StoreConfig, StructStore, ValueStore};
 use dol_xml::{Document, DocumentBuilder, NodeId};
 use proptest::prelude::*;
@@ -105,6 +105,19 @@ struct Fixture {
     values: ValueStore,
     dol: EmbeddedDol,
     doc: Document,
+    index: NodeIndex,
+}
+
+impl Fixture {
+    fn engine(&self) -> QueryEngine<'_> {
+        QueryEngine::new(
+            &self.store,
+            &self.values,
+            self.doc.tags(),
+            Some(&self.dol),
+            &self.index,
+        )
+    }
 }
 
 fn build(doc: Document, map: &AccessibilityMap, max_rec: usize) -> Fixture {
@@ -124,11 +137,13 @@ fn build(doc: Document, map: &AccessibilityMap, max_rec: usize) -> Fixture {
             values.put(u64::from(id.0), v).unwrap();
         }
     }
+    let index = NodeIndex::build(&store, &values).unwrap();
     Fixture {
         store,
         values,
         dol,
         doc,
+        index,
     }
 }
 
@@ -162,7 +177,7 @@ proptest! {
             m
         };
         let f = build(doc, &map, max_rec);
-        let engine = QueryEngine::new(&f.store, &f.values, f.doc.tags(), Some(&f.dol)).unwrap();
+        let engine = f.engine();
         let plan = QueryPlan::new(pattern.clone());
 
         let got = engine.execute_plan(&plan, Security::None).unwrap().matches;
@@ -200,7 +215,7 @@ proptest! {
             }
         }
         let f = build(doc, &map, 4);
-        let engine = QueryEngine::new(&f.store, &f.values, f.doc.tags(), Some(&f.dol)).unwrap();
+        let engine = f.engine();
         let plan = QueryPlan::new(pattern.clone());
         for s in [SubjectId(0), SubjectId(1)] {
             let got = engine
@@ -213,37 +228,33 @@ proptest! {
     }
 
     #[test]
-    fn parallel_execution_matches_sequential(
+    fn node_index_matches_a_naive_scan(
         doc in arb_doc(),
-        pattern in arb_pattern(),
-        bits in proptest::collection::vec(any::<bool>(), 0..120),
-        parallelism in prop_oneof![Just(0usize), Just(2usize), Just(3usize), Just(5usize)],
         max_rec in prop_oneof![Just(4usize), Just(300usize)],
     ) {
-        let n = doc.len();
-        let mut map = AccessibilityMap::new(2, n);
-        for (i, bit) in bits.iter().enumerate() {
-            if *bit {
-                map.set(SubjectId((i / n.max(1) % 2) as u32), NodeId((i % n.max(1)) as u32), true);
-            }
-        }
+        let map = AccessibilityMap::new(1, doc.len());
         let f = build(doc, &map, max_rec);
-        let engine = QueryEngine::new(&f.store, &f.values, f.doc.tags(), Some(&f.dol)).unwrap();
-        let plan = QueryPlan::new(pattern.clone());
-        let par_opts = ExecOptions { parallelism, ..ExecOptions::default() };
-        for sec in [
-            Security::None,
-            Security::BindingLevel(SubjectId(0)),
-            Security::SubtreeVisibility(SubjectId(1)),
-        ] {
-            let seq = engine.execute_plan_opts(&plan, sec, ExecOptions::default()).unwrap();
-            let par = engine.execute_plan_opts(&plan, sec, par_opts.clone()).unwrap();
-            prop_assert_eq!(&par.matches, &seq.matches, "query {}", pattern.to_query_string());
-            prop_assert_eq!(par.stats.candidates, seq.stats.candidates);
-            prop_assert_eq!(par.stats.nodes_visited, seq.stats.nodes_visited);
-            prop_assert_eq!(par.stats.nodes_denied, seq.stats.nodes_denied);
-            prop_assert_eq!(par.stats.blocks_skipped, seq.stats.blocks_skipped);
-            prop_assert_eq!(par.stats.join_pairs, seq.stats.join_pairs);
+        let engine = f.engine();
+        let scan = |keep: &dyn Fn(NodeId) -> bool| -> Vec<u64> {
+            f.doc.preorder().filter(|&id| keep(id)).map(|id| u64::from(id.0)).collect()
+        };
+        let ascending = |list: &[u64]| list.windows(2).all(|w| w[0] < w[1]);
+        for (tag, name) in f.doc.tags().iter() {
+            let by_tag = scan(&|id| f.doc.node(id).tag == tag);
+            prop_assert_eq!(f.index.by_tag(tag), &by_tag[..], "tag {}", name);
+            prop_assert!(ascending(f.index.by_tag(tag)));
+            // "z" is a value no node carries.
+            for v in VALUES.into_iter().chain(["z"]) {
+                let by_value = scan(&|id| {
+                    let n = f.doc.node(id);
+                    n.tag == tag && n.value.as_deref().is_some_and(|x| fnv1a(x) == fnv1a(v))
+                });
+                prop_assert_eq!(f.index.by_value(tag, v), &by_value[..], "{}={}", name, v);
+                prop_assert!(ascending(f.index.by_value(tag, v)));
+                let wide = engine.candidates(Some(tag));
+                let narrow = engine.candidates_for(Some(tag), Some(v));
+                prop_assert!(narrow.iter().all(|p| wide.binary_search(p).is_ok()));
+            }
         }
     }
 
@@ -262,7 +273,7 @@ proptest! {
             grant.set(SubjectId(0), NodeId(p as u32), true);
         }
         let f = build(doc, &grant, 300);
-        let engine = QueryEngine::new(&f.store, &f.values, f.doc.tags(), Some(&f.dol)).unwrap();
+        let engine = f.engine();
         let rendered = pattern.to_query_string();
         if let Ok(reparsed) = dol_nok::parse_query(&rendered) {
             if reparsed == pattern {

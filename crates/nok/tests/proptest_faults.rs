@@ -8,7 +8,7 @@
 
 use dol_acl::{AccessibilityMap, SubjectId};
 use dol_core::EmbeddedDol;
-use dol_nok::{Axis, PatternTree, QueryEngine, QueryPlan, Security};
+use dol_nok::{Axis, NodeIndex, PatternTree, QueryEngine, QueryPlan, Security};
 use dol_storage::{
     BufferPool, FaultConfig, FaultDisk, MemDisk, StoreConfig, StructStore, ValueStore,
 };
@@ -126,6 +126,19 @@ struct Fixture {
     dol: EmbeddedDol,
     doc: Document,
     pool: Arc<BufferPool>,
+    index: NodeIndex,
+}
+
+impl Fixture {
+    fn engine(&self) -> QueryEngine<'_> {
+        QueryEngine::new(
+            &self.store,
+            &self.values,
+            self.doc.tags(),
+            Some(&self.dol),
+            &self.index,
+        )
+    }
 }
 
 fn build(disk: Arc<dyn dol_storage::Disk>, doc: Document, map: &AccessibilityMap) -> Fixture {
@@ -145,12 +158,14 @@ fn build(disk: Arc<dyn dol_storage::Disk>, doc: Document, map: &AccessibilityMap
             values.put(u64::from(id.0), v).unwrap();
         }
     }
+    let index = NodeIndex::build(&store, &values).unwrap();
     Fixture {
         store,
         values,
         dol,
         doc,
         pool,
+        index,
     }
 }
 
@@ -179,12 +194,8 @@ proptest! {
         let fault = Arc::new(FaultDisk::new(Arc::new(MemDisk::new()), faults));
         fault.set_armed(false);
         let faulty = build(fault.clone(), doc, &map);
-        let oracle_engine =
-            QueryEngine::new(&oracle.store, &oracle.values, oracle.doc.tags(), Some(&oracle.dol))
-                .unwrap();
-        let faulty_engine =
-            QueryEngine::new(&faulty.store, &faulty.values, faulty.doc.tags(), Some(&faulty.dol))
-                .unwrap();
+        let oracle_engine = oracle.engine();
+        let faulty_engine = faulty.engine();
         faulty.pool.flush_all().unwrap();
         fault.set_armed(true);
         faulty.pool.clear_cache().unwrap();

@@ -82,16 +82,14 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// Query latency (µs) at or above which the slow-query counter bumps.
     pub slow_query_us: u64,
-    /// Retry budget for the snapshot-refresh/backoff ladder under each
-    /// `query` request.
+    /// Retry budget for the snapshot-refresh loop under each `query`
+    /// request.
     pub query_retries: u32,
     /// Group-committer tuning for the `update` path.
     pub commit: GroupCommitConfig,
     /// Enables testing-only operations (`fail_after_dirty`): off in
     /// production, on in the chaos harness.
     pub testing: bool,
-    /// Base seed for the per-connection jittered retry backoff.
-    pub seed: u64,
 }
 
 impl Default for ServerConfig {
@@ -105,7 +103,6 @@ impl Default for ServerConfig {
             query_retries: 3,
             commit: GroupCommitConfig::default(),
             testing: false,
-            seed: 1,
         }
     }
 }
@@ -414,13 +411,13 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream, conn_id: u64) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.cfg.idle_timeout));
-    serve_conn(&shared, &mut stream, conn_id);
+    serve_conn(&shared, &mut stream);
     mlock(&shared.conns).remove(&conn_id);
     shared.metrics.connection_closed();
     shared.active_conns.fetch_sub(1, Ordering::AcqRel);
 }
 
-fn serve_conn(shared: &Arc<Shared>, stream: &mut TcpStream, conn_id: u64) {
+fn serve_conn(shared: &Arc<Shared>, stream: &mut TcpStream) {
     // One `read` fills the buffer with whatever has arrived — a request
     // frame, or a pipelined burst of them — and the decoder below is served
     // from it.
@@ -464,7 +461,7 @@ fn serve_conn(shared: &Arc<Shared>, stream: &mut TcpStream, conn_id: u64) {
         let shared = Arc::clone(shared);
         let out = ReplyWriter::new(Arc::clone(&writer), shared.cfg.max_frame);
         let inflight = Arc::clone(&inflight);
-        thread::spawn(move || worker_loop(shared, out, inflight, rx, conn_id))
+        thread::spawn(move || worker_loop(shared, out, inflight, rx))
     };
     let mut out = ReplyWriter::new(writer, shared.cfg.max_frame);
 
@@ -625,11 +622,10 @@ fn worker_loop(
     mut out: ReplyWriter<TcpStream>,
     inflight: InFlight,
     rx: mpsc::Receiver<Job>,
-    conn_id: u64,
 ) {
     while let Ok(job) = rx.recv() {
         let id = job.req.id;
-        let executed = execute(&shared, &job, conn_id);
+        let executed = execute(&shared, &job);
         let latency_us = elapsed_us(job.started);
         let outcome = match executed {
             Ok(Reply::Matches { epoch, matches }) => out.assemble(id, |frame| {
@@ -657,7 +653,7 @@ fn worker_loop(
     }
 }
 
-fn execute(shared: &Arc<Shared>, job: &Job, conn_id: u64) -> Result<Reply, (ErrorCode, String)> {
+fn execute(shared: &Arc<Shared>, job: &Job) -> Result<Reply, (ErrorCode, String)> {
     let deadline = &job.deadline;
     // Uniform dispatch gate: a budget spent in the queue (or cancelled by a
     // vanished client) is a bounded refusal *before* any work — even work a
@@ -691,9 +687,6 @@ fn execute(shared: &Arc<Shared>, job: &Job, conn_id: u64) -> Result<Reply, (Erro
                 security,
                 opts,
                 shared.cfg.query_retries,
-                // Distinct jitter stream per connection: a burst of shed
-                // clients re-arrives decorrelated.
-                shared.cfg.seed.wrapping_add(conn_id),
                 move || rlock(&db).reader(),
             );
             return match res {

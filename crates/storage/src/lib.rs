@@ -24,8 +24,6 @@
 //!   entries — the physical half of DOL.
 //! * [`log`] — a paged append log ([`PagedLog`]) and the [`ValueStore`]
 //!   keeping character data out of the structural encoding.
-//! * [`btree`] — a B+-tree used for the tag and tag+value indexes that seed
-//!   NoK pattern matching.
 //! * [`checksum`] / [`fault`] — the robustness layer: a CRC-32C page trailer
 //!   verified on every physical read (see [`page`]), and a deterministic
 //!   fault-injecting [`FaultDisk`] decorator used to prove the engine fails
@@ -41,7 +39,6 @@
 //! `dol-nok` implements (secure) query evaluation on top of the navigation
 //! API.
 
-pub mod btree;
 pub mod buffer;
 pub mod checksum;
 pub mod disk;
@@ -52,7 +49,6 @@ pub mod page;
 pub mod retry;
 pub mod wal;
 
-pub use btree::BPlusTree;
 pub use buffer::{
     current_read_epoch, with_read_epoch, BufferPool, IoStats, DEFAULT_CHECKPOINT_THRESHOLD,
     MAX_IO_ATTEMPTS,

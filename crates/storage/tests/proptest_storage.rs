@@ -1,68 +1,10 @@
-//! Property tests for the storage substrate: B+-tree vs a model map, and
-//! the NoK block store's code runs and structural splices vs flat models.
+//! Property tests for the storage substrate: the NoK block store's code
+//! runs and structural splices vs flat models.
 
 use dol_storage::{BufferPool, BulkItem, MemDisk, StoreConfig, StructStore};
 use dol_xml::{Document, DocumentBuilder, TagId};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------
-// B+-tree vs BTreeMap
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum Op {
-    Insert(u16, u32),
-    Remove(u16),
-    Get(u16),
-    Range(u16, u16),
-}
-
-fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    proptest::collection::vec(
-        prop_oneof![
-            (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k % 512, v)),
-            any::<u16>().prop_map(|k| Op::Remove(k % 512)),
-            any::<u16>().prop_map(|k| Op::Get(k % 512)),
-            (any::<u16>(), any::<u16>()).prop_map(|(a, b)| Op::Range(a % 512, b % 512)),
-        ],
-        1..400,
-    )
-}
-
-proptest! {
-    #[test]
-    fn btree_matches_btreemap(ops in arb_ops(), order in 4usize..12) {
-        let mut tree = dol_storage::BPlusTree::with_order(order);
-        let mut model: BTreeMap<u16, u32> = BTreeMap::new();
-        for op in ops {
-            match op {
-                Op::Insert(k, v) => {
-                    prop_assert_eq!(tree.insert(k, v), model.insert(k, v));
-                }
-                Op::Remove(k) => {
-                    prop_assert_eq!(tree.remove(&k), model.remove(&k));
-                }
-                Op::Get(k) => {
-                    prop_assert_eq!(tree.get(&k), model.get(&k));
-                }
-                Op::Range(a, b) => {
-                    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-                    let got: Vec<(u16, u32)> = tree
-                        .range(std::ops::Bound::Included(lo), std::ops::Bound::Excluded(hi))
-                        .map(|(k, v)| (*k, *v))
-                        .collect();
-                    let expect: Vec<(u16, u32)> =
-                        model.range(lo..hi).map(|(k, v)| (*k, *v)).collect();
-                    prop_assert_eq!(got, expect);
-                }
-            }
-            tree.check_invariants().unwrap();
-            prop_assert_eq!(tree.len(), model.len());
-        }
-    }
-}
 
 // ---------------------------------------------------------------------
 // NoK store: code runs + structural splices vs flat models

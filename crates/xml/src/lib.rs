@@ -1,4 +1,8 @@
 #![warn(missing_docs)]
+// The parser faces untrusted bytes: production code must return typed
+// errors, never unwrap. Tests may unwrap freely.
+#![warn(clippy::unwrap_used)]
+#![cfg_attr(test, allow(clippy::unwrap_used))]
 
 //! XML data model for the DOL secure query engine.
 //!

@@ -248,16 +248,12 @@ impl<'a> Parser<'a> {
             return Ok(());
         }
         // Mixed content: flush any stashed text as a sibling #text node first.
-        if let Some(t) = top.pending_text.take() {
-            top.children += 1;
+        let stashed = top.pending_text.take();
+        top.children += 1 + usize::from(stashed.is_some());
+        if let Some(t) = stashed {
             self.builder.leaf(TEXT_TAG, Some(&t));
-            let top = self.stack.last_mut().unwrap();
-            top.children += 1;
-            self.builder.leaf(TEXT_TAG, Some(&text));
-        } else {
-            top.children += 1;
-            self.builder.leaf(TEXT_TAG, Some(&text));
         }
+        self.builder.leaf(TEXT_TAG, Some(&text));
         Ok(())
     }
 
@@ -317,8 +313,10 @@ impl<'a> Parser<'a> {
                     let raw = self.until(if quote == b'"' { "\"" } else { "'" })?;
                     let value = decode_entities(raw, self)?;
                     if self.opts.attributes_as_nodes {
-                        let top = self.stack.last_mut().unwrap();
-                        top.children += 1;
+                        // The element pushed above is still the top.
+                        if let Some(top) = self.stack.last_mut() {
+                            top.children += 1;
+                        }
                         self.builder.leaf(&format!("@{attr}"), Some(&value));
                     }
                 }

@@ -44,11 +44,11 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`xml`] | `dol-xml` | document model, parser, serializer |
-//! | [`storage`] | `dol-storage` | pages, buffer pool, NoK block store, B+-tree |
+//! | [`storage`] | `dol-storage` | pages, buffer pool, NoK block store, WAL |
 //! | [`acl`] | `dol-acl` | subjects, modes, policies, accessibility maps |
 //! | [`dol`] | `dol-core` | the DOL: codebook, transitions, embedding |
 //! | [`cam`] | `dol-cam` | the CAM baseline |
-//! | [`query`] | `dol-nok` | twig queries, ε-NoK, structural joins |
+//! | [`query`] | `dol-nok` | twig queries, node index, ε-NoK, structural joins |
 //! | [`workloads`] | `dol-workloads` | XMark, synthetic ACLs, LiveLink, UnixFS |
 
 mod commit;
@@ -71,7 +71,7 @@ pub use dol_storage::{CancelToken, Deadline, RecoveryReport, RetryPolicy};
 
 pub use commit::{CommitObserver, GroupCommitConfig, GroupCommitStats, GroupCommitter};
 pub use modal::{ModalDb, ModalSecurity};
-pub use reader::{jittered_backoff, CacheStats, DbReader};
+pub use reader::{CacheStats, DbReader};
 pub use shard::{DiskPair, ShardHealth, ShardStatus, ShardedDb, ShardedStats};
 pub use stats::ServerStats;
 
@@ -82,12 +82,10 @@ use dol_core::{CompactionProgress, DolStats, EmbeddedDol};
 /// its incremental plan with — the bound on any single compaction
 /// transaction's page writes.
 pub const COMPACT_TICK_BLOCKS: usize = 64;
-use dol_nok::{build_tag_index, build_value_index, QueryEngine, QueryError};
+use dol_nok::{NodeIndex, QueryEngine, QueryError};
 use dol_storage::disk::StorageError;
-use dol_storage::{
-    BPlusTree, BufferPool, BulkItem, IoStats, MemDisk, StoreConfig, StructStore, ValueStore,
-};
-use dol_xml::{Document, NodeId, TagId};
+use dol_storage::{BufferPool, BulkItem, IoStats, MemDisk, StoreConfig, StructStore, ValueStore};
+use dol_xml::{Document, NodeId};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -122,9 +120,11 @@ pub enum DbError {
         /// The database's current update epoch.
         now: u64,
     },
-    /// The group-commit queue is full: the update was refused without
-    /// queueing (admission control, not failure — nothing was applied).
-    /// Back off and resubmit.
+    /// The group-commit queue is full: [`GroupCommitter::submit`] refused
+    /// the update without queueing it (admission control, not failure —
+    /// nothing was applied). Only an update submission returns this, never a
+    /// query; the submitter — over the wire, the client that got
+    /// `overloaded` — backs off and resubmits.
     Overloaded,
     /// A query ran past its [`Deadline`] or its [`CancelToken`] fired. The
     /// boxed statistics describe the partial work done before the abort —
@@ -308,7 +308,7 @@ fn out_of_turn(msg: impl Into<String>) -> DbError {
 pub type UpdateFn = Box<dyn Fn(&mut SecureXmlDb) -> Result<(), DbError> + Send>;
 
 /// The `Arc`-shared read-side state of a [`SecureXmlDb`] at one instant.
-/// Cloning it is six reference bumps; holding a clone makes the next
+/// Cloning it is five reference bumps; holding a clone makes the next
 /// update's `Arc::make_mut` copy-on-write instead of mutating in place (the
 /// price of having a known-good state to fall back to).
 #[derive(Clone)]
@@ -317,22 +317,19 @@ pub(crate) struct MirrorSnapshot {
     pub(crate) store: Arc<StructStore>,
     pub(crate) values: Arc<ValueStore>,
     pub(crate) dol: Arc<EmbeddedDol>,
-    pub(crate) tag_index: Arc<BPlusTree<TagId, Vec<u64>>>,
-    pub(crate) value_index: Arc<BPlusTree<(TagId, u64), Vec<u64>>>,
+    pub(crate) index: Arc<NodeIndex>,
 }
 
 impl MirrorSnapshot {
-    /// A query engine over these mirrors and their indexes.
+    /// A query engine over these mirrors and their index.
     pub(crate) fn engine(&self) -> QueryEngine<'_> {
-        let mut engine = QueryEngine::with_index(
+        QueryEngine::new(
             &self.store,
             &self.values,
             self.doc.tags(),
             Some(&self.dol),
-            &self.tag_index,
-        );
-        engine.set_value_index(&self.value_index);
-        engine
+            &self.index,
+        )
     }
 
     /// Executes `query` against the pages behind these mirrors — the one way
@@ -403,8 +400,7 @@ impl SecureXmlDb {
             }
         }
         let mirrors = MirrorSnapshot {
-            tag_index: Arc::new(build_tag_index(&store)?),
-            value_index: Arc::new(build_value_index(&store, &values)?),
+            index: Arc::new(NodeIndex::build(&store, &values)?),
             doc: Arc::new(doc),
             store: Arc::new(store),
             values: Arc::new(values),
@@ -761,8 +757,8 @@ impl SecureXmlDb {
     ///   transaction state is discarded, the write-ahead log's committed
     ///   transactions are replayed onto the data disk (exactly what
     ///   [`open_on`](Self::open_on) does first), and all in-memory mirrors
-    ///   — master document, block store, value store, DOL, tag and value
-    ///   indexes — are rebuilt from the recovered pages.
+    ///   — master document, block store, value store, DOL, node index —
+    ///   are rebuilt from the recovered pages.
     /// * On an **in-memory** database there is nothing to rebuild: the
     ///   failed transaction rolled its pages back to their pre-images and
     ///   restored the matching mirrors when it failed.
@@ -1161,22 +1157,8 @@ impl SecureXmlDb {
         }
         let size = self.mirrors.store.node(pos)?.size as u64;
         self.run_txn(|db| {
-            let store = Arc::make_mut(&mut db.mirrors.store);
-            let values = Arc::make_mut(&mut db.mirrors.values);
-            let doc = Arc::make_mut(&mut db.mirrors.doc);
-            store.delete_run(pos, pos + size)?;
-            values.remove_range(pos, pos + size);
-            values.shift_positions(pos + size, -(size as i64));
-            doc.delete_subtree(NodeId(pos as u32))
-                .map_err(|_| DbError::InvalidNode(pos))?;
-            db.mirrors.tag_index = Arc::new(build_tag_index(&db.mirrors.store)?);
-            db.mirrors.value_index =
-                Arc::new(build_value_index(&db.mirrors.store, &db.mirrors.values)?);
-            // Blocks moved; an in-flight compaction cursor is stale.
-            Arc::make_mut(&mut db.mirrors.dol)
-                .codebook_mut()
-                .mark_compaction_dirty();
-            Ok(())
+            db.remove_subtree(pos, size)?;
+            db.reindex()
         })
     }
 
@@ -1190,43 +1172,8 @@ impl SecureXmlDb {
             return Err(DbError::InvalidNode(parent_pos));
         }
         self.run_txn(|db| {
-            let store = Arc::make_mut(&mut db.mirrors.store);
-            let values = Arc::make_mut(&mut db.mirrors.values);
-            let doc = Arc::make_mut(&mut db.mirrors.doc);
-            let parent_rec = store.node(parent_pos)?;
-            let at = parent_pos + parent_rec.size as u64;
-            let code = store.code_at(at - 1)?;
-            // Encode the subtree (tags interned into the master document).
-            let mut items = Vec::with_capacity(subtree.len());
-            for id in subtree.preorder() {
-                let n = subtree.node(id);
-                items.push(BulkItem {
-                    tag: doc.tags_mut().intern(subtree.tags().name(n.tag)),
-                    size: n.size,
-                    depth: n.depth + parent_rec.depth + 1,
-                    has_value: n.value.is_some(),
-                    code,
-                    is_transition: false,
-                });
-            }
-            let mut ancestors = store.ancestors_of(parent_pos)?;
-            ancestors.push(parent_pos);
-            store.insert_run(at, &ancestors, &items)?;
-            // Values: shift the tail, then add the new nodes' values.
-            values.shift_positions(at, subtree.len() as i64);
-            for id in subtree.preorder() {
-                if let Some(v) = &subtree.node(id).value {
-                    values.put(at + u64::from(id.0), v)?;
-                }
-            }
-            doc.insert_subtree(NodeId(parent_pos as u32), None, subtree)
-                .map_err(|_| DbError::InvalidNode(parent_pos))?;
-            db.mirrors.tag_index = Arc::new(build_tag_index(&db.mirrors.store)?);
-            db.mirrors.value_index =
-                Arc::new(build_value_index(&db.mirrors.store, &db.mirrors.values)?);
-            Arc::make_mut(&mut db.mirrors.dol)
-                .codebook_mut()
-                .mark_compaction_dirty();
+            let at = db.splice_subtree(parent_pos, subtree, None)?;
+            db.reindex()?;
             Ok(at)
         })
     }
@@ -1245,74 +1192,108 @@ impl SecureXmlDb {
             return Err(DbError::InvalidNode(new_parent_pos)); // own descendant
         }
         self.run_txn(|db| {
-            let store = Arc::make_mut(&mut db.mirrors.store);
-            let vals = Arc::make_mut(&mut db.mirrors.values);
-            let doc = Arc::make_mut(&mut db.mirrors.doc);
-            // Capture the subtree: structure from the master document,
-            // per-node codes from the embedded runs.
-            let sub = doc.copy_subtree(NodeId(pos as u32));
-            let runs = store.runs_in(pos, pos + size)?;
-            let code_at = |p: u64| -> u32 {
-                let i = runs.partition_point(|&(q, _)| q <= p) - 1;
-                runs[i].1
-            };
-            let values: Vec<(u64, Option<String>)> = (pos..pos + size)
-                .map(|p| Ok((p - pos, vals.get(p)?)))
-                .collect::<Result<_, StorageError>>()?;
-
-            // Remove at the old location.
-            store.delete_run(pos, pos + size)?;
-            vals.remove_range(pos, pos + size);
-            vals.shift_positions(pos + size, -(size as i64));
-            doc.delete_subtree(NodeId(pos as u32))
-                .map_err(|_| DbError::InvalidNode(pos))?;
-
-            // Re-anchor at the new parent (position shifts if it was after
-            // the removed range).
+            // Capture the subtree: structure and values from the master
+            // document, per-node codes from the embedded runs.
+            let sub = db.mirrors.doc.copy_subtree(NodeId(pos as u32));
+            let runs = db.mirrors.store.runs_in(pos, pos + size)?;
+            let codes: Vec<u32> = (pos..pos + size)
+                .map(|p| runs[runs.partition_point(|&(q, _)| q <= p) - 1].1)
+                .collect();
+            db.remove_subtree(pos, size)?;
+            // The new parent shifted if it lay after the removed range.
             let parent = if new_parent_pos >= pos + size {
                 new_parent_pos - size
             } else {
                 new_parent_pos
             };
-            let parent_rec = store.node(parent)?;
-            let at = parent + parent_rec.size as u64;
-            let mut prev_code: Option<u32> = None;
-            let items: Vec<BulkItem> = sub
-                .preorder()
-                .map(|id| {
-                    let n = sub.node(id);
-                    let code = code_at(pos + u64::from(id.0));
-                    let is_transition = prev_code != Some(code);
-                    prev_code = Some(code);
-                    BulkItem {
-                        tag: doc.tags_mut().intern(sub.tags().name(n.tag)),
-                        size: n.size,
-                        depth: n.depth + parent_rec.depth + 1,
-                        has_value: n.value.is_some(),
-                        code,
-                        is_transition,
-                    }
-                })
-                .collect();
-            let mut ancestors = store.ancestors_of(parent)?;
-            ancestors.push(parent);
-            store.insert_run(at, &ancestors, &items)?;
-            vals.shift_positions(at, size as i64);
-            for (off, v) in values {
-                if let Some(v) = v {
-                    vals.put(at + off, &v)?;
-                }
-            }
-            doc.insert_subtree(NodeId(parent as u32), None, &sub)
-                .map_err(|_| DbError::InvalidNode(parent))?;
-            db.mirrors.tag_index = Arc::new(build_tag_index(&db.mirrors.store)?);
-            db.mirrors.value_index =
-                Arc::new(build_value_index(&db.mirrors.store, &db.mirrors.values)?);
-            Arc::make_mut(&mut db.mirrors.dol)
-                .codebook_mut()
-                .mark_compaction_dirty();
+            let at = db.splice_subtree(parent, &sub, Some(&codes))?;
+            db.reindex()?;
             Ok(at)
         })
+    }
+
+    /// Removes the subtree `[pos, pos + size)` from the block store, the
+    /// value store and the master document.
+    fn remove_subtree(&mut self, pos: u64, size: u64) -> Result<(), DbError> {
+        let store = Arc::make_mut(&mut self.mirrors.store);
+        let values = Arc::make_mut(&mut self.mirrors.values);
+        let doc = Arc::make_mut(&mut self.mirrors.doc);
+        store.delete_run(pos, pos + size)?;
+        values.remove_range(pos, pos + size);
+        values.shift_positions(pos + size, -(size as i64));
+        doc.delete_subtree(NodeId(pos as u32))
+            .map_err(|_| DbError::InvalidNode(pos))?;
+        Ok(())
+    }
+
+    /// Splices `subtree` in as the last child of the node at `parent` —
+    /// block store, value store and master document — and returns its
+    /// root's position. `codes` holds one access code per node, in preorder
+    /// (a moved subtree's own); `None` makes the new nodes continue the run
+    /// in effect at the insertion point's document-order predecessor.
+    fn splice_subtree(
+        &mut self,
+        parent: u64,
+        subtree: &Document,
+        codes: Option<&[u32]>,
+    ) -> Result<u64, DbError> {
+        let store = Arc::make_mut(&mut self.mirrors.store);
+        let values = Arc::make_mut(&mut self.mirrors.values);
+        let doc = Arc::make_mut(&mut self.mirrors.doc);
+        let parent_rec = store.node(parent)?;
+        let at = parent + parent_rec.size as u64;
+        let inherited;
+        let codes = match codes {
+            Some(codes) => codes,
+            None => {
+                inherited = vec![store.code_at(at - 1)?; subtree.len()];
+                &inherited
+            }
+        };
+        // Encode the subtree (tags interned into the master document); the
+        // first node's flag is `insert_run`'s to set, against its predecessor.
+        let mut prev_code = None;
+        let items: Vec<BulkItem> = subtree
+            .preorder()
+            .map(|id| {
+                let n = subtree.node(id);
+                let code = codes[id.index()];
+                let is_transition = prev_code != Some(code);
+                prev_code = Some(code);
+                BulkItem {
+                    tag: doc.tags_mut().intern(subtree.tags().name(n.tag)),
+                    size: n.size,
+                    depth: n.depth + parent_rec.depth + 1,
+                    has_value: n.value.is_some(),
+                    code,
+                    is_transition,
+                }
+            })
+            .collect();
+        let mut ancestors = store.ancestors_of(parent)?;
+        ancestors.push(parent);
+        store.insert_run(at, &ancestors, &items)?;
+        // Values: shift the tail, then add the new nodes' values.
+        values.shift_positions(at, subtree.len() as i64);
+        for id in subtree.preorder() {
+            if let Some(v) = &subtree.node(id).value {
+                values.put(at + u64::from(id.0), v)?;
+            }
+        }
+        doc.insert_subtree(NodeId(parent as u32), None, subtree)
+            .map_err(|_| DbError::InvalidNode(parent))?;
+        Ok(at)
+    }
+
+    /// What every structural update ends with: the node index rebuilt from
+    /// the spliced store and values in one scan, and — blocks moved — an
+    /// in-flight compaction cursor marked stale.
+    fn reindex(&mut self) -> Result<(), DbError> {
+        self.mirrors.index = Arc::new(NodeIndex::build(&self.mirrors.store, &self.mirrors.values)?);
+        Arc::make_mut(&mut self.mirrors.dol)
+            .codebook_mut()
+            .mark_compaction_dirty();
+        Ok(())
     }
 
     /// Exports the fragment of the document visible to `subject` as XML:
@@ -1561,6 +1542,63 @@ mod tests {
         );
         // Inherited accessibility: subject 1 could see d's area, so it sees g.
         assert!(db.accessible(at, SubjectId(1)).unwrap());
+
+        // A random delete / insert / move sequence: after every step the
+        // live index is what a fresh open of the saved image builds, and the
+        // Table-1 shapes (path, twig, descendant join, value seed) answer as
+        // the reference evaluator does on the maintained master document.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
+        let image = std::env::temp_dir().join(format!("secure-xml-reindex-{}", std::process::id()));
+        let grafts = ["<b><c>v1</c></b>", "<g><h>v3</h><e>v2</e></g>", "<f/>"];
+        let mut answers = 0;
+        for step in 0..40 {
+            let n = db.len() as u64;
+            match rng.gen_range(0..3) {
+                0 if n > 12 => db.delete_subtree(rng.gen_range(1..n)).unwrap(),
+                1 => {
+                    // A move under the subtree's own descendant is refused
+                    // before anything is touched.
+                    let _ = db.move_subtree(rng.gen_range(1..n), rng.gen_range(0..n));
+                }
+                _ => {
+                    let graft = dol_xml::parse(grafts[rng.gen_range(0..grafts.len())]).unwrap();
+                    db.insert_subtree(rng.gen_range(0..n), &graft).unwrap();
+                }
+            }
+            db.verify_integrity().unwrap();
+            db.document().check_integrity().unwrap();
+            db.save_to(&image).unwrap();
+            let reopened = SecureXmlDb::open_from(&image).unwrap();
+            assert_eq!(db.mirrors.index, reopened.mirrors.index, "step {step}");
+            for q in [
+                "/a/d/e",
+                "/a/d[e][f]",
+                "//d//h",
+                "//g//e",
+                "//b/c[=\"v1\"]",
+                "//g[h=\"v3\"]/e",
+            ] {
+                let pattern = dol_nok::parse_query(q).unwrap();
+                let got = db.query(q, Security::None).unwrap().matches;
+                assert_eq!(
+                    got,
+                    dol_nok::reference::naive_eval(
+                        db.document(),
+                        &pattern,
+                        dol_nok::reference::RefSecurity::None
+                    ),
+                    "step {step}, query {q}"
+                );
+                answers += got.len();
+            }
+        }
+        assert!(
+            answers > 100,
+            "the sequence must keep the queries non-trivial: {answers}"
+        );
+        let _ = std::fs::remove_file(&image);
+        let _ = std::fs::remove_file(image.with_extension("wal"));
     }
 
     #[test]

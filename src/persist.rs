@@ -27,7 +27,7 @@
 
 use crate::{DbConfig, DbError, MirrorSnapshot, SecureXmlDb};
 use dol_core::{Codebook, EmbeddedDol};
-use dol_nok::{build_tag_index, build_value_index};
+use dol_nok::NodeIndex;
 use dol_storage::disk::StorageError;
 use dol_storage::{
     BufferPool, Disk, FileDisk, PageId, StoreConfig, StructStore, ValueStore, Wal, PAYLOAD_SIZE,
@@ -219,7 +219,7 @@ fn indexed_value(values: &ValueStore, pos: u64) -> Result<String, DbError> {
 
 /// Loads a version-2 image through `pool` into the complete read-side state
 /// [`SecureXmlDb`] mirrors in memory: catalog, structure chain, meta blob,
-/// value store, master document, and both B+-tree indexes — for
+/// value store, master document, and the node index — for
 /// [`SecureXmlDb::open_on`] (fresh handle) and [`SecureXmlDb::recover`]
 /// (rebuilding a poisoned handle's mirrors in place). The pool's cache must
 /// reflect the durable page state (fresh pool, or one whose cache was
@@ -283,8 +283,7 @@ pub(crate) fn load_image(pool: &Arc<BufferPool>) -> Result<MirrorSnapshot, DbErr
         doc.set_value(NodeId(pos as u32), Some(&indexed_value(&values, pos)?));
     }
     Ok(MirrorSnapshot {
-        tag_index: Arc::new(build_tag_index(&store)?),
-        value_index: Arc::new(build_value_index(&store, &values)?),
+        index: Arc::new(NodeIndex::build(&store, &values)?),
         doc: Arc::new(doc),
         store: Arc::new(store),
         values: Arc::new(values),

@@ -316,13 +316,11 @@ impl DbReader {
     /// the version ring's retention window), `refresh` is called for a fresh
     /// reader — typically `|| db.reader()` through whatever latch guards the
     /// handle — which replaces `self`, and the query is retried, at most
-    /// `max_retries` times.
-    /// [`DbError::Overloaded`] (admission control shed the request) is
-    /// retried on the same ladder after an exponential backoff pause (the
-    /// [`RetryPolicy`](crate::RetryPolicy) default schedule) — shedding is
-    /// transient by design, so hammering an overloaded queue with immediate
-    /// retries would defeat it. Every other outcome (including the final
-    /// staleness or overload failure) is returned as-is.
+    /// `max_retries` times. Every other outcome (including the final
+    /// staleness failure) is returned as-is. A query is never shed by
+    /// admission control — [`DbError::Overloaded`] belongs to update
+    /// submission, and its submitter does the backing off — so there is
+    /// nothing here to wait out.
     ///
     /// The staleness arm is a *fallback*, not the common path: inside the
     /// retention window plain [`query`](Self::query) never fails for
@@ -343,58 +341,33 @@ impl DbReader {
             security,
             ExecOptions::default(),
             max_retries,
-            0,
             refresh,
         )
     }
 
     /// [`query_with_retry`](Self::query_with_retry) with explicit
-    /// [`ExecOptions`] and a jitter seed.
-    ///
-    /// The backoff pauses on the [`DbError::Overloaded`] arm are
-    /// **jittered**: attempt `n` sleeps a deterministic point in
-    /// `[backoff_for(n)/2, backoff_for(n)]` chosen by mixing `(seed, n)`
-    /// (see [`jittered_backoff`]), so a fleet of clients shed in the same
-    /// burst — each holding a distinct seed — re-arrives spread out instead
-    /// of as a synchronized thundering herd, while any single `(seed,
-    /// attempt)` pair replays the exact same schedule run after run.
-    ///
-    /// `opts.deadline` bounds the whole ladder: once it expires, the loop
-    /// stops retrying (and never sleeps past it) and returns the last
-    /// outcome as-is.
+    /// [`ExecOptions`]. `opts.deadline` bounds the whole loop: once it
+    /// expires, the loop stops retrying and returns the last outcome as-is.
     pub fn query_with_retry_opts<F>(
         &mut self,
         query: &str,
         security: Security,
         opts: ExecOptions,
         max_retries: u32,
-        seed: u64,
         mut refresh: F,
     ) -> Result<QueryResult, DbError>
     where
         F: FnMut() -> DbReader,
     {
-        let policy = crate::RetryPolicy::default();
         let mut retries = 0;
         loop {
             let outcome = self.query_opts(query, security, opts.clone());
-            match retry_action(&outcome) {
-                Some(action) if retries < max_retries && !opts.deadline.is_expired() => {
-                    retries += 1;
-                    match action {
-                        RetryAction::Refresh => *self = refresh(),
-                        RetryAction::Backoff => {
-                            // The snapshot is fine — the system shed load.
-                            // Wait out the burst instead of re-snapshotting.
-                            let pause = jittered_backoff(&policy, seed, retries);
-                            if !pause.is_zero() {
-                                std::thread::sleep(pause);
-                            }
-                        }
-                    }
-                }
-                _ => return outcome,
+            let stale = matches!(outcome, Err(DbError::RetentionExceeded { .. }));
+            if !stale || retries == max_retries || opts.deadline.is_expired() {
+                return outcome;
             }
+            retries += 1;
+            *self = refresh();
         }
     }
 
@@ -438,50 +411,6 @@ impl DbReader {
     }
 }
 
-/// How [`DbReader::query_with_retry`] reacts to a retryable failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RetryAction {
-    /// Snapshot-age failure: replace the reader and retry immediately.
-    Refresh,
-    /// Load-shedding failure: keep the reader, retry after a backoff pause.
-    Backoff,
-}
-
-/// The backoff pause for retry `attempt` (1-based) under `policy`, with
-/// deterministic seeded jitter: a SplitMix64-style mix of `(seed, attempt)`
-/// picks a point in `[backoff_for(attempt) / 2, backoff_for(attempt)]`.
-///
-/// Determinism is the point: the same `(seed, attempt)` always sleeps the
-/// same pause, so a pinned-seed benchmark or test replays its exact retry
-/// schedule, while distinct seeds (one per client) decorrelate the fleet's
-/// re-arrival times after a shared shedding burst.
-pub fn jittered_backoff(policy: &crate::RetryPolicy, seed: u64, attempt: u32) -> Duration {
-    let base = policy.backoff_for(attempt);
-    if base.is_zero() {
-        return base;
-    }
-    // SplitMix64 finalizer over the (seed, attempt) pair.
-    let mut z = seed
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(u64::from(attempt));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    let base_ns = base.as_nanos() as u64;
-    let half = base_ns / 2;
-    // Integer arithmetic end to end: bit-identical on every platform.
-    Duration::from_nanos(half + z % (base_ns - half + 1))
-}
-
-/// Classifies a query outcome for the retry loop: `None` is terminal.
-fn retry_action(outcome: &Result<QueryResult, DbError>) -> Option<RetryAction> {
-    match outcome {
-        Err(DbError::RetentionExceeded { .. }) => Some(RetryAction::Refresh),
-        Err(DbError::Overloaded) => Some(RetryAction::Backoff),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,74 +428,6 @@ mod tests {
             map.set(SubjectId(1), NodeId(p), true);
         }
         SecureXmlDb::from_document(doc, &map).unwrap()
-    }
-
-    #[test]
-    fn retry_loop_classifies_overload_as_backoff() {
-        // Snapshot-age failures re-snapshot; shed load backs off in place;
-        // everything else (including success) is terminal.
-        assert_eq!(
-            retry_action(&Err(DbError::RetentionExceeded {
-                seen: 0,
-                oldest: 1,
-                now: 2
-            })),
-            Some(RetryAction::Refresh)
-        );
-        assert_eq!(
-            retry_action(&Err(DbError::Overloaded)),
-            Some(RetryAction::Backoff)
-        );
-        assert_eq!(retry_action(&Err(DbError::Poisoned)), None);
-        assert_eq!(
-            retry_action(&Ok(QueryResult {
-                matches: vec![],
-                stats: Default::default()
-            })),
-            None
-        );
-        // The backoff ladder is exponential and bounded — the pause for a
-        // later retry never shrinks and never exceeds the cap.
-        let policy = crate::RetryPolicy::default();
-        let mut last = std::time::Duration::ZERO;
-        for attempt in 1..=8 {
-            let pause = policy.backoff_for(attempt);
-            assert!(pause >= last, "backoff must not shrink");
-            assert!(pause <= policy.backoff_cap);
-            last = pause;
-        }
-    }
-
-    #[test]
-    fn jittered_backoff_is_bounded_and_deterministic() {
-        let policy = crate::RetryPolicy::default();
-        // Bound: every (seed, attempt) lands in [base/2, base].
-        for seed in [0u64, 1, 7, 0xDEAD_BEEF, u64::MAX] {
-            for attempt in 1..=10 {
-                let base = policy.backoff_for(attempt);
-                let pause = jittered_backoff(&policy, seed, attempt);
-                assert!(
-                    pause >= base / 2 && pause <= base,
-                    "seed {seed} attempt {attempt}: {pause:?} outside [{:?}, {base:?}]",
-                    base / 2
-                );
-            }
-        }
-        // Determinism under a pinned seed: the schedule replays exactly.
-        let schedule = |seed: u64| -> Vec<std::time::Duration> {
-            (1..=10)
-                .map(|a| jittered_backoff(&policy, seed, a))
-                .collect()
-        };
-        assert_eq!(schedule(42), schedule(42));
-        // Decorrelation: distinct seeds disagree somewhere on the ladder.
-        assert_ne!(schedule(42), schedule(43));
-        // Zero-backoff policies stay zero (no sleeping sneaks in).
-        let quiet = crate::RetryPolicy {
-            backoff_start: std::time::Duration::ZERO,
-            ..policy
-        };
-        assert_eq!(jittered_backoff(&quiet, 9, 3), std::time::Duration::ZERO);
     }
 
     #[test]
@@ -732,6 +593,22 @@ mod tests {
             Err(DbError::RetentionExceeded { .. })
         ));
         assert!(matches!(r.value(2), Err(DbError::RetentionExceeded { .. })));
+        // The loop is bounded: with no retries left, or past the deadline,
+        // the refusal comes back as-is and `refresh` never runs.
+        let sec = Security::BindingLevel(SubjectId(0));
+        let never = || -> DbReader { panic!("refresh must not run") };
+        assert!(matches!(
+            r.query_with_retry("//d/e", sec, 0, never),
+            Err(DbError::RetentionExceeded { .. })
+        ));
+        let expired = ExecOptions {
+            deadline: crate::Deadline::after(Duration::ZERO),
+            ..ExecOptions::default()
+        };
+        assert!(matches!(
+            r.query_with_retry_opts("//d/e", sec, expired, 8, never),
+            Err(DbError::RetentionExceeded { .. })
+        ));
         // The refresh path: query_with_retry re-snapshots and succeeds.
         let got = r
             .query_with_retry("//d/e", Security::BindingLevel(SubjectId(0)), 1, || {

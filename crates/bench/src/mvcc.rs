@@ -1,14 +1,14 @@
 //! MVCC epoch ring + group commit: the acceptance gate for "writers that
 //! never evict readers".
 //!
-//! Three sections, one database protocol:
+//! Four sections, one database protocol:
 //!
 //! 1. **Fsyncs at equal durability** — the same update sequence on a
 //!    real file-backed database, committed solo (one WAL transaction and
 //!    one fsync per update) vs group-committed (`run_batch`, K updates
 //!    per WAL transaction and fsync). Both end in byte-equal query
-//!    answers; the batched column amortizes the per-transaction catalog +
-//!    meta rewrite and the sync. What that buys in time is `perf/`'s to
+//!    answers; the batched column amortizes the per-transaction page
+//!    images and the sync. What that buys in time is `perf/`'s to
 //!    measure; here it is counted.
 //! 2. **Pinned readers under a writer** — snapshot readers pinned to
 //!    every retained epoch keep answering their own epoch's oracle
@@ -21,19 +21,27 @@
 //!    check the pair invariant on every snapshot: members land whole or
 //!    not at all, rejected members never disturb their batch peers, and
 //!    the committer's counters reconcile exactly.
+//! 4. **Write path at two scales** — one persistent database per xmark
+//!    scale (the base scale and 4× it), three updates on the same kind of
+//!    target: a `set_node_access` that interns a new code, one that interns
+//!    none, and a `set_subtree_access` on a subtree of at most 64 nodes.
+//!    Per update: data pages written, WAL bytes appended and image growth.
+//!    A commit costs what it changes, so every row must be equal at both
+//!    scales, within 8 pages and 64 KiB of WAL, with no growth when no code
+//!    is interned and at most two pages otherwise.
 //!
 //! The correctness gates (zero untyped reader failures, zero invariant violations,
 //! solo ≡ batched answers, counter reconciliation, batched fsyncs/update
-//! at most a fifth of solo) are asserted in **every** mode; `--smoke`
-//! only pins the effort so CI runs a deterministic small instance.
-//! Nothing is timed.
+//! at most a fifth of solo, scale-free write costs) are asserted in
+//! **every** mode; `--smoke` only pins the effort so CI runs a
+//! deterministic small instance. Nothing is timed.
 
 use crate::table::Table;
 use crate::Effort;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secure_xml::acl::SubjectId;
-use secure_xml::storage::{Disk, FileDisk};
+use secure_xml::storage::{Disk, FileDisk, MemDisk, PAGE_SIZE};
 use secure_xml::workloads::{synth_multi, xmark, SynthAclConfig, XmarkConfig};
 use secure_xml::{
     DbConfig, DbError, DbReader, GroupCommitConfig, GroupCommitter, SecureXmlDb, Security, UpdateFn,
@@ -62,6 +70,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     let durability = equal_durability(effort, seed);
     let pr = pinned_readers(effort, seed);
     let cc = concurrent(effort, seed);
+    let wp = write_path(effort);
 
     let mut t = Table::new("mvcc", &["section", "updates", "metric", "value"]);
     t.row(&[
@@ -126,7 +135,37 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
          commit; past the {RETAIN}-epoch window they fail typed and refresh.)\n"
     );
 
-    write_json(seed, &durability, &pr, &cc);
+    let mut t = Table::new(
+        "mvcc write path",
+        &[
+            "update",
+            "nodes",
+            "codes interned",
+            "pages",
+            "WAL bytes",
+            "growth bytes",
+        ],
+    );
+    for (&nodes, costs) in wp.nodes.iter().zip(&wp.costs) {
+        for (update, c) in WRITE_UPDATES.iter().zip(costs) {
+            t.row(&[
+                update.to_string(),
+                nodes.to_string(),
+                c.interned.to_string(),
+                c.pages.to_string(),
+                c.wal_bytes.to_string(),
+                c.growth_bytes.to_string(),
+            ]);
+        }
+    }
+    t.print();
+    println!(
+        "(One persistent database per scale; each update runs between two\n\
+         checkpoints, so its pages are exactly the ones the commit dirtied.\n\
+         Every row is asserted equal across the scales.)\n"
+    );
+
+    write_json(seed, &durability, &pr, &cc, &wp);
 
     if smoke {
         println!("mvcc --smoke: all assertions passed\n");
@@ -159,6 +198,29 @@ struct Concurrent {
     reader_checks: u64,
     retry_refreshes: u64,
     probe_refusals: u64,
+}
+
+/// The updates section 4 measures, in the order they run on one target.
+const WRITE_UPDATES: [&str; 3] = [
+    "set_node_access, new code",
+    "set_node_access, no new code",
+    "set_subtree_access",
+];
+
+/// What one committed update wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct WriteCost {
+    interned: usize,
+    pages: u64,
+    wal_bytes: u64,
+    growth_bytes: u64,
+}
+
+/// Section 4 results: per scale, the node count and one cost per update.
+struct WritePath {
+    scales: Vec<f64>,
+    nodes: Vec<usize>,
+    costs: Vec<Vec<WriteCost>>,
 }
 
 fn acl_config() -> SynthAclConfig {
@@ -198,6 +260,14 @@ fn suite_answers(reader: &DbReader) -> Vec<Vec<u64>> {
     out
 }
 
+/// Flips [`SUBJECT`]'s access to `pos`. An update that changes nothing
+/// dirties no page and commits nothing, so the durability comparison runs
+/// updates that all change the image.
+fn flip(db: &mut SecureXmlDb, pos: u64) -> Result<(), DbError> {
+    let allow = !db.accessible(pos, SUBJECT)?;
+    db.set_node_access(pos, SUBJECT, allow)
+}
+
 /// Solo vs batched commits of the same update sequence on file-backed
 /// disks (real fsyncs), ending in identical states.
 fn equal_durability(effort: Effort, seed: u64) -> EqualDurability {
@@ -216,11 +286,9 @@ fn equal_durability(effort: Effort, seed: u64) -> EqualDurability {
     let image = SecureXmlDb::with_config(doc, &map, cfg).expect("build");
     let n = image.len() as u64;
     let updates = effort.pick(12, 120) * BATCH_K;
-    let ops: Vec<(u64, bool)> = {
+    let ops: Vec<u64> = {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..updates)
-            .map(|_| (rng.gen_range(1..n), rng.gen_bool(0.5)))
-            .collect()
+        (0..updates).map(|_| rng.gen_range(1..n)).collect()
     };
 
     let open = |name: &str| -> SecureXmlDb {
@@ -236,8 +304,8 @@ fn equal_durability(effort: Effort, seed: u64) -> EqualDurability {
     let mut solo = open("solo");
     let wal = solo.store().pool().wal().expect("wal attached");
     let fsyncs_before = wal.stats().commits;
-    for &(pos, allow) in &ops {
-        solo.set_node_access(pos, SUBJECT, allow).expect("solo set");
+    for &pos in &ops {
+        flip(&mut solo, pos).expect("solo set");
     }
     let solo_fsyncs = wal.stats().commits - fsyncs_before;
 
@@ -249,9 +317,7 @@ fn equal_durability(effort: Effort, seed: u64) -> EqualDurability {
     for chunk in ops.chunks(BATCH_K) {
         let members: Vec<UpdateFn> = chunk
             .iter()
-            .map(|&(pos, allow)| -> UpdateFn {
-                Box::new(move |db: &mut SecureXmlDb| db.set_node_access(pos, SUBJECT, allow))
-            })
+            .map(|&pos| -> UpdateFn { Box::new(move |db: &mut SecureXmlDb| flip(db, pos)) })
             .collect();
         let results = batched.run_batch(&members).expect("batch commit");
         assert!(
@@ -577,7 +643,134 @@ fn concurrent(effort: Effort, seed: u64) -> Concurrent {
     }
 }
 
-fn write_json(seed: u64, durability: &EqualDurability, pr: &Pinned, cc: &Concurrent) {
+/// The same three updates on a persistent database at two scales: a commit
+/// that costs what it changes costs the same at both.
+fn write_path(effort: Effort) -> WritePath {
+    let base = effort.scale(0.02, 0.1);
+    let scales = vec![base, 4.0 * base];
+    let (nodes, costs): (Vec<usize>, Vec<Vec<WriteCost>>) =
+        scales.iter().map(|&s| write_costs(s)).unzip();
+    for (i, update) in WRITE_UPDATES.iter().enumerate() {
+        let c = costs[0][i];
+        assert_eq!(
+            c, costs[1][i],
+            "{update}: the write cost depends on the document size ({} vs {} nodes)",
+            nodes[0], nodes[1]
+        );
+        assert!(c.pages <= 8, "{update}: {} pages written", c.pages);
+        assert!(
+            c.wal_bytes <= 64 << 10,
+            "{update}: {} WAL bytes",
+            c.wal_bytes
+        );
+        let max_growth = if c.interned == 0 {
+            0
+        } else {
+            2 * PAGE_SIZE as u64
+        };
+        assert!(
+            c.growth_bytes <= max_growth,
+            "{update}: the image grew {} bytes",
+            c.growth_bytes
+        );
+    }
+    let interned: Vec<usize> = costs[0].iter().map(|c| c.interned).collect();
+    assert!(
+        interned[0] > 0 && interned[1] == 0 && interned[2] > 0,
+        "the updates must intern codes as labelled: {interned:?}"
+    );
+    WritePath {
+        scales,
+        nodes,
+        costs,
+    }
+}
+
+/// Builds and persists the xmark database at `scale`, then measures each
+/// update of [`WRITE_UPDATES`] between two checkpoints: the data pages the
+/// second flushes, the WAL bytes the commit appended, and the pages it
+/// allocated.
+fn write_costs(scale: f64) -> (usize, Vec<WriteCost>) {
+    let doc = xmark(&XmarkConfig {
+        scale,
+        seed: 20050405,
+    });
+    let map = synth_multi(&doc, &acl_config(), 3);
+    let cfg = DbConfig {
+        epoch_retain: RETAIN,
+        ..DbConfig::default()
+    };
+    let data = Arc::new(MemDisk::new());
+    SecureXmlDb::with_config(doc, &map, cfg)
+        .expect("build")
+        .save_to_disk(data.clone())
+        .expect("save image");
+    let mut db = SecureXmlDb::open_on(data.clone(), Arc::new(MemDisk::new()), cfg).expect("open");
+    // Subjects no node grants yet: granting one interns a new code, and
+    // revoking it again restores the node's old one.
+    let f1 = db.add_subject(None).expect("add subject");
+    let f2 = db.add_subject(None).expect("add subject");
+    let root = quiet_subtree(&db);
+    let wal = db.store().pool().wal().expect("wal attached");
+    let updates: [UpdateFn; 3] = [
+        Box::new(move |db| db.set_node_access(root, f1, true)),
+        Box::new(move |db| db.set_node_access(root, f1, false)),
+        Box::new(move |db| db.set_subtree_access(root, f2, true)),
+    ];
+    let costs = updates
+        .iter()
+        .map(|update| {
+            db.checkpoint().expect("checkpoint");
+            let io = db.io_stats();
+            let logged = wal.stats().bytes_logged;
+            let (pages, codes) = (data.num_pages(), db.dol().codebook().len());
+            update(&mut db).expect("update");
+            let wal_bytes = wal.stats().bytes_logged - logged;
+            db.checkpoint().expect("checkpoint");
+            WriteCost {
+                interned: db.dol().codebook().len() - codes,
+                pages: db.io_stats().since(&io).physical_writes,
+                wal_bytes,
+                growth_bytes: u64::from(data.num_pages() - pages) * PAGE_SIZE as u64,
+            }
+        })
+        .collect();
+    (db.len(), costs)
+}
+
+/// The first node whose subtree holds 8–64 nodes of one access code and
+/// lies, with its successor, strictly inside one block of at most 48 code
+/// runs (room for the two transitions an update adds): every update of
+/// [`WRITE_UPDATES`] on it rewrites exactly that block, however large the
+/// document around it.
+fn quiet_subtree(db: &SecureXmlDb) -> u64 {
+    let store = db.store();
+    (0..store.block_count())
+        .find_map(|b| {
+            let info = store.block_info(b);
+            let (start, end) = (info.first_pos, info.first_pos + u64::from(info.count));
+            if store.runs_in(start, end).ok()?.len() > 48 {
+                return None;
+            }
+            (start + 1..end).find(|&p| {
+                let size = store.node(p).map_or(0, |n| u64::from(n.size));
+                (8..=64).contains(&size)
+                    && p + size < end
+                    && store
+                        .runs_in(p, p + size + 1)
+                        .is_ok_and(|runs| runs.len() == 1)
+            })
+        })
+        .expect("the document has a quiet subtree")
+}
+
+fn write_json(
+    seed: u64,
+    durability: &EqualDurability,
+    pr: &Pinned,
+    cc: &Concurrent,
+    wp: &WritePath,
+) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"experiment\": \"mvcc\",\n");
@@ -617,7 +810,32 @@ fn write_json(seed: u64, durability: &EqualDurability, pr: &Pinned, cc: &Concurr
         "  \"gc_retry_refreshes\": {},\n",
         cc.retry_refreshes
     ));
-    out.push_str(&format!("  \"gc_probe_refusals\": {}\n", cc.probe_refusals));
+    out.push_str(&format!(
+        "  \"gc_probe_refusals\": {},\n",
+        cc.probe_refusals
+    ));
+    let list = |v: Vec<String>| v.join(", ");
+    out.push_str(&format!(
+        "  \"write_path_scales\": [{}],\n",
+        list(wp.scales.iter().map(|s| s.to_string()).collect())
+    ));
+    out.push_str(&format!(
+        "  \"write_path_nodes\": [{}],\n",
+        list(wp.nodes.iter().map(|n| n.to_string()).collect())
+    ));
+    // Equal at every scale (asserted): one row per update.
+    let rows: Vec<String> = WRITE_UPDATES
+        .iter()
+        .zip(&wp.costs[0])
+        .map(|(update, c)| {
+            format!(
+                "    {{\"update\": \"{update}\", \"codes_interned\": {}, \"pages_written\": {}, \
+                 \"wal_bytes\": {}, \"image_growth_bytes\": {}}}",
+                c.interned, c.pages, c.wal_bytes, c.growth_bytes
+            )
+        })
+        .collect();
+    out.push_str(&format!("  \"write_path\": [\n{}\n  ]\n", rows.join(",\n")));
     out.push_str("}\n");
     match std::fs::File::create("BENCH_mvcc.json").and_then(|mut f| f.write_all(out.as_bytes())) {
         Ok(()) => println!("(wrote BENCH_mvcc.json)\n"),

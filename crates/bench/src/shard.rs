@@ -328,10 +328,12 @@ fn crash_sweep(effort: Effort, seed: u64, smoke: bool) -> SweepOutcome {
         };
         let counts = out.by_kind.entry(op.kind()).or_default();
         // Stride-sample the window, but always include its tail: the
-        // decided-but-unfinished region after the catalog append is only a
-        // handful of writes wide and must be crashed into every op.
+        // decided-but-unfinished region after the catalog append is at most
+        // a handful of writes wide (none, when the catalog append is the
+        // op's last write: `k == window` cuts right after it) and must be
+        // crashed into every op.
         let mut points: Vec<u64> = (0..window).step_by(stride).collect();
-        points.extend(window.saturating_sub(6)..window);
+        points.extend(window.saturating_sub(6)..=window);
         points.sort_unstable();
         points.dedup();
         for k in points {

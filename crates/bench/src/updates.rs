@@ -141,8 +141,8 @@ const BATCH: usize = 8;
 /// Crash-consistency overhead: identical update sequences through the
 /// database facade on (a) an in-memory database with no log, (b) a
 /// persistent database whose every update commits through the physical
-/// WAL — including the per-transaction catalog + meta rewrite and an
-/// fsync per commit — and (c) the same WAL-backed database committing
+/// WAL — including the meta sections and catalog a transaction changed and
+/// an fsync per commit — and (c) the same WAL-backed database committing
 /// the updates through `run_batch` in groups of [`BATCH`], which folds
 /// every group into one WAL transaction and one fsync.
 fn wal_overhead(effort: Effort) {
@@ -277,8 +277,8 @@ fn wal_overhead(effort: Effort) {
         );
     }
     println!(
-        "(The WAL column pays for full page images of every dirtied page plus the\n\
-         per-transaction catalog + meta rewrite, an fsync per commit, and periodic\n\
+        "(The WAL column pays for full page images of every dirtied page (meta\n\
+         sections and catalog included when changed), an fsync per commit, and periodic\n\
          checkpoints — the price of recovering to an exact update boundary. The\n\
          batched column commits the identical updates through `run_batch` in\n\
          groups of {BATCH}: one WAL transaction and one fsync per group, which is\n\

@@ -33,16 +33,21 @@ impl StoreConfig {
         trans_capacity(count).min(count.max(1))
     }
 
-    fn validate(&self) {
-        assert!(
-            self.max_records_per_block >= 2,
-            "blocks must hold at least two records"
-        );
-        assert!(
-            fits(self.max_records_per_block, 1),
-            "max_records_per_block leaves no room for transitions"
-        );
+    fn check(&self) -> Result<(), &'static str> {
+        if self.max_records_per_block < 2 {
+            Err("blocks must hold at least two records")
+        } else if !fits(self.max_records_per_block, 1) {
+            Err("max_records_per_block leaves no room for transitions")
+        } else {
+            Ok(())
+        }
     }
+}
+
+/// A typed error for persisted structure bytes that cannot be what they
+/// claim to be.
+fn invalid_data(msg: String) -> StorageError {
+    StorageError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, msg))
 }
 
 /// One node of a bulk-load stream: structural fields plus its DOL state.
@@ -216,7 +221,7 @@ impl StructStore {
         cfg: StoreConfig,
         items: impl IntoIterator<Item = BulkItem>,
     ) -> Result<Self, StorageError> {
-        cfg.validate();
+        cfg.check().expect("invalid StoreConfig");
         let mut store = Self {
             pool,
             dir: Vec::new(),
@@ -249,18 +254,33 @@ impl StructStore {
     /// Re-opens a store persisted earlier by following the block chain from
     /// `first` (each block header's `next` pointer), rebuilding the
     /// in-memory directory — the paper's in-memory page-header table — in
-    /// one pass over the headers.
+    /// one pass over the headers. The configuration and the chain are
+    /// persisted bytes: an invalid configuration, a header whose records and
+    /// transitions overflow its page, or a chain longer than the disk (a
+    /// cycle) is a typed `InvalidData` error.
     pub fn open_chain(
         pool: Arc<BufferPool>,
         cfg: StoreConfig,
         first: PageId,
     ) -> Result<Self, StorageError> {
-        cfg.validate();
+        cfg.check().map_err(|e| invalid_data(e.to_string()))?;
+        let max_blocks = pool.disk().num_pages() as usize;
         let mut dir = Vec::new();
         let mut total = 0u64;
         let mut page = first;
         while page.is_valid() {
+            if dir.len() == max_blocks {
+                return Err(invalid_data(format!(
+                    "structure chain from {first} runs past the disk's {max_blocks} pages"
+                )));
+            }
             let hdr = pool.with_page(page, BlockHeader::read)?;
+            if hdr.count == 0 || !fits(usize::from(hdr.count), usize::from(hdr.trans_count)) {
+                return Err(invalid_data(format!(
+                    "block {page} claims {} records and {} transitions",
+                    hdr.count, hdr.trans_count
+                )));
+            }
             dir.push(BlockInfo {
                 page,
                 count: u32::from(hdr.count),
@@ -793,6 +813,8 @@ impl StructStore {
     /// fresh first-occurrence interner would renumber tags after any
     /// structural update that changed first-occurrence order, and every
     /// index keyed by the store's ids would then resolve names wrongly.
+    /// Records naming a tag `tags` lacks, or not forming one tree, are a
+    /// typed `InvalidData` error.
     pub fn to_document(&self, tags: &TagInterner) -> Result<Document, StorageError> {
         let mut b = dol_xml::DocumentBuilder::with_tags(tags.clone());
         let mut stack: Vec<u64> = Vec::new();
@@ -806,13 +828,22 @@ impl StructStore {
                     break;
                 }
             }
+            if p > 0 && stack.is_empty() {
+                return Err(invalid_data(format!("node {p} starts a second root")));
+            }
+            if rec.tag.index() >= tags.len() {
+                return Err(invalid_data(format!(
+                    "node {p} names unknown tag {}",
+                    rec.tag.0
+                )));
+            }
             b.open(tags.name(rec.tag));
             stack.push(p + rec.size as u64);
         }
         for _ in stack {
             b.close();
         }
-        Ok(b.finish().expect("store encodes a well-formed tree"))
+        b.finish().map_err(|e| invalid_data(e.to_string()))
     }
 }
 

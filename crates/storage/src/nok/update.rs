@@ -316,6 +316,10 @@ impl StructStore {
 
     /// Replaces the blocks in `blocks` with freshly packed blocks holding
     /// `items`, then fixes directory positions, totals and chain pointers.
+    /// The new blocks are written into the replaced blocks' pages first, in
+    /// order, and only the surplus is allocated: an update that keeps the
+    /// block count grows nothing. (A splice that shrinks the count leaves
+    /// its spare pages unreferenced until the image is compacted.)
     pub(crate) fn splice_blocks(
         &mut self,
         blocks: Range<usize>,
@@ -325,6 +329,17 @@ impl StructStore {
             .iter()
             .map(|b| u64::from(b.count))
             .sum();
+        let mut reuse = self.dir[blocks.clone()]
+            .iter()
+            .map(|b| b.page)
+            .collect::<Vec<_>>()
+            .into_iter();
+        // What the predecessor's `next` points at now.
+        let old_first = self
+            .dir
+            .get(blocks.start)
+            .map(|b| b.page)
+            .unwrap_or(PageId::INVALID);
         let first_pos = self
             .dir
             .get(blocks.start)
@@ -341,7 +356,7 @@ impl StructStore {
             if chunk.len() >= max
                 || (would_be_trans && trans_in_chunk + 1 > self.cfg.trans_cap(max))
             {
-                let info = self.write_fresh_block(&chunk, pos)?;
+                let info = self.write_block(&chunk, pos, reuse.next())?;
                 pos += u64::from(info.count);
                 new_infos.push(info);
                 chunk.clear();
@@ -353,7 +368,7 @@ impl StructStore {
             chunk.push(item);
         }
         if !chunk.is_empty() {
-            let info = self.write_fresh_block(&chunk, pos)?;
+            let info = self.write_block(&chunk, pos, reuse.next())?;
             pos += u64::from(info.count);
             new_infos.push(info);
         }
@@ -366,7 +381,8 @@ impl StructStore {
             info.first_pos = (info.first_pos as i64 + delta) as u64;
         }
         self.total = (self.total as i64 + delta) as u64;
-        // Re-link the chain around the spliced region.
+        // Re-link the chain around the spliced region. The predecessor is
+        // rewritten only if the range's first page changed.
         let link_from = blocks.start.saturating_sub(1);
         let link_to = (blocks.start + added).min(self.dir.len());
         for i in link_from..link_to {
@@ -375,6 +391,9 @@ impl StructStore {
                 .get(i + 1)
                 .map(|b| b.page)
                 .unwrap_or(PageId::INVALID);
+            if i + 1 == blocks.start && next == old_first {
+                continue;
+            }
             let page = self.dir[i].page;
             self.pool.with_page_mut(page, |p| {
                 let mut hdr = BlockHeader::read(p);
@@ -385,14 +404,19 @@ impl StructStore {
         Ok(())
     }
 
-    /// Writes one freshly allocated block and returns its directory entry.
-    fn write_fresh_block(
+    /// Writes one block into `page` (a freshly allocated one if `None`) and
+    /// returns its directory entry.
+    fn write_block(
         &mut self,
         items: &[BulkItem],
         first_pos: u64,
+        page: Option<PageId>,
     ) -> Result<BlockInfo, StorageError> {
         debug_assert!(!items.is_empty());
-        let page = self.pool.allocate_page()?;
+        let page = match page {
+            Some(page) => page,
+            None => self.pool.allocate_page()?,
+        };
         let first = items[0];
         let trans: Vec<(u16, u32)> = items
             .iter()

@@ -254,7 +254,7 @@ pub struct SecureXmlDb {
     /// Compiled-plan and secure-result caches, shared with every reader.
     caches: Arc<reader::QueryCaches>,
     /// Opened from a saved image with an attached write-ahead log: updates
-    /// must also rewrite the on-disk catalog and meta blob.
+    /// must also rewrite the meta sections they changed and the catalog.
     persistent: bool,
     /// The file this persistent handle was opened from (`None` for
     /// in-memory databases and explicit-disk opens). [`SecureXmlDb::save_to`]
@@ -471,9 +471,10 @@ impl SecureXmlDb {
         Ok(())
     }
 
-    /// Closes the open scope. On a persistent database the catalog and meta
-    /// blob are rewritten inside the transaction, so a crash anywhere leaves
-    /// the image in exactly the before- or after-state. Then, with
+    /// Closes the open scope. On a persistent database the meta sections
+    /// whose mirrors changed, and then the catalog, are rewritten inside the
+    /// transaction, so a crash anywhere leaves the image in exactly the
+    /// before- or after-state. Then, with
     /// `gtid == None`, the transaction **commits** (after-images to the
     /// write-ahead log before any data page) and the epoch is published; a
     /// failure poisons the handle. With `gtid == Some(g)` it is **prepared**
@@ -849,10 +850,16 @@ impl SecureXmlDb {
     ///   always a transition;
     /// * every transition code is within the codebook's bounds;
     /// * each block header's first-code and change bit agree with the
-    ///   records actually in the block.
+    ///   records actually in the block;
+    /// * on a persistent database outside an open transaction, the persisted
+    ///   meta: the catalog names this store's structure chain, each meta
+    ///   section reads back from the pool as exactly the bytes its live
+    ///   mirror encodes to, and the section chains share no page with each
+    ///   other, the catalog, the structure chain or the value log.
     ///
-    /// Returns [`DbError::Integrity`] naming the first violation. The chaos
-    /// soak runs this after every in-process recovery.
+    /// Returns [`DbError::Integrity`] naming the first violation (for the
+    /// meta, the section). The chaos soak and the crash sweeps run this
+    /// after every in-process recovery.
     pub fn verify_integrity(&self) -> Result<(), DbError> {
         self.mirrors
             .store
@@ -911,6 +918,10 @@ impl SecureXmlDb {
                 )));
             }
             pos += count;
+        }
+        // Mid-transaction the catalog still describes `before`.
+        if self.persistent && !matches!(self.txn, TxnScope::Open { .. }) {
+            persist::verify_meta(&self.pool, &self.mirrors)?;
         }
         Ok(())
     }

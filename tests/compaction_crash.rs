@@ -23,7 +23,7 @@ const CFG: DbConfig = DbConfig {
     max_records_per_block: 4,
     epoch_retain: 8,
 };
-const STEPS: u64 = 14;
+const STEPS: u64 = 30;
 /// Tiny per-tick budget so one drain spans many transactions.
 const TICK_BLOCKS: usize = 2;
 const GROUPS: usize = 3;
@@ -82,9 +82,16 @@ fn mix(mut x: u64) -> u64 {
 }
 
 /// One deterministic step: mostly bounded ticks, with interleaved updates
-/// that dirty the in-flight plan (forcing a crash-consistent re-plan).
+/// that dirty the in-flight plan (forcing a crash-consistent re-plan). The
+/// ACL edit follows a structural insert, so a commit that reuses the clean
+/// values and tags sections comes right after one that rewrote them.
 fn apply(db: &mut SecureXmlDb, t: u64) -> Result<(), DbError> {
     match t % 5 {
+        3 => {
+            let parent = mix(SEED ^ t) % db.len() as u64;
+            let graft = secure_xml::xml::parse("<e>v3</e>").unwrap();
+            db.insert_subtree(parent, &graft).map(|_| ())
+        }
         4 => {
             let pos = 1 + mix(SEED ^ t) % (db.len() as u64 - 1);
             let user = SubjectId((GROUPS + (t as usize) % USERS) as u32);

@@ -113,7 +113,8 @@ fn run_batch_commits_members_atomically_in_one_epoch() {
 }
 
 /// The suite's database saved onto fresh in-memory disks and reopened with
-/// a write-ahead log attached: every update rewrites the meta blob.
+/// a write-ahead log attached: every update also rewrites the meta sections
+/// it changed and the catalog.
 fn persistent_twin() -> SecureXmlDb {
     use secure_xml::storage::MemDisk;
     use std::sync::Arc;

@@ -13,9 +13,11 @@
 //! matrix, every node value, and a secure query suite under all three
 //! security semantics.
 
+mod common;
+
 use secure_xml::acl::SubjectId;
 use secure_xml::storage::{CrashDisk, CrashState, Disk, MemDisk};
-use secure_xml::{DbConfig, DbError, SecureXmlDb, Security};
+use secure_xml::{DbConfig, DbError, SecureXmlDb};
 use std::sync::Arc;
 
 const SEED: u64 = 13_639_585;
@@ -26,7 +28,7 @@ const CFG: DbConfig = DbConfig {
     max_records_per_block: 4,
     epoch_retain: 8,
 };
-const STEPS: u64 = 18;
+const STEPS: u64 = 21;
 const SUITE: [&str; 3] = ["//b/c", "//d/e", "//d//keyword"];
 
 const XML: &str = "<a><b><c>v1</c></b><d><e>v2</e><f/><parlist><listitem><keyword>k\
@@ -54,12 +56,14 @@ fn base_image() -> (Arc<MemDisk>, Arc<MemDisk>) {
 
 /// One deterministic workload step: access updates, subject churn,
 /// structural updates, and an explicit checkpoint — every write path the
-/// real database exercises.
+/// real database exercises. Step `t % 7 == 5` is an ACL-only transaction
+/// right after the structural insert of `t % 7 == 4`: its commit reuses the
+/// values and tags sections the insert just rewrote.
 fn apply(db: &mut SecureXmlDb, t: u64) -> Result<(), DbError> {
     let len = db.len() as u64;
     let pos = 1 + mix(SEED ^ t) % (len - 1);
-    match t % 6 {
-        0 => db.set_node_access(pos, SubjectId(1), t.is_multiple_of(2)),
+    match t % 7 {
+        0 | 5 => db.set_node_access(pos, SubjectId(1), t.is_multiple_of(2)),
         1 => db.set_subtree_access(pos, SubjectId(1), t % 4 == 1),
         2 => db.add_subject(Some(SubjectId(1))).map(|_| ()),
         3 => {
@@ -77,46 +81,8 @@ fn apply(db: &mut SecureXmlDb, t: u64) -> Result<(), DbError> {
     }
 }
 
-/// Everything the database can answer, as one comparable string.
 fn fingerprint(db: &SecureXmlDb) -> String {
-    let mut out = String::new();
-    out.push_str(&db.document().to_xml());
-    out.push('\n');
-    let subjects = db.dol_stats().unwrap().subjects;
-    for s in 0..subjects {
-        for p in 0..db.len() as u64 {
-            out.push(if db.accessible(p, SubjectId(s as u32)).unwrap() {
-                '1'
-            } else {
-                '0'
-            });
-        }
-        out.push('\n');
-    }
-    for p in 0..db.len() as u64 {
-        if let Some(v) = db.value(p).unwrap() {
-            out.push_str(&format!("{p}={v};"));
-        }
-    }
-    out.push('\n');
-    for q in SUITE {
-        out.push_str(&format!(
-            "{:?}",
-            db.query(q, Security::None).unwrap().matches
-        ));
-        for s in 0..subjects {
-            let sid = SubjectId(s as u32);
-            out.push_str(&format!(
-                "|{:?}/{:?}",
-                db.query(q, Security::BindingLevel(sid)).unwrap().matches,
-                db.query(q, Security::SubtreeVisibility(sid))
-                    .unwrap()
-                    .matches,
-            ));
-        }
-        out.push('\n');
-    }
-    out
+    common::fingerprint(db, &SUITE)
 }
 
 struct RunOutcome {

@@ -1,7 +1,7 @@
-//! Fault-injection experiment: checksum detection coverage, fail-closed
-//! query semantics, and the cost of verification.
+//! Fault-injection experiment: checksum detection coverage and fail-closed
+//! query semantics.
 //!
-//! Three questions, answered on the fig-4 style workload (XMark document,
+//! Two questions, answered on the fig-4 style workload (XMark document,
 //! synthetic single-subject column):
 //!
 //! 1. **Detection** — under a deterministic fault schedule (transient read
@@ -10,23 +10,20 @@
 //! 2. **Fail-closed** — do secure queries over the faulty store always
 //!    return a *subset* of the fault-free answers (corruption may hide
 //!    nodes, never leak them), while unsecured queries surface the error?
-//! 3. **Overhead** — what does verify-on-every-read cost on a fault-free
-//!    run? (Acceptance: under 5 % wall-clock.)
 
 use crate::setup::{synth_column, xmark_doc, BenchDb, ColumnOracle, SUBJECT, TABLE1};
-use crate::table::{f3, Table};
+use crate::table::Table;
 use crate::Effort;
 use dol_nok::Security;
 use dol_storage::disk::StorageError;
-use dol_storage::{BufferPool, Disk, FaultConfig, FaultDisk, MemDisk, PageId};
+use dol_storage::{Disk, FaultConfig, FaultDisk, MemDisk, PageId};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The fixed seed used when the caller does not supply one (CI does not).
 pub const DEFAULT_SEED: u64 = 0x00D0_1FA1;
 
-/// Runs the full experiment: detection audit, fail-closed sweep, overhead.
+/// Runs the full experiment: detection audit, then fail-closed sweep.
 pub fn run(effort: Effort, seed: u64) {
     println!("Fault injection (seed {seed:#x})\n");
     let schedules = [
@@ -90,7 +87,6 @@ pub fn run(effort: Effort, seed: u64) {
          hide answers, never add them. Unsecured runs have nothing to protect, so corrupt\n\
          reads surface as errors instead — counted in `unsec errors`.)\n"
     );
-    overhead(effort, seed);
 }
 
 /// The fig-4 style workload column: 50% accessibility, with the shallow
@@ -244,63 +240,4 @@ fn sweep_rows(name: &str, oracle: &BenchDb, faulty: &BenchDb) -> Vec<Vec<String>
         unsec_errors.to_string(),
     ]);
     rows
-}
-
-/// Measures the wall-clock cost of checksums on a fault-free end-to-end
-/// workload in the fig5/6 style — build the embedded DOL from scratch
-/// (every flushed page is sealed), then run the Table-1 queries cold-cache
-/// (every fetched page is verified) — with verification on vs off.
-fn overhead(effort: Effort, seed: u64) {
-    let (doc, oracle) = workload(effort, seed);
-    let reps = effort.pick(15, 7);
-    let loops = effort.pick(8, 6);
-    let pass = |verify: bool| -> f64 {
-        let t = Instant::now();
-        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 64));
-        pool.set_verify_checksums(verify);
-        let db = BenchDb::build_with_pool(pool, doc.clone(), &oracle);
-        let engine = db.engine();
-        for _ in 0..loops {
-            // A cold run (every fetched page is verified) followed by a warm
-            // one (cache hits, no verification) — the mix a long-lived
-            // database actually sees.
-            for (_, q) in &TABLE1 {
-                db.pool.clear_cache().expect("clean cache");
-                engine
-                    .execute(q, Security::BindingLevel(SUBJECT))
-                    .expect("query");
-            }
-            for (_, q) in &TABLE1 {
-                engine
-                    .execute(q, Security::BindingLevel(SUBJECT))
-                    .expect("query");
-            }
-        }
-        t.elapsed().as_secs_f64()
-    };
-    pass(true); // warm-up (allocator, code paths, shift tables)
-                // Each rep measures on/off back to back and contributes one ratio, so
-                // machine-load drift hits both sides of a rep; the median ratio then
-                // discards the reps a background burst still skewed.
-    let mut best_on = f64::INFINITY;
-    let mut best_off = f64::INFINITY;
-    let mut ratios = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let on = pass(true);
-        let off = pass(false);
-        best_on = best_on.min(on);
-        best_off = best_off.min(off);
-        ratios.push(on / off);
-    }
-    ratios.sort_unstable_by(|a, b| a.total_cmp(b));
-    let median = ratios[ratios.len() / 2];
-    let overhead_pct = (median - 1.0) * 100.0;
-    let mut t = Table::new(
-        "checksum overhead (fault-free build + cold-cache queries)",
-        &["verify", "best s", "overhead % (median of per-rep ratios)"],
-    );
-    t.row(&["off".to_string(), format!("{best_off:.4}"), "-".to_string()]);
-    t.row(&["on".to_string(), format!("{best_on:.4}"), f3(overhead_pct)]);
-    t.print();
-    println!("(Acceptance target: verify-on adds < 5% wall-clock on the fault-free workload.)\n");
 }

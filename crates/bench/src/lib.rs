@@ -20,7 +20,7 @@
 //! | [`ablation`] | design-choice ablations: codebook, page skip, block size |
 //! | [`compile`] | compiled twig execution on the Table-1 mix against the reference evaluator, plus the narrow-subject §3.3 counters (not a paper artifact) |
 //! | [`serve`] | multi-client secure-query serving: snapshot readers, caches, shared latches (not a paper artifact) |
-//! | [`faults`] | fault injection: checksum detection, fail-closed semantics, verify overhead (not a paper artifact) |
+//! | [`faults`] | fault injection: checksum detection, fail-closed semantics (not a paper artifact) |
 //! | [`crash`] | crash-recovery torture: power cut at every physical write point, recovery must land on a state boundary (not a paper artifact) |
 //! | [`mvcc`] | MVCC epoch ring + group commit: pinned-reader oracles, retention refusals, solo vs batched update throughput at equal durability (not a paper artifact) |
 //! | [`soak`] | combined chaos soak: brownouts, power cuts, deadlines, in-process recovery under a live serving mix (not a paper artifact) |

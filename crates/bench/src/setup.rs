@@ -39,16 +39,7 @@ impl BenchDb {
         oracle: &impl AccessOracle,
         pool_pages: usize,
     ) -> BenchDb {
-        Self::build_with_pool(Arc::new(BufferPool::new(disk, pool_pages)), doc, oracle)
-    }
-
-    /// Builds a secured database through a caller-configured buffer pool
-    /// (e.g. with checksum verification toggled for overhead measurements).
-    pub fn build_with_pool(
-        pool: Arc<BufferPool>,
-        doc: Document,
-        oracle: &impl AccessOracle,
-    ) -> BenchDb {
+        let pool = Arc::new(BufferPool::new(disk, pool_pages));
         let (store, dol) = EmbeddedDol::build(pool.clone(), StoreConfig::default(), &doc, oracle)
             .expect("bulk build");
         let mut values = ValueStore::new(pool.clone());

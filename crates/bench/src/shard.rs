@@ -283,9 +283,8 @@ fn crash_sweep(effort: Effort, seed: u64, smoke: bool) -> SweepOutcome {
     let (pairs, cat) = live.raw();
     let oracle = ShardedDb::build_on(&doc, &map, cfg(), &pairs, cat).expect("build shards");
     println!(
-        "phase 1: {} nodes over {} shards (lens {:?}), {ops_n} updates, write-window stride {stride}",
+        "phase 1: {} nodes over {SHARDS} shards (lens {:?}), {ops_n} updates, write-window stride {stride}",
         oracle.len(),
-        oracle.shard_count(),
         oracle.status().iter().map(|s| s.len).collect::<Vec<_>>(),
     );
     let total = oracle.len() as u64;
@@ -569,9 +568,8 @@ fn quarantine_soak(effort: Effort, seed: u64, smoke: bool) -> SoakOutcome {
         ShardedDb::build_on(&doc, &map, cfg(), &pairs, cat.clone()).expect("build shards"),
     );
     println!(
-        "\nphase 2: {} nodes over {} shards, {cycles} chaos cycle(s), target shard {TARGET}",
+        "\nphase 2: {} nodes over {SHARDS} shards, {cycles} chaos cycle(s), target shard {TARGET}",
         db.len(),
-        db.shard_count()
     );
     let arm_breaker = |db: &ShardedDb| {
         for s in 0..SHARDS {

@@ -1,4 +1,4 @@
-//! A sharded LRU buffer pool with exact I/O accounting.
+//! An LRU buffer pool with exact I/O accounting.
 //!
 //! Every page access in the engine goes through [`BufferPool::with_page`] /
 //! [`BufferPool::with_page_mut`]. The pool tracks logical reads (accesses),
@@ -8,38 +8,27 @@
 //! claims: ε-NoK's accessibility checks cause *zero* additional physical
 //! reads because codes live on the same page as the node records, and the
 //! page-skip optimization reduces reads when most of a document is
-//! inaccessible.
+//! inaccessible. LRU decisions and counter totals are deterministic, so a
+//! replayed workload replays identical I/O counts.
 //!
-//! # Sharding
-//!
-//! [`BufferPool::new`] builds a **single-shard** pool whose LRU decisions and
-//! counter totals are exactly those of the classic one-mutex design — the
-//! experiment harness depends on replaying identical I/O counts.
-//! [`BufferPool::with_shards`] splits the frames across `shards` (rounded up
-//! to a power of two) independent LRU shards, each with its own mutex and
-//! counters; a page's shard is a multiply-shift hash of its [`PageId`], so
-//! concurrent workers touching disjoint pages rarely contend.
-//! [`BufferPool::stats`] aggregates across shards and
-//! [`BufferPool::shard_stats`] exposes the per-shard breakdown.
-//!
-//! Within one shard the pool is **not re-entrant**: accessing a page from
-//! within an access to a page of the same shard panics instead of
-//! deadlocking (with a single shard, that is any nested access — the legacy
-//! semantics).
+//! The pool is **not re-entrant**: accessing a page from within an access
+//! to a page of the same pool panics instead of deadlocking. An access to
+//! another pool from inside one is fine.
 //!
 //! # Shared-lock read path
 //!
-//! Each shard is guarded by an `RwLock`, not a mutex. [`BufferPool::with_page`]
-//! on a **cached** page runs the closure under the *shared* lock: the LRU
-//! tick, the frame's `last_used` stamp, and every counter are atomics, so a
-//! hit mutates no lock-protected state and any number of readers proceed in
-//! parallel. Only a cache miss (and everything that reshapes the frame table:
-//! `with_page_mut`, eviction, flush, transaction traffic) falls back to the
-//! exclusive lock. The split is observable on any core count through two
-//! counters: [`IoStats::read_shared`] (hits served under the shared lock) and
+//! The frame table is guarded by an `RwLock`, not a mutex.
+//! [`BufferPool::with_page`] on a **cached** page runs the closure under the
+//! *shared* lock: the LRU tick, the frame's `last_used` stamp, and every
+//! counter are atomics, so a hit mutates no lock-protected state and any
+//! number of readers proceed in parallel. Only a cache miss (and everything
+//! that reshapes the frame table: `with_page_mut`, eviction, flush,
+//! transaction traffic) falls back to the exclusive lock. The split is
+//! observable on any core count through two counters:
+//! [`IoStats::read_shared`] (hits served under the shared lock) and
 //! [`IoStats::read_exclusive_fallback`] (`with_page` calls that had to take
 //! the exclusive path). Counters are relaxed atomics; [`BufferPool::stats`]
-//! never takes a shard lock.
+//! never takes a lock.
 //!
 //! # Integrity
 //!
@@ -49,10 +38,7 @@
 //! the page enters the cache. Transient disk errors and checksum mismatches
 //! are retried up to [`MAX_IO_ATTEMPTS`] times; a page that still fails
 //! surfaces as [`StorageError::Corrupt`] and is **never** cached, so no
-//! reader can observe corrupt payload bytes. Verification can be switched
-//! off ([`BufferPool::set_verify_checksums`]) for overhead ablations; the
-//! switch also skips sealing, so it must be chosen for the lifetime of a
-//! disk image, not toggled mid-run.
+//! reader can observe corrupt payload bytes.
 //!
 //! # Transactions
 //!
@@ -99,7 +85,7 @@ pub const MAX_IO_ATTEMPTS: u32 = 4;
 /// epoch bump). Tune with [`BufferPool::set_checkpoint_threshold`].
 pub const DEFAULT_CHECKPOINT_THRESHOLD: u64 = 4 << 20;
 
-/// Cumulative I/O counters of a [`BufferPool`] (or one of its shards).
+/// Cumulative I/O counters of a [`BufferPool`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct IoStats {
     /// Page accesses served (hit or miss).
@@ -111,7 +97,7 @@ pub struct IoStats {
     /// Frames evicted to make room.
     pub evictions: u64,
     /// Page reads avoided by the §3.3 page-skip test (whole block known
-    /// inaccessible from memory). Counted pool-wide, not per shard.
+    /// inaccessible from memory).
     pub pages_skipped: u64,
     /// Physical reads repeated after a transient error or a checksum
     /// mismatch (each extra attempt counts once).
@@ -122,7 +108,7 @@ pub struct IoStats {
     /// (including mismatches later cleared by a successful retry).
     pub checksum_failures: u64,
     /// [`with_page`](BufferPool::with_page) hits served entirely under the
-    /// shard's *shared* lock (no exclusive lock taken).
+    /// pool's *shared* lock (no exclusive lock taken).
     pub read_shared: u64,
     /// [`with_page`](BufferPool::with_page) calls that fell back to the
     /// exclusive lock (cache miss, or the page appeared between the shared
@@ -133,13 +119,13 @@ pub struct IoStats {
     pub backoffs: u64,
     /// Times the circuit breaker tripped open (a run of
     /// [`RetryPolicy::breaker_threshold`] consecutive surfaced I/O
-    /// failures). Counted pool-wide, not per shard.
+    /// failures).
     pub breaker_trips: u64,
     /// Operations refused with [`StorageError::BreakerOpen`] while the
-    /// breaker was open. Counted pool-wide, not per shard.
+    /// breaker was open.
     pub breaker_fast_fails: u64,
     /// Half-open probes admitted while the breaker was open (successful
-    /// probes close it). Counted pool-wide, not per shard.
+    /// probes close it).
     pub breaker_probes: u64,
     /// [`with_page`](BufferPool::with_page) calls served from the version
     /// ring's retained pre-images instead of the current frame — a pinned
@@ -169,42 +155,29 @@ impl IoStats {
             versioned_reads: self.versioned_reads - earlier.versioned_reads,
         }
     }
-
-    fn add(&mut self, other: &IoStats) {
-        self.logical_reads += other.logical_reads;
-        self.physical_reads += other.physical_reads;
-        self.physical_writes += other.physical_writes;
-        self.evictions += other.evictions;
-        self.pages_skipped += other.pages_skipped;
-        self.read_retries += other.read_retries;
-        self.write_retries += other.write_retries;
-        self.checksum_failures += other.checksum_failures;
-        self.read_shared += other.read_shared;
-        self.read_exclusive_fallback += other.read_exclusive_fallback;
-        self.backoffs += other.backoffs;
-        self.breaker_trips += other.breaker_trips;
-        self.breaker_fast_fails += other.breaker_fast_fails;
-        self.breaker_probes += other.breaker_probes;
-        self.versioned_reads += other.versioned_reads;
-    }
 }
 
-/// Per-shard counters as relaxed atomics: the shared-lock read path and
-/// [`BufferPool::stats`] touch them without any lock. Counters only ever
-/// increase between resets, so `IoStats::since` on two snapshots never
-/// underflows even while other threads are counting.
+/// The pool's counters as relaxed atomics: the shared-lock read path, the
+/// lock-free §3.3 skip path and [`BufferPool::stats`] touch them without
+/// any lock. Counters only ever increase between resets, so
+/// `IoStats::since` on two snapshots never underflows even while other
+/// threads are counting.
 #[derive(Default)]
 struct AtomicIoStats {
     logical_reads: AtomicU64,
     physical_reads: AtomicU64,
     physical_writes: AtomicU64,
     evictions: AtomicU64,
+    pages_skipped: AtomicU64,
     read_retries: AtomicU64,
     write_retries: AtomicU64,
     checksum_failures: AtomicU64,
     read_shared: AtomicU64,
     read_exclusive_fallback: AtomicU64,
     backoffs: AtomicU64,
+    breaker_trips: AtomicU64,
+    breaker_fast_fails: AtomicU64,
+    breaker_probes: AtomicU64,
     versioned_reads: AtomicU64,
 }
 
@@ -215,17 +188,16 @@ impl AtomicIoStats {
             physical_reads: self.physical_reads.load(Ordering::Relaxed),
             physical_writes: self.physical_writes.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            pages_skipped: 0, // pool-wide, not per shard
+            pages_skipped: self.pages_skipped.load(Ordering::Relaxed),
             read_retries: self.read_retries.load(Ordering::Relaxed),
             write_retries: self.write_retries.load(Ordering::Relaxed),
             checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
             read_shared: self.read_shared.load(Ordering::Relaxed),
             read_exclusive_fallback: self.read_exclusive_fallback.load(Ordering::Relaxed),
             backoffs: self.backoffs.load(Ordering::Relaxed),
-            // Breaker counters are pool-wide, not per shard.
-            breaker_trips: 0,
-            breaker_fast_fails: 0,
-            breaker_probes: 0,
+            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
+            breaker_fast_fails: self.breaker_fast_fails.load(Ordering::Relaxed),
+            breaker_probes: self.breaker_probes.load(Ordering::Relaxed),
             versioned_reads: self.versioned_reads.load(Ordering::Relaxed),
         }
     }
@@ -235,12 +207,16 @@ impl AtomicIoStats {
         self.physical_reads.store(0, Ordering::Relaxed);
         self.physical_writes.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
+        self.pages_skipped.store(0, Ordering::Relaxed);
         self.read_retries.store(0, Ordering::Relaxed);
         self.write_retries.store(0, Ordering::Relaxed);
         self.checksum_failures.store(0, Ordering::Relaxed);
         self.read_shared.store(0, Ordering::Relaxed);
         self.read_exclusive_fallback.store(0, Ordering::Relaxed);
         self.backoffs.store(0, Ordering::Relaxed);
+        self.breaker_trips.store(0, Ordering::Relaxed);
+        self.breaker_fast_fails.store(0, Ordering::Relaxed);
+        self.breaker_probes.store(0, Ordering::Relaxed);
         self.versioned_reads.store(0, Ordering::Relaxed);
     }
 }
@@ -269,10 +245,18 @@ fn victim_slot(frames: &[Frame]) -> usize {
         .expect("victim_slot on an empty frame list")
 }
 
+/// A typed refusal of a transaction call the pool's state does not allow.
+fn misuse(msg: &'static str) -> StorageError {
+    StorageError::Io(std::io::Error::other(msg))
+}
+
 /// State of the open [`BufferPool::atomic_update`] transaction.
 struct TxnState {
-    /// First-touch pre-images (page bytes + prior dirty flag) for rollback.
-    /// Pages with a pre-image must not reach the data disk mid-transaction.
+    /// First-touch pre-images (page bytes + prior dirty flag): the only copy
+    /// of each. Rollback restores them; until the commit moves them into
+    /// the version ring, they are also what a pinned reader sees of a page
+    /// the transaction dirtied. Pages with a pre-image must not reach the
+    /// data disk mid-transaction.
     pre: HashMap<PageId, (Page, bool)>,
     /// Page ids in first-dirtied order: the deterministic order their
     /// after-images are logged (and spilled images written) in.
@@ -318,9 +302,10 @@ struct VersionDelta {
 }
 
 /// Bounded MVCC retention (the epoch ring): the last `retain` sealed commit
-/// deltas, oldest first, plus the open transaction's pre-images. A reader
-/// pinned to any epoch ≥ `floor` can reconstruct every page as of its epoch;
-/// older pins are refused upstairs as `RetentionExceeded`.
+/// deltas, oldest first. The open transaction's pre-images
+/// ([`TxnState::pre`]) are the newest layer. A reader pinned to any epoch
+/// ≥ `floor` can reconstruct every page as of its epoch; older pins are
+/// refused upstairs as `RetentionExceeded`.
 struct VersionRing {
     /// The database epoch counter, shared with the facade; read at seal
     /// time (pre-bump) to stamp each delta.
@@ -329,30 +314,18 @@ struct VersionRing {
     retain: usize,
     /// Sealed deltas, oldest first; `as_of` is non-decreasing.
     committed: VecDeque<VersionDelta>,
-    /// Pre-images captured by the open transaction: promoted to a sealed
-    /// delta at commit, discarded on rollback.
-    open: HashMap<PageId, Page>,
     /// Oldest epoch still servable.
     floor: u64,
 }
 
-struct Shard {
-    inner: RwLock<Inner>,
-    /// Monotonic access clock; atomic so shared-lock hits can advance it.
-    tick: AtomicU64,
-    /// Per-shard I/O counters; atomic so neither the shared-lock hit path
-    /// nor a stats read ever touches the shard lock.
-    stats: AtomicIoStats,
-    capacity: usize,
-}
-
 thread_local! {
-    /// Addresses of the shards this thread currently holds (shared *or*
-    /// exclusive). Lets the pool distinguish same-thread re-entry (a bug:
-    /// panic, as the classic pool did) from cross-thread contention
-    /// (legitimate: block) — an owner token cannot express this once shared
-    /// locks admit many simultaneous holders.
-    static HELD_SHARDS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    /// Addresses of the pools this thread is inside an access to (shared
+    /// *or* exclusive). Lets a pool distinguish same-thread re-entry (a bug:
+    /// panic) from cross-thread contention (legitimate: block) — an owner
+    /// token cannot express this once shared locks admit many simultaneous
+    /// holders — while an access to one pool may still nest inside an
+    /// access to another.
+    static HELD_POOLS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 
     /// The epoch this thread's page reads are pinned to, if any (see
     /// [`with_read_epoch`]). `None`: reads see the live frames.
@@ -380,31 +353,31 @@ pub fn current_read_epoch() -> Option<u64> {
     READ_EPOCH.with(|e| *e.borrow())
 }
 
-/// RAII marker that a thread is inside an access to `shard`. Constructed
-/// *before* the lock is acquired so same-thread re-entry panics instead of
-/// deadlocking (a read→write upgrade or a recursive read while a writer
-/// waits would both self-deadlock on an `RwLock`).
-struct HeldShard {
+/// RAII marker that a thread is inside an access to a pool. Constructed
+/// *before* the frame lock is acquired so same-thread re-entry panics
+/// instead of deadlocking (a read→write upgrade or a recursive read while a
+/// writer waits would both self-deadlock on an `RwLock`).
+struct Held {
     addr: usize,
 }
 
-impl HeldShard {
-    fn enter(shard: &Shard) -> HeldShard {
-        let addr = shard as *const Shard as usize;
-        HELD_SHARDS.with(|held| {
+impl Held {
+    fn enter(pool: &BufferPool) -> Held {
+        let addr = pool as *const BufferPool as usize;
+        HELD_POOLS.with(|held| {
             let mut held = held.borrow_mut();
             if held.contains(&addr) {
                 panic!("buffer pool re-entered from within a page access");
             }
             held.push(addr);
         });
-        HeldShard { addr }
+        Held { addr }
     }
 }
 
-impl Drop for HeldShard {
+impl Drop for Held {
     fn drop(&mut self) {
-        HELD_SHARDS.with(|held| {
+        HELD_POOLS.with(|held| {
             let mut held = held.borrow_mut();
             if let Some(i) = held.iter().rposition(|&a| a == self.addr) {
                 held.remove(i);
@@ -413,27 +386,26 @@ impl Drop for HeldShard {
     }
 }
 
-/// A fixed-capacity sharded LRU page cache over a [`Disk`].
+/// A fixed-capacity LRU page cache over a [`Disk`].
 ///
 /// Access is closure-scoped ([`with_page`](BufferPool::with_page)); pages are
-/// never pinned across calls, so eviction can always make progress. Shards
-/// are internally synchronized but **not re-entrant**: accessing a page from
-/// within an access to a page of the same shard panics instead of
+/// never pinned across calls, so eviction can always make progress. The
+/// pool is internally synchronized but **not re-entrant**: accessing a page
+/// from within an access to a page of the same pool panics instead of
 /// deadlocking.
 pub struct BufferPool {
     disk: Arc<dyn Disk>,
-    shards: Vec<Shard>,
-    /// `shards.len() - 1`; shard count is a power of two.
-    shard_mask: u64,
+    /// The frame table. Lock order: frames → txn → ring.
+    inner: RwLock<Inner>,
     capacity: usize,
-    /// Pool-wide §3.3 skip counter; atomic because skips are decided from
-    /// memory without taking any shard lock.
-    pages_skipped: AtomicU64,
-    /// Whether physical reads verify (and writes seal) the CRC trailer.
-    verify_checksums: AtomicBool,
+    /// Monotonic access clock; atomic so shared-lock hits can advance it.
+    tick: AtomicU64,
+    /// I/O counters; atomic so neither the shared-lock hit path nor a stats
+    /// read ever touches a lock.
+    stats: AtomicIoStats,
     /// The write-ahead log, if one is attached.
     wal: Mutex<Option<Arc<Wal>>>,
-    /// The open transaction, if any. Lock order: a shard lock may be held
+    /// The open transaction, if any. Lock order: the frame lock may be held
     /// while taking this lock, never the reverse.
     txn: Mutex<Option<TxnState>>,
     /// Fast gate mirroring `txn.is_some()`: with no transaction open, hot
@@ -453,11 +425,7 @@ pub struct BufferPool {
     /// Admission ticket while open: every `breaker_probe_every`-th ticket
     /// runs as a probe, the rest fail fast.
     breaker_ticket: AtomicU64,
-    /// Pool-wide breaker counters (see [`IoStats`]).
-    breaker_trips: AtomicU64,
-    breaker_fast_fails: AtomicU64,
-    breaker_probes: AtomicU64,
-    /// The MVCC version ring, if enabled. Lock order: a shard lock and/or
+    /// The MVCC version ring, if enabled. Lock order: the frame lock and/or
     /// the txn lock may be held while taking this lock, never the reverse.
     ring: Mutex<Option<VersionRing>>,
     /// Fast gate mirroring `ring.is_some()`.
@@ -465,42 +433,19 @@ pub struct BufferPool {
 }
 
 impl BufferPool {
-    /// Creates a single-shard pool caching at most `capacity` pages of
-    /// `disk`. LRU behavior and I/O counters are deterministic and identical
-    /// to the classic single-mutex pool.
+    /// Creates a pool caching at most `capacity` pages of `disk`. LRU
+    /// behavior and I/O counters are deterministic.
     pub fn new(disk: Arc<dyn Disk>, capacity: usize) -> Self {
-        Self::with_shards(disk, capacity, 1)
-    }
-
-    /// Creates a pool of `shards` independent LRU shards (rounded up to a
-    /// power of two) sharing `capacity` frames as evenly as possible, each
-    /// shard getting at least one frame. Use for concurrent workloads where
-    /// single-mutex contention matters; counter *totals* remain exact, but
-    /// eviction decisions differ from the single-shard pool because each
-    /// shard only sees its own pages.
-    pub fn with_shards(disk: Arc<dyn Disk>, capacity: usize, shards: usize) -> Self {
         assert!(capacity > 0, "buffer pool needs at least one frame");
-        assert!(shards > 0, "buffer pool needs at least one shard");
-        let n = shards.next_power_of_two();
-        let per_shard = capacity.div_ceil(n).max(1);
-        let shards: Vec<Shard> = (0..n)
-            .map(|_| Shard {
-                inner: RwLock::new(Inner {
-                    frames: Vec::with_capacity(per_shard),
-                    map: HashMap::new(),
-                }),
-                tick: AtomicU64::new(0),
-                stats: AtomicIoStats::default(),
-                capacity: per_shard,
-            })
-            .collect();
         Self {
             disk,
-            shard_mask: (n - 1) as u64,
-            capacity: per_shard * n,
-            shards,
-            pages_skipped: AtomicU64::new(0),
-            verify_checksums: AtomicBool::new(true),
+            inner: RwLock::new(Inner {
+                frames: Vec::with_capacity(capacity),
+                map: HashMap::new(),
+            }),
+            capacity,
+            tick: AtomicU64::new(0),
+            stats: AtomicIoStats::default(),
             wal: Mutex::new(None),
             txn: Mutex::new(None),
             txn_active: AtomicBool::new(false),
@@ -510,9 +455,6 @@ impl BufferPool {
             breaker_open: AtomicBool::new(false),
             breaker_consecutive: AtomicU32::new(0),
             breaker_ticket: AtomicU64::new(0),
-            breaker_trips: AtomicU64::new(0),
-            breaker_fast_fails: AtomicU64::new(0),
-            breaker_probes: AtomicU64::new(0),
             ring: Mutex::new(None),
             ring_active: AtomicBool::new(false),
         }
@@ -537,7 +479,6 @@ impl BufferPool {
             epoch,
             retain,
             committed: VecDeque::new(),
-            open: HashMap::new(),
             floor,
         });
         self.ring_active.store(true, Ordering::Release);
@@ -575,33 +516,39 @@ impl BufferPool {
     pub fn ring_barrier(&self) {
         if let Some(r) = self.ring.lock().as_mut() {
             r.committed.clear();
-            r.open.clear();
             r.floor = r.epoch.load(Ordering::SeqCst);
         }
     }
 
     /// The page image a reader pinned to `pin` should see for `id`, if the
-    /// ring retains one: the oldest sealed delta with `as_of ≥ pin` that
+    /// pool retains one: the oldest sealed delta with `as_of ≥ pin` that
     /// contains the page holds the page's state at `pin` (the page was
     /// unmodified between `pin` and that commit, whose first touch preserved
-    /// the pre-image), with the open transaction's pre-images as the newest
-    /// layer. `None`: the live frame is the right answer — or the pin has
-    /// fallen below the floor, which the caller's end-of-query servability
-    /// check surfaces (a transiently wrong page is never exposed).
+    /// the pre-image); failing that, the open transaction's pre-image is the
+    /// page's state at the current epoch. `None`: the live frame is the
+    /// right answer — or the pin has fallen below the floor, which the
+    /// caller's end-of-query servability check surfaces (a transiently wrong
+    /// page is never exposed).
+    ///
+    /// The caller holds the frame lock, so no frame changes underneath; the
+    /// txn lock is taken before the ring lock, so a commit moving `pre` into
+    /// the ring is seen whole or not at all. With no transaction open the
+    /// txn lock is skipped: a frame dirtied by a transaction keeps that
+    /// transaction visible until the commit or rollback has dealt with it.
     fn ring_image(&self, id: PageId, pin: u64) -> Option<Page> {
+        let txn = self
+            .txn_active
+            .load(Ordering::Acquire)
+            .then(|| self.txn.lock());
         let ring = self.ring.lock();
-        let r = ring.as_ref()?;
-        if pin < r.floor {
-            return None;
-        }
-        for delta in &r.committed {
-            if delta.as_of >= pin {
-                if let Some(p) = delta.pages.get(&id) {
-                    return Some(p.clone());
-                }
-            }
-        }
-        r.open.get(&id).cloned()
+        let r = ring.as_ref().filter(|r| pin >= r.floor)?;
+        let sealed = r
+            .committed
+            .iter()
+            .filter(|d| d.as_of >= pin)
+            .find_map(|d| d.pages.get(&id));
+        let open = || txn.as_ref()?.as_ref()?.pre.get(&id).map(|(page, _)| page);
+        sealed.or_else(open).cloned()
     }
 
     /// Replaces the I/O fault policy (attempt budget, backoff ladder,
@@ -643,10 +590,12 @@ impl BufferPool {
         }
         let ticket = self.breaker_ticket.fetch_add(1, Ordering::Relaxed);
         if (ticket + 1).is_multiple_of(u64::from(policy.breaker_probe_every.max(1))) {
-            self.breaker_probes.fetch_add(1, Ordering::Relaxed);
+            self.stats.breaker_probes.fetch_add(1, Ordering::Relaxed);
             Ok(true)
         } else {
-            self.breaker_fast_fails.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .breaker_fast_fails
+                .fetch_add(1, Ordering::Relaxed);
             Err(StorageError::BreakerOpen)
         }
     }
@@ -670,32 +619,10 @@ impl BufferPool {
                 if run >= policy.breaker_threshold
                     && !self.breaker_open.swap(true, Ordering::AcqRel)
                 {
-                    self.breaker_trips.fetch_add(1, Ordering::Relaxed);
+                    self.stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-    }
-
-    /// Turns checksum verification (and sealing of dirty pages) on or off.
-    /// Off is for overhead ablations only; choose it for the lifetime of a
-    /// disk image — pages written unsealed will fail verification later.
-    pub fn set_verify_checksums(&self, on: bool) {
-        self.verify_checksums.store(on, Ordering::SeqCst);
-    }
-
-    /// Whether physical reads verify the CRC trailer.
-    pub fn verify_checksums(&self) -> bool {
-        self.verify_checksums.load(Ordering::SeqCst)
-    }
-
-    /// Total frame capacity of this pool (all shards).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The underlying disk.
@@ -703,23 +630,14 @@ impl BufferPool {
         &self.disk
     }
 
-    /// The shard caching `id` (Fibonacci multiply-shift over the page
-    /// number; with one shard this is always shard 0).
-    #[inline]
-    fn shard_of(&self, id: PageId) -> &Shard {
-        let h = (id.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
-        &self.shards[(h & self.shard_mask) as usize]
-    }
-
     /// Runs `f` with shared access to page `id`.
     ///
-    /// A cached page is served under the shard's *shared* lock (the fast
+    /// A cached page is served under the pool's *shared* lock (the fast
     /// path: any number of concurrent readers, no exclusive-lock traffic);
     /// only a miss falls back to the exclusive lock to fetch the page.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R, StorageError> {
-        let shard = self.shard_of(id);
-        let _held = HeldShard::enter(shard);
-        // MVCC pin: consult the version ring *under the shard lock* (shared
+        let _held = Held::enter(self);
+        // MVCC pin: consult the version ring *under the frame lock* (shared
         // suffices — writers capture pre-images under the exclusive lock),
         // so the retained image and the live frame cannot both be wrong.
         let pin = if self.ring_active.load(Ordering::Acquire) {
@@ -727,46 +645,45 @@ impl BufferPool {
         } else {
             None
         };
+        let stats = &self.stats;
         {
-            let inner = shard.inner.read();
+            let inner = self.inner.read();
             if let Some(pin) = pin {
                 if let Some(page) = self.ring_image(id, pin) {
-                    shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
-                    shard.stats.versioned_reads.fetch_add(1, Ordering::Relaxed);
-                    shard.stats.read_shared.fetch_add(1, Ordering::Relaxed);
+                    stats.logical_reads.fetch_add(1, Ordering::Relaxed);
+                    stats.versioned_reads.fetch_add(1, Ordering::Relaxed);
+                    stats.read_shared.fetch_add(1, Ordering::Relaxed);
                     return Ok(f(&page));
                 }
             }
             if let Some(&slot) = inner.map.get(&id) {
-                let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
+                let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
                 let frame = &inner.frames[slot];
                 frame.last_used.store(tick, Ordering::Relaxed);
-                shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
-                shard.stats.read_shared.fetch_add(1, Ordering::Relaxed);
+                stats.logical_reads.fetch_add(1, Ordering::Relaxed);
+                stats.read_shared.fetch_add(1, Ordering::Relaxed);
                 return Ok(f(&frame.page));
             }
         }
-        let mut inner = shard.inner.write();
+        let mut inner = self.inner.write();
         // Re-check the overlay: between the shared probe and this exclusive
         // acquisition a commit may have sealed a delta covering `id`, in
         // which case the live frame is now too new for the pin.
         if let Some(pin) = pin {
             if let Some(page) = self.ring_image(id, pin) {
-                shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
-                shard.stats.versioned_reads.fetch_add(1, Ordering::Relaxed);
-                shard
-                    .stats
+                stats.logical_reads.fetch_add(1, Ordering::Relaxed);
+                stats.versioned_reads.fetch_add(1, Ordering::Relaxed);
+                stats
                     .read_exclusive_fallback
                     .fetch_add(1, Ordering::Relaxed);
                 return Ok(f(&page));
             }
         }
-        shard
-            .stats
+        stats
             .read_exclusive_fallback
             .fetch_add(1, Ordering::Relaxed);
-        let slot = self.fetch(shard, &mut inner, id)?;
-        shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
+        let slot = self.fetch(&mut inner, id)?;
+        stats.logical_reads.fetch_add(1, Ordering::Relaxed);
         Ok(f(&inner.frames[slot].page))
     }
 
@@ -778,39 +695,22 @@ impl BufferPool {
         id: PageId,
         f: impl FnOnce(&mut Page) -> R,
     ) -> Result<R, StorageError> {
-        let shard = self.shard_of(id);
-        let _held = HeldShard::enter(shard);
-        let mut inner = shard.inner.write();
-        let slot = self.fetch(shard, &mut inner, id)?;
-        shard.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
+        let _held = Held::enter(self);
+        let mut inner = self.inner.write();
+        let slot = self.fetch(&mut inner, id)?;
+        self.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
         if self.txn_active.load(Ordering::Acquire) {
-            let mut txn = self.txn.lock();
-            if let Some(t) = txn.as_mut() {
+            if let Some(t) = self.txn.lock().as_mut() {
+                let frame = &inner.frames[slot];
                 let was_in_pre = t.pre.contains_key(&id);
-                if let std::collections::hash_map::Entry::Vacant(e) = t.pre.entry(id) {
-                    let frame = &inner.frames[slot];
-                    e.insert((frame.page.clone(), frame.dirty));
+                if !was_in_pre {
+                    t.pre.insert(id, (frame.page.clone(), frame.dirty));
                     t.order.push(id);
-                    // MVCC: the pre-image is also this page's state at the
-                    // current epoch — retain it for pinned readers (shard →
-                    // txn → ring is the documented lock order).
-                    if self.ring_active.load(Ordering::Acquire) {
-                        if let Some(r) = self.ring.lock().as_mut() {
-                            r.open
-                                .entry(id)
-                                .or_insert_with(|| inner.frames[slot].page.clone());
-                        }
-                    }
                 }
                 if let Some(sp) = t.savepoint.as_mut() {
-                    if let std::collections::hash_map::Entry::Vacant(e) = sp.undo.entry(id) {
-                        e.insert(if was_in_pre {
-                            let frame = &inner.frames[slot];
-                            Some((frame.page.clone(), frame.dirty))
-                        } else {
-                            None
-                        });
-                    }
+                    sp.undo
+                        .entry(id)
+                        .or_insert_with(|| was_in_pre.then(|| (frame.page.clone(), frame.dirty)));
                 }
             }
         }
@@ -826,29 +726,24 @@ impl BufferPool {
     /// Records that the §3.3 page-skip test rejected `n` candidates without
     /// reading their pages — one add per skipped run, however long.
     pub fn note_pages_skipped(&self, n: u64) {
-        self.pages_skipped.fetch_add(n, Ordering::Relaxed);
+        self.stats.pages_skipped.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Writes all dirty cached pages back to the disk. Pages pinned by an
     /// open transaction are skipped (their bytes are uncommitted). Every
-    /// shard and page is attempted even after a failure; the failures are
-    /// aggregated into one [`StorageError::FlushFailed`], so one bad page
-    /// cannot block durability of the rest.
+    /// page is attempted even after a failure; the failures are aggregated
+    /// into one [`StorageError::FlushFailed`], so one bad page cannot block
+    /// durability of the rest.
     pub fn flush_all(&self) -> Result<(), StorageError> {
         let pinned = self.pinned_pages();
         let mut failures: Vec<(PageId, StorageError)> = Vec::new();
-        for shard in &self.shards {
-            let _held = HeldShard::enter(shard);
-            let mut inner = shard.inner.write();
-            for frame in inner.frames.iter_mut() {
-                if frame.dirty && !pinned.contains(&frame.id) {
-                    match self.write_back(frame.id, &mut frame.page, &shard.stats) {
-                        Ok(()) => {
-                            frame.dirty = false;
-                            shard.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => failures.push((frame.id, e)),
-                    }
+        let _held = Held::enter(self);
+        let mut inner = self.inner.write();
+        for frame in inner.frames.iter_mut() {
+            if frame.dirty && !pinned.contains(&frame.id) {
+                match self.write_back(frame.id, &mut frame.page) {
+                    Ok(()) => frame.dirty = false,
+                    Err(e) => failures.push((frame.id, e)),
                 }
             }
         }
@@ -867,34 +762,27 @@ impl BufferPool {
     pub fn clear_cache(&self) -> Result<(), StorageError> {
         let pinned = self.pinned_pages();
         let mut failures: Vec<(PageId, StorageError)> = Vec::new();
-        for shard in &self.shards {
-            let _held = HeldShard::enter(shard);
-            let mut inner = shard.inner.write();
-            let frames = std::mem::take(&mut inner.frames);
-            let mut kept: Vec<Frame> = Vec::new();
-            for mut frame in frames {
-                if pinned.contains(&frame.id) {
+        let _held = Held::enter(self);
+        let mut inner = self.inner.write();
+        let frames = std::mem::take(&mut inner.frames);
+        let mut kept: Vec<Frame> = Vec::new();
+        for mut frame in frames {
+            if pinned.contains(&frame.id) {
+                kept.push(frame);
+                continue;
+            }
+            if frame.dirty {
+                if let Err(e) = self.write_back(frame.id, &mut frame.page) {
+                    failures.push((frame.id, e));
                     kept.push(frame);
-                    continue;
-                }
-                if frame.dirty {
-                    match self.write_back(frame.id, &mut frame.page, &shard.stats) {
-                        Ok(()) => {
-                            shard.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(e) => {
-                            failures.push((frame.id, e));
-                            kept.push(frame);
-                        }
-                    }
                 }
             }
-            inner.map.clear();
-            for (slot, frame) in kept.iter().enumerate() {
-                inner.map.insert(frame.id, slot);
-            }
-            inner.frames = kept;
         }
+        inner.map.clear();
+        for (slot, frame) in kept.iter().enumerate() {
+            inner.map.insert(frame.id, slot);
+        }
+        inner.frames = kept;
         if failures.is_empty() {
             Ok(())
         } else {
@@ -902,41 +790,16 @@ impl BufferPool {
         }
     }
 
-    /// A snapshot of the I/O counters, aggregated over all shards. Entirely
-    /// lock-free: safe to sample from any thread at any time, including
-    /// while other threads hold page accesses open.
+    /// A snapshot of the I/O counters. Entirely lock-free: safe to sample
+    /// from any thread at any time, including while other threads hold page
+    /// accesses open.
     pub fn stats(&self) -> IoStats {
-        let mut total = IoStats {
-            pages_skipped: self.pages_skipped.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            breaker_fast_fails: self.breaker_fast_fails.load(Ordering::Relaxed),
-            breaker_probes: self.breaker_probes.load(Ordering::Relaxed),
-            ..IoStats::default()
-        };
-        for shard in &self.shards {
-            total.add(&shard.stats.snapshot());
-        }
-        total
+        self.stats.snapshot()
     }
 
-    /// Per-shard counter snapshots (`pages_skipped` is pool-wide and
-    /// reported only by [`stats`](BufferPool::stats)). Lock-free.
-    pub fn shard_stats(&self) -> Vec<IoStats> {
-        self.shards
-            .iter()
-            .map(|shard| shard.stats.snapshot())
-            .collect()
-    }
-
-    /// Zeroes the I/O counters of every shard. Lock-free.
+    /// Zeroes the I/O counters. Lock-free.
     pub fn reset_stats(&self) {
-        self.pages_skipped.store(0, Ordering::Relaxed);
-        self.breaker_trips.store(0, Ordering::Relaxed);
-        self.breaker_fast_fails.store(0, Ordering::Relaxed);
-        self.breaker_probes.store(0, Ordering::Relaxed);
-        for shard in &self.shards {
-            shard.stats.reset();
-        }
+        self.stats.reset();
     }
 
     /// Attaches a write-ahead log: from now on every
@@ -999,9 +862,7 @@ impl BufferPool {
     /// the epoch would orphan committed-but-unflushed images.
     pub fn checkpoint(&self) -> Result<(), StorageError> {
         if self.in_transaction() {
-            return Err(StorageError::Io(std::io::Error::other(
-                "checkpoint inside an open transaction",
-            )));
+            return Err(misuse("checkpoint inside an open transaction"));
         }
         let Some(wal) = self.wal() else {
             return self.flush_all();
@@ -1024,9 +885,7 @@ impl BufferPool {
     pub fn txn_begin(&self) -> Result<(), StorageError> {
         let mut txn = self.txn.lock();
         if txn.is_some() {
-            return Err(StorageError::Io(std::io::Error::other(
-                "txn_begin inside an open transaction",
-            )));
+            return Err(misuse("txn_begin inside an open transaction"));
         }
         *txn = Some(TxnState {
             pre: HashMap::new(),
@@ -1049,13 +908,11 @@ impl BufferPool {
     /// commit.
     pub fn txn_savepoint(&self) -> Result<(), StorageError> {
         let mut txn = self.txn.lock();
-        let t = txn.as_mut().ok_or_else(|| {
-            StorageError::Io(std::io::Error::other("savepoint outside a transaction"))
-        })?;
+        let t = txn
+            .as_mut()
+            .ok_or_else(|| misuse("savepoint outside a transaction"))?;
         if t.savepoint.is_some() {
-            return Err(StorageError::Io(std::io::Error::other(
-                "a savepoint is already active",
-            )));
+            return Err(misuse("a savepoint is already active"));
         }
         t.savepoint = Some(SavepointState {
             undo: HashMap::new(),
@@ -1067,15 +924,11 @@ impl BufferPool {
     /// transaction (the batch member committed).
     pub fn txn_release_savepoint(&self) -> Result<(), StorageError> {
         let mut txn = self.txn.lock();
-        let t = txn.as_mut().ok_or_else(|| {
-            StorageError::Io(std::io::Error::other(
-                "savepoint release outside a transaction",
-            ))
-        })?;
+        let t = txn
+            .as_mut()
+            .ok_or_else(|| misuse("savepoint release outside a transaction"))?;
         if t.savepoint.take().is_none() {
-            return Err(StorageError::Io(std::io::Error::other(
-                "no savepoint to release",
-            )));
+            return Err(misuse("no savepoint to release"));
         }
         t.releases += 1;
         Ok(())
@@ -1085,88 +938,47 @@ impl BufferPool {
     /// first-touched since it was set is restored — reverted to its
     /// pre-savepoint bytes if it was already transaction-dirty, removed from
     /// the transaction entirely (and restored to its pre-transaction image)
-    /// if it joined after. Earlier transaction work is untouched. Each page
-    /// is fully restored *before* its transaction bookkeeping is dropped, so
-    /// even an interrupted rollback followed by a full
-    /// [`txn_rollback`](Self::txn_rollback) lands on the clean pre-
-    /// transaction state.
+    /// if it joined after. Earlier transaction work is untouched. The whole
+    /// unwind runs under the exclusive frame lock and the txn lock, so no
+    /// reader sees a page half-restored.
     pub fn txn_rollback_to_savepoint(&self) -> Result<(), StorageError> {
-        // Extract the undo log under the txn lock alone; shard locks are
-        // taken below and shard → txn is the documented order.
-        let undo = {
-            let mut txn = self.txn.lock();
-            let t = txn.as_mut().ok_or_else(|| {
-                StorageError::Io(std::io::Error::other(
-                    "savepoint rollback outside a transaction",
-                ))
-            })?;
-            match t.savepoint.take() {
-                Some(sp) => sp.undo,
+        let _held = Held::enter(self);
+        let mut inner = self.inner.write();
+        let mut txn = self.txn.lock();
+        let t = txn
+            .as_mut()
+            .ok_or_else(|| misuse("savepoint rollback outside a transaction"))?;
+        let sp = t
+            .savepoint
+            .take()
+            .ok_or_else(|| misuse("no savepoint to roll back to"))?;
+        for (id, entry) in sp.undo {
+            let joined = entry.is_none();
+            let restore = match entry {
+                Some(image) => Some(image),
+                // Joined after the savepoint: it leaves the transaction,
+                // back to its pre-transaction image.
                 None => {
-                    return Err(StorageError::Io(std::io::Error::other(
-                        "no savepoint to roll back to",
-                    )))
+                    t.order.retain(|&p| p != id);
+                    t.shadow.remove(&id);
+                    t.pre.remove(&id)
                 }
-            }
-        };
-        for (id, entry) in undo {
-            match entry {
-                Some((image, was_dirty)) => {
-                    // Transaction-dirty before the savepoint: restore the
-                    // pre-savepoint bytes and flag, wherever the page lives.
-                    let shard = self.shard_of(id);
-                    let _held = HeldShard::enter(shard);
-                    let mut inner = shard.inner.write();
-                    if let Some(&slot) = inner.map.get(&id) {
-                        let frame = &mut inner.frames[slot];
-                        frame.page.bytes_mut().copy_from_slice(image.bytes());
-                        frame.dirty = was_dirty;
-                    } else if let Some(t) = self.txn.lock().as_mut() {
-                        // Evicted meanwhile: the latest bytes live in the
-                        // transaction shadow — replace them there.
-                        t.shadow.insert(id, image);
-                    }
-                }
-                None => {
-                    // Joined the transaction after the savepoint: restore
-                    // the pre-transaction image, then erase every trace.
-                    let pre = self
-                        .txn
-                        .lock()
-                        .as_ref()
-                        .and_then(|t| t.pre.get(&id).cloned());
-                    let Some((image, was_dirty)) = pre else {
-                        continue;
-                    };
-                    {
-                        let shard = self.shard_of(id);
-                        let _held = HeldShard::enter(shard);
-                        let mut inner = shard.inner.write();
-                        if let Some(&slot) = inner.map.get(&id) {
-                            let frame = &mut inner.frames[slot];
-                            frame.page.bytes_mut().copy_from_slice(image.bytes());
-                            frame.dirty = was_dirty;
-                        } else if was_dirty {
-                            // Spilled and its pre-image was never durable:
-                            // restore it straight to the disk, as the full
-                            // rollback does.
-                            let mut page = image.clone();
-                            if self.write_back(id, &mut page, &shard.stats).is_ok() {
-                                shard.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    if let Some(t) = self.txn.lock().as_mut() {
-                        t.pre.remove(&id);
-                        t.order.retain(|&p| p != id);
-                        t.shadow.remove(&id);
-                    }
-                    if self.ring_active.load(Ordering::Acquire) {
-                        if let Some(r) = self.ring.lock().as_mut() {
-                            r.open.remove(&id);
-                        }
-                    }
-                }
+            };
+            let Some((mut image, was_dirty)) = restore else {
+                continue;
+            };
+            if let Some(&slot) = inner.map.get(&id) {
+                let frame = &mut inner.frames[slot];
+                frame.page.bytes_mut().copy_from_slice(image.bytes());
+                frame.dirty = was_dirty;
+            } else if !joined {
+                // Evicted meanwhile: the latest bytes live in the
+                // transaction shadow — replace them there.
+                t.shadow.insert(id, image);
+            } else if was_dirty {
+                // Spilled and its pre-image was never durable: restore it
+                // straight to the disk, as the full rollback does.
+                let _ = self.write_back(id, &mut image);
             }
         }
         Ok(())
@@ -1175,11 +987,11 @@ impl BufferPool {
     /// Commits the open transaction: the after-images of every page it
     /// dirtied reach the attached WAL as one synced append, then the
     /// transaction closes. A failure before the append is durable rolls the
-    /// transaction back. Public for the database facade (see
-    /// [`txn_begin`](Self::txn_begin)).
+    /// transaction back. With no transaction open it is a typed error.
+    /// Public for the database facade (see [`txn_begin`](Self::txn_begin)).
     pub fn txn_commit(&self) -> Result<(), StorageError> {
-        let order = self.txn_log_images(None)?;
-        self.txn_close_durable(&order, self.wal())
+        self.txn_log_images(None)?;
+        self.txn_close_durable()
     }
 
     /// First half of a distributed commit: appends the open transaction's
@@ -1189,7 +1001,8 @@ impl BufferPool {
     /// post-prepare byte can reach the data disk before the decision, and
     /// the pool refuses checkpoints exactly as for any open transaction. On
     /// a WAL append failure the transaction is rolled back and the error
-    /// returned (a clean abort vote).
+    /// returned (a clean abort vote). With no transaction open it is a
+    /// typed error.
     ///
     /// Without an attached WAL this only marks the transaction prepared —
     /// all-or-nothing in the cache, no crash durability, mirroring
@@ -1202,53 +1015,66 @@ impl BufferPool {
         Ok(())
     }
 
-    /// The logging half shared by commit (`gtid == None`) and prepare. An
-    /// already-prepared transaction is refused (only
-    /// [`txn_finish_prepared`](Self::txn_finish_prepared) may close it). An
-    /// unreleased savepoint (a batch member that succeeded without an
-    /// explicit release) folds into the transaction; the released count
-    /// sizes the WAL batch record. The transaction stays open while the
-    /// dirtied pages' images are read, in first-dirtied order, and no shard
-    /// lock is taken while the txn lock is held. Any failure rolls the
-    /// transaction back. Returns the dirtied-page order.
-    fn txn_log_images(&self, gtid: Option<u64>) -> Result<Vec<PageId>, StorageError> {
-        let (order, members) = {
+    /// The logging half shared by commit (`gtid == None`) and prepare. No
+    /// open transaction, or an already-prepared one (only
+    /// [`txn_finish_prepared`](Self::txn_finish_prepared) may close it), is
+    /// refused with a typed error. An unreleased savepoint (a batch member
+    /// that succeeded without an explicit release) folds into the
+    /// transaction; the released count sizes the WAL batch record. The
+    /// dirtied pages' sealed images are copied in first-dirtied order under
+    /// the frame and txn locks — from the frame if resident, else from the
+    /// shadow — and the transaction stays open while they are logged. A
+    /// logging failure rolls the transaction back.
+    fn txn_log_images(&self, gtid: Option<u64>) -> Result<(), StorageError> {
+        let wal = self.wal();
+        let (images, members) = {
+            let _held = Held::enter(self);
+            let inner = self.inner.read();
             let mut txn = self.txn.lock();
-            let t = txn.as_mut().expect("commit without an open transaction");
+            let t = txn
+                .as_mut()
+                .ok_or_else(|| misuse("commit without an open transaction"))?;
             if t.prepared {
-                return Err(StorageError::Io(std::io::Error::other(
+                return Err(misuse(
                     "transaction already prepared (use txn_finish_prepared)",
-                )));
+                ));
             }
             if t.savepoint.take().is_some() {
                 t.releases += 1;
             }
-            (t.order.clone(), t.releases.max(1))
+            let logged: &[PageId] = if wal.is_some() { &t.order } else { &[] };
+            let images = logged
+                .iter()
+                .map(|&id| {
+                    let mut image = match inner.map.get(&id) {
+                        Some(&slot) => inner.frames[slot].page.clone(),
+                        None => t
+                            .shadow
+                            .get(&id)
+                            .cloned()
+                            .ok_or(StorageError::PageOutOfRange(id))?,
+                    };
+                    image.seal();
+                    Ok((id, image))
+                })
+                .collect::<Result<Vec<_>, StorageError>>();
+            (images, t.releases.max(1))
         };
-        let Some(wal) = self.wal() else {
-            return Ok(order);
-        };
-        if order.is_empty() {
-            return Ok(order);
-        }
-        let logged = order
-            .iter()
-            .map(|&id| Ok((id, self.page_image(id)?)))
-            .collect::<Result<Vec<_>, StorageError>>()
-            .and_then(|images| {
+        let logged = images.and_then(|images| match &wal {
+            Some(wal) if !images.is_empty() => {
                 let txn_id = self.next_txn_id.fetch_add(1, Ordering::Relaxed);
                 match gtid {
                     None => wal.commit_batch(txn_id, &images, members),
                     Some(gtid) => wal.prepare(txn_id, &images, gtid, members),
                 }
-            });
-        match logged {
-            Ok(_) => Ok(order),
-            Err(e) => {
-                self.txn_rollback();
-                Err(e)
+                .map(|_| ())
             }
+            _ => Ok(()),
+        });
+        if logged.is_err() {
+            self.txn_rollback();
         }
+        logged
     }
 
     /// Second half of a distributed commit: closes the transaction left
@@ -1259,86 +1085,78 @@ impl BufferPool {
     /// exactly the post-WAL half of [`txn_commit`](Self::txn_commit). With
     /// `commit == false` every page is rolled back to its pre-image (the
     /// prepared WAL frames are orphaned by the next checkpoint and ignored
-    /// by presumed-abort recovery).
+    /// by presumed-abort recovery). With no prepared transaction open it is
+    /// a typed error.
     pub fn txn_finish_prepared(&self, commit: bool) -> Result<(), StorageError> {
-        let order = {
+        {
             let mut txn = self.txn.lock();
             let t = txn
                 .as_mut()
-                .expect("finish_prepared without an open transaction");
+                .ok_or_else(|| misuse("finish_prepared without an open transaction"))?;
             if !t.prepared {
-                return Err(StorageError::Io(std::io::Error::other(
-                    "finish_prepared on an unprepared transaction",
-                )));
+                return Err(misuse("finish_prepared on an unprepared transaction"));
             }
             // Re-arm so txn_rollback and txn_close_durable run unguarded.
             t.prepared = false;
-            t.order.clone()
-        };
+        }
         if !commit {
             self.txn_rollback();
             return Ok(());
         }
-        self.txn_close_durable(&order, self.wal())
+        self.txn_close_durable()
     }
 
     /// The post-WAL half of a commit: write back spilled shadows, close the
-    /// transaction, seal the MVCC delta, report flush failures, bound the
-    /// log. Shared by [`txn_commit`](Self::txn_commit) and the commit arm of
+    /// transaction and seal its pre-images into the MVCC ring — all in one
+    /// critical section under the frame, txn and ring locks, so a pinned
+    /// reader finds each pre-image in the open transaction or in the ring,
+    /// never in neither — then report flush failures and bound the log.
+    /// Shared by [`txn_commit`](Self::txn_commit) and the commit arm of
     /// [`txn_finish_prepared`](Self::txn_finish_prepared).
-    fn txn_close_durable(
-        &self,
-        order: &[PageId],
-        wal: Option<Arc<Wal>>,
-    ) -> Result<(), StorageError> {
-        // The transaction is now durable (or no WAL is attached). Pages
-        // spilled out of the cache exist nowhere else once the transaction
-        // closes: write them to the data disk, in first-dirtied order for
-        // determinism. A failure here is reported but NOT rolled back — the
-        // commit already happened; on a logged database, reopening redoes
-        // the missing pages from the WAL.
+    fn txn_close_durable(&self) -> Result<(), StorageError> {
         let mut failures: Vec<(PageId, StorageError)> = Vec::new();
-        for &id in order {
-            let spilled = {
-                let mut txn = self.txn.lock();
-                txn.as_mut()
-                    .expect("commit without an open transaction")
-                    .shadow
-                    .remove(&id)
-            };
-            if let Some(mut page) = spilled {
-                let shard = self.shard_of(id);
-                let _held = HeldShard::enter(shard);
-                // Exclusive lock: a concurrent reader must not fetch the
-                // page from the data disk while its committed image lands.
-                let _inner = shard.inner.write();
-                match self.write_back(id, &mut page, &shard.stats) {
-                    Ok(()) => {
-                        shard.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
+        {
+            let _held = Held::enter(self);
+            // Exclusive lock: a concurrent reader must not fetch a spilled
+            // page from the data disk while its committed image lands.
+            let _inner = self.inner.write();
+            let mut txn = self.txn.lock();
+            let mut state = txn
+                .take()
+                .ok_or_else(|| misuse("commit without an open transaction"))?;
+            self.txn_active.store(false, Ordering::Release);
+            // The transaction is now durable (or no WAL is attached). Pages
+            // spilled out of the cache exist nowhere else once the
+            // transaction closes: write them to the data disk, in
+            // first-dirtied order for determinism. A failure here is
+            // reported but NOT rolled back — the commit already happened; on
+            // a logged database, reopening redoes the missing pages from the
+            // WAL.
+            for &id in &state.order {
+                if let Some(mut page) = state.shadow.remove(&id) {
+                    if let Err(e) = self.write_back(id, &mut page) {
+                        failures.push((id, e));
                     }
-                    Err(e) => failures.push((id, e)),
                 }
             }
-        }
-        {
-            let mut txn = self.txn.lock();
-            *txn = None;
-            self.txn_active.store(false, Ordering::Release);
-        }
-        // MVCC seal: promote the open pre-images to a sealed delta stamped
-        // with the pre-commit epoch (the facade bumps it only after this
-        // returns), evicting the oldest delta past the retention bound.
-        // Sealing happens even if spilled-page write-back failed below: the
-        // commit is durable, so readers pinned to the pre-commit epoch need
-        // the delta to keep answering coherently.
-        if self.ring_active.load(Ordering::Acquire) {
-            if let Some(r) = self.ring.lock().as_mut() {
-                let as_of = r.epoch.load(Ordering::SeqCst);
-                let pages = std::mem::take(&mut r.open);
-                r.committed.push_back(VersionDelta { as_of, pages });
-                while r.committed.len() > r.retain {
-                    if let Some(d) = r.committed.pop_front() {
-                        r.floor = d.as_of + 1;
+            // MVCC seal: move the pre-images into a sealed delta stamped
+            // with the pre-commit epoch (the facade bumps it only after this
+            // returns), evicting the oldest delta past the retention bound.
+            // Sealing happens even if spilled-page write-back failed: the
+            // commit is durable, so readers pinned to the pre-commit epoch
+            // need the delta to keep answering coherently.
+            if self.ring_active.load(Ordering::Acquire) {
+                if let Some(r) = self.ring.lock().as_mut() {
+                    let as_of = r.epoch.load(Ordering::SeqCst);
+                    let pages = state.pre.into_iter().map(|(id, (p, _))| (id, p));
+                    r.committed.push_back(VersionDelta {
+                        as_of,
+                        pages: pages.collect(),
+                    });
+                    while r.committed.len() > r.retain {
+                        if let Some(d) = r.committed.pop_front() {
+                            r.floor = d.as_of + 1;
+                        }
                     }
                 }
             }
@@ -1347,7 +1165,7 @@ impl BufferPool {
             return Err(StorageError::FlushFailed(failures));
         }
         // The transaction is durable; opportunistically bound the log.
-        if let Some(wal) = &wal {
+        if let Some(wal) = self.wal() {
             let threshold = self.checkpoint_threshold.load(Ordering::Relaxed);
             if threshold > 0 && wal.log_bytes() >= threshold {
                 self.checkpoint()?;
@@ -1357,19 +1175,17 @@ impl BufferPool {
     }
 
     /// Rolls back the open transaction: every pre-image (bytes and dirty
-    /// flag) is restored into the cache. Public for the database facade
-    /// (see [`txn_begin`](Self::txn_begin)).
+    /// flag) is restored into the cache, and only then is the transaction
+    /// dropped — all under the exclusive frame lock, so a pinned reader is
+    /// served the pre-images until the frames hold them again. Public for
+    /// the database facade (see [`txn_begin`](Self::txn_begin)).
     pub fn txn_rollback(&self) {
-        let state = self
-            .txn
-            .lock()
-            .take()
-            .expect("rollback without an open transaction");
+        let _held = Held::enter(self);
+        let mut inner = self.inner.write();
+        let mut txn = self.txn.lock();
+        let state = txn.as_ref().expect("rollback without an open transaction");
         for id in &state.order {
-            let (image, was_dirty) = state.pre.get(id).expect("order tracks pre");
-            let shard = self.shard_of(*id);
-            let _held = HeldShard::enter(shard);
-            let mut inner = shard.inner.write();
+            let (image, was_dirty) = &state.pre[id];
             if let Some(&slot) = inner.map.get(id) {
                 let frame = &mut inner.frames[slot];
                 frame.page.bytes_mut().copy_from_slice(image.bytes());
@@ -1379,22 +1195,11 @@ impl BufferPool {
                 // was dirty (never durable): restore it straight to the
                 // disk, best-effort — on a logged database the WAL still
                 // holds the committed image a failure would lose.
-                let mut page = image.clone();
-                if self.write_back(*id, &mut page, &shard.stats).is_ok() {
-                    shard.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
-                }
+                let _ = self.write_back(*id, &mut image.clone());
             }
         }
+        *txn = None;
         self.txn_active.store(false, Ordering::Release);
-        // MVCC: the aborted transaction's pre-images are now the live frame
-        // bytes again — nothing to retain. (Pinned readers racing the
-        // restore above read the same bytes from `open`, so clearing last
-        // keeps them torn-free.)
-        if self.ring_active.load(Ordering::Acquire) {
-            if let Some(r) = self.ring.lock().as_mut() {
-                r.open.clear();
-            }
-        }
     }
 
     /// Pages captured by the open transaction (empty set when none is
@@ -1428,40 +1233,10 @@ impl BufferPool {
         }
     }
 
-    /// A sealed copy of a transaction page's current bytes (the WAL
-    /// after-image): from its frame if resident, from the transaction
-    /// shadow if it was spilled. The shard lock is held across both lookups
-    /// (shard → txn is the documented lock order): pages move between the
-    /// cache and the shadow only under the shard lock, so a concurrent
-    /// reader faulting the page cannot make both lookups miss.
-    fn page_image(&self, id: PageId) -> Result<Page, StorageError> {
-        let shard = self.shard_of(id);
-        let mut image = {
-            let _held = HeldShard::enter(shard);
-            // Pages move between the cache and the shadow only under the
-            // exclusive lock, so holding the shared lock across both lookups
-            // suffices to keep them from both missing.
-            let inner = shard.inner.read();
-            match inner.map.get(&id) {
-                Some(&slot) => inner.frames[slot].page.clone(),
-                None => self
-                    .txn
-                    .lock()
-                    .as_ref()
-                    .and_then(|t| t.shadow.get(&id).cloned())
-                    .ok_or(StorageError::PageOutOfRange(id))?,
-            }
-        };
-        if self.verify_checksums() {
-            image.seal();
-        }
-        Ok(image)
-    }
-
-    /// Ensures `id` is resident in `shard`; returns its frame slot. Caller
-    /// holds the shard's exclusive lock (`inner`).
-    fn fetch(&self, shard: &Shard, inner: &mut Inner, id: PageId) -> Result<usize, StorageError> {
-        let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
+    /// Ensures `id` is resident; returns its frame slot. Caller holds the
+    /// exclusive frame lock (`inner`).
+    fn fetch(&self, inner: &mut Inner, id: PageId) -> Result<usize, StorageError> {
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(&slot) = inner.map.get(&id) {
             inner.frames[slot].last_used.store(tick, Ordering::Relaxed);
             return Ok(slot);
@@ -1480,9 +1255,9 @@ impl BufferPool {
             None
         };
         if shadow_page.is_none() {
-            shard.stats.physical_reads.fetch_add(1, Ordering::Relaxed);
+            self.stats.physical_reads.fetch_add(1, Ordering::Relaxed);
         }
-        let slot = if inner.frames.len() < shard.capacity {
+        let slot = if inner.frames.len() < self.capacity {
             inner.frames.push(Frame {
                 id,
                 page: Page::zeroed(),
@@ -1495,13 +1270,12 @@ impl BufferPool {
             {
                 let victim = &mut inner.frames[slot];
                 if victim.dirty && !self.spill_to_shadow(victim) {
-                    self.write_back(victim.id, &mut victim.page, &shard.stats)?;
-                    shard.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
+                    self.write_back(victim.id, &mut victim.page)?;
                 }
             }
             let old_id = inner.frames[slot].id;
             inner.map.remove(&old_id);
-            shard.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
             inner.frames[slot].id = id;
             inner.frames[slot].dirty = false;
             inner.frames[slot].last_used.store(tick, Ordering::Relaxed);
@@ -1516,7 +1290,7 @@ impl BufferPool {
             inner.map.insert(id, slot);
             return Ok(slot);
         }
-        if let Err(e) = self.read_verified(id, &mut inner.frames[slot].page, &shard.stats) {
+        if let Err(e) = self.read_verified(id, &mut inner.frames[slot].page) {
             // The frame holds a partial or unverified read: mark it vacant
             // so no later victim write or map hit can expose its bytes.
             inner.frames[slot].id = PageId::INVALID;
@@ -1531,19 +1305,14 @@ impl BufferPool {
     /// Sleeps the policy's backoff for `attempt`, bounded by the thread's
     /// I/O deadline. Returns `Err(DeadlineExceeded)` instead of sleeping (or
     /// after waking) once the deadline is spent.
-    fn backoff_pause(
-        &self,
-        policy: &RetryPolicy,
-        attempt: u32,
-        stats: &AtomicIoStats,
-    ) -> Result<(), StorageError> {
+    fn backoff_pause(&self, policy: &RetryPolicy, attempt: u32) -> Result<(), StorageError> {
         let deadline = current_io_deadline();
         if let Some(d) = &deadline {
             d.check()?;
         }
         let pause = policy.backoff_for(attempt);
         if !pause.is_zero() {
-            stats.backoffs.fetch_add(1, Ordering::Relaxed);
+            self.stats.backoffs.fetch_add(1, Ordering::Relaxed);
             std::thread::sleep(pause);
             if let Some(d) = &deadline {
                 d.check()?;
@@ -1557,15 +1326,10 @@ impl BufferPool {
     /// between attempts, deadline-checked), surfacing persistent mismatches
     /// as [`StorageError::Corrupt`]. Runs through the circuit breaker: while
     /// open, non-probe reads fail fast with [`StorageError::BreakerOpen`].
-    fn read_verified(
-        &self,
-        id: PageId,
-        page: &mut Page,
-        stats: &AtomicIoStats,
-    ) -> Result<(), StorageError> {
+    fn read_verified(&self, id: PageId, page: &mut Page) -> Result<(), StorageError> {
         let policy = self.retry_policy();
         let probe = self.breaker_admit(&policy)?;
-        let result = self.read_attempts(id, page, stats, &policy, probe);
+        let result = self.read_attempts(id, page, &policy, probe);
         self.breaker_record(&policy, result.as_ref().err());
         result
     }
@@ -1575,34 +1339,27 @@ impl BufferPool {
         &self,
         id: PageId,
         page: &mut Page,
-        stats: &AtomicIoStats,
         policy: &RetryPolicy,
         probe: bool,
     ) -> Result<(), StorageError> {
         let max_attempts = if probe { 1 } else { policy.max_attempts.max(1) };
-        let verify = self.verify_checksums();
         let mut mismatch: Option<(u32, u32)> = None;
         for attempt in 1..=max_attempts {
             match self.disk.read_page(id, page) {
-                Ok(()) => {
-                    if !verify {
-                        return Ok(());
+                Ok(()) => match page.verify_checksum() {
+                    Ok(()) => return Ok(()),
+                    Err(m) => {
+                        // Could be a transient bus glitch: re-read.
+                        self.stats.checksum_failures.fetch_add(1, Ordering::Relaxed);
+                        mismatch = Some(m);
                     }
-                    match page.verify_checksum() {
-                        Ok(()) => return Ok(()),
-                        Err(m) => {
-                            // Could be a transient bus glitch: re-read.
-                            stats.checksum_failures.fetch_add(1, Ordering::Relaxed);
-                            mismatch = Some(m);
-                        }
-                    }
-                }
+                },
                 Err(e) if !e.is_transient() => return Err(e),
                 Err(_) => {} // transient: retry
             }
             if attempt < max_attempts {
-                stats.read_retries.fetch_add(1, Ordering::Relaxed);
-                self.backoff_pause(policy, attempt, stats)?;
+                self.stats.read_retries.fetch_add(1, Ordering::Relaxed);
+                self.backoff_pause(policy, attempt)?;
             }
         }
         Err(match mismatch {
@@ -1618,19 +1375,17 @@ impl BufferPool {
         })
     }
 
-    /// One durable physical write: seals the trailer (unless verification
-    /// is off) and retries transient errors per the pool's [`RetryPolicy`],
-    /// with backoff and breaker admission as for reads.
-    fn write_back(
-        &self,
-        id: PageId,
-        page: &mut Page,
-        stats: &AtomicIoStats,
-    ) -> Result<(), StorageError> {
+    /// One durable physical write, counted in `physical_writes` when it
+    /// lands: seals the trailer and retries transient errors per the pool's
+    /// [`RetryPolicy`], with backoff and breaker admission as for reads.
+    fn write_back(&self, id: PageId, page: &mut Page) -> Result<(), StorageError> {
         let policy = self.retry_policy();
         let probe = self.breaker_admit(&policy)?;
-        let result = self.write_attempts(id, page, stats, &policy, probe);
+        let result = self.write_attempts(id, page, &policy, probe);
         self.breaker_record(&policy, result.as_ref().err());
+        if result.is_ok() {
+            self.stats.physical_writes.fetch_add(1, Ordering::Relaxed);
+        }
         result
     }
 
@@ -1639,21 +1394,18 @@ impl BufferPool {
         &self,
         id: PageId,
         page: &mut Page,
-        stats: &AtomicIoStats,
         policy: &RetryPolicy,
         probe: bool,
     ) -> Result<(), StorageError> {
-        if self.verify_checksums() {
-            page.seal();
-        }
+        page.seal();
         let max_attempts = if probe { 1 } else { policy.max_attempts.max(1) };
         let mut attempt = 1;
         loop {
             match self.disk.write_page(id, page) {
                 Ok(()) => return Ok(()),
                 Err(e) if e.is_transient() && attempt < max_attempts => {
-                    stats.write_retries.fetch_add(1, Ordering::Relaxed);
-                    self.backoff_pause(policy, attempt, stats)?;
+                    self.stats.write_retries.fetch_add(1, Ordering::Relaxed);
+                    self.backoff_pause(policy, attempt)?;
                     attempt += 1;
                 }
                 Err(e) => return Err(e),
@@ -1677,9 +1429,9 @@ impl BufferPool {
             *txn = None;
             self.txn_active.store(false, Ordering::Release);
         }
-        for shard in &self.shards {
-            let _held = HeldShard::enter(shard);
-            let mut inner = shard.inner.write();
+        {
+            let _held = Held::enter(self);
+            let mut inner = self.inner.write();
             inner.frames.clear();
             inner.map.clear();
         }
@@ -1698,10 +1450,11 @@ mod tests {
         (BufferPool::new(disk, capacity), ids)
     }
 
-    fn sharded(capacity: usize, shards: usize) -> (BufferPool, Vec<PageId>) {
+    /// A pool over 32 pages.
+    fn wide(capacity: usize) -> (BufferPool, Vec<PageId>) {
         let disk = Arc::new(MemDisk::new());
         let ids: Vec<PageId> = (0..32).map(|_| disk.allocate_page().unwrap()).collect();
-        (BufferPool::with_shards(disk, capacity, shards), ids)
+        (BufferPool::new(disk, capacity), ids)
     }
 
     #[test]
@@ -1766,6 +1519,20 @@ mod tests {
     }
 
     #[test]
+    fn an_access_to_another_pool_nests() {
+        let (outer, ids) = pool(4);
+        let (inner, inner_ids) = pool(4);
+        inner
+            .with_page_mut(inner_ids[0], |p| p.put_u32(0, 5))
+            .unwrap();
+        let v = outer
+            .with_page(ids[0], |_| inner.with_page(inner_ids[0], |p| p.get_u32(0)))
+            .unwrap()
+            .unwrap();
+        assert_eq!(v, 5);
+    }
+
+    #[test]
     fn victim_slot_picks_least_recently_used() {
         let mk = |id: u32, last_used: u64| Frame {
             id: PageId(id),
@@ -1821,14 +1588,13 @@ mod tests {
     #[test]
     fn stats_read_is_lock_free_during_a_page_access() {
         // stats() from inside a with_page closure would deadlock if it took
-        // the shard lock; with atomic counters it must just work.
+        // the frame lock; with atomic counters it must just work.
         let (pool, ids) = pool(4);
         pool.with_page(ids[0], |_| ()).unwrap();
         pool.with_page(ids[0], |_| {
             let s = pool.stats();
             assert_eq!(s.logical_reads, 2);
             assert_eq!(s.read_shared, 1);
-            let _ = pool.shard_stats();
         })
         .unwrap();
     }
@@ -1837,8 +1603,8 @@ mod tests {
     fn concurrent_shared_readers_make_progress() {
         // Several threads hammering the same cached pages read-only must all
         // complete, and (almost) every access after warmup stays shared.
-        // Per-shard capacity 32: even a maximally skewed hash cannot evict.
-        let (pool, ids) = sharded(64, 2);
+        // Capacity 64 over 32 pages: nothing is evicted.
+        let (pool, ids) = wide(64);
         for &id in &ids {
             pool.with_page(id, |_| ()).unwrap();
         }
@@ -1866,7 +1632,7 @@ mod tests {
     #[test]
     fn new_pool_reserves_full_capacity() {
         // The frame vector must never reallocate mid-run: the pool reserves
-        // its full per-shard capacity up front (frames are ~40 bytes; pages
+        // its full capacity up front (frames are ~40 bytes; pages
         // themselves are boxed).
         let disk = Arc::new(MemDisk::new());
         let ids: Vec<PageId> = (0..2000).map(|_| disk.allocate_page().unwrap()).collect();
@@ -1880,56 +1646,17 @@ mod tests {
     }
 
     #[test]
-    fn sharded_pool_spreads_pages_and_preserves_totals() {
-        let (pool, ids) = sharded(16, 4);
-        assert_eq!(pool.shard_count(), 4);
-        assert_eq!(pool.capacity(), 16);
-        for &id in &ids {
-            pool.with_page(id, |_| ()).unwrap();
-        }
-        for &id in &ids {
-            pool.with_page(id, |_| ()).unwrap();
-        }
-        let total = pool.stats();
-        assert_eq!(total.logical_reads, 64);
-        let per_shard = pool.shard_stats();
-        assert_eq!(per_shard.len(), 4);
-        assert_eq!(
-            per_shard.iter().map(|s| s.logical_reads).sum::<u64>(),
-            total.logical_reads
-        );
-        assert_eq!(
-            per_shard.iter().map(|s| s.physical_reads).sum::<u64>(),
-            total.physical_reads
-        );
-        // More than one shard saw traffic.
-        assert!(per_shard.iter().filter(|s| s.logical_reads > 0).count() > 1);
-    }
-
-    #[test]
-    fn sharded_pool_roundtrips_writes() {
-        let (pool, ids) = sharded(8, 4);
+    fn small_pool_roundtrips_writes() {
+        let (pool, ids) = wide(8);
         for (i, &id) in ids.iter().enumerate() {
             pool.with_page_mut(id, |p| p.put_u32(0, i as u32)).unwrap();
         }
-        // 32 dirty pages through 8 frames forces evictions in every shard.
+        // 32 dirty pages through 8 frames forces evictions.
         for (i, &id) in ids.iter().enumerate() {
             let v = pool.with_page(id, |p| p.get_u32(0)).unwrap();
             assert_eq!(v, i as u32);
         }
         assert!(pool.stats().evictions > 0);
-    }
-
-    #[test]
-    fn shard_count_rounds_to_power_of_two() {
-        let disk = Arc::new(MemDisk::new());
-        let pool = BufferPool::with_shards(disk, 64, 3);
-        assert_eq!(pool.shard_count(), 4);
-        // Every shard holds at least one frame even when shards > capacity.
-        let disk = Arc::new(MemDisk::new());
-        let pool = BufferPool::with_shards(disk, 2, 8);
-        assert_eq!(pool.shard_count(), 8);
-        assert!(pool.capacity() >= 8);
     }
 
     #[test]
@@ -2046,27 +1773,6 @@ mod tests {
             }
         }
         assert!(pool.stats().checksum_failures >= bad.len() as u64);
-    }
-
-    #[test]
-    fn verification_off_skips_checks() {
-        use crate::fault::{FaultConfig, FaultDisk};
-        let mem = Arc::new(MemDisk::new());
-        let id = mem.allocate_page().unwrap();
-        let faulty = Arc::new(FaultDisk::new(
-            mem,
-            FaultConfig {
-                seed: 2,
-                sticky_bit_flip: 1.0, // every page corrupt on read
-                ..Default::default()
-            },
-        ));
-        let pool = BufferPool::new(faulty, 4);
-        pool.set_verify_checksums(false);
-        assert!(!pool.verify_checksums());
-        // The flipped bit sails through unverified (the ablation mode).
-        pool.with_page(id, |_| ()).unwrap();
-        assert_eq!(pool.stats().checksum_failures, 0);
     }
 
     #[test]
@@ -2225,6 +1931,24 @@ mod tests {
         // A closed transaction can be followed by a fresh one.
         pool.txn_begin().unwrap();
         pool.txn_rollback();
+    }
+
+    #[test]
+    fn closing_calls_without_a_transaction_are_typed_errors() {
+        let (pool, ids) = pool(4);
+        assert!(matches!(pool.txn_commit(), Err(StorageError::Io(_))));
+        assert!(matches!(pool.txn_prepare(7), Err(StorageError::Io(_))));
+        for commit in [true, false] {
+            assert!(matches!(
+                pool.txn_finish_prepared(commit),
+                Err(StorageError::Io(_))
+            ));
+        }
+        // The refusals left nothing behind: the pool still commits.
+        assert!(!pool.in_transaction());
+        pool.atomic_update(|| pool.with_page_mut(ids[0], |p| p.put_u32(0, 3)))
+            .unwrap();
+        assert_eq!(pool.with_page(ids[0], |p| p.get_u32(0)).unwrap(), 3);
     }
 
     #[test]

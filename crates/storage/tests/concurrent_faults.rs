@@ -1,4 +1,4 @@
-//! Concurrent stress over a faulty disk: a sharded [`BufferPool`] hammered
+//! Concurrent stress over a faulty disk: a [`BufferPool`] hammered
 //! from many threads through a [`FaultDisk`] injecting transient faults.
 //! The pool must retry its way through, its counters must reconcile exactly
 //! against the injected-fault ledger, and nothing may deadlock, poison, or
@@ -25,9 +25,9 @@ fn mix(mut x: u64) -> u64 {
 
 /// Allocates `PAGES` pages and stamps each with its own index while the
 /// fault schedule is disarmed, leaving a clean flushed image.
-fn stamped_pool(fault: &Arc<FaultDisk>, capacity: usize, shards: usize) -> Arc<BufferPool> {
+fn stamped_pool(fault: &Arc<FaultDisk>, capacity: usize) -> Arc<BufferPool> {
     fault.set_armed(false);
-    let pool = Arc::new(BufferPool::with_shards(fault.clone(), capacity, shards));
+    let pool = Arc::new(BufferPool::new(fault.clone(), capacity));
     for i in 0..PAGES {
         let id = fault.allocate_page().unwrap();
         assert_eq!(id.0 as usize, i);
@@ -50,9 +50,9 @@ fn transient_faults_retry_under_concurrency_and_counters_reconcile() {
             ..FaultConfig::default()
         },
     ));
-    // 4 frames per shard against 64 pages: nearly every access misses, so
-    // the armed disk sees constant traffic and dirty evictions.
-    let pool = stamped_pool(&fault, 16, 4);
+    // 16 frames against 64 pages: most accesses miss, so the armed disk
+    // sees constant traffic and dirty evictions.
+    let pool = stamped_pool(&fault, 16);
 
     // An attempt-run that exhausts `MAX_IO_ATTEMPTS` surfaces one transient
     // error to the caller without a matching retry increment, so the ledger
@@ -155,7 +155,7 @@ fn sticky_corruption_is_detected_by_every_thread() {
     ));
     // Capacity below the page count, so corrupt pages are re-fetched (and
     // must be re-detected) over and over instead of being cached once.
-    let pool = stamped_pool(&fault, 16, 4);
+    let pool = stamped_pool(&fault, 16);
     let corrupt = fault.sticky_corrupt_pages();
     assert!(
         !corrupt.is_empty() && corrupt.len() < PAGES,

@@ -25,13 +25,12 @@
 //! write-ahead log recovers catalog, sections and data together: the
 //! reopened database is in exactly the before- or after-state of each
 //! update. It rewrites only the sections whose owner changed — an ACL edit
-//! that interns no code writes no meta page at all. The codebook and tags
-//! sections are edited in place, page by page: one that does intern a code
-//! writes the codebook pages its bytes changed (usually one or two, whatever
-//! the section's size) and the catalog, and allocates a page only when a
-//! page's bytes outgrow it. A changed values section is written as a fresh
-//! chain; its superseded pages, and any page an in-place edit leaves over,
-//! leak until [`SecureXmlDb::save_to`] compacts the image.
+//! that interns no code writes no meta page at all. A changed section is
+//! edited in place, page by page: an ACL edit that does intern a code writes
+//! the codebook pages its bytes changed (usually one or two, whatever the
+//! section's size) and the catalog, and allocates a page only when a page's
+//! bytes outgrow it. Any page an in-place edit leaves over leaks until
+//! [`SecureXmlDb::save_to`] compacts the image.
 //!
 //! Versions 2 and 3 kept one meta chain holding the same three encodings
 //! back to back (codebook and tags length-prefixed). They load through the
@@ -227,33 +226,6 @@ fn write_catalog(
     Ok(())
 }
 
-/// Writes `bytes` as a fresh chain.
-fn write_chain(pool: &BufferPool, bytes: &[u8]) -> Result<Chain, StorageError> {
-    let mut chunks = bytes.chunks(CHAIN_CAP).peekable();
-    let head = pool.allocate_page()?;
-    let mut page = head;
-    loop {
-        let chunk = chunks.next().unwrap_or(&[]);
-        let next = if chunks.peek().is_some() {
-            pool.allocate_page()?
-        } else {
-            PageId::INVALID
-        };
-        pool.with_page_mut(page, |p| {
-            p.put_u32(0, next.0);
-            p.put_u32(4, chunk.len() as u32);
-            p.put_bytes(8, chunk);
-        })?;
-        if !next.is_valid() {
-            return Ok(Chain {
-                head,
-                len: bytes.len() as u64,
-            });
-        }
-        page = next;
-    }
-}
-
 /// Bytes from a walk of a chain, and its pages with the bytes each holds.
 type ChainRead = (Vec<u8>, Vec<(PageId, usize)>);
 
@@ -330,7 +302,8 @@ fn find_in(hay: &[u8], needle: &[u8], lo: usize, hi: usize) -> Option<usize> {
 }
 
 /// Rewrites the chain `old` — its pages and the bytes they hold, as
-/// [`read_chain`] returned them — to hold `bytes`, in place. An old page
+/// [`read_chain`] returned them — to hold `bytes`, in place; an empty `old`
+/// writes a fresh chain, its pages packed full. An old page
 /// whose bytes reappear in `bytes` near where they were is kept; each run of
 /// bytes between kept pages is split evenly over the old pages it replaces,
 /// then over old pages no run replaced, then over fresh ones. Only pages
@@ -384,15 +357,21 @@ fn rewrite_chain(
         };
         let mut own = own.into_iter();
         let k = r.len().div_ceil(CHAIN_CAP).max(1);
+        // A fresh chain is as compact as the image `save_to` writes; an
+        // edit's run is spread evenly, leaving each page room to grow.
+        let cut = |i: usize| {
+            if old.is_empty() {
+                (i * CHAIN_CAP).min(r.len())
+            } else {
+                r.len() * i / k
+            }
+        };
         for i in 0..k {
             let page = match own.next().or_else(|| spare.pop()) {
                 Some(page) => page,
                 None => pool.allocate_page()?,
             };
-            layout.push((
-                page,
-                r.start + r.len() * i / k..r.start + r.len() * (i + 1) / k,
-            ));
+            layout.push((page, r.start + cut(i)..r.start + cut(i + 1)));
         }
         spare.extend(own);
     }
@@ -680,14 +659,11 @@ impl SecureXmlDb {
     ///
     /// A section is kept, its chain named again and not even encoded, when
     /// its owner is still the `Arc` the transaction began with: `before`
-    /// holds those, so every write in the transaction copied on write. The
-    /// two small sections are otherwise rewritten in place
-    /// ([`rewrite_chain`]): a commit writes the pages whose bytes changed, and
-    /// none when the encoding did not. The values section, large and mostly
-    /// renumbered by the structural edits that change it, is written as a
-    /// fresh chain; its superseded pages leak until the next
-    /// [`save_to`](SecureXmlDb::save_to). A v2/v3 catalog names no sections:
-    /// the first commit writes all three.
+    /// holds those, so every write in the transaction copied on write. A
+    /// changed section is rewritten in place ([`rewrite_chain`]): a commit
+    /// writes the pages whose bytes changed, and none when the encoding did
+    /// not. A v2/v3 catalog names no sections: the first commit writes all
+    /// three as fresh chains.
     pub(crate) fn rewrite_meta(&self) -> Result<(), DbError> {
         let before = match &self.txn {
             TxnScope::Open { before } => Some(before),
@@ -702,11 +678,13 @@ impl SecureXmlDb {
             let old = current.map(|c| c[s as usize]);
             chains[s as usize] = match old {
                 Some(old) if before.is_some_and(|b| s.same_owner(b, &self.mirrors)) => old,
-                Some(old) if s != Section::Values => {
-                    let stored = read_chain(&self.pool, s.name(), old)?;
+                _ => {
+                    let stored = match old {
+                        Some(old) => read_chain(&self.pool, s.name(), old)?,
+                        None => ChainRead::default(),
+                    };
                     rewrite_chain(&self.pool, &stored, &s.encode(&self.mirrors))?
                 }
-                _ => write_chain(&self.pool, &s.encode(&self.mirrors))?,
             };
         }
         Ok(write_catalog(&self.pool, &self.mirrors.store, &chains)?)
@@ -742,7 +720,7 @@ impl SecureXmlDb {
         };
         let mut chains = [Chain::NONE; 3];
         for s in SECTIONS {
-            chains[s as usize] = write_chain(&pool, &s.encode(&image))?;
+            chains[s as usize] = rewrite_chain(&pool, &ChainRead::default(), &s.encode(&image))?;
         }
         write_catalog(&pool, &image.store, &chains)?;
         pool.flush_all()?;
@@ -879,9 +857,8 @@ impl SecureXmlDb {
 #[cfg(test)]
 mod tests {
     use super::{
-        read_catalog, read_chain, rewrite_chain, write_chain, Chain, Meta, Section,
-        CAT_MAX_RECORDS, CAT_SECTIONS, CAT_SECTION_SIZE, CAT_STRUCT_FIRST, CAT_TOTAL_NODES,
-        CHAIN_CAP, SECTIONS,
+        read_catalog, read_chain, rewrite_chain, Chain, ChainRead, Meta, Section, CAT_MAX_RECORDS,
+        CAT_SECTIONS, CAT_SECTION_SIZE, CAT_STRUCT_FIRST, CAT_TOTAL_NODES, CHAIN_CAP, SECTIONS,
     };
     use crate::{DbConfig, DbError, SecureXmlDb, Security};
     use dol_acl::{AccessibilityMap, SubjectId};
@@ -904,6 +881,11 @@ mod tests {
             Meta::Sections(chains) => chains,
             Meta::Blob(_) => panic!("expected a v4 catalog"),
         }
+    }
+
+    /// Writes `bytes` as a fresh chain.
+    fn fresh_chain(pool: &BufferPool, bytes: &[u8]) -> Chain {
+        rewrite_chain(pool, &ChainRead::default(), bytes).unwrap()
     }
 
     /// Points section `s` of the catalog on `pool` at `c`.
@@ -1009,7 +991,7 @@ mod tests {
             let (mut values, _) = read_chain(&pool, "values", chain).unwrap();
             let at = values.len() - 20;
             values[at..at + 8].copy_from_slice(&10_000u64.to_le_bytes());
-            set_section(&pool, Section::Values, write_chain(&pool, &values).unwrap());
+            set_section(&pool, Section::Values, fresh_chain(&pool, &values));
             pool.flush_all().unwrap();
         }
         let opened = SecureXmlDb::open_on(data, Arc::new(MemDisk::new()), DbConfig::default());
@@ -1072,7 +1054,7 @@ mod tests {
                 (x >> 56) as u8
             })
             .collect();
-        let chain = write_chain(&pool, &bytes).unwrap();
+        let chain = fresh_chain(&pool, &bytes);
         pool.flush_all().unwrap();
         assert_eq!(rewrite(chain, &bytes), (chain, 0, 0), "equal bytes");
 
@@ -1086,7 +1068,7 @@ mod tests {
         assert_eq!((writes, grown), (1, 0));
 
         let periodic: Vec<u8> = (0..4 * CHAIN_CAP).map(|i| (i / 300 % 7) as u8).collect();
-        let chain = write_chain(&pool, &periodic).unwrap();
+        let chain = fresh_chain(&pool, &periodic);
         let mut edited = periodic.clone();
         edited.splice(1000..1000, [5u8; 30]);
         edited.truncate(3 * CHAIN_CAP);
@@ -1135,7 +1117,7 @@ mod tests {
             (
                 "tags section differs",
                 Section::Tags,
-                write_chain(&live.pool, b"a\nb").unwrap(),
+                fresh_chain(&live.pool, b"a\nb"),
             ),
             (
                 "shares page",
@@ -1269,7 +1251,7 @@ mod tests {
             cases.push((
                 format!("{} runs past its length", s.name()),
                 Box::new(move |pool| {
-                    let extra = write_chain(pool, b"tail").unwrap();
+                    let extra = fresh_chain(pool, b"tail");
                     pool.with_page_mut(last, |p| p.put_u32(0, extra.head.0))
                         .unwrap();
                 }),

@@ -22,13 +22,16 @@
 //!    not at all, rejected members never disturb their batch peers, and
 //!    the committer's counters reconcile exactly.
 //! 4. **Write path at two scales** — one persistent database per xmark
-//!    scale (the base scale and 4× it), three updates on the same kind of
-//!    target: a `set_node_access` that interns a new code, one that interns
-//!    none, and a `set_subtree_access` on a subtree of at most 64 nodes.
-//!    Per update: data pages written, WAL bytes appended and image growth.
-//!    A commit costs what it changes, so every row must be equal at both
-//!    scales, within 8 pages and 64 KiB of WAL, with no growth when no code
-//!    is interned and at most two pages otherwise.
+//!    scale (the base scale and 4× it), three ACL updates on the same kind
+//!    of target: a `set_node_access` that interns a new code, one that
+//!    interns none, and a `set_subtree_access` on a subtree of at most 64
+//!    nodes. Per update: data pages written, WAL bytes appended and image
+//!    growth. An ACL commit costs what it changes, so each of these rows
+//!    must be equal at both scales, within 8 pages and 64 KiB of WAL, with
+//!    no growth when no code is interned and at most two pages otherwise.
+//!    Three structural updates on the same subtree (a 13-node graft under
+//!    it, a move and a delete of it) are recorded, not gated: they still
+//!    rewrite the values section, so their rows grow with the document.
 //!
 //! The correctness gates (zero untyped reader failures, zero invariant violations,
 //! solo ≡ batched answers, counter reconciliation, batched fsyncs/update
@@ -147,7 +150,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         ],
     );
     for (&nodes, costs) in wp.nodes.iter().zip(&wp.costs) {
-        for (update, c) in WRITE_UPDATES.iter().zip(costs) {
+        for (update, c) in WRITE_UPDATES.iter().chain(&STRUCT_UPDATES).zip(costs) {
             t.row(&[
                 update.to_string(),
                 nodes.to_string(),
@@ -162,7 +165,8 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     println!(
         "(One persistent database per scale; each update runs between two\n\
          checkpoints, so its pages are exactly the ones the commit dirtied.\n\
-         Every row is asserted equal across the scales.)\n"
+         Every ACL row is asserted equal across the scales; the structural\n\
+         rows are recorded.)\n"
     );
 
     write_json(seed, &durability, &pr, &cc, &wp);
@@ -200,12 +204,20 @@ struct Concurrent {
     probe_refusals: u64,
 }
 
-/// The updates section 4 measures, in the order they run on one target.
+/// The updates section 4 gates, in the order they run on one target.
 const WRITE_UPDATES: [&str; 3] = [
     "set_node_access, new code",
     "set_node_access, no new code",
     "set_subtree_access",
 ];
+
+/// The structural updates section 4 records after them, on the same target.
+const STRUCT_UPDATES: [&str; 3] = ["insert_subtree", "move_subtree", "delete_subtree"];
+
+/// The subtree `insert_subtree` grafts: 13 nodes, xmark's own tags.
+const GRAFT: &str = "<item><location>x</location><quantity>1</quantity><name>n</name>\
+    <payment>p</payment><description><text>t</text></description><shipping>s</shipping>\
+    <incategory/><mailbox><mail><from>f</from><to>t</to></mail></mailbox></item>";
 
 /// What one committed update wrote.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,7 +228,8 @@ struct WriteCost {
     growth_bytes: u64,
 }
 
-/// Section 4 results: per scale, the node count and one cost per update.
+/// Section 4 results: per scale, the node count and one cost per update of
+/// [`WRITE_UPDATES`], then of [`STRUCT_UPDATES`].
 struct WritePath {
     scales: Vec<f64>,
     nodes: Vec<usize>,
@@ -643,7 +656,7 @@ fn concurrent(effort: Effort, seed: u64) -> Concurrent {
     }
 }
 
-/// The same three updates on a persistent database at two scales: a commit
+/// The same updates on a persistent database at two scales: an ACL commit
 /// that costs what it changes costs the same at both.
 fn write_path(effort: Effort) -> WritePath {
     let base = effort.scale(0.02, 0.1);
@@ -687,9 +700,9 @@ fn write_path(effort: Effort) -> WritePath {
 }
 
 /// Builds and persists the xmark database at `scale`, then measures each
-/// update of [`WRITE_UPDATES`] between two checkpoints: the data pages the
-/// second flushes, the WAL bytes the commit appended, and the pages it
-/// allocated.
+/// update of [`WRITE_UPDATES`] and [`STRUCT_UPDATES`] between two
+/// checkpoints: the data pages the second flushes, the WAL bytes the commit
+/// appended, and the pages it allocated.
 fn write_costs(scale: f64) -> (usize, Vec<WriteCost>) {
     let doc = xmark(&XmarkConfig {
         scale,
@@ -712,10 +725,17 @@ fn write_costs(scale: f64) -> (usize, Vec<WriteCost>) {
     let f2 = db.add_subject(None).expect("add subject");
     let root = quiet_subtree(&db);
     let wal = db.store().pool().wal().expect("wal attached");
-    let updates: [UpdateFn; 3] = [
+    let graft = secure_xml::xml::parse(GRAFT).expect("graft");
+    // After the graft the subtree is `size` nodes; it moves to the end of
+    // the document, where the delete finds it.
+    let size = u64::from(db.store().node(root).expect("root").size) + graft.len() as u64;
+    let updates: [UpdateFn; 6] = [
         Box::new(move |db| db.set_node_access(root, f1, true)),
         Box::new(move |db| db.set_node_access(root, f1, false)),
         Box::new(move |db| db.set_subtree_access(root, f2, true)),
+        Box::new(move |db| db.insert_subtree(root, &graft).map(drop)),
+        Box::new(move |db| db.move_subtree(root, 0).map(drop)),
+        Box::new(move |db| db.delete_subtree(db.len() as u64 - size)),
     ];
     let costs = updates
         .iter()
@@ -835,7 +855,25 @@ fn write_json(
             )
         })
         .collect();
-    out.push_str(&format!("  \"write_path\": [\n{}\n  ]\n", rows.join(",\n")));
+    out.push_str(&format!(
+        "  \"write_path\": [\n{}\n  ],\n",
+        rows.join(",\n")
+    ));
+    // Recorded, one row per scale and update.
+    let mut rows = Vec::new();
+    for (nodes, costs) in wp.nodes.iter().zip(&wp.costs) {
+        for (update, c) in STRUCT_UPDATES.iter().zip(&costs[WRITE_UPDATES.len()..]) {
+            rows.push(format!(
+                "    {{\"update\": \"{update}\", \"nodes\": {nodes}, \"pages_written\": {}, \
+                 \"wal_bytes\": {}, \"image_growth_bytes\": {}}}",
+                c.pages, c.wal_bytes, c.growth_bytes
+            ));
+        }
+    }
+    out.push_str(&format!(
+        "  \"write_path_structural\": [\n{}\n  ]\n",
+        rows.join(",\n")
+    ));
     out.push_str("}\n");
     match std::fs::File::create("BENCH_mvcc.json").and_then(|mut f| f.write_all(out.as_bytes())) {
         Ok(()) => println!("(wrote BENCH_mvcc.json)\n"),

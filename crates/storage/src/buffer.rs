@@ -69,7 +69,7 @@ use crate::page::{Page, PageId};
 use crate::retry::{current_io_deadline, RetryPolicy};
 use crate::wal::Wal;
 use parking_lot::{Mutex, RwLock};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -330,6 +330,20 @@ thread_local! {
     /// The epoch this thread's page reads are pinned to, if any (see
     /// [`with_read_epoch`]). `None`: reads see the live frames.
     static READ_EPOCH: RefCell<Option<u64>> = const { RefCell::new(None) };
+
+    /// Whether this thread's page reads are a scan ([`with_scan_reads`]).
+    static SCANNING: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Runs `f` with this thread's [`BufferPool::with_page`] calls
+/// scan-resistant: a hit leaves its LRU stamp alone and a miss is read into
+/// a buffer of its own, not a frame. A one-off pass over the whole image,
+/// such as building a document view, leaves the working set as it was.
+pub(crate) fn with_scan_reads<R>(f: impl FnOnce() -> R) -> R {
+    let was = SCANNING.with(|s| s.replace(true));
+    let out = f();
+    SCANNING.with(|s| s.set(was));
+    out
 }
 
 /// Runs `f` with every [`BufferPool::with_page`] call on this thread pinned
@@ -656,13 +670,30 @@ impl BufferPool {
                     return Ok(f(&page));
                 }
             }
+            let scanning = SCANNING.with(Cell::get);
             if let Some(&slot) = inner.map.get(&id) {
-                let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
                 let frame = &inner.frames[slot];
-                frame.last_used.store(tick, Ordering::Relaxed);
+                if !scanning {
+                    let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
+                    frame.last_used.store(tick, Ordering::Relaxed);
+                }
                 stats.logical_reads.fetch_add(1, Ordering::Relaxed);
                 stats.read_shared.fetch_add(1, Ordering::Relaxed);
                 return Ok(f(&frame.page));
+            }
+            if scanning {
+                // Under the shared lock, no writer can cache and dirty it.
+                let page = match self.shadow_image(id) {
+                    Some(page) => page,
+                    None => {
+                        stats.physical_reads.fetch_add(1, Ordering::Relaxed);
+                        let mut page = Page::zeroed();
+                        self.read_verified(id, &mut page)?;
+                        page
+                    }
+                };
+                stats.logical_reads.fetch_add(1, Ordering::Relaxed);
+                return Ok(f(&page));
             }
         }
         let mut inner = self.inner.write();
@@ -1233,6 +1264,18 @@ impl BufferPool {
         }
     }
 
+    /// The page's latest bytes if the open transaction's shadow holds them
+    /// (spilled by an earlier eviction). Caller holds the frame lock.
+    fn shadow_image(&self, id: PageId) -> Option<Page> {
+        if !self.txn_active.load(Ordering::Acquire) {
+            return None;
+        }
+        self.txn
+            .lock()
+            .as_ref()
+            .and_then(|t| t.shadow.get(&id).cloned())
+    }
+
     /// Ensures `id` is resident; returns its frame slot. Caller holds the
     /// exclusive frame lock (`inner`).
     fn fetch(&self, inner: &mut Inner, id: PageId) -> Result<usize, StorageError> {
@@ -1241,19 +1284,11 @@ impl BufferPool {
             inner.frames[slot].last_used.store(tick, Ordering::Relaxed);
             return Ok(slot);
         }
-        // The open transaction's shadow may hold the page's latest bytes
-        // (spilled by an earlier eviction): reload from there, not the disk.
-        // Peek only — the entry is removed after a frame slot is secured, so
-        // a failed victim write-back below cannot cost the transaction its
+        // Reload from the shadow, not the disk, if it holds the page. Peek
+        // only — the entry is removed after a frame slot is secured, so a
+        // failed victim write-back below cannot cost the transaction its
         // latest image of this page.
-        let shadow_page = if self.txn_active.load(Ordering::Acquire) {
-            self.txn
-                .lock()
-                .as_ref()
-                .and_then(|t| t.shadow.get(&id).cloned())
-        } else {
-            None
-        };
+        let shadow_page = self.shadow_image(id);
         if shadow_page.is_none() {
             self.stats.physical_reads.fetch_add(1, Ordering::Relaxed);
         }

@@ -94,9 +94,8 @@ impl PagedLog {
     }
 
     /// Reads `len` bytes starting at logical `offset`. A read past the tail
-    /// returns [`StorageError::OutOfBounds`] — with a rebuilt-by-scan index
-    /// (see [`ValueStore::open`]) a stale or corrupt header can request
-    /// arbitrary ranges, and that must not crash the process.
+    /// returns [`StorageError::OutOfBounds`]: a corrupt index entry can
+    /// request arbitrary ranges, and that must not crash the process.
     pub fn read(&self, offset: u64, len: usize) -> Result<Vec<u8>, StorageError> {
         if offset
             .checked_add(len as u64)
@@ -147,34 +146,12 @@ impl ValueStore {
         }
     }
 
-    /// Re-opens a value store from its persisted log pages, rebuilding the
-    /// position index with a single scan. Overwritten values appear multiple
-    /// times in the log; the latest entry wins.
-    pub fn open(
-        pool: Arc<BufferPool>,
-        pages: Vec<PageId>,
-        tail: u64,
-    ) -> Result<Self, StorageError> {
-        let log = PagedLog::from_parts(pool, pages, tail)?;
-        let mut index = BTreeMap::new();
-        let mut off = 0u64;
-        while off < log.len() {
-            let hdr = log.read(off, 12)?;
-            let pos = u64::from_le_bytes(hdr[0..8].try_into().expect("12-byte header"));
-            let len = u32::from_le_bytes(hdr[8..12].try_into().expect("12-byte header"));
-            index.insert(pos, (off + 12, len));
-            off += 12 + u64::from(len);
-        }
-        Ok(Self { log, index })
-    }
-
-    /// Reopens a value store from an explicitly persisted index instead of
-    /// a log scan. Structural updates edit the index without rewriting the
-    /// log ([`remove_range`](Self::remove_range) /
-    /// [`shift_positions`](Self::shift_positions)), so after updates the log
-    /// contains stale records that a scan would resurrect; the persistence
-    /// layer therefore saves [`index_entries`](Self::index_entries) and
-    /// restores them here.
+    /// Reopens a value store from its persisted index. Structural updates
+    /// edit the index without rewriting the log
+    /// ([`remove_range`](Self::remove_range) /
+    /// [`shift_positions`](Self::shift_positions)), so the log holds stale
+    /// records and only the index says which are live: the persistence layer
+    /// saves [`index_entries`](Self::index_entries) and restores them here.
     pub fn from_snapshot(
         pool: Arc<BufferPool>,
         pages: Vec<PageId>,
@@ -205,8 +182,7 @@ impl ValueStore {
     }
 
     /// Stores the value of the node at `pos` (replacing any previous value).
-    /// Entries carry a `(pos, len)` header so the log is self-describing and
-    /// the index can be rebuilt by a scan on reopen.
+    /// Entries carry a `(pos, len)` header, so the log is self-describing.
     pub fn put(&mut self, pos: u64, value: &str) -> Result<(), StorageError> {
         let mut rec = Vec::with_capacity(12 + value.len());
         rec.extend_from_slice(&pos.to_le_bytes());
@@ -402,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn reopen_rebuilds_index_by_scan() {
+    fn reopen_from_the_persisted_index() {
         let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 16));
         let mut vs = ValueStore::new(pool.clone());
         for p in 0..200u64 {
@@ -415,7 +391,8 @@ mod tests {
         let tail = vs.log_tail();
         pool.flush_all().unwrap();
 
-        let reopened = ValueStore::open(pool, pages, tail).unwrap();
+        let entries: Vec<_> = vs.index_entries().collect();
+        let reopened = ValueStore::from_snapshot(pool, pages, tail, entries).unwrap();
         assert_eq!(reopened.len(), vs.len());
         assert_eq!(reopened.get(13).unwrap().as_deref(), Some("overwritten"));
         assert_eq!(reopened.get(42).unwrap().as_deref(), Some("value-42"));

@@ -4,8 +4,9 @@ use super::block::{
     fits, read_transitions, trans_capacity, BlockHeader, RawRec, MAX_RECORDS_DEFAULT,
     RFLAG_HAS_VALUE, RFLAG_TRANSITION,
 };
-use crate::buffer::BufferPool;
+use crate::buffer::{with_scan_reads, BufferPool};
 use crate::disk::StorageError;
+use crate::log::ValueStore;
 use crate::page::{Page, PageId};
 use dol_xml::{Document, TagId, TagInterner};
 use std::sync::Arc;
@@ -807,43 +808,64 @@ impl StructStore {
         Ok(())
     }
 
-    /// Reconstructs an equivalent [`Document`] (tags resolved via `tags`,
-    /// values omitted). The rebuilt document's interner is seeded with
-    /// `tags` so its ids stay aligned with the on-disk node records: a
-    /// fresh first-occurrence interner would renumber tags after any
-    /// structural update that changed first-occurrence order, and every
-    /// index keyed by the store's ids would then resolve names wrongly.
-    /// Records naming a tag `tags` lacks, or not forming one tree, are a
-    /// typed `InvalidData` error.
-    pub fn to_document(&self, tags: &TagInterner) -> Result<Document, StorageError> {
-        let mut b = dol_xml::DocumentBuilder::with_tags(tags.clone());
-        let mut stack: Vec<u64> = Vec::new();
-        for entry in self.iter() {
-            let (p, rec) = entry?;
-            while let Some(&end) = stack.last() {
-                if p >= end {
-                    stack.pop();
+    /// Builds the [`Document`] the store describes: structure from the
+    /// records, names through `tags`, character data from `values`, minus
+    /// the subtree of every node whose code `keep` refuses (`None` if that
+    /// is the root). The interner is seeded with `tags`, so its ids stay the
+    /// records' ids whatever order names first occur in. Records naming a
+    /// tag `tags` lacks, or not forming one tree, are a typed `InvalidData`
+    /// error. Pages are read scan-resistant
+    /// ([`with_scan_reads`](crate::buffer::with_scan_reads)).
+    pub fn to_document(
+        &self,
+        tags: &TagInterner,
+        values: &ValueStore,
+        mut keep: impl FnMut(u32) -> bool,
+    ) -> Result<Option<Document>, StorageError> {
+        with_scan_reads(|| {
+            let items = self.read_block_range(0..self.dir.len())?;
+            let mut b = dol_xml::DocumentBuilder::with_tags(tags.clone());
+            // The subtree ends of the open elements.
+            let mut open: Vec<u64> = Vec::new();
+            let mut pos = 0u64;
+            while let Some(item) = items.get(pos as usize) {
+                while open.last().is_some_and(|&end| pos >= end) {
+                    open.pop();
                     b.close();
-                } else {
-                    break;
                 }
+                if pos > 0 && open.is_empty() {
+                    return Err(invalid_data(format!("node {pos} starts a second root")));
+                }
+                if item.tag.index() >= tags.len() {
+                    return Err(invalid_data(format!(
+                        "node {pos} names unknown tag {}",
+                        item.tag.0
+                    )));
+                }
+                let end = pos + u64::from(item.size.max(1));
+                if !keep(item.code) {
+                    pos = end;
+                    continue;
+                }
+                let value = if item.has_value {
+                    values.get(pos)?
+                } else {
+                    None
+                };
+                b.open_valued(tags.name(item.tag), value.as_deref());
+                open.push(end);
+                pos += 1;
             }
-            if p > 0 && stack.is_empty() {
-                return Err(invalid_data(format!("node {p} starts a second root")));
+            for _ in open {
+                b.close();
             }
-            if rec.tag.index() >= tags.len() {
-                return Err(invalid_data(format!(
-                    "node {p} names unknown tag {}",
-                    rec.tag.0
-                )));
+            if b.is_empty() {
+                return Ok(None);
             }
-            b.open(tags.name(rec.tag));
-            stack.push(p + rec.size as u64);
-        }
-        for _ in stack {
-            b.close();
-        }
-        b.finish().map_err(|e| invalid_data(e.to_string()))
+            b.finish()
+                .map(Some)
+                .map_err(|e| invalid_data(e.to_string()))
+        })
     }
 }
 
@@ -884,6 +906,12 @@ mod tests {
 
     pub(crate) fn small_pool() -> Arc<BufferPool> {
         Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 64))
+    }
+
+    /// The store's whole structure as a document (no values).
+    fn structure(store: &StructStore, tags: &TagInterner) -> Document {
+        let values = ValueStore::new(store.pool().clone());
+        store.to_document(tags, &values, |_| true).unwrap().unwrap()
     }
 
     fn sample_store(max_rec: usize) -> (StructStore, Document) {
@@ -1069,8 +1097,65 @@ mod tests {
     #[test]
     fn roundtrip_to_document() {
         let (store, doc) = sample_store(4);
-        let rebuilt = store.to_document(doc.tags()).unwrap();
-        assert_eq!(rebuilt.to_xml(), doc.to_xml());
+        assert_eq!(structure(&store, doc.tags()).to_xml(), doc.to_xml());
+    }
+
+    /// A document build keeps what `keep` admits, carries the values, and
+    /// leaves the pool's working set as it found it: the pages resident
+    /// before are resident after, in the same LRU order.
+    #[test]
+    fn to_document_prunes_carries_values_and_leaves_the_pool_alone() {
+        let doc = parse("<a><b>x</b><c><d>y</d></c><e>z</e></a>").unwrap();
+        let codes = [1, 1, 2, 2, 1];
+        let items: Vec<BulkItem> = doc
+            .preorder()
+            .map(|id| {
+                let n = doc.node(id);
+                BulkItem {
+                    tag: n.tag,
+                    size: n.size,
+                    depth: n.depth,
+                    has_value: n.value.is_some(),
+                    code: codes[id.index()],
+                    is_transition: id.0 == 0 || codes[id.index()] != codes[id.index() - 1],
+                }
+            })
+            .collect();
+        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 2));
+        let cfg = StoreConfig {
+            max_records_per_block: 2,
+        };
+        let store = StructStore::build(pool.clone(), cfg, items).unwrap();
+        let mut values = ValueStore::new(pool.clone());
+        for id in doc.preorder() {
+            if let Some(v) = &doc.node(id).value {
+                values.put(u64::from(id.0), v).unwrap();
+            }
+        }
+        let build = |keep: fn(u32) -> bool| {
+            store
+                .to_document(doc.tags(), &values, keep)
+                .unwrap()
+                .map(|d| d.to_xml())
+        };
+
+        pool.clear_cache().unwrap();
+        let page = |b: usize| store.block_info(b).page;
+        let physical = |b: usize| {
+            let before = pool.stats().physical_reads;
+            pool.with_page(page(b), |_| ()).unwrap();
+            pool.stats().physical_reads - before
+        };
+        // Blocks 0 and 1 resident, block 0 the older.
+        assert_eq!((physical(0), physical(1)), (1, 1));
+        assert_eq!(build(|_| true), Some(doc.to_xml()));
+        assert_eq!(
+            build(|c| c == 1).as_deref(),
+            Some("<a><b>x</b><e>z</e></a>")
+        );
+        assert_eq!(build(|c| c == 2), None);
+        // Block 2 evicts block 0, not block 1.
+        assert_eq!((physical(2), physical(1), physical(0)), (1, 0, 1));
     }
 
     #[test]
@@ -1090,10 +1175,7 @@ mod tests {
         for i in 0..store.block_count() {
             assert_eq!(reopened.block_info(i), store.block_info(i));
         }
-        assert_eq!(
-            reopened.to_document(doc.tags()).unwrap().to_xml(),
-            doc.to_xml()
-        );
+        assert_eq!(structure(&reopened, doc.tags()).to_xml(), doc.to_xml());
     }
 
     #[test]

@@ -115,12 +115,6 @@ impl Document {
         &self.tags
     }
 
-    /// Mutable access to the tag interner (e.g. to pre-intern query tags).
-    #[inline]
-    pub fn tags_mut(&mut self) -> &mut TagInterner {
-        &mut self.tags
-    }
-
     /// Resolves a tag id to its element name.
     #[inline]
     pub fn tag_name(&self, tag: TagId) -> &str {

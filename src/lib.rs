@@ -85,10 +85,10 @@ pub const COMPACT_TICK_BLOCKS: usize = 64;
 use dol_nok::{NodeIndex, QueryEngine, QueryError};
 use dol_storage::disk::StorageError;
 use dol_storage::{BufferPool, BulkItem, IoStats, MemDisk, StoreConfig, StructStore, ValueStore};
-use dol_xml::{Document, NodeId};
+use dol_xml::{Document, NodeId, TagInterner};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors from the high-level database API.
 #[derive(Debug)]
@@ -307,17 +307,22 @@ fn out_of_turn(msg: impl Into<String>) -> DbError {
 /// `Fn`, not `FnOnce`) against the database.
 pub type UpdateFn = Box<dyn Fn(&mut SecureXmlDb) -> Result<(), DbError> + Send>;
 
-/// The `Arc`-shared read-side state of a [`SecureXmlDb`] at one instant.
-/// Cloning it is five reference bumps; holding a clone makes the next
+/// The `Arc`-shared read-side state of a [`SecureXmlDb`] at one instant,
+/// each fact stored once: structure and codes in `store`, character data in
+/// `values`, names in `tags`. `index` derives from the first two; `view` is
+/// the [`Document`] built from all three on demand, emptied by `reindex`,
+/// so a restored snapshot brings back the view that matches it.
+/// Cloning it is six reference bumps; holding a clone makes the next
 /// update's `Arc::make_mut` copy-on-write instead of mutating in place (the
 /// price of having a known-good state to fall back to).
 #[derive(Clone)]
 pub(crate) struct MirrorSnapshot {
-    pub(crate) doc: Arc<Document>,
+    pub(crate) tags: Arc<TagInterner>,
     pub(crate) store: Arc<StructStore>,
     pub(crate) values: Arc<ValueStore>,
     pub(crate) dol: Arc<EmbeddedDol>,
     pub(crate) index: Arc<NodeIndex>,
+    pub(crate) view: Arc<OnceLock<Document>>,
 }
 
 impl MirrorSnapshot {
@@ -326,10 +331,22 @@ impl MirrorSnapshot {
         QueryEngine::new(
             &self.store,
             &self.values,
-            self.doc.tags(),
+            &self.tags,
             Some(&self.dol),
             &self.index,
         )
+    }
+
+    /// The document these mirrors describe, built in one scan of the store;
+    /// with a `subject`, only what it may see: the subtree of every node it
+    /// may not see is left out, and `None` means that is the root.
+    pub(crate) fn to_document(
+        &self,
+        subject: Option<SubjectId>,
+    ) -> Result<Option<Document>, DbError> {
+        let column = subject.map(|s| self.dol.column(s));
+        let keep = |code| column.as_ref().is_none_or(|c| c.check_code(code));
+        Ok(self.store.to_document(&self.tags, &self.values, keep)?)
     }
 
     /// Executes `query` against the pages behind these mirrors — the one way
@@ -348,7 +365,7 @@ impl MirrorSnapshot {
     ) -> Result<QueryResult, DbError> {
         let (plan, compiled) = caches
             .plans()
-            .get_or_compile(query, self.doc.tags())
+            .get_or_compile(query, &self.tags)
             .map_err(QueryError::Parse)?;
         let exec = self
             .engine()
@@ -384,7 +401,7 @@ impl SecureXmlDb {
     /// [`dol_storage::FaultDisk`] for fault-injection testing.
     pub fn with_config_on(
         disk: Arc<dyn dol_storage::Disk>,
-        doc: Document,
+        document: Document,
         oracle: &impl AccessOracle,
         cfg: DbConfig,
     ) -> Result<Self, DbError> {
@@ -392,19 +409,20 @@ impl SecureXmlDb {
         let store_cfg = StoreConfig {
             max_records_per_block: cfg.max_records_per_block,
         };
-        let (store, dol) = EmbeddedDol::build(pool.clone(), store_cfg, &doc, oracle)?;
+        let (store, dol) = EmbeddedDol::build(pool.clone(), store_cfg, &document, oracle)?;
         let mut values = ValueStore::new(pool.clone());
-        for id in doc.preorder() {
-            if let Some(v) = &doc.node(id).value {
+        for id in document.preorder() {
+            if let Some(v) = &document.node(id).value {
                 values.put(u64::from(id.0), v)?;
             }
         }
         let mirrors = MirrorSnapshot {
             index: Arc::new(NodeIndex::build(&store, &values)?),
-            doc: Arc::new(doc),
+            tags: Arc::new(document.tags().clone()),
             store: Arc::new(store),
             values: Arc::new(values),
             dol: Arc::new(dol),
+            view: Arc::default(),
         };
         Ok(Self::assemble(mirrors, pool, cfg, false))
     }
@@ -758,8 +776,8 @@ impl SecureXmlDb {
     ///   transaction state is discarded, the write-ahead log's committed
     ///   transactions are replayed onto the data disk (exactly what
     ///   [`open_on`](Self::open_on) does first), and all in-memory mirrors
-    ///   — master document, block store, value store, DOL, node index —
-    ///   are rebuilt from the recovered pages.
+    ///   — tag names, block store, value store, DOL, node index — are
+    ///   rebuilt from the recovered pages.
     /// * On an **in-memory** database there is nothing to rebuild: the
     ///   failed transaction rolled its pages back to their pre-images and
     ///   restored the matching mirrors when it failed.
@@ -1183,7 +1201,27 @@ impl SecureXmlDb {
             return Err(DbError::InvalidNode(parent_pos));
         }
         self.run_txn(|db| {
-            let at = db.splice_subtree(parent_pos, subtree, None)?;
+            // Encode the subtree once, every node on the inherited code (the
+            // first node's flag is `insert_run`'s to set, against its
+            // predecessor) and its tags interned into the handle's names.
+            let store = &db.mirrors.store;
+            let code = store.code_at(parent_pos + store.node(parent_pos)?.size as u64 - 1)?;
+            let tags = Arc::make_mut(&mut db.mirrors.tags);
+            let mut values = Vec::new();
+            let mut items = Vec::with_capacity(subtree.len());
+            for id in subtree.preorder() {
+                let n = subtree.node(id);
+                values.extend(n.value.iter().map(|v| (u64::from(id.0), v.to_string())));
+                items.push(BulkItem {
+                    tag: tags.intern(subtree.tags().name(n.tag)),
+                    size: n.size,
+                    depth: n.depth,
+                    has_value: n.value.is_some(),
+                    code,
+                    is_transition: false,
+                });
+            }
+            let at = db.splice_subtree(parent_pos, items, &values)?;
             db.reindex()?;
             Ok(at)
         })
@@ -1203,13 +1241,17 @@ impl SecureXmlDb {
             return Err(DbError::InvalidNode(new_parent_pos)); // own descendant
         }
         self.run_txn(|db| {
-            // Capture the subtree: structure and values from the master
-            // document, per-node codes from the embedded runs.
-            let sub = db.mirrors.doc.copy_subtree(NodeId(pos as u32));
-            let runs = db.mirrors.store.runs_in(pos, pos + size)?;
-            let codes: Vec<u32> = (pos..pos + size)
-                .map(|p| runs[runs.partition_point(|&(q, _)| q <= p) - 1].1)
-                .collect();
+            // Capture the subtree from the store: its records (codes and
+            // internal transition flags included) and its values.
+            let store = &db.mirrors.store;
+            let (first, last) = (store.block_of_pos(pos), store.block_of_pos(pos + size - 1));
+            let from = (pos - store.block_info(first).first_pos) as usize;
+            let items = store.read_block_range(first..last + 1)?;
+            let items = items.into_iter().skip(from).take(size as usize).collect();
+            let mut values = Vec::new();
+            for off in 0..size {
+                values.extend(db.mirrors.values.get(pos + off)?.map(|v| (off, v)));
+            }
             db.remove_subtree(pos, size)?;
             // The new parent shifted if it lay after the removed range.
             let parent = if new_parent_pos >= pos + size {
@@ -1217,90 +1259,57 @@ impl SecureXmlDb {
             } else {
                 new_parent_pos
             };
-            let at = db.splice_subtree(parent, &sub, Some(&codes))?;
+            let at = db.splice_subtree(parent, items, &values)?;
             db.reindex()?;
             Ok(at)
         })
     }
 
-    /// Removes the subtree `[pos, pos + size)` from the block store, the
-    /// value store and the master document.
+    /// Removes the subtree `[pos, pos + size)` from the block store and the
+    /// value store.
     fn remove_subtree(&mut self, pos: u64, size: u64) -> Result<(), DbError> {
-        let store = Arc::make_mut(&mut self.mirrors.store);
+        Arc::make_mut(&mut self.mirrors.store).delete_run(pos, pos + size)?;
         let values = Arc::make_mut(&mut self.mirrors.values);
-        let doc = Arc::make_mut(&mut self.mirrors.doc);
-        store.delete_run(pos, pos + size)?;
         values.remove_range(pos, pos + size);
         values.shift_positions(pos + size, -(size as i64));
-        doc.delete_subtree(NodeId(pos as u32))
-            .map_err(|_| DbError::InvalidNode(pos))?;
         Ok(())
     }
 
-    /// Splices `subtree` in as the last child of the node at `parent` —
-    /// block store, value store and master document — and returns its
-    /// root's position. `codes` holds one access code per node, in preorder
-    /// (a moved subtree's own); `None` makes the new nodes continue the run
-    /// in effect at the insertion point's document-order predecessor.
+    /// Splices a subtree in as the last child of the node at `parent` —
+    /// block store and value store — and returns its root's position.
+    /// `items` are its records in preorder, codes and internal transition
+    /// flags set (depths are rebased onto `parent`); `values` pairs a node's
+    /// offset from the root with its value.
     fn splice_subtree(
         &mut self,
         parent: u64,
-        subtree: &Document,
-        codes: Option<&[u32]>,
+        mut items: Vec<BulkItem>,
+        values: &[(u64, String)],
     ) -> Result<u64, DbError> {
         let store = Arc::make_mut(&mut self.mirrors.store);
-        let values = Arc::make_mut(&mut self.mirrors.values);
-        let doc = Arc::make_mut(&mut self.mirrors.doc);
         let parent_rec = store.node(parent)?;
         let at = parent + parent_rec.size as u64;
-        let inherited;
-        let codes = match codes {
-            Some(codes) => codes,
-            None => {
-                inherited = vec![store.code_at(at - 1)?; subtree.len()];
-                &inherited
-            }
-        };
-        // Encode the subtree (tags interned into the master document); the
-        // first node's flag is `insert_run`'s to set, against its predecessor.
-        let mut prev_code = None;
-        let items: Vec<BulkItem> = subtree
-            .preorder()
-            .map(|id| {
-                let n = subtree.node(id);
-                let code = codes[id.index()];
-                let is_transition = prev_code != Some(code);
-                prev_code = Some(code);
-                BulkItem {
-                    tag: doc.tags_mut().intern(subtree.tags().name(n.tag)),
-                    size: n.size,
-                    depth: n.depth + parent_rec.depth + 1,
-                    has_value: n.value.is_some(),
-                    code,
-                    is_transition,
-                }
-            })
-            .collect();
+        let root_depth = items.first().map_or(0, |i| i.depth);
+        for item in &mut items {
+            item.depth = item.depth - root_depth + parent_rec.depth + 1;
+        }
         let mut ancestors = store.ancestors_of(parent)?;
         ancestors.push(parent);
         store.insert_run(at, &ancestors, &items)?;
-        // Values: shift the tail, then add the new nodes' values.
-        values.shift_positions(at, subtree.len() as i64);
-        for id in subtree.preorder() {
-            if let Some(v) = &subtree.node(id).value {
-                values.put(at + u64::from(id.0), v)?;
-            }
+        let stored = Arc::make_mut(&mut self.mirrors.values);
+        stored.shift_positions(at, items.len() as i64);
+        for (off, v) in values {
+            stored.put(at + off, v)?;
         }
-        doc.insert_subtree(NodeId(parent as u32), None, subtree)
-            .map_err(|_| DbError::InvalidNode(parent))?;
         Ok(at)
     }
 
     /// What every structural update ends with: the node index rebuilt from
-    /// the spliced store and values in one scan, and — blocks moved — an
-    /// in-flight compaction cursor marked stale.
+    /// the spliced store and values in one scan, the document view emptied,
+    /// and — blocks moved — an in-flight compaction cursor marked stale.
     fn reindex(&mut self) -> Result<(), DbError> {
         self.mirrors.index = Arc::new(NodeIndex::build(&self.mirrors.store, &self.mirrors.values)?);
+        self.mirrors.view = Arc::default();
         Arc::make_mut(&mut self.mirrors.dol)
             .codebook_mut()
             .mark_compaction_dirty();
@@ -1314,36 +1323,7 @@ impl SecureXmlDb {
     /// is inaccessible. For filtering raw XML streams without a database,
     /// see [`dol_core::stream::secure_filter`].
     pub fn export_visible(&self, subject: SubjectId) -> Result<Option<String>, DbError> {
-        if !self.accessible(0, subject)? {
-            return Ok(None);
-        }
-        // Copy the document, delete inaccessible subtrees (shallowest first;
-        // re-resolve positions after each deletion since ids shift).
-        let mut pruned = (*self.mirrors.doc).clone();
-        // Collect inaccessible positions against the *original* numbering.
-        let mut doomed: Vec<u64> = Vec::new();
-        let mut pos = 0u64;
-        let total = self.mirrors.store.total_nodes();
-        while pos < total {
-            if !self
-                .mirrors
-                .dol
-                .accessible(&self.mirrors.store, pos, subject)?
-            {
-                let size = self.mirrors.store.node(pos)?.size as u64;
-                doomed.push(pos);
-                pos += size; // nested inaccessible nodes go with the subtree
-            } else {
-                pos += 1;
-            }
-        }
-        // Delete back-to-front so earlier positions stay valid.
-        for &p in doomed.iter().rev() {
-            pruned
-                .delete_subtree(NodeId(p as u32))
-                .map_err(|_| DbError::InvalidNode(p))?;
-        }
-        Ok(Some(pruned.to_xml()))
+        Ok(self.mirrors.to_document(Some(subject))?.map(|d| d.to_xml()))
     }
 
     /// DOL storage statistics.
@@ -1415,9 +1395,16 @@ impl SecureXmlDb {
         false
     }
 
-    /// The in-memory master document (tags, values, navigation).
+    /// The document as a tree (tags, values, navigation): a view built from
+    /// the block store, the value store and the tag names on first use, and
+    /// again after a structural update. Panics if its pages cannot be read.
     pub fn document(&self) -> &Document {
-        &self.mirrors.doc
+        self.mirrors
+            .view
+            .get_or_init(|| match self.mirrors.to_document(None) {
+                Ok(Some(doc)) => doc,
+                other => panic!("document pages unreadable: {:?}", other.err()),
+            })
     }
 
     /// The underlying block store.
@@ -1490,9 +1477,11 @@ mod tests {
     use super::*;
     use dol_acl::AccessibilityMap;
 
+    /// The document of [`two_subject_db`]: a(0) b(1) c(2) d(3) e(4) f(5).
+    const XML: &str = "<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>";
+
     fn two_subject_db() -> (SecureXmlDb, AccessibilityMap) {
-        let xml = "<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>";
-        let doc = dol_xml::parse(xml).unwrap();
+        let doc = dol_xml::parse(XML).unwrap();
         let mut map = AccessibilityMap::new(2, doc.len());
         for p in 0..doc.len() as u32 {
             map.set(SubjectId(0), NodeId(p), true);
@@ -1533,17 +1522,21 @@ mod tests {
     #[test]
     fn structural_updates_keep_everything_aligned() {
         let (mut db, _) = two_subject_db();
+        // The model takes the same edits; the database must match it.
+        let mut model = dol_xml::parse(XML).unwrap();
         // Delete subtree of b ([1,3)).
         db.delete_subtree(1).unwrap();
+        model.delete_subtree(NodeId(1)).unwrap();
         assert_eq!(db.len(), 4);
         db.store().check_integrity().unwrap();
-        db.document().check_integrity().unwrap();
+        assert_eq!(db.document().to_xml(), model.to_xml());
         // e moved from 4 to 2 and kept its value.
         assert_eq!(db.value(2).unwrap().as_deref(), Some("v2"));
         assert_eq!(db.query("//d/e", Security::None).unwrap().matches, vec![2]);
         // Insert a new subtree under d (now at position 1).
         let sub = dol_xml::parse("<g><h>v3</h></g>").unwrap();
         let at = db.insert_subtree(1, &sub).unwrap();
+        model.insert_subtree(NodeId(1), None, &sub).unwrap();
         assert_eq!(db.len(), 6);
         db.store().check_integrity().unwrap();
         assert_eq!(db.value(at + 1).unwrap().as_deref(), Some("v3"));
@@ -1554,10 +1547,11 @@ mod tests {
         // Inherited accessibility: subject 1 could see d's area, so it sees g.
         assert!(db.accessible(at, SubjectId(1)).unwrap());
 
-        // A random delete / insert / move sequence: after every step the
-        // live index is what a fresh open of the saved image builds, and the
-        // Table-1 shapes (path, twig, descendant join, value seed) answer as
-        // the reference evaluator does on the maintained master document.
+        // A random delete / insert / move sequence on both: after every step
+        // the document is the model's, the live index is what a fresh open
+        // of the saved image builds, and the Table-1 shapes (path, twig,
+        // descendant join, value seed) answer as the reference evaluator
+        // does on the model.
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(23);
         let image = std::env::temp_dir().join(format!("secure-xml-reindex-{}", std::process::id()));
@@ -1566,19 +1560,29 @@ mod tests {
         for step in 0..40 {
             let n = db.len() as u64;
             match rng.gen_range(0..3) {
-                0 if n > 12 => db.delete_subtree(rng.gen_range(1..n)).unwrap(),
+                0 if n > 12 => {
+                    let pos = rng.gen_range(1..n);
+                    db.delete_subtree(pos).unwrap();
+                    model.delete_subtree(NodeId(pos as u32)).unwrap();
+                }
                 1 => {
                     // A move under the subtree's own descendant is refused
-                    // before anything is touched.
-                    let _ = db.move_subtree(rng.gen_range(1..n), rng.gen_range(0..n));
+                    // by both, the database before anything is touched.
+                    let (pos, parent) = (rng.gen_range(1..n), rng.gen_range(0..n));
+                    let moved = db.move_subtree(pos, parent).ok();
+                    let modelled = model.move_subtree(NodeId(pos as u32), NodeId(parent as u32));
+                    assert_eq!(moved, modelled.ok().map(|id| u64::from(id.0)));
                 }
                 _ => {
                     let graft = dol_xml::parse(grafts[rng.gen_range(0..grafts.len())]).unwrap();
-                    db.insert_subtree(rng.gen_range(0..n), &graft).unwrap();
+                    let parent = rng.gen_range(0..n);
+                    let at = db.insert_subtree(parent, &graft).unwrap();
+                    let modelled = model.insert_subtree(NodeId(parent as u32), None, &graft);
+                    assert_eq!(modelled.unwrap(), NodeId(at as u32));
                 }
             }
             db.verify_integrity().unwrap();
-            db.document().check_integrity().unwrap();
+            assert_eq!(db.document().to_xml(), model.to_xml(), "step {step}");
             db.save_to(&image).unwrap();
             let reopened = SecureXmlDb::open_from(&image).unwrap();
             assert_eq!(db.mirrors.index, reopened.mirrors.index, "step {step}");
@@ -1595,7 +1599,7 @@ mod tests {
                 assert_eq!(
                     got,
                     dol_nok::reference::naive_eval(
-                        db.document(),
+                        &model,
                         &pattern,
                         dol_nok::reference::RefSecurity::None
                     ),
@@ -1627,13 +1631,18 @@ mod tests {
     #[test]
     fn move_subtree_carries_access_controls() {
         let (mut db, _) = two_subject_db();
-        // Structure: a(0) b(1) c(2) d(3) e(4) f(5); subject 1 sees {0,3,4,5}.
-        // Move b's subtree (denied to subject 1) under d.
+        // Subject 1 sees {0,3,4,5}. Move b's subtree (denied to subject 1)
+        // under d, in the database and in the model.
         let at = db.move_subtree(1, 3).unwrap();
+        let mut model = dol_xml::parse(XML).unwrap();
+        assert_eq!(
+            model.move_subtree(NodeId(1), NodeId(3)).unwrap().0,
+            at as u32
+        );
         db.store().check_integrity().unwrap();
-        db.document().check_integrity().unwrap();
+        assert_eq!(db.document().to_xml(), model.to_xml());
         assert_eq!(db.len(), 6);
-        assert_eq!(db.document().name_of(NodeId(at as u32)), "b");
+        assert_eq!(model.name_of(NodeId(at as u32)), "b");
         // Subject 0 still sees everything.
         for p in 0..db.len() as u64 {
             assert!(db.accessible(p, SubjectId(0)).unwrap());
@@ -1668,6 +1677,88 @@ mod tests {
         let mut db2 = db;
         let blind = db2.add_subject(None).unwrap();
         assert_eq!(db2.export_visible(blind).unwrap(), None);
+    }
+
+    /// Everything a served handle does — queries, readers, ACL edits,
+    /// subject and membership edits, compaction, structural updates,
+    /// export, save and reopen — reads the store, the values and the tag
+    /// names, and never builds the document view.
+    #[test]
+    fn the_served_path_never_builds_a_document() {
+        let (_, map) = two_subject_db();
+        let mut space = dol_acl::GroupSpace::new();
+        let group = space.add_subject(&[]);
+        space.bind_direct(group, 1);
+        let user = space.add_subject(&[group]);
+        let doc = dol_xml::parse(XML).unwrap();
+        let built = SecureXmlDb::from_document_factored(doc, &map, space).unwrap();
+        let data = Arc::new(MemDisk::new());
+        built.save_to_disk(data.clone()).unwrap();
+        let mut db =
+            SecureXmlDb::open_on(data, Arc::new(MemDisk::new()), DbConfig::default()).unwrap();
+
+        let sec = Security::BindingLevel(user);
+        for s in [Security::None, sec, Security::SubtreeVisibility(user)] {
+            db.query("//d/e", s).unwrap();
+            db.reader().query("//d[e]", s).unwrap();
+        }
+        db.reader().accessible(4, user).unwrap();
+        db.reader().value(4).unwrap();
+        db.set_node_access(4, group, false).unwrap();
+        db.set_subtree_access(3, group, true).unwrap();
+        let other = db.add_grouped_subject(&[]).unwrap();
+        db.set_group_membership(other, group, true).unwrap();
+        let extra = db.add_subject(None).unwrap();
+        db.remove_subject(extra).unwrap();
+        db.compact_subjects().unwrap();
+        let sub = dol_xml::parse("<g><h>v3</h></g>").unwrap();
+        let at = db.insert_subtree(3, &sub).unwrap();
+        db.move_subtree(at, 1).unwrap();
+        db.delete_subtree(1).unwrap();
+        db.export_visible(user).unwrap();
+        db.verify_integrity().unwrap();
+        let copy = Arc::new(MemDisk::new());
+        db.save_to_disk(copy.clone()).unwrap();
+        let back =
+            SecureXmlDb::open_on(copy, Arc::new(MemDisk::new()), DbConfig::default()).unwrap();
+        back.query("//d/e", sec).unwrap();
+
+        assert!(db.mirrors.view.get().is_none(), "the handle built a view");
+        assert!(back.mirrors.view.get().is_none(), "the reopen built a view");
+        assert_eq!(back.document().to_xml(), db.document().to_xml());
+    }
+
+    /// A batch member that reads the view, edits the structure, reads the
+    /// new view and fails leaves the view of the state before it; so does a
+    /// poisoned transaction after `recover`.
+    #[test]
+    fn a_rollback_restores_the_matching_view() {
+        let (mut db, _) = two_subject_db();
+        let before = db.document().to_xml();
+        let member: UpdateFn = Box::new(|db| {
+            let old = db.document().to_xml();
+            db.delete_subtree(1)?;
+            assert_ne!(db.document().to_xml(), old);
+            Err(DbError::InvalidNode(u64::MAX))
+        });
+        let results = db.run_batch(&[member]).unwrap();
+        assert!(results[0].is_err());
+        assert_eq!(db.document().to_xml(), before);
+
+        let data = Arc::new(MemDisk::new());
+        db.save_to_disk(data.clone()).unwrap();
+        let mut live =
+            SecureXmlDb::open_on(data, Arc::new(MemDisk::new()), DbConfig::default()).unwrap();
+        let failed = live.run_update(|db| {
+            db.document();
+            db.move_subtree(1, 3)?;
+            db.document();
+            Err(DbError::InvalidNode(u64::MAX))
+        });
+        assert!(failed.is_err() && live.is_poisoned());
+        assert_eq!(live.document().to_xml(), before);
+        live.recover().unwrap();
+        assert_eq!(live.document().to_xml(), before);
     }
 
     #[test]
@@ -1741,8 +1832,7 @@ mod tests {
     }
 
     fn faulty_two_subject_db() -> (SecureXmlDb, Arc<dol_storage::FaultDisk>) {
-        let xml = "<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>";
-        let doc = dol_xml::parse(xml).unwrap();
+        let doc = dol_xml::parse(XML).unwrap();
         let mut map = AccessibilityMap::new(2, doc.len());
         for p in 0..doc.len() as u32 {
             map.set(SubjectId(0), NodeId(p), true);

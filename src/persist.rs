@@ -17,7 +17,7 @@
 //! | section | bytes | owner |
 //! |---|---|---|
 //! | codebook | `Codebook::to_bytes` (group table and compaction plan included) | `mirrors.dol` |
-//! | tags | the `'\n'`-joined tag interner | `mirrors.doc` |
+//! | tags | the `'\n'`-joined tag interner | `mirrors.tags` |
 //! | values | value-log tail, log page list, value index | `mirrors.values` |
 //!
 //! Every update transaction on a persistent database ends in `rewrite_meta`,
@@ -48,7 +48,7 @@ use dol_storage::disk::StorageError;
 use dol_storage::{
     BufferPool, Disk, FileDisk, PageId, StoreConfig, StructStore, ValueStore, Wal, PAYLOAD_SIZE,
 };
-use dol_xml::{NodeId, TagInterner};
+use dol_xml::TagInterner;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -111,7 +111,7 @@ impl Section {
     fn same_owner(self, a: &MirrorSnapshot, b: &MirrorSnapshot) -> bool {
         match self {
             Section::Codebook => Arc::ptr_eq(&a.dol, &b.dol),
-            Section::Tags => Arc::ptr_eq(&a.doc, &b.doc),
+            Section::Tags => Arc::ptr_eq(&a.tags, &b.tags),
             Section::Values => Arc::ptr_eq(&a.values, &b.values),
         }
     }
@@ -121,7 +121,7 @@ impl Section {
         match self {
             Section::Codebook => m.dol.codebook().to_bytes(),
             Section::Tags => {
-                let names: Vec<&str> = m.doc.tags().iter().map(|(_, n)| n).collect();
+                let names: Vec<&str> = m.tags.iter().map(|(_, n)| n).collect();
                 names.join("\n").into_bytes()
             }
             Section::Values => {
@@ -550,19 +550,9 @@ fn check_disjoint(
     Ok(())
 }
 
-/// The value the store's index holds for `pos`. The positions come from that
-/// same index, so a miss means index and log disagree: typed, never a panic.
-fn indexed_value(values: &ValueStore, pos: u64) -> Result<String, DbError> {
-    values.get(pos)?.ok_or_else(|| {
-        DbError::Integrity(format!(
-            "value index names position {pos} but holds no value for it"
-        ))
-    })
-}
-
 /// Loads an image (any supported version) through `pool` into the complete
 /// read-side state [`SecureXmlDb`] mirrors in memory: catalog, structure
-/// chain, meta sections, value store, master document, and the node index —
+/// chain, meta sections, value store, tag names, and the node index —
 /// for [`SecureXmlDb::open_on`] (fresh handle) and [`SecureXmlDb::recover`]
 /// (rebuilding a poisoned handle's mirrors in place). The pool's cache must
 /// reflect the durable page state (fresh pool, or one whose cache was
@@ -589,28 +579,33 @@ pub(crate) fn load_image(pool: &Arc<BufferPool>) -> Result<MirrorSnapshot, DbErr
     // Before decoding the rest: a section chain aliasing another chain's
     // pages would decode someone else's bytes.
     check_disjoint(&meta.chains, &store, &values).map_err(invalid_data)?;
-    let codebook = decode_codebook(codebook)?;
-    let tags = decode_tags(tags);
-
-    // Reconstruct the in-memory master document (tags + values).
-    let mut doc = store.to_document(&tags)?;
-    for (pos, _) in values.iter_lens() {
-        // The index is persisted bytes: a position past the document would
-        // index out of the node table.
-        if pos >= doc.len() as u64 {
-            return Err(invalid_data(format!(
-                "value index names position {pos}, document has {} nodes",
-                doc.len()
-            )));
-        }
-        doc.set_value(NodeId(pos as u32), Some(&indexed_value(&values, pos)?));
+    // The index is persisted bytes: a position past the last node names no
+    // node, and the node index, which reads only records with a value, would
+    // never notice.
+    let nodes = store.total_nodes();
+    if let Some((pos, _)) = values.iter_lens().find(|&(p, _)| p >= nodes) {
+        return Err(invalid_data(format!(
+            "value index names position {pos}, the store has {nodes} nodes"
+        )));
+    }
+    let dol = EmbeddedDol::from_codebook(decode_codebook(codebook)?);
+    let (tags, index) = (decode_tags(tags), NodeIndex::build(&store, &values)?);
+    // The index files every record under its tag: one a node names that the
+    // tags section lacks is missing from the sum.
+    let named: usize = tags.iter().map(|(t, _)| index.by_tag(t).len()).sum();
+    if named as u64 != nodes {
+        return Err(invalid_data(format!(
+            "{} of {nodes} nodes name a tag the tags section lacks",
+            nodes - named as u64
+        )));
     }
     Ok(MirrorSnapshot {
-        index: Arc::new(NodeIndex::build(&store, &values)?),
-        doc: Arc::new(doc),
+        dol: Arc::new(dol),
+        tags: Arc::new(tags),
+        index: Arc::new(index),
         store: Arc::new(store),
         values: Arc::new(values),
-        dol: Arc::new(EmbeddedDol::from_codebook(codebook)),
+        view: Arc::default(),
     })
 }
 
@@ -708,7 +703,9 @@ impl SecureXmlDb {
         // 2. Value log, re-packed in position order.
         let mut new_values = ValueStore::new(pool.clone());
         for (pos, _) in self.values().iter_lens() {
-            new_values.put(pos, &indexed_value(self.values(), pos)?)?;
+            if let Some(v) = self.values().get(pos)? {
+                new_values.put(pos, &v)?;
+            }
         }
 
         // 3. The sections of the re-packed state (positions, and so the
@@ -976,32 +973,6 @@ mod tests {
     }
 
     #[test]
-    fn value_index_naming_a_missing_node_is_a_typed_open_error() {
-        let db = all_access_db("<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>");
-        let data = Arc::new(MemDisk::new());
-        db.save_to_disk(data.clone()).unwrap();
-        // Corrupt the image the way a bad sector would, checksums intact:
-        // point the last value-index entry (`pos u64 | off u64 | len u32`,
-        // the final 20 bytes of the values section) at a position the
-        // document does not have, and chain the edited section from the
-        // catalog.
-        {
-            let pool = BufferPool::new(data.clone(), 16);
-            let chain = sections(&data)[Section::Values as usize];
-            let (mut values, _) = read_chain(&pool, "values", chain).unwrap();
-            let at = values.len() - 20;
-            values[at..at + 8].copy_from_slice(&10_000u64.to_le_bytes());
-            set_section(&pool, Section::Values, fresh_chain(&pool, &values));
-            pool.flush_all().unwrap();
-        }
-        let opened = SecureXmlDb::open_on(data, Arc::new(MemDisk::new()), DbConfig::default());
-        assert!(matches!(
-            opened.err(),
-            Some(DbError::Storage(StorageError::Io(e))) if e.kind() == std::io::ErrorKind::InvalidData
-        ));
-    }
-
-    #[test]
     fn acl_edits_that_intern_no_code_leave_the_image_size_unchanged() {
         let db = all_access_db("<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>");
         let data = Arc::new(MemDisk::new());
@@ -1146,8 +1117,9 @@ mod tests {
 
     /// Every hostile edit of a saved image's catalog or section chains —
     /// each field zeroed or bit-flipped, two sections at one head, a chain
-    /// that cycles or runs past its length, a page whose length header lies
-    /// — is a typed open error, never a panic and never a database.
+    /// that cycles or runs past its length, a page whose length header
+    /// lies, a record naming a tag that does not exist — is a typed open
+    /// error, never a panic and never a database.
     #[test]
     fn hostile_catalogs_and_chains_are_typed_open_errors() {
         let db = all_access_db("<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>");
@@ -1277,6 +1249,11 @@ mod tests {
             }
         }
 
+        cases.push((
+            "tags section without the names the records use".into(),
+            Box::new(|pool| set_section(pool, Section::Tags, fresh_chain(pool, b"a"))),
+        ));
+
         assert!(cases.len() > 60, "{} cases", cases.len());
         // The control: the unedited image opens.
         SecureXmlDb::open_on(
@@ -1302,6 +1279,32 @@ mod tests {
                 Ok(Err(e)) => panic!("{name}: not a storage error: {e}"),
             }
         }
+    }
+
+    #[test]
+    fn value_index_naming_a_missing_node_is_a_typed_open_error() {
+        let db = all_access_db("<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>");
+        let data = Arc::new(MemDisk::new());
+        db.save_to_disk(data.clone()).unwrap();
+        // Corrupt the image the way a bad sector would, checksums intact:
+        // point the last value-index entry (`pos u64 | off u64 | len u32`,
+        // the final 20 bytes of the values section) at a position the
+        // document does not have, and chain the edited section from the
+        // catalog.
+        {
+            let pool = BufferPool::new(data.clone(), 16);
+            let chain = sections(&data)[Section::Values as usize];
+            let (mut values, _) = read_chain(&pool, "values", chain).unwrap();
+            let at = values.len() - 20;
+            values[at..at + 8].copy_from_slice(&10_000u64.to_le_bytes());
+            set_section(&pool, Section::Values, fresh_chain(&pool, &values));
+            pool.flush_all().unwrap();
+        }
+        let opened = SecureXmlDb::open_on(data, Arc::new(MemDisk::new()), DbConfig::default());
+        assert!(matches!(
+            opened.err(),
+            Some(DbError::Storage(StorageError::Io(e))) if e.kind() == std::io::ErrorKind::InvalidData
+        ));
     }
 
     #[test]

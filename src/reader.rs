@@ -2,8 +2,8 @@
 //! [`SecureXmlDb`], with plan and secure-result caching.
 //!
 //! A [`DbReader`] is a clone of the database's `Arc`-shared read-side state
-//! (master document, block-store mirror, value store, embedded DOL, tag and
-//! value indexes) stamped with the **update epoch** at creation time.
+//! (tag names, block-store mirror, value store, embedded DOL, tag and value
+//! indexes) stamped with the **update epoch** at creation time.
 //! Readers execute queries without taking the database handle at all, so any
 //! number of them can run on separate threads while the owner keeps the
 //! `&mut self` update API to itself.
@@ -49,7 +49,6 @@
 use crate::{DbError, MirrorSnapshot, SecureXmlDb};
 use dol_nok::{fnv1a, ExecOptions, LruCache, PlanCache, QueryResult, Security};
 use dol_storage::{with_read_epoch, IoStats};
-use dol_xml::Document;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -387,11 +386,6 @@ impl DbReader {
         let v = with_read_epoch(self.seen, || self.snap.values.get(pos))?;
         self.check_servable()?;
         Ok(v)
-    }
-
-    /// The snapshot's master document.
-    pub fn document(&self) -> &Document {
-        &self.snap.doc
     }
 
     /// Number of nodes in the snapshot.

@@ -268,10 +268,11 @@ struct ShardSummary {
 
 impl ShardSummary {
     fn compute(db: &SecureXmlDb) -> Self {
-        let doc = db.document();
-        let tags: HashSet<String> = doc.preorder().map(|n| doc.name_of(n).to_string()).collect();
+        let (names, index) = (&db.mirrors.tags, &db.mirrors.index);
+        let present = names.iter().filter(|&(t, _)| !index.by_tag(t).is_empty());
+        let tags: HashSet<String> = present.map(|(_, name)| name.to_string()).collect();
         let width = db.dol().codebook().width();
-        let total = doc.len() as u64;
+        let total = db.len() as u64;
         let mut any_access = vec![false; width];
         for (s, flag) in any_access.iter_mut().enumerate() {
             for p in 1..total {
@@ -965,13 +966,15 @@ impl ShardedDb {
             });
         }
         let db0 = rlock(&slots[0].db);
-        let root_tag = db0.document().name_of(NodeId(0)).to_string();
-        let root_value = db0
-            .document()
-            .node(NodeId(0))
-            .value
-            .as_deref()
-            .map(str::to_string);
+        let root = db0.store().node(0)?.tag.index();
+        let (_, root_tag) = db0
+            .mirrors
+            .tags
+            .iter()
+            .nth(root)
+            .ok_or(DbError::InvalidNode(0))?;
+        let root_tag = root_tag.to_string();
+        let root_value = db0.value(0)?;
         let subjects = db0.dol().codebook().width();
         drop(db0);
         let next_gtid = decided.iter().copied().max().unwrap_or(0) + 1;
@@ -1474,7 +1477,10 @@ impl ShardedDb {
         let mut map = AccessibilityMap::new(self.subjects, self.layout.total() as usize);
         for (s, slot) in self.slots.iter().enumerate() {
             let db = rlock(&slot.db);
-            let sdoc = db.document();
+            let sdoc = db
+                .mirrors
+                .to_document(None)?
+                .ok_or(DbError::InvalidNode(0))?;
             for child in sdoc.children(sdoc.root()) {
                 doc.insert_subtree(doc.root(), None, &sdoc.copy_subtree(child))
                     .map_err(|_| DbError::InvalidNode(u64::from(child.0)))?;

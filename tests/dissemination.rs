@@ -1,9 +1,11 @@
 //! End-to-end dissemination: the pruned-view export and the subtree-secure
 //! query semantics must tell one consistent story.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use secure_xml::acl::{AccessibilityMap, SubjectId};
 use secure_xml::workloads::{synth_multi, xmark, SynthAclConfig, XmarkConfig};
-use secure_xml::xml::NodeId;
+use secure_xml::xml::{Document, NodeId};
 use secure_xml::{SecureXmlDb, Security};
 
 fn setup() -> (SecureXmlDb, AccessibilityMap) {
@@ -90,4 +92,66 @@ fn export_for_blind_subject_is_none() {
     let (mut db, _) = setup();
     let blind = db.add_subject(None).unwrap();
     assert!(db.export_visible(blind).unwrap().is_none());
+}
+
+/// The reference export: `doc` with the subtree of every node `s` may not
+/// see deleted (topmost first found, deleted back to front so the earlier
+/// ids stay put); `None` if that is the root.
+fn pruned(doc: &Document, map: &AccessibilityMap, s: SubjectId) -> Option<String> {
+    let mut doomed = Vec::new();
+    let mut p = 0;
+    while p < doc.len() {
+        if map.accessible(s, NodeId(p as u32)) {
+            p += 1;
+        } else {
+            doomed.push(NodeId(p as u32));
+            p += doc.node(NodeId(p as u32)).size as usize;
+        }
+    }
+    if doomed.first() == Some(&doc.root()) {
+        return None;
+    }
+    let mut out = doc.clone();
+    for &n in doomed.iter().rev() {
+        out.delete_subtree(n).unwrap();
+    }
+    Some(out.to_xml())
+}
+
+#[test]
+fn export_equals_the_pruned_model_for_random_subjects() {
+    const SUBJECTS: u32 = 6;
+    let model = xmark(&XmarkConfig {
+        scale: 0.03,
+        seed: 21,
+    });
+    let acl = SynthAclConfig {
+        propagation_ratio: 0.05,
+        accessibility_ratio: 0.8,
+        sibling_locality: 0.5,
+        seed: 9,
+    };
+    let mut map = synth_multi(&model, &acl, SUBJECTS as usize);
+    let mut db = SecureXmlDb::from_document(model.clone(), &map).unwrap();
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut shown = 0;
+    for _ in 0..24 {
+        // Grant or revoke a random subtree, in the database and the map,
+        // then export for a random subject.
+        let s = SubjectId(rng.gen_range(0..SUBJECTS));
+        let pos = rng.gen_range(0..model.len() as u32);
+        let allow = rng.gen_bool(0.6);
+        db.set_subtree_access(u64::from(pos), s, allow).unwrap();
+        for p in model.subtree_range(NodeId(pos)) {
+            map.set(s, NodeId(p), allow);
+        }
+        let s = SubjectId(rng.gen_range(0..SUBJECTS));
+        let want = pruned(&model, &map, s);
+        shown += usize::from(want.is_some());
+        assert_eq!(db.export_visible(s).unwrap(), want, "subject {s}");
+    }
+    assert!(
+        shown > 8,
+        "the sequence must keep exports non-empty: {shown}"
+    );
 }

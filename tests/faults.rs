@@ -9,6 +9,7 @@ use common::{naive_eval, RefSecurity};
 use secure_xml::acl::{AccessibilityMap, SubjectId};
 use secure_xml::storage::{FaultConfig, FaultDisk, MemDisk};
 use secure_xml::workloads::{synth_multi, xmark, SynthAclConfig, XmarkConfig};
+use secure_xml::xml::Document;
 use secure_xml::{DbConfig, SecureXmlDb, Security};
 use std::sync::Arc;
 
@@ -19,7 +20,9 @@ const QUERIES: &[&str] = &[
     "//category[name]",
 ];
 
-fn build_on_faulty(cfg: FaultConfig) -> (SecureXmlDb, Arc<FaultDisk>, AccessibilityMap) {
+/// The database over a faulty disk, the disk, and the model the oracle
+/// evaluates: the generated document and its access map, kept in memory.
+fn build_on_faulty(cfg: FaultConfig) -> (SecureXmlDb, Arc<FaultDisk>, AccessibilityMap, Document) {
     let doc = xmark(&XmarkConfig {
         scale: 0.04,
         seed: 99,
@@ -38,7 +41,7 @@ fn build_on_faulty(cfg: FaultConfig) -> (SecureXmlDb, Arc<FaultDisk>, Accessibil
     fault.set_armed(false);
     let db = SecureXmlDb::with_config_on(
         fault.clone(),
-        doc,
+        doc.clone(),
         &map,
         DbConfig {
             buffer_pool_pages: 64,
@@ -50,13 +53,13 @@ fn build_on_faulty(cfg: FaultConfig) -> (SecureXmlDb, Arc<FaultDisk>, Accessibil
     db.store().pool().flush_all().unwrap();
     fault.set_armed(true);
     db.store().pool().clear_cache().unwrap();
-    (db, fault, map)
+    (db, fault, map, doc)
 }
 
 #[test]
 fn secure_queries_fail_closed_through_the_public_api() {
     // Every read of an unlucky page fails; bit flips corrupt some others.
-    let (db, fault, map) = build_on_faulty(FaultConfig {
+    let (db, fault, map, model) = build_on_faulty(FaultConfig {
         seed: 77,
         transient_read_error: 0.05,
         sticky_bit_flip: 0.05,
@@ -65,9 +68,9 @@ fn secure_queries_fail_closed_through_the_public_api() {
     });
     let subject = SubjectId(0);
     for q in QUERIES {
-        // The oracle comes from the in-memory reference evaluator — no
-        // storage involved, so faults cannot touch it.
-        let expect = naive_eval(db.document(), q, RefSecurity::Binding(&map, subject));
+        // The oracle evaluates the in-memory model — no storage involved,
+        // so faults cannot touch it.
+        let expect = naive_eval(&model, q, RefSecurity::Binding(&map, subject));
         db.store().pool().clear_cache().unwrap();
         let got = db
             .query(q, Security::BindingLevel(subject))
@@ -88,7 +91,7 @@ fn secure_queries_fail_closed_through_the_public_api() {
     fault.set_armed(false);
     db.store().pool().clear_cache().unwrap();
     for q in QUERIES {
-        let expect = naive_eval(db.document(), q, RefSecurity::Binding(&map, SubjectId(0)));
+        let expect = naive_eval(&model, q, RefSecurity::Binding(&map, SubjectId(0)));
         let got = db.query(q, Security::BindingLevel(SubjectId(0))).unwrap();
         assert_eq!(got.matches, expect, "{q}: clean store must be exact");
         assert_eq!(got.stats.blocks_failed_closed, 0);
@@ -97,7 +100,7 @@ fn secure_queries_fail_closed_through_the_public_api() {
 
 #[test]
 fn unsecured_queries_surface_the_storage_error() {
-    let (db, _fault, _map) = build_on_faulty(FaultConfig {
+    let (db, _fault, _map, _) = build_on_faulty(FaultConfig {
         seed: 5,
         permanent_read_failure: 1.0,
         ..FaultConfig::default()
@@ -117,7 +120,7 @@ fn failed_update_poisons_the_handle() {
     use secure_xml::DbError;
     // Arm every read permanently: the first storage access inside the update
     // transaction fails, the dirtied pages roll back, the handle poisons.
-    let (mut db, fault, map) = build_on_faulty(FaultConfig {
+    let (mut db, fault, map, _) = build_on_faulty(FaultConfig {
         seed: 7,
         permanent_read_failure: 1.0,
         ..FaultConfig::default()

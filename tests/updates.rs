@@ -1,5 +1,8 @@
 //! End-to-end update tests: accessibility and structural updates through the
-//! full stack, re-validated against ground truth after every step.
+//! full stack, re-validated against ground truth after every step. The
+//! ground truth is a model kept beside the database — an access map, and a
+//! `Document` that takes the same structural edits — never the database's
+//! own view of itself.
 
 mod common;
 
@@ -8,10 +11,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use secure_xml::acl::{AccessibilityMap, SubjectId};
 use secure_xml::workloads::{synth_multi, xmark, SynthAclConfig, XmarkConfig};
-use secure_xml::xml::NodeId;
+use secure_xml::xml::{Document, NodeId};
 use secure_xml::{DbConfig, SecureXmlDb, Security};
 
-fn setup() -> (SecureXmlDb, AccessibilityMap) {
+fn setup() -> (SecureXmlDb, AccessibilityMap, Document) {
     let doc = xmark(&XmarkConfig {
         scale: 0.02,
         seed: 5,
@@ -27,7 +30,7 @@ fn setup() -> (SecureXmlDb, AccessibilityMap) {
         3,
     );
     let db = SecureXmlDb::with_config(
-        doc,
+        doc.clone(),
         &map,
         DbConfig {
             buffer_pool_pages: 48,
@@ -36,12 +39,12 @@ fn setup() -> (SecureXmlDb, AccessibilityMap) {
         },
     )
     .unwrap();
-    (db, map)
+    (db, map, doc)
 }
 
 #[test]
 fn random_accessibility_updates_stay_consistent() {
-    let (mut db, map) = setup();
+    let (mut db, map, _) = setup();
     let mut truth = map.clone();
     let n = db.len() as u64;
     let mut rng = StdRng::seed_from_u64(123);
@@ -77,7 +80,7 @@ fn random_accessibility_updates_stay_consistent() {
 
 #[test]
 fn updates_change_query_results_correctly() {
-    let (mut db, map) = setup();
+    let (mut db, map, _) = setup();
     let q = "//item[name][quantity]";
     let s = SubjectId(0);
     // Grant everything to subject 0: secure results equal unsecured results.
@@ -97,9 +100,10 @@ fn updates_change_query_results_correctly() {
 
 #[test]
 fn structural_updates_keep_queries_correct() {
-    let (mut db, _) = setup();
-    // Delete a handful of item subtrees, re-validating queries against the
-    // naive evaluator on the maintained master document each time.
+    let (mut db, _, mut model) = setup();
+    // Delete a handful of item subtrees from the database and the model,
+    // re-validating the document and the queries against the model each
+    // time.
     for _ in 0..5 {
         let items = db.query("//item", Security::None).unwrap().matches;
         if items.len() < 2 {
@@ -107,11 +111,12 @@ fn structural_updates_keep_queries_correct() {
         }
         let victim = items[items.len() / 2];
         db.delete_subtree(victim).unwrap();
+        model.delete_subtree(NodeId(victim as u32)).unwrap();
         db.store().check_integrity().unwrap();
-        db.document().check_integrity().unwrap();
+        assert_eq!(db.document().to_xml(), model.to_xml());
         for q in ["//item/name", "//parlist//parlist", "//item//emph"] {
             let got = db.query(q, Security::None).unwrap().matches;
-            let expect = naive_eval(db.document(), q, RefSecurity::None);
+            let expect = naive_eval(&model, q, RefSecurity::None);
             assert_eq!(got, expect, "after delete, query {q}");
         }
     }
@@ -119,7 +124,7 @@ fn structural_updates_keep_queries_correct() {
 
 #[test]
 fn insert_then_query_finds_new_content() {
-    let (mut db, _) = setup();
+    let (mut db, _, mut model) = setup();
     let africa = db.query("//africa", Security::None).unwrap().matches[0];
     let sub = secure_xml::xml::parse(
         "<item><location>zanzibar</location><quantity>3</quantity><name>unobtainium</name></item>",
@@ -130,22 +135,27 @@ fn insert_then_query_finds_new_content() {
         .unwrap();
     assert!(before.matches.is_empty());
     let at = db.insert_subtree(africa, &sub).unwrap();
+    let model_at = model
+        .insert_subtree(NodeId(africa as u32), None, &sub)
+        .unwrap();
+    assert_eq!(u64::from(model_at.0), at);
     db.store().check_integrity().unwrap();
+    assert_eq!(db.document().to_xml(), model.to_xml());
     let after = db
         .query("//item[name=\"unobtainium\"]", Security::None)
         .unwrap();
     assert_eq!(after.matches, vec![at]);
-    // Cross-check everything against the maintained master document.
+    // Cross-check everything against the model.
     for q in ["//africa/item", "//item/quantity"] {
         let got = db.query(q, Security::None).unwrap().matches;
-        let expect = naive_eval(db.document(), q, RefSecurity::None);
+        let expect = naive_eval(&model, q, RefSecurity::None);
         assert_eq!(got, expect, "after insert, query {q}");
     }
 }
 
 #[test]
 fn subject_add_remove_lifecycle_end_to_end() {
-    let (mut db, _) = setup();
+    let (mut db, _, _) = setup();
     let clone = db.add_subject(Some(SubjectId(1))).unwrap();
     for p in (0..db.len() as u64).step_by(41) {
         assert_eq!(

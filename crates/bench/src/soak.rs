@@ -536,7 +536,6 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         GroupCommitConfig {
             queue_capacity: 8,
             max_batch: 4,
-            flush_interval: Duration::from_micros(500),
         },
         Some(Box::new(move |d: &SecureXmlDb, healthy: bool| {
             if !healthy {
@@ -972,7 +971,7 @@ fn write_json(
          \"recoveries\": {},\n  \"txns_redone\": {},\n  \"pages_redone\": {},\n  \
          \"refused_updates\": {},\n  \"failed_updates\": {},\n  \"commits\": {},\n  \
          \"gc_submitted\": {},\n  \"gc_batches\": {},\n  \"gc_max_batch\": {},\n  \
-         \"gc_overloads\": {},\n  \"gc_solo_fallbacks\": {},\n  \
+         \"gc_overloads\": {},\n  \
          \"breaker_trips\": {},\n  \"breaker_fast_fails\": {},\n  \
          \"breaker_probes\": {},\n  \"read_retries\": {},\n  \"backoffs\": {},\n  \
          \"transient_faults_injected\": {}\n}}\n",
@@ -997,7 +996,6 @@ fn write_json(
         gc.batches,
         gc.max_batch_seen,
         gc.overloads,
-        gc.solo_fallbacks,
         io.breaker_trips,
         io.breaker_fast_fails,
         io.breaker_probes,

@@ -4,8 +4,7 @@
 //! updates — the paper's claim is one page read + one write for a node, and
 //! `N/B` page I/Os for an `N`-node subtree thanks to clustering — and
 //! (b) the net transition-node growth per update, which Proposition 1
-//! bounds by 2, and (c) the overhead of crash consistency: the same
-//! logical updates with and without the physical WAL, plus the log bytes
+//! bounds by 2, and (c) the cost of crash consistency: the log bytes
 //! appended per update, the fsyncs each transaction pays, and how much of
 //! that cost group commit recovers by folding batches of updates into one
 //! WAL transaction and one fsync.
@@ -21,7 +20,6 @@ use secure_xml::acl::SubjectId;
 use secure_xml::workloads::{synth_multi, SynthAclConfig};
 use secure_xml::{DbConfig, SecureXmlDb, UpdateFn};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Runs the update experiment.
 pub fn run(effort: Effort) {
@@ -139,12 +137,12 @@ enum WalOp {
 const BATCH: usize = 8;
 
 /// Crash-consistency overhead: identical update sequences through the
-/// database facade on (a) an in-memory database with no log, (b) a
-/// persistent database whose every update commits through the physical
-/// WAL — including the meta sections and catalog a transaction changed and
-/// an fsync per commit — and (c) the same WAL-backed database committing
-/// the updates through `run_batch` in groups of [`BATCH`], which folds
-/// every group into one WAL transaction and one fsync.
+/// database facade on (a) a persistent database whose every update commits
+/// through the physical WAL — including the meta sections and catalog a
+/// transaction changed and an fsync per commit — and (b) the same
+/// WAL-backed database committing the updates through `run_batch` in groups
+/// of [`BATCH`], which folds every group into one WAL transaction and one
+/// fsync. Nothing is timed: the columns are log bytes and fsyncs.
 fn wal_overhead(effort: Effort) {
     let doc = xmark_doc(effort.scale(0.02, 0.1));
     let map = synth_multi(
@@ -158,7 +156,7 @@ fn wal_overhead(effort: Effort) {
         3,
     );
     let cfg = DbConfig::default();
-    let mut plain = SecureXmlDb::with_config(doc, &map, cfg).expect("build");
+    let plain = SecureXmlDb::with_config(doc, &map, cfg).expect("build");
     let data = Arc::new(MemDisk::new());
     plain.save_to_disk(data.clone()).expect("save image");
     let mut logged =
@@ -172,8 +170,8 @@ fn wal_overhead(effort: Effort) {
 
     let n = plain.len() as u64;
     println!(
-        "WAL overhead on XMark ({n} nodes): same updates, no log vs physical WAL vs \
-         group commit (batches of {BATCH})\n"
+        "WAL overhead on XMark ({n} nodes): same updates, solo commits vs group \
+         commit (batches of {BATCH})\n"
     );
     let rounds = effort.pick(40, 200);
     let mut rng = StdRng::seed_from_u64(13);
@@ -182,9 +180,6 @@ fn wal_overhead(effort: Effort) {
         &[
             "kind",
             "updates",
-            "µs/update (no WAL)",
-            "µs/update (WAL)",
-            "µs/update (batched)",
             "log bytes/update",
             "fsyncs/txn",
             "fsyncs/txn (batched)",
@@ -204,35 +199,28 @@ fn wal_overhead(effort: Effort) {
     ];
     for (kind, gen) in kinds {
         let ops: Vec<WalOp> = (0..rounds).map(|_| gen(&mut rng, n)).collect();
-        let mut micros = [0f64; 2];
         let before = wal.stats().bytes_logged;
         let fsyncs_before = wal.stats().commits;
-        for (which, db) in [&mut plain, &mut logged].into_iter().enumerate() {
-            let start = Instant::now();
-            for op in &ops {
-                match op {
-                    WalOp::SetNode(pos, allow) => {
-                        db.set_node_access(*pos, SUBJECT_ID, *allow).expect("set")
-                    }
-                    WalOp::SetSubtree(pos, allow) => db
-                        .set_subtree_access(*pos, SUBJECT_ID, *allow)
-                        .expect("set subtree"),
-                    WalOp::InsertDelete(parent) => {
-                        let sub =
-                            secure_xml::xml::parse("<extra><w>v</w></extra>").expect("parses");
-                        let at = db.insert_subtree(*parent, &sub).expect("insert");
-                        db.delete_subtree(at).expect("delete");
-                    }
+        for op in &ops {
+            match op {
+                WalOp::SetNode(pos, allow) => logged
+                    .set_node_access(*pos, SUBJECT_ID, *allow)
+                    .expect("set"),
+                WalOp::SetSubtree(pos, allow) => logged
+                    .set_subtree_access(*pos, SUBJECT_ID, *allow)
+                    .expect("set subtree"),
+                WalOp::InsertDelete(parent) => {
+                    let sub = secure_xml::xml::parse("<extra><w>v</w></extra>").expect("parses");
+                    let at = logged.insert_subtree(*parent, &sub).expect("insert");
+                    logged.delete_subtree(at).expect("delete");
                 }
             }
-            micros[which] = start.elapsed().as_secs_f64() * 1e6 / rounds as f64;
         }
         // The same ops again, folded through the group-commit path: every
         // chunk of BATCH members commits as one WAL transaction and one
         // fsync, so the batched database visits the identical final state
         // through rounds/BATCH durable points instead of `txns`.
         let batched_fsyncs_before = batched_wal.stats().commits;
-        let start = Instant::now();
         for chunk in ops.chunks(BATCH) {
             let members: Vec<UpdateFn> = chunk.iter().map(member).collect();
             let results = batched.run_batch(&members).expect("batch commit");
@@ -240,7 +228,6 @@ fn wal_overhead(effort: Effort) {
                 r.expect("batch member");
             }
         }
-        let micros_batched = start.elapsed().as_secs_f64() * 1e6 / rounds as f64;
         let batched_fsyncs = batched_wal.stats().commits - batched_fsyncs_before;
         // An insert+delete round is two transactions on the solo path (one
         // batched member covers both halves).
@@ -251,9 +238,6 @@ fn wal_overhead(effort: Effort) {
         t.row(&[
             kind.into(),
             txns.to_string(),
-            format!("{:.1}", micros[0]),
-            format!("{:.1}", micros[1]),
-            format!("{:.1}", micros_batched),
             format!(
                 "{:.0}",
                 (wal.stats().bytes_logged - before) as f64 / txns as f64
@@ -277,13 +261,12 @@ fn wal_overhead(effort: Effort) {
         );
     }
     println!(
-        "(The WAL column pays for full page images of every dirtied page (meta\n\
-         sections and catalog included when changed), an fsync per commit, and periodic\n\
-         checkpoints — the price of recovering to an exact update boundary. The\n\
-         batched column commits the identical updates through `run_batch` in\n\
-         groups of {BATCH}: one WAL transaction and one fsync per group, which is\n\
-         where the fsyncs/txn column collapses — at the same all-or-nothing\n\
-         durability per batch.)\n"
+        "(A solo commit logs full page images of every dirtied page (meta sections\n\
+         and catalog included when changed) and pays an fsync — the price of\n\
+         recovering to an exact update boundary. The batched column commits the\n\
+         identical updates through `run_batch` in groups of {BATCH}: one WAL\n\
+         transaction and one fsync per group, which is where the fsyncs/txn column\n\
+         collapses — at the same all-or-nothing durability per batch.)\n"
     );
 }
 

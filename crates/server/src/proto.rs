@@ -164,7 +164,8 @@ pub enum ErrorCode {
     /// partial work was discarded — never a partial answer.
     DeadlineExceeded,
     /// The frame decoded but the request was malformed (unknown method,
-    /// missing or mistyped parameter, unknown semantics, ...).
+    /// missing or mistyped parameter, unknown semantics, ...) or named a
+    /// subject the database does not know; nothing was applied.
     InvalidRequest,
     /// The server is draining: no new requests are admitted.
     Draining,
@@ -225,6 +226,7 @@ pub fn wire_code(e: &DbError) -> ErrorCode {
         DbError::Poisoned => ErrorCode::Poisoned,
         DbError::ShardUnavailable { .. } => ErrorCode::ShardUnavailable,
         DbError::DeadlineExceeded(_) => ErrorCode::DeadlineExceeded,
+        DbError::UnknownSubject(_) => ErrorCode::InvalidRequest,
         _ => ErrorCode::Internal,
     }
 }

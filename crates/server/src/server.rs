@@ -841,7 +841,6 @@ fn stats_json(s: &ServerStats) -> Json {
                 ("committed", int(s.commit.committed)),
                 ("rejected", int(s.commit.rejected)),
                 ("batches", int(s.commit.batches)),
-                ("solo_fallbacks", int(s.commit.solo_fallbacks)),
                 ("overloads", int(s.commit.overloads)),
                 ("max_batch_seen", int(s.commit.max_batch_seen)),
             ]),

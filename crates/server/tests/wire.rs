@@ -7,10 +7,12 @@ use dol_server::frame::{self, DEFAULT_MAX_FRAME};
 use dol_server::proto::{self, Method, Request, WireSemantics};
 use dol_server::{Client, ClientError, ErrorCode, Json, Server, ServerConfig, UpdateOp};
 use proptest::prelude::*;
-use secure_xml::{GroupCommitConfig, SecureXmlDb};
+use secure_xml::storage::{Disk, MemDisk, Page, PageId, StorageError};
+use secure_xml::{DbConfig, SecureXmlDb};
 use std::io::{Cursor, Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 const XML: &str = "<lib><shelf><book>alpha</book><book>beta</book></shelf>\
@@ -18,6 +20,46 @@ const XML: &str = "<lib><shelf><book>alpha</book><book>beta</book></shelf>\
 
 fn test_db() -> SecureXmlDb {
     SecureXmlDb::from_xml(XML, &FnOracle::new(2, |_, _| true)).expect("build db")
+}
+
+/// A write-ahead-log disk whose `sync` takes 300 ms once armed.
+#[derive(Default)]
+struct SlowSyncDisk {
+    inner: MemDisk,
+    armed: AtomicBool,
+}
+
+impl Disk for SlowSyncDisk {
+    fn read_page(&self, id: PageId, buf: &mut Page) -> Result<(), StorageError> {
+        self.inner.read_page(id, buf)
+    }
+    fn write_page(&self, id: PageId, buf: &Page) -> Result<(), StorageError> {
+        self.inner.write_page(id, buf)
+    }
+    fn allocate_page(&self) -> Result<PageId, StorageError> {
+        self.inner.allocate_page()
+    }
+    fn num_pages(&self) -> u32 {
+        self.inner.num_pages()
+    }
+    fn sync(&self) -> Result<(), StorageError> {
+        if self.armed.load(Ordering::SeqCst) {
+            std::thread::sleep(Duration::from_millis(300));
+        }
+        self.inner.sync()
+    }
+}
+
+/// [`test_db`] behind a slow committer: saved, then reopened over a
+/// write-ahead log whose every sync takes 300 ms, so an update holds the
+/// worker (and its admission slot) for a known window.
+fn slow_commit_db() -> SecureXmlDb {
+    let data = Arc::new(MemDisk::new());
+    test_db().save_to_disk(data.clone()).expect("save");
+    let log = Arc::new(SlowSyncDisk::default());
+    let db = SecureXmlDb::open_on(data, log.clone(), DbConfig::default()).expect("open");
+    log.armed.store(true, Ordering::SeqCst);
+    db
 }
 
 /// One long-lived server shared by every pipelining proptest case (leaked:
@@ -501,13 +543,9 @@ fn disconnect_mid_request_cancels_and_releases_admission_slot() {
     // registered cancel token.
     let cfg = ServerConfig {
         max_inflight: 2,
-        commit: GroupCommitConfig {
-            flush_interval: Duration::from_millis(300),
-            ..GroupCommitConfig::default()
-        },
         ..ServerConfig::default()
     };
-    let server = Server::start(test_db(), cfg).expect("bind");
+    let server = Server::start(slow_commit_db(), cfg).expect("bind");
     let addr = server.local_addr().to_string();
 
     {
@@ -586,13 +624,9 @@ fn duplicate_inflight_ids_are_each_cancelled_on_disconnect() {
     // replace the first's in the cancel registry.
     let cfg = ServerConfig {
         max_inflight: 3,
-        commit: GroupCommitConfig {
-            flush_interval: Duration::from_millis(300),
-            ..GroupCommitConfig::default()
-        },
         ..ServerConfig::default()
     };
-    let server = Server::start(test_db(), cfg).expect("bind");
+    let server = Server::start(slow_commit_db(), cfg).expect("bind");
     let addr = server.local_addr().to_string();
     {
         let mut stream = TcpStream::connect(&addr).expect("connect");
@@ -689,6 +723,51 @@ fn oversized_answer_is_refused_typed_and_the_connection_lives() {
         text,
         Err(ClientError::Server(ErrorCode::ResponseTooLarge, _))
     ));
+}
+
+// ---------------------------------------------------------------------------
+// Regression: a request naming a subject the database does not know is a
+// typed refusal; the committer and the handle carry on.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn unknown_subjects_are_refused_typed_and_the_server_carries_on() {
+    let server = Server::start(test_db(), ServerConfig::default()).expect("bind");
+    let mut c = Client::connect(&server.local_addr().to_string(), Duration::from_secs(10))
+        .expect("connect");
+    let invalid = |r: Result<(), ClientError>| {
+        matches!(r, Err(ClientError::Server(ErrorCode::InvalidRequest, _)))
+    };
+    // Two subjects (0 and 1), no group space.
+    let update = UpdateOp::SetNodeAccess {
+        pos: 1,
+        subject: 7,
+        allow: true,
+    };
+    assert!(invalid(c.update(update, None)));
+    assert!(invalid(c.set_membership(7, 0, true).map(|_| ())));
+    assert!(invalid(c.register_subject(Some(99), &[]).map(|_| ())));
+    // The committer survived and the handle is healthy: a valid update
+    // commits, and the server drains.
+    let valid = UpdateOp::SetNodeAccess {
+        pos: 1,
+        subject: 1,
+        allow: false,
+    };
+    c.update(valid, None).expect("a valid update commits");
+    let stats = c.stats().expect("stats");
+    let commit = |key: &str| {
+        stats
+            .get("commit")
+            .and_then(|c| c.get(key))
+            .and_then(Json::as_uint)
+    };
+    assert_eq!(
+        (commit("committed"), commit("rejected")),
+        (Some(1), Some(1))
+    );
+    c.shutdown().expect("shutdown ack");
+    server.wait();
 }
 
 // ---------------------------------------------------------------------------

@@ -70,6 +70,7 @@ use crate::retry::{current_io_deadline, RetryPolicy};
 use crate::wal::Wal;
 use parking_lot::{Mutex, RwLock};
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -265,30 +266,12 @@ struct TxnState {
     /// must not write uncommitted bytes to the data disk, so they live here
     /// until re-fetched or committed.
     shadow: HashMap<PageId, Page>,
-    /// The active savepoint, if any: batch-member isolation for the group
-    /// committer (see [`BufferPool::txn_savepoint`]).
-    savepoint: Option<SavepointState>,
-    /// Savepoints released so far — one per committed batch member. The
-    /// commit records `releases.max(1)` as the WAL batch record's member
-    /// count.
-    releases: u32,
     /// Set by [`BufferPool::txn_prepare`]: the after-images are durable in
     /// the WAL under a `Prepare` record and the transaction awaits its
     /// distributed decision. While set, the transaction stays open (its
     /// pages keep spilling to the shadow, never the data disk) and only
     /// [`BufferPool::txn_finish_prepared`] may close it.
     prepared: bool,
-}
-
-/// Undo log of one savepoint: for every page first-touched since the
-/// savepoint was set, how to put it back. `None` — the page was *not* part
-/// of the transaction before the savepoint, so rolling back removes it from
-/// the transaction entirely and restores its pre-transaction image.
-/// `Some((page, dirty))` — the page was already transaction-dirty before the
-/// savepoint: restore these bytes and that flag, keeping it in the
-/// transaction.
-struct SavepointState {
-    undo: HashMap<PageId, Option<(Page, bool)>>,
 }
 
 /// One sealed commit's worth of pre-images: the state of every page the
@@ -720,7 +703,8 @@ impl BufferPool {
 
     /// Runs `f` with exclusive access to page `id`, marking it dirty.
     /// Inside an open transaction the first mutation of each page snapshots
-    /// its pre-image (see [`atomic_update`](Self::atomic_update)).
+    /// its pre-image — the page's one clone per transaction (see
+    /// [`atomic_update`](Self::atomic_update)).
     pub fn with_page_mut<R>(
         &self,
         id: PageId,
@@ -732,16 +716,10 @@ impl BufferPool {
         self.stats.logical_reads.fetch_add(1, Ordering::Relaxed);
         if self.txn_active.load(Ordering::Acquire) {
             if let Some(t) = self.txn.lock().as_mut() {
-                let frame = &inner.frames[slot];
-                let was_in_pre = t.pre.contains_key(&id);
-                if !was_in_pre {
-                    t.pre.insert(id, (frame.page.clone(), frame.dirty));
+                if let Entry::Vacant(e) = t.pre.entry(id) {
+                    let frame = &inner.frames[slot];
+                    e.insert((frame.page.clone(), frame.dirty));
                     t.order.push(id);
-                }
-                if let Some(sp) = t.savepoint.as_mut() {
-                    sp.undo
-                        .entry(id)
-                        .or_insert_with(|| was_in_pre.then(|| (frame.page.clone(), frame.dirty)));
                 }
             }
         }
@@ -875,7 +853,7 @@ impl BufferPool {
     ) -> Result<R, E> {
         self.txn_begin()?;
         match f() {
-            Ok(r) => match self.txn_commit() {
+            Ok(r) => match self.txn_commit(1) {
                 Ok(()) => Ok(r),
                 Err(e) => Err(E::from(e)),
             },
@@ -907,10 +885,10 @@ impl BufferPool {
     /// already open (transactions do not nest — the caller that owns the
     /// open one runs further mutations inside it). The closure form is
     /// [`atomic_update`](Self::atomic_update); this is public for the
-    /// database facade, which interleaves [savepoints](Self::txn_savepoint)
-    /// with batch-member closures and ends a distributed transaction with
-    /// [`txn_prepare`](Self::txn_prepare), neither of which fits one
-    /// closure. Every successful `txn_begin` must be paired with
+    /// database facade, which commits a group-commit batch as one
+    /// transaction of several logical updates and ends a distributed
+    /// transaction with [`txn_prepare`](Self::txn_prepare), neither of which
+    /// fits one closure. Every successful `txn_begin` must be paired with
     /// [`txn_commit`](Self::txn_commit), `txn_prepare` or
     /// [`txn_rollback`](Self::txn_rollback).
     pub fn txn_begin(&self) -> Result<(), StorageError> {
@@ -922,124 +900,39 @@ impl BufferPool {
             pre: HashMap::new(),
             order: Vec::new(),
             shadow: HashMap::new(),
-            savepoint: None,
-            releases: 0,
             prepared: false,
         });
         self.txn_active.store(true, Ordering::Release);
         Ok(())
     }
 
-    /// Establishes a savepoint inside the open transaction: a later
-    /// [`txn_rollback_to_savepoint`](Self::txn_rollback_to_savepoint) undoes
-    /// exactly the mutations made since this call, leaving earlier
-    /// transaction work intact — the isolation boundary between group-commit
-    /// batch members. One savepoint may be active at a time (members run
-    /// strictly in sequence); an unreleased savepoint is folded into the
-    /// commit.
-    pub fn txn_savepoint(&self) -> Result<(), StorageError> {
-        let mut txn = self.txn.lock();
-        let t = txn
-            .as_mut()
-            .ok_or_else(|| misuse("savepoint outside a transaction"))?;
-        if t.savepoint.is_some() {
-            return Err(misuse("a savepoint is already active"));
-        }
-        t.savepoint = Some(SavepointState {
-            undo: HashMap::new(),
-        });
-        Ok(())
-    }
-
-    /// Releases the active savepoint, folding its mutations into the
-    /// transaction (the batch member committed).
-    pub fn txn_release_savepoint(&self) -> Result<(), StorageError> {
-        let mut txn = self.txn.lock();
-        let t = txn
-            .as_mut()
-            .ok_or_else(|| misuse("savepoint release outside a transaction"))?;
-        if t.savepoint.take().is_none() {
-            return Err(misuse("no savepoint to release"));
-        }
-        t.releases += 1;
-        Ok(())
-    }
-
-    /// Rolls back to (and consumes) the active savepoint: every page
-    /// first-touched since it was set is restored — reverted to its
-    /// pre-savepoint bytes if it was already transaction-dirty, removed from
-    /// the transaction entirely (and restored to its pre-transaction image)
-    /// if it joined after. Earlier transaction work is untouched. The whole
-    /// unwind runs under the exclusive frame lock and the txn lock, so no
-    /// reader sees a page half-restored.
-    pub fn txn_rollback_to_savepoint(&self) -> Result<(), StorageError> {
-        let _held = Held::enter(self);
-        let mut inner = self.inner.write();
-        let mut txn = self.txn.lock();
-        let t = txn
-            .as_mut()
-            .ok_or_else(|| misuse("savepoint rollback outside a transaction"))?;
-        let sp = t
-            .savepoint
-            .take()
-            .ok_or_else(|| misuse("no savepoint to roll back to"))?;
-        for (id, entry) in sp.undo {
-            let joined = entry.is_none();
-            let restore = match entry {
-                Some(image) => Some(image),
-                // Joined after the savepoint: it leaves the transaction,
-                // back to its pre-transaction image.
-                None => {
-                    t.order.retain(|&p| p != id);
-                    t.shadow.remove(&id);
-                    t.pre.remove(&id)
-                }
-            };
-            let Some((mut image, was_dirty)) = restore else {
-                continue;
-            };
-            if let Some(&slot) = inner.map.get(&id) {
-                let frame = &mut inner.frames[slot];
-                frame.page.bytes_mut().copy_from_slice(image.bytes());
-                frame.dirty = was_dirty;
-            } else if !joined {
-                // Evicted meanwhile: the latest bytes live in the
-                // transaction shadow — replace them there.
-                t.shadow.insert(id, image);
-            } else if was_dirty {
-                // Spilled and its pre-image was never durable: restore it
-                // straight to the disk, as the full rollback does.
-                let _ = self.write_back(id, &mut image);
-            }
-        }
-        Ok(())
-    }
-
-    /// Commits the open transaction: the after-images of every page it
-    /// dirtied reach the attached WAL as one synced append, then the
-    /// transaction closes. A failure before the append is durable rolls the
-    /// transaction back. With no transaction open it is a typed error.
-    /// Public for the database facade (see [`txn_begin`](Self::txn_begin)).
-    pub fn txn_commit(&self) -> Result<(), StorageError> {
-        self.txn_log_images(None)?;
+    /// Commits the open transaction as `members` logical updates (the WAL
+    /// batch record's member count; `1` for a solo update): the
+    /// after-images of every page it dirtied reach the attached WAL as one
+    /// synced append, then the transaction closes. A failure before the
+    /// append is durable rolls the transaction back. With no transaction
+    /// open it is a typed error. Public for the database facade (see
+    /// [`txn_begin`](Self::txn_begin)).
+    pub fn txn_commit(&self, members: u32) -> Result<(), StorageError> {
+        self.txn_log_images(None, members)?;
         self.txn_close_durable()
     }
 
     /// First half of a distributed commit: appends the open transaction's
-    /// after-images to the WAL under a `Prepare` record keyed by `gtid`
-    /// (durable, synced), then leaves the transaction **open and marked
-    /// prepared** — its pages keep spilling to the transaction shadow, so no
-    /// post-prepare byte can reach the data disk before the decision, and
-    /// the pool refuses checkpoints exactly as for any open transaction. On
-    /// a WAL append failure the transaction is rolled back and the error
-    /// returned (a clean abort vote). With no transaction open it is a
-    /// typed error.
+    /// after-images, as `members` logical updates, to the WAL under a
+    /// `Prepare` record keyed by `gtid` (durable, synced), then leaves the
+    /// transaction **open and marked prepared** — its pages keep spilling to
+    /// the transaction shadow, so no post-prepare byte can reach the data
+    /// disk before the decision, and the pool refuses checkpoints exactly as
+    /// for any open transaction. On a WAL append failure the transaction is
+    /// rolled back and the error returned (a clean abort vote). With no
+    /// transaction open it is a typed error.
     ///
     /// Without an attached WAL this only marks the transaction prepared —
     /// all-or-nothing in the cache, no crash durability, mirroring
     /// [`atomic_update`](Self::atomic_update)'s contract.
-    pub fn txn_prepare(&self, gtid: u64) -> Result<(), StorageError> {
-        self.txn_log_images(Some(gtid))?;
+    pub fn txn_prepare(&self, gtid: u64, members: u32) -> Result<(), StorageError> {
+        self.txn_log_images(Some(gtid), members)?;
         if let Some(t) = self.txn.lock().as_mut() {
             t.prepared = true;
         }
@@ -1049,32 +942,27 @@ impl BufferPool {
     /// The logging half shared by commit (`gtid == None`) and prepare. No
     /// open transaction, or an already-prepared one (only
     /// [`txn_finish_prepared`](Self::txn_finish_prepared) may close it), is
-    /// refused with a typed error. An unreleased savepoint (a batch member
-    /// that succeeded without an explicit release) folds into the
-    /// transaction; the released count sizes the WAL batch record. The
+    /// refused with a typed error. `members` sizes the WAL batch record. The
     /// dirtied pages' sealed images are copied in first-dirtied order under
     /// the frame and txn locks — from the frame if resident, else from the
     /// shadow — and the transaction stays open while they are logged. A
     /// logging failure rolls the transaction back.
-    fn txn_log_images(&self, gtid: Option<u64>) -> Result<(), StorageError> {
+    fn txn_log_images(&self, gtid: Option<u64>, members: u32) -> Result<(), StorageError> {
         let wal = self.wal();
-        let (images, members) = {
+        let images = {
             let _held = Held::enter(self);
             let inner = self.inner.read();
-            let mut txn = self.txn.lock();
+            let txn = self.txn.lock();
             let t = txn
-                .as_mut()
+                .as_ref()
                 .ok_or_else(|| misuse("commit without an open transaction"))?;
             if t.prepared {
                 return Err(misuse(
                     "transaction already prepared (use txn_finish_prepared)",
                 ));
             }
-            if t.savepoint.take().is_some() {
-                t.releases += 1;
-            }
             let logged: &[PageId] = if wal.is_some() { &t.order } else { &[] };
-            let images = logged
+            logged
                 .iter()
                 .map(|&id| {
                     let mut image = match inner.map.get(&id) {
@@ -1088,8 +976,7 @@ impl BufferPool {
                     image.seal();
                     Ok((id, image))
                 })
-                .collect::<Result<Vec<_>, StorageError>>();
-            (images, t.releases.max(1))
+                .collect::<Result<Vec<_>, StorageError>>()
         };
         let logged = images.and_then(|images| match &wal {
             Some(wal) if !images.is_empty() => {
@@ -1882,12 +1769,12 @@ mod tests {
         pool.attach_wal(Arc::new(Wal::open(log.clone()).unwrap()));
         pool.txn_begin().unwrap();
         pool.with_page_mut(ids[0], |p| p.put_u32(0, 41)).unwrap();
-        pool.txn_prepare(900).unwrap();
+        pool.txn_prepare(900, 1).unwrap();
         // Prepared but undecided: the transaction is still open, a plain
         // commit is refused, checkpoints are refused, and recovery from the
         // on-disk bytes presumes abort.
         assert!(pool.in_transaction());
-        assert!(pool.txn_commit().is_err());
+        assert!(pool.txn_commit(1).is_err());
         assert!(pool.checkpoint().is_err());
         {
             let wal2 = Wal::open(Arc::new(log.fork())).unwrap();
@@ -1924,7 +1811,7 @@ mod tests {
         pool.flush_all().unwrap();
         pool.txn_begin().unwrap();
         pool.with_page_mut(ids[0], |p| p.put_u32(0, 99)).unwrap();
-        pool.txn_prepare(901).unwrap();
+        pool.txn_prepare(901, 1).unwrap();
         pool.txn_finish_prepared(false).unwrap();
         assert!(!pool.in_transaction());
         assert_eq!(pool.with_page(ids[0], |p| p.get_u32(0)).unwrap(), 5);
@@ -1971,8 +1858,8 @@ mod tests {
     #[test]
     fn closing_calls_without_a_transaction_are_typed_errors() {
         let (pool, ids) = pool(4);
-        assert!(matches!(pool.txn_commit(), Err(StorageError::Io(_))));
-        assert!(matches!(pool.txn_prepare(7), Err(StorageError::Io(_))));
+        assert!(matches!(pool.txn_commit(1), Err(StorageError::Io(_))));
+        assert!(matches!(pool.txn_prepare(7, 1), Err(StorageError::Io(_))));
         for commit in [true, false] {
             assert!(matches!(
                 pool.txn_finish_prepared(commit),
@@ -2424,27 +2311,7 @@ mod tests {
     }
 
     #[test]
-    fn savepoint_rollback_unwinds_exactly_the_member_suffix() {
-        let (pool, ids) = pool(8);
-        pool.txn_begin().unwrap();
-        pool.with_page_mut(ids[0], |p| p.put_u32(0, 1)).unwrap();
-        pool.txn_savepoint().unwrap();
-        // The member touches a page the txn already owns (ids[0]) and one
-        // it first dirties itself (ids[1]).
-        pool.with_page_mut(ids[0], |p| p.put_u32(0, 9)).unwrap();
-        pool.with_page_mut(ids[1], |p| p.put_u32(0, 9)).unwrap();
-        pool.txn_rollback_to_savepoint().unwrap();
-        assert_eq!(pool.with_page(ids[0], |p| p.get_u32(0)).unwrap(), 1);
-        assert_eq!(pool.with_page(ids[1], |p| p.get_u32(0)).unwrap(), 0);
-        pool.txn_commit().unwrap();
-        // The pre-member work survives the commit; the unwound suffix is
-        // gone for good.
-        assert_eq!(pool.with_page(ids[0], |p| p.get_u32(0)).unwrap(), 1);
-        assert_eq!(pool.with_page(ids[1], |p| p.get_u32(0)).unwrap(), 0);
-    }
-
-    #[test]
-    fn released_savepoints_count_batch_members_in_the_wal() {
+    fn the_commit_member_count_sizes_the_wal_batch_record() {
         use crate::wal::Wal;
         let data = Arc::new(MemDisk::new());
         let log: Arc<MemDisk> = Arc::new(MemDisk::new());
@@ -2454,32 +2321,15 @@ mod tests {
         pool.attach_wal(wal.clone());
         pool.txn_begin().unwrap();
         for (i, id) in ids.iter().take(3).enumerate() {
-            pool.txn_savepoint().unwrap();
             pool.with_page_mut(*id, |p| p.put_u32(0, i as u32 + 1))
                 .unwrap();
-            pool.txn_release_savepoint().unwrap();
         }
-        pool.txn_commit().unwrap();
+        pool.txn_commit(3).unwrap();
+        pool.atomic_update(|| pool.with_page_mut(ids[3], |p| p.put_u32(0, 9)))
+            .unwrap();
         let s = wal.stats();
-        assert_eq!(s.batch_commits, 1);
+        assert_eq!(s.commits, 2);
+        assert_eq!(s.batch_commits, 1, "a solo commit writes no batch record");
         assert_eq!(s.batched_members, 3);
-    }
-
-    #[test]
-    fn savepoint_rollback_after_member_eviction_restores_the_disk_image() {
-        // Capacity 2 forces the member's dirty page out to disk before the
-        // rollback; the savepoint must restore the pre-member image anyway.
-        let (pool, ids) = pool(2);
-        pool.with_page_mut(ids[0], |p| p.put_u32(0, 5)).unwrap();
-        pool.flush_all().unwrap();
-        pool.txn_begin().unwrap();
-        pool.txn_savepoint().unwrap();
-        pool.with_page_mut(ids[0], |p| p.put_u32(0, 77)).unwrap();
-        // Touch two other pages so ids[0] is evicted while dirty.
-        pool.with_page(ids[1], |_| ()).unwrap();
-        pool.with_page(ids[2], |_| ()).unwrap();
-        pool.txn_rollback_to_savepoint().unwrap();
-        pool.txn_commit().unwrap();
-        assert_eq!(pool.with_page(ids[0], |p| p.get_u32(0)).unwrap(), 5);
     }
 }

@@ -106,7 +106,8 @@ fn stamp(version: u64) -> impl Fn(&mut Page) {
 }
 
 /// Readers pinned to an epoch race a writer that commits, rolls back whole
-/// transactions and rolls back to savepoints over the same pages. Every
+/// transactions and re-runs a rolled-back batch without its failed member
+/// over the same pages. Every
 /// pinned read must return exactly the bytes committed as of its epoch —
 /// never an uncommitted, newer or half-restored image. The pool holds a
 /// third of the pages, so transaction pages also spill to the shadow and
@@ -160,18 +161,23 @@ fn pinned_readers_see_their_epoch_across_commits_and_rollbacks() {
                 pool.with_page_mut(id, stamp(v)).unwrap();
             }
             pool.txn_rollback();
-            // A savepoint unwound inside a transaction that then commits:
-            // only the pre-savepoint half of the pages changes.
+            // A batch whose second member fails after dirtying every page:
+            // the transaction rolls back and re-runs without it, so only the
+            // first member's half of the pages changes.
+            let first_member = || {
+                for &id in &ids[..PAGES / 2] {
+                    pool.with_page_mut(id, stamp(v + 1)).unwrap();
+                }
+            };
             pool.txn_begin().unwrap();
-            for &id in &ids[..PAGES / 2] {
-                pool.with_page_mut(id, stamp(v + 1)).unwrap();
-            }
-            pool.txn_savepoint().unwrap();
+            first_member();
             for &id in ids.iter().rev() {
                 pool.with_page_mut(id, stamp(v + 2)).unwrap();
             }
-            pool.txn_rollback_to_savepoint().unwrap();
-            pool.txn_commit().unwrap();
+            pool.txn_rollback();
+            pool.txn_begin().unwrap();
+            first_member();
+            pool.txn_commit(1).unwrap();
             state[..PAGES / 2].fill(v + 1);
             publish(&state);
             // A plain commit of every page.

@@ -251,50 +251,47 @@ fn checkpoint_truncates_the_log_and_reclaims_space() {
 }
 
 // ---------------------------------------------------------------------
-// Batched (group) commits: K members, savepoint isolation, one WAL txn
+// Batched (group) commits: K members, abort and re-run, one WAL txn
 // ---------------------------------------------------------------------
 
 /// Members folded into each batched commit.
 const BATCH: u64 = 3;
 
 /// Deterministic member failures: the member runs, dirties its pages, and
-/// is then rolled back to its savepoint — its work must vanish while its
-/// batch peers commit.
+/// then fails — its batch is rolled back and re-run without it, so its work
+/// must vanish while its batch peers commit.
 fn member_fails(t: u64) -> bool {
     t % 5 == 3
 }
 
 /// One group commit: members `b*BATCH..(b+1)*BATCH` of the same page
-/// workload as [`apply_op`], each under its own savepoint, folded into one
-/// WAL transaction (this is exactly what the database facade's `run_batch`
-/// drives underneath).
+/// workload as [`apply_op`], run in one transaction; a failing member rolls
+/// the whole transaction back and the batch re-runs without it, and the
+/// survivors commit as one WAL transaction (this is exactly what the
+/// database facade's `run_batch` drives underneath).
 fn apply_batch(pool: &BufferPool, b: u64, seed: u64) -> Result<(), StorageError> {
-    pool.txn_begin()?;
-    for t in b * BATCH..(b + 1) * BATCH {
-        if let Err(e) = pool.txn_savepoint() {
-            pool.txn_rollback();
-            return Err(e);
-        }
-        let member: Result<(), StorageError> = (|| {
-            for p in txn_pages(t, seed) {
-                pool.with_page_mut(PageId(p), |pg| pg.put_u32(0, t as u32 + 1))?;
-            }
-            pool.with_page_mut(PageId(0), |pg| pg.put_u32(0, t as u32 + 1))
-        })();
-        let sp = match member {
-            Ok(()) if member_fails(t) => pool.txn_rollback_to_savepoint(),
-            Ok(()) => pool.txn_release_savepoint(),
-            Err(e) => {
+    let mut members: Vec<u64> = (b * BATCH..(b + 1) * BATCH).collect();
+    'run: loop {
+        pool.txn_begin()?;
+        for &t in &members {
+            let member: Result<(), StorageError> = (|| {
+                for p in txn_pages(t, seed) {
+                    pool.with_page_mut(PageId(p), |pg| pg.put_u32(0, t as u32 + 1))?;
+                }
+                pool.with_page_mut(PageId(0), |pg| pg.put_u32(0, t as u32 + 1))
+            })();
+            if let Err(e) = member {
                 pool.txn_rollback();
                 return Err(e);
             }
-        };
-        if let Err(e) = sp {
-            pool.txn_rollback();
-            return Err(e);
+            if member_fails(t) {
+                pool.txn_rollback();
+                members.retain(|&m| m != t);
+                continue 'run;
+            }
         }
+        return pool.txn_commit(members.len() as u32);
     }
-    pool.txn_commit()
 }
 
 /// The value every page should hold after all members below
@@ -351,8 +348,9 @@ fn run_batched_workload(
                 s.batch_commits, batches,
                 "every commit carries a batch record"
             );
-            // Each batch releases its non-failing members (2 of 3 here).
-            assert!(s.batched_members >= 2 * batches);
+            // Each batch record counts exactly its surviving members.
+            let survivors = (0..batches * BATCH).filter(|&t| !member_fails(t)).count();
+            assert_eq!(s.batched_members, survivors as u64);
         }
     }
     Run {

@@ -9,24 +9,20 @@
 //! throughput under fsync-bound storage scales with the batch size instead
 //! of paying a flush per update.
 //!
-//! The contract per batch member is all-or-nothing *and* isolated:
+//! The contract per batch member is all-or-nothing *and* isolated, by the
+//! one abort path a failed solo update already takes:
 //!
-//! * a member whose closure fails is rolled back to its savepoint and
-//!   rejected with its own error, without poisoning its batch peers;
-//! * a batch that cannot be isolated (the savepoint machinery itself
-//!   errors) is cleanly aborted and every member is **replayed solo**
-//!   through [`SecureXmlDb::run_update`] — correctness first, batching
-//!   second;
+//! * a member whose closure fails aborts its batch, which re-runs without
+//!   it; the member is rejected with its own error and its peers commit;
 //! * a commit failure poisons the database exactly like a solo commit
 //!   failure would, and every member of the batch is told so.
 //!
 //! Backpressure is admission control, not queueing delay: when the bounded
 //! queue is full, [`GroupCommitter::submit`] refuses immediately with
 //! [`DbError::Overloaded`] — nothing was applied, the caller backs off and
-//! resubmits. Latency is capped by [`GroupCommitConfig::flush_interval`]:
-//! the worker waits at most one interval from the moment it sees the first
-//! queued member before flushing, so a lone writer never waits longer than
-//! one interval for its durability point.
+//! resubmits. There is no batching window: the worker takes whatever is
+//! queued the moment it is free, so a lone writer commits at once, and
+//! batches form from the members that arrive while a batch commits.
 //!
 //! Member closures must not panic: a panic inside a batch unwinds through
 //! the open transaction and poisons the shared lock. Return a
@@ -37,7 +33,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 /// Tuning knobs of a [`GroupCommitter`].
 #[derive(Debug, Clone, Copy)]
@@ -47,11 +42,9 @@ pub struct GroupCommitConfig {
     pub queue_capacity: usize,
     /// Most members folded into one transaction. Larger batches amortize
     /// the fsync further but widen the blast radius of a poisoning commit
-    /// failure.
+    /// failure, and raise the re-runs failing members can cost their peers
+    /// (a batch of K runs at most K + 1 times).
     pub max_batch: usize,
-    /// How long the worker accumulates a batch after seeing its first
-    /// member. This caps the latency a lone writer pays for batching.
-    pub flush_interval: Duration,
 }
 
 impl Default for GroupCommitConfig {
@@ -59,7 +52,6 @@ impl Default for GroupCommitConfig {
         Self {
             queue_capacity: 64,
             max_batch: 16,
-            flush_interval: Duration::from_millis(2),
         }
     }
 }
@@ -76,9 +68,6 @@ pub struct GroupCommitStats {
     pub rejected: u64,
     /// Batches committed (each one WAL transaction and one fsync).
     pub batches: u64,
-    /// Members replayed through the solo-commit path because their batch
-    /// could not be isolated.
-    pub solo_fallbacks: u64,
     /// Submissions refused with [`DbError::Overloaded`].
     pub overloads: u64,
     /// Largest batch committed so far.
@@ -91,7 +80,6 @@ struct StatsCells {
     committed: AtomicU64,
     rejected: AtomicU64,
     batches: AtomicU64,
-    solo_fallbacks: AtomicU64,
     overloads: AtomicU64,
     max_batch_seen: AtomicU64,
 }
@@ -229,11 +217,13 @@ impl GroupCommitter {
     ///
     /// * [`DbError::Overloaded`] — the queue was full; nothing was queued
     ///   or applied, back off and resubmit;
-    /// * the closure's own error — the member was rolled back to its
-    ///   savepoint and rejected; its batch peers committed normally;
-    /// * [`DbError::Poisoned`] — the batch's commit failed (or the
-    ///   committer was closed before the member ran); the database needs
-    ///   [`SecureXmlDb::recover`].
+    /// * the closure's own error — the member's batch was rolled back and
+    ///   re-run without it; its batch peers committed normally;
+    /// * [`DbError::Poisoned`] — the batch's commit failed, or the database
+    ///   was already poisoned (or the committer was closed before the
+    ///   member ran); the database needs [`SecureXmlDb::recover`];
+    /// * a typed `Storage(Io(..))` refusal — the batch could not start
+    ///   because a prepared transaction awaits its decision.
     pub fn submit(&self, f: UpdateFn) -> Result<(), DbError> {
         let slot = Arc::new(SubmitSlot::default());
         {
@@ -271,7 +261,6 @@ impl GroupCommitter {
             committed: s.committed.load(Ordering::Relaxed),
             rejected: s.rejected.load(Ordering::Relaxed),
             batches: s.batches.load(Ordering::Relaxed),
-            solo_fallbacks: s.solo_fallbacks.load(Ordering::Relaxed),
             overloads: s.overloads.load(Ordering::Relaxed),
             max_batch_seen: s.max_batch_seen.load(Ordering::Relaxed),
         }
@@ -301,12 +290,10 @@ impl Drop for GroupCommitter {
     }
 }
 
-/// Blocks until at least one member is queued, then accumulates more until
-/// `max_batch` members are waiting or `flush_interval` has elapsed since
-/// the first was seen — the lone-writer latency cap. Returns `None` when
-/// the committer is closed and the queue fully drained.
+/// Blocks until at least one member is queued, then takes every queued
+/// member up to `max_batch` at once. Returns `None` when the committer is
+/// closed and the queue fully drained.
 fn collect_batch(shared: &Shared) -> Option<Vec<Pending>> {
-    let cfg = &shared.cfg;
     let mut q = lock_recover(&shared.queue);
     while q.q.is_empty() {
         if q.closed {
@@ -317,22 +304,7 @@ fn collect_batch(shared: &Shared) -> Option<Vec<Pending>> {
             Err(e) => e.into_inner(),
         };
     }
-    let deadline = Instant::now() + cfg.flush_interval;
-    while q.q.len() < cfg.max_batch && !q.closed {
-        let now = Instant::now();
-        if now >= deadline {
-            break;
-        }
-        let (g, timeout) = match shared.nonempty.wait_timeout(q, deadline - now) {
-            Ok(r) => r,
-            Err(e) => e.into_inner(),
-        };
-        q = g;
-        if timeout.timed_out() {
-            break;
-        }
-    }
-    let n = q.q.len().min(cfg.max_batch);
+    let n = q.q.len().min(shared.cfg.max_batch);
     Some(q.q.drain(..n).collect())
 }
 
@@ -351,59 +323,37 @@ fn commit_batch(
         Err(e) => e.into_inner(),
     };
     let stats = &shared.stats;
-    let mut healthy = true;
-    match db.run_batch(&members) {
+    let healthy = match db.run_batch(&members) {
         Ok(results) => {
             stats.batches.fetch_add(1, Ordering::Relaxed);
             stats
                 .max_batch_seen
                 .fetch_max(members.len() as u64, Ordering::Relaxed);
             for (slot, r) in slots.iter().zip(results) {
-                match r {
-                    Ok(()) => {
-                        stats.committed.fetch_add(1, Ordering::Relaxed);
-                        slot.deliver(Ok(()));
-                    }
-                    Err(e) => {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        slot.deliver(Err(e));
-                    }
-                }
-            }
-        }
-        Err(_) if db.is_poisoned() => {
-            // The batch's commit failed after the members ran: the handle
-            // is poisoned (serving degraded readers) until recover(). Tell
-            // every member — their updates did NOT land.
-            healthy = false;
-            for slot in &slots {
-                slot.deliver(Err(DbError::Poisoned));
-            }
-        }
-        Err(_) => {
-            // The batch was cleanly aborted before its commit (the
-            // savepoint machinery could not isolate a member). Correctness
-            // over batching: replay every member as its own solo
-            // transaction.
-            for (slot, f) in slots.iter().zip(&members) {
-                stats.solo_fallbacks.fetch_add(1, Ordering::Relaxed);
-                let r = db.run_update(|d| f(d));
-                match &r {
-                    Ok(()) => {
-                        stats.committed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(DbError::Poisoned) => healthy = false,
-                    Err(_) => {
-                        stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                if db.is_poisoned() {
-                    healthy = false;
-                }
+                let counter = match r {
+                    Ok(()) => &stats.committed,
+                    Err(_) => &stats.rejected,
+                };
+                counter.fetch_add(1, Ordering::Relaxed);
                 slot.deliver(r);
             }
+            true
         }
-    }
+        Err(e) => {
+            // The batch never started (the handle is poisoned, or a prepared
+            // transaction is open), or its commit failed and poisoned the
+            // handle. No member's update landed; every member is told why.
+            let poisoned = db.is_poisoned();
+            for slot in &slots {
+                slot.deliver(Err(if poisoned {
+                    DbError::Poisoned
+                } else {
+                    crate::out_of_turn(e.to_string())
+                }));
+            }
+            !poisoned
+        }
+    };
     if let Some(obs) = observer.as_mut() {
         obs(&db, healthy);
     }
@@ -415,6 +365,7 @@ mod tests {
     use dol_acl::{AccessibilityMap, SubjectId};
     use dol_nok::Security;
     use dol_xml::NodeId;
+    use std::sync::atomic::AtomicBool;
 
     fn small_db() -> SecureXmlDb {
         let xml = "<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>";
@@ -426,41 +377,71 @@ mod tests {
         SecureXmlDb::from_document(doc, &map).unwrap()
     }
 
+    /// Submits every member from its own thread while the worker is busy
+    /// committing a one-member gate batch that waits for them: all of them
+    /// queue before the worker can collect again, so they form the next
+    /// batch. Returns each member's result.
+    fn submit_behind_a_busy_worker(
+        gc: &Arc<GroupCommitter>,
+        members: Vec<UpdateFn>,
+    ) -> Vec<Result<(), DbError>> {
+        let started = Arc::new(AtomicBool::new(false));
+        let release = Arc::new(AtomicBool::new(false));
+        let gate = {
+            let (gc, started, release) = (Arc::clone(gc), started.clone(), release.clone());
+            std::thread::spawn(move || {
+                gc.submit_fn(move |_| {
+                    started.store(true, Ordering::SeqCst);
+                    while !release.load(Ordering::SeqCst) {
+                        std::thread::yield_now();
+                    }
+                    Ok(())
+                })
+            })
+        };
+        while !started.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let queued = gc.stats().submitted + members.len() as u64;
+        let threads: Vec<_> = members
+            .into_iter()
+            .map(|f| {
+                let gc = Arc::clone(gc);
+                std::thread::spawn(move || gc.submit(f))
+            })
+            .collect();
+        while gc.stats().submitted < queued {
+            std::thread::yield_now();
+        }
+        release.store(true, Ordering::SeqCst);
+        gate.join().unwrap().unwrap();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    }
+
     #[test]
     fn concurrent_submissions_fold_into_few_batches() {
         let db = Arc::new(RwLock::new(small_db()));
         let gc = Arc::new(GroupCommitter::new(
             Arc::clone(&db),
-            GroupCommitConfig {
-                flush_interval: Duration::from_millis(20),
-                ..GroupCommitConfig::default()
-            },
+            GroupCommitConfig::default(),
         ));
-        let threads: Vec<_> = (0..8)
-            .map(|i| {
-                let gc = Arc::clone(&gc);
-                std::thread::spawn(move || {
-                    gc.submit_fn(move |d| d.set_node_access(5, SubjectId(1), i % 2 == 0))
-                })
+        let members = (0..8)
+            .map(|i| -> UpdateFn {
+                Box::new(move |d: &mut SecureXmlDb| d.set_node_access(5, SubjectId(1), i % 2 == 0))
             })
             .collect();
-        for t in threads {
-            t.join().unwrap().unwrap();
+        for r in submit_behind_a_busy_worker(&gc, members) {
+            r.unwrap();
         }
+        // The gate's batch, then all eight in one.
         let stats = gc.stats();
-        assert_eq!(stats.submitted, 8);
-        assert_eq!(stats.committed, 8);
-        assert_eq!(stats.rejected, 0);
-        assert_eq!(stats.solo_fallbacks, 0);
-        assert!(
-            stats.batches < 8,
-            "8 sequential flushes would defeat the point; got {} batches",
-            stats.batches
+        assert_eq!(
+            (stats.submitted, stats.committed, stats.rejected),
+            (9, 9, 0)
         );
-        assert!(stats.max_batch_seen >= 2);
+        assert_eq!((stats.batches, stats.max_batch_seen), (2, 8));
         // Each batch bumped the epoch exactly once.
-        let epoch = db.read().unwrap().epoch();
-        assert_eq!(epoch, stats.batches);
+        assert_eq!(db.read().unwrap().epoch(), 2);
         Arc::try_unwrap(gc).ok().unwrap().close();
     }
 
@@ -469,34 +450,31 @@ mod tests {
         let db = Arc::new(RwLock::new(small_db()));
         let gc = Arc::new(GroupCommitter::new(
             Arc::clone(&db),
-            GroupCommitConfig {
-                flush_interval: Duration::from_millis(30),
-                ..GroupCommitConfig::default()
-            },
+            GroupCommitConfig::default(),
         ));
-        let mut handles = Vec::new();
-        for i in 0..4u64 {
-            let gc = Arc::clone(&gc);
-            handles.push(std::thread::spawn(move || {
-                gc.submit_fn(move |d| {
+        let members = (0..4u64)
+            .map(|i| -> UpdateFn {
+                Box::new(move |d: &mut SecureXmlDb| {
                     if i == 2 {
-                        // An invalid position: rejected by validation
-                        // before any page is touched... after the closure
-                        // already dirtied a page, to prove savepoint
-                        // rollback really unwinds partial work.
+                        // Dirty a page, then fail on an invalid position: the
+                        // rollback must unwind the partial work too.
                         d.set_node_access(5, SubjectId(1), true)?;
                         return d.set_node_access(9_999, SubjectId(1), true);
                     }
                     d.set_node_access(4, SubjectId(1), true)
                 })
-            }));
-        }
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+            })
+            .collect();
+        let results = submit_behind_a_busy_worker(&gc, members);
         let failures = results.iter().filter(|r| r.is_err()).count();
         assert_eq!(failures, 1, "exactly the invalid member fails");
         assert!(results
             .iter()
             .any(|r| matches!(r, Err(DbError::InvalidNode(9_999)))));
+        // All four ran as one batch: the failure re-ran it without one.
+        let stats = gc.stats();
+        assert_eq!((stats.batches, stats.max_batch_seen), (2, 4));
+        assert_eq!((stats.committed, stats.rejected), (4, 1));
         // Peers landed; the failed member's partial work did not.
         let d = db.read().unwrap();
         assert!(!d.is_poisoned());
@@ -518,7 +496,6 @@ mod tests {
             GroupCommitConfig {
                 queue_capacity: 1,
                 max_batch: 1,
-                flush_interval: Duration::from_millis(1),
             },
         );
         let blocker = db.write().unwrap();
@@ -537,14 +514,9 @@ mod tests {
         }
         // Wait until every slot of the pipeline (queue + worker hand) is
         // occupied and one submission has been refused.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while gc.stats().overloads == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
+        while gc.stats().overloads == 0 {
+            std::thread::yield_now();
         }
-        assert!(
-            gc.stats().overloads >= 1,
-            "a third concurrent submit must be refused while the pipe is full"
-        );
         drop(blocker);
         let mut oks = 0;
         for t in spawned {
@@ -559,24 +531,17 @@ mod tests {
     }
 
     #[test]
-    fn lone_writer_waits_at_most_one_flush_interval() {
+    fn a_solo_submit_commits_as_one_batch() {
         let db = Arc::new(RwLock::new(small_db()));
-        let gc = GroupCommitter::new(
-            Arc::clone(&db),
-            GroupCommitConfig {
-                flush_interval: Duration::from_millis(5),
-                ..GroupCommitConfig::default()
-            },
-        );
-        let t0 = Instant::now();
+        let gc = GroupCommitter::new(Arc::clone(&db), GroupCommitConfig::default());
         gc.submit_fn(|d| d.set_node_access(5, SubjectId(1), true))
             .unwrap();
-        let waited = t0.elapsed();
-        assert!(
-            waited < Duration::from_secs(2),
-            "lone writer stalled {waited:?}"
+        let stats = gc.stats();
+        assert_eq!(
+            (stats.batches, stats.max_batch_seen, stats.committed),
+            (1, 1, 1)
         );
-        assert_eq!(gc.stats().batches, 1);
+        assert_eq!(db.read().unwrap().epoch(), 1);
         gc.close();
     }
 
@@ -587,22 +552,19 @@ mod tests {
         assert_eq!(pinned.epoch(), 0);
         let gc = Arc::new(GroupCommitter::new(
             Arc::clone(&db),
-            GroupCommitConfig {
-                flush_interval: Duration::from_millis(20),
-                ..GroupCommitConfig::default()
-            },
+            GroupCommitConfig::default(),
         ));
-        let threads: Vec<_> = (3..6u64)
-            .map(|pos| {
-                let gc = Arc::clone(&gc);
-                std::thread::spawn(move || {
-                    gc.submit_fn(move |d| d.set_node_access(pos, SubjectId(1), true))
-                })
+        let members = (3..6u64)
+            .map(|pos| -> UpdateFn {
+                Box::new(move |d: &mut SecureXmlDb| d.set_node_access(pos, SubjectId(1), true))
             })
             .collect();
-        for t in threads {
-            t.join().unwrap().unwrap();
+        for r in submit_behind_a_busy_worker(&gc, members) {
+            r.unwrap();
         }
+        // The gate's epoch, then one for all three members.
+        assert_eq!(gc.stats().max_batch_seen, 3);
+        assert_eq!(db.read().unwrap().epoch(), 2);
         // The pinned epoch-0 reader still answers epoch-0 truth.
         assert!(!pinned.accessible(4, SubjectId(1)).unwrap());
         assert_eq!(
@@ -612,7 +574,7 @@ mod tests {
                 .matches,
             Vec::<u64>::new()
         );
-        // A fresh reader sees all three members at once.
+        // A fresh reader sees all three members.
         let r = db.read().unwrap().reader();
         for pos in 3..6 {
             assert!(r.accessible(pos, SubjectId(1)).unwrap());

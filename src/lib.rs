@@ -101,6 +101,11 @@ pub enum DbError {
     Query(QueryError),
     /// A node id was out of range or structurally invalid for the operation.
     InvalidNode(u64),
+    /// An update named a subject the codebook does not know: `Some(id)` is
+    /// an id at or past its logical subject count, `None` a group operation
+    /// on a database with no group space. Refused before any transaction
+    /// opened, so nothing was applied.
+    UnknownSubject(Option<SubjectId>),
     /// A previous update transaction failed (its pages rolled back, the
     /// in-memory mirrors restored to match), or the on-disk image was
     /// compacted underneath this handle: every further update is refused
@@ -155,6 +160,10 @@ impl std::fmt::Display for DbError {
             DbError::Storage(e) => write!(f, "{e}"),
             DbError::Query(e) => write!(f, "{e}"),
             DbError::InvalidNode(p) => write!(f, "invalid node position {p}"),
+            DbError::UnknownSubject(Some(s)) => write!(f, "unknown subject {s}"),
+            DbError::UnknownSubject(None) => {
+                write!(f, "group operation on a database without a group space")
+            }
             DbError::Poisoned => write!(
                 f,
                 "database handle poisoned by a failed or superseding update; reopen to continue"
@@ -302,9 +311,10 @@ fn out_of_turn(msg: impl Into<String>) -> DbError {
     DbError::Storage(StorageError::Io(std::io::Error::other(msg.into())))
 }
 
-/// One group-commit batch member: an update closure the batch committer can
-/// run (and, if the batch as a whole must be abandoned, re-run solo — hence
-/// `Fn`, not `FnOnce`) against the database.
+/// One group-commit batch member: an update closure the batch committer
+/// runs against the database — and re-runs whenever a peer's failure rolls
+/// the batch back (see [`SecureXmlDb::run_batch`]), hence `Fn`, not
+/// `FnOnce`.
 pub type UpdateFn = Box<dyn Fn(&mut SecureXmlDb) -> Result<(), DbError> + Send>;
 
 /// The `Arc`-shared read-side state of a [`SecureXmlDb`] at one instant,
@@ -489,7 +499,8 @@ impl SecureXmlDb {
         Ok(())
     }
 
-    /// Closes the open scope. On a persistent database the meta sections
+    /// Closes the open scope, which holds `members` logical updates (the
+    /// WAL batch record's count). On a persistent database the meta sections
     /// whose mirrors changed, and then the catalog, are rewritten inside the
     /// transaction, so a crash anywhere leaves the image in exactly the
     /// before- or after-state. Then, with
@@ -499,14 +510,14 @@ impl SecureXmlDb {
     /// under `g` and stays open and invisible until
     /// [`finish_prepared`](Self::finish_prepared); a failure is a clean
     /// abort vote.
-    fn close(&mut self, gtid: Option<u64>) -> Result<(), DbError> {
+    fn close(&mut self, gtid: Option<u64>, members: u32) -> Result<(), DbError> {
         let logged = (|| -> Result<(), DbError> {
             if self.persistent {
                 self.rewrite_meta()?;
             }
             match gtid {
-                None => self.pool.txn_commit()?,
-                Some(gtid) => self.pool.txn_prepare(gtid)?,
+                None => self.pool.txn_commit(members)?,
+                Some(gtid) => self.pool.txn_prepare(gtid, members)?,
             }
             Ok(())
         })();
@@ -572,7 +583,7 @@ impl SecureXmlDb {
         }
         self.begin("update")?;
         match f(self) {
-            Ok(r) => self.close(None).map(|()| r),
+            Ok(r) => self.close(None, 1).map(|()| r),
             Err(e) => {
                 self.poison();
                 Err(e)
@@ -581,10 +592,9 @@ impl SecureXmlDb {
     }
 
     /// Runs one update closure as one crash-consistent transaction — the
-    /// public solo-commit path, used by the group committer to replay
-    /// members of a batch that could not be committed together. The update
-    /// methods `f` calls run their bodies inside this transaction: one
-    /// write-ahead-log commit, one meta rewrite, one epoch for all of them.
+    /// public solo-commit path. The update methods `f` calls run their
+    /// bodies inside this transaction: one write-ahead-log commit, one meta
+    /// rewrite, one epoch for all of them.
     ///
     /// If `f` (or the commit) fails, the pages roll back to their
     /// pre-images, the in-memory mirrors are restored to match them, and
@@ -613,61 +623,53 @@ impl SecureXmlDb {
         self.caches.evict_dead_epochs(self.pool.ring_floor());
     }
 
-    /// Runs `members` as one **group commit**: every member executes inside
-    /// a single transaction, so the whole batch reaches the write-ahead
-    /// log as one WAL transaction and one sync — K updates, one fsync, and a
-    /// power cut anywhere commits all of them or none.
+    /// Runs `members` as one **group commit**: the members execute in order
+    /// inside a single transaction, so the whole batch reaches the
+    /// write-ahead log as one WAL transaction and one sync — K updates, one
+    /// fsync, and a power cut anywhere commits all of them or none.
     ///
-    /// Members are isolated from each other by savepoints: a member whose
-    /// closure fails is rolled back to its savepoint (pages *and* mirrors)
-    /// and reported `Err` in its result slot without poisoning its batch
-    /// peers, which commit normally. Only when the batch *mechanism* itself
-    /// fails — a savepoint operation errors, or the final commit fails —
-    /// does the whole call return `Err`: a cleanly-aborted batch (inner
-    /// savepoint failure) leaves the database unchanged and un-poisoned, so
-    /// the caller may replay the members solo via
-    /// [`run_update`](Self::run_update); a failed *commit* poisons the
-    /// handle exactly like a failed solo update.
+    /// A batch backs out the one way a failed solo update does: when a
+    /// member returns `Err`, the transaction is aborted (pages and mirrors
+    /// back to the state before the batch), the error goes in that member's
+    /// result slot, and the batch re-runs without it. A batch of K members
+    /// therefore runs at most K + 1 times — which is why members are `Fn`.
+    /// The survivors commit in one new epoch, and the WAL batch record
+    /// counts only them; readers pinned to older retained epochs keep
+    /// answering. A batch whose every member failed still commits
+    /// (vacuously) and spends one epoch.
     ///
-    /// The epoch advances once per batch: all members land in the same new
-    /// epoch, and readers pinned to older retained epochs keep answering.
-    /// Called from inside an open transaction (a member closure, a
-    /// `run_update` closure) the batch is refused with a typed
-    /// `Storage(Io(..))` error and the open transaction is untouched.
+    /// The whole call returns `Err` in two cases only. The batch could not
+    /// start: the handle is poisoned, or a transaction is open or prepared
+    /// (a call from a member closure or a `run_update` closure is refused
+    /// with a typed `Storage(Io(..))` error and that transaction is
+    /// untouched). Or its commit failed, which poisons the handle exactly
+    /// like a failed solo update.
     pub fn run_batch(&mut self, members: &[UpdateFn]) -> Result<Vec<Result<(), DbError>>, DbError> {
-        self.begin("run_batch")?;
         if members.is_empty() {
-            // Nothing to commit, and no epoch to spend on it.
+            // Refused like any batch, but nothing to commit and no epoch to
+            // spend on it.
+            self.begin("run_batch")?;
             self.abort();
             return Ok(Vec::new());
         }
-        let pool = self.pool.clone();
-        let mut results: Vec<Result<(), DbError>> = Vec::with_capacity(members.len());
-        for member in members {
-            // Per-member isolation: mirrors snapshot + page savepoint. A
-            // savepoint operation failing is the batch mechanism failing:
-            // abandon the whole transaction cleanly — the database is
-            // exactly as before the call, so the caller may replay solo.
-            let member_before = self.mirrors.clone();
-            let isolated = pool.txn_savepoint().and_then(|()| match member(self) {
-                Ok(()) => pool.txn_release_savepoint().map(|()| Ok(())),
-                Err(e) => {
-                    // The member failed: reject it without harming its
-                    // peers — pages back to the savepoint, mirrors back to
-                    // the member snapshot.
-                    self.mirrors = member_before;
-                    pool.txn_rollback_to_savepoint().map(|()| Err(e))
-                }
-            });
-            match isolated {
-                Ok(result) => results.push(result),
-                Err(e) => {
-                    self.abort();
-                    return Err(e.into());
-                }
-            }
+        let mut rejected: Vec<Option<DbError>> = members.iter().map(|_| None).collect();
+        loop {
+            self.begin("run_batch")?;
+            let failed = members
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| rejected[*i].is_none())
+                .find_map(|(i, member)| member(self).err().map(|e| (i, e)));
+            let Some((i, e)) = failed else { break };
+            self.abort();
+            rejected[i] = Some(e);
         }
-        self.close(None).map(|()| results)
+        let survivors = rejected.iter().filter(|r| r.is_none()).count();
+        self.close(None, survivors as u32)?;
+        Ok(rejected
+            .into_iter()
+            .map(|r| r.map_or(Ok(()), Err))
+            .collect())
     }
 
     /// First half of a distributed (cross-shard) commit: runs `f` inside a
@@ -693,7 +695,7 @@ impl SecureXmlDb {
     ) -> Result<(), DbError> {
         self.begin("run_prepared")?;
         match f(self) {
-            Ok(()) => self.close(Some(gtid)),
+            Ok(()) => self.close(Some(gtid), 1),
             Err(e) => {
                 self.abort();
                 Err(e)
@@ -1001,6 +1003,24 @@ impl SecureXmlDb {
             .accessible(&self.mirrors.store, pos, subject)?)
     }
 
+    /// Refuses with [`DbError::UnknownSubject`] any id in `ids` past the
+    /// codebook's logical subjects — and, for a `grouped` operation, a
+    /// database with no group space — before a transaction opens, so an
+    /// unknown id never reaches a codebook table it would index past.
+    fn check_subjects(&self, ids: &[SubjectId], grouped: bool) -> Result<(), DbError> {
+        let codebook = self.mirrors.dol.codebook();
+        if grouped && !codebook.is_factored() {
+            return Err(DbError::UnknownSubject(None));
+        }
+        match ids
+            .iter()
+            .find(|s| s.index() >= codebook.logical_subjects())
+        {
+            Some(&s) => Err(DbError::UnknownSubject(Some(s))),
+            None => Ok(()),
+        }
+    }
+
     /// Grants or revokes one subject's access to a single node (§3.4).
     pub fn set_node_access(
         &mut self,
@@ -1011,6 +1031,7 @@ impl SecureXmlDb {
         if pos >= self.mirrors.store.total_nodes() {
             return Err(DbError::InvalidNode(pos));
         }
+        self.check_subjects(&[subject], false)?;
         self.run_txn(|db| {
             let dol = Arc::make_mut(&mut db.mirrors.dol);
             let store = Arc::make_mut(&mut db.mirrors.store);
@@ -1033,6 +1054,7 @@ impl SecureXmlDb {
         if pos >= self.mirrors.store.total_nodes() {
             return Err(DbError::InvalidNode(pos));
         }
+        self.check_subjects(&[subject], false)?;
         let size = self.mirrors.store.node(pos)?.size as u64;
         self.run_txn(|db| {
             let dol = Arc::make_mut(&mut db.mirrors.dol);
@@ -1046,6 +1068,7 @@ impl SecureXmlDb {
     /// Adds a subject, optionally copying an existing subject's rights — a
     /// pure codebook operation (§3.4).
     pub fn add_subject(&mut self, copy_from: Option<SubjectId>) -> Result<SubjectId, DbError> {
+        self.check_subjects(copy_from.as_slice(), false)?;
         self.run_txn(|db| {
             Ok(Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
@@ -1055,6 +1078,7 @@ impl SecureXmlDb {
 
     /// Removes a subject lazily (codebook-only; §3.4).
     pub fn remove_subject(&mut self, subject: SubjectId) -> Result<(), DbError> {
+        self.check_subjects(&[subject], false)?;
         self.run_txn(|db| {
             Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
@@ -1114,6 +1138,7 @@ impl SecureXmlDb {
     /// codebook size. Requires a group-factored database
     /// (see [`from_document_factored`](SecureXmlDb::from_document_factored)).
     pub fn add_grouped_subject(&mut self, parents: &[SubjectId]) -> Result<SubjectId, DbError> {
+        self.check_subjects(parents, true)?;
         self.run_txn(|db| {
             Ok(Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
@@ -1130,6 +1155,7 @@ impl SecureXmlDb {
         parents: &[SubjectId],
     ) -> Result<SubjectId, DbError> {
         assert!(count > 0, "empty bulk add");
+        self.check_subjects(parents, true)?;
         self.run_txn(|db| {
             let cb = Arc::make_mut(&mut db.mirrors.dol).codebook_mut();
             let first = cb.add_grouped_subject(parents);
@@ -1149,6 +1175,7 @@ impl SecureXmlDb {
         group: SubjectId,
         member: bool,
     ) -> Result<bool, DbError> {
+        self.check_subjects(&[subject, group], true)?;
         self.run_txn(|db| {
             Ok(Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()

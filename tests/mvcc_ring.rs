@@ -68,7 +68,7 @@ fn run_batch_commits_members_atomically_in_one_epoch() {
     assert_eq!(db.epoch(), 0);
 
     // Four members: a grant, a revoke, one that dirties pages and THEN
-    // fails (proving savepoint rollback unwinds its partial work), and a
+    // fails (proving the batch's rollback unwinds its partial work), and a
     // subtree revoke. Subject 1 starts with access everywhere except
     // nodes 3 and 6 (`p % 3 == 0`).
     let members: Vec<UpdateFn> = vec![
@@ -226,6 +226,115 @@ fn empty_and_all_failing_batches_still_advance_one_epoch() {
         "the batch itself committed (vacuously) — one epoch, uniform floor tracking"
     );
     assert!(!db.is_poisoned());
+}
+
+/// A 5-member batch whose third member dirties pages, interns a new code
+/// and then fails: the batch aborts and re-runs without it. The other four
+/// commit in one epoch as one WAL batch of four, into exactly the state
+/// committing the four solo gives.
+#[test]
+fn a_failed_member_is_rejected_alone_and_its_peers_commit_as_one_batch() {
+    type Update = fn(&mut SecureXmlDb) -> Result<(), DbError>;
+    let peers: [Update; 4] = [
+        |d| d.set_node_access(3, SubjectId(1), true),
+        |d| d.set_node_access(2, SubjectId(1), false),
+        |d| d.set_subtree_access(7, SubjectId(1), false),
+        |d| d.set_node_access(5, SubjectId(1), false),
+    ];
+    let mut db = persistent_twin();
+    let codes = db.dol().codebook().len();
+    let failing: UpdateFn = Box::new(move |d: &mut SecureXmlDb| {
+        // Subject 1 alone at node 4 is an ACL no node has yet.
+        d.set_node_access(4, SubjectId(0), false)?;
+        assert!(
+            d.dol().codebook().len() > codes,
+            "the member interned a code"
+        );
+        d.set_node_access(77_777, SubjectId(1), true)
+    });
+    let mut members: Vec<UpdateFn> = peers.iter().map(|&f| Box::new(f) as UpdateFn).collect();
+    members.insert(2, failing);
+    let wal = db.store().pool().wal().expect("wal attached");
+    let before = wal.stats();
+    let results = db.run_batch(&members).unwrap();
+    let after = wal.stats();
+
+    assert!(matches!(results[2], Err(DbError::InvalidNode(77_777))));
+    assert_eq!(results.iter().filter(|r| r.is_ok()).count(), 4);
+    assert_eq!(db.epoch(), 1, "one epoch for the four");
+    assert_eq!(after.commits - before.commits, 1, "one WAL transaction");
+    assert_eq!(after.batched_members - before.batched_members, 4);
+    db.verify_integrity().unwrap();
+
+    let mut solo = persistent_twin();
+    for f in peers {
+        solo.run_update(f).unwrap();
+    }
+    assert_eq!(suite_oracle(&db), suite_oracle(&solo));
+    assert_eq!(db.dol().codebook().len(), solo.dol().codebook().len());
+    for s in [SubjectId(0), SubjectId(1)] {
+        assert_eq!(
+            db.export_visible(s).unwrap(),
+            solo.export_visible(s).unwrap()
+        );
+        for pos in 0..db.len() as u64 {
+            assert_eq!(
+                db.accessible(pos, s).unwrap(),
+                solo.accessible(pos, s).unwrap()
+            );
+        }
+    }
+}
+
+/// A member that succeeds on its first run and fails on its re-run is
+/// rejected too, and a batch of K members still ends after at most K + 1
+/// runs.
+#[test]
+fn a_member_that_fails_on_its_rerun_is_rejected_and_runs_stay_bounded() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    let mut db = build(RETAIN);
+    let (runs, flaky_runs) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let (r, f) = (Arc::clone(&runs), Arc::clone(&flaky_runs));
+    let members: Vec<UpdateFn> = vec![
+        Box::new(move |d: &mut SecureXmlDb| {
+            r.fetch_add(1, Ordering::SeqCst);
+            d.set_node_access(3, SubjectId(1), true)
+        }),
+        Box::new(move |d: &mut SecureXmlDb| {
+            d.set_node_access(5, SubjectId(1), false)?;
+            match f.fetch_add(1, Ordering::SeqCst) {
+                0 => Ok(()),
+                _ => Err(DbError::InvalidNode(55_555)),
+            }
+        }),
+        Box::new(|d: &mut SecureXmlDb| {
+            d.set_node_access(6, SubjectId(1), true)?;
+            d.set_node_access(66_666, SubjectId(1), true)
+        }),
+        Box::new(|d: &mut SecureXmlDb| d.set_node_access(2, SubjectId(1), false)),
+    ];
+    let results = db.run_batch(&members).unwrap();
+    assert!(results[0].is_ok() && results[3].is_ok());
+    assert!(matches!(results[1], Err(DbError::InvalidNode(55_555))));
+    assert!(matches!(results[2], Err(DbError::InvalidNode(66_666))));
+    // Run 1 rejects member 2, run 2 rejects member 1 on its re-run, run 3
+    // commits.
+    assert_eq!(runs.load(Ordering::SeqCst), 3);
+    assert!(runs.load(Ordering::SeqCst) <= members.len() + 1);
+    assert_eq!(flaky_runs.load(Ordering::SeqCst), 2);
+    assert_eq!(db.epoch(), 1);
+    assert!(db.accessible(3, SubjectId(1)).unwrap());
+    assert!(!db.accessible(2, SubjectId(1)).unwrap());
+    assert!(
+        db.accessible(5, SubjectId(1)).unwrap(),
+        "member 1's work rolled back"
+    );
+    assert!(
+        !db.accessible(6, SubjectId(1)).unwrap(),
+        "member 2's work rolled back"
+    );
+    db.verify_integrity().unwrap();
 }
 
 #[test]

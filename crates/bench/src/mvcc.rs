@@ -22,28 +22,43 @@
 //!    not at all, rejected members never disturb their batch peers, and
 //!    the committer's counters reconcile exactly.
 //! 4. **Write path at two scales** — one persistent database per xmark
-//!    scale (the base scale and 4× it), three ACL updates on the same kind
-//!    of target: a `set_node_access` that interns a new code, one that
-//!    interns none, and a `set_subtree_access` on a subtree of at most 64
-//!    nodes. Per update: data pages written, WAL bytes appended and image
-//!    growth. An ACL commit costs what it changes, so each of these rows
-//!    must be equal at both scales, within 8 pages and 64 KiB of WAL, with
-//!    no growth when no code is interned and at most two pages otherwise.
-//!    Three structural updates on the same subtree (a 13-node graft under
-//!    it, a move and a delete of it) are recorded, not gated: they still
-//!    rewrite the values section, so their rows grow with the document.
+//!    scale (the base scale and 4× it), factored over three roles, and
+//!    three ACL updates on the same kind of target: a `set_node_access` that
+//!    interns a new code, one that interns none, and a `set_subtree_access`
+//!    on a subtree of at most 64 nodes; then three subject-lifecycle
+//!    updates: a user registered under one role, given a second, and
+//!    removed. Per update: data pages written, WAL bytes appended and image
+//!    growth. An ACL or subject commit costs what it changes, so each of
+//!    these rows must be equal at both scales, within 8 pages and 64 KiB of
+//!    WAL, with no growth when no code is interned and at most two pages
+//!    otherwise. Three structural updates on the ACL target (a 13-node
+//!    graft under it, a move and a delete of it) are recorded, not gated:
+//!    they still rewrite the values section, so their rows grow with the
+//!    document.
+//!
+//! 5. **Result fence** — a factored xmark database with 8 roles and 16
+//!    users, every (Table-1 query × semantics × user) key and the unsecured
+//!    keys warmed in a reader's result cache. Then, one at a time, five
+//!    state-changing updates, each followed by a re-query of every key
+//!    through a fresh reader: a user's `set_node_access`,
+//!    `set_subtree_access` and `set_group_membership` must re-run exactly
+//!    that user's keys, a role's `set_node_access` exactly its members'
+//!    keys, and an `insert_subtree` every key. Every answer is checked
+//!    against the uncached `SecureXmlDb::query`.
 //!
 //! The correctness gates (zero untyped reader failures, zero invariant violations,
 //! solo ≡ batched answers, counter reconciliation, batched fsyncs/update
-//! at most a fifth of solo, scale-free write costs) are asserted in
+//! at most a fifth of solo, scale-free write costs, the fence's miss
+//! counts) are asserted in
 //! **every** mode; `--smoke` only pins the effort so CI runs a
 //! deterministic small instance. Nothing is timed.
 
+use crate::setup::TABLE1;
 use crate::table::Table;
 use crate::Effort;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use secure_xml::acl::SubjectId;
+use secure_xml::acl::{GroupSpace, SubjectId};
 use secure_xml::storage::{Disk, FileDisk, MemDisk, PAGE_SIZE};
 use secure_xml::workloads::{synth_multi, xmark, SynthAclConfig, XmarkConfig};
 use secure_xml::{
@@ -74,6 +89,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     let pr = pinned_readers(effort, seed);
     let cc = concurrent(effort, seed);
     let wp = write_path(effort);
+    let fence = result_fence(seed);
 
     let mut t = Table::new("mvcc", &["section", "updates", "metric", "value"]);
     t.row(&[
@@ -150,7 +166,11 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         ],
     );
     for (&nodes, costs) in wp.nodes.iter().zip(&wp.costs) {
-        for (update, c) in WRITE_UPDATES.iter().chain(&STRUCT_UPDATES).zip(costs) {
+        let updates = WRITE_UPDATES
+            .iter()
+            .chain(&SUBJECT_UPDATES)
+            .chain(&STRUCT_UPDATES);
+        for (update, c) in updates.zip(costs) {
             t.row(&[
                 update.to_string(),
                 nodes.to_string(),
@@ -165,11 +185,30 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     println!(
         "(One persistent database per scale; each update runs between two\n\
          checkpoints, so its pages are exactly the ones the commit dirtied.\n\
-         Every ACL row is asserted equal across the scales; the structural\n\
-         rows are recorded.)\n"
+         Every ACL and subject row is asserted equal across the scales; the\n\
+         structural rows are recorded.)\n"
     );
 
-    write_json(seed, &durability, &pr, &cc, &wp);
+    let mut t = Table::new(
+        "mvcc result fence",
+        &["update", "target", "keys", "re-run expected", "misses"],
+    );
+    for row in &fence.rows {
+        t.row(&[
+            row.update.into(),
+            row.target.clone(),
+            fence.keys.to_string(),
+            row.expected.to_string(),
+            row.misses.to_string(),
+        ]);
+    }
+    t.print();
+    println!(
+        "(Every key warm before each update; \"misses\" counts the keys a fresh\n\
+         reader re-ran after it. Each row is asserted equal to its expectation.)\n"
+    );
+
+    write_json(seed, &durability, &pr, &cc, &wp, &fence);
 
     if smoke {
         println!("mvcc --smoke: all assertions passed\n");
@@ -203,6 +242,20 @@ struct Concurrent {
     probe_refusals: u64,
 }
 
+/// Section 5 results: the warmed key count and one row per update.
+struct Fence {
+    keys: usize,
+    rows: Vec<FenceRow>,
+}
+
+/// One update of section 5: the keys it must re-run and the misses seen.
+struct FenceRow {
+    update: &'static str,
+    target: String,
+    expected: usize,
+    misses: u64,
+}
+
 /// The updates section 4 gates, in the order they run on one target.
 const WRITE_UPDATES: [&str; 3] = [
     "set_node_access, new code",
@@ -210,7 +263,11 @@ const WRITE_UPDATES: [&str; 3] = [
     "set_subtree_access",
 ];
 
-/// The structural updates section 4 records after them, on the same target.
+/// The subject-lifecycle updates section 4 gates after them: a user
+/// registered under one role, given a second, and removed.
+const SUBJECT_UPDATES: [&str; 3] = ["register_subject", "set_group_membership", "remove_subject"];
+
+/// The structural updates section 4 records last, on the ACL target.
 const STRUCT_UPDATES: [&str; 3] = ["insert_subtree", "move_subtree", "delete_subtree"];
 
 /// The subtree `insert_subtree` grafts: 13 nodes, xmark's own tags.
@@ -228,7 +285,7 @@ struct WriteCost {
 }
 
 /// Section 4 results: per scale, the node count and one cost per update of
-/// [`WRITE_UPDATES`], then of [`STRUCT_UPDATES`].
+/// [`WRITE_UPDATES`], then of [`SUBJECT_UPDATES`] and [`STRUCT_UPDATES`].
 struct WritePath {
     scales: Vec<f64>,
     nodes: Vec<usize>,
@@ -656,7 +713,8 @@ fn write_path(effort: Effort) -> WritePath {
     let scales = vec![base, 4.0 * base];
     let (nodes, costs): (Vec<usize>, Vec<Vec<WriteCost>>) =
         scales.iter().map(|&s| write_costs(s)).unzip();
-    for (i, update) in WRITE_UPDATES.iter().enumerate() {
+    let gated = WRITE_UPDATES.iter().chain(&SUBJECT_UPDATES);
+    for (i, update) in gated.enumerate() {
         let c = costs[0][i];
         assert_eq!(
             c, costs[1][i],
@@ -692,22 +750,24 @@ fn write_path(effort: Effort) -> WritePath {
     }
 }
 
-/// Builds and persists the xmark database at `scale`, then measures each
-/// update of [`WRITE_UPDATES`] and [`STRUCT_UPDATES`] between two
-/// checkpoints: the data pages the second flushes, the WAL bytes the commit
-/// appended, and the pages it allocated.
+/// Builds and persists the xmark database at `scale`, factored over three
+/// roles, then measures each update of [`WRITE_UPDATES`],
+/// [`SUBJECT_UPDATES`] and [`STRUCT_UPDATES`] between two checkpoints: the
+/// data pages the second flushes, the WAL bytes the commit appended, and
+/// the pages it allocated.
 fn write_costs(scale: f64) -> (usize, Vec<WriteCost>) {
     let doc = xmark(&XmarkConfig {
         scale,
         seed: 20050405,
     });
     let map = synth_multi(&doc, &acl_config(), 3);
+    let (space, roles) = role_space(3);
     let cfg = DbConfig {
         epoch_retain: RETAIN,
         ..DbConfig::default()
     };
     let data = Arc::new(MemDisk::new());
-    SecureXmlDb::with_config(doc, &map, cfg)
+    SecureXmlDb::from_document_factored(doc, &map, space)
         .expect("build")
         .save_to_disk(data.clone())
         .expect("save image");
@@ -716,16 +776,23 @@ fn write_costs(scale: f64) -> (usize, Vec<WriteCost>) {
     // revoking it again restores the node's old one.
     let f1 = db.add_subject(None).expect("add subject");
     let f2 = db.add_subject(None).expect("add subject");
+    let (user, first, second) = (SubjectId(f2.0 + 1), roles[0], roles[1]);
     let root = quiet_subtree(&db);
     let wal = db.store().pool().wal().expect("wal attached");
     let graft = secure_xml::xml::parse(GRAFT).expect("graft");
     // After the graft the subtree is `size` nodes; it moves to the end of
     // the document, where the delete finds it.
     let size = u64::from(db.store().node(root).expect("root").size) + graft.len() as u64;
-    let updates: [UpdateFn; 6] = [
+    let updates: [UpdateFn; 9] = [
         Box::new(move |db| db.set_node_access(root, f1, true)),
         Box::new(move |db| db.set_node_access(root, f1, false)),
         Box::new(move |db| db.set_subtree_access(root, f2, true)),
+        Box::new(move |db| {
+            assert_eq!(db.add_grouped_subject(&[first])?, user);
+            Ok(())
+        }),
+        Box::new(move |db| db.set_group_membership(user, second, true).map(drop)),
+        Box::new(move |db| db.remove_subject(user)),
         Box::new(move |db| db.insert_subtree(root, &graft).map(drop)),
         Box::new(move |db| db.move_subtree(root, 0).map(drop)),
         Box::new(move |db| db.delete_subtree(db.len() as u64 - size)),
@@ -749,6 +816,156 @@ fn write_costs(scale: f64) -> (usize, Vec<WriteCost>) {
         })
         .collect();
     (db.len(), costs)
+}
+
+/// Roles and users of the result-fence database (the wire benchmark's
+/// xmark dataset shape).
+const FENCE_ROLES: u32 = 8;
+const FENCE_USERS: usize = 16;
+
+/// Warms every result-cache key of a factored database, then applies five
+/// state-changing updates one at a time and counts the keys each one makes
+/// a fresh reader re-run.
+fn result_fence(seed: u64) -> Fence {
+    let doc = xmark(&XmarkConfig {
+        scale: 0.02,
+        seed: 20050405,
+    });
+    let map = synth_multi(&doc, &acl_config(), FENCE_ROLES as usize);
+    let (mut space, roles) = role_space(FENCE_ROLES);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xfe9c);
+    let mut members: Vec<(SubjectId, Vec<SubjectId>)> = (0..FENCE_USERS)
+        .map(|_| {
+            let a = rng.gen_range(0..FENCE_ROLES);
+            let mut parents = vec![roles[a as usize]];
+            if rng.gen_bool(0.5) {
+                let b = (a + rng.gen_range(1..FENCE_ROLES)) % FENCE_ROLES;
+                parents.push(roles[b as usize]);
+            }
+            (space.add_subject(&parents), parents)
+        })
+        .collect();
+    let mut db = SecureXmlDb::from_document_factored(doc, &map, space).expect("build");
+
+    let mut keys: Vec<(&str, Security)> = Vec::new();
+    for (_, q) in TABLE1 {
+        keys.push((q, Security::None));
+        for &(user, _) in &members {
+            keys.push((q, Security::BindingLevel(user)));
+            keys.push((q, Security::SubtreeVisibility(user)));
+        }
+    }
+    let per_user = 2 * TABLE1.len();
+    // Re-queries every key through a fresh reader, checking each answer
+    // against the uncached path; returns the result-cache misses.
+    let requery = |db: &SecureXmlDb| -> u64 {
+        let before = db.cache_stats().result_misses;
+        let reader = db.reader();
+        for &(q, sec) in &keys {
+            let got = reader.query(q, sec).expect("fence query").matches;
+            let want = db.query(q, sec).expect("uncached query").matches;
+            assert_eq!(got, want, "cached answer to {q} under {sec:?}");
+        }
+        db.cache_stats().result_misses - before
+    };
+    assert_eq!(requery(&db), keys.len() as u64, "a cold cache misses");
+    assert_eq!(requery(&db), 0, "a warm cache hits every key");
+
+    let n = db.len() as u64;
+    let (user, _) = members[0];
+    // A node the user cannot see, and a subtree of 2–64 nodes holding one.
+    let hidden = |db: &SecureXmlDb, s: SubjectId, p: u64| !db.accessible(p, s).expect("probe");
+    let node = (1..n)
+        .find(|&p| hidden(&db, user, p))
+        .expect("a hidden node");
+    let subtree = (1..n)
+        .find(|&p| {
+            let size = u64::from(db.store().node(p).expect("node").size);
+            (2..=64).contains(&size) && (p..p + size).any(|q| hidden(&db, user, q))
+        })
+        .expect("a subtree with a hidden node");
+    let joined = *roles
+        .iter()
+        .find(|r| !members[0].1.contains(r))
+        .expect("a role the user is not in");
+    members[0].1.push(joined);
+    let role = members[1].1[0];
+    let role_node = (1..n)
+        .find(|&p| hidden(&db, role, p))
+        .expect("a node the role cannot see");
+    let role_members = members.iter().filter(|(_, ps)| ps.contains(&role)).count();
+
+    let steps: [(&'static str, String, usize, UpdateFn); 5] = [
+        (
+            "set_node_access",
+            format!("user {}", user.0),
+            per_user,
+            Box::new(move |db| db.set_node_access(node, user, true)),
+        ),
+        (
+            "set_subtree_access",
+            format!("user {}", user.0),
+            per_user,
+            Box::new(move |db| db.set_subtree_access(subtree, user, true)),
+        ),
+        (
+            "set_group_membership",
+            format!("user {}", user.0),
+            per_user,
+            Box::new(move |db| db.set_group_membership(user, joined, true).map(drop)),
+        ),
+        (
+            "set_node_access",
+            format!("role {} ({role_members} members)", role.0),
+            per_user * role_members,
+            Box::new(move |db| db.set_node_access(role_node, role, true)),
+        ),
+        (
+            "insert_subtree",
+            "document".into(),
+            keys.len(),
+            Box::new(|db| {
+                let graft = secure_xml::xml::parse(GRAFT).expect("graft");
+                db.insert_subtree(1, &graft).map(drop)
+            }),
+        ),
+    ];
+    let rows = steps
+        .into_iter()
+        .map(|(update, target, expected, apply)| {
+            let epoch = db.epoch();
+            apply(&mut db).expect("fence update");
+            assert_eq!(db.epoch(), epoch + 1, "{update} on {target} must commit");
+            let misses = requery(&db);
+            assert_eq!(
+                misses, expected as u64,
+                "{update} on {target} must re-run exactly the keys that can observe it"
+            );
+            FenceRow {
+                update,
+                target,
+                expected,
+                misses,
+            }
+        })
+        .collect();
+    Fence {
+        keys: keys.len(),
+        rows,
+    }
+}
+
+/// A group space of `count` roles, role `c` bound to physical column `c`.
+fn role_space(count: u32) -> (GroupSpace, Vec<SubjectId>) {
+    let mut space = GroupSpace::new();
+    let roles = (0..count)
+        .map(|c| {
+            let role = space.add_subject(&[]);
+            space.bind_direct(role, c);
+            role
+        })
+        .collect();
+    (space, roles)
 }
 
 /// The first node whose subtree holds 8–64 nodes of one access code and
@@ -783,6 +1000,7 @@ fn write_json(
     pr: &Pinned,
     cc: &Concurrent,
     wp: &WritePath,
+    fence: &Fence,
 ) {
     let mut out = String::new();
     out.push_str("{\n");
@@ -835,6 +1053,7 @@ fn write_json(
     // Equal at every scale (asserted): one row per update.
     let rows: Vec<String> = WRITE_UPDATES
         .iter()
+        .chain(&SUBJECT_UPDATES)
         .zip(&wp.costs[0])
         .map(|(update, c)| {
             format!(
@@ -851,7 +1070,8 @@ fn write_json(
     // Recorded, one row per scale and update.
     let mut rows = Vec::new();
     for (nodes, costs) in wp.nodes.iter().zip(&wp.costs) {
-        for (update, c) in STRUCT_UPDATES.iter().zip(&costs[WRITE_UPDATES.len()..]) {
+        let structural = &costs[WRITE_UPDATES.len() + SUBJECT_UPDATES.len()..];
+        for (update, c) in STRUCT_UPDATES.iter().zip(structural) {
             rows.push(format!(
                 "    {{\"update\": \"{update}\", \"nodes\": {nodes}, \"pages_written\": {}, \
                  \"wal_bytes\": {}, \"image_growth_bytes\": {}}}",
@@ -860,7 +1080,24 @@ fn write_json(
         }
     }
     out.push_str(&format!(
-        "  \"write_path_structural\": [\n{}\n  ]\n",
+        "  \"write_path_structural\": [\n{}\n  ],\n",
+        rows.join(",\n")
+    ));
+    // Asserted equal to their expectations.
+    out.push_str(&format!("  \"result_fence_keys\": {},\n", fence.keys));
+    let rows: Vec<String> = fence
+        .rows
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"update\": \"{}\", \"target\": \"{}\", \"expected_misses\": {}, \
+                 \"misses\": {}}}",
+                r.update, r.target, r.expected, r.misses
+            )
+        })
+        .collect();
+    out.push_str(&format!(
+        "  \"result_fence\": [\n{}\n  ]\n",
         rows.join(",\n")
     ));
     out.push_str("}\n");

@@ -241,8 +241,8 @@ fn reader_loop(
     while !stop.load(Ordering::Relaxed) {
         op += 1;
         if op.is_multiple_of(18) {
-            // Cacheable-pair probe: warm this reader's own (query, subject,
-            // epoch) result-cache slot, then re-issue the same pair under
+            // Cacheable-pair probe: warm this reader's own (query, subject)
+            // result-cache slot, then re-issue the same pair under
             // an already-expired deadline. The warm hit is served `Ok` by
             // design (a hit costs no I/O) — but the wire front door refuses
             // a pre-expired deadline at dispatch, so the accounting here

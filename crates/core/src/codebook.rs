@@ -137,6 +137,14 @@ pub struct Codebook {
     /// Entries touched by the last subject-set operation — the observable
     /// the O(affected-entries) regression tests assert on.
     last_op_touched: usize,
+    /// View stamps, in memory only: `stamps[c]` is the clock value of the
+    /// last mutation that could change what physical column `c` grants, and
+    /// `base` that of the last one that could change every answer. See
+    /// [`view_stamp`](Codebook::view_stamp).
+    stamps: Vec<u64>,
+    base: u64,
+    /// The source of stamp values; only ever moves forward.
+    clock: u64,
 }
 
 impl Codebook {
@@ -151,6 +159,9 @@ impl Codebook {
             groups: None,
             compaction: None,
             last_op_touched: 0,
+            stamps: vec![0; subjects],
+            base: 0,
+            clock: 0,
         }
     }
 
@@ -158,6 +169,41 @@ impl Codebook {
     /// could be stale.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// The view stamp of a subject whose closure is `columns` (its
+    /// [`subject_physical_columns`](Codebook::subject_physical_columns)):
+    /// the largest of the base stamp and those columns' stamps. It changes
+    /// whenever anything that subject can observe changes, and only then:
+    /// two states of one codebook lineage with an equal closure and an equal
+    /// stamp give that subject equal answers. A closure edit stamps nothing,
+    /// so callers compare the closure as well.
+    pub fn view_stamp(&self, columns: &[u32]) -> u64 {
+        columns
+            .iter()
+            .map(|&c| self.stamps[c as usize])
+            .fold(self.base, u64::max)
+    }
+
+    /// Stamps physical column `column`: every view that includes it moves.
+    pub fn touch_column(&mut self, column: u32) {
+        self.clock += 1;
+        self.stamps[column as usize] = self.clock;
+    }
+
+    /// Stamps every view at once — for a change to the structure, to codes
+    /// beyond one column's bit, or to what subject ids mean.
+    pub fn touch_all(&mut self) {
+        self.clock += 1;
+        self.base = self.clock;
+    }
+
+    /// Moves this codebook's clock up to `prior`'s, so no stamp `prior`
+    /// issued is issued again — for a codebook that replaces `prior` by
+    /// rollback or reload, while results keyed on `prior`'s stamps may
+    /// still be cached.
+    pub fn continue_clock(&mut self, prior: &Codebook) {
+        self.clock = self.clock.max(prior.clock);
     }
 
     /// Decodes `subject`'s column into a packed code-indexed bitset — the
@@ -311,6 +357,7 @@ impl Codebook {
         }
         self.groups = Some(space);
         self.version += 1;
+        self.touch_all();
     }
 
     /// The attached group space, if factored.
@@ -356,8 +403,9 @@ impl Codebook {
     /// The physical column carrying `subject`'s *direct* grants, allocating
     /// one when factored and none is bound yet (the lazy materialization an
     /// update targeting an individual subject triggers). Allocation is O(1):
-    /// the new column is all-deny, so no entry is touched and no cached
-    /// column goes stale.
+    /// the new column is all-deny, so no entry is touched; it bumps the
+    /// version only because the subject's closure, which a decoded column
+    /// carries, gained a column.
     pub fn ensure_direct_column(&mut self, subject: SubjectId) -> u32 {
         match &mut self.groups {
             None => {
@@ -371,7 +419,9 @@ impl Codebook {
                 let c = self.width as u32;
                 self.width += 1;
                 self.removed.push(false);
+                self.stamps.push(0);
                 g.bind_direct(subject, c);
+                self.version += 1;
                 c
             }
         }
@@ -392,6 +442,7 @@ impl Codebook {
         let col = self.width as u32;
         self.width += 1;
         self.removed.push(false);
+        self.stamps.push(0);
         let new = match &mut self.groups {
             None => SubjectId(col),
             Some(g) => {
@@ -411,6 +462,7 @@ impl Codebook {
                     },
                 );
                 self.version += 1;
+                self.touch_column(col);
             }
         }
         new
@@ -441,6 +493,7 @@ impl Codebook {
         let col = self.width as u32;
         self.width += 1;
         self.removed.push(false);
+        self.stamps.push(0);
         let new = match &mut self.groups {
             None => SubjectId(col),
             Some(g) => {
@@ -457,6 +510,7 @@ impl Codebook {
             },
         );
         self.version += 1;
+        self.touch_column(col);
         new
     }
 
@@ -481,6 +535,7 @@ impl Codebook {
         match col {
             Some(c) => {
                 self.mutate_entries(|e| e.get_or(c as usize), |e| e.set(c as usize, false));
+                self.touch_column(c);
             }
             None => self.last_op_touched = 0,
         }
@@ -571,6 +626,7 @@ impl Codebook {
         }
         self.width = keep.len();
         self.removed = vec![false; self.width];
+        self.stamps = keep.iter().map(|&c| self.stamps[c]).collect();
         self.version += 1;
         self.compaction = None;
         remap
@@ -697,6 +753,7 @@ impl Codebook {
             }
             self.width = keep.len();
             self.removed = vec![false; self.width];
+            self.stamps = keep.iter().map(|&c| self.stamps[c]).collect();
         }
         self.rebuild_index();
         self.version += 1;

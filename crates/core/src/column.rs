@@ -9,11 +9,12 @@
 //! contiguous word array — no entry indirection, no hashing, and trivially
 //! shareable across worker threads because it is immutable.
 //!
-//! Columns are **snapshots**. Every codebook mutation (interning a new entry,
-//! adding/removing a subject, compaction) bumps the codebook's version
-//! stamp; a column remembers the version and subject it was decoded from, so
-//! caches can revalidate with two integer compares (see
-//! [`SubjectColumn::matches`]).
+//! Columns are **snapshots**. Every codebook mutation that can change a
+//! column's bits or its subject's closure (interning a new entry,
+//! adding/removing a subject, a membership edit, a new direct column,
+//! compaction) bumps the codebook's version stamp; a column remembers the
+//! version and subject it was decoded from, so caches can revalidate with
+//! two integer compares (see [`SubjectColumn::matches`]).
 
 use crate::codebook::Codebook;
 use dol_acl::SubjectId;
@@ -26,6 +27,8 @@ pub struct SubjectColumn {
     version: u64,
     codes: usize,
     words: Vec<u64>,
+    /// The physical columns whose OR this column is.
+    columns: Box<[u32]>,
 }
 
 impl SubjectColumn {
@@ -49,6 +52,7 @@ impl SubjectColumn {
             version: codebook.version(),
             codes,
             words,
+            columns: cols.into(),
         }
     }
 
@@ -64,6 +68,12 @@ impl SubjectColumn {
     /// The subject this column was decoded for.
     pub fn subject(&self) -> SubjectId {
         self.subject
+    }
+
+    /// The physical columns whose OR this column is — the subject's closure
+    /// at decode time ([`Codebook::subject_physical_columns`]), sorted.
+    pub fn columns(&self) -> &[u32] {
+        &self.columns
     }
 
     /// The codebook version stamp at decode time.

@@ -137,6 +137,12 @@ impl EmbeddedDol {
             }
         }
         let col = Arc::new(self.codebook.column(subject));
+        // An id the codebook does not know yet decodes all-deny with an empty
+        // closure; registering it bumps no version, so such a column is never
+        // kept.
+        if subject.index() >= self.codebook.logical_subjects() {
+            return col;
+        }
         if cache.len() >= COLUMN_CACHE_CAP {
             cache.clear();
         }
@@ -241,6 +247,7 @@ impl EmbeddedDol {
         }
         acl.set(col, allow);
         let new_code = self.codebook.intern(&acl);
+        self.codebook.touch_column(col as u32);
         store.set_code_run(pos, pos + 1, new_code)
     }
 
@@ -261,14 +268,19 @@ impl EmbeddedDol {
         let col = self.codebook.ensure_direct_column(subject) as usize;
         // Remap codes and coalesce adjacent equal results.
         let mut mapped: Vec<(u64, u32, u32)> = Vec::with_capacity(runs.len()); // (start, old, new)
+        let mut changed = false;
         for (pos, old) in runs {
             let mut acl = self.codebook.entry_padded(old);
             acl.set(col, allow);
             let new = self.codebook.intern(&acl);
+            changed |= new != old;
             match mapped.last() {
                 Some(&(_, _, prev_new)) if prev_new == new => {}
                 _ => mapped.push((pos, old, new)),
             }
+        }
+        if changed {
+            self.codebook.touch_column(col as u32);
         }
         // Apply left to right; stretches that are already a single run of
         // the target code are skipped.
@@ -291,6 +303,7 @@ impl EmbeddedDol {
         acl: &BitVec,
     ) -> Result<(), StorageError> {
         let code = self.codebook.intern(acl);
+        self.codebook.touch_all();
         store.set_code_run(start, end, code)
     }
 
@@ -357,6 +370,8 @@ impl EmbeddedDol {
         } else {
             false
         };
+        // Every step moves every view: the last one shifts flat subject ids.
+        self.codebook.touch_all();
         Ok(CompactionProgress {
             phase: (!finished).then_some(phase),
             blocks_done,

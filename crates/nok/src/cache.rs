@@ -7,8 +7,8 @@
 //! verified on hit, so hash collisions are harmless) and the query→automaton
 //! lowering ([`CompiledPlan`]) happens once per tag space. [`LruCache`] is
 //! the shared mechanism — it also backs the secure result cache at the
-//! database layer, keyed by `(fnv1a(query), security, epoch, codebook
-//! version)`.
+//! database layer, keyed by `(fnv1a(query), security, view stamp)` with the
+//! query and the subject's closure verified on hit.
 //!
 //! Both are internally synchronized (one mutex around a tick-stamped hash
 //! map) and count hits/misses with relaxed atomics so serving threads can
@@ -73,13 +73,16 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         }
     }
 
-    /// Looks `key` up, refreshing its recency. Counts one hit or miss.
-    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    /// Looks `key` up. A hit is an entry under `key` that `accept` takes
+    /// (the caller's check that the entry answers its exact question, which
+    /// the key only hashes); it refreshes the entry's recency. Counts one
+    /// hit or miss.
+    pub fn get<Q>(&self, key: &Q, accept: impl FnOnce(&V) -> bool) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let found = self.probe(key);
+        let found = self.probe(key, accept);
         if found.is_none() {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
@@ -91,7 +94,7 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     /// counts (and refreshes recency) as usual, a miss is left for that later
     /// lookup to count, so `hits + misses` stays the number of questions
     /// asked.
-    pub fn probe<Q>(&self, key: &Q) -> Option<V>
+    pub fn probe<Q>(&self, key: &Q, accept: impl FnOnce(&V) -> bool) -> Option<V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
@@ -100,6 +103,9 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         inner.tick += 1;
         let tick = inner.tick;
         let (v, used) = inner.map.get_mut(key)?;
+        if !accept(v) {
+            return None;
+        }
         *used = tick;
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(v.clone())
@@ -130,14 +136,6 @@ impl<K: Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     /// counters are preserved — they describe the workload, not the content.
     pub fn clear(&self) {
         self.inner.lock().map.clear();
-    }
-
-    /// Drops every entry whose key fails `keep` (the targeted invalidation
-    /// path — e.g. evicting result-cache entries keyed on epochs the MVCC
-    /// ring no longer retains). Counters are preserved, as in
-    /// [`clear`](Self::clear).
-    pub fn retain(&self, mut keep: impl FnMut(&K) -> bool) {
-        self.inner.lock().map.retain(|k, _| keep(k));
     }
 
     /// Current entry count.
@@ -205,11 +203,9 @@ impl PlanCache {
     /// not occupy slots).
     pub fn entry(&self, query: &str) -> Result<Arc<PlanEntry>, QueryParseError> {
         let key = fnv1a(query);
-        if let Some(entry) = self.plans.get(&key) {
-            if &*entry.query == query {
-                return Ok(entry);
-            }
-            // Colliding key: fall through and overwrite with the newcomer.
+        // A colliding key misses and is overwritten with the newcomer.
+        if let Some(entry) = self.plans.get(&key, |e| &*e.query == query) {
+            return Ok(entry);
         }
         let plan = Arc::new(QueryPlan::new(parse_query(query)?));
         let entry = Arc::new(PlanEntry {
@@ -283,13 +279,15 @@ mod tests {
         let cache: LruCache<u32, Arc<u32>> = LruCache::new(2);
         cache.insert(1, Arc::new(10));
         cache.insert(2, Arc::new(20));
-        assert_eq!(cache.get(&1).as_deref(), Some(&10)); // 1 now most recent
+        assert_eq!(cache.get(&1, |_| true).as_deref(), Some(&10)); // 1 now most recent
         cache.insert(3, Arc::new(30)); // evicts 2
-        assert_eq!(cache.get(&2), None);
-        assert_eq!(cache.get(&1).as_deref(), Some(&10));
-        assert_eq!(cache.get(&3).as_deref(), Some(&30));
+        assert_eq!(cache.get(&2, |_| true), None);
+        assert_eq!(cache.get(&1, |_| true).as_deref(), Some(&10));
+        assert_eq!(cache.get(&3, |_| true).as_deref(), Some(&30));
+        // An entry the caller refuses is a miss.
+        assert_eq!(cache.get(&3, |v| **v != 30), None);
         assert_eq!(cache.hits(), 3);
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.misses(), 2);
     }
 
     #[test]
@@ -337,10 +335,10 @@ mod tests {
     fn clear_empties_but_keeps_counters() {
         let cache: LruCache<String, Arc<u32>> = LruCache::new(4);
         cache.insert("a".into(), Arc::new(1));
-        assert!(cache.get("a").is_some());
+        assert!(cache.get("a", |_| true).is_some());
         cache.clear();
         assert!(cache.is_empty());
-        assert!(cache.get("a").is_none());
+        assert!(cache.get("a", |_| true).is_none());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
     }

@@ -32,7 +32,8 @@ pub enum Security {
 }
 
 impl Security {
-    fn subject(self) -> Option<SubjectId> {
+    /// The subject whose rights the mode enforces (`None` when unsecured).
+    pub fn subject(self) -> Option<SubjectId> {
         match self {
             Security::None => None,
             Security::BindingLevel(s) | Security::SubtreeVisibility(s) => Some(s),

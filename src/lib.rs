@@ -258,7 +258,7 @@ pub struct SecureXmlDb {
     /// by a successful recovery). [`DbReader`]s stamp it at creation, pin
     /// their page reads to it, and are refused with
     /// [`DbError::RetentionExceeded`] once the version ring no longer
-    /// retains it. Also part of every result-cache key.
+    /// retains it.
     epoch: Arc<AtomicU64>,
     /// Compiled-plan and secure-result caches, shared with every reader.
     caches: Arc<reader::QueryCaches>,
@@ -557,7 +557,15 @@ impl SecureXmlDb {
         if let TxnScope::Open { before } | TxnScope::Prepared { before, .. } =
             std::mem::replace(&mut self.txn, TxnScope::Idle)
         {
-            self.mirrors = before;
+            let aborted = std::mem::replace(&mut self.mirrors, before);
+            // A reader taken inside the transaction may have cached answers
+            // under the view stamps it issued; the restored codebook must
+            // never issue them again.
+            if !Arc::ptr_eq(&aborted.dol, &self.mirrors.dol) {
+                Arc::make_mut(&mut self.mirrors.dol)
+                    .codebook_mut()
+                    .continue_clock(aborted.dol.codebook());
+            }
         }
     }
 
@@ -614,13 +622,11 @@ impl SecureXmlDb {
     /// Makes a committed transaction visible: the commit sealed a delta
     /// preserving the current epoch's pages, so pinned readers stay
     /// servable — the epoch is bumped only *after* success (SeqCst pairs
-    /// with the readers' SeqCst loads), and result-cache entries keyed on
-    /// epochs the ring no longer retains are evicted (entries inside the
-    /// window stay valid: their epoch's pages are reconstructible for as
-    /// long as the window holds them).
+    /// with the readers' SeqCst loads). The result cache needs nothing: its
+    /// keys carry view stamps, which the transaction moved for exactly the
+    /// views it changed.
     fn publish_epoch(&self) {
         self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.caches.evict_dead_epochs(self.pool.ring_floor());
     }
 
     /// Runs `members` as one **group commit**: the members execute in order
@@ -789,8 +795,9 @@ impl SecureXmlDb {
     /// is cleared; on failure the handle stays poisoned, the error is
     /// returned, and a later call may try again. Success bumps the update
     /// epoch and raises the version ring's barrier (outstanding readers
-    /// fail [`DbError::RetentionExceeded`] and re-snapshot), drops all
-    /// cached results, and resets the I/O circuit breaker.
+    /// fail [`DbError::RetentionExceeded`] and re-snapshot), moves every
+    /// view stamp and drops all cached results, and resets the I/O circuit
+    /// breaker.
     ///
     /// A handle *detached* by a same-path [`save_to`](Self::save_to)
     /// compaction cannot recover — the on-disk image no longer matches this
@@ -837,7 +844,12 @@ impl SecureXmlDb {
             self.pool.discard_cache_and_txn();
             let wal = self.pool.wal().ok_or(DbError::Poisoned)?;
             let report = wal.recover_onto_with_decisions(self.pool.disk().as_ref(), decided)?;
-            self.mirrors = persist::load_image(&self.pool)?;
+            let prior = std::mem::replace(&mut self.mirrors, persist::load_image(&self.pool)?);
+            // The reloaded codebook's stamps start at 0; continue the old
+            // clock so none of the stamps results were filed under recurs.
+            Arc::make_mut(&mut self.mirrors.dol)
+                .codebook_mut()
+                .continue_clock(prior.dol.codebook());
             Some(report)
         } else {
             // In-memory: the failed transaction already restored the page
@@ -852,9 +864,17 @@ impl SecureXmlDb {
         self.epoch.fetch_add(1, Ordering::SeqCst);
         // Recovery rewrote page provenance: collapse the version ring so
         // readers pinned to pre-recovery epochs are refused
-        // (RetentionExceeded) instead of served reconstructed bytes, and
-        // drop every cached result (their epochs are all dead now).
+        // (RetentionExceeded) instead of served reconstructed bytes.
         self.pool.ring_barrier();
+        // Move every view: a result cached while the disk was failing may be
+        // a fail-closed subset, and a reader that raced this recovery may
+        // still file one under a pre-recovery stamp.
+        Arc::make_mut(&mut self.mirrors.dol)
+            .codebook_mut()
+            .touch_all();
+        // The touch already puts every cached result out of a new reader's
+        // reach; the clear releases them now instead of leaving them to age
+        // out of the LRU one insertion at a time.
         self.caches.invalidate_results();
         self.pool.reset_breaker();
         Ok(report)
@@ -1186,7 +1206,10 @@ impl SecureXmlDb {
     /// Creates a virtual subject whose rights are the union of the given
     /// subjects' rights (paper §4: a user's rights are her own plus those of
     /// her groups). Queries then run under the returned id. Codebook-only.
+    /// An id the codebook does not know is refused with
+    /// [`DbError::UnknownSubject`] before any transaction opens.
     pub fn create_union_view(&mut self, subjects: &[SubjectId]) -> Result<SubjectId, DbError> {
+        self.check_subjects(subjects, false)?;
         self.run_txn(|db| {
             Ok(Arc::make_mut(&mut db.mirrors.dol)
                 .codebook_mut()
@@ -1333,13 +1356,15 @@ impl SecureXmlDb {
 
     /// What every structural update ends with: the node index rebuilt from
     /// the spliced store and values in one scan, the document view emptied,
-    /// and — blocks moved — an in-flight compaction cursor marked stale.
+    /// every view stamp moved (positions, tags and values changed under
+    /// every subject), and — blocks moved — an in-flight compaction cursor
+    /// marked stale.
     fn reindex(&mut self) -> Result<(), DbError> {
         self.mirrors.index = Arc::new(NodeIndex::build(&self.mirrors.store, &self.mirrors.values)?);
         self.mirrors.view = Arc::default();
-        Arc::make_mut(&mut self.mirrors.dol)
-            .codebook_mut()
-            .mark_compaction_dirty();
+        let codebook = Arc::make_mut(&mut self.mirrors.dol).codebook_mut();
+        codebook.touch_all();
+        codebook.mark_compaction_dirty();
         Ok(())
     }
 
@@ -1803,6 +1828,31 @@ mod tests {
         // Queries run under the view.
         let res = db.query("//d/e", Security::BindingLevel(narrow)).unwrap();
         assert_eq!(res.matches, vec![4]);
+    }
+
+    #[test]
+    fn union_views_over_unknown_subjects_are_refused() {
+        let (mut db, _) = two_subject_db();
+        let width = db.dol().codebook().width();
+        assert!(matches!(
+            db.create_union_view(&[SubjectId(0), SubjectId(7)]),
+            Err(DbError::UnknownSubject(Some(SubjectId(7))))
+        ));
+        // A catalog whose user belongs to a group the database lacks.
+        let mut catalog = dol_acl::SubjectCatalog::new();
+        let user = catalog.add_user("u"); // SubjectId(0)
+        catalog.add_group("known"); // SubjectId(1)
+        let outsider = catalog.add_group("outsider"); // SubjectId(2)
+        catalog.add_membership(user, outsider);
+        assert!(matches!(
+            db.create_user_view(&catalog, user),
+            Err(DbError::UnknownSubject(Some(SubjectId(2))))
+        ));
+        // Refused before a transaction opened: no column, no epoch, no
+        // poison.
+        assert_eq!(db.dol().codebook().width(), width);
+        assert_eq!(db.epoch(), 0);
+        assert!(!db.is_poisoned());
     }
 
     #[test]

@@ -29,16 +29,21 @@
 //!   automaton` (epoch-independent: plans mention tags and axes, never
 //!   data; the automaton is additionally fenced on the tag space it was
 //!   lowered against);
-//! * the **secure result cache** maps `(fnv1a(query), security mode, epoch,
-//!   codebook version) → result`. A warm hit returns the cached matches
-//!   with **zero page I/O** — the key's epoch and codebook-version stamps
-//!   prove the cached answer is still the answer, so not even a §3.3
-//!   header probe is needed. An old-epoch entry stays *valid* as long as
-//!   the ring can serve its epoch — commits evict exactly the keys whose
-//!   epoch fell below the retention floor
-//!   (`QueryCaches::evict_dead_epochs`). Codebook-only changes such as
-//!   [`SecureXmlDb::add_subject`] are additionally fenced by the codebook
-//!   version stamp carried from PR 1.
+//! * the **secure result cache** maps `(fnv1a(query), security mode, view
+//!   stamp) → result`, and every entry carries the subject's closure — the
+//!   physical columns whose OR is its view — which a hit must match exactly,
+//!   as it must match the query string. The view stamp
+//!   ([`dol_core::Codebook::view_stamp`]) moves whenever anything that
+//!   closure can observe changes: an edit of one of its columns, or a
+//!   structural update, a compaction step or any other change that moves
+//!   every view. So a hit is the answer at this snapshot, served with
+//!   **zero page I/O** — not even a §3.3 header probe. An ACL commit on one
+//!   subject moves only the views that include the edited column, and every
+//!   other subject's entries stay warm across it; a membership edit moves
+//!   no stamp but changes the member's closure. Readers pinned to older
+//!   epochs key on their own snapshot's stamps, so they hit the entries of
+//!   their own state. Stale entries age out through the LRU; evicting one
+//!   never affects an answer.
 //!
 //! [`SecureXmlDb::query`] deliberately bypasses the result cache (the
 //! fail-closed fault tests re-run identical queries expecting *different*
@@ -47,24 +52,29 @@
 //! `MirrorSnapshot::execute`.
 
 use crate::{DbError, MirrorSnapshot, SecureXmlDb};
+use dol_core::SubjectColumn;
 use dol_nok::{fnv1a, ExecOptions, LruCache, PlanCache, QueryResult, Security};
 use dol_storage::{with_read_epoch, IoStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-/// What makes a cached secure result reusable: the query text (as its FNV-1a
-/// hash — the full string is kept in the cached entry and verified on every
-/// hit, so collisions are harmless and lookups never clone a `String`), the
-/// security mode (subject and semantics), the update epoch, and the codebook
-/// version. If all four match, the database cannot have changed in any way
-/// the query could observe.
-type ResultKey = (u64, Security, u64, u64);
+/// Where a cached secure result is filed: the query text as its FNV-1a hash,
+/// the security mode (subject and semantics), and the subject's view stamp
+/// at the snapshot that computed it. The entry itself carries what the key
+/// only hashes or implies — the full query string and the subject's
+/// closure — and a hit must match both, so hash collisions are harmless and
+/// lookups never clone a `String`.
+type ResultKey = (u64, Security, u64);
 
-/// A cached secure result together with the exact query string it answers —
-/// the collision guard for the hashed [`ResultKey`].
+/// A cached secure result together with the exact question it answers.
 struct CachedResult {
     query: Box<str>,
+    /// The physical columns whose OR was the subject's view (empty for
+    /// [`Security::None`]). Equal stamps over different closures are
+    /// different views: a subject moved from one group to another whose
+    /// column stamps are equal must not be served the first group's answer.
+    columns: Box<[u32]>,
     result: QueryResult,
     /// The matches as some front door sends them, encoded on the first
     /// [`DbReader::cached_encoded`] hit by that caller's encoder. Opaque
@@ -72,6 +82,12 @@ struct CachedResult {
     /// die with the entry, so whatever fences or evicts the result fences
     /// and evicts its encoding too.
     encoded: OnceLock<Arc<[u8]>>,
+}
+
+impl CachedResult {
+    fn answers(&self, query: &str, columns: &[u32]) -> bool {
+        &*self.query == query && &*self.columns == columns
+    }
 }
 
 /// Plan- and result-cache capacities. The serve mix has a handful of hot
@@ -104,19 +120,9 @@ impl QueryCaches {
         &self.plans
     }
 
-    /// Drops every cached result. Called on [`SecureXmlDb::recover`], where
-    /// the ring barrier kills every old epoch at once.
+    /// Drops every cached result. Called on [`SecureXmlDb::recover`].
     pub(crate) fn invalidate_results(&self) {
         self.results.clear();
-    }
-
-    /// Cache hygiene: drops exactly the results keyed on epochs the version
-    /// ring can no longer serve (`epoch < floor`). Entries at or above the
-    /// floor stay — an old-epoch answer remains *the* answer for readers
-    /// pinned to that epoch. Called on every commit that advances the ring,
-    /// so no dead-epoch entry outlives the commit that killed its epoch.
-    pub(crate) fn evict_dead_epochs(&self, floor: u64) {
-        self.results.retain(|k| k.2 >= floor);
     }
 
     pub(crate) fn note_deadline_abort(&self) {
@@ -170,8 +176,6 @@ pub struct DbReader {
     caches: Arc<QueryCaches>,
     /// The update epoch this snapshot was taken at.
     seen: u64,
-    /// The codebook version at snapshot time (part of every result key).
-    codebook_version: u64,
 }
 
 impl DbReader {
@@ -182,13 +186,11 @@ impl DbReader {
     /// — and raises the version ring's barrier — at which point it fails
     /// [`DbError::RetentionExceeded`] like any outlived reader.
     pub(crate) fn new(db: &SecureXmlDb) -> Self {
-        let snap = db.mirrors.clone();
         Self {
+            snap: db.mirrors.clone(),
             epoch: Arc::clone(&db.epoch),
             caches: Arc::clone(&db.caches),
             seen: db.epoch.load(Ordering::SeqCst),
-            codebook_version: snap.dol.codebook().version(),
-            snap,
         }
     }
 
@@ -224,6 +226,19 @@ impl DbReader {
         })
     }
 
+    /// The result-cache key of `query` under `security` in this snapshot,
+    /// and the decoded column whose closure the entry must carry (`None`
+    /// for [`Security::None`], whose closure is empty).
+    fn result_key(
+        &self,
+        query: &str,
+        security: Security,
+    ) -> (ResultKey, Option<Arc<SubjectColumn>>) {
+        let column = security.subject().map(|s| self.snap.dol.column(s));
+        let stamp = self.snap.dol.codebook().view_stamp(closure(&column));
+        ((fnv1a(query), security, stamp), column)
+    }
+
     /// Evaluates a twig query under the given [`Security`] mode against this
     /// snapshot.
     ///
@@ -253,15 +268,14 @@ impl DbReader {
         opts: ExecOptions,
     ) -> Result<QueryResult, DbError> {
         self.check_servable()?;
-        let key: ResultKey = (fnv1a(query), security, self.seen, self.codebook_version);
-        if let Some(hit) = self.caches.results.get(&key) {
-            if &*hit.query == query {
-                let mut result = hit.result.clone();
-                result.stats.io = IoStats::default();
-                result.stats.elapsed = Duration::ZERO;
-                return Ok(result);
-            }
-            // Hash collision: fall through, execute, and overwrite.
+        let (key, column) = self.result_key(query, security);
+        let columns = closure(&column);
+        // A colliding entry misses, and the answer below overwrites it.
+        if let Some(hit) = self.caches.results.get(&key, |e| e.answers(query, columns)) {
+            let mut result = hit.result.clone();
+            result.stats.io = IoStats::default();
+            result.stats.elapsed = Duration::ZERO;
+            return Ok(result);
         }
         // Pin every page read to this snapshot's epoch: the pool serves each
         // page as of `seen` even while commits land concurrently.
@@ -278,6 +292,7 @@ impl DbReader {
             key,
             Arc::new(CachedResult {
                 query: query.into(),
+                columns: columns.into(),
                 result: result.clone(),
                 encoded: OnceLock::new(),
             }),
@@ -304,10 +319,15 @@ impl DbReader {
         encode: impl FnOnce(&[u64]) -> Arc<[u8]>,
     ) -> Option<Arc<[u8]>> {
         self.check_servable().ok()?;
-        let key: ResultKey = (fnv1a(query), security, self.seen, self.codebook_version);
-        let hit = self.caches.results.probe(&key)?;
-        (&*hit.query == query)
-            .then(|| Arc::clone(hit.encoded.get_or_init(|| encode(&hit.result.matches))))
+        let (key, column) = self.result_key(query, security);
+        let columns = closure(&column);
+        let hit = self
+            .caches
+            .results
+            .probe(&key, |e| e.answers(query, columns))?;
+        Some(Arc::clone(
+            hit.encoded.get_or_init(|| encode(&hit.result.matches)),
+        ))
     }
 
     /// [`query`](Self::query) with bounded automatic re-snapshotting: when
@@ -403,6 +423,11 @@ impl DbReader {
     pub fn cache_stats(&self) -> CacheStats {
         self.caches.stats()
     }
+}
+
+/// The closure a result-cache entry carries for `column`'s subject.
+fn closure(column: &Option<Arc<SubjectColumn>>) -> &[u32] {
+    column.as_deref().map_or(&[], SubjectColumn::columns)
 }
 
 #[cfg(test)]
@@ -614,50 +639,32 @@ mod tests {
     }
 
     #[test]
-    fn commits_evict_exactly_the_dead_epoch_cache_entries() {
-        let xml = "<a><b><c>v1</c></b><d><e>v2</e><f/></d></a>";
-        let doc = dol_xml::parse(xml).unwrap();
-        let mut map = AccessibilityMap::new(2, doc.len());
-        for p in 0..doc.len() as u32 {
-            map.set(SubjectId(0), NodeId(p), true);
-        }
-        let cfg = crate::DbConfig {
-            epoch_retain: 2,
-            ..crate::DbConfig::default()
-        };
-        let mut db = SecureXmlDb::with_config(doc, &map, cfg).unwrap();
-        let sec = Security::BindingLevel(SubjectId(0));
-        // Populate a cached result at each of epochs 0, 1, 2.
+    fn an_unrelated_commit_keeps_warm_entries_warm() {
+        let mut db = two_subject_db();
+        let sec0 = Security::BindingLevel(SubjectId(0));
+        let sec1 = Security::BindingLevel(SubjectId(1));
         let r0 = db.reader();
-        let _ = r0.query("//d/e", sec).unwrap();
-        db.set_node_access(5, SubjectId(1), true).unwrap();
+        for sec in [Security::None, sec0, sec1] {
+            assert_eq!(r0.query("//d/e", sec).unwrap().matches, vec![4]);
+        }
+        // Revoke subject 1's access to e: no other view moves.
+        db.set_node_access(4, SubjectId(1), false).unwrap();
         let r1 = db.reader();
-        let _ = r1.query("//d/e", sec).unwrap();
-        db.set_node_access(5, SubjectId(1), false).unwrap();
-        let r2 = db.reader();
-        let _ = r2.query("//d/e", sec).unwrap();
-        let caches = Arc::clone(&db.caches);
-        let alive = move |epoch: u64| {
-            let mut found = false;
-            caches.results.retain(|k| {
-                if k.2 == epoch {
-                    found = true;
-                }
-                true
-            });
-            found
-        };
-        assert!(alive(0) && alive(1) && alive(2), "window is 3 epochs wide");
-        // The next commit advances the floor to 1: the epoch-0 entry must
-        // not survive it, while 1..=3 remain valid.
-        db.set_node_access(5, SubjectId(1), true).unwrap();
-        assert_eq!(db.retention_floor(), 1);
-        assert!(!alive(0), "no dead-epoch entry survives a ring advance");
-        assert!(alive(1) && alive(2));
-        // Old-but-retained entries still serve warm hits for pinned readers.
-        let warm = r1.query("//d/e", sec).unwrap();
-        assert_eq!(warm.matches, vec![4]);
-        assert_eq!(warm.stats.io, IoStats::default());
+        let before = db.cache_stats();
+        let io = db.io_stats();
+        for sec in [Security::None, sec0] {
+            let warm = r1.query("//d/e", sec).unwrap();
+            assert_eq!(warm.matches, vec![4]);
+            assert_eq!(warm.stats.io, IoStats::default());
+        }
+        assert_eq!(db.cache_stats().result_hits, before.result_hits + 2);
+        assert_eq!(db.io_stats().since(&io).logical_reads, 0);
+        // The edited subject re-runs and sees the revocation ...
+        assert_eq!(r1.query("//d/e", sec1).unwrap().matches, Vec::<u64>::new());
+        assert_eq!(db.cache_stats().result_misses, before.result_misses + 1);
+        // ... while the reader pinned before the commit hits its own answer.
+        assert_eq!(r0.query("//d/e", sec1).unwrap().matches, vec![4]);
+        assert_eq!(db.cache_stats().result_hits, before.result_hits + 3);
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! | [`crash`] | crash-recovery torture: power cut at every physical write point, recovery must land on a state boundary (not a paper artifact) |
 //! | [`mvcc`] | MVCC epoch ring + group commit: pinned-reader oracles, retention refusals, solo vs batched update throughput at equal durability (not a paper artifact) |
 //! | [`soak`] | combined chaos soak: brownouts, power cuts, deadlines, in-process recovery under a live serving mix (not a paper artifact) |
-//! | [`shard`] | ShardedDb: crash-consistent cross-shard commit sweep + fault-isolated scatter-gather quarantine soak (not a paper artifact) |
 //! | [`net`] | `dol-server` wire gate: loopback multi-process byte-identity, crash/restart, overload, poison, and drain phases (not a paper artifact) |
 
 pub mod ablation;
@@ -40,7 +39,6 @@ pub mod net;
 pub mod queries;
 pub mod serve;
 pub mod setup;
-pub mod shard;
 pub mod soak;
 pub mod storage;
 pub mod subjects;

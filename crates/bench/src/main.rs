@@ -2,13 +2,12 @@
 //!
 //! ```text
 //! experiments [--quick|--full] [--seed=N] [--clients=N] [--subjects=N] [--smoke]
-//!             [fig4a fig4b fig5 fig6 storage queries fig7 fig8 updates ablation compile faults crash mvcc serve soak shard subjects net | all]
+//!             [fig4a fig4b fig5 fig6 storage queries fig7 fig8 updates ablation compile faults crash mvcc serve soak subjects net | all]
 //! ```
 //!
 //! `--seed=N` re-seeds the `faults`, `crash`, `mvcc`, `serve`, `soak`,
-//! `shard`, `subjects`, `net` and `compile` experiments' deterministic
-//! schedules. `--clients=N` caps the `serve` experiment's
-//! client sweep, and `--smoke` makes `serve` run a small pinned
+//! `subjects`, `net` and `compile` experiments' deterministic schedules.
+//! `--clients=N` caps the `serve` experiment's client sweep, and `--smoke` makes `serve` run a small pinned
 //! configuration that asserts determinism, zero oracle divergences, zero
 //! stale-read errors, and a >90% shared-latch ratio, shrinks the `soak`
 //! chaos schedule to CI size (its gates — zero wrong answers, zero
@@ -23,8 +22,8 @@
 //! handled before normal argument parsing.
 
 use dol_bench::{
-    ablation, compile, crash, faults, fig4, fig56, fig7, fig8, mvcc, net, queries, serve, shard,
-    soak, storage, subjects, updates, Effort,
+    ablation, compile, crash, faults, fig4, fig56, fig7, fig8, mvcc, net, queries, serve, soak,
+    storage, subjects, updates, Effort,
 };
 
 fn main() {
@@ -85,7 +84,6 @@ fn main() {
             "mvcc".into(),
             "serve".into(),
             "soak".into(),
-            "shard".into(),
             "subjects".into(),
             "net".into(),
         ];
@@ -119,7 +117,6 @@ fn main() {
             "mvcc" => mvcc::run(effort, seed, smoke),
             "serve" => serve::run(effort, seed, clients, smoke, subjects),
             "soak" => soak::run(effort, seed, smoke),
-            "shard" => shard::run(effort, seed, smoke),
             "subjects" => subjects::run(effort, seed, smoke),
             "net" => net::run(effort, seed, smoke),
             other => eprintln!("unknown experiment `{other}` (skipped)"),

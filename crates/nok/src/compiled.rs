@@ -648,10 +648,39 @@ impl<'a> CompiledMatcher<'a> {
         }
     }
 
+    /// End of the subtree of the node at `pos` (record `rec`) inside an
+    /// enclosing subtree ending at `bound`. A record claiming a size of 0 or
+    /// a subtree past `bound` is corrupt: secure evaluation hides the node
+    /// (`Ok(None)`, counted in `blocks_failed_closed`), unsecured evaluation
+    /// returns [`StorageError::CorruptSubtree`].
+    fn subtree_end(
+        &mut self,
+        pos: u64,
+        rec: &NodeRec,
+        bound: u64,
+    ) -> Result<Option<u64>, StorageError> {
+        match rec.subtree_end(pos, bound) {
+            Ok(end) => Ok(Some(end)),
+            Err(_) if self.fail_closed() => {
+                self.stats.blocks_failed_closed += 1;
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
     /// FOLLOWING-SIBLING of the node at `pos`, already loaded — the scan
-    /// that asked visits it next, so its record is decoded once.
-    fn next_sibling(&mut self, pos: u64, rec: &NodeRec) -> Result<Option<Loaded>, StorageError> {
-        let next = pos + u64::from(rec.size);
+    /// that asked visits it next, so its record is decoded once. `bound` is
+    /// the end of the parent's subtree.
+    fn next_sibling(
+        &mut self,
+        pos: u64,
+        rec: &NodeRec,
+        bound: u64,
+    ) -> Result<Option<Loaded>, StorageError> {
+        let Some(next) = self.subtree_end(pos, rec, bound)? else {
+            return Ok(None);
+        };
         if next >= self.ctx.store.total_nodes() {
             return Ok(None);
         }
@@ -685,7 +714,8 @@ impl<'a> CompiledMatcher<'a> {
             return Ok(());
         }
         self.rows.clear();
-        if self.enum_node(self.frag.root, pos, &rec)? {
+        let total = self.ctx.store.total_nodes();
+        if self.enum_node(self.frag.root, pos, &rec, total)? {
             for row in self.rows.chunks_exact(1 + self.arity) {
                 out.push(&row[1..]);
             }
@@ -734,8 +764,18 @@ impl<'a> CompiledMatcher<'a> {
     /// pattern child finds no witness. Kin ranges are slices of the flat
     /// table; the two scans leave their tagged rows above this node's own
     /// row, and the cross product over the output-carrying kin replaces the
-    /// lot in place.
-    fn enum_node(&mut self, pnode: PNodeId, pos: u64, rec: &NodeRec) -> Result<bool, StorageError> {
+    /// lot in place. `bound` is the end of the parent's subtree (of the
+    /// store for a fragment root).
+    fn enum_node(
+        &mut self,
+        pnode: PNodeId,
+        pos: u64,
+        rec: &NodeRec,
+        bound: u64,
+    ) -> Result<bool, StorageError> {
+        let Some(end) = self.subtree_end(pos, rec, bound)? else {
+            return Ok(false);
+        };
         let frag = self.frag;
         let n = &frag.nodes[pnode.index()];
         let pchildren = &frag.kin[n.kin_start as usize..n.kin_mid as usize];
@@ -754,14 +794,14 @@ impl<'a> CompiledMatcher<'a> {
             Some(first) if !pchildren.is_empty() => self.load_node(first)?,
             _ => None,
         };
-        let children_ok = self.scan_kin(pchildren, first)?;
+        let children_ok = self.scan_kin(pchildren, first, end)?;
         let sibling_scan = self.rows.len();
         let next = if psiblings.is_empty() {
             None
         } else {
-            self.next_sibling(pos, rec)?
+            self.next_sibling(pos, rec, bound)?
         };
-        let siblings_ok = self.scan_kin(psiblings, next)?;
+        let siblings_ok = self.scan_kin(psiblings, next, bound)?;
         if !(children_ok && siblings_ok) {
             self.rows.truncate(own);
             return Ok(false);
@@ -807,8 +847,13 @@ impl<'a> CompiledMatcher<'a> {
     /// satisfied flag per pattern node, then — tagged with its index in
     /// `pats` — every row of every output-carrying pattern node's matches;
     /// `false` (and nothing left pushed) when some pattern node found no
-    /// witness.
-    fn scan_kin(&mut self, pats: &[PNodeId], start: Option<Loaded>) -> Result<bool, StorageError> {
+    /// witness. `bound` is the end of the chain's parent subtree.
+    fn scan_kin(
+        &mut self,
+        pats: &[PNodeId],
+        start: Option<Loaded>,
+        bound: u64,
+    ) -> Result<bool, StorageError> {
         if pats.is_empty() {
             return Ok(true);
         }
@@ -827,7 +872,7 @@ impl<'a> CompiledMatcher<'a> {
                     }
                     if self.node_matches(c, upos, &urec)? {
                         let pushed = self.rows.len();
-                        if self.enum_node(c, upos, &urec)? {
+                        if self.enum_node(c, upos, &urec, bound)? {
                             self.rows[flags + i] = 1;
                             if carries(c) {
                                 let stride = 1 + self.arity;
@@ -847,7 +892,7 @@ impl<'a> CompiledMatcher<'a> {
             if satisfied.iter().all(|&s| s != 0) && pats.iter().all(|&c| !carries(c)) {
                 break;
             }
-            u = self.next_sibling(upos, &urec)?;
+            u = self.next_sibling(upos, &urec, bound)?;
         }
         if self.rows[flags..flags + pats.len()].contains(&0) {
             self.rows.truncate(flags);

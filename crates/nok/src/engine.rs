@@ -471,6 +471,9 @@ impl<'a> QueryEngine<'a> {
     /// `col` of `anc` (sorted by that column), decoded from the snapshot
     /// cache. A block that failed closed hides its anchors: each gets the
     /// empty interval, which joins with nothing, and counts once per row.
+    /// So does, in secure mode, an anchor whose record claims a size of 0 or
+    /// a subtree past the store; unsecured evaluation returns the
+    /// [`StorageError::CorruptSubtree`].
     fn anchor_intervals(
         &self,
         anc: &TupleTable,
@@ -479,16 +482,23 @@ impl<'a> QueryEngine<'a> {
         snaps: &mut SnapshotCache,
         stats: &mut ExecStats,
     ) -> Result<Vec<(u64, u64)>, StorageError> {
+        let total = self.store.total_nodes();
         let mut intervals = Vec::with_capacity(anc.len());
         for i in 0..anc.len() {
             let pos = anc.get(i, col);
-            intervals.push(match snaps.at(self.store, pos, fail_closed)? {
-                Some((snap, slot)) => (pos, pos + u64::from(snap.node(slot).size)),
-                None => {
-                    stats.blocks_failed_closed += 1;
-                    (pos, pos)
-                }
+            let end = match snaps.at(self.store, pos, fail_closed)? {
+                Some((snap, slot)) => match snap.node(slot).subtree_end(pos, total) {
+                    Ok(end) => Some(end),
+                    Err(e) if !fail_closed => return Err(e),
+                    Err(_) => None,
+                },
+                None => None,
+            };
+            let end = end.unwrap_or_else(|| {
+                stats.blocks_failed_closed += 1;
+                pos
             });
+            intervals.push((pos, end));
         }
         Ok(intervals)
     }

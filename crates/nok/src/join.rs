@@ -389,7 +389,8 @@ pub struct VisibilityChecker<'a> {
     stack: Vec<(u64, u64, bool, u64)>,
     /// Path nodes inspected (for the I/O argument in the experiments).
     pub nodes_inspected: u64,
-    /// Checks answered `false` because a path block was unreadable.
+    /// Checks answered `false` because a path block was unreadable or a
+    /// path record claimed an impossible subtree.
     pub failed_closed: u64,
 }
 
@@ -440,11 +441,13 @@ impl<'a> VisibilityChecker<'a> {
             }
         }
         if self.stack.is_empty() {
-            let Some((rec, code)) = self.load(0)? else {
+            let Some((_, code)) = self.load(0)? else {
                 return Ok(false);
             };
             let visible = self.column.check_code(code);
-            self.stack.push((0, u64::from(rec.size), visible, 1));
+            // The root's subtree is the whole store, whatever its record
+            // claims.
+            self.stack.push((0, self.store.total_nodes(), visible, 1));
         }
         // Descend from the deepest retained ancestor to pos.
         loop {
@@ -465,7 +468,12 @@ impl<'a> VisibilityChecker<'a> {
                 let Some((rec, code)) = self.load(child)? else {
                     return Ok(false);
                 };
-                let cend = child + u64::from(rec.size);
+                // A size of 0 would leave `child` standing still; the
+                // children tile the parent's subtree, which holds `pos`.
+                let Ok(cend) = rec.subtree_end(child, end) else {
+                    self.failed_closed += 1;
+                    return Ok(false);
+                };
                 // The parent resumes after this child once it is popped.
                 self.stack.last_mut().expect("root pushed above").3 = cend;
                 if pos < cend {

@@ -30,11 +30,10 @@ pub const METHOD_NAMES: [&str; 9] = [
 ];
 
 /// The codes refusal counters are keyed by.
-const CODES: [ErrorCode; 10] = [
+const CODES: [ErrorCode; 9] = [
     ErrorCode::Overloaded,
     ErrorCode::RetentionExceeded,
     ErrorCode::Poisoned,
-    ErrorCode::ShardUnavailable,
     ErrorCode::DeadlineExceeded,
     ErrorCode::InvalidRequest,
     ErrorCode::Draining,

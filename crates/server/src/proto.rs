@@ -12,7 +12,7 @@
 //! The error codes are a closed set ([`ErrorCode`]) mapping the typed
 //! in-process failures one-to-one, so a wire client can distinguish
 //! back-off-and-retry conditions (`overloaded`, `retention_exceeded`) from
-//! heal-first conditions (`poisoned`, `shard_unavailable`) and hard refusals
+//! the heal-first condition (`poisoned`) and hard refusals
 //! (`deadline_exceeded`, `invalid_request`, `draining`,
 //! `response_too_large`).
 //!
@@ -158,8 +158,6 @@ pub enum ErrorCode {
     /// The database handle is poisoned: updates are refused (reads degrade
     /// to the pre-transaction snapshot). Remedy: the `recover` method.
     Poisoned,
-    /// A sharded deployment could not reach a required shard.
-    ShardUnavailable,
     /// The request's deadline expired before an answer was produced. The
     /// partial work was discarded — never a partial answer.
     DeadlineExceeded,
@@ -188,7 +186,6 @@ impl ErrorCode {
             ErrorCode::Overloaded => "overloaded",
             ErrorCode::RetentionExceeded => "retention_exceeded",
             ErrorCode::Poisoned => "poisoned",
-            ErrorCode::ShardUnavailable => "shard_unavailable",
             ErrorCode::DeadlineExceeded => "deadline_exceeded",
             ErrorCode::InvalidRequest => "invalid_request",
             ErrorCode::Draining => "draining",
@@ -204,7 +201,6 @@ impl ErrorCode {
             "overloaded" => ErrorCode::Overloaded,
             "retention_exceeded" => ErrorCode::RetentionExceeded,
             "poisoned" => ErrorCode::Poisoned,
-            "shard_unavailable" => ErrorCode::ShardUnavailable,
             "deadline_exceeded" => ErrorCode::DeadlineExceeded,
             "invalid_request" => ErrorCode::InvalidRequest,
             "draining" => ErrorCode::Draining,
@@ -224,7 +220,6 @@ pub fn wire_code(e: &DbError) -> ErrorCode {
         DbError::Overloaded => ErrorCode::Overloaded,
         DbError::RetentionExceeded { .. } => ErrorCode::RetentionExceeded,
         DbError::Poisoned => ErrorCode::Poisoned,
-        DbError::ShardUnavailable { .. } => ErrorCode::ShardUnavailable,
         DbError::DeadlineExceeded(_) => ErrorCode::DeadlineExceeded,
         DbError::UnknownSubject(_) => ErrorCode::InvalidRequest,
         _ => ErrorCode::Internal,
@@ -762,13 +757,6 @@ mod tests {
         );
         assert_eq!(wire_code(&DbError::Poisoned), ErrorCode::Poisoned);
         assert_eq!(
-            wire_code(&DbError::ShardUnavailable {
-                shard: 1,
-                cause: Box::new(DbError::Poisoned)
-            }),
-            ErrorCode::ShardUnavailable
-        );
-        assert_eq!(
             wire_code(&DbError::DeadlineExceeded(Default::default())),
             ErrorCode::DeadlineExceeded
         );
@@ -778,7 +766,6 @@ mod tests {
             ErrorCode::Overloaded,
             ErrorCode::RetentionExceeded,
             ErrorCode::Poisoned,
-            ErrorCode::ShardUnavailable,
             ErrorCode::DeadlineExceeded,
             ErrorCode::InvalidRequest,
             ErrorCode::Draining,

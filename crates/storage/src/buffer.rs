@@ -266,12 +266,6 @@ struct TxnState {
     /// must not write uncommitted bytes to the data disk, so they live here
     /// until re-fetched or committed.
     shadow: HashMap<PageId, Page>,
-    /// Set by [`BufferPool::txn_prepare`]: the after-images are durable in
-    /// the WAL under a `Prepare` record and the transaction awaits its
-    /// distributed decision. While set, the transaction stays open (its
-    /// pages keep spilling to the shadow, never the data disk) and only
-    /// [`BufferPool::txn_finish_prepared`] may close it.
-    prepared: bool,
 }
 
 /// One sealed commit's worth of pre-images: the state of every page the
@@ -886,10 +880,9 @@ impl BufferPool {
     /// open one runs further mutations inside it). The closure form is
     /// [`atomic_update`](Self::atomic_update); this is public for the
     /// database facade, which commits a group-commit batch as one
-    /// transaction of several logical updates and ends a distributed
-    /// transaction with [`txn_prepare`](Self::txn_prepare), neither of which
-    /// fits one closure. Every successful `txn_begin` must be paired with
-    /// [`txn_commit`](Self::txn_commit), `txn_prepare` or
+    /// transaction of several logical updates, which does not fit one
+    /// closure. Every successful `txn_begin` must be paired with
+    /// [`txn_commit`](Self::txn_commit) or
     /// [`txn_rollback`](Self::txn_rollback).
     pub fn txn_begin(&self) -> Result<(), StorageError> {
         let mut txn = self.txn.lock();
@@ -900,7 +893,6 @@ impl BufferPool {
             pre: HashMap::new(),
             order: Vec::new(),
             shadow: HashMap::new(),
-            prepared: false,
         });
         self.txn_active.store(true, Ordering::Release);
         Ok(())
@@ -914,40 +906,18 @@ impl BufferPool {
     /// open it is a typed error. Public for the database facade (see
     /// [`txn_begin`](Self::txn_begin)).
     pub fn txn_commit(&self, members: u32) -> Result<(), StorageError> {
-        self.txn_log_images(None, members)?;
+        self.txn_log_images(members)?;
         self.txn_close_durable()
     }
 
-    /// First half of a distributed commit: appends the open transaction's
-    /// after-images, as `members` logical updates, to the WAL under a
-    /// `Prepare` record keyed by `gtid` (durable, synced), then leaves the
-    /// transaction **open and marked prepared** — its pages keep spilling to
-    /// the transaction shadow, so no post-prepare byte can reach the data
-    /// disk before the decision, and the pool refuses checkpoints exactly as
-    /// for any open transaction. On a WAL append failure the transaction is
-    /// rolled back and the error returned (a clean abort vote). With no
-    /// transaction open it is a typed error.
-    ///
-    /// Without an attached WAL this only marks the transaction prepared —
-    /// all-or-nothing in the cache, no crash durability, mirroring
-    /// [`atomic_update`](Self::atomic_update)'s contract.
-    pub fn txn_prepare(&self, gtid: u64, members: u32) -> Result<(), StorageError> {
-        self.txn_log_images(Some(gtid), members)?;
-        if let Some(t) = self.txn.lock().as_mut() {
-            t.prepared = true;
-        }
-        Ok(())
-    }
-
-    /// The logging half shared by commit (`gtid == None`) and prepare. No
-    /// open transaction, or an already-prepared one (only
-    /// [`txn_finish_prepared`](Self::txn_finish_prepared) may close it), is
-    /// refused with a typed error. `members` sizes the WAL batch record. The
+    /// The logging half of [`txn_commit`](Self::txn_commit). No open
+    /// transaction is refused with a typed error. `members` sizes the WAL
+    /// batch record. The
     /// dirtied pages' sealed images are copied in first-dirtied order under
     /// the frame and txn locks — from the frame if resident, else from the
     /// shadow — and the transaction stays open while they are logged. A
     /// logging failure rolls the transaction back.
-    fn txn_log_images(&self, gtid: Option<u64>, members: u32) -> Result<(), StorageError> {
+    fn txn_log_images(&self, members: u32) -> Result<(), StorageError> {
         let wal = self.wal();
         let images = {
             let _held = Held::enter(self);
@@ -956,11 +926,6 @@ impl BufferPool {
             let t = txn
                 .as_ref()
                 .ok_or_else(|| misuse("commit without an open transaction"))?;
-            if t.prepared {
-                return Err(misuse(
-                    "transaction already prepared (use txn_finish_prepared)",
-                ));
-            }
             let logged: &[PageId] = if wal.is_some() { &t.order } else { &[] };
             logged
                 .iter()
@@ -981,11 +946,7 @@ impl BufferPool {
         let logged = images.and_then(|images| match &wal {
             Some(wal) if !images.is_empty() => {
                 let txn_id = self.next_txn_id.fetch_add(1, Ordering::Relaxed);
-                match gtid {
-                    None => wal.commit_batch(txn_id, &images, members),
-                    Some(gtid) => wal.prepare(txn_id, &images, gtid, members),
-                }
-                .map(|_| ())
+                wal.commit(txn_id, &images, members).map(|_| ())
             }
             _ => Ok(()),
         });
@@ -995,42 +956,11 @@ impl BufferPool {
         logged
     }
 
-    /// Second half of a distributed commit: closes the transaction left
-    /// open by [`txn_prepare`](Self::txn_prepare). With `commit == true`
-    /// the decision record (the shard catalog entry) is durable elsewhere,
-    /// so the prepared images become the committed state: spilled shadows
-    /// are written back, the MVCC delta is sealed, and the log is bounded —
-    /// exactly the post-WAL half of [`txn_commit`](Self::txn_commit). With
-    /// `commit == false` every page is rolled back to its pre-image (the
-    /// prepared WAL frames are orphaned by the next checkpoint and ignored
-    /// by presumed-abort recovery). With no prepared transaction open it is
-    /// a typed error.
-    pub fn txn_finish_prepared(&self, commit: bool) -> Result<(), StorageError> {
-        {
-            let mut txn = self.txn.lock();
-            let t = txn
-                .as_mut()
-                .ok_or_else(|| misuse("finish_prepared without an open transaction"))?;
-            if !t.prepared {
-                return Err(misuse("finish_prepared on an unprepared transaction"));
-            }
-            // Re-arm so txn_rollback and txn_close_durable run unguarded.
-            t.prepared = false;
-        }
-        if !commit {
-            self.txn_rollback();
-            return Ok(());
-        }
-        self.txn_close_durable()
-    }
-
     /// The post-WAL half of a commit: write back spilled shadows, close the
     /// transaction and seal its pre-images into the MVCC ring — all in one
     /// critical section under the frame, txn and ring locks, so a pinned
     /// reader finds each pre-image in the open transaction or in the ring,
     /// never in neither — then report flush failures and bound the log.
-    /// Shared by [`txn_commit`](Self::txn_commit) and the commit arm of
-    /// [`txn_finish_prepared`](Self::txn_finish_prepared).
     fn txn_close_durable(&self) -> Result<(), StorageError> {
         let mut failures: Vec<(PageId, StorageError)> = Vec::new();
         {
@@ -1760,71 +1690,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_txn_is_invisible_until_finished() {
-        use crate::wal::Wal;
-        let data = Arc::new(MemDisk::new());
-        let log = Arc::new(MemDisk::new());
-        let ids: Vec<PageId> = (0..2).map(|_| data.allocate_page().unwrap()).collect();
-        let pool = BufferPool::new(data.clone(), 8);
-        pool.attach_wal(Arc::new(Wal::open(log.clone()).unwrap()));
-        pool.txn_begin().unwrap();
-        pool.with_page_mut(ids[0], |p| p.put_u32(0, 41)).unwrap();
-        pool.txn_prepare(900, 1).unwrap();
-        // Prepared but undecided: the transaction is still open, a plain
-        // commit is refused, checkpoints are refused, and recovery from the
-        // on-disk bytes presumes abort.
-        assert!(pool.in_transaction());
-        assert!(pool.txn_commit(1).is_err());
-        assert!(pool.checkpoint().is_err());
-        {
-            let wal2 = Wal::open(Arc::new(log.fork())).unwrap();
-            let scratch = MemDisk::new();
-            let report = wal2.recover_onto(&scratch).unwrap();
-            assert_eq!(report.committed_txns, 0);
-            assert_eq!(report.prepared_aborted, 1);
-        }
-        // ...but with the decision, the same bytes redo the transaction.
-        {
-            let wal2 = Wal::open(Arc::new(log.fork())).unwrap();
-            let scratch = MemDisk::new();
-            let report = wal2.recover_onto_with_decisions(&scratch, &[900]).unwrap();
-            assert_eq!(report.prepared_decided, 1);
-            let mut raw = Page::zeroed();
-            scratch.read_page(ids[0], &mut raw).unwrap();
-            assert_eq!(raw.get_u32(0), 41);
-        }
-        pool.txn_finish_prepared(true).unwrap();
-        assert!(!pool.in_transaction());
-        assert_eq!(pool.with_page(ids[0], |p| p.get_u32(0)).unwrap(), 41);
-        pool.checkpoint().unwrap();
-    }
-
-    #[test]
-    fn finish_prepared_abort_restores_pre_images() {
-        use crate::wal::Wal;
-        let data = Arc::new(MemDisk::new());
-        let log = Arc::new(MemDisk::new());
-        let ids: Vec<PageId> = (0..2).map(|_| data.allocate_page().unwrap()).collect();
-        let pool = BufferPool::new(data.clone(), 8);
-        pool.attach_wal(Arc::new(Wal::open(log.clone()).unwrap()));
-        pool.with_page_mut(ids[0], |p| p.put_u32(0, 5)).unwrap();
-        pool.flush_all().unwrap();
-        pool.txn_begin().unwrap();
-        pool.with_page_mut(ids[0], |p| p.put_u32(0, 99)).unwrap();
-        pool.txn_prepare(901, 1).unwrap();
-        pool.txn_finish_prepared(false).unwrap();
-        assert!(!pool.in_transaction());
-        assert_eq!(pool.with_page(ids[0], |p| p.get_u32(0)).unwrap(), 5);
-        // The orphaned prepare frames never resurrect: recovery presumes
-        // abort, and the next checkpoint retires them entirely.
-        let wal2 = Wal::open(Arc::new(log.fork())).unwrap();
-        let scratch = MemDisk::new();
-        let report = wal2.recover_onto(&scratch).unwrap();
-        assert_eq!(report.prepared_aborted, 1);
-        assert_eq!(report.pages_redone, 0);
-    }
-
-    #[test]
     fn txn_begin_on_an_open_transaction_is_a_typed_error() {
         use crate::wal::Wal;
         let data = Arc::new(MemDisk::new());
@@ -1859,14 +1724,7 @@ mod tests {
     fn closing_calls_without_a_transaction_are_typed_errors() {
         let (pool, ids) = pool(4);
         assert!(matches!(pool.txn_commit(1), Err(StorageError::Io(_))));
-        assert!(matches!(pool.txn_prepare(7, 1), Err(StorageError::Io(_))));
-        for commit in [true, false] {
-            assert!(matches!(
-                pool.txn_finish_prepared(commit),
-                Err(StorageError::Io(_))
-            ));
-        }
-        // The refusals left nothing behind: the pool still commits.
+        // The refusal left nothing behind: the pool still commits.
         assert!(!pool.in_transaction());
         pool.atomic_update(|| pool.with_page_mut(ids[0], |p| p.put_u32(0, 3)))
             .unwrap();

@@ -57,6 +57,18 @@ pub enum StorageError {
         /// Total nodes in the store.
         total: u64,
     },
+    /// A decoded node record claims a subtree that cannot be: a size of 0,
+    /// or a subtree ending past its parent's subtree or the store. The
+    /// record is corrupt or was read torn; no walk that steps by a subtree
+    /// size may trust it.
+    CorruptSubtree {
+        /// Position of the record.
+        pos: u64,
+        /// The subtree size it claims.
+        size: u32,
+        /// End of the enclosing subtree (or of the store).
+        bound: u64,
+    },
     /// [`crate::BufferPool::flush_all`] could not write every dirty page.
     /// Each failed page is listed with its own error; pages not listed were
     /// flushed successfully.
@@ -128,6 +140,10 @@ impl std::fmt::Display for StorageError {
                     "invalid run [{start},{end}) for a store of {total} nodes"
                 )
             }
+            StorageError::CorruptSubtree { pos, size, bound } => write!(
+                f,
+                "node {pos} claims a subtree of {size} node(s), which does not fit before {bound}"
+            ),
             StorageError::FlushFailed(failures) => {
                 write!(f, "flush failed for {} page(s):", failures.len())?;
                 for (id, e) in failures {

@@ -98,6 +98,22 @@ impl NodeRec {
         }
     }
 
+    /// One past the last position of this record's subtree, the record
+    /// sitting at `pos` inside an enclosing subtree (or store) that ends at
+    /// `bound`. A size of 0, which would stall a walk, or a subtree past
+    /// `bound` is [`StorageError::CorruptSubtree`].
+    pub fn subtree_end(&self, pos: u64, bound: u64) -> Result<u64, StorageError> {
+        let end = pos + u64::from(self.size);
+        if self.size == 0 || end > bound {
+            return Err(StorageError::CorruptSubtree {
+                pos,
+                size: self.size,
+                bound,
+            });
+        }
+        Ok(end)
+    }
+
     pub(crate) fn to_raw(self) -> RawRec {
         RawRec {
             tag: self.tag.0,
@@ -477,7 +493,7 @@ impl StructStore {
         pos: u64,
         rec: &NodeRec,
     ) -> Result<Option<u64>, StorageError> {
-        let next = pos + rec.size as u64;
+        let next = rec.subtree_end(pos, self.total)?;
         if next >= self.total {
             return Ok(None);
         }
@@ -498,19 +514,33 @@ impl StructStore {
 
     /// Positions of the ancestors of `pos`, root first, found by descending
     /// from the root using subtree sizes (the store has no parent pointers).
+    /// Every size on the way is checked against its parent's subtree, so a
+    /// corrupt record is [`StorageError::CorruptSubtree`], never a stall.
     pub fn ancestors_of(&self, pos: u64) -> Result<Vec<u64>, StorageError> {
+        if pos >= self.total {
+            return Err(StorageError::InvalidRange {
+                start: pos,
+                end: pos + 1,
+                total: self.total,
+            });
+        }
+        // The root's subtree is the whole store, whatever its record claims.
+        let mut end = self.total;
         let mut out = Vec::new();
         let mut cur = 0u64;
         while cur != pos {
             out.push(cur);
-            // Find the child of `cur` whose subtree contains `pos`.
+            // Find the child of `cur` whose subtree contains `pos`: the
+            // children tile `(cur, end)`, which holds `pos`, and each step
+            // moves forward without leaving it.
             let mut child = cur + 1;
             loop {
-                let rec = self.node(child)?;
-                if pos < child + rec.size as u64 {
+                let cend = self.node(child)?.subtree_end(child, end)?;
+                if pos < cend {
+                    end = cend;
                     break;
                 }
-                child += rec.size as u64;
+                child = cend;
             }
             cur = child;
         }

@@ -90,11 +90,15 @@ impl StructStore {
                 total: self.total,
             });
         }
-        debug_assert_eq!(
-            end - start,
-            u64::from(self.node(start)?.size),
-            "delete_run range must be exactly the subtree of `start`"
-        );
+        // The range must be exactly the subtree of `start`: the ancestor
+        // size patches below subtract its length.
+        if self.node(start)?.subtree_end(start, self.total)? != end {
+            return Err(StorageError::InvalidRange {
+                start,
+                end,
+                total: self.total,
+            });
+        }
         let k = end - start;
         let pred_code = self.code_at(start - 1)?;
         let end_code = if end < self.total {

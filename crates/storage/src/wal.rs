@@ -39,16 +39,11 @@
 //! | 4 `Batch`     | `txn_id u64` + `members u32` |
 //! | 5 `Prepare`   | `txn_id u64` + `gtid u64` |
 //!
-//! A `Prepare` record closes a transaction exactly like `Commit`, but
-//! marks it *in doubt*: its images are durable yet must not be redone
-//! unless some higher-level commit record (a shard catalog entry keyed by
-//! the global transaction id `gtid`) says the distributed transaction
-//! committed. [`Wal::recover_onto`] treats undecided prepared
-//! transactions as aborted (*presumed abort* — they are discarded with
-//! the tail); [`Wal::recover_onto_with_decisions`] redoes a prepared
-//! transaction iff its `gtid` is in the decided set, at its position in
-//! the record stream (later same-log transactions were built on top of
-//! its in-memory effects, so stream order is the only correct order).
+//! No writer emits `Prepare` any more: older logs used it to leave a
+//! two-phase-commit participant's transaction *in doubt*. Recovery still
+//! recognises it, so replay does not mistake it for a torn tail and drop
+//! every commit logged after it: a `Prepare` record ends its transaction
+//! without redoing it (*presumed abort*), and the scan continues.
 //!
 //! A `Batch` record directly follows `Begin` when the transaction is a
 //! group commit folding `members` logical updates into one WAL transaction
@@ -119,8 +114,6 @@ pub struct WalStats {
     pub batch_commits: u64,
     /// Logical updates folded into those group commits.
     pub batched_members: u64,
-    /// Prepared (in-doubt) transactions logged.
-    pub prepares: u64,
 }
 
 struct WalInner {
@@ -152,11 +145,8 @@ pub struct RecoveryReport {
     pub pages_redone: u64,
     /// Bytes of torn or uncommitted tail discarded.
     pub bytes_discarded: u64,
-    /// Prepared transactions found in the log.
-    pub prepared_txns: u64,
-    /// Prepared transactions promoted to committed by the decided set.
-    pub prepared_decided: u64,
-    /// Prepared transactions discarded as aborted (not in the decided set).
+    /// Transactions an older log ended with a `Prepare` record, discarded
+    /// as aborted.
     pub prepared_aborted: u64,
 }
 
@@ -235,6 +225,11 @@ impl Wal {
     /// then syncs the log disk. Returns the record bytes appended. Once this
     /// returns `Ok`, the transaction survives any crash.
     ///
+    /// `members` counts the logical updates a group commit folds into this
+    /// one transaction: above 1 it adds a `Batch` record after `Begin`, and a
+    /// solo commit (`1`) writes none. Atomicity is per *transaction*: a crash
+    /// before the `Commit` record discards every member together.
+    ///
     /// A failure partway through leaves frames on disk in an unknown state,
     /// so the tail is rewound to its pre-commit position (the next commit
     /// rewrites the same bytes — the record stream never has a hole a
@@ -243,46 +238,11 @@ impl Wal {
     /// acknowledging a transaction recovery might not see. A successful
     /// [`checkpoint`](Self::checkpoint) (flushed + synced data, fresh epoch)
     /// clears the poison.
-    pub fn commit(&self, txn_id: u64, pages: &[(PageId, Page)]) -> Result<u64, StorageError> {
-        self.commit_batch(txn_id, pages, 1)
-    }
-
-    /// [`commit`](Self::commit) for a group commit: one WAL transaction and
-    /// one sync covering `members` logical updates. `members > 1` adds a
-    /// `Batch` record after `Begin`; `members <= 1` is byte-identical to a
-    /// plain [`commit`](Self::commit). Atomicity is per *transaction*: a
-    /// crash before the `Commit` record discards every member together.
-    pub fn commit_batch(
+    pub fn commit(
         &self,
         txn_id: u64,
         pages: &[(PageId, Page)],
         members: u32,
-    ) -> Result<u64, StorageError> {
-        self.commit_or_prepare(txn_id, pages, members, None)
-    }
-
-    /// Appends `Begin` + page images + a `Prepare` record carrying the
-    /// global transaction id `gtid`, then syncs. The transaction is durable
-    /// but **in doubt**: plain recovery discards it (*presumed abort*);
-    /// [`recover_onto_with_decisions`](Self::recover_onto_with_decisions)
-    /// redoes it iff `gtid` appears in the decided set. Failure semantics
-    /// (tail rewind + poison) are identical to [`commit`](Self::commit).
-    pub fn prepare(
-        &self,
-        txn_id: u64,
-        pages: &[(PageId, Page)],
-        gtid: u64,
-        members: u32,
-    ) -> Result<u64, StorageError> {
-        self.commit_or_prepare(txn_id, pages, members, Some(gtid))
-    }
-
-    fn commit_or_prepare(
-        &self,
-        txn_id: u64,
-        pages: &[(PageId, Page)],
-        members: u32,
-        gtid: Option<u64>,
     ) -> Result<u64, StorageError> {
         let mut inner = self.inner.lock();
         if inner.poisoned {
@@ -290,17 +250,14 @@ impl Wal {
         }
         let start = inner.tail;
         let saved_tail_page = inner.tail_page.clone();
-        if let Err(e) = self.commit_records(&mut inner, txn_id, pages, members, gtid) {
+        if let Err(e) = self.commit_records(&mut inner, txn_id, pages, members) {
             inner.tail = start;
             inner.tail_page = saved_tail_page;
             inner.poisoned = true;
             return Err(e);
         }
         let bytes = inner.tail - start;
-        match gtid {
-            None => inner.stats.commits += 1,
-            Some(_) => inner.stats.prepares += 1,
-        }
+        inner.stats.commits += 1;
         inner.stats.records += 2 + pages.len() as u64;
         if members > 1 {
             inner.stats.records += 1;
@@ -311,16 +268,14 @@ impl Wal {
         Ok(bytes)
     }
 
-    /// The fallible body of [`commit_batch`](Self::commit_batch): append
-    /// every frame, flush the partial tail page, sync. With `gtid` set the
-    /// transaction ends in a `Prepare` record instead of `Commit`.
+    /// The fallible body of [`commit`](Self::commit): append every frame,
+    /// flush the partial tail page, sync.
     fn commit_records(
         &self,
         inner: &mut WalInner,
         txn_id: u64,
         pages: &[(PageId, Page)],
         members: u32,
-        gtid: Option<u64>,
     ) -> Result<(), StorageError> {
         let id_buf = txn_id.to_le_bytes();
         self.append_record(inner, REC_BEGIN, &id_buf, &[])?;
@@ -331,10 +286,7 @@ impl Wal {
             let id_bytes = id.0.to_le_bytes();
             self.append_record(inner, REC_PAGE_IMAGE, &id_bytes, page.bytes())?;
         }
-        match gtid {
-            None => self.append_record(inner, REC_COMMIT, &id_buf, &[])?,
-            Some(g) => self.append_record(inner, REC_PREPARE, &id_buf, &g.to_le_bytes())?,
-        }
+        self.append_record(inner, REC_COMMIT, &id_buf, &[])?;
         self.flush_tail(inner)?;
         self.disk.sync()
     }
@@ -373,29 +325,14 @@ impl Wal {
     /// so a clean open performs no writes at all. Call before constructing a
     /// buffer pool over `data`.
     pub fn recover_onto(&self, data: &dyn Disk) -> Result<RecoveryReport, StorageError> {
-        self.recover_onto_with_decisions(data, &[])
-    }
-
-    /// [`recover_onto`](Self::recover_onto) for a participant in a
-    /// distributed commit: a prepared transaction whose `gtid` appears in
-    /// `decided` is redone exactly like a committed one, at its position in
-    /// the record stream; prepared transactions *not* in `decided` are
-    /// discarded (presumed abort). `decided` is the set of global
-    /// transaction ids whose catalog commit record landed.
-    pub fn recover_onto_with_decisions(
-        &self,
-        data: &dyn Disk,
-        decided: &[u64],
-    ) -> Result<RecoveryReport, StorageError> {
         let mut inner = self.inner.lock();
         let epoch = inner.epoch;
         let mut pos = 0u64;
         let mut saw_current_epoch = false;
-        // Transactions in stream (completion) order: `None` = committed,
-        // `Some(gtid)` = prepared, awaiting a decision. The one currently
-        // open, if any, sits in `open`.
-        type Done = (Option<u64>, Vec<(PageId, Page)>);
-        let mut committed: Vec<Done> = Vec::new();
+        // Committed transactions in stream (commit) order; the one
+        // currently open, if any, sits in `open`.
+        let mut committed: Vec<Vec<(PageId, Page)>> = Vec::new();
+        let mut prepared_aborted = 0u64;
         let mut open: Option<(u64, Vec<(PageId, Page)>)> = None;
         let mut frame = vec![0u8; FRAME_HEADER + MAX_PAYLOAD + FRAME_CRC];
         let mut discarded = 0u64;
@@ -466,16 +403,15 @@ impl Wal {
                     images.push((id, page));
                 }
                 REC_PREPARE => {
-                    // Ends the open transaction in doubt, keyed by gtid.
+                    // An older log's in-doubt transaction: it ends here and
+                    // is never redone (presumed abort); its images stay
+                    // orphaned behind the ending checkpoint.
                     if payload.len() != 16 {
                         break;
                     }
                     let id = u64::from_le_bytes(payload[..8].try_into().expect("8-byte slice"));
-                    let gtid = u64::from_le_bytes(payload[8..16].try_into().expect("8-byte slice"));
                     match open.take() {
-                        Some((open_id, images)) if open_id == id => {
-                            committed.push((Some(gtid), images))
-                        }
+                        Some((open_id, _)) if open_id == id => prepared_aborted += 1,
                         _ => break, // prepare without a matching begin
                     }
                 }
@@ -486,7 +422,7 @@ impl Wal {
                     }
                     let id = u64::from_le_bytes(payload.try_into().expect("8-byte slice"));
                     match open.take() {
-                        Some((open_id, images)) if open_id == id => committed.push((None, images)),
+                        Some((open_id, images)) if open_id == id => committed.push(images),
                         _ => break, // commit without a matching begin
                     }
                 }
@@ -504,25 +440,12 @@ impl Wal {
         }
 
         let mut report = RecoveryReport {
+            committed_txns: committed.len() as u64,
             bytes_discarded: discarded,
+            prepared_aborted,
             ..RecoveryReport::default()
         };
-        let mut redone_any = false;
-        for (gtid, images) in &committed {
-            match gtid {
-                None => report.committed_txns += 1,
-                Some(g) if decided.contains(g) => {
-                    report.prepared_txns += 1;
-                    report.prepared_decided += 1;
-                }
-                Some(_) => {
-                    // Undecided prepared transaction: presumed abort. Its
-                    // images stay orphaned behind the ending checkpoint.
-                    report.prepared_txns += 1;
-                    report.prepared_aborted += 1;
-                    continue;
-                }
-            }
+        for images in &committed {
             for (id, page) in images {
                 while data.num_pages() <= id.0 {
                     data.allocate_page()?;
@@ -530,12 +453,11 @@ impl Wal {
                 data.write_page(*id, page)?;
                 report.pages_redone += 1;
             }
-            redone_any = true;
         }
-        if redone_any {
+        if !committed.is_empty() {
             data.sync()?;
         }
-        inner.stats.recovered_commits = report.committed_txns + report.prepared_decided;
+        inner.stats.recovered_commits = report.committed_txns;
         inner.stats.redone_pages = report.pages_redone;
         if saw_current_epoch {
             // Current-epoch frames exist on disk (committed, torn, or merely
@@ -656,7 +578,7 @@ mod tests {
         let log = Arc::new(MemDisk::new());
         let data = MemDisk::new();
         let wal = Wal::open(log.clone()).unwrap();
-        wal.commit(1, &[(PageId(3), filled(7)), (PageId(0), filled(9))])
+        wal.commit(1, &[(PageId(3), filled(7)), (PageId(0), filled(9))], 1)
             .unwrap();
 
         // A second Wal instance simulates a fresh process.
@@ -675,7 +597,7 @@ mod tests {
     fn uncommitted_tail_is_discarded() {
         let log = Arc::new(MemDisk::new());
         let wal = Wal::open(log.clone()).unwrap();
-        wal.commit(1, &[(PageId(1), filled(1))]).unwrap();
+        wal.commit(1, &[(PageId(1), filled(1))], 1).unwrap();
         // Hand-append a Begin with no Commit (as if the crash hit mid-txn).
         {
             let mut inner = wal.inner.lock();
@@ -699,9 +621,9 @@ mod tests {
     fn torn_record_is_discarded() {
         let log = Arc::new(MemDisk::new());
         let wal = Wal::open(log.clone()).unwrap();
-        wal.commit(1, &[(PageId(1), filled(1))]).unwrap();
+        wal.commit(1, &[(PageId(1), filled(1))], 1).unwrap();
         let boundary = wal.log_bytes();
-        wal.commit(2, &[(PageId(2), filled(2))]).unwrap();
+        wal.commit(2, &[(PageId(2), filled(2))], 1).unwrap();
         // Corrupt one byte of txn 2's image: its CRC now fails.
         let victim = boundary + (FRAME_HEADER + 8 + FRAME_CRC) as u64 + FRAME_HEADER as u64 + 10;
         let pid = PageId((victim / PAGE_SIZE as u64) as u32 + 1);
@@ -723,7 +645,7 @@ mod tests {
     fn checkpoint_invalidates_old_records() {
         let log = Arc::new(MemDisk::new());
         let wal = Wal::open(log.clone()).unwrap();
-        wal.commit(1, &[(PageId(5), filled(5))]).unwrap();
+        wal.commit(1, &[(PageId(5), filled(5))], 1).unwrap();
         assert!(wal.log_bytes() > 0);
         wal.checkpoint().unwrap();
         assert_eq!(wal.log_bytes(), 0);
@@ -816,19 +738,19 @@ mod tests {
     fn failed_commit_rewinds_and_poisons_until_checkpoint() {
         let log = Arc::new(FlakyDisk::new());
         let wal = Wal::open(log.clone()).unwrap();
-        wal.commit(1, &[(PageId(1), filled(1))]).unwrap();
+        wal.commit(1, &[(PageId(1), filled(1))], 1).unwrap();
         let tail_before = wal.log_bytes();
 
         // A one-page commit spans a log-page boundary, so one physical write
         // happens mid-append; fail it.
         log.fail_next_writes(1);
-        assert!(wal.commit(2, &[(PageId(2), filled(2))]).is_err());
+        assert!(wal.commit(2, &[(PageId(2), filled(2))], 1).is_err());
         assert!(wal.is_poisoned());
         assert_eq!(wal.log_bytes(), tail_before); // tail rewound, no hole
 
         // No further transaction is acknowledged while poisoned.
         assert!(matches!(
-            wal.commit(3, &[(PageId(3), filled(3))]),
+            wal.commit(3, &[(PageId(3), filled(3))], 1),
             Err(StorageError::WalPoisoned)
         ));
 
@@ -844,7 +766,7 @@ mod tests {
         // the next commit overwrites the failed one's leftover frames.
         wal.checkpoint().unwrap();
         assert!(!wal.is_poisoned());
-        wal.commit(4, &[(PageId(7), filled(9))]).unwrap();
+        wal.commit(4, &[(PageId(7), filled(9))], 1).unwrap();
 
         let data = MemDisk::new();
         let wal2 = Wal::open(Arc::new(log.inner.fork())).unwrap();
@@ -859,7 +781,7 @@ mod tests {
     fn batched_commit_recovers_as_one_transaction() {
         let log = Arc::new(MemDisk::new());
         let wal = Wal::open(log.clone()).unwrap();
-        wal.commit_batch(1, &[(PageId(0), filled(1)), (PageId(1), filled(2))], 3)
+        wal.commit(1, &[(PageId(0), filled(1)), (PageId(1), filled(2))], 3)
             .unwrap();
         let stats = wal.stats();
         assert_eq!(stats.batch_commits, 1);
@@ -907,68 +829,66 @@ mod tests {
         assert_eq!(data.num_pages(), 0);
     }
 
+    /// One record frame, encoded by hand from the format table in the
+    /// module docs rather than through the writer.
+    fn frame(rec_type: u8, epoch: u64, payload: &[u8]) -> Vec<u8> {
+        let mut f = vec![rec_type];
+        f.extend_from_slice(&epoch.to_le_bytes());
+        f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        f.extend_from_slice(payload);
+        let crc = crc32c(&f);
+        f.extend_from_slice(&crc.to_le_bytes());
+        f
+    }
+
+    fn image(id: u32, page: &Page) -> Vec<u8> {
+        let mut payload = id.to_le_bytes().to_vec();
+        payload.extend_from_slice(page.bytes());
+        payload
+    }
+
     #[test]
-    fn undecided_prepare_is_presumed_aborted() {
+    fn an_old_logs_prepare_record_is_discarded_and_replay_continues() {
+        // An older writer's log: txn 1 ends in Prepare(gtid 77) over pages
+        // 0 and 2, then txn 2 commits a new image of page 0.
+        let epoch = 1u64;
+        let mut stream = Vec::new();
+        stream.extend(frame(REC_BEGIN, epoch, &1u64.to_le_bytes()));
+        stream.extend(frame(REC_PAGE_IMAGE, epoch, &image(0, &filled(50))));
+        stream.extend(frame(REC_PAGE_IMAGE, epoch, &image(2, &filled(5))));
+        let mut prepare = 1u64.to_le_bytes().to_vec();
+        prepare.extend_from_slice(&77u64.to_le_bytes());
+        stream.extend(frame(REC_PREPARE, epoch, &prepare));
+        stream.extend(frame(REC_BEGIN, epoch, &2u64.to_le_bytes()));
+        stream.extend(frame(REC_PAGE_IMAGE, epoch, &image(0, &filled(200))));
+        stream.extend(frame(REC_COMMIT, epoch, &2u64.to_le_bytes()));
+
         let log = Arc::new(MemDisk::new());
-        let wal = Wal::open(log.clone()).unwrap();
-        wal.commit(1, &[(PageId(0), filled(1))]).unwrap();
-        wal.prepare(2, &[(PageId(0), filled(99))], 77, 1).unwrap();
-        assert_eq!(wal.stats().prepares, 1);
+        let mut header = Page::zeroed();
+        header.put_u32(0, WAL_MAGIC);
+        header.put_u32(4, WAL_VERSION);
+        header.put_u64(8, epoch);
+        header.put_u32(16, crc32c(header.get_bytes(0, 16)));
+        log.allocate_page().unwrap();
+        log.write_page(PageId(0), &header).unwrap();
+        for (i, chunk) in stream.chunks(PAGE_SIZE).enumerate() {
+            let mut page = Page::zeroed();
+            page.bytes_mut()[..chunk.len()].copy_from_slice(chunk);
+            log.allocate_page().unwrap();
+            log.write_page(PageId(i as u32 + 1), &page).unwrap();
+        }
 
         let data = MemDisk::new();
-        let wal2 = Wal::open(log).unwrap();
-        let report = wal2.recover_onto(&data).unwrap();
+        let report = Wal::open(log).unwrap().recover_onto(&data).unwrap();
         assert_eq!(report.committed_txns, 1);
-        assert_eq!(report.prepared_txns, 1);
         assert_eq!(report.prepared_aborted, 1);
-        assert_eq!(report.prepared_decided, 0);
+        assert_eq!(report.pages_redone, 1);
+        assert_eq!(report.bytes_discarded, 0);
         let mut p = Page::zeroed();
         data.read_page(PageId(0), &mut p).unwrap();
-        assert_eq!(p.bytes(), filled(1).bytes()); // prepare discarded
-    }
-
-    #[test]
-    fn decided_prepare_is_redone_in_stream_order() {
-        let log = Arc::new(MemDisk::new());
-        let wal = Wal::open(log.clone()).unwrap();
-        // prepare(gtid 77) then a later plain commit on the same page: the
-        // prepared images must replay first when decided.
-        wal.prepare(1, &[(PageId(0), filled(50)), (PageId(2), filled(5))], 77, 1)
-            .unwrap();
-        wal.commit(2, &[(PageId(0), filled(200))]).unwrap();
-
-        let data = MemDisk::new();
-        let wal2 = Wal::open(log.clone()).unwrap();
-        let report = wal2.recover_onto_with_decisions(&data, &[77]).unwrap();
-        assert_eq!(report.committed_txns, 1);
-        assert_eq!(report.prepared_decided, 1);
-        assert_eq!(report.pages_redone, 3);
-        let mut p = Page::zeroed();
-        data.read_page(PageId(0), &mut p).unwrap();
-        assert_eq!(p.bytes(), filled(200).bytes()); // later commit wins
-        data.read_page(PageId(2), &mut p).unwrap();
-        assert_eq!(p.bytes(), filled(5).bytes()); // prepared-only page lands
-    }
-
-    #[test]
-    fn decided_promotion_is_idempotent_across_recoveries() {
-        let log = Arc::new(MemDisk::new());
-        let wal = Wal::open(log.clone()).unwrap();
-        wal.prepare(1, &[(PageId(4), filled(44))], 9, 1).unwrap();
-
-        let data = MemDisk::new();
-        let wal2 = Wal::open(log.clone()).unwrap();
-        let r1 = wal2.recover_onto_with_decisions(&data, &[9]).unwrap();
-        assert_eq!(r1.prepared_decided, 1);
-        // The ending checkpoint orphaned the frames: a second recovery with
-        // the same (still-cataloged) decision finds nothing to redo.
-        let wal3 = Wal::open(log).unwrap();
-        let r2 = wal3.recover_onto_with_decisions(&data, &[9]).unwrap();
-        assert_eq!(r2.prepared_txns, 0);
-        assert_eq!(r2.pages_redone, 0);
-        let mut p = Page::zeroed();
-        data.read_page(PageId(4), &mut p).unwrap();
-        assert_eq!(p.bytes(), filled(44).bytes());
+        assert_eq!(p.bytes(), filled(200).bytes());
+        // The prepared-only page was never redone.
+        assert_eq!(data.num_pages(), 1);
     }
 
     #[test]
@@ -977,8 +897,8 @@ mod tests {
         // image last.
         let log = Arc::new(MemDisk::new());
         let wal = Wal::open(log.clone()).unwrap();
-        wal.commit(1, &[(PageId(0), filled(1))]).unwrap();
-        wal.commit(2, &[(PageId(0), filled(200))]).unwrap();
+        wal.commit(1, &[(PageId(0), filled(1))], 1).unwrap();
+        wal.commit(2, &[(PageId(0), filled(200))], 1).unwrap();
         let data = MemDisk::new();
         let wal2 = Wal::open(log).unwrap();
         wal2.recover_onto(&data).unwrap();

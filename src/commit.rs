@@ -223,7 +223,7 @@ impl GroupCommitter {
     ///   was already poisoned (or the committer was closed before the
     ///   member ran); the database needs [`SecureXmlDb::recover`];
     /// * a typed `Storage(Io(..))` refusal — the batch could not start
-    ///   because a prepared transaction awaits its decision.
+    ///   because a transaction was already open on the handle.
     pub fn submit(&self, f: UpdateFn) -> Result<(), DbError> {
         let slot = Arc::new(SubmitSlot::default());
         {
@@ -340,9 +340,9 @@ fn commit_batch(
             true
         }
         Err(e) => {
-            // The batch never started (the handle is poisoned, or a prepared
-            // transaction is open), or its commit failed and poisoned the
-            // handle. No member's update landed; every member is told why.
+            // The batch never started (the handle is poisoned, or a
+            // transaction is already open), or its commit failed and poisoned
+            // the handle. No member's update landed; every member is told why.
             let poisoned = db.is_poisoned();
             for slot in &slots {
                 slot.deliver(Err(if poisoned {

@@ -55,7 +55,6 @@ mod commit;
 mod modal;
 mod persist;
 mod reader;
-mod shard;
 mod stats;
 
 pub use dol_acl as acl;
@@ -72,7 +71,6 @@ pub use dol_storage::{CancelToken, Deadline, RecoveryReport, RetryPolicy};
 pub use commit::{CommitObserver, GroupCommitConfig, GroupCommitStats, GroupCommitter};
 pub use modal::{ModalDb, ModalSecurity};
 pub use reader::{CacheStats, DbReader};
-pub use shard::{DiskPair, ShardHealth, ShardStatus, ShardedDb, ShardedStats};
 pub use stats::ServerStats;
 
 use dol_acl::{AccessOracle, BitVec, SubjectId};
@@ -138,19 +136,6 @@ pub enum DbError {
     /// [`SecureXmlDb::verify_integrity`] found the embedded DOL or the
     /// block store inconsistent; the message names the first violation.
     Integrity(String),
-    /// A [`ShardedDb`] query needed shard `shard`, which is quarantined
-    /// (poisoned handle or open circuit breaker — `cause` is the typed
-    /// reason). Queries provably confined to healthy shards still answer
-    /// exactly; a query that *touches* a quarantined shard is refused whole
-    /// rather than returning a silently-partial answer. Remedy:
-    /// [`ShardedDb::recover_shard`] heals the shard in process while the
-    /// healthy shards keep serving.
-    ShardUnavailable {
-        /// The quarantined shard's index.
-        shard: usize,
-        /// Why the shard is unavailable.
-        cause: Box<DbError>,
-    },
 }
 
 impl std::fmt::Display for DbError {
@@ -184,11 +169,6 @@ impl std::fmt::Display for DbError {
                 stats.nodes_visited
             ),
             DbError::Integrity(msg) => write!(f, "integrity check failed: {msg}"),
-            DbError::ShardUnavailable { shard, cause } => write!(
-                f,
-                "shard {shard} unavailable ({cause}); the query touches it and was refused whole \
-                 — recover the shard and retry"
-            ),
         }
     }
 }
@@ -282,28 +262,18 @@ pub struct SecureXmlDb {
     /// [`SecureXmlDb::recover`] is impossible — only a reopen from the path
     /// can continue.
     detached: AtomicBool,
-    /// Who owns the one update transaction, if anyone.
-    txn: TxnScope,
-}
-
-/// The state of a [`SecureXmlDb`]'s one update transaction — the only thing
-/// the update path consults to decide who may open, join or close it.
-/// `before` is the mirror set captured when the transaction opened: holding
-/// its `Arc`s forces the transaction body's `Arc::make_mut`s to copy on
-/// write, so a failed transaction puts back exactly the mirrors that match
-/// its rolled-back pages.
-enum TxnScope {
-    /// No transaction: an update method opens (and commits) its own.
-    Idle,
-    /// A driver — a bare update method, [`SecureXmlDb::run_update`],
-    /// [`SecureXmlDb::run_batch`] or [`SecureXmlDb::run_prepared`] — is
-    /// between begin and close: update methods called now run their bodies
-    /// in its transaction, and no second driver may start.
-    Open { before: MirrorSnapshot },
-    /// [`SecureXmlDb::run_prepared`] logged the transaction under `gtid`;
-    /// it stays open in the pool, invisible, until
-    /// [`SecureXmlDb::finish_prepared`] delivers the decision.
-    Prepared { gtid: u64, before: MirrorSnapshot },
+    /// The handle's one update transaction — the only thing the update
+    /// path consults to decide who may open, join or close it. `None`: no
+    /// transaction, and an update method opens (and commits) its own.
+    /// `Some(before)`: a driver — a bare update method,
+    /// [`SecureXmlDb::run_update`] or [`SecureXmlDb::run_batch`] — is
+    /// between begin and close, update methods called now run their bodies
+    /// in its transaction, and no second driver may start. `before` is the
+    /// mirror set captured when the transaction opened: holding its `Arc`s
+    /// forces the transaction body's `Arc::make_mut`s to copy on write, so a
+    /// failed transaction puts back exactly the mirrors that match its
+    /// rolled-back pages.
+    txn: Option<MirrorSnapshot>,
 }
 
 /// The typed refusal for a transaction driver called out of turn.
@@ -456,7 +426,7 @@ impl SecureXmlDb {
             image_path: None,
             poisoned: AtomicBool::new(false),
             detached: AtomicBool::new(false),
-            txn: TxnScope::Idle,
+            txn: None,
         }
     }
 
@@ -486,16 +456,14 @@ impl SecureXmlDb {
     /// pre-transaction mirror snapshot, and the pool transaction — the only
     /// place any of the three happens.
     fn begin(&mut self, who: &str) -> Result<(), DbError> {
-        if !matches!(self.txn, TxnScope::Idle) {
+        if self.txn.is_some() {
             return Err(out_of_turn(format!("{who} inside an open transaction")));
         }
         if self.is_poisoned() {
             return Err(DbError::Poisoned);
         }
         self.pool.txn_begin()?;
-        self.txn = TxnScope::Open {
-            before: self.mirrors.clone(),
-        };
+        self.txn = Some(self.mirrors.clone());
         Ok(())
     }
 
@@ -503,60 +471,39 @@ impl SecureXmlDb {
     /// WAL batch record's count). On a persistent database the meta sections
     /// whose mirrors changed, and then the catalog, are rewritten inside the
     /// transaction, so a crash anywhere leaves the image in exactly the
-    /// before- or after-state. Then, with
-    /// `gtid == None`, the transaction **commits** (after-images to the
-    /// write-ahead log before any data page) and the epoch is published; a
-    /// failure poisons the handle. With `gtid == Some(g)` it is **prepared**
-    /// under `g` and stays open and invisible until
-    /// [`finish_prepared`](Self::finish_prepared); a failure is a clean
-    /// abort vote.
-    fn close(&mut self, gtid: Option<u64>, members: u32) -> Result<(), DbError> {
+    /// before- or after-state. Then the transaction **commits**
+    /// (after-images to the write-ahead log before any data page) and the
+    /// epoch is published; a failure poisons the handle.
+    fn close(&mut self, members: u32) -> Result<(), DbError> {
         let logged = (|| -> Result<(), DbError> {
             if self.persistent {
                 self.rewrite_meta()?;
             }
-            match gtid {
-                None => self.pool.txn_commit(members)?,
-                Some(gtid) => self.pool.txn_prepare(gtid, members)?,
-            }
+            self.pool.txn_commit(members)?;
             Ok(())
         })();
-        match (logged, gtid) {
-            (Ok(()), None) => {
-                self.txn = TxnScope::Idle;
+        match logged {
+            Ok(()) => {
+                self.txn = None;
                 self.publish_epoch();
                 Ok(())
             }
-            (Ok(()), Some(gtid)) => {
-                if let TxnScope::Open { before } = std::mem::replace(&mut self.txn, TxnScope::Idle)
-                {
-                    self.txn = TxnScope::Prepared { gtid, before };
-                }
-                Ok(())
-            }
-            (Err(e), None) => {
+            Err(e) => {
                 self.poison();
-                Err(e)
-            }
-            (Err(e), Some(_)) => {
-                self.abort();
                 Err(e)
             }
         }
     }
 
     /// The clean-abort path: pages back to their pre-images (unless the
-    /// pool already rolled them back itself, as a failed commit or prepare
-    /// does), mirrors back to the snapshot `begin` took. No epoch bump —
+    /// pool already rolled them back itself, as a failed commit does), mirrors back to the snapshot `begin` took. No epoch bump —
     /// the current epoch still describes the pages — and the handle stays
     /// healthy.
     fn abort(&mut self) {
         if self.pool.in_transaction() {
             self.pool.txn_rollback();
         }
-        if let TxnScope::Open { before } | TxnScope::Prepared { before, .. } =
-            std::mem::replace(&mut self.txn, TxnScope::Idle)
-        {
+        if let Some(before) = self.txn.take() {
             let aborted = std::mem::replace(&mut self.mirrors, before);
             // A reader taken inside the transaction may have cached answers
             // under the view stamps it issued; the restored codebook must
@@ -586,12 +533,12 @@ impl SecureXmlDb {
         &mut self,
         f: impl FnOnce(&mut Self) -> Result<R, DbError>,
     ) -> Result<R, DbError> {
-        if matches!(self.txn, TxnScope::Open { .. }) {
+        if self.txn.is_some() {
             return f(self);
         }
         self.begin("update")?;
         match f(self) {
-            Ok(r) => self.close(None, 1).map(|()| r),
+            Ok(r) => self.close(1).map(|()| r),
             Err(e) => {
                 self.poison();
                 Err(e)
@@ -645,8 +592,7 @@ impl SecureXmlDb {
     /// (vacuously) and spends one epoch.
     ///
     /// The whole call returns `Err` in two cases only. The batch could not
-    /// start: the handle is poisoned, or a transaction is open or prepared
-    /// (a call from a member closure or a `run_update` closure is refused
+    /// start: the handle is poisoned, or a transaction is open (a call from a member closure or a `run_update` closure is refused
     /// with a typed `Storage(Io(..))` error and that transaction is
     /// untouched). Or its commit failed, which poisons the handle exactly
     /// like a failed solo update.
@@ -671,97 +617,11 @@ impl SecureXmlDb {
             rejected[i] = Some(e);
         }
         let survivors = rejected.iter().filter(|r| r.is_none()).count();
-        self.close(None, survivors as u32)?;
+        self.close(survivors as u32)?;
         Ok(rejected
             .into_iter()
             .map(|r| r.map_or(Ok(()), Err))
             .collect())
-    }
-
-    /// First half of a distributed (cross-shard) commit: runs `f` inside a
-    /// transaction and **prepares** it under the global transaction id
-    /// `gtid` — the after-images reach the write-ahead log (synced) under a
-    /// `Prepare` record, but the transaction stays open and *invisible*:
-    /// no dirty byte can reach the data disk, recovery presumes abort, the
-    /// epoch does not advance, and readers keep answering the pre-prepare
-    /// state. The transaction is resolved by
-    /// [`finish_prepared`](Self::finish_prepared).
-    ///
-    /// An `Err` from `f` (or from the WAL append) is a clean **abort
-    /// vote**: pages and mirrors are rolled back and the handle stays
-    /// healthy — unlike [`run_update`](Self::run_update), nothing poisons,
-    /// because no cover story is needed for a transaction that was never
-    /// visible. Called from inside an open transaction, or while another
-    /// prepared transaction awaits its decision, it is refused with a typed
-    /// `Storage(Io(..))` error and that transaction is untouched.
-    pub fn run_prepared(
-        &mut self,
-        gtid: u64,
-        f: impl FnOnce(&mut Self) -> Result<(), DbError>,
-    ) -> Result<(), DbError> {
-        self.begin("run_prepared")?;
-        match f(self) {
-            Ok(()) => self.close(Some(gtid), 1),
-            Err(e) => {
-                self.abort();
-                Err(e)
-            }
-        }
-    }
-
-    /// Second half of a distributed commit: resolves the transaction left
-    /// open by [`run_prepared`](Self::run_prepared). With `commit == true`
-    /// (the catalog's commit record for `gtid` is durable) the prepared
-    /// images become the committed state and the epoch advances exactly as
-    /// for a solo commit; with `commit == false` everything rolls back to
-    /// the pre-prepare state and the handle stays healthy.
-    ///
-    /// A failure while *committing* (e.g. a spilled-page write-back error)
-    /// poisons the handle — the decision is already durable, so recovery
-    /// ([`recover_with_decisions`](Self::recover_with_decisions) with
-    /// `gtid` decided) replays the prepared images from the log.
-    pub fn finish_prepared(&mut self, gtid: u64, commit: bool) -> Result<(), DbError> {
-        match self.prepared_gtid() {
-            Some(g) if g == gtid => {}
-            Some(_) => return Err(out_of_turn("finish_prepared gtid mismatch")),
-            None => {
-                return Err(out_of_turn(
-                    "finish_prepared without a prepared transaction",
-                ))
-            }
-        }
-        if !commit {
-            self.pool.txn_finish_prepared(false)?;
-            self.abort();
-            return Ok(());
-        }
-        // Committed whatever happens next: the decision is durable and so
-        // are the prepared images, so the live (after) mirrors describe the
-        // pages and the before-snapshot is dropped.
-        let closed = self.pool.txn_finish_prepared(true);
-        self.txn = TxnScope::Idle;
-        match closed {
-            Ok(()) => {
-                self.publish_epoch();
-                Ok(())
-            }
-            Err(e) => {
-                // Only the local write-back failed; recovery with this gtid
-                // decided replays the pages underneath the mirrors.
-                self.poison();
-                Err(e.into())
-            }
-        }
-    }
-
-    /// The global transaction id of the in-flight prepared transaction, if
-    /// any (between [`run_prepared`](Self::run_prepared) and
-    /// [`finish_prepared`](Self::finish_prepared)).
-    pub fn prepared_gtid(&self) -> Option<u64> {
-        match self.txn {
-            TxnScope::Prepared { gtid, .. } => Some(gtid),
-            _ => None,
-        }
     }
 
     /// The oldest epoch the MVCC version ring still retains. A [`DbReader`]
@@ -805,32 +665,8 @@ impl SecureXmlDb {
     /// the path instead. An un-poisoned handle recovers trivially: the call
     /// just resets the breaker and returns `Ok(None)`.
     pub fn recover(&mut self) -> Result<Option<RecoveryReport>, DbError> {
-        self.recover_with_decisions(&[])
-    }
-
-    /// [`recover`](Self::recover) for a shard of a [`ShardedDb`]: prepared
-    /// transactions in the write-ahead log whose global id appears in
-    /// `decided` (the shard catalog's committed records) are replayed like
-    /// committed ones; undecided prepares are rolled back wholesale
-    /// (presumed abort). An in-flight [`run_prepared`](Self::run_prepared)
-    /// transaction still open in this process is resolved first, by the
-    /// same rule. With an empty `decided` this *is* `recover`.
-    pub fn recover_with_decisions(
-        &mut self,
-        decided: &[u64],
-    ) -> Result<Option<RecoveryReport>, DbError> {
         if self.detached.load(Ordering::Acquire) {
             return Err(DbError::Poisoned);
-        }
-        // Resolve a still-open prepared transaction by the catalog's
-        // verdict before anything else: `recover` must never leave an open
-        // transaction behind, and the decision already exists (or is
-        // forever absent) in the catalog.
-        if let Some(gtid) = self.prepared_gtid() {
-            let commit = decided.contains(&gtid);
-            // A failed finish poisons; fall through into full recovery
-            // below, which rebuilds from the log + decisions.
-            let _ = self.finish_prepared(gtid, commit);
         }
         if !self.is_poisoned() {
             self.pool.reset_breaker();
@@ -843,7 +679,7 @@ impl SecureXmlDb {
             // reload the image exactly as a fresh open would.
             self.pool.discard_cache_and_txn();
             let wal = self.pool.wal().ok_or(DbError::Poisoned)?;
-            let report = wal.recover_onto_with_decisions(self.pool.disk().as_ref(), decided)?;
+            let report = wal.recover_onto(self.pool.disk().as_ref())?;
             let prior = std::mem::replace(&mut self.mirrors, persist::load_image(&self.pool)?);
             // The reloaded codebook's stamps start at 0; continue the old
             // clock so none of the stamps results were filed under recurs.
@@ -960,7 +796,7 @@ impl SecureXmlDb {
             pos += count;
         }
         // Mid-transaction the catalog still describes `before`.
-        if self.persistent && !matches!(self.txn, TxnScope::Open { .. }) {
+        if self.persistent && self.txn.is_none() {
             persist::verify_meta(&self.pool, &self.mirrors)?;
         }
         Ok(())
@@ -1075,11 +911,11 @@ impl SecureXmlDb {
             return Err(DbError::InvalidNode(pos));
         }
         self.check_subjects(&[subject], false)?;
-        let size = self.mirrors.store.node(pos)?.size as u64;
+        let end = self.subtree_end(pos)?;
         self.run_txn(|db| {
             let dol = Arc::make_mut(&mut db.mirrors.dol);
             let store = Arc::make_mut(&mut db.mirrors.store);
-            dol.set_subtree(store, pos, pos + size, subject, allow)?;
+            dol.set_subtree(store, pos, end, subject, allow)?;
             dol.codebook_mut().mark_compaction_dirty();
             Ok(())
         })
@@ -1229,12 +1065,19 @@ impl SecureXmlDb {
         self.create_union_view(&eff)
     }
 
+    /// One past the last position of the subtree rooted at `pos`, its
+    /// stored size checked against the store.
+    fn subtree_end(&self, pos: u64) -> Result<u64, DbError> {
+        let store = &self.mirrors.store;
+        Ok(store.node(pos)?.subtree_end(pos, store.total_nodes())?)
+    }
+
     /// Deletes the subtree rooted at `pos` (structural update, §3.4).
     pub fn delete_subtree(&mut self, pos: u64) -> Result<(), DbError> {
         if pos == 0 || pos >= self.mirrors.store.total_nodes() {
             return Err(DbError::InvalidNode(pos));
         }
-        let size = self.mirrors.store.node(pos)?.size as u64;
+        let size = self.subtree_end(pos)? - pos;
         self.run_txn(|db| {
             db.remove_subtree(pos, size)?;
             db.reindex()
@@ -1254,8 +1097,7 @@ impl SecureXmlDb {
             // Encode the subtree once, every node on the inherited code (the
             // first node's flag is `insert_run`'s to set, against its
             // predecessor) and its tags interned into the handle's names.
-            let store = &db.mirrors.store;
-            let code = store.code_at(parent_pos + store.node(parent_pos)?.size as u64 - 1)?;
+            let code = db.mirrors.store.code_at(db.subtree_end(parent_pos)? - 1)?;
             let tags = Arc::make_mut(&mut db.mirrors.tags);
             let mut values = Vec::new();
             let mut items = Vec::with_capacity(subtree.len());
@@ -1286,7 +1128,7 @@ impl SecureXmlDb {
         if pos == 0 || pos >= total || new_parent_pos >= total {
             return Err(DbError::InvalidNode(pos.max(new_parent_pos)));
         }
-        let size = self.mirrors.store.node(pos)?.size as u64;
+        let size = self.subtree_end(pos)? - pos;
         if new_parent_pos >= pos && new_parent_pos < pos + size {
             return Err(DbError::InvalidNode(new_parent_pos)); // own descendant
         }

@@ -41,7 +41,7 @@
 //! [`SecureXmlDb::open_from`] replays the log *before* reading any page, so
 //! a crash between page flushes is invisible to the reader.
 
-use crate::{DbConfig, DbError, MirrorSnapshot, SecureXmlDb, TxnScope};
+use crate::{DbConfig, DbError, MirrorSnapshot, SecureXmlDb};
 use dol_core::{Codebook, EmbeddedDol};
 use dol_nok::NodeIndex;
 use dol_storage::disk::StorageError;
@@ -660,10 +660,7 @@ impl SecureXmlDb {
     /// not. A v2/v3 catalog names no sections: the first commit writes all
     /// three as fresh chains.
     pub(crate) fn rewrite_meta(&self) -> Result<(), DbError> {
-        let before = match &self.txn {
-            TxnScope::Open { before } => Some(before),
-            _ => None,
-        };
+        let before = self.txn.as_ref();
         let current = match read_catalog(&self.pool)?.meta {
             Meta::Sections(chains) => Some(chains),
             Meta::Blob(_) => None,
@@ -827,22 +824,8 @@ impl SecureXmlDb {
         wal_disk: Arc<dyn Disk>,
         cfg: DbConfig,
     ) -> Result<SecureXmlDb, DbError> {
-        Self::open_on_with_decisions(data, wal_disk, cfg, &[])
-    }
-
-    /// [`open_on`](Self::open_on) for a shard of a [`crate::ShardedDb`]:
-    /// prepared transactions in the log whose global id appears in
-    /// `decided` (the shard catalog's committed records) are redone like
-    /// committed ones; undecided prepares are discarded (presumed abort).
-    /// With an empty `decided` this *is* `open_on`.
-    pub fn open_on_with_decisions(
-        data: Arc<dyn Disk>,
-        wal_disk: Arc<dyn Disk>,
-        cfg: DbConfig,
-        decided: &[u64],
-    ) -> Result<SecureXmlDb, DbError> {
         let wal = Arc::new(Wal::open(wal_disk)?);
-        wal.recover_onto_with_decisions(data.as_ref(), decided)?;
+        wal.recover_onto(data.as_ref())?;
 
         let pool = Arc::new(BufferPool::new(data, cfg.buffer_pool_pages));
         let mirrors = load_image(&pool)?;

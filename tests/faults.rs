@@ -147,3 +147,87 @@ fn failed_update_poisons_the_handle() {
     db.store().pool().clear_cache().unwrap();
     db.query(QUERIES[0], Security::None).unwrap();
 }
+
+/// A node record whose subtree size is corrupt — 0, or past the end of its
+/// parent's subtree — must neither stall a query nor widen its answer: a
+/// secure query hides what it cannot trust (a subset of the reference
+/// answer), an unsecured one returns a typed error. Each case runs on its
+/// own thread under a watchdog, so a walk that stands still fails the test
+/// instead of hanging it.
+#[test]
+fn corrupt_subtree_sizes_terminate_and_fail_closed() {
+    use secure_xml::query::QueryError;
+    use secure_xml::storage::StorageError;
+    use secure_xml::xml::parse;
+    use secure_xml::DbError;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    const XML: &str = "<site><regions>\
+        <africa><item><name/></item><item><name/></item></africa>\
+        <asia><item><name/></item><item><name/></item></asia>\
+        </regions><people><person><name/></person></people></site>";
+    // The record size field sits 4 bytes into a 12-byte record, after the
+    // block's 24-byte header.
+    const RECORDS: usize = 24;
+    const REC_SIZE: usize = 12;
+    const AFRICA: u64 = 2;
+    let cho = "/site/regions/asia/item";
+    let gb = "//item";
+    let model = parse(XML).unwrap();
+    let map = common::grant_all(1, model.len());
+    let s = SubjectId(0);
+
+    let size_of = |pos: u64| model.node(dol_xml::NodeId(pos as u32)).size;
+    // One past its parent's end: `africa` would swallow `people`.
+    let overrun = (1 + u64::from(size_of(1)) - AFRICA + 1) as u32;
+    for (case, size) in [("size 0", 0), ("overrun", overrun)] {
+        let db = SecureXmlDb::from_document(model.clone(), &map).unwrap();
+        let store = db.store();
+        let info = store.block_info(store.block_of_pos(AFRICA));
+        let off = RECORDS + (AFRICA - info.first_pos) as usize * REC_SIZE + 4;
+        store
+            .pool()
+            .with_page_mut(info.page, |p| {
+                assert_eq!(p.get_u32(off), size_of(AFRICA), "the record's size field");
+                p.put_u32(off, size);
+            })
+            .unwrap();
+
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let answers = (
+                db.query(cho, Security::BindingLevel(s)),
+                db.query(gb, Security::SubtreeVisibility(s)),
+                db.query(cho, Security::None),
+            );
+            let _ = tx.send(answers);
+        });
+        let (cho_got, gb_got, plain) = rx
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("{case}: a query stalled on the corrupt record"));
+
+        for (q, got, sec) in [
+            (cho, cho_got, RefSecurity::Binding(&map, s)),
+            (gb, gb_got, RefSecurity::Subtree(&map, s)),
+        ] {
+            let got = got.unwrap_or_else(|e| panic!("{case}: {q} must fail closed: {e}"));
+            let expect = naive_eval(&model, q, sec);
+            assert!(
+                got.matches.iter().all(|m| expect.contains(m)),
+                "{case}: {q} answered {:?}, beyond the reference {expect:?}",
+                got.matches
+            );
+            assert!(got.stats.blocks_failed_closed > 0, "{case}: {q}");
+        }
+        assert!(
+            matches!(
+                plain,
+                Err(DbError::Query(QueryError::Storage(
+                    StorageError::CorruptSubtree { pos: AFRICA, .. }
+                )))
+            ),
+            "{case}: unsecured query must return the typed corruption, got {plain:?}"
+        );
+    }
+}

@@ -170,43 +170,27 @@ fn a_driver_started_inside_an_open_transaction_is_refused_and_the_outer_commits(
         d.set_node_access(3, SubjectId(1), true)?;
         let inner: Vec<UpdateFn> = vec![Box::new(grant_6)];
         assert!(refused(d.run_batch(&inner)));
-        assert!(refused(d.run_prepared(7, grant_6)));
-        assert!(refused(d.finish_prepared(7, true)));
         Ok(())
     })];
     let results = db.run_batch(&members).unwrap();
     assert!(results[0].is_ok());
     assert_eq!(db.epoch(), 1);
     assert!(!db.is_poisoned());
-    assert_eq!(db.prepared_gtid(), None);
     assert!(db.accessible(3, SubjectId(1)).unwrap(), "the outer member");
     assert!(
         !db.accessible(6, SubjectId(1)).unwrap(),
         "no refused driver"
     );
 
-    // The same rule inside a solo transaction and a prepared one.
+    // The same rule inside a solo transaction.
     db.run_update(|d| {
         assert!(refused(d.run_batch(&[])));
-        assert!(refused(d.run_prepared(8, grant_6)));
         d.set_node_access(2, SubjectId(1), false)
     })
     .unwrap();
     assert_eq!(db.epoch(), 2);
-    db.run_prepared(9, |d| {
-        assert!(refused(d.run_batch(&[])));
-        assert!(refused(d.run_prepared(10, grant_6)));
-        grant_6(d)
-    })
-    .unwrap();
-    // Prepared and undecided: no driver and no bare update method may start.
-    assert!(refused(db.run_batch(&[])));
-    assert!(refused(db.set_node_access(2, SubjectId(1), true)));
-    assert_eq!(db.prepared_gtid(), Some(9));
-    db.finish_prepared(9, true).unwrap();
-    assert_eq!(db.epoch(), 3);
     assert!(!db.accessible(2, SubjectId(1)).unwrap());
-    assert!(db.accessible(6, SubjectId(1)).unwrap());
+    assert!(!db.accessible(6, SubjectId(1)).unwrap());
 }
 
 #[test]

@@ -14,8 +14,9 @@
 //! `GroupedWorld` portal who may see about 1/64 of it — through the recursive
 //! portal queries, and reports the paper's §3.3 cost in deterministic
 //! counters: of the index candidates, how many were skipped from block
-//! headers and how many were examined one by one. `--smoke` gates that
-//! ratio, which a 1-CPU runner can.
+//! headers, how many a walked fragment dropped as lying outside its
+//! anchors' subtrees, and how many were examined one by one. `--smoke`
+//! gates the examined counts, which a 1-CPU runner can.
 
 use crate::setup::{synth_column, xmark_doc, BenchDb, Q3_SINGLE_PATH, SUBJECT, TABLE1};
 use crate::table::Table;
@@ -125,8 +126,8 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         rows.len(),
     );
 
-    let narrow_rows = narrow(effort, seed, smoke);
-    write_json(seed, scale, nodes, &rows, &narrow_rows);
+    let (narrow_rows, team_nodes) = narrow(effort, seed, smoke);
+    write_json(seed, scale, nodes, &rows, &narrow_rows, team_nodes);
 
     if smoke {
         // The reference assertions already ran on every run; the smoke gate
@@ -145,7 +146,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     }
 }
 
-/// The portal queries of the narrow-subject table; the first is the gated one.
+/// The portal queries of the narrow-subject table; the first two are gated.
 const NARROW_QUERIES: [&str; 4] = [
     "//folder//doc",
     "//team//folder/folder/doc",
@@ -175,8 +176,9 @@ impl NarrowRow {
 /// a narrow policy: the company sees the root node and `shared`, a
 /// department its own node and non-team children, a team its own subtree.
 /// (The stock rules grant the company the root, so everyone sees everything
-/// and §3.3 has nothing to skip.)
-fn narrow_portal(team_size: usize, seed: u64) -> (BenchDb, AccessibilityMap) {
+/// and §3.3 has nothing to skip.) Also returns the size of the subject's
+/// team subtree.
+fn narrow_portal(team_size: usize, seed: u64) -> (BenchDb, AccessibilityMap, usize) {
     let world = GroupedWorld::generate(&GroupedConfig {
         team_size,
         initial_users: 0,
@@ -206,13 +208,17 @@ fn narrow_portal(team_size: usize, seed: u64) -> (BenchDb, AccessibilityMap) {
     let mut col = rules.column(doc, company);
     col.or_assign(&rules.column(doc, depts[t / (teams.len() / depts.len())]));
     col.or_assign(&rules.column(doc, teams[t]));
+    let team_nodes = doc.subtree_range(team_roots[t]).len();
     let map = single_subject_map(doc, col);
-    (BenchDb::build(world.doc, &map, 4096), map)
+    (BenchDb::build(world.doc, &map, 4096), map, team_nodes)
 }
 
-/// Runs the narrow-subject table; with `smoke`, gates the examined ratio.
-fn narrow(effort: Effort, seed: u64, smoke: bool) -> Vec<NarrowRow> {
-    let (db, map) = narrow_portal(if smoke { 1500 } else { effort.pick(4000, 9000) }, seed);
+/// Runs the narrow-subject table; with `smoke`, gates `//folder//doc`'s
+/// examined ratio and bounds what `//team//folder/folder/doc` examines by
+/// the subject's team subtree.
+fn narrow(effort: Effort, seed: u64, smoke: bool) -> (Vec<NarrowRow>, usize) {
+    let (db, map, team_nodes) =
+        narrow_portal(if smoke { 1500 } else { effort.pick(4000, 9000) }, seed);
     let engine = db.engine();
     let mut rows = Vec::new();
     for query in NARROW_QUERIES {
@@ -239,9 +245,10 @@ fn narrow(effort: Effort, seed: u64, smoke: bool) -> Vec<NarrowRow> {
             );
             let st = &got.stats;
             assert_eq!(
-                st.candidates_examined + st.blocks_skipped,
+                st.candidates_examined + st.blocks_skipped + st.candidates_outside_anchors,
                 st.candidates,
-                "{query} ({security}): every candidate is skipped or examined"
+                "{query} ({security}): every candidate is skipped, outside the anchors or \
+                 examined"
             );
             assert_eq!(st.blocks_skipped, st.io.pages_skipped);
             rows.push(NarrowRow {
@@ -254,7 +261,8 @@ fn narrow(effort: Effort, seed: u64, smoke: bool) -> Vec<NarrowRow> {
     }
     let mut t = Table::new(
         &format!(
-            "narrow subject (1 team of 64, portal of {} nodes): section 3.3 cost in counters",
+            "narrow subject (1 team of 64, portal of {} nodes, team of {team_nodes}): \
+             section 3.3 cost in counters",
             db.doc.len()
         ),
         &[
@@ -262,8 +270,10 @@ fn narrow(effort: Effort, seed: u64, smoke: bool) -> Vec<NarrowRow> {
             "security",
             "candidates",
             "skipped",
+            "outside anchors",
             "examined",
             "examined/cand",
+            "nodes visited",
             "join tuples",
             "logical reads",
             "answers",
@@ -275,8 +285,10 @@ fn narrow(effort: Effort, seed: u64, smoke: bool) -> Vec<NarrowRow> {
             r.security.to_string(),
             r.stats.candidates.to_string(),
             r.stats.blocks_skipped.to_string(),
+            r.stats.candidates_outside_anchors.to_string(),
             r.stats.candidates_examined.to_string(),
             format!("{:.4}", r.examined_ratio()),
+            r.stats.nodes_visited.to_string(),
             r.stats.join_pairs.to_string(),
             r.stats.io.logical_reads.to_string(),
             r.answers.to_string(),
@@ -300,11 +312,32 @@ fn narrow(effort: Effort, seed: u64, smoke: bool) -> Vec<NarrowRow> {
                 r.examined_ratio(),
             );
         }
+        // A walked fragment starts only inside its anchors' subtrees, so
+        // the inner `folder/folder/doc` examines only candidates under the
+        // teams the subject sees: at most its own team's subtree.
+        for r in rows.iter().filter(|r| r.query == NARROW_QUERIES[1]) {
+            assert!(r.answers > 0, "{} ({}): vacuous gate", r.query, r.security);
+            assert!(
+                r.stats.candidates_examined <= team_nodes as u64,
+                "{} ({}): examined {} candidates, more than the {team_nodes} nodes of the \
+                 subject's team: the walk is not confined to its anchors",
+                r.query,
+                r.security,
+                r.stats.candidates_examined,
+            );
+        }
     }
-    rows
+    (rows, team_nodes)
 }
 
-fn write_json(seed: u64, scale: f64, nodes: usize, rows: &[Row], narrow: &[NarrowRow]) {
+fn write_json(
+    seed: u64,
+    scale: f64,
+    nodes: usize,
+    rows: &[Row],
+    narrow: &[NarrowRow],
+    team_nodes: usize,
+) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"experiment\": \"compile\",\n");
@@ -324,17 +357,21 @@ fn write_json(seed: u64, scale: f64, nodes: usize, rows: &[Row], narrow: &[Narro
             if i + 1 < rows.len() { ",\n" } else { "\n" },
         ));
     }
-    out.push_str("  ],\n  \"narrow\": [\n");
+    out.push_str(&format!("  ],\n  \"narrow_team_nodes\": {team_nodes},\n"));
+    out.push_str("  \"narrow\": [\n");
     for (i, r) in narrow.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"query\": \"{}\", \"security\": \"{}\", \"candidates\": {}, \
-             \"blocks_skipped\": {}, \"candidates_examined\": {}, \"join_pairs\": {}, \
+             \"blocks_skipped\": {}, \"candidates_outside_anchors\": {}, \
+             \"candidates_examined\": {}, \"nodes_visited\": {}, \"join_pairs\": {}, \
              \"logical_reads\": {}, \"answers\": {}}}{}",
             r.query,
             r.security,
             r.stats.candidates,
             r.stats.blocks_skipped,
+            r.stats.candidates_outside_anchors,
             r.stats.candidates_examined,
+            r.stats.nodes_visited,
             r.stats.join_pairs,
             r.stats.io.logical_reads,
             r.answers,

@@ -469,7 +469,9 @@ impl SnapshotCache {
 /// [`block_skip_mask`](dol_core::EmbeddedDol::block_skip_mask) the skip is
 /// defined by, so "outside every extent" and "in a skippable block" are the
 /// same set of positions. Evaluations that skip nothing (unsecured, or the
-/// fig-7 ablation) get the one extent covering the document.
+/// fig-7 ablation) get the one extent covering the document. The engine's
+/// anchor covers reuse the type: their ranges are the anchors' subtree
+/// intervals.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VisibleExtents {
     /// Half-open `[start, end)` position ranges, ascending, non-adjacent.
@@ -496,6 +498,16 @@ impl VisibleExtents {
                 vec![(0, total_nodes)]
             },
         }
+    }
+
+    /// Extents from half-open `[start, end)` ranges, ascending,
+    /// non-adjacent and non-empty.
+    pub(crate) fn from_ranges(ranges: Vec<(u64, u64)>) -> Self {
+        debug_assert!(
+            ranges.iter().all(|&(s, e)| s < e) && ranges.windows(2).all(|w| w[0].1 < w[1].0),
+            "extents must be ascending, non-adjacent and non-empty"
+        );
+        Self { ranges }
     }
 
     /// The extents `skip_mask` leaves of `store`: bit `b & 63` of word

@@ -120,9 +120,14 @@ pub struct ExecStats {
     pub nodes_denied: u64,
     /// Candidates rejected from in-memory block headers without I/O.
     pub blocks_skipped: u64,
-    /// Candidates that survived header pruning and were classified one by
-    /// one (`candidates - blocks_skipped`): the work that follows what the
-    /// subject can see rather than what the index lists.
+    /// Candidates of a walked descendant-side fragment that survived header
+    /// pruning but lie outside every one of its anchors' subtrees: dropped
+    /// before matching, because the join would discard their matches.
+    pub candidates_outside_anchors: u64,
+    /// Candidates that survived both prunings and were classified one by
+    /// one (`candidates - blocks_skipped - candidates_outside_anchors`): the
+    /// work that follows what the subject can see rather than what the
+    /// index lists.
     pub candidates_examined: u64,
     /// Tuples the structural joins emitted: one per ancestor–descendant
     /// pair where both sides still carry a live column, one per surviving
@@ -281,7 +286,8 @@ impl<'a> QueryEngine<'a> {
         let outcome = with_io_deadline(&opts.deadline, || {
             self.run_pipeline(plan, compiled, security, opts, &mut stats)
         });
-        stats.candidates_examined = stats.candidates - stats.blocks_skipped;
+        stats.candidates_examined =
+            stats.candidates - stats.blocks_skipped - stats.candidates_outside_anchors;
         stats.io = self.store.pool().stats().since(&io_before);
         stats.elapsed = start.elapsed();
         match outcome {
@@ -314,8 +320,10 @@ impl<'a> QueryEngine<'a> {
     /// through [`CompiledMatcher`] — with the §3.3 skip decided **once** per
     /// evaluation (word-parallel, from in-memory headers) and turned into
     /// [`VisibleExtents`] that every fragment's candidate list is
-    /// intersected with before any matcher runs, and single-node fragments
-    /// routed through the compressed-domain leaf fast path. Split out of
+    /// intersected with before any matcher runs, a walked fragment on the
+    /// descendant side of a join narrowed further to its anchors' cover, and
+    /// single-node fragments routed through the compressed-domain leaf fast
+    /// path. Split out of
     /// [`run_timed`](Self::run_timed) so the caller can attach the partial
     /// stats to a deadline abort.
     fn run_pipeline(
@@ -362,9 +370,36 @@ impl<'a> QueryEngine<'a> {
             stats.candidates += candidates.len() as u64;
             // Candidates in skippable blocks are counted, never visited: the
             // count is an index difference per gap between extents.
-            let pruned = extents.prune(&candidates);
+            let mut pruned = extents.prune(&candidates);
             stats.blocks_skipped += pruned.skipped;
             self.store.pool().note_pages_skipped(pruned.skipped);
+            // Semi-join pushdown: a walked fragment below a join (its anchor
+            // tree, the lesser index, is matched already) starts only inside
+            // its anchors' subtrees — the join would discard the rest. Leaf
+            // fragments skip it: their fast path is cheaper than the cover,
+            // and the join's semi-join merge drops outsiders in one pass.
+            if i > 0 && !frag.is_leaf() && !pruned.runs.is_empty() {
+                let join = plan
+                    .joins
+                    .iter()
+                    .find(|j| j.desc_tree == i)
+                    .expect("every fragment but the first is a join's descendant side");
+                let anc = &tables[join.anc_tree];
+                let cover = self.anchor_cover(
+                    anc,
+                    col_of(anc, join.anc_pnode),
+                    security.subject().is_some(),
+                    &mut snaps,
+                    stats,
+                )?;
+                let mut inside = Vec::with_capacity(pruned.runs.len());
+                for run in pruned.runs {
+                    let narrowed = cover.prune(run);
+                    stats.candidates_outside_anchors += narrowed.skipped;
+                    inside.extend(narrowed.runs);
+                }
+                pruned.runs = inside;
+            }
             let cols = fragment_cols(tree, force_root_output);
             // The leaf fast path classifies whole blocks in the compressed
             // domain; it requires candidates drawn from the index (an
@@ -482,18 +517,10 @@ impl<'a> QueryEngine<'a> {
         snaps: &mut SnapshotCache,
         stats: &mut ExecStats,
     ) -> Result<Vec<(u64, u64)>, StorageError> {
-        let total = self.store.total_nodes();
         let mut intervals = Vec::with_capacity(anc.len());
         for i in 0..anc.len() {
             let pos = anc.get(i, col);
-            let end = match snaps.at(self.store, pos, fail_closed)? {
-                Some((snap, slot)) => match snap.node(slot).subtree_end(pos, total) {
-                    Ok(end) => Some(end),
-                    Err(e) if !fail_closed => return Err(e),
-                    Err(_) => None,
-                },
-                None => None,
-            };
+            let end = self.subtree_end(pos, fail_closed, snaps)?;
             let end = end.unwrap_or_else(|| {
                 stats.blocks_failed_closed += 1;
                 pos
@@ -501,6 +528,62 @@ impl<'a> QueryEngine<'a> {
             intervals.push((pos, end));
         }
         Ok(intervals)
+    }
+
+    /// The cover of the anchors in column `col` of `anc`: the union of their
+    /// strict-descendant intervals `[pos + 1, end)`. Subtree intervals nest
+    /// or are disjoint, so in ascending order an anchor that starts before
+    /// the end covered so far lies inside the last interval and is never
+    /// decoded. An anchor that fails closed (as in
+    /// [`anchor_intervals`](Self::anchor_intervals), and counted the same
+    /// way) adds nothing, so a fault can only shrink the cover.
+    fn anchor_cover(
+        &self,
+        anc: &TupleTable,
+        col: usize,
+        fail_closed: bool,
+        snaps: &mut SnapshotCache,
+        stats: &mut ExecStats,
+    ) -> Result<VisibleExtents, StorageError> {
+        let mut anchors: Vec<u64> = (0..anc.len()).map(|i| anc.get(i, col)).collect();
+        anchors.sort_unstable();
+        let mut ranges = Vec::new();
+        let mut covered = 0;
+        for pos in anchors {
+            if pos < covered {
+                continue;
+            }
+            match self.subtree_end(pos, fail_closed, snaps)? {
+                Some(end) => {
+                    if end > pos + 1 {
+                        ranges.push((pos + 1, end));
+                    }
+                    covered = end;
+                }
+                None => stats.blocks_failed_closed += 1,
+            }
+        }
+        Ok(VisibleExtents::from_ranges(ranges))
+    }
+
+    /// The end of `pos`'s subtree, decoded from the snapshot cache.
+    /// `Ok(None)` in secure mode when its block failed closed or its record
+    /// claims a size of 0 or a subtree past the store; unsecured evaluation
+    /// returns the [`StorageError`].
+    fn subtree_end(
+        &self,
+        pos: u64,
+        fail_closed: bool,
+        snaps: &mut SnapshotCache,
+    ) -> Result<Option<u64>, StorageError> {
+        let Some((snap, slot)) = snaps.at(self.store, pos, fail_closed)? else {
+            return Ok(None);
+        };
+        match snap.node(slot).subtree_end(pos, self.store.total_nodes()) {
+            Ok(end) => Ok(Some(end)),
+            Err(e) if !fail_closed => Err(e),
+            Err(_) => Ok(None),
+        }
     }
 }
 
@@ -1085,6 +1168,173 @@ mod tests {
             .execute("//item[name]", Security::BindingLevel(SubjectId(0)))
             .unwrap();
         assert_eq!(ok.matches, vec![3, 6]);
+    }
+
+    /// A labeling for subject 0 that grants everything but `denied`.
+    fn all_but(xml: &str, denied: &[u32]) -> AccessibilityMap {
+        let n = parse(xml).unwrap().len();
+        let mut map = AccessibilityMap::new(1, n);
+        for p in 0..n as u32 {
+            map.set(SubjectId(0), NodeId(p), !denied.contains(&p));
+        }
+        map
+    }
+
+    /// Runs `q` in every mode and page-skip setting over `xml` labeled by
+    /// `map` and both block sizes, asserting the reference answer and the
+    /// three-way candidate partition; returns every run's stats.
+    fn agree_everywhere(xml: &str, map: &AccessibilityMap, q: &str) -> Vec<ExecStats> {
+        let pattern = parse_query(q).unwrap();
+        let plan = QueryPlan::new(pattern.clone());
+        let mut all = Vec::new();
+        for max_rec in [300, 2] {
+            let d = db(xml, Some(map), max_rec);
+            for (sec, ref_sec) in [
+                (Security::None, RefSecurity::None),
+                (
+                    Security::BindingLevel(SubjectId(0)),
+                    RefSecurity::Binding(map, SubjectId(0)),
+                ),
+                (
+                    Security::SubtreeVisibility(SubjectId(0)),
+                    RefSecurity::Subtree(map, SubjectId(0)),
+                ),
+            ] {
+                let expect = naive_eval(&d.doc, &pattern, ref_sec);
+                for page_skip in [true, false] {
+                    let opts = ExecOptions {
+                        page_skip,
+                        ..ExecOptions::default()
+                    };
+                    let got = d.engine().execute_plan_opts(&plan, sec, opts).unwrap();
+                    let what = format!("{q} {sec:?} page_skip={page_skip} max_rec={max_rec}");
+                    assert_eq!(got.matches, expect, "{what}");
+                    let st = got.stats;
+                    assert_eq!(
+                        st.candidates_examined + st.blocks_skipped + st.candidates_outside_anchors,
+                        st.candidates,
+                        "{what}"
+                    );
+                    all.push(st);
+                }
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn walked_fragment_starts_only_inside_its_anchors() {
+        // r0 a1 b2 c3 b4 d5 b6 c7 b8 c9 x10 b11 c12: the a covers [2, 8),
+        // so b8 and b11 lie outside it.
+        let xml = "<r><a><b><c/></b><b><d/></b><b><c/></b></a><b><c/></b>\
+                   <x><b><c/></b></x></r>";
+        let map = all_but(xml, &[7, 10]);
+        for st in agree_everywhere(xml, &map, "//a//b/c") {
+            assert_eq!(st.candidates_outside_anchors, 2, "{st:?}");
+        }
+        // The leaf form of the same join is left to the join's semi-join.
+        for st in agree_everywhere(xml, &map, "//a//b") {
+            assert_eq!(st.candidates_outside_anchors, 0, "{st:?}");
+        }
+    }
+
+    #[test]
+    fn nested_anchors_cover_once() {
+        // r0 a1 a2 b3 c4 b5 c6 b7 c8: a2 nests in a1, whose cover [2, 7)
+        // already holds it; b7 lies outside.
+        let xml = "<r><a><a><b><c/></b></a><b><c/></b></a><b><c/></b></r>";
+        let map = all_but(xml, &[2]);
+        for st in agree_everywhere(xml, &map, "//a//b/c") {
+            assert_eq!(st.candidates_outside_anchors, 1, "{st:?}");
+        }
+        agree_everywhere(xml, &map, "//a//a//b/c");
+    }
+
+    #[test]
+    fn empty_anchor_table_walks_nothing() {
+        let xml = "<r><a><b><c/></b></a><b><c/></b></r>";
+        // Subject 0 may see no `a`: under Cho the anchor table is empty.
+        let map = all_but(xml, &[1]);
+        let d = db(xml, Some(&map), 2);
+        let cho = d
+            .engine()
+            .execute("//a//b/c", Security::BindingLevel(SubjectId(0)))
+            .unwrap();
+        assert!(cho.matches.is_empty());
+        assert_eq!(cho.stats.nodes_visited, 0, "no b was walked");
+        assert_eq!(cho.stats.candidates_outside_anchors, 2);
+        // No `a` at all: the same, unsecured.
+        let none = d.engine().execute("//zz//b/c", Security::None).unwrap();
+        assert!(none.matches.is_empty());
+        assert_eq!(none.stats.nodes_visited, 0, "no b was walked");
+        assert_eq!(none.stats.candidates_outside_anchors, 2);
+    }
+
+    #[test]
+    fn unreadable_anchor_block_shrinks_the_cover_or_errors() {
+        // r0 a1 b2 c3 b4 c5 x6 y7: with two records per block, a1 shares
+        // block 0 with r0 and the b/c pairs sit in blocks of their own.
+        let xml = "<r><a><b><c/></b><b><c/></b></a><x><y/></x></r>";
+        let doc = parse(xml).unwrap();
+        let map = all_but(xml, &[]);
+        let fault = Arc::new(FaultDisk::new(
+            Arc::new(MemDisk::new()),
+            FaultConfig {
+                permanent_read_failure: 1.0,
+                ..FaultConfig::default()
+            },
+        ));
+        fault.set_armed(false);
+        let pool = Arc::new(BufferPool::new(fault.clone(), 256));
+        let cfg = StoreConfig {
+            max_records_per_block: 2,
+        };
+        let (store, dol) = EmbeddedDol::build(pool.clone(), cfg, &doc, &map).unwrap();
+        let values = ValueStore::new(pool.clone());
+        let index = NodeIndex::build(&store, &values).unwrap();
+        let engine = QueryEngine::new(&store, &values, doc.tags(), Some(&dol), &index);
+        let anchor_block = store.block_of_pos(1);
+        // Every block but the anchor's is cached; once armed, only the
+        // anchor's block is unreadable.
+        let arm = || {
+            pool.flush_all().unwrap();
+            pool.clear_cache().unwrap();
+            for b in (0..store.block_count()).filter(|&b| b != anchor_block) {
+                store.block_snapshot(b).unwrap();
+            }
+            fault.set_armed(true);
+        };
+        let pattern = parse_query("//a//b/c").unwrap();
+        let plan = QueryPlan::new(pattern.clone());
+        for (sec, ref_sec) in [
+            (
+                Security::BindingLevel(SubjectId(0)),
+                RefSecurity::Binding(&map, SubjectId(0)),
+            ),
+            (
+                Security::SubtreeVisibility(SubjectId(0)),
+                RefSecurity::Subtree(&map, SubjectId(0)),
+            ),
+        ] {
+            let expect = naive_eval(&doc, &pattern, ref_sec);
+            assert_eq!(expect, vec![3, 5]);
+            arm();
+            let got = engine.execute_plan(&plan, sec).unwrap();
+            fault.set_armed(false);
+            assert!(got.matches.iter().all(|m| expect.contains(m)), "{sec:?}");
+            assert!(got.stats.blocks_failed_closed > 0, "{sec:?}");
+        }
+        arm();
+        let plain = engine.execute_plan(&plan, Security::None);
+        fault.set_armed(false);
+        assert!(
+            matches!(plain, Err(QueryError::Storage(_))),
+            "unsecured must surface the read error, got {plain:?}"
+        );
+        // Readable again, every mode answers in full.
+        pool.clear_cache().unwrap();
+        let ok = engine.execute_plan(&plan, Security::None).unwrap();
+        assert_eq!(ok.matches, vec![3, 5]);
     }
 
     #[test]

@@ -340,11 +340,12 @@ fn check_narrow_case(f: &Fixture, map: &AccessibilityMap, pattern: &PatternTree)
         prop_assert_eq!(&unskipped.matches, &expect, "{}: page_skip off", &what);
         prop_assert_eq!(unskipped.stats.blocks_skipped, 0);
 
-        // The counters: skipped + examined = candidates, and skipped is
-        // exactly the candidates in skippable blocks, however it was counted.
+        // The counters: examined + skipped + outside the anchors' cover =
+        // candidates, and skipped is exactly the candidates in skippable
+        // blocks, however it was counted.
         let st = &seq.stats;
         prop_assert_eq!(
-            st.candidates_examined + st.blocks_skipped,
+            st.candidates_examined + st.blocks_skipped + st.candidates_outside_anchors,
             st.candidates,
             "{}",
             &what

@@ -17,11 +17,11 @@
 //! * answer correctness: sampled users' visible sets equal the OR of their
 //!   transitive group closure computed independently from the rule set.
 //!
-//! A final segment exercises **incremental compaction** under churn: direct
-//! per-subject columns are created and removed, then the backlog is drained
-//! in bounded ticks ([`COMPACT_TICK_BLOCKS`]) with the per-step block bound
-//! asserted and query answers checked *mid-compaction* — readers are never
-//! blocked behind a full remap.
+//! A final segment exercises **compaction** under churn: direct per-subject
+//! columns are created and removed, then one
+//! [`SecureXmlDb::compact_subjects`] transaction drops them — **gated** to
+//! shrink the codebook strictly, spend exactly one epoch and leave probe
+//! answers unchanged — and the pages that transaction wrote are recorded.
 //!
 //! `--smoke` pins a small deterministic configuration for CI; `--full`
 //! extends the sweep to 10^6 subjects. Machine-readable output goes to
@@ -32,7 +32,7 @@ use crate::Effort;
 use dol_acl::SubjectId;
 use dol_nok::Security;
 use dol_workloads::{GroupedConfig, GroupedWorld};
-use secure_xml::{SecureXmlDb, COMPACT_TICK_BLOCKS};
+use secure_xml::SecureXmlDb;
 use std::io::Write as _;
 
 /// Cost gate: logical reads per query at every step must stay within
@@ -124,38 +124,6 @@ fn check_answers(db: &SecureXmlDb, world: &GroupedWorld, pool: &[(SubjectId, Sub
             );
             pos += stride;
         }
-    }
-}
-
-/// Drains the compaction backlog in bounded ticks, asserting the per-step
-/// block bound and re-checking one query's answers mid-drain.
-fn drain_compaction(db: &mut SecureXmlDb, probe: (SubjectId, &[u64])) -> (usize, u64) {
-    let backlog0 = db.compaction_backlog();
-    let (probe_subject, probe_expect) = probe;
-    let mut ticks = 0usize;
-    loop {
-        let p = db.compaction_tick(COMPACT_TICK_BLOCKS).expect("tick");
-        assert!(
-            p.blocks_done <= COMPACT_TICK_BLOCKS,
-            "compaction tick exceeded its block budget: {} > {}",
-            p.blocks_done,
-            COMPACT_TICK_BLOCKS
-        );
-        ticks += 1;
-        if ticks % 3 == 1 {
-            // Readers keep getting exact answers mid-compaction.
-            let r = db
-                .query(QUERIES[0], Security::BindingLevel(probe_subject))
-                .expect("mid-compaction query");
-            assert_eq!(
-                r.matches, probe_expect,
-                "answers changed mid-compaction at tick {ticks}"
-            );
-        }
-        if p.finished {
-            return (ticks, backlog0);
-        }
-        assert!(ticks < 1_000_000, "compaction never converged");
     }
 }
 
@@ -290,15 +258,20 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
          users' visible sets equal their independently computed group-closure OR.)\n"
     );
 
-    // ---- incremental compaction under churn ---------------------------
+    // ---- compaction under churn ---------------------------------------
     // Direct per-subject grants materialize columns; removing the subjects
     // leaves dead columns and duplicate entries for the compactor.
     let pool = sample_pool(&batches, 4);
-    let probe_subject = pool[0].0;
-    let probe_expect = db
-        .query(QUERIES[0], Security::BindingLevel(probe_subject))
-        .expect("probe")
-        .matches;
+    let probe = |db: &SecureXmlDb| -> Vec<Vec<u64>> {
+        QUERIES
+            .iter()
+            .map(|q| {
+                let sec = Security::BindingLevel(pool[0].0);
+                db.query(q, sec).expect("probe").matches
+            })
+            .collect()
+    };
+    let probe_expect = probe(&db);
     let churn = if smoke { 6 } else { 10 };
     let mut churned = Vec::with_capacity(churn);
     for i in 0..churn {
@@ -310,23 +283,43 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
     for s in churned {
         db.remove_subject(s).expect("churn remove");
     }
-    let armed = db.begin_compaction().expect("begin compaction");
-    assert!(armed, "churn left nothing to compact");
-    let (ticks, backlog) = drain_compaction(&mut db, (probe_subject, &probe_expect));
+    let entries_before = db.dol().codebook().len();
+    db.checkpoint().expect("checkpoint");
+    let (io, epoch) = (db.io_stats(), db.epoch());
+    db.compact_subjects().expect("compact subjects");
+    db.checkpoint().expect("checkpoint");
+    let compaction = Compaction {
+        entries_before,
+        entries_after: db.dol().codebook().len(),
+        pages_written: db.io_stats().since(&io).physical_writes,
+    };
+    assert_eq!(db.epoch(), epoch + 1, "compaction must commit as one epoch");
+    assert!(
+        compaction.entries_after < entries_before,
+        "compaction left {} of {entries_before} entries",
+        compaction.entries_after
+    );
+    assert_eq!(probe(&db), probe_expect, "compaction changed probe answers");
     check_answers(&db, &world, &pool);
-    let cb = db.dol().codebook();
     println!(
-        "incremental compaction: backlog {backlog} blocks drained in {ticks} ticks of \
-         <= {COMPACT_TICK_BLOCKS} blocks,\nanswers stable throughout; \
-         {} entries / {} live columns after\n",
-        cb.len(),
-        cb.live_columns()
+        "compaction: {entries_before} -> {} entries, {} live columns after, one transaction \
+         wrote {} pages;\nprobe answers unchanged\n",
+        compaction.entries_after,
+        db.dol().codebook().live_columns(),
+        compaction.pages_written
     );
 
-    write_json(seed, &world, &reports, ticks, backlog);
+    write_json(seed, &world, &reports, &compaction);
 }
 
-fn write_json(seed: u64, world: &GroupedWorld, reports: &[StepReport], ticks: usize, backlog: u64) {
+/// What the one compaction transaction did.
+struct Compaction {
+    entries_before: usize,
+    entries_after: usize,
+    pages_written: u64,
+}
+
+fn write_json(seed: u64, world: &GroupedWorld, reports: &[StepReport], c: &Compaction) {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"experiment\": \"subjects\",\n");
@@ -354,8 +347,9 @@ fn write_json(seed: u64, world: &GroupedWorld, reports: &[StepReport], ticks: us
     }
     out.push_str("  ],\n");
     out.push_str(&format!(
-        "  \"compaction\": {{\"ticks\": {ticks}, \"backlog_blocks\": {backlog}, \
-         \"max_blocks_per_tick\": {COMPACT_TICK_BLOCKS}}}\n"
+        "  \"compaction\": {{\"entries_before\": {}, \"entries_after\": {}, \
+         \"pages_written\": {}}}\n",
+        c.entries_before, c.entries_after, c.pages_written
     ));
     out.push_str("}\n");
     match std::fs::File::create("BENCH_subjects.json").and_then(|mut f| f.write_all(out.as_bytes()))

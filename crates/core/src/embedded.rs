@@ -6,7 +6,7 @@
 //! single-pass secured bulk build, the piggy-backed accessibility check, the
 //! page-skip test, and the accessibility-update entry points.
 
-use crate::codebook::{Codebook, CompactionPhase};
+use crate::codebook::Codebook;
 use crate::column::SubjectColumn;
 use crate::dol::Dol;
 use crate::stats::DolStats;
@@ -22,20 +22,6 @@ pub type StorageError = dol_storage::disk::StorageError;
 /// Decoded-column cache capacity; past this the cache is flushed wholesale
 /// (subject spaces can reach millions under group factoring).
 const COLUMN_CACHE_CAP: usize = 4096;
-
-/// What one [`EmbeddedDol::compaction_tick`] accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionProgress {
-    /// The phase the step ran in (`None` once the plan completed).
-    pub phase: Option<CompactionPhase>,
-    /// Blocks rewritten by this step — never more than the `max_blocks`
-    /// bound the caller passed.
-    pub blocks_done: usize,
-    /// Whether the plan completed (codebook truncated + columns retired).
-    pub finished: bool,
-    /// Whether a concurrently-invalidated plan was rebuilt first.
-    pub replanned: bool,
-}
 
 /// Produces the document-order [`BulkItem`] stream for a secured bulk load,
 /// interning each node's ACL on the fly — the paper's single-pass
@@ -307,91 +293,15 @@ impl EmbeddedDol {
         store.set_code_run(start, end, code)
     }
 
-    /// Arms an incremental compaction plan — the §3.4 lazy cleanup after
-    /// subject removals: dropping removed columns, merging duplicate entries
-    /// and rewriting the embedded codes through the resulting remap, in the
-    /// bounded-work steps of [`compaction_tick`](EmbeddedDol::compaction_tick).
-    /// No block is touched yet. Returns `false` when there is nothing to
-    /// compact or a plan is already active.
-    pub fn begin_compaction(&mut self) -> bool {
-        self.codebook.begin_compaction()
-    }
-
-    /// Runs one bounded compaction step: rewrites at most `max_blocks`
-    /// blocks of the store through the active plan's phase map, crossing
-    /// the phase boundary (and finally completing the plan) when a phase's
-    /// pass over the directory drains. A plan invalidated by concurrent
-    /// mutations is re-planned from the current state first — every state
-    /// the migration pauses in answers all queries identically, so this is
-    /// merely restarting the walk, never a correctness event.
-    pub fn compaction_tick(
-        &mut self,
-        store: &mut StructStore,
-        max_blocks: usize,
-    ) -> Result<CompactionProgress, StorageError> {
-        let mut replanned = false;
-        if self.codebook.compaction().is_some_and(|p| p.is_dirty()) {
-            replanned = true;
-            self.codebook.replan_compaction();
-        }
-        let Some(plan) = self.codebook.compaction() else {
-            return Ok(CompactionProgress {
-                phase: None,
-                blocks_done: 0,
-                finished: true,
-                replanned,
-            });
-        };
-        let nblocks = store.block_count();
-        let phase = plan.phase();
-        let cursor = plan.cursor() as usize;
-        let end = (cursor + max_blocks.max(1)).min(nblocks);
-        let mut blocks_done = 0;
-        if cursor < end {
-            let remap: Vec<u32> = (0..self.codebook.len() as u32)
-                .map(|c| plan.map(c))
-                .collect();
-            let prev = plan.prev_code();
-            let prev = store.remap_codes_range(cursor..end, &remap, prev)?;
-            self.codebook.note_compaction_progress(end as u64, prev);
-            blocks_done = end - cursor;
-        }
-        let finished = if end >= nblocks {
-            match phase {
-                CompactionPhase::Up => {
-                    self.codebook.advance_compaction_phase();
-                    false
-                }
-                CompactionPhase::Down => {
-                    self.codebook.finish_compaction();
-                    true
-                }
-            }
-        } else {
-            false
-        };
-        // Every step moves every view: the last one shifts flat subject ids.
+    /// The §3.4 lazy cleanup after subject removals: compacts the codebook
+    /// (removed columns dropped, duplicate entries merged) and rewrites every
+    /// embedded code through the resulting remap in one pass over the store.
+    /// Every view moves: flat subject ids shift with the dropped columns.
+    pub fn compact(&mut self, store: &mut StructStore) -> Result<(), StorageError> {
+        let remap = self.codebook.compact();
+        store.remap_codes(&remap)?;
         self.codebook.touch_all();
-        Ok(CompactionProgress {
-            phase: (!finished).then_some(phase),
-            blocks_done,
-            finished,
-            replanned,
-        })
-    }
-
-    /// Remaining compaction work, in blocks still to rewrite (phase Up
-    /// counts the pending Down pass too). `0` means no plan is active.
-    pub fn compaction_backlog(&self, store: &StructStore) -> u64 {
-        let Some(plan) = self.codebook.compaction() else {
-            return 0;
-        };
-        let nblocks = store.block_count() as u64;
-        let left = nblocks.saturating_sub(plan.cursor());
-        match plan.phase() {
-            CompactionPhase::Up => left + nblocks,
-            CompactionPhase::Down => left,
-        }
+        Ok(())
     }
 
     /// Extracts the logical DOL from the embedded representation (used by
@@ -556,8 +466,7 @@ mod tests {
             // Removing subject 1 makes the "subtree of d" ACL redundant.
             dol.codebook_mut().remove_subject(SubjectId(1));
             let entries_before = dol.codebook().len();
-            assert!(dol.begin_compaction());
-            while !dol.compaction_tick(&mut store, 1).unwrap().finished {}
+            dol.compact(&mut store).unwrap();
             store.check_integrity().unwrap();
             assert!(dol.codebook().len() < entries_before);
             assert_eq!(dol.codebook().width(), 1);

@@ -56,9 +56,8 @@ pub mod stats;
 pub mod stream;
 
 pub use codebook::Codebook;
-pub use codebook::{CompactionPhase, CompactionPlan};
 pub use column::{AccessBitmap, SubjectColumn};
 pub use dol::Dol;
-pub use embedded::{build_secure_items, CompactionProgress, EmbeddedDol};
+pub use embedded::{build_secure_items, EmbeddedDol};
 pub use stats::DolStats;
 pub use stream::{build_dol_from_stream, secure_filter};

@@ -205,34 +205,15 @@ impl StructStore {
         Ok(())
     }
 
-    /// Rewrites the embedded access-control codes of one **slice** of the
-    /// block directory through `remap` (`new_code = remap[old_code]`),
-    /// merging transitions that become redundant — the deferred cleanup
-    /// after a codebook compaction: "any such redundancy can be corrected
-    /// lazily" (§3.4), and the bounded-work step incremental compaction is
-    /// built from. `prev` seeds the cross-slice run-merge state (the mapped
-    /// code in effect at the end of the block before `blocks.start`; `None`
-    /// when starting at block 0), and the mapped code at the end of the last
-    /// rewritten block is returned for the caller to persist and seed the
-    /// next step with. Codes outside `remap` are left untouched (identity) —
-    /// during a two-phase migration the not-yet-visited tail legitimately
-    /// holds codes from the other phase's range.
-    ///
-    /// When the slice stops short of the last block, the first record of the
-    /// block *after* the slice gets its transition flag re-derived against
-    /// the new boundary code, so the store's transition invariant (flag ⇔
-    /// code differs from predecessor) holds in every intermediate state and
-    /// integrity checks stay strict mid-migration.
-    pub fn remap_codes_range(
-        &mut self,
-        blocks: Range<usize>,
-        remap: &[u32],
-        prev: Option<u32>,
-    ) -> Result<Option<u32>, StorageError> {
-        let end = blocks.end.min(self.dir.len());
-        let mut prev = prev;
+    /// Rewrites every embedded access-control code of the store through
+    /// `remap` (`new_code = remap[old_code]`) in one pass over the block
+    /// directory, merging transitions that become redundant — the deferred
+    /// cleanup after a codebook compaction: "any such redundancy can be
+    /// corrected lazily" (§3.4). A code past the end of `remap` is kept.
+    pub fn remap_codes(&mut self, remap: &[u32]) -> Result<(), StorageError> {
+        let mut prev: Option<u32> = None;
         let map = |c: u32| -> u32 { remap.get(c as usize).copied().unwrap_or(c) };
-        for idx in blocks.start..end {
+        for idx in 0..self.dir.len() {
             let info = self.dir[idx];
             let new_info = self.pool.with_page_mut(info.page, |p| {
                 let hdr = BlockHeader::read(p);
@@ -276,13 +257,7 @@ impl StructStore {
             })?;
             self.dir[idx] = new_info;
         }
-        if end < self.dir.len() && blocks.start < end {
-            // Re-derive the boundary transition flag: the next block still
-            // holds codes from before this step.
-            let next = self.dir[end];
-            self.patch_transition_flag(next.first_pos, prev != Some(next.first_code))?;
-        }
-        Ok(prev)
+        Ok(())
     }
 
     /// Reads the items of a contiguous block range, reconstructing each
@@ -750,15 +725,14 @@ mod tests {
     }
 
     #[test]
-    fn remap_codes_range_merges_redundant_transitions() {
+    fn remap_codes_merges_redundant_transitions() {
         for max_rec in [300usize, 3] {
             let doc = doc12();
             // Codes 0,1,2 cycling: every node a transition.
             let mut store = secured_store(&doc, max_rec, |p| (p % 3) as u32);
             assert_eq!(store.logical_transition_count().unwrap(), 11);
             // Merge codes 1 and 2 into 1: runs collapse pairwise.
-            let all = 0..store.block_count();
-            store.remap_codes_range(all, &[0, 1, 1], None).unwrap();
+            store.remap_codes(&[0, 1, 1]).unwrap();
             store.check_integrity().unwrap();
             let expect: Vec<u32> = (0..11u64).map(|p| if p % 3 == 0 { 0 } else { 1 }).collect();
             assert_eq!(codes_of(&store), expect);
@@ -768,8 +742,7 @@ mod tests {
             assert_eq!(store.logical_transition_count().unwrap(), 8);
             // Identity remap is a no-op.
             let before = codes_of(&store);
-            let all = 0..store.block_count();
-            store.remap_codes_range(all, &[0, 1, 1], None).unwrap();
+            store.remap_codes(&[0, 1, 1]).unwrap();
             store.check_integrity().unwrap();
             assert_eq!(codes_of(&store), before);
         }

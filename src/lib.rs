@@ -52,7 +52,6 @@
 //! | [`workloads`] | `dol-workloads` | XMark, synthetic ACLs, LiveLink, UnixFS |
 
 mod commit;
-mod modal;
 mod persist;
 mod reader;
 mod stats;
@@ -69,17 +68,11 @@ pub use dol_nok::{ExecOptions, ExecStats, QueryResult, Security};
 pub use dol_storage::{CancelToken, Deadline, RecoveryReport, RetryPolicy};
 
 pub use commit::{CommitObserver, GroupCommitConfig, GroupCommitStats, GroupCommitter};
-pub use modal::{ModalDb, ModalSecurity};
 pub use reader::{CacheStats, DbReader};
 pub use stats::ServerStats;
 
 use dol_acl::{AccessOracle, BitVec, SubjectId};
-use dol_core::{CompactionProgress, DolStats, EmbeddedDol};
-
-/// Per-transaction block budget [`SecureXmlDb::compact_subjects`] drains
-/// its incremental plan with — the bound on any single compaction
-/// transaction's page writes.
-pub const COMPACT_TICK_BLOCKS: usize = 64;
+use dol_core::{DolStats, EmbeddedDol};
 use dol_nok::{NodeIndex, QueryEngine, QueryError};
 use dol_storage::disk::StorageError;
 use dol_storage::{BufferPool, BulkItem, IoStats, MemDisk, StoreConfig, StructStore, ValueStore};
@@ -891,11 +884,7 @@ impl SecureXmlDb {
         self.run_txn(|db| {
             let dol = Arc::make_mut(&mut db.mirrors.dol);
             let store = Arc::make_mut(&mut db.mirrors.store);
-            dol.set_node(store, pos, subject, allow)?;
-            // A code rewrite can split blocks, shifting directory indices
-            // under an in-flight compaction cursor.
-            dol.codebook_mut().mark_compaction_dirty();
-            Ok(())
+            Ok(dol.set_node(store, pos, subject, allow)?)
         })
     }
 
@@ -915,9 +904,7 @@ impl SecureXmlDb {
         self.run_txn(|db| {
             let dol = Arc::make_mut(&mut db.mirrors.dol);
             let store = Arc::make_mut(&mut db.mirrors.store);
-            dol.set_subtree(store, pos, end, subject, allow)?;
-            dol.codebook_mut().mark_compaction_dirty();
-            Ok(())
+            Ok(dol.set_subtree(store, pos, end, subject, allow)?)
         })
     }
 
@@ -944,49 +931,20 @@ impl SecureXmlDb {
     }
 
     /// Performs the §3.4 lazy cleanup after subject removals: compacts the
-    /// codebook and rewrites the embedded codes. Subject ids shift in a
-    /// flat codebook (removed columns disappear), so callers must re-derive
-    /// ids; factored logical ids are stable.
-    ///
-    /// Internally this arms an incremental plan and drains it in bounded
-    /// steps, **each its own transaction** — no single transaction ever
-    /// rewrites more than [`COMPACT_TICK_BLOCKS`] blocks, and readers
-    /// between steps see a consistent half-migrated image (every
-    /// intermediate code resolves to the right ACL). A crash mid-drain
-    /// recovers onto a step boundary; re-calling finishes the job.
+    /// codebook and rewrites the embedded codes, as one transaction and one
+    /// epoch. Subject ids shift in a flat codebook (removed columns
+    /// disappear), so callers must re-derive ids; factored logical ids are
+    /// stable. A codebook with no removed column and no duplicate entry has
+    /// nothing to compact: the call opens no transaction.
     pub fn compact_subjects(&mut self) -> Result<(), DbError> {
-        let armed = self.begin_compaction()?;
-        if !armed && self.mirrors.dol.codebook().compaction().is_none() {
-            return Ok(()); // nothing to merge, nothing to retire
+        if self.mirrors.dol.codebook().is_compact() {
+            return Ok(());
         }
-        loop {
-            if self.compaction_tick(COMPACT_TICK_BLOCKS)?.finished {
-                return Ok(());
-            }
-        }
-    }
-
-    /// Arms an incremental compaction plan (no block is rewritten yet).
-    /// Returns `false` when the codebook has nothing to compact or a plan
-    /// is already active.
-    pub fn begin_compaction(&mut self) -> Result<bool, DbError> {
-        self.run_txn(|db| Ok(Arc::make_mut(&mut db.mirrors.dol).begin_compaction()))
-    }
-
-    /// Runs one bounded compaction step as its own transaction, rewriting
-    /// at most `max_blocks` blocks. Drive this from a maintenance loop.
-    pub fn compaction_tick(&mut self, max_blocks: usize) -> Result<CompactionProgress, DbError> {
         self.run_txn(|db| {
             let dol = Arc::make_mut(&mut db.mirrors.dol);
             let store = Arc::make_mut(&mut db.mirrors.store);
-            Ok(dol.compaction_tick(store, max_blocks)?)
+            Ok(dol.compact(store)?)
         })
-    }
-
-    /// Remaining compaction work in blocks (0 = no active plan) — the
-    /// backlog gauge for maintenance schedulers.
-    pub fn compaction_backlog(&self) -> u64 {
-        self.mirrors.dol.compaction_backlog(&self.mirrors.store)
     }
 
     /// Adds a logical subject with the given direct parent groups — a
@@ -1199,14 +1157,13 @@ impl SecureXmlDb {
     /// What every structural update ends with: the node index rebuilt from
     /// the spliced store and values in one scan, the document view emptied,
     /// every view stamp moved (positions, tags and values changed under
-    /// every subject), and — blocks moved — an in-flight compaction cursor
-    /// marked stale.
+    /// every subject).
     fn reindex(&mut self) -> Result<(), DbError> {
         self.mirrors.index = Arc::new(NodeIndex::build(&self.mirrors.store, &self.mirrors.values)?);
         self.mirrors.view = Arc::default();
-        let codebook = Arc::make_mut(&mut self.mirrors.dol).codebook_mut();
-        codebook.touch_all();
-        codebook.mark_compaction_dirty();
+        Arc::make_mut(&mut self.mirrors.dol)
+            .codebook_mut()
+            .touch_all();
         Ok(())
     }
 
@@ -1522,6 +1479,33 @@ mod tests {
         assert!(db.accessible(4, s2).unwrap());
     }
 
+    /// With nothing to compact, `compact_subjects` opens no transaction: no
+    /// epoch, no log record, no page write. A real compaction is one epoch.
+    #[test]
+    fn compact_subjects_spends_one_epoch_or_none() {
+        let (built, _) = two_subject_db();
+        let data = Arc::new(MemDisk::new());
+        built.save_to_disk(data.clone()).unwrap();
+        let mut db =
+            SecureXmlDb::open_on(data, Arc::new(MemDisk::new()), DbConfig::default()).unwrap();
+        let wal = db.store().pool().wal().unwrap();
+        let (epoch, logged, io) = (db.epoch(), wal.stats().bytes_logged, db.io_stats());
+        db.compact_subjects().unwrap();
+        db.checkpoint().unwrap();
+        assert_eq!(db.epoch(), epoch, "a no-op compaction spent an epoch");
+        assert_eq!(wal.stats().bytes_logged, logged);
+        assert_eq!(db.io_stats().since(&io).physical_writes, 0);
+
+        let extra = db.add_subject(Some(SubjectId(1))).unwrap();
+        db.remove_subject(extra).unwrap();
+        assert!(!db.dol().codebook().is_compact());
+        let epoch = db.epoch();
+        db.compact_subjects().unwrap();
+        assert_eq!(db.epoch(), epoch + 1);
+        assert!(db.dol().codebook().is_compact());
+        db.verify_integrity().unwrap();
+    }
+
     #[test]
     fn move_subtree_carries_access_controls() {
         let (mut db, _) = two_subject_db();
@@ -1722,11 +1706,23 @@ mod tests {
         write.set(SubjectId(1), NodeId(1), true);
         let modal = ModalOracle::new(vec![&read, &write]);
         assert_eq!(modal.subject_count(), 4);
-        let db = SecureXmlDb::from_document(doc, &modal).unwrap();
+        let mut db = SecureXmlDb::from_document(doc, &modal).unwrap();
         // subject 0 can read b but not write it.
         assert!(db.accessible(1, modal.column(SubjectId(0), 0)).unwrap());
         assert!(!db.accessible(1, modal.column(SubjectId(0), 1)).unwrap());
         assert!(db.accessible(1, modal.column(SubjectId(1), 1)).unwrap());
+        let reads = |db: &SecureXmlDb, s, m| {
+            let sec = Security::BindingLevel(modal.column(SubjectId(s), m));
+            db.query("//b", sec).unwrap().matches
+        };
+        assert_eq!(reads(&db, 0, 0), vec![1]);
+        assert!(reads(&db, 0, 1).is_empty());
+        // An edit on one mode's column leaves the other mode's alone.
+        db.set_node_access(1, modal.column(SubjectId(1), 0), true)
+            .unwrap();
+        assert!(db.accessible(1, modal.column(SubjectId(1), 0)).unwrap());
+        assert!(!db.accessible(1, modal.column(SubjectId(0), 1)).unwrap());
+        assert_eq!(reads(&db, 1, 0), vec![1]);
     }
 
     #[test]

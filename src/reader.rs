@@ -35,7 +35,7 @@
 //!   as it must match the query string. The view stamp
 //!   ([`dol_core::Codebook::view_stamp`]) moves whenever anything that
 //!   closure can observe changes: an edit of one of its columns, or a
-//!   structural update, a compaction step or any other change that moves
+//!   structural update, a compaction or any other change that moves
 //!   every view. So a hit is the answer at this snapshot, served with
 //!   **zero page I/O** — not even a §3.3 header probe. An ACL commit on one
 //!   subject moves only the views that include the edited column, and every

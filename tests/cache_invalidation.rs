@@ -4,7 +4,7 @@
 //! keeps the query string and the subject's closure — the physical columns
 //! whose OR is its view — in the entry; a hit must match both. The view
 //! stamp (`Codebook::view_stamp`) moves when one of the closure's columns
-//! is edited, or when a structural update, a compaction step or any other
+//! is edited, or when a structural update, a compaction or any other
 //! change moves every view. So an ACL commit on one subject leaves every
 //! other subject's entries warm.
 //!
@@ -342,9 +342,8 @@ enum Op {
     RemoveSubject {
         subject: u8,
     },
-    /// Arm a compaction if there is anything to compact, then run one
-    /// bounded step.
-    Tick,
+    /// Compact the codebook and the embedded codes.
+    Compact,
     Insert {
         parent: u16,
         graft: u8,
@@ -379,7 +378,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         }),
         prop::option::of(any::<u8>()).prop_map(|copy_from| Op::AddSubject { copy_from }),
         any::<u8>().prop_map(|subject| Op::RemoveSubject { subject }),
-        Just(Op::Tick),
+        Just(Op::Compact),
         (any::<u16>(), 0u8..3).prop_map(|(parent, graft)| Op::Insert { parent, graft }),
         any::<u16>().prop_map(|pos| Op::Delete { pos }),
         (any::<u16>(), any::<u16>()).prop_map(|(pos, parent)| Op::Move { pos, parent }),
@@ -474,10 +473,7 @@ fn apply(db: &mut SecureXmlDb, op: &Op) {
                 db.remove_subject(subject(s)).unwrap();
             }
         }
-        Op::Tick => {
-            db.begin_compaction().unwrap();
-            db.compaction_tick(2).unwrap();
-        }
+        Op::Compact => db.compact_subjects().unwrap(),
         Op::Insert { parent, graft } => {
             let sub = secure_xml::xml::parse(GRAFTS[usize::from(graft)]).unwrap();
             db.insert_subtree(u64::from(parent) % n, &sub).unwrap();

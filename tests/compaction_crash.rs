@@ -1,14 +1,17 @@
-//! Mid-compaction power cuts recover to a consistent slice boundary.
+//! A power cut inside a compaction recovers to exactly the state before it
+//! or the state after it.
 //!
-//! A factored database with an armed incremental-compaction plan is driven
-//! through bounded ticks (plus interleaved updates that dirty the plan)
-//! behind a power rail that cuts after `k` physical writes, for every `k`
-//! the uncut run issues. After each cut, [`SecureXmlDb::recover`] must land
-//! the handle on **exactly** one of the states the uncut run passed through
-//! at a step boundary — compared structurally (codebook size, width, and
-//! the full plan state) *and* by answers — never on a torn intermediate
-//! where some blocks of a slice were remapped and others were not. Draining
-//! the recovered plan must then converge to the oracle's final state.
+//! A factored database whose churn left dead columns and duplicate entries
+//! first takes a few ordinary commits (a structural insert, then an ACL edit
+//! that reuses the clean values and tags sections the insert rewrote), then
+//! one [`SecureXmlDb::compact_subjects`] transaction. The power rail cuts
+//! the transaction's `k`-th physical write, for every `k` it issues: its log
+//! records, and the checkpoint a tiny log bound makes every commit end in.
+//! After each cut, [`SecureXmlDb::recover`] must land the handle on the
+//! uncut run's before-compaction or after-compaction state — compared
+//! structurally (codebook size, width, live columns) and by answers — and
+//! re-running the compaction must reach the after-state. Cuts must land on
+//! both sides.
 
 use secure_xml::acl::{BitVec, FnOracle, GroupSpace, SubjectId};
 use secure_xml::storage::{CrashDisk, CrashState, Disk, MemDisk};
@@ -17,23 +20,21 @@ use secure_xml::{DbConfig, DbError, SecureXmlDb, Security};
 use std::sync::Arc;
 
 const SEED: u64 = 13_639_585;
-/// Small blocks: more blocks per slice, more crash points per tick.
 const CFG: DbConfig = DbConfig {
     buffer_pool_pages: 16,
     max_records_per_block: 4,
     epoch_retain: 8,
 };
-const STEPS: u64 = 30;
-/// Tiny per-tick budget so one drain spans many transactions.
-const TICK_BLOCKS: usize = 2;
+/// Ordinary commits before the compaction.
+const STEPS: u64 = 6;
 const GROUPS: usize = 3;
 const USERS: usize = 3;
 
 const XML: &str = "<a><b><c>v1</c><c>v2</c></b><d><e/><e/><f><e/></f></d>\
                    <b><c/><c/></b><d><e/><f><e/><e/></f></d></a>";
 
-/// Builds the factored base image: group triangle + users, churned direct
-/// columns, and an **armed** compaction plan with real backlog.
+/// Builds the factored base image: group triangle + users, and churned
+/// direct columns whose removal left work for the compactor.
 fn base_image() -> (Arc<MemDisk>, Arc<MemDisk>) {
     let doc = secure_xml::xml::parse(XML).unwrap();
     let nodes = doc.len();
@@ -60,15 +61,13 @@ fn base_image() -> (Arc<MemDisk>, Arc<MemDisk>) {
     let mut db = SecureXmlDb::from_document_factored(doc, &oracle, space).unwrap();
 
     // Churn: direct grants materialize columns; removal leaves dead columns
-    // and duplicate entries — the compactor's backlog.
+    // and duplicate entries — the compactor's work.
     for i in 0..4u64 {
         let s = db.add_subject(None).unwrap();
         db.set_subtree_access(i % db.len() as u64, s, true).unwrap();
         db.remove_subject(s).unwrap();
     }
-    let armed = db.begin_compaction().unwrap();
-    assert!(armed, "churn must leave compaction work");
-    assert!(db.compaction_backlog() > 0);
+    assert!(!db.dol().codebook().is_compact(), "churn must leave work");
 
     let data = Arc::new(MemDisk::new());
     db.save_to_disk(data.clone()).unwrap();
@@ -81,39 +80,29 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// One deterministic step: mostly bounded ticks, with interleaved updates
-/// that dirty the in-flight plan (forcing a crash-consistent re-plan). The
-/// ACL edit follows a structural insert, so a commit that reuses the clean
-/// values and tags sections comes right after one that rewrote them.
+/// One ordinary commit: a structural insert on even steps, an ACL edit
+/// (which reuses the clean values and tags sections) on odd ones.
 fn apply(db: &mut SecureXmlDb, t: u64) -> Result<(), DbError> {
-    match t % 5 {
-        3 => {
-            let parent = mix(SEED ^ t) % db.len() as u64;
-            let graft = secure_xml::xml::parse("<e>v3</e>").unwrap();
-            db.insert_subtree(parent, &graft).map(|_| ())
-        }
-        4 => {
-            let pos = 1 + mix(SEED ^ t) % (db.len() as u64 - 1);
-            let user = SubjectId((GROUPS + (t as usize) % USERS) as u32);
-            db.set_node_access(pos, user, t.is_multiple_of(2))
-        }
-        _ => db.compaction_tick(TICK_BLOCKS).map(|p| {
-            assert!(p.blocks_done <= TICK_BLOCKS, "tick over budget");
-        }),
+    if t.is_multiple_of(2) {
+        let parent = mix(SEED ^ t) % db.len() as u64;
+        let graft = secure_xml::xml::parse("<e>v3</e>").unwrap();
+        db.insert_subtree(parent, &graft).map(|_| ())
+    } else {
+        let pos = 1 + mix(SEED ^ t) % (db.len() as u64 - 1);
+        let user = SubjectId((GROUPS + (t as usize) % USERS) as u32);
+        db.set_node_access(pos, user, t % 4 == 1)
     }
 }
 
-/// Structural + answer fingerprint. The structural half (codebook shape and
-/// exact plan state) is what distinguishes slice boundaries from torn
-/// intermediates — answers alone are invariant across the whole drain.
+/// Structural + answer fingerprint. The structural half tells the
+/// before-state from the after-state; the answers are equal in both.
 fn fingerprint(db: &SecureXmlDb) -> String {
     let cb = db.dol().codebook();
     let mut out = format!(
-        "entries={} width={} live={} plan={:?}\n",
+        "entries={} width={} live={}\n",
         cb.len(),
         cb.width(),
         cb.live_columns(),
-        cb.compaction(),
     );
     for s in 0..(GROUPS + USERS) as u32 {
         for p in 0..db.len() as u64 {
@@ -143,104 +132,69 @@ fn fingerprint(db: &SecureXmlDb) -> String {
     out
 }
 
-/// Drains any in-flight plan to completion.
-fn drain(db: &mut SecureXmlDb) {
-    while db.dol().codebook().compaction().is_some() {
-        if db.compaction_tick(64).unwrap().finished {
-            break;
-        }
+/// Opens the base image behind `state`'s power rail, with the log bound
+/// so low that every commit ends in a checkpoint — the data-page writes
+/// after the commit record are cut points too — and runs the ordinary
+/// commits.
+fn open(data: &MemDisk, log: &MemDisk, state: &Arc<CrashState>) -> SecureXmlDb {
+    let cdata: Arc<dyn Disk> = Arc::new(CrashDisk::new(Arc::new(data.fork()), state.clone()));
+    let clog: Arc<dyn Disk> = Arc::new(CrashDisk::new(Arc::new(log.fork()), state.clone()));
+    let mut db = SecureXmlDb::open_on(cdata, clog, CFG).unwrap();
+    db.store().pool().set_checkpoint_threshold(1);
+    for t in 0..STEPS {
+        apply(&mut db, t).unwrap();
     }
+    db
 }
 
 #[test]
-fn power_cuts_land_on_slice_boundaries() {
+fn every_power_cut_inside_a_compaction_recovers_before_or_after_it() {
     let (base_data, base_log) = base_image();
 
-    // Uncut oracle: record the fingerprint at every step boundary, then the
-    // fully drained end state.
-    let mut boundaries = Vec::new();
-    let total_writes = {
-        let state = CrashState::unlimited();
-        let cdata: Arc<dyn Disk> =
-            Arc::new(CrashDisk::new(Arc::new(base_data.fork()), state.clone()));
-        let clog: Arc<dyn Disk> =
-            Arc::new(CrashDisk::new(Arc::new(base_log.fork()), state.clone()));
-        let mut db = SecureXmlDb::open_on(cdata, clog, CFG).unwrap();
-        assert!(
-            db.dol().codebook().compaction().is_some(),
-            "the armed plan must survive the reopen"
-        );
-        boundaries.push(fingerprint(&db));
-        for t in 0..STEPS {
-            apply(&mut db, t).unwrap();
-            boundaries.push(fingerprint(&db));
-        }
-        drain(&mut db);
-        boundaries.push(fingerprint(&db));
-        state.writes_issued()
-    };
-    let final_fp = boundaries.last().unwrap().clone();
-    assert!(
-        total_writes > 40,
-        "workload too small: {total_writes} writes"
-    );
+    // Uncut run: the state on each side of the compaction and the writes
+    // it issues.
+    let state = CrashState::unlimited();
+    let mut db = open(&base_data, &base_log, &state);
+    let before = fingerprint(&db);
+    let (epoch, first) = (db.epoch(), state.writes_issued());
+    db.compact_subjects().unwrap();
+    let writes = state.writes_issued() - first;
+    assert_eq!(db.epoch(), epoch + 1, "a compaction is one epoch");
+    assert!(db.dol().codebook().is_compact());
+    let after = fingerprint(&db);
+    assert_ne!(before, after);
+    assert!(writes > 4, "compaction too small: {writes} writes");
 
-    let mut cut_runs = 0u64;
-    let mut mid_drain_recoveries = 0u64;
-    for k in 0..total_writes {
-        let state = CrashState::new(k, k % 2 == 1, SEED ^ k);
-        let cdata: Arc<dyn Disk> =
-            Arc::new(CrashDisk::new(Arc::new(base_data.fork()), state.clone()));
-        let clog: Arc<dyn Disk> =
-            Arc::new(CrashDisk::new(Arc::new(base_log.fork()), state.clone()));
-        let mut db = match SecureXmlDb::open_on(cdata, clog, CFG) {
-            Ok(db) => db,
-            Err(_) => continue, // the cut felled open itself; storage-tested
-        };
-        let mut crashed = false;
-        for t in 0..STEPS {
-            if apply(&mut db, t).is_err() {
-                crashed = true;
-                break;
-            }
-        }
-        state.restore_power(u64::MAX);
-        if crashed {
-            cut_runs += 1;
-            assert!(db.is_poisoned(), "a failed step must poison the handle");
-            db.recover()
-                .expect("recovery must succeed")
-                .expect("replay");
-            db.verify_integrity().unwrap();
-            let fp = fingerprint(&db);
-            let landed = boundaries.iter().position(|b| *b == fp);
-            let Some(landed) = landed else {
-                panic!(
-                    "crash at write {k} recovered to a state no uncut boundary \
-                     produced:\n{fp}"
-                );
-            };
-            if db.dol().codebook().compaction().is_some() {
-                mid_drain_recoveries += 1;
-            }
-            // Resume the workload from the boundary recovery landed on —
-            // the crash-restart-continue path a maintenance loop takes.
-            for t in landed as u64..STEPS {
-                apply(&mut db, t).unwrap();
-            }
-        }
-        // The backlog must drain to the oracle's end state regardless of
-        // where the cut landed.
-        drain(&mut db);
-        assert_eq!(
-            fingerprint(&db),
-            final_fp,
-            "post-recovery drain diverged (cut at write {k})"
+    let (mut landed_before, mut landed_after) = (0u64, 0u64);
+    for k in 0..writes {
+        // The rail cuts the compaction's write `k`, tearing every other one.
+        let state = CrashState::new(u64::MAX, k % 2 == 1, SEED ^ k);
+        let mut db = open(&base_data, &base_log, &state);
+        state.restore_power(k);
+        assert!(
+            db.compact_subjects().is_err(),
+            "the cut at write {k} must fail the compaction"
         );
+        state.restore_power(u64::MAX);
+        assert!(
+            db.is_poisoned(),
+            "a failed compaction must poison the handle"
+        );
+        db.recover()
+            .expect("recovery must succeed")
+            .expect("replay");
+        db.verify_integrity().unwrap();
+        let fp = fingerprint(&db);
+        if fp == before {
+            landed_before += 1;
+        } else if fp == after {
+            landed_after += 1;
+        } else {
+            panic!("a cut at write {k} recovered to a mixed state:\n{fp}");
+        }
+        db.compact_subjects().unwrap();
+        assert_eq!(fingerprint(&db), after, "re-running after the cut at {k}");
     }
-    assert!(cut_runs > 10, "sweep too shallow: {cut_runs} cut runs");
-    assert!(
-        mid_drain_recoveries > 0,
-        "no cut ever recovered with the plan still in flight"
-    );
+    assert!(landed_before > 0, "no cut recovered to the before-state");
+    assert!(landed_after > 0, "no cut recovered to the after-state");
 }

@@ -3,18 +3,19 @@
 //! materialized per-subject matrix — every `(position, subject)`
 //! accessibility bit and the full query suite under both secure semantics —
 //! across random hierarchies, membership edits, direct-grant updates, and
-//! **interleaved incremental-compaction steps** with churn-induced backlog.
+//! **interleaved compactions** of churn-induced dead columns and duplicate
+//! entries.
 //!
 //! The flat reference is rebuilt from the model after every operation, so
 //! the factored handle's whole incremental machinery (derived-column cache,
-//! lazily allocated direct columns, membership closure, in-flight
-//! compaction plans) is checked against a from-scratch construction that
+//! lazily allocated direct columns, membership closure, compaction's
+//! column remap) is checked against a from-scratch construction that
 //! shares none of it.
 
 use proptest::prelude::*;
 use secure_xml::acl::{BitVec, FnOracle, GroupSpace, SubjectId};
 use secure_xml::xml::{Document, DocumentBuilder, NodeId};
-use secure_xml::{SecureXmlDb, Security, COMPACT_TICK_BLOCKS};
+use secure_xml::{SecureXmlDb, Security};
 
 const SUITE: [&str; 3] = ["//n", "/r/n/n", "//n//m"];
 
@@ -45,8 +46,8 @@ enum Op {
     /// Add a scratch subject, grant it a subtree, remove it — leaves dead
     /// columns and duplicate entries for the compactor.
     Churn { pos: u8 },
-    /// Arm (if needed) and run one bounded compaction step.
-    Tick,
+    /// Compact the codebook and the embedded codes.
+    Compact,
 }
 
 fn arb_world() -> impl Strategy<Value = World> {
@@ -92,7 +93,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             }
         }),
         any::<u8>().prop_map(|pos| Op::Churn { pos }),
-        Just(Op::Tick),
+        Just(Op::Compact),
     ]
 }
 
@@ -346,20 +347,7 @@ fn apply(fact: &mut SecureXmlDb, model: &mut Model, op: &Op) {
                 .expect("churn grant");
             fact.remove_subject(scratch).expect("churn remove");
         }
-        Op::Tick => {
-            if fact.dol().codebook().compaction().is_none() {
-                let _ = fact.begin_compaction().expect("arm compaction");
-            }
-            if fact.dol().codebook().compaction().is_some() {
-                let p = fact
-                    .compaction_tick(COMPACT_TICK_BLOCKS / 8)
-                    .expect("compaction tick");
-                assert!(
-                    p.blocks_done <= COMPACT_TICK_BLOCKS / 8,
-                    "tick exceeded its block budget"
-                );
-            }
-        }
+        Op::Compact => fact.compact_subjects().expect("compact subjects"),
     }
 }
 
@@ -377,14 +365,9 @@ proptest! {
             apply(&mut fact, &mut model, op);
             check_equivalent(&fact, &doc, &model);
         }
-        // Drain any in-flight plan and check once more at the fixpoint.
-        if fact.dol().codebook().compaction().is_some() {
-            loop {
-                if fact.compaction_tick(COMPACT_TICK_BLOCKS).expect("drain").finished {
-                    break;
-                }
-            }
-        }
+        // Compact once more and check at the fixpoint.
+        fact.compact_subjects().expect("final compaction");
+        assert!(fact.dol().codebook().is_compact());
         check_equivalent(&fact, &doc, &model);
     }
 }

@@ -6,9 +6,10 @@
 //! [`dol_nok::CompiledPlan`] under both security modes and against both a
 //! cold and a warm buffer pool; the engine has no result cache, so every run
 //! touches the matcher. The answer of **every** run in every configuration
-//! is asserted equal to [`naive_eval`]'s (`--smoke` runs a small pinned
-//! instance and relies on the same assertions). Time is `perf/`'s business:
-//! nothing here is timed.
+//! is asserted equal to [`naive_eval`]'s, and every run is asserted to copy
+//! no page (`IoStats::page_copies == 0`: block snapshots share the pool's
+//! pages). `--smoke` runs a small pinned instance and relies on the same
+//! assertions. Time is `perf/`'s business: nothing here is timed.
 //!
 //! A second table runs a **narrow subject** — one team member of a
 //! `GroupedWorld` portal who may see about 1/64 of it — through the recursive
@@ -37,6 +38,8 @@ struct Row {
     security: &'static str,
     cache: &'static str,
     answers: usize,
+    /// Whole-page copies over all runs of the configuration (always 0).
+    page_copies: u64,
 }
 
 /// A one-subject labeling of `doc` from `col`: the oracle the database is
@@ -81,25 +84,32 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         ] {
             let expect = naive_eval(&db.doc, &plan.pattern, ref_sec);
             for (cache_name, cold) in [("warm", false), ("cold", true)] {
+                let mut page_copies = 0;
                 for run in 0..RUNS {
                     if cold {
                         db.pool.clear_cache().expect("clear");
                     }
                     let got = engine
                         .execute_compiled_opts(&plan, &compiled, sec, ExecOptions::default())
-                        .expect("compiled run")
-                        .matches;
+                        .expect("compiled run");
                     assert_eq!(
-                        got, expect,
+                        got.matches, expect,
                         "{qid} ({sec_name}, {cache_name} pool) run {run}: answer differs from \
                          the reference"
                     );
+                    assert_eq!(
+                        got.stats.io.page_copies, 0,
+                        "{qid} ({sec_name}, {cache_name} pool) run {run}: a read-only query \
+                         copied a page"
+                    );
+                    page_copies += got.stats.io.page_copies;
                 }
                 rows.push(Row {
                     query_id: qid,
                     security: sec_name,
                     cache: cache_name,
                     answers: expect.len(),
+                    page_copies,
                 });
             }
         }
@@ -107,7 +117,14 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
 
     let mut t = Table::new(
         "query -> automaton compilation",
-        &["query", "security", "pool", "runs", "answers"],
+        &[
+            "query",
+            "security",
+            "pool",
+            "runs",
+            "answers",
+            "page copies",
+        ],
     );
     for r in &rows {
         t.row(&[
@@ -116,6 +133,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
             r.cache.to_string(),
             RUNS.to_string(),
             r.answers.to_string(),
+            r.page_copies.to_string(),
         ]);
     }
     t.print();
@@ -251,6 +269,10 @@ fn narrow(effort: Effort, seed: u64, smoke: bool) -> (Vec<NarrowRow>, usize) {
                  examined"
             );
             assert_eq!(st.blocks_skipped, st.io.pages_skipped);
+            assert_eq!(
+                st.io.page_copies, 0,
+                "{query} ({security}): a read-only query copied a page"
+            );
             rows.push(NarrowRow {
                 query,
                 security,
@@ -276,6 +298,7 @@ fn narrow(effort: Effort, seed: u64, smoke: bool) -> (Vec<NarrowRow>, usize) {
             "nodes visited",
             "join tuples",
             "logical reads",
+            "page copies",
             "answers",
         ],
     );
@@ -291,6 +314,7 @@ fn narrow(effort: Effort, seed: u64, smoke: bool) -> (Vec<NarrowRow>, usize) {
             r.stats.nodes_visited.to_string(),
             r.stats.join_pairs.to_string(),
             r.stats.io.logical_reads.to_string(),
+            r.stats.io.page_copies.to_string(),
             r.answers.to_string(),
         ]);
     }
@@ -349,11 +373,12 @@ fn write_json(
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"query\": \"{}\", \"security\": \"{}\", \"pool\": \"{}\", \
-             \"answers\": {}}}{}",
+             \"answers\": {}, \"page_copies\": {}}}{}",
             r.query_id,
             r.security,
             r.cache,
             r.answers,
+            r.page_copies,
             if i + 1 < rows.len() { ",\n" } else { "\n" },
         ));
     }
@@ -364,7 +389,7 @@ fn write_json(
             "    {{\"query\": \"{}\", \"security\": \"{}\", \"candidates\": {}, \
              \"blocks_skipped\": {}, \"candidates_outside_anchors\": {}, \
              \"candidates_examined\": {}, \"nodes_visited\": {}, \"join_pairs\": {}, \
-             \"logical_reads\": {}, \"answers\": {}}}{}",
+             \"logical_reads\": {}, \"page_copies\": {}, \"answers\": {}}}{}",
             r.query,
             r.security,
             r.stats.candidates,
@@ -374,6 +399,7 @@ fn write_json(
             r.stats.nodes_visited,
             r.stats.join_pairs,
             r.stats.io.logical_reads,
+            r.stats.io.page_copies,
             r.answers,
             if i + 1 < narrow.len() { ",\n" } else { "\n" },
         ));

@@ -388,8 +388,10 @@ pub struct CompiledMatcher<'a> {
 /// candidate block once, not once per fragment plus once in the join; each
 /// [`CompiledMatcher`] owns one for its tree walk. A block whose page fails a
 /// non-availability read under secure evaluation is cached as failed, so
-/// every later probe answers fail-closed without re-reading. Memory is one
-/// page copy per distinct block touched, released with the cache.
+/// every later probe answers fail-closed without re-reading. Each snapshot
+/// shares its page with the buffer pool instead of copying it; the cache
+/// keeps one page alive per distinct block touched (even after the pool
+/// evicts it), released with the cache.
 #[derive(Default)]
 pub struct SnapshotCache {
     slots: Vec<SnapState>,

@@ -310,6 +310,31 @@ impl Metrics {
                 stats.io.pages_skipped,
             ),
             (
+                "dol_io_evictions",
+                "Frames evicted to make room.",
+                stats.io.evictions,
+            ),
+            (
+                "dol_io_victim_probes",
+                "LRU heap entries popped to choose eviction victims.",
+                stats.io.victim_probes,
+            ),
+            (
+                "dol_io_read_exclusive_fallback",
+                "Page reads that took the pool's exclusive latch.",
+                stats.io.read_exclusive_fallback,
+            ),
+            (
+                "dol_io_versioned_reads",
+                "Page reads served from the version ring to a pinned reader.",
+                stats.io.versioned_reads,
+            ),
+            (
+                "dol_io_page_copies",
+                "Whole-page copies (copy on write, shared seals, WAL images).",
+                stats.io.page_copies,
+            ),
+            (
                 "dol_io_backoffs",
                 "Backoff pauses between I/O attempts.",
                 stats.io.backoffs,

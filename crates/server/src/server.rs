@@ -818,6 +818,11 @@ fn stats_json(s: &ServerStats) -> Json {
                 ("physical_reads", int(s.io.physical_reads)),
                 ("physical_writes", int(s.io.physical_writes)),
                 ("pages_skipped", int(s.io.pages_skipped)),
+                ("evictions", int(s.io.evictions)),
+                ("victim_probes", int(s.io.victim_probes)),
+                ("read_exclusive_fallback", int(s.io.read_exclusive_fallback)),
+                ("versioned_reads", int(s.io.versioned_reads)),
+                ("page_copies", int(s.io.page_copies)),
                 ("backoffs", int(s.io.backoffs)),
                 ("breaker_trips", int(s.io.breaker_trips)),
                 ("breaker_fast_fails", int(s.io.breaker_fast_fails)),

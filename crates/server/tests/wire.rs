@@ -811,6 +811,19 @@ fn client_roundtrip_query_update_stats_metrics() {
 
     let stats = c.stats().expect("stats");
     assert!(stats.get("commit").is_some() && stats.get("io").is_some());
+    let io = stats.get("io").expect("io");
+    for key in [
+        "evictions",
+        "victim_probes",
+        "read_exclusive_fallback",
+        "versioned_reads",
+        "page_copies",
+    ] {
+        assert!(
+            io.get(key).and_then(Json::as_uint).is_some(),
+            "stats.io.{key}"
+        );
+    }
     assert_eq!(
         stats
             .get("commit")
@@ -821,6 +834,16 @@ fn client_roundtrip_query_update_stats_metrics() {
     let text = c.metrics_text().expect("metrics");
     assert!(text.contains("dol_requests_total{method=\"query\"}"));
     assert!(text.contains("dol_refusals_total{code=\"deadline_exceeded\"} 1"));
+    for family in [
+        "dol_io_evictions",
+        "dol_io_victim_probes",
+        "dol_io_page_copies",
+    ] {
+        assert!(
+            text.contains(&format!("# TYPE {family} counter")),
+            "{family}"
+        );
+    }
 
     // HTTP scrape on the same port.
     let mut http = TcpStream::connect(&addr).expect("http connect");

@@ -1,7 +1,8 @@
 //! An LRU buffer pool with exact I/O accounting.
 //!
 //! Every page access in the engine goes through [`BufferPool::with_page`] /
-//! [`BufferPool::with_page_mut`]. The pool tracks logical reads (accesses),
+//! [`BufferPool::with_page_mut`] (or [`BufferPool::page_shared`], which
+//! hands out the page itself). The pool tracks logical reads (accesses),
 //! physical reads (disk fetches on miss), physical writes, evictions, and
 //! pages skipped by the §3.3 page-skip test in [`IoStats`]. The experiment
 //! harness resets and samples these counters to reproduce the paper's I/O
@@ -17,18 +18,42 @@
 //!
 //! # Shared-lock read path
 //!
-//! The frame table is guarded by an `RwLock`, not a mutex.
-//! [`BufferPool::with_page`] on a **cached** page runs the closure under the
-//! *shared* lock: the LRU tick, the frame's `last_used` stamp, and every
-//! counter are atomics, so a hit mutates no lock-protected state and any
-//! number of readers proceed in parallel. Only a cache miss (and everything
-//! that reshapes the frame table: `with_page_mut`, eviction, flush,
-//! transaction traffic) falls back to the exclusive lock. The split is
-//! observable on any core count through two counters:
+//! The frame table is guarded by an `RwLock`, not a mutex. A read of a
+//! **cached** page runs under the *shared* lock: the LRU tick, the frame's
+//! `last_used` stamp (raised with `fetch_max`, so concurrent hits never
+//! move it backwards) and every counter are atomics, so a hit mutates no
+//! lock-protected state and any number of readers proceed in parallel.
+//! Only a cache miss (and everything that reshapes the frame table:
+//! `with_page_mut`, eviction, flush, transaction traffic) takes the
+//! exclusive lock. The split is counted on any core count:
 //! [`IoStats::read_shared`] (hits served under the shared lock) and
-//! [`IoStats::read_exclusive_fallback`] (`with_page` calls that had to take
-//! the exclusive path). Counters are relaxed atomics; [`BufferPool::stats`]
+//! [`IoStats::read_exclusive_fallback`] (reads that had to take the
+//! exclusive path). Counters are relaxed atomics; [`BufferPool::stats`]
 //! never takes a lock.
+//!
+//! # Exact LRU in O(log n)
+//!
+//! The victim of a miss is the frame with the oldest stamp, ties to the
+//! lowest slot. The pool finds it in a lazy min-heap of `(stamp, slot)`
+//! entries, one per frame, each at or below its frame's current stamp: a
+//! hit only raises the stamp, and a popped entry whose stamp is stale is
+//! pushed back with the current one. The first entry popped whose stamp
+//! is current is the exact minimum. Re-pushes are bounded by hits, so a
+//! miss costs O(log frames) amortized; [`IoStats::victim_probes`] counts
+//! the entries popped. Debug builds check every choice against a scan of
+//! all frames.
+//!
+//! # Shared page handles
+//!
+//! Frames hold `Arc<Page>`. [`BufferPool::page_shared`] returns the
+//! frame's handle, so a reader keeps a whole page without copying it.
+//! Transaction pre-images, spilled shadow pages and version-ring deltas
+//! are handles too: capturing a pre-image, serving a pinned reader and
+//! rolling back move handles, not bytes. A page is immutable while a handle
+//! to it is outstanding: [`BufferPool::with_page_mut`] copies on write only
+//! then, and a miss into a frame whose old page is still held reads into a
+//! fresh buffer. [`IoStats::page_copies`] counts every whole-page copy; a
+//! read-only workload makes none.
 //!
 //! # Integrity
 //!
@@ -44,12 +69,13 @@
 //!
 //! [`BufferPool::atomic_update`] runs a closure as one atomic multi-page
 //! mutation. While the transaction is open, the first `with_page_mut` on
-//! each page snapshots a **pre-image** (for rollback), and no uncommitted
-//! byte can reach the data disk: evicting a transaction-dirtied page moves
-//! its bytes into the transaction's in-memory **shadow** instead of writing
-//! them (a later fetch reloads from the shadow), so transactions can dirty
-//! far more pages than the pool holds frames. If the closure fails, the
-//! pre-images are restored and the cache and disk are exactly as before. If
+//! each page keeps a handle to its **pre-image** (for rollback; the write
+//! itself then copies the page once), and no uncommitted byte can reach
+//! the data disk: evicting a transaction-dirtied page moves its handle into
+//! the transaction's in-memory **shadow** instead of writing it (a later
+//! fetch reloads from the shadow), so transactions can dirty far more pages
+//! than the pool holds frames. If the closure fails, the pre-image handles
+//! go back into their frames and the cache and disk are exactly as before. If
 //! it succeeds and a [`Wal`] is
 //! [attached](BufferPool::attach_wal), the after-images of every dirtied
 //! page are committed to the log — synced *before* any of them may be
@@ -70,8 +96,9 @@ use crate::retry::{current_io_deadline, RetryPolicy};
 use crate::wal::Wal;
 use parking_lot::{Mutex, RwLock};
 use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -133,6 +160,14 @@ pub struct IoStats {
     /// reader time-traveling to its snapshot epoch (see
     /// [`BufferPool::enable_version_ring`]).
     pub versioned_reads: u64,
+    /// LRU heap entries popped to choose eviction victims: one per eviction
+    /// plus one per entry found stale (its frame was hit since it was
+    /// pushed).
+    pub victim_probes: u64,
+    /// Whole-page copies: a write to a page a handle is still held on, a
+    /// write-back seal of such a page, and a committed page's WAL image. A
+    /// read-only workload makes none.
+    pub page_copies: u64,
 }
 
 impl IoStats {
@@ -154,6 +189,8 @@ impl IoStats {
             breaker_fast_fails: self.breaker_fast_fails - earlier.breaker_fast_fails,
             breaker_probes: self.breaker_probes - earlier.breaker_probes,
             versioned_reads: self.versioned_reads - earlier.versioned_reads,
+            victim_probes: self.victim_probes - earlier.victim_probes,
+            page_copies: self.page_copies - earlier.page_copies,
         }
     }
 }
@@ -180,6 +217,8 @@ struct AtomicIoStats {
     breaker_fast_fails: AtomicU64,
     breaker_probes: AtomicU64,
     versioned_reads: AtomicU64,
+    victim_probes: AtomicU64,
+    page_copies: AtomicU64,
 }
 
 impl AtomicIoStats {
@@ -200,6 +239,8 @@ impl AtomicIoStats {
             breaker_fast_fails: self.breaker_fast_fails.load(Ordering::Relaxed),
             breaker_probes: self.breaker_probes.load(Ordering::Relaxed),
             versioned_reads: self.versioned_reads.load(Ordering::Relaxed),
+            victim_probes: self.victim_probes.load(Ordering::Relaxed),
+            page_copies: self.page_copies.load(Ordering::Relaxed),
         }
     }
 
@@ -219,31 +260,83 @@ impl AtomicIoStats {
         self.breaker_fast_fails.store(0, Ordering::Relaxed);
         self.breaker_probes.store(0, Ordering::Relaxed);
         self.versioned_reads.store(0, Ordering::Relaxed);
+        self.victim_probes.store(0, Ordering::Relaxed);
+        self.page_copies.store(0, Ordering::Relaxed);
     }
 }
 
 struct Frame {
     id: PageId,
-    page: Page,
+    /// Shared with every handle [`BufferPool::page_shared`] gave out, and
+    /// with pre-images and ring deltas; immutable while shared.
+    page: Arc<Page>,
     dirty: bool,
     /// Atomic so a shared-lock hit can refresh the LRU stamp without
-    /// upgrading to the exclusive lock.
+    /// upgrading to the exclusive lock. Only ever raised, except to 0 when
+    /// a failed read vacates the frame.
     last_used: AtomicU64,
 }
+
+/// A min-heap of `(stamp, slot)` LRU entries.
+type LruHeap = BinaryHeap<Reverse<(u64, usize)>>;
 
 struct Inner {
     frames: Vec<Frame>,
     map: HashMap<PageId, usize>,
+    /// Exactly one entry per frame, at or below the frame's stamp (see the
+    /// module docs). Rebuilt whenever the frame table is reshaped.
+    lru: LruHeap,
 }
 
-/// The LRU victim: the resident frame with the oldest access tick.
-fn victim_slot(frames: &[Frame]) -> usize {
+impl Inner {
+    /// An LRU heap holding each frame's current stamp.
+    fn rebuild_lru(&mut self) {
+        self.lru = self
+            .frames
+            .iter()
+            .enumerate()
+            .map(|(slot, fr)| Reverse((fr.last_used.load(Ordering::Relaxed), slot)))
+            .collect();
+    }
+}
+
+/// Pops the LRU victim from `lru`: the frame with the oldest stamp, ties to
+/// the lowest slot. A popped entry whose stamp is stale goes back with the
+/// frame's current stamp. Returns the slot and the number of entries
+/// popped; the victim's entry is gone and the caller pushes the slot's next
+/// one.
+fn pop_victim(lru: &mut LruHeap, frames: &[Frame]) -> (usize, u64) {
+    let mut probes = 0;
+    loop {
+        let Reverse((stamp, slot)) = lru.pop().expect("every frame has an LRU entry");
+        probes += 1;
+        let now = frames[slot].last_used.load(Ordering::Relaxed);
+        debug_assert!(stamp <= now, "an LRU entry above its frame's stamp");
+        if stamp == now {
+            return (slot, probes);
+        }
+        lru.push(Reverse((now, slot)));
+    }
+}
+
+/// The reference LRU victim: a scan of every frame for the oldest stamp
+/// (the first on ties). Debug builds check each heap choice against it.
+fn scan_victim(frames: &[Frame]) -> usize {
     frames
         .iter()
         .enumerate()
         .min_by_key(|(_, fr)| fr.last_used.load(Ordering::Relaxed))
         .map(|(i, _)| i)
-        .expect("victim_slot on an empty frame list")
+        .expect("scan_victim on an empty frame list")
+}
+
+/// A buffer a miss may read into: `page` itself when no other handle to it
+/// is held, else a fresh one in its place. The old bytes are never copied.
+fn read_buffer(page: &mut Arc<Page>) -> &mut Page {
+    if Arc::get_mut(page).is_none() {
+        *page = Arc::new(Page::zeroed());
+    }
+    Arc::get_mut(page).expect("an unshared page")
 }
 
 /// A typed refusal of a transaction call the pool's state does not allow.
@@ -253,19 +346,19 @@ fn misuse(msg: &'static str) -> StorageError {
 
 /// State of the open [`BufferPool::atomic_update`] transaction.
 struct TxnState {
-    /// First-touch pre-images (page bytes + prior dirty flag): the only copy
-    /// of each. Rollback restores them; until the commit moves them into
+    /// First-touch pre-images (page handle + prior dirty flag). Rollback
+    /// puts them back into their frames; until the commit moves them into
     /// the version ring, they are also what a pinned reader sees of a page
     /// the transaction dirtied. Pages with a pre-image must not reach the
     /// data disk mid-transaction.
-    pre: HashMap<PageId, (Page, bool)>,
+    pre: HashMap<PageId, (Arc<Page>, bool)>,
     /// Page ids in first-dirtied order: the deterministic order their
     /// after-images are logged (and spilled images written) in.
     order: Vec<PageId>,
     /// After-images of transaction pages evicted from the cache: eviction
     /// must not write uncommitted bytes to the data disk, so they live here
     /// until re-fetched or committed.
-    shadow: HashMap<PageId, Page>,
+    shadow: HashMap<PageId, Arc<Page>>,
 }
 
 /// One sealed commit's worth of pre-images: the state of every page the
@@ -275,7 +368,7 @@ struct TxnState {
 /// untouched between `e` and `as_of` finds its epoch-`e` bytes here.
 struct VersionDelta {
     as_of: u64,
-    pages: HashMap<PageId, Page>,
+    pages: HashMap<PageId, Arc<Page>>,
 }
 
 /// Bounded MVCC retention (the epoch ring): the last `retain` sealed commit
@@ -377,13 +470,14 @@ impl Drop for Held {
     }
 }
 
-/// A fixed-capacity LRU page cache over a [`Disk`].
+/// A fixed-capacity, exact-LRU page cache over a [`Disk`].
 ///
-/// Access is closure-scoped ([`with_page`](BufferPool::with_page)); pages are
-/// never pinned across calls, so eviction can always make progress. The
-/// pool is internally synchronized but **not re-entrant**: accessing a page
-/// from within an access to a page of the same pool panics instead of
-/// deadlocking.
+/// Access is closure-scoped ([`with_page`](BufferPool::with_page)) or by
+/// handle ([`page_shared`](BufferPool::page_shared)). Neither pins a frame:
+/// a held handle keeps its page's bytes alive, not the frame, so eviction
+/// can always make progress. The pool is internally synchronized but **not
+/// re-entrant**: accessing a page from within an access to a page of the
+/// same pool panics instead of deadlocking.
 pub struct BufferPool {
     disk: Arc<dyn Disk>,
     /// The frame table. Lock order: frames → txn → ring.
@@ -433,6 +527,7 @@ impl BufferPool {
             inner: RwLock::new(Inner {
                 frames: Vec::with_capacity(capacity),
                 map: HashMap::new(),
+                lru: BinaryHeap::with_capacity(capacity),
             }),
             capacity,
             tick: AtomicU64::new(0),
@@ -526,7 +621,7 @@ impl BufferPool {
     /// the ring is seen whole or not at all. With no transaction open the
     /// txn lock is skipped: a frame dirtied by a transaction keeps that
     /// transaction visible until the commit or rollback has dealt with it.
-    fn ring_image(&self, id: PageId, pin: u64) -> Option<Page> {
+    fn ring_image(&self, id: PageId, pin: u64) -> Option<Arc<Page>> {
         let txn = self
             .txn_active
             .load(Ordering::Acquire)
@@ -627,6 +722,25 @@ impl BufferPool {
     /// path: any number of concurrent readers, no exclusive-lock traffic);
     /// only a miss falls back to the exclusive lock to fetch the page.
     pub fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> Result<R, StorageError> {
+        self.read_access(id, |page| f(page))
+    }
+
+    /// A handle to page `id`'s current bytes, taken through the same
+    /// version-ring, scan and miss paths as [`with_page`](Self::with_page)
+    /// and counted the same way. The handle shares the frame's page instead
+    /// of copying it, and its bytes never change: a later write to the
+    /// page copies it first.
+    pub fn page_shared(&self, id: PageId) -> Result<Arc<Page>, StorageError> {
+        self.read_access(id, Arc::clone)
+    }
+
+    /// The read path of [`with_page`](Self::with_page) and
+    /// [`page_shared`](Self::page_shared).
+    fn read_access<R>(
+        &self,
+        id: PageId,
+        f: impl FnOnce(&Arc<Page>) -> R,
+    ) -> Result<R, StorageError> {
         let _held = Held::enter(self);
         // MVCC pin: consult the version ring *under the frame lock* (shared
         // suffices — writers capture pre-images under the exclusive lock),
@@ -652,7 +766,7 @@ impl BufferPool {
                 let frame = &inner.frames[slot];
                 if !scanning {
                     let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                    frame.last_used.store(tick, Ordering::Relaxed);
+                    frame.last_used.fetch_max(tick, Ordering::Relaxed);
                 }
                 stats.logical_reads.fetch_add(1, Ordering::Relaxed);
                 stats.read_shared.fetch_add(1, Ordering::Relaxed);
@@ -666,7 +780,7 @@ impl BufferPool {
                         stats.physical_reads.fetch_add(1, Ordering::Relaxed);
                         let mut page = Page::zeroed();
                         self.read_verified(id, &mut page)?;
-                        page
+                        Arc::new(page)
                     }
                 };
                 stats.logical_reads.fetch_add(1, Ordering::Relaxed);
@@ -696,9 +810,11 @@ impl BufferPool {
     }
 
     /// Runs `f` with exclusive access to page `id`, marking it dirty.
-    /// Inside an open transaction the first mutation of each page snapshots
-    /// its pre-image — the page's one clone per transaction (see
-    /// [`atomic_update`](Self::atomic_update)).
+    /// Inside an open transaction the first mutation of each page keeps a
+    /// handle to its pre-image (see [`atomic_update`](Self::atomic_update)).
+    /// The page is copied first if any handle to it is held (a pre-image, a
+    /// ring delta or a [`page_shared`](Self::page_shared) reader), so those
+    /// keep their bytes.
     pub fn with_page_mut<R>(
         &self,
         id: PageId,
@@ -712,13 +828,24 @@ impl BufferPool {
             if let Some(t) = self.txn.lock().as_mut() {
                 if let Entry::Vacant(e) = t.pre.entry(id) {
                     let frame = &inner.frames[slot];
-                    e.insert((frame.page.clone(), frame.dirty));
+                    e.insert((Arc::clone(&frame.page), frame.dirty));
                     t.order.push(id);
                 }
             }
         }
-        inner.frames[slot].dirty = true;
-        Ok(f(&mut inner.frames[slot].page))
+        let frame = &mut inner.frames[slot];
+        frame.dirty = true;
+        Ok(f(self.unshare(&mut frame.page)))
+    }
+
+    /// Mutable access to `page`, copying it first (and counting the copy)
+    /// if another handle to it is held.
+    fn unshare<'a>(&self, page: &'a mut Arc<Page>) -> &'a mut Page {
+        if Arc::get_mut(page).is_none() {
+            self.stats.page_copies.fetch_add(1, Ordering::Relaxed);
+            *page = Arc::new(Page::clone(page));
+        }
+        Arc::get_mut(page).expect("an unshared page")
     }
 
     /// Allocates a fresh zeroed page on the disk and returns its id.
@@ -786,6 +913,7 @@ impl BufferPool {
             inner.map.insert(frame.id, slot);
         }
         inner.frames = kept;
+        inner.rebuild_lru();
         if failures.is_empty() {
             Ok(())
         } else {
@@ -913,7 +1041,8 @@ impl BufferPool {
     /// The logging half of [`txn_commit`](Self::txn_commit). No open
     /// transaction is refused with a typed error. `members` sizes the WAL
     /// batch record. The
-    /// dirtied pages' sealed images are copied in first-dirtied order under
+    /// dirtied pages' sealed images are copied (one counted page copy each)
+    /// in first-dirtied order under
     /// the frame and txn locks — from the frame if resident, else from the
     /// shadow — and the transaction stays open while they are logged. A
     /// logging failure rolls the transaction back.
@@ -930,14 +1059,12 @@ impl BufferPool {
             logged
                 .iter()
                 .map(|&id| {
-                    let mut image = match inner.map.get(&id) {
-                        Some(&slot) => inner.frames[slot].page.clone(),
-                        None => t
-                            .shadow
-                            .get(&id)
-                            .cloned()
-                            .ok_or(StorageError::PageOutOfRange(id))?,
+                    let page = match inner.map.get(&id) {
+                        Some(&slot) => &inner.frames[slot].page,
+                        None => t.shadow.get(&id).ok_or(StorageError::PageOutOfRange(id))?,
                     };
+                    self.stats.page_copies.fetch_add(1, Ordering::Relaxed);
+                    let mut image = Page::clone(page);
                     image.seal();
                     Ok((id, image))
                 })
@@ -1022,31 +1149,30 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Rolls back the open transaction: every pre-image (bytes and dirty
-    /// flag) is restored into the cache, and only then is the transaction
-    /// dropped — all under the exclusive frame lock, so a pinned reader is
-    /// served the pre-images until the frames hold them again. Public for
-    /// the database facade (see [`txn_begin`](Self::txn_begin)).
+    /// Rolls back the open transaction: every pre-image handle (with its
+    /// dirty flag) goes back into its frame, and the transaction is dropped
+    /// — all under the exclusive frame lock, so a pinned reader is served
+    /// the pre-images until the frames hold them again. Public for the
+    /// database facade (see [`txn_begin`](Self::txn_begin)).
     pub fn txn_rollback(&self) {
         let _held = Held::enter(self);
         let mut inner = self.inner.write();
         let mut txn = self.txn.lock();
-        let state = txn.as_ref().expect("rollback without an open transaction");
+        let mut state = txn.take().expect("rollback without an open transaction");
         for id in &state.order {
-            let (image, was_dirty) = &state.pre[id];
+            let (mut image, was_dirty) = state.pre.remove(id).expect("a pre-image per page");
             if let Some(&slot) = inner.map.get(id) {
                 let frame = &mut inner.frames[slot];
-                frame.page.bytes_mut().copy_from_slice(image.bytes());
-                frame.dirty = *was_dirty;
-            } else if *was_dirty {
+                frame.page = image;
+                frame.dirty = was_dirty;
+            } else if was_dirty {
                 // The page was spilled out of the cache and its pre-image
                 // was dirty (never durable): restore it straight to the
                 // disk, best-effort — on a logged database the WAL still
                 // holds the committed image a failure would lose.
-                let _ = self.write_back(*id, &mut image.clone());
+                let _ = self.write_back(*id, &mut image);
             }
         }
-        *txn = None;
         self.txn_active.store(false, Ordering::Release);
     }
 
@@ -1063,8 +1189,8 @@ impl BufferPool {
             .unwrap_or_default()
     }
 
-    /// If `victim` belongs to the open transaction, moves its uncommitted
-    /// bytes into the transaction shadow and reports `true` — the caller
+    /// If `victim` belongs to the open transaction, moves a handle to its
+    /// uncommitted bytes into the transaction shadow and reports `true` — the caller
     /// then evicts the frame *without* writing it (WAL-before-data: no
     /// uncommitted byte may reach the data disk).
     fn spill_to_shadow(&self, victim: &Frame) -> bool {
@@ -1074,7 +1200,7 @@ impl BufferPool {
         let mut txn = self.txn.lock();
         match txn.as_mut() {
             Some(t) if t.pre.contains_key(&victim.id) => {
-                t.shadow.insert(victim.id, victim.page.clone());
+                t.shadow.insert(victim.id, Arc::clone(&victim.page));
                 true
             }
             _ => false,
@@ -1083,7 +1209,7 @@ impl BufferPool {
 
     /// The page's latest bytes if the open transaction's shadow holds them
     /// (spilled by an earlier eviction). Caller holds the frame lock.
-    fn shadow_image(&self, id: PageId) -> Option<Page> {
+    fn shadow_image(&self, id: PageId) -> Option<Arc<Page>> {
         if !self.txn_active.load(Ordering::Acquire) {
             return None;
         }
@@ -1098,7 +1224,9 @@ impl BufferPool {
     fn fetch(&self, inner: &mut Inner, id: PageId) -> Result<usize, StorageError> {
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(&slot) = inner.map.get(&id) {
-            inner.frames[slot].last_used.store(tick, Ordering::Relaxed);
+            inner.frames[slot]
+                .last_used
+                .fetch_max(tick, Ordering::Relaxed);
             return Ok(slot);
         }
         // Reload from the shadow, not the disk, if it holds the page. Peek
@@ -1112,45 +1240,62 @@ impl BufferPool {
         let slot = if inner.frames.len() < self.capacity {
             inner.frames.push(Frame {
                 id,
-                page: Page::zeroed(),
+                page: Arc::new(Page::zeroed()),
                 dirty: false,
                 last_used: AtomicU64::new(tick),
             });
             inner.frames.len() - 1
         } else {
-            let slot = victim_slot(&inner.frames);
-            {
-                let victim = &mut inner.frames[slot];
-                if victim.dirty && !self.spill_to_shadow(victim) {
-                    self.write_back(victim.id, &mut victim.page)?;
+            let (slot, probes) = pop_victim(&mut inner.lru, &inner.frames);
+            self.stats
+                .victim_probes
+                .fetch_add(probes, Ordering::Relaxed);
+            debug_assert_eq!(
+                slot,
+                scan_victim(&inner.frames),
+                "the LRU heap disagrees with the scan"
+            );
+            let victim = &mut inner.frames[slot];
+            if victim.dirty && !self.spill_to_shadow(victim) {
+                if let Err(e) = self.write_back(victim.id, &mut victim.page) {
+                    // The victim stays resident: its entry goes back.
+                    let stamp = victim.last_used.load(Ordering::Relaxed);
+                    inner.lru.push(Reverse((stamp, slot)));
+                    return Err(e);
                 }
             }
             let old_id = inner.frames[slot].id;
             inner.map.remove(&old_id);
             self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            inner.frames[slot].id = id;
-            inner.frames[slot].dirty = false;
-            inner.frames[slot].last_used.store(tick, Ordering::Relaxed);
+            let frame = &mut inner.frames[slot];
+            frame.id = id;
+            frame.dirty = false;
+            frame.last_used.store(tick, Ordering::Relaxed);
             slot
         };
         if let Some(page) = shadow_page {
             if let Some(t) = self.txn.lock().as_mut() {
                 t.shadow.remove(&id);
             }
-            inner.frames[slot].page = page;
-            inner.frames[slot].dirty = true;
+            let frame = &mut inner.frames[slot];
+            frame.page = page;
+            frame.dirty = true;
             inner.map.insert(id, slot);
+            inner.lru.push(Reverse((tick, slot)));
             return Ok(slot);
         }
-        if let Err(e) = self.read_verified(id, &mut inner.frames[slot].page) {
+        let frame = &mut inner.frames[slot];
+        if let Err(e) = self.read_verified(id, read_buffer(&mut frame.page)) {
             // The frame holds a partial or unverified read: mark it vacant
             // so no later victim write or map hit can expose its bytes.
-            inner.frames[slot].id = PageId::INVALID;
-            inner.frames[slot].dirty = false;
-            inner.frames[slot].last_used.store(0, Ordering::Relaxed);
+            frame.id = PageId::INVALID;
+            frame.dirty = false;
+            frame.last_used.store(0, Ordering::Relaxed);
+            inner.lru.push(Reverse((0, slot)));
             return Err(e);
         }
         inner.map.insert(id, slot);
+        inner.lru.push(Reverse((tick, slot)));
         Ok(slot)
     }
 
@@ -1228,9 +1373,15 @@ impl BufferPool {
     }
 
     /// One durable physical write, counted in `physical_writes` when it
-    /// lands: seals the trailer and retries transient errors per the pool's
-    /// [`RetryPolicy`], with backoff and breaker admission as for reads.
-    fn write_back(&self, id: PageId, page: &mut Page) -> Result<(), StorageError> {
+    /// lands: seals the trailer (copying the page first only if its stale
+    /// trailer must change while a handle to it is held) and retries
+    /// transient errors per the pool's [`RetryPolicy`], with backoff and
+    /// breaker admission as for reads.
+    fn write_back(&self, id: PageId, page: &mut Arc<Page>) -> Result<(), StorageError> {
+        let crc = page.compute_checksum();
+        if page.stored_checksum() != crc {
+            self.unshare(page).set_checksum(crc);
+        }
         let policy = self.retry_policy();
         let probe = self.breaker_admit(&policy)?;
         let result = self.write_attempts(id, page, &policy, probe);
@@ -1245,11 +1396,10 @@ impl BufferPool {
     fn write_attempts(
         &self,
         id: PageId,
-        page: &mut Page,
+        page: &Page,
         policy: &RetryPolicy,
         probe: bool,
     ) -> Result<(), StorageError> {
-        page.seal();
         let max_attempts = if probe { 1 } else { policy.max_attempts.max(1) };
         let mut attempt = 1;
         loop {
@@ -1286,6 +1436,7 @@ impl BufferPool {
             let mut inner = self.inner.write();
             inner.frames.clear();
             inner.map.clear();
+            inner.lru.clear();
         }
         self.reset_breaker();
     }
@@ -1384,18 +1535,47 @@ mod tests {
         assert_eq!(v, 5);
     }
 
+    fn frames_stamped(stamps: &[u64]) -> Vec<Frame> {
+        (0..stamps.len())
+            .map(|i| Frame {
+                id: PageId(i as u32),
+                page: Arc::new(Page::zeroed()),
+                dirty: false,
+                last_used: AtomicU64::new(stamps[i]),
+            })
+            .collect()
+    }
+
     #[test]
-    fn victim_slot_picks_least_recently_used() {
-        let mk = |id: u32, last_used: u64| Frame {
-            id: PageId(id),
-            page: Page::zeroed(),
-            dirty: false,
-            last_used: AtomicU64::new(last_used),
-        };
-        assert_eq!(victim_slot(&[mk(0, 5), mk(1, 2), mk(2, 9)]), 1);
-        assert_eq!(victim_slot(&[mk(0, 1)]), 0);
-        // Ties break toward the lowest slot (stable min).
-        assert_eq!(victim_slot(&[mk(0, 3), mk(1, 3)]), 0);
+    fn victim_choice_picks_least_recently_used() {
+        for stamps in [&[5, 2, 9][..], &[1], &[3, 3], &[0, 4, 0]] {
+            let frames = frames_stamped(stamps);
+            let mut inner = Inner {
+                frames,
+                map: HashMap::new(),
+                lru: LruHeap::new(),
+            };
+            inner.rebuild_lru();
+            let scan = scan_victim(&inner.frames);
+            // Ties break toward the lowest slot (stable min).
+            let expect = (0..stamps.len()).min_by_key(|&i| stamps[i]).unwrap();
+            assert_eq!(scan, expect);
+            assert_eq!(pop_victim(&mut inner.lru, &inner.frames), (expect, 1));
+        }
+        // A stale entry (its frame was hit since) is re-pushed, not chosen.
+        let frames = frames_stamped(&[1, 2, 3]);
+        let mut lru = LruHeap::new();
+        for (slot, stamp) in [(0, 1), (1, 2), (2, 3)] {
+            lru.push(Reverse((stamp, slot)));
+        }
+        frames[0].last_used.store(7, Ordering::Relaxed);
+        assert_eq!(scan_victim(&frames), 1);
+        assert_eq!(pop_victim(&mut lru, &frames), (1, 2));
+        assert_eq!(
+            lru.len(),
+            2,
+            "the stale entry went back, the victim's did not"
+        );
     }
 
     #[test]
@@ -1435,6 +1615,28 @@ mod tests {
         pool.with_page(ids[0], |_| ()).unwrap();
         let d = pool.stats().since(&before);
         assert_eq!(d.physical_reads, 0, "ids[0] must have survived");
+    }
+
+    #[test]
+    fn a_hit_never_moves_a_stamp_backwards() {
+        // Two readers hit one frame: the second takes the later tick and
+        // stores it first. The first reader's older tick must not win.
+        let (pool, ids) = pool(2);
+        pool.with_page(ids[0], |_| ()).unwrap();
+        let stamp = |pool: &BufferPool| {
+            pool.inner.read().frames[0]
+                .last_used
+                .load(Ordering::Relaxed)
+        };
+        let later = pool.tick.load(Ordering::Relaxed) + 100;
+        pool.inner.read().frames[0]
+            .last_used
+            .store(later, Ordering::Relaxed);
+        pool.with_page(ids[0], |_| ()).unwrap(); // shared hit, older tick
+        assert_eq!(stamp(&pool), later);
+        pool.with_page_mut(ids[0], |_| ()).unwrap(); // exclusive hit
+        assert_eq!(stamp(&pool), later);
+        assert!(assert_lru_agrees(&pool));
     }
 
     #[test]
@@ -1782,35 +1984,38 @@ mod tests {
         }
     }
 
+    /// A disk whose writes fail while `armed` is set.
+    struct ArmedFailDisk {
+        inner: Arc<dyn Disk>,
+        armed: AtomicBool,
+    }
+
+    impl Disk for ArmedFailDisk {
+        fn read_page(&self, id: PageId, buf: &mut Page) -> Result<(), StorageError> {
+            self.inner.read_page(id, buf)
+        }
+        fn write_page(&self, id: PageId, buf: &Page) -> Result<(), StorageError> {
+            if self.armed.load(Ordering::SeqCst) {
+                return Err(StorageError::Io(std::io::Error::other(
+                    "injected write failure",
+                )));
+            }
+            self.inner.write_page(id, buf)
+        }
+        fn allocate_page(&self) -> Result<PageId, StorageError> {
+            self.inner.allocate_page()
+        }
+        fn num_pages(&self) -> u32 {
+            self.inner.num_pages()
+        }
+    }
+
     #[test]
     fn failed_victim_write_back_preserves_spilled_shadow() {
         // Refetching a spilled transaction page must not drop its shadow
         // image when the eviction making room for it fails partway.
-        struct ArmedFailDisk {
-            inner: MemDisk,
-            armed: AtomicBool,
-        }
-        impl Disk for ArmedFailDisk {
-            fn read_page(&self, id: PageId, buf: &mut Page) -> Result<(), StorageError> {
-                self.inner.read_page(id, buf)
-            }
-            fn write_page(&self, id: PageId, buf: &Page) -> Result<(), StorageError> {
-                if self.armed.load(Ordering::SeqCst) {
-                    return Err(StorageError::Io(std::io::Error::other(
-                        "injected write failure",
-                    )));
-                }
-                self.inner.write_page(id, buf)
-            }
-            fn allocate_page(&self) -> Result<PageId, StorageError> {
-                self.inner.allocate_page()
-            }
-            fn num_pages(&self) -> u32 {
-                self.inner.num_pages()
-            }
-        }
         let disk = Arc::new(ArmedFailDisk {
-            inner: MemDisk::new(),
+            inner: Arc::new(MemDisk::new()),
             armed: AtomicBool::new(false),
         });
         let ids: Vec<PageId> = (0..4)
@@ -2189,5 +2394,240 @@ mod tests {
         assert_eq!(s.commits, 2);
         assert_eq!(s.batch_commits, 1, "a solo commit writes no batch record");
         assert_eq!(s.batched_members, 3);
+    }
+
+    /// Checks the LRU heap against its invariant — one entry per frame, at
+    /// or below the frame's stamp — and its victim against the reference
+    /// scan's. Returns whether a victim was compared.
+    fn assert_lru_agrees(pool: &BufferPool) -> bool {
+        let inner = pool.inner.read();
+        let mut entries = vec![0usize; inner.frames.len()];
+        for Reverse((stamp, slot)) in inner.lru.iter() {
+            entries[*slot] += 1;
+            assert!(*stamp <= inner.frames[*slot].last_used.load(Ordering::Relaxed));
+        }
+        assert!(
+            entries.iter().all(|&n| n == 1),
+            "entries per frame: {entries:?}"
+        );
+        if inner.frames.is_empty() {
+            return false;
+        }
+        let mut lru = inner.lru.clone();
+        assert_eq!(
+            pop_victim(&mut lru, &inner.frames).0,
+            scan_victim(&inner.frames),
+            "the LRU heap disagrees with the scan"
+        );
+        true
+    }
+
+    #[test]
+    fn lru_heap_matches_the_reference_scan_under_a_seeded_mix() {
+        use crate::fault::{FaultConfig, FaultDisk};
+        let mem = Arc::new(MemDisk::new());
+        let ids: Vec<PageId> = (0..40).map(|_| mem.allocate_page().unwrap()).collect();
+        let faulty = Arc::new(FaultDisk::new(
+            mem,
+            FaultConfig {
+                seed: 17,
+                permanent_read_failure: 0.2,
+                ..Default::default()
+            },
+        ));
+        faulty.set_armed(false);
+        let disk = Arc::new(ArmedFailDisk {
+            inner: faulty.clone(),
+            armed: AtomicBool::new(false),
+        });
+        let pool = BufferPool::new(disk.clone(), 6);
+        let mut rng = 0x2005_0405_u64;
+        let mut next = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n
+        };
+        let mut held: Vec<Arc<Page>> = Vec::new();
+        let (mut compared, mut write_back_failures, mut flush_failures) = (0, 0, 0);
+        let (mut kept_in_txn, mut spilled, mut discards) = (0, 0, 0);
+        for _ in 0..4000 {
+            let id = ids[next(ids.len() as u64) as usize];
+            let reads_armed = faulty.armed();
+            let writes_armed = disk.armed.load(Ordering::SeqCst);
+            match next(100) {
+                0..=44 => {
+                    let r = pool.with_page(id, |p| p.get_u32(0));
+                    if r.is_err() && writes_armed && !reads_armed {
+                        write_back_failures += 1;
+                    }
+                }
+                45..=64 => {
+                    let r = pool.with_page_mut(id, |p| p.put_u32(0, id.0));
+                    if r.is_err() && writes_armed && !reads_armed {
+                        write_back_failures += 1;
+                    }
+                }
+                65..=71 => {
+                    if held.len() >= 4 {
+                        held.swap_remove(next(4) as usize);
+                    }
+                    if let Ok(page) = pool.page_shared(id) {
+                        held.push(page);
+                    }
+                }
+                72..=79 => {
+                    if !pool.in_transaction() {
+                        pool.txn_begin().unwrap();
+                    } else if next(2) == 0 {
+                        let _ = pool.txn_commit(1);
+                    } else {
+                        pool.txn_rollback();
+                    }
+                }
+                80..=85 => faulty.set_armed(!reads_armed),
+                86..=89 => disk.armed.store(!writes_armed, Ordering::SeqCst),
+                90..=97 => {
+                    let in_txn = pool.in_transaction();
+                    if matches!(pool.clear_cache(), Err(StorageError::FlushFailed(_))) {
+                        flush_failures += 1;
+                    }
+                    if in_txn && !pool.inner.read().frames.is_empty() {
+                        kept_in_txn += 1;
+                    }
+                }
+                _ => {
+                    pool.discard_cache_and_txn();
+                    discards += 1;
+                }
+            }
+            if let Some(t) = pool.txn.lock().as_ref() {
+                spilled = spilled.max(t.shadow.len());
+            }
+            if assert_lru_agrees(&pool) {
+                compared += 1;
+            }
+        }
+        let s = pool.stats();
+        let failed_reads = faulty
+            .stats()
+            .permanent_read_failures
+            .load(Ordering::Relaxed);
+        assert!(compared > 3000);
+        assert!(s.evictions > 500, "evictions: {}", s.evictions);
+        assert!(
+            s.victim_probes > s.evictions,
+            "hits must leave stale entries"
+        );
+        assert!(failed_reads > 0, "no read failed");
+        assert!(write_back_failures > 0, "no victim write-back failed");
+        assert!(flush_failures > 0, "no clear_cache kept a dirty frame");
+        assert!(
+            kept_in_txn > 0,
+            "no clear_cache kept a transaction's frames"
+        );
+        assert!(spilled > 0, "no transaction page spilled to the shadow");
+        assert!(discards > 0);
+    }
+
+    #[test]
+    fn a_sequential_scan_probes_one_entry_per_eviction() {
+        let (pool, ids) = wide(8);
+        for _ in 0..3 {
+            for &id in &ids {
+                pool.with_page(id, |_| ()).unwrap();
+            }
+        }
+        let s = pool.stats();
+        assert_eq!(s.evictions, 3 * 32 - 8);
+        assert_eq!(s.victim_probes, s.evictions);
+        assert_eq!(s.page_copies, 0);
+    }
+
+    #[test]
+    fn a_shared_handle_keeps_its_bytes_across_a_write() {
+        let (pool, ids) = pool(4);
+        pool.with_page_mut(ids[0], |p| p.put_u32(0, 1)).unwrap();
+        let before = pool.stats();
+        let held = pool.page_shared(ids[0]).unwrap();
+        assert_eq!(pool.stats().since(&before).page_copies, 0);
+        pool.with_page_mut(ids[0], |p| p.put_u32(0, 2)).unwrap();
+        assert_eq!(held.get_u32(0), 1);
+        assert_eq!(pool.with_page(ids[0], |p| p.get_u32(0)).unwrap(), 2);
+        assert_eq!(
+            pool.stats().since(&before).page_copies,
+            1,
+            "one copy on write"
+        );
+        // With no handle held, a write copies nothing.
+        drop(held);
+        pool.with_page_mut(ids[0], |p| p.put_u32(0, 3)).unwrap();
+        assert_eq!(pool.stats().since(&before).page_copies, 1);
+    }
+
+    #[test]
+    fn a_shared_handle_keeps_its_bytes_across_a_commit_and_a_rollback() {
+        let (pool, ids) = pool(4);
+        pool.with_page_mut(ids[0], |p| p.put_u32(0, 1)).unwrap();
+        let held = pool.page_shared(ids[0]).unwrap();
+        pool.atomic_update(|| pool.with_page_mut(ids[0], |p| p.put_u32(0, 2)))
+            .unwrap();
+        assert_eq!(held.get_u32(0), 1);
+        let committed = pool.page_shared(ids[0]).unwrap();
+        let err: Result<(), StorageError> = pool.atomic_update(|| {
+            pool.with_page_mut(ids[0], |p| p.put_u32(0, 3))?;
+            assert_eq!(committed.get_u32(0), 2, "the open transaction's write");
+            Err(StorageError::PageOutOfRange(PageId(99)))
+        });
+        assert!(err.is_err());
+        assert_eq!(held.get_u32(0), 1);
+        assert_eq!(committed.get_u32(0), 2);
+        // Rollback put the pre-image handle itself back into the frame.
+        let after = pool.page_shared(ids[0]).unwrap();
+        assert!(Arc::ptr_eq(&after, &committed));
+    }
+
+    #[test]
+    fn a_shared_handle_outlives_the_eviction_of_its_frame() {
+        let (pool, ids) = pool(2);
+        pool.with_page_mut(ids[0], |p| p.put_u32(0, 5)).unwrap();
+        let held = pool.page_shared(ids[0]).unwrap();
+        let before = pool.stats();
+        pool.with_page(ids[1], |_| ()).unwrap();
+        pool.with_page(ids[2], |_| ()).unwrap(); // evicts ids[0], dirty
+        let d = pool.stats().since(&before);
+        assert_eq!(d.evictions, 1);
+        // Sealing the held page for write-back copied it once; the miss
+        // into the freed frame read into a fresh buffer, copying nothing.
+        assert_eq!(d.page_copies, 1);
+        assert_eq!(held.get_u32(0), 5);
+        pool.with_page_mut(ids[2], |p| p.put_u32(0, 6)).unwrap();
+        assert_eq!(
+            held.get_u32(0),
+            5,
+            "the frame's next page is another buffer"
+        );
+        // The re-fetch reads the written-back bytes.
+        let again = pool.page_shared(ids[0]).unwrap();
+        assert!(!Arc::ptr_eq(&again, &held));
+        assert_eq!(again.get_u32(0), 5);
+        assert_eq!(again.payload(), held.payload());
+    }
+
+    #[test]
+    fn a_pinned_versioned_read_copies_no_page() {
+        let (pool, ids) = pool(8);
+        let epoch = Arc::new(AtomicU64::new(0));
+        pool.enable_version_ring(Arc::clone(&epoch), 4);
+        commit_and_bump::<StorageError>(&pool, &epoch, || {
+            pool.with_page_mut(ids[0], |p| p.put_u32(0, 11))
+        });
+        let before = pool.stats();
+        let old = with_read_epoch(0, || pool.page_shared(ids[0]).unwrap());
+        let v = with_read_epoch(0, || pool.with_page(ids[0], |p| p.get_u32(0)).unwrap());
+        let d = pool.stats().since(&before);
+        assert_eq!((old.get_u32(0), v), (0, 0));
+        assert_eq!(d.versioned_reads, 2);
+        assert_eq!(d.page_copies, 0);
     }
 }

@@ -148,14 +148,16 @@ pub struct BlockInfo {
     pub first_depth: u16,
 }
 
-/// An owned snapshot of one block (see [`StructStore::block_snapshot`]): the
-/// raw page bytes plus the decoded code runs. Records are decoded lazily,
-/// slot by slot, so taking the snapshot costs one page access and one page
-/// copy regardless of how many of its records the caller ends up reading.
+/// A snapshot of one block (see [`StructStore::block_snapshot`]): a shared
+/// handle to the block's page plus the decoded code runs. Records are
+/// decoded lazily, slot by slot, so taking the snapshot costs one page
+/// access and no page copy, however many of its records the caller ends up
+/// reading. The handle's bytes never change; a later write to the page
+/// copies it first.
 pub struct BlockSnapshot {
     first_pos: u64,
     count: u32,
-    page: Page,
+    page: Arc<Page>,
     runs: Vec<(u32, u32)>,
 }
 
@@ -639,22 +641,20 @@ impl StructStore {
         })
     }
 
-    /// Takes an owned snapshot of block `idx` — the page bytes plus the
-    /// decoded code runs — in one page access. The snapshot decodes
+    /// Takes a snapshot of block `idx` — a shared handle to its page plus
+    /// the decoded code runs — in one page access. The snapshot decodes
     /// individual records on demand, so callers that walk many nodes of the
     /// same block (the compiled matcher's block cache) pay one latch per
     /// block instead of one per [`node_and_code`](Self::node_and_code) call,
     /// without eagerly decoding records they never visit.
     pub fn block_snapshot(&self, idx: usize) -> Result<BlockSnapshot, StorageError> {
         let info = self.dir[idx];
-        let (page, trans) = self.pool.with_page(info.page, |p| {
-            let trans = if info.change {
-                read_transitions(p)
-            } else {
-                Vec::new()
-            };
-            (p.clone(), trans)
-        })?;
+        let page = self.pool.page_shared(info.page)?;
+        let trans = if info.change {
+            read_transitions(&page)
+        } else {
+            Vec::new()
+        };
         let mut runs = Vec::with_capacity(1 + trans.len());
         runs.push((0u32, info.first_code));
         runs.extend(trans.into_iter().map(|(s, c)| (u32::from(s), c)));

@@ -34,7 +34,10 @@
 //!    otherwise. Three structural updates on the ACL target (a 13-node
 //!    graft under it, a move and a delete of it) are recorded, not gated:
 //!    they still rewrite the values section, so their rows grow with the
-//!    document.
+//!    document. Every row, structural ones included, also counts the
+//!    whole-page copies over the update and its checkpoint and must make at
+//!    most one per page written: the commit logs each dirtied page itself,
+//!    so the pre-image's copy on write is the only one.
 //!
 //! 5. **Result fence** — a factored xmark database with 8 roles and 16
 //!    users, every (Table-1 query × semantics × user) key and the unsecured
@@ -161,6 +164,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
             "nodes",
             "codes interned",
             "pages",
+            "page copies",
             "WAL bytes",
             "growth bytes",
         ],
@@ -176,6 +180,7 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
                 nodes.to_string(),
                 c.interned.to_string(),
                 c.pages.to_string(),
+                c.copies.to_string(),
                 c.wal_bytes.to_string(),
                 c.growth_bytes.to_string(),
             ]);
@@ -186,7 +191,8 @@ pub fn run(effort: Effort, seed: u64, smoke: bool) {
         "(One persistent database per scale; each update runs between two\n\
          checkpoints, so its pages are exactly the ones the commit dirtied.\n\
          Every ACL and subject row is asserted equal across the scales; the\n\
-         structural rows are recorded.)\n"
+         structural rows are recorded. Every row's page copies are asserted\n\
+         at most its pages: a commit logs its pages without copying them.)\n"
     );
 
     let mut t = Table::new(
@@ -280,6 +286,8 @@ const GRAFT: &str = "<item><location>x</location><quantity>1</quantity><name>n</
 struct WriteCost {
     interned: usize,
     pages: u64,
+    /// Whole-page copies over the update and its checkpoint.
+    copies: u64,
     wal_bytes: u64,
     growth_bytes: u64,
 }
@@ -738,6 +746,22 @@ fn write_path(effort: Effort) -> WritePath {
             c.growth_bytes
         );
     }
+    // A commit logs the pages it dirtied without copying them: the only
+    // copy is the pre-image's copy on write.
+    for scale_costs in &costs {
+        let updates = WRITE_UPDATES
+            .iter()
+            .chain(&SUBJECT_UPDATES)
+            .chain(&STRUCT_UPDATES);
+        for (update, c) in updates.zip(scale_costs) {
+            assert!(
+                c.copies <= c.pages,
+                "{update}: {} page copies for {} pages written",
+                c.copies,
+                c.pages
+            );
+        }
+    }
     let interned: Vec<usize> = costs[0].iter().map(|c| c.interned).collect();
     assert!(
         interned[0] > 0 && interned[1] == 0 && interned[2] > 0,
@@ -807,9 +831,11 @@ fn write_costs(scale: f64) -> (usize, Vec<WriteCost>) {
             update(&mut db).expect("update");
             let wal_bytes = wal.stats().bytes_logged - logged;
             db.checkpoint().expect("checkpoint");
+            let io = db.io_stats().since(&io);
             WriteCost {
                 interned: db.dol().codebook().len() - codes,
-                pages: db.io_stats().since(&io).physical_writes,
+                pages: io.physical_writes,
+                copies: io.page_copies,
                 wal_bytes,
                 growth_bytes: u64::from(data.num_pages() - pages) * PAGE_SIZE as u64,
             }
@@ -1058,8 +1084,8 @@ fn write_json(
         .map(|(update, c)| {
             format!(
                 "    {{\"update\": \"{update}\", \"codes_interned\": {}, \"pages_written\": {}, \
-                 \"wal_bytes\": {}, \"image_growth_bytes\": {}}}",
-                c.interned, c.pages, c.wal_bytes, c.growth_bytes
+                 \"page_copies\": {}, \"wal_bytes\": {}, \"image_growth_bytes\": {}}}",
+                c.interned, c.pages, c.copies, c.wal_bytes, c.growth_bytes
             )
         })
         .collect();
@@ -1074,8 +1100,8 @@ fn write_json(
         for (update, c) in STRUCT_UPDATES.iter().zip(structural) {
             rows.push(format!(
                 "    {{\"update\": \"{update}\", \"nodes\": {nodes}, \"pages_written\": {}, \
-                 \"wal_bytes\": {}, \"image_growth_bytes\": {}}}",
-                c.pages, c.wal_bytes, c.growth_bytes
+                 \"page_copies\": {}, \"wal_bytes\": {}, \"image_growth_bytes\": {}}}",
+                c.pages, c.copies, c.wal_bytes, c.growth_bytes
             ));
         }
     }

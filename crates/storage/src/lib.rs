@@ -30,9 +30,10 @@
 //!   *closed* — a corrupt or unreadable block can hide authorized nodes but
 //!   never leak protected ones.
 //! * [`wal`] — the crash-consistency layer: a physical write-ahead log
-//!   ([`Wal`]) driven by [`BufferPool::atomic_update`], with redo recovery
-//!   on open and a [`CrashDisk`] power-cut simulator (in [`fault`]) plus a
-//!   crash-point torture harness to prove every multi-page update is atomic.
+//!   ([`Wal`]) that every [`BufferPool::txn_commit`] appends to, with redo
+//!   recovery on open and a [`CrashDisk`] power-cut simulator (in
+//!   [`fault`]) plus a crash-point torture harness to prove every multi-page
+//!   update is atomic.
 //!
 //! Higher layers: `dol-core` implements the logical DOL and drives the
 //! embedded representation through [`StructStore`]'s code-run primitives;
@@ -50,8 +51,7 @@ pub mod retry;
 pub mod wal;
 
 pub use buffer::{
-    current_read_epoch, with_read_epoch, BufferPool, IoStats, DEFAULT_CHECKPOINT_THRESHOLD,
-    MAX_IO_ATTEMPTS,
+    with_read_epoch, BufferPool, IoStats, DEFAULT_CHECKPOINT_THRESHOLD, MAX_IO_ATTEMPTS,
 };
 pub use disk::{Disk, FileDisk, MemDisk, StorageError};
 pub use fault::{CrashDisk, CrashState, FaultConfig, FaultDisk, FaultStats};

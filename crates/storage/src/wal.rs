@@ -241,7 +241,7 @@ impl Wal {
     pub fn commit(
         &self,
         txn_id: u64,
-        pages: &[(PageId, Page)],
+        pages: &[(PageId, Arc<Page>)],
         members: u32,
     ) -> Result<u64, StorageError> {
         let mut inner = self.inner.lock();
@@ -274,7 +274,7 @@ impl Wal {
         &self,
         inner: &mut WalInner,
         txn_id: u64,
-        pages: &[(PageId, Page)],
+        pages: &[(PageId, Arc<Page>)],
         members: u32,
     ) -> Result<(), StorageError> {
         let id_buf = txn_id.to_le_bytes();
@@ -565,12 +565,12 @@ mod tests {
     use super::*;
     use crate::disk::MemDisk;
 
-    fn filled(tag: u8) -> Page {
+    fn filled(tag: u8) -> Arc<Page> {
         let mut p = Page::zeroed();
         for (i, b) in p.bytes_mut().iter_mut().enumerate() {
             *b = tag.wrapping_add(i as u8);
         }
-        p
+        Arc::new(p)
     }
 
     #[test]

@@ -181,11 +181,11 @@ fn pinned_readers_see_their_epoch_across_commits_and_rollbacks() {
             state[..PAGES / 2].fill(v + 1);
             publish(&state);
             // A plain commit of every page.
-            pool.atomic_update(|| {
-                ids.iter()
-                    .try_for_each(|&id| pool.with_page_mut(id, stamp(v + 3)))
-            })
-            .unwrap();
+            pool.txn_begin().unwrap();
+            for &id in &ids {
+                pool.with_page_mut(id, stamp(v + 3)).unwrap();
+            }
+            pool.txn_commit(1).unwrap();
             state.fill(v + 3);
             publish(&state);
             std::thread::yield_now();

@@ -7,7 +7,8 @@
 //! The workload uses the "root pointer" pattern of the real database: page 0
 //! is a catalog holding the committed-transaction count, and every
 //! transaction updates the catalog plus a pseudo-random set of data pages in
-//! one [`BufferPool::atomic_update`]. Periodic checkpoints put the
+//! one pool transaction ([`BufferPool::txn_begin`] …
+//! [`BufferPool::txn_commit`]). Periodic checkpoints put the
 //! flush + sync + epoch-bump path under the same crash sweep.
 
 use dol_storage::{
@@ -58,12 +59,20 @@ fn apply_op(
     if checkpoint_every > 0 && t % checkpoint_every == checkpoint_every - 1 {
         pool.checkpoint()?;
     }
-    pool.atomic_update(|| {
+    pool.txn_begin()?;
+    let written = (|| {
         for p in txn_pages(t, seed) {
             pool.with_page_mut(PageId(p), |pg| pg.put_u32(0, t as u32 + 1))?;
         }
         pool.with_page_mut(PageId(0), |pg| pg.put_u32(0, t as u32 + 1))
-    })
+    })();
+    match written {
+        Ok(()) => pool.txn_commit(1),
+        Err(e) => {
+            pool.txn_rollback();
+            Err(e)
+        }
+    }
 }
 
 struct Run {

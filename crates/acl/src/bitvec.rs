@@ -136,14 +136,6 @@ impl BitVec {
         }
     }
 
-    /// In-place bitwise AND with another vector of the same length.
-    pub fn and_assign(&mut self, other: &BitVec) {
-        assert_eq!(self.len, other.len);
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// Iterates over all bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
         (0..self.len).map(move |i| self.get(i))
@@ -162,11 +154,6 @@ impl BitVec {
                 Some(wi * 64 + b)
             })
         })
-    }
-
-    /// Approximate heap bytes used.
-    pub fn heap_bytes(&self) -> usize {
-        self.words.capacity() * 8
     }
 
     /// The raw words (little-endian bit order within each word).
@@ -243,9 +230,6 @@ mod tests {
         let mut o = a.clone();
         o.or_assign(&b);
         assert_eq!(o, BitVec::from_fn(10, |i| i % 2 == 0 || i % 3 == 0));
-        let mut n = a.clone();
-        n.and_assign(&b);
-        assert_eq!(n, BitVec::from_fn(10, |i| i % 6 == 0));
     }
 
     #[test]

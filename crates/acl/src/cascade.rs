@@ -82,20 +82,6 @@ impl CascadeRules {
         col
     }
 
-    /// Materializes an [`crate::AccessibilityMap`] for a subset of subjects
-    /// (columns are indexed by position in `subjects`).
-    pub fn project_map(
-        &self,
-        doc: &Document,
-        subjects: &[SubjectId],
-    ) -> crate::map::AccessibilityMap {
-        let mut map = crate::map::AccessibilityMap::new(subjects.len(), doc.len());
-        for (i, &s) in subjects.iter().enumerate() {
-            *map.column_mut(SubjectId(i as u32)) = self.column(doc, s);
-        }
-        map
-    }
-
     /// Streams the document-order ACL row **changes**: the returned list
     /// holds `(position, row)` for exactly the positions whose row differs
     /// from the predecessor's (position 0 always included) — i.e. the DOL
@@ -163,7 +149,6 @@ impl CascadeRules {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::AccessOracle;
     use dol_xml::parse;
 
     fn doc() -> Document {
@@ -226,20 +211,6 @@ mod tests {
         assert_eq!(stream[1].0, 4);
         assert_eq!(stream[2].0, 8);
         assert_eq!(stream[1].1.len(), 1);
-    }
-
-    #[test]
-    fn project_map_is_consistent() {
-        let doc = doc();
-        let mut r = CascadeRules::new(2);
-        r.add(SubjectId(1), NodeId(1), true);
-        let map = r.project_map(&doc, &[SubjectId(1)]);
-        assert_eq!(map.subjects(), 1);
-        assert!(map.accessible(SubjectId(0), NodeId(2)));
-        assert!(!map.accessible(SubjectId(0), NodeId(4)));
-        let mut row = BitVec::zeros(0);
-        map.acl_row(NodeId(2), &mut row);
-        assert_eq!(row.to_string(), "1");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! pool of distinct sets — the sub-linear half of the factored codebook's
 //! size accounting.
 
-use crate::subject::{SubjectCatalog, SubjectId};
+use crate::subject::SubjectId;
 use std::collections::{HashMap, HashSet};
 
 /// Sentinel for "no interned parent set" (the empty set).
@@ -90,12 +90,6 @@ impl GroupSpace {
         }
     }
 
-    /// Replaces a subject's direct parent set.
-    pub fn set_parents(&mut self, subject: SubjectId, parents: &[SubjectId]) {
-        let set = self.intern_set(parents.iter().map(|p| p.0).collect());
-        self.parent_set[subject.index()] = set;
-    }
-
     /// Adds or removes one direct membership edge. Returns whether the
     /// parent set actually changed.
     pub fn set_membership(&mut self, subject: SubjectId, group: SubjectId, member: bool) -> bool {
@@ -165,24 +159,6 @@ impl GroupSpace {
             + self.sets.iter().map(|s| s.len() * 4).sum::<usize>()
             + self.direct.len() * 8
             + self.retired.len() * 4
-    }
-
-    /// Builds a space mirroring a [`SubjectCatalog`]: logical ids equal the
-    /// catalog's ids, every *group* is bound to a fresh physical column (in
-    /// id order), users start unbound. Returns the space and the number of
-    /// physical columns bound.
-    pub fn from_catalog(catalog: &SubjectCatalog) -> (Self, usize) {
-        let mut space = Self::new();
-        for id in catalog.iter() {
-            let got = space.add_subject(catalog.direct_groups(id));
-            debug_assert_eq!(got, id);
-        }
-        let mut cols = 0u32;
-        for g in catalog.groups() {
-            space.bind_direct(g, cols);
-            cols += 1;
-        }
-        (space, cols as usize)
     }
 
     /// Serializes to a little-endian blob (see `from_bytes`).
@@ -350,7 +326,7 @@ mod tests {
         let mut sp = GroupSpace::new();
         let g1 = sp.add_subject(&[]);
         let g2 = sp.add_subject(&[g1]);
-        sp.set_parents(g1, &[g2]);
+        sp.set_membership(g1, g2, true);
         sp.bind_direct(g1, 0);
         sp.bind_direct(g2, 1);
         assert_eq!(sp.closure_columns(g1), vec![0, 1]);
@@ -372,23 +348,5 @@ mod tests {
         assert_eq!(used, blob.len());
         assert_eq!(back, sp);
         assert!(GroupSpace::from_bytes(&blob[..3]).is_err());
-    }
-
-    #[test]
-    fn from_catalog_binds_groups() {
-        let mut cat = SubjectCatalog::new();
-        let u = cat.add_user("u");
-        let g = cat.add_group("g");
-        let h = cat.add_group("h");
-        cat.add_membership(u, g);
-        cat.add_membership(g, h);
-        let (sp, cols) = GroupSpace::from_catalog(&cat);
-        assert_eq!(cols, 2);
-        let gc = sp.direct_column(g).unwrap();
-        let hc = sp.direct_column(h).unwrap();
-        assert_eq!(sp.direct_column(u), None);
-        let mut expect = vec![gc, hc];
-        expect.sort_unstable();
-        assert_eq!(sp.closure_columns(u), expect);
     }
 }

@@ -1,7 +1,7 @@
 //! Action modes (read, write, …).
 //!
 //! The paper presents DOL for a single mode and notes the approach extends to
-//! multiple action modes "in a similar way [as] for multiple users" (§2). The
+//! multiple action modes "in a similar way \[as\] for multiple users" (§2). The
 //! engine treats modes as an outer dimension: one accessibility map / DOL per
 //! mode (the LiveLink experiments use ten modes).
 
@@ -10,13 +10,6 @@
 pub struct ModeId(pub u8);
 
 impl ModeId {
-    /// Conventional id for the `read` mode in catalogs created by
-    /// [`ModeCatalog::read_write`].
-    pub const READ: ModeId = ModeId(0);
-    /// Conventional id for the `write` mode in catalogs created by
-    /// [`ModeCatalog::read_write`].
-    pub const WRITE: ModeId = ModeId(1);
-
     /// The raw index.
     #[inline]
     pub fn index(self) -> usize {
@@ -98,9 +91,9 @@ mod tests {
     fn read_write_catalog() {
         let c = ModeCatalog::read_write();
         assert_eq!(c.len(), 2);
-        assert_eq!(c.get("read"), Some(ModeId::READ));
-        assert_eq!(c.get("write"), Some(ModeId::WRITE));
-        assert_eq!(c.name(ModeId::WRITE), "write");
+        assert_eq!(c.get("read"), Some(ModeId(0)));
+        assert_eq!(c.get("write"), Some(ModeId(1)));
+        assert_eq!(c.name(ModeId(1)), "write");
         assert_eq!(c.get("execute"), None);
     }
 

@@ -236,18 +236,6 @@ impl Policy {
         map
     }
 
-    /// Compiles every mode of a catalog.
-    pub fn compile_all(
-        &self,
-        doc: &Document,
-        subjects: usize,
-        modes: usize,
-    ) -> Vec<AccessibilityMap> {
-        (0..modes)
-            .map(|m| self.compile(doc, subjects, ModeId(m as u8)))
-            .collect()
-    }
-
     fn combine(&self, effects: impl Iterator<Item = Effect>) -> Option<Effect> {
         let mut found = None;
         for e in effects {
@@ -384,7 +372,7 @@ mod tests {
         let s = SubjectId(0);
         let mut p = Policy::new();
         p.grant_subtree(s, ModeId(0), NodeId(0));
-        let maps = p.compile_all(&doc, 1, 2);
+        let maps: Vec<_> = (0..2).map(|m| p.compile(&doc, 1, ModeId(m))).collect();
         assert!(maps[0].accessible(s, NodeId(3)));
         assert!(!maps[1].accessible(s, NodeId(3)));
     }

@@ -24,8 +24,8 @@
 //! "unrealistically" — 1-byte pointer per label).
 //!
 //! CAM is an **in-memory, per-subject** structure; a multi-user deployment
-//! needs one CAM per subject ([`MultiCam`]), which is exactly the overhead
-//! DOL's codebook sharing avoids.
+//! needs one CAM per subject, which is exactly the overhead DOL's codebook
+//! sharing avoids.
 
 use dol_acl::BitVec;
 use dol_xml::{Document, NodeId};
@@ -128,11 +128,6 @@ impl Cam {
         self.entries.is_empty()
     }
 
-    /// The label on `node`, if any.
-    pub fn entry(&self, node: NodeId) -> Option<CamEntry> {
-        self.entries.get(&node).copied()
-    }
-
     /// Accessibility lookup: nearest labeled ancestor-or-self.
     pub fn lookup(&self, doc: &Document, node: NodeId) -> bool {
         if let Some(e) = self.entries.get(&node) {
@@ -146,12 +141,6 @@ impl Cam {
         unreachable!("the root is always labeled")
     }
 
-    /// Storage bytes under the paper's §5.1 accounting: 2 bits of
-    /// accessibility plus a 1-byte node pointer per label.
-    pub fn bytes_paper_accounting(&self) -> usize {
-        (self.entries.len() * (2 + 8)).div_ceil(8)
-    }
-
     /// Checks the CAM against ground truth on every node.
     pub fn verify(&self, doc: &Document, acc: &BitVec) -> Result<(), String> {
         for id in doc.preorder() {
@@ -162,43 +151,6 @@ impl Cam {
             }
         }
         Ok(())
-    }
-}
-
-/// A per-subject collection of CAMs — the multi-user deployment the paper's
-/// §5.1.1 storage comparison charges against DOL.
-#[derive(Debug, Default)]
-pub struct MultiCam {
-    cams: Vec<Cam>,
-}
-
-impl MultiCam {
-    /// Builds one optimal CAM per subject column of `map`.
-    pub fn build(doc: &Document, map: &dol_acl::AccessibilityMap) -> MultiCam {
-        let cams = (0..map.subjects())
-            .map(|s| Cam::build_optimal(doc, map.column(dol_acl::SubjectId(s as u32))))
-            .collect();
-        MultiCam { cams }
-    }
-
-    /// The CAM of one subject.
-    pub fn cam(&self, subject: dol_acl::SubjectId) -> &Cam {
-        &self.cams[subject.index()]
-    }
-
-    /// Number of subjects.
-    pub fn subjects(&self) -> usize {
-        self.cams.len()
-    }
-
-    /// Total labels across all subjects.
-    pub fn total_labels(&self) -> usize {
-        self.cams.iter().map(|c| c.len()).sum()
-    }
-
-    /// Total bytes under the paper's accounting.
-    pub fn bytes_paper_accounting(&self) -> usize {
-        self.cams.iter().map(|c| c.bytes_paper_accounting()).sum()
     }
 }
 
@@ -323,25 +275,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn multicam_totals() {
-        let doc = parse("<a><b/><c/></a>").unwrap();
-        let mut map = dol_acl::AccessibilityMap::new(2, doc.len());
-        map.set(dol_acl::SubjectId(0), NodeId(1), true);
-        let mc = MultiCam::build(&doc, &map);
-        assert_eq!(mc.subjects(), 2);
-        assert_eq!(mc.total_labels(), mc.cam(dol_acl::SubjectId(0)).len() + 1);
-        assert!(mc.bytes_paper_accounting() >= mc.total_labels());
-    }
-
-    #[test]
-    fn paper_byte_accounting() {
-        let doc = parse("<a><b/></a>").unwrap();
-        let acc = col(&doc, |i| i == 1);
-        let cam = Cam::build_optimal(&doc, &acc);
-        // ceil(len * 10 bits / 8)
-        assert_eq!(cam.bytes_paper_accounting(), (cam.len() * 10).div_ceil(8));
     }
 }

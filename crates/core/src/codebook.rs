@@ -157,12 +157,6 @@ impl Codebook {
         e
     }
 
-    /// One physical column's bit in one entry.
-    #[inline]
-    pub fn entry_bit(&self, code: u32, column: u32) -> bool {
-        self.entries[code as usize].get_or(column as usize)
-    }
-
     /// Whether `subject` is granted by the ACL behind `code` — the
     /// "s-th bit in that codebook entry" lookup of §3.3. With a group
     /// space attached, the derived OR over the subject's closure columns.
@@ -235,8 +229,7 @@ impl Codebook {
     }
 
     /// Entries touched by the last subject-set operation (`add_subject`,
-    /// `add_subject_union`, `remove_subject`) — the O(affected-entries)
-    /// regression observable.
+    /// `remove_subject`) — the O(affected-entries) regression observable.
     pub fn last_op_touched(&self) -> usize {
         self.last_op_touched
     }
@@ -369,52 +362,6 @@ impl Codebook {
                 self.touch_column(col);
             }
         }
-        new
-    }
-
-    /// Adds a **union column**: a virtual subject whose bit in every entry
-    /// is the OR of the given subjects' bits. This realizes the paper's §4
-    /// user model — "a user's access rights may include her own plus those
-    /// of any groups of which she is a member" — as a pure codebook
-    /// operation: queries then run with the virtual subject's id, and no
-    /// embedded transition data changes. With a group space attached the
-    /// union is *live* — a membership-table entry whose derived column
-    /// follows the members — and touches no entry bits at all.
-    pub fn add_subject_union(&mut self, subjects: &[SubjectId]) -> SubjectId {
-        if let Some(g) = &mut self.groups {
-            let all_groupable = subjects
-                .iter()
-                .all(|&s| !g.is_retired(s) && s.index() < g.len());
-            if all_groupable {
-                self.last_op_touched = 0;
-                return g.add_subject(subjects);
-            }
-        }
-        let member_cols: Vec<u32> = subjects
-            .iter()
-            .flat_map(|&s| self.subject_physical_columns(s))
-            .collect();
-        let col = self.width as u32;
-        self.width += 1;
-        self.removed.push(false);
-        self.stamps.push(0);
-        let new = match &mut self.groups {
-            None => SubjectId(col),
-            Some(g) => {
-                let id = g.add_subject(&[]);
-                g.bind_direct(id, col);
-                id
-            }
-        };
-        self.mutate_entries(
-            |e| member_cols.iter().any(|&c| e.get_or(c as usize)),
-            |e| {
-                e.resize(col as usize + 1);
-                e.set(col as usize, true);
-            },
-        );
-        self.version += 1;
-        self.touch_column(col);
         new
     }
 
@@ -845,20 +792,6 @@ mod tests {
             rebuilt.entry(e.clone()).or_insert(code);
         }
         assert_eq!(cb.index, rebuilt);
-    }
-
-    #[test]
-    fn union_column_is_or_of_members() {
-        let mut cb = Codebook::new(3);
-        let c0 = cb.intern(&acl("100"));
-        let c1 = cb.intern(&acl("010"));
-        let c2 = cb.intern(&acl("001"));
-        let u = cb.add_subject_union(&[SubjectId(0), SubjectId(2)]);
-        assert_eq!(u, SubjectId(3));
-        assert!(cb.bit(c0, u));
-        assert!(!cb.bit(c1, u));
-        assert!(cb.bit(c2, u));
-        assert_eq!(cb.last_op_touched(), 2);
     }
 
     #[test]

@@ -51,6 +51,7 @@ impl Dol {
 
     /// Builds a **single-subject** DOL from an accessibility column (one bit
     /// per document position) — the Figure 1(a) construction.
+    #[cfg(test)]
     pub fn build_single(column: &BitVec) -> Self {
         struct ColumnOracle<'a>(&'a BitVec);
         impl AccessOracle for ColumnOracle<'_> {
@@ -294,83 +295,6 @@ impl Dol {
         debug_assert!(self.transitions.len() <= before + 2, "Proposition 1");
     }
 
-    // ------------------------------------------------------------------
-    // Structural updates (§3.4)
-    // ------------------------------------------------------------------
-
-    /// Removes positions `[start, end)` (a deleted subtree) and shifts later
-    /// transitions down.
-    pub fn delete_range(&mut self, start: u64, end: u64) {
-        assert!(start > 0 && start < end && end <= self.total);
-        let before = self.transitions.len();
-        let k = end - start;
-        let pred_code = self.code_at(start - 1);
-        let end_code = (end < self.total).then(|| self.code_at(end));
-        let lo = self.transitions.partition_point(|&(p, _)| p < start);
-        let hi = self.transitions.partition_point(|&(p, _)| p < end);
-        self.transitions.drain(lo..hi);
-        for t in &mut self.transitions[lo..] {
-            t.0 -= k;
-        }
-        self.total -= k;
-        // Boundary: the old `end` node now sits at `start`.
-        if let Some(ec) = end_code {
-            let has_entry = self.transitions.get(lo).is_some_and(|&(p, _)| p == start);
-            if ec != pred_code && !has_entry {
-                self.transitions.insert(lo, (start, ec));
-            } else if ec == pred_code && has_entry {
-                self.transitions.remove(lo);
-            }
-        }
-        debug_assert_eq!(self.check_invariants(), Ok(()));
-        debug_assert!(self.transitions.len() <= before + 2, "Proposition 1");
-    }
-
-    /// Inserts another DOL (an encoded subtree with its own access controls,
-    /// per §3.4 "we assume the nodes inserted have access controls already")
-    /// so that its first node lands at position `at`.
-    pub fn insert_dol(&mut self, at: u64, sub: &Dol) {
-        assert!(at > 0 && at <= self.total, "insert position out of range");
-        assert_eq!(
-            sub.codebook.width(),
-            self.codebook.width(),
-            "subject universes must match"
-        );
-        let before = self.transitions.len() + sub.transitions.len();
-        let k = sub.total;
-        let pred_code = self.code_at(at - 1);
-        let next_code = (at < self.total).then(|| self.code_at(at));
-        let lo = self.transitions.partition_point(|&(p, _)| p < at);
-        for t in &mut self.transitions[lo..] {
-            t.0 += k;
-        }
-        self.total += k;
-        // Translate the subtree's codes into this codebook and splice.
-        let mut insert: Vec<(u64, u32)> = Vec::with_capacity(sub.transitions.len() + 1);
-        let mut prev = pred_code;
-        let mut last_code = pred_code;
-        for (s, _end, c) in sub.runs() {
-            let code = self.codebook.intern(&sub.codebook.entry_padded(c));
-            if code != prev {
-                insert.push((at + s, code));
-                prev = code;
-            }
-            last_code = code;
-        }
-        // Boundary: the old `at` node now sits at `at + k`.
-        if let Some(nc) = next_code {
-            let has_entry = self.transitions.get(lo).is_some_and(|&(p, _)| p == at + k);
-            if nc != last_code && !has_entry {
-                insert.push((at + k, nc));
-            } else if nc == last_code && has_entry {
-                self.transitions.remove(lo);
-            }
-        }
-        self.transitions.splice(lo..lo, insert);
-        debug_assert_eq!(self.check_invariants(), Ok(()));
-        debug_assert!(self.transitions.len() <= before + 2, "Proposition 1");
-    }
-
     /// Verifies the DOL invariants: first transition at position 0,
     /// strictly ascending positions in range, and no two consecutive
     /// transitions with the same code.
@@ -522,56 +446,6 @@ mod tests {
             assert!(dol.transition_count() <= before + 2, "Proposition 1");
             dol.check_invariants().unwrap();
         }
-    }
-
-    #[test]
-    fn delete_range_shifts_and_fixes_boundary() {
-        let col = BitVec::from_fn(10, |i| (4..8).contains(&i));
-        let mut dol = Dol::build_single(&col);
-        assert_eq!(dol.transition_count(), 3); // 0−, 4+, 8−
-                                               // Delete [4, 8): all nodes denied again → single run.
-        dol.delete_range(4, 8);
-        assert_eq!(dol.total_nodes(), 6);
-        assert_eq!(dol.transition_count(), 1);
-        for p in 0..6 {
-            assert!(!dol.accessible(p, SubjectId(0)));
-        }
-    }
-
-    #[test]
-    fn delete_partial_run() {
-        let col = BitVec::from_fn(10, |i| (4..8).contains(&i));
-        let mut dol = Dol::build_single(&col);
-        // Delete [2, 6): keeps accessible nodes 6,7 which move to 2,3.
-        dol.delete_range(2, 6);
-        assert_eq!(dol.total_nodes(), 6);
-        let acc: Vec<bool> = (0..6).map(|p| dol.accessible(p, SubjectId(0))).collect();
-        assert_eq!(acc, vec![false, false, true, true, false, false]);
-        dol.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn insert_dol_translates_codes() {
-        let base = BitVec::from_fn(6, |_| false);
-        let mut dol = Dol::build_single(&base);
-        let sub = Dol::build_single(&BitVec::from_fn(3, |i| i != 1));
-        dol.insert_dol(2, &sub);
-        assert_eq!(dol.total_nodes(), 9);
-        let acc: Vec<bool> = (0..9).map(|p| dol.accessible(p, SubjectId(0))).collect();
-        assert_eq!(
-            acc,
-            vec![false, false, true, false, true, false, false, false, false]
-        );
-        dol.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn insert_at_end() {
-        let mut dol = Dol::build_single(&BitVec::from_fn(4, |_| true));
-        let sub = Dol::build_single(&BitVec::from_fn(2, |_| true));
-        dol.insert_dol(4, &sub);
-        assert_eq!(dol.total_nodes(), 6);
-        assert_eq!(dol.transition_count(), 1);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 
 use crate::codebook::Codebook;
 use crate::column::SubjectColumn;
-use crate::dol::Dol;
 use crate::stats::DolStats;
 use dol_acl::{AccessOracle, BitVec, SubjectId};
 use dol_storage::{BufferPool, BulkItem, StoreConfig, StructStore};
@@ -145,13 +144,6 @@ impl EmbeddedDol {
     /// "no changes to the embedded transition nodes … are required", §3.4).
     pub fn codebook_mut(&mut self) -> &mut Codebook {
         &mut self.codebook
-    }
-
-    /// Interprets an access-control code for a subject. This is the hot-path
-    /// check ε-NoK performs on a code it already read from the node's page.
-    #[inline]
-    pub fn check_code(&self, code: u32, subject: SubjectId) -> bool {
-        self.codebook.bit(code, subject)
     }
 
     /// Whether `subject` may access the node at `pos` (one page access,
@@ -306,7 +298,8 @@ impl EmbeddedDol {
 
     /// Extracts the logical DOL from the embedded representation (used by
     /// tests to prove logical/physical equivalence).
-    pub fn to_logical(&self, store: &StructStore) -> Result<Dol, StorageError> {
+    #[cfg(test)]
+    pub fn to_logical(&self, store: &StructStore) -> Result<crate::dol::Dol, StorageError> {
         let mut transitions = Vec::new();
         let mut prev: Option<u32> = None;
         for pos in 0..store.total_nodes() {
@@ -316,7 +309,7 @@ impl EmbeddedDol {
                 prev = Some(code);
             }
         }
-        Ok(Dol::from_parts(
+        Ok(crate::dol::Dol::from_parts(
             transitions,
             self.codebook.clone(),
             store.total_nodes(),
@@ -526,7 +519,7 @@ mod tests {
         store.pool().reset_stats();
         // node_and_code: one logical read for both structure and code.
         let (_, code) = store.node_and_code(5).unwrap();
-        let _ = dol.check_code(code, SubjectId(0));
+        let _ = dol.column(SubjectId(0)).check_code(code);
         let s = store.pool().stats();
         assert_eq!(s.logical_reads, 1);
     }

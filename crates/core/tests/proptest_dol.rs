@@ -1,6 +1,6 @@
-//! Property tests for the DOL: logical builds, updates and structural
-//! splices against a materialized accessibility-map model, and the physical
-//! embedding against the logical representation.
+//! Property tests for the DOL: logical builds and updates against a
+//! materialized accessibility-map model, and the physical embedding against
+//! the logical representation.
 
 use dol_acl::{AccessibilityMap, BitVec, SubjectId};
 use dol_core::{Dol, EmbeddedDol};
@@ -199,46 +199,6 @@ proptest! {
                 store.logical_transition_count().unwrap() as usize,
                 logical.transition_count()
             );
-        }
-    }
-
-    #[test]
-    fn structural_splices_track_model(
-        doc in arb_doc(40),
-        sub_bits in proptest::collection::vec(any::<bool>(), 1..8),
-        victim_pick in any::<u32>(),
-        insert_pick in any::<u32>(),
-    ) {
-        // Single-subject DOL; model = Vec<bool>.
-        let n = doc.len() as u64;
-        let col = BitVec::from_fn(n as usize, |i| i % 3 != 1);
-        let mut dol = Dol::build_single(&col);
-        let mut model: Vec<bool> = (0..n as usize).map(|i| col.get(i)).collect();
-
-        // Delete a subtree.
-        if n > 1 {
-            let victim = 1 + u64::from(victim_pick) % (n - 1);
-            let size = u64::from(doc.node(NodeId(victim as u32)).size);
-            dol.delete_range(victim, victim + size);
-            model.drain(victim as usize..(victim + size) as usize);
-            dol.check_invariants().unwrap();
-            for (i, &m) in model.iter().enumerate() {
-                prop_assert_eq!(dol.accessible(i as u64, SubjectId(0)), m);
-            }
-        }
-
-        // Insert a run with its own labeling.
-        if dol.total_nodes() > 0 {
-            let sub_col = BitVec::from_fn(sub_bits.len(), |i| sub_bits[i]);
-            let sub = Dol::build_single(&sub_col);
-            let at = 1 + u64::from(insert_pick) % dol.total_nodes();
-            dol.insert_dol(at, &sub);
-            let ins: Vec<bool> = sub_bits.clone();
-            model.splice(at as usize..at as usize, ins);
-            dol.check_invariants().unwrap();
-            for (i, &m) in model.iter().enumerate() {
-                prop_assert_eq!(dol.accessible(i as u64, SubjectId(0)), m);
-            }
         }
     }
 }

@@ -217,11 +217,6 @@ impl PlanCache {
         Ok(entry)
     }
 
-    /// The parsed plan for `query` (compatibility shim over [`entry`](Self::entry)).
-    pub fn get_or_parse(&self, query: &str) -> Result<Arc<QueryPlan>, QueryParseError> {
-        Ok(Arc::clone(&self.entry(query)?.plan))
-    }
-
     /// The parsed plan *and* its compiled lowering for `query`, lowering (or
     /// re-lowering) against `tags` only when the cached automaton is missing
     /// or stale for that tag space.
@@ -293,12 +288,12 @@ mod tests {
     #[test]
     fn plan_cache_parses_once() {
         let cache = PlanCache::new(8);
-        let a = cache.get_or_parse("//item//emph").unwrap();
-        let b = cache.get_or_parse("//item//emph").unwrap();
+        let a = cache.entry("//item//emph").unwrap();
+        let b = cache.entry("//item//emph").unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit");
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 1);
-        assert!(cache.get_or_parse("not a { query").is_err());
+        assert!(cache.entry("not a { query").is_err());
     }
 
     #[test]

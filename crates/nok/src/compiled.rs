@@ -35,7 +35,7 @@
 //! against [`naive_eval`](crate::reference::naive_eval) (the differential
 //! property tests in `tests/proptest_compiled.rs` and
 //! `tests/proptest_engine.rs`), including the fail-closed policy and the
-//! deadline check every [`DEADLINE_CHECK_MASK`]` + 1` node visits. Page-skips
+//! deadline check every `DEADLINE_CHECK_MASK + 1` node visits. Page-skips
 //! are decided before any matcher runs: the word-parallel skip mask
 //! ([`dol_core::EmbeddedDol::block_skip_mask`]) becomes a list of
 //! [`VisibleExtents`], and every candidate list is intersected with it by
@@ -90,15 +90,14 @@ pub struct MatchContext<'a> {
     pub values: &'a ValueStore,
     /// Tag name resolution.
     pub tags: &'a TagInterner,
-    /// `Some((dol, subject))` enables ε-NoK accessibility checking.
-    pub access: Option<(&'a EmbeddedDol, SubjectId)>,
-    /// Decoded accessibility column for the subject, shared by every matcher
-    /// (and every worker thread) of one evaluation. When present, the
-    /// per-node check is a single shift-and-mask on an immutable snapshot —
-    /// no codebook lock, no ACL-entry read.
-    pub column: Option<Arc<SubjectColumn>>,
+    /// `Some((dol, column))` enables ε-NoK accessibility checking: the DOL
+    /// whose block headers decide the §3.3 skip, and the subject's decoded
+    /// column, shared by every matcher (and every worker thread) of one
+    /// evaluation, so the per-node check is a single shift-and-mask on an
+    /// immutable snapshot — no codebook lock, no ACL-entry read.
+    pub access: Option<(&'a EmbeddedDol, Arc<SubjectColumn>)>,
     /// The evaluation's cooperative time budget, checked between node loads
-    /// (every [`DEADLINE_CHECK_MASK`]` + 1` visits). Defaults to
+    /// (every `DEADLINE_CHECK_MASK + 1` visits). Defaults to
     /// [`Deadline::never`]; expiry surfaces as
     /// [`StorageError::DeadlineExceeded`] and is never fail-closed-masked.
     pub deadline: Deadline,
@@ -113,13 +112,11 @@ impl<'a> MatchContext<'a> {
         tags: &'a TagInterner,
         access: Option<(&'a EmbeddedDol, SubjectId)>,
     ) -> Self {
-        let column = access.map(|(dol, s)| dol.column(s));
         Self {
             store,
             values,
             tags,
-            access,
-            column,
+            access: access.map(|(dol, s)| (dol, dol.column(s))),
             deadline: Deadline::never(),
         }
     }
@@ -128,11 +125,9 @@ impl<'a> MatchContext<'a> {
     /// unsecured mode).
     #[inline]
     pub fn code_accessible(&self, code: u32) -> bool {
-        match (&self.column, self.access) {
-            (Some(col), _) => col.check_code(code),
-            (None, Some((dol, s))) => dol.check_code(code, s),
-            (None, None) => true,
-        }
+        self.access
+            .as_ref()
+            .is_none_or(|(_, col)| col.check_code(code))
     }
 }
 
@@ -164,8 +159,8 @@ pub struct CNode {
     pub is_output: bool,
     /// Whether this node's fragment-subtree contains an output.
     pub carries_output: bool,
-    /// Start of this node's child-axis pattern children in
-    /// [`CompiledFragment::kin`].
+    /// Start of this node's child-axis pattern children in its fragment's
+    /// `kin` table.
     pub kin_start: u32,
     /// End of child-axis / start of following-sibling-axis children.
     pub kin_mid: u32,
@@ -1021,7 +1016,7 @@ impl<'a> CompiledMatcher<'a> {
                 }
                 Err(e) => return Err(e),
             };
-            let access: Option<AccessBitmap> = self.ctx.column.as_ref().map(|col| {
+            let access: Option<AccessBitmap> = self.ctx.access.as_ref().map(|(_, col)| {
                 let count = u64::from(probe.count);
                 let runs = probe.runs.iter().enumerate().map(|(k, &(slot, code))| {
                     let end = probe
@@ -1035,23 +1030,8 @@ impl<'a> CompiledMatcher<'a> {
             for &pos in group {
                 let slot = (pos - probe.first_pos) as usize;
                 let bit = 1u64 << (slot & 63);
-                let accessible = match (&access, secure) {
-                    (Some(a), _) => a.word(slot >> 6) & bit != 0,
-                    (None, true) => {
-                        // No decoded column (engine always supplies one;
-                        // kept for direct API use): walk the runs.
-                        // runs[0] is always (0, first_code), so last() hits.
-                        let code = probe
-                            .runs
-                            .iter()
-                            .take_while(|&&(s, _)| u64::from(s) <= slot as u64)
-                            .last()
-                            .map_or(0, |&(_, c)| c);
-                        self.ctx.code_accessible(code)
-                    }
-                    (None, false) => true,
-                };
-                if secure && !accessible {
+                let accessible = access.as_ref().is_none_or(|a| a.word(slot >> 6) & bit != 0);
+                if !accessible {
                     self.stats.nodes_denied += 1;
                     continue;
                 }

@@ -341,8 +341,8 @@ impl<'a> QueryEngine<'a> {
         let force_root_output = matches!(security, Security::SubtreeVisibility(_));
         // One word-parallel pass over the in-memory block directory decides
         // the skip for every candidate. Purely in-memory: no I/O.
-        let extents = match (&ctx.column, ctx.access) {
-            (Some(col), Some((dol, _))) if opts.page_skip => {
+        let extents = match &ctx.access {
+            Some((dol, col)) if opts.page_skip => {
                 VisibleExtents::from_skip_mask(self.store, &dol.block_skip_mask(self.store, col))
             }
             _ => VisibleExtents::all(self.store.total_nodes()),
@@ -439,7 +439,7 @@ impl<'a> QueryEngine<'a> {
     ) -> Result<Vec<u64>, QueryError> {
         // 2. Subtree-visibility filter on fragment-root bindings.
         if let Security::SubtreeVisibility(_) = security {
-            let Some(column) = ctx.column.as_deref() else {
+            let Some((_, column)) = &ctx.access else {
                 return Err(QueryError::NoAccessControl);
             };
             for (tree, table) in plan.trees.iter().zip(&mut tables) {

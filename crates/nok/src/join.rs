@@ -24,7 +24,7 @@
 //! inaccessible node can not provide answers even if it contains accessible
 //! nodes. [`VisibilityChecker`] decides that predicate for a document-order
 //! stream of candidates with a shared path stack, so each path node is
-//! inspected once per query (the ε-STD pruning of [18]).
+//! inspected once per query (the ε-STD pruning of \[18\]).
 
 use crate::compiled::{SnapshotCache, VisibleExtents};
 use crate::pattern::PNodeId;

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The build environment has no access to crates.io, so the workspace vendors
-//! the subset of proptest 1.x it uses: the [`Strategy`] trait with `prop_map`
+//! the subset of proptest 1.x it uses: the [`Strategy`](strategy::Strategy) trait with `prop_map`
 //! / `prop_flat_map` / `boxed`, range and `any::<T>()` strategies, tuple
 //! strategies, [`collection::vec`], [`option::of`], [`prop_oneof!`], and the
 //! [`proptest!`] test macro with `ProptestConfig::with_cases`.
@@ -269,7 +269,7 @@ pub mod collection {
     use super::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// A size specification for [`vec`]: an exact length or a range.
+    /// A size specification for [`vec()`]: an exact length or a range.
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         lo: usize,
@@ -308,7 +308,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

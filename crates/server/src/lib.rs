@@ -11,7 +11,7 @@
 //! * [`json`] — a minimal, hardened JSON subset (integers, strings, bools,
 //!   arrays, objects; depth-capped; no floats) with deterministic encoding.
 //! * [`proto`] — the request/response vocabulary and the closed
-//!   [`ErrorCode`](proto::ErrorCode) set mapping
+//!   [`ErrorCode`] set mapping
 //!   [`DbError`](secure_xml::DbError) one-to-one onto the wire.
 //! * [`metrics`] — per-method latency histograms and typed-refusal
 //!   counters, rendered as Prometheus text (also served to a plain HTTP

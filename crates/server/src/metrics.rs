@@ -331,7 +331,7 @@ impl Metrics {
             ),
             (
                 "dol_io_page_copies",
-                "Whole-page copies (copy on write, shared seals, WAL images).",
+                "Whole-page copies (copy on write, shared seals).",
                 stats.io.page_copies,
             ),
             (

@@ -564,13 +564,6 @@ pub fn ok_response(id: u64, result: Json) -> Vec<u8> {
     out
 }
 
-/// Encodes a typed error response (fail-closed: no result attached).
-pub fn err_response(id: u64, code: ErrorCode, message: &str) -> Vec<u8> {
-    let mut out = Vec::new();
-    write_err(&mut out, id, code, message);
-    out
-}
-
 /// A decoded response (client side): the echoed id plus either a result or
 /// a typed error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -714,7 +707,8 @@ mod tests {
             Some(true)
         );
 
-        let err = err_response(43, ErrorCode::Overloaded, "queue full");
+        let mut err = Vec::new();
+        write_err(&mut err, 43, ErrorCode::Overloaded, "queue full");
         let r = decode_response(&err).unwrap();
         assert_eq!(r.id, 43);
         let (code, msg) = r.outcome.unwrap_err();

@@ -8,7 +8,7 @@
 //! execution, response writing) joined by a channel — so the reader keeps
 //! consuming the socket while a request executes, which is what lets a
 //! client disconnect *cancel* its in-flight requests: the reader sees the
-//! EOF and fires every [`CancelToken`] it registered.
+//! EOF and fires every [`CancelToken`](secure_xml::CancelToken) it registered.
 //!
 //! The reader thread answers by itself what cannot block — a `ping`, or a
 //! `query` the secure result cache already holds — when the connection is
@@ -332,11 +332,6 @@ impl Server {
     /// Signals a graceful drain (same effect as the `shutdown` method).
     pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether a drain has been signalled.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
     }
 
     /// Requests currently admitted (for tests and monitoring).

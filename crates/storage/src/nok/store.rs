@@ -321,6 +321,7 @@ impl StructStore {
 
     /// Builds an **unsecured** store directly from a document: every node
     /// gets [`super::NO_CODE`] and only the root is a (pseudo-)transition.
+    #[cfg(test)]
     pub fn from_document_unsecured(
         pool: Arc<BufferPool>,
         cfg: StoreConfig,
@@ -478,40 +479,10 @@ impl StructStore {
             .with_page(info.page, |p| code_in_page(p, info.first_code, slot))
     }
 
-    /// Depth of the node at `pos`.
-    pub fn depth_at(&self, pos: u64) -> Result<u16, StorageError> {
-        Ok(self.node(pos)?.depth)
-    }
-
     /// First child of the node at `pos` whose record is `rec`.
     #[inline]
     pub fn first_child_of(&self, pos: u64, rec: &NodeRec) -> Option<u64> {
         (rec.size > 1).then_some(pos + 1)
-    }
-
-    /// Following sibling of the node at `pos` whose record is `rec`.
-    pub fn following_sibling_of(
-        &self,
-        pos: u64,
-        rec: &NodeRec,
-    ) -> Result<Option<u64>, StorageError> {
-        let next = rec.subtree_end(pos, self.total)?;
-        if next >= self.total {
-            return Ok(None);
-        }
-        Ok((self.node(next)?.depth == rec.depth).then_some(next))
-    }
-
-    /// First child of the node at `pos`.
-    pub fn first_child(&self, pos: u64) -> Result<Option<u64>, StorageError> {
-        let rec = self.node(pos)?;
-        Ok(self.first_child_of(pos, &rec))
-    }
-
-    /// Following sibling of the node at `pos`.
-    pub fn following_sibling(&self, pos: u64) -> Result<Option<u64>, StorageError> {
-        let rec = self.node(pos)?;
-        self.following_sibling_of(pos, &rec)
     }
 
     /// Positions of the ancestors of `pos`, root first, found by descending
@@ -547,11 +518,6 @@ impl StructStore {
             cur = child;
         }
         Ok(out)
-    }
-
-    /// Parent of the node at `pos` (None for the root).
-    pub fn parent_of(&self, pos: u64) -> Result<Option<u64>, StorageError> {
-        Ok(self.ancestors_of(pos)?.pop())
     }
 
     /// The maximal equal-code runs overlapping `[start, end)` as
@@ -663,20 +629,6 @@ impl StructStore {
             count: info.count,
             page,
             runs,
-        })
-    }
-
-    /// Reads every record's subtree size in block `idx` with one page
-    /// access — the batched form of per-position [`node`](Self::node) calls
-    /// when a caller needs the `[pos, pos + size)` interval of many nodes in
-    /// the same block.
-    pub fn block_sizes(&self, idx: usize) -> Result<Vec<u32>, StorageError> {
-        let info = self.dir[idx];
-        let count = info.count as usize;
-        self.pool.with_page(info.page, |p| {
-            (0..count)
-                .map(|slot| p.get_u32(super::block::HDR_SIZE + slot * super::block::REC_SIZE + 4))
-                .collect()
         })
     }
 
@@ -845,7 +797,7 @@ impl StructStore {
     /// records' ids whatever order names first occur in. Records naming a
     /// tag `tags` lacks, or not forming one tree, are a typed `InvalidData`
     /// error. Pages are read scan-resistant
-    /// ([`with_scan_reads`](crate::buffer::with_scan_reads)).
+    /// (`with_scan_reads`: a scan does not evict the pool's hot pages).
     pub fn to_document(
         &self,
         tags: &TagInterner,
@@ -970,12 +922,8 @@ mod tests {
             assert_eq!(rec.size, doc.node(id).size);
             assert_eq!(u32::from(rec.depth), u32::from(doc.node(id).depth));
             assert_eq!(
-                store.first_child(pos).unwrap(),
+                store.first_child_of(pos, &rec),
                 doc.first_child(id).map(|n| u64::from(n.0))
-            );
-            assert_eq!(
-                store.following_sibling(pos).unwrap(),
-                doc.next_sibling(id).map(|n| u64::from(n.0))
             );
         }
     }
@@ -994,10 +942,6 @@ mod tests {
                 v
             };
             assert_eq!(anc, expected, "ancestors of {pos}");
-            assert_eq!(
-                store.parent_of(pos).unwrap(),
-                doc.parent(id).map(|n| u64::from(n.0))
-            );
         }
     }
 
@@ -1090,15 +1034,12 @@ mod tests {
                 let info = *store.block_info(b);
                 assert_eq!(probe.first_pos, info.first_pos);
                 assert_eq!(probe.count, info.count);
-                let sizes = store.block_sizes(b).unwrap();
-                assert_eq!(sizes.len(), info.count as usize);
                 for slot in 0..info.count as usize {
                     let pos = info.first_pos + slot as u64;
                     let (rec, code) = store.node_and_code(pos).unwrap();
                     let bit = |m: &[u64]| m[slot >> 6] >> (slot & 63) & 1 != 0;
                     assert_eq!(bit(&probe.tag_mask), Some(rec.tag) == probe_tag);
                     assert_eq!(bit(&probe.value_mask), rec.has_value);
-                    assert_eq!(sizes[slot], rec.size);
                     // Code run lookup: last run at or before the slot.
                     let run_code = probe
                         .runs

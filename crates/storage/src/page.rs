@@ -99,12 +99,6 @@ impl Page {
         &self.bytes[..PAYLOAD_SIZE]
     }
 
-    /// Mutable access to the checksummed region.
-    #[inline]
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.bytes[..PAYLOAD_SIZE]
-    }
-
     /// The CRC-32C currently stored in the trailer.
     #[inline]
     pub fn stored_checksum(&self) -> u32 {

@@ -6,7 +6,7 @@
 //! this crate provides seeded, deterministic stand-ins calibrated to the
 //! published statistics (see DESIGN.md for the substitution rationale):
 //!
-//! * [`xmark`] — documents with the XMark benchmark's schema shape
+//! * [`xmark`](mod@xmark) — documents with the XMark benchmark's schema shape
 //!   (regions/items, categories with recursively nested `parlist`s, people,
 //!   auctions, inline `bold`/`keyword`/`emph` content), so the paper's
 //!   queries Q1–Q6 exercise the same structural classes;

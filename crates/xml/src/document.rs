@@ -102,13 +102,6 @@ impl Document {
         &self.nodes[id.index()]
     }
 
-    /// Fallible access to a node.
-    pub fn try_node(&self, id: NodeId) -> Result<&Node, XmlError> {
-        self.nodes
-            .get(id.index())
-            .ok_or(XmlError::InvalidNodeId(id.0))
-    }
-
     /// The tag interner of this document.
     #[inline]
     pub fn tags(&self) -> &TagInterner {
@@ -151,27 +144,6 @@ impl Document {
             Some(candidate) if candidate.parent_raw == node.parent_raw => Some(NodeId(next)),
             _ => None,
         }
-    }
-
-    /// The last child of `id` in document order, if any.
-    pub fn last_child(&self, id: NodeId) -> Option<NodeId> {
-        self.children(id).last()
-    }
-
-    /// The previous sibling of `id` in document order, if any.
-    ///
-    /// Preorder ranks only chain forward, so this scans the parent's
-    /// children; use it for occasional navigation, not hot loops.
-    pub fn previous_sibling(&self, id: NodeId) -> Option<NodeId> {
-        let parent = self.parent(id)?;
-        let mut prev = None;
-        for c in self.children(parent) {
-            if c == id {
-                return prev;
-            }
-            prev = Some(c);
-        }
-        None
     }
 
     /// Iterates over all nodes in postorder (children before parents).
@@ -702,14 +674,8 @@ mod tests {
     }
 
     #[test]
-    fn sibling_and_postorder_navigation() {
+    fn postorder_navigation() {
         let d = sample();
-        assert_eq!(d.previous_sibling(NodeId(2)), Some(NodeId(1)));
-        assert_eq!(d.previous_sibling(NodeId(1)), None);
-        assert_eq!(d.previous_sibling(NodeId(6)), Some(NodeId(3)));
-        assert_eq!(d.previous_sibling(NodeId(0)), None);
-        assert_eq!(d.last_child(d.root()), Some(NodeId(6)));
-        assert_eq!(d.last_child(NodeId(1)), None);
         let post: Vec<u32> = d.postorder().map(|n| n.0).collect();
         assert_eq!(post, vec![1, 2, 4, 5, 3, 6, 0]);
         // Postorder visits every node exactly once.

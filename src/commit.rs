@@ -146,7 +146,7 @@ fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     }
 }
 
-/// The admission-controlled group committer. See the [module docs](self).
+/// The admission-controlled group committer.
 ///
 /// Owns the database behind an `Arc<RwLock<_>>`: the worker takes the write
 /// lock per batch, and any number of serving threads take the read lock to

@@ -997,32 +997,6 @@ impl SecureXmlDb {
         })
     }
 
-    /// Creates a virtual subject whose rights are the union of the given
-    /// subjects' rights (paper §4: a user's rights are her own plus those of
-    /// her groups). Queries then run under the returned id. Codebook-only.
-    /// An id the codebook does not know is refused with
-    /// [`DbError::UnknownSubject`] before any transaction opens.
-    pub fn create_union_view(&mut self, subjects: &[SubjectId]) -> Result<SubjectId, DbError> {
-        self.check_subjects(subjects, false)?;
-        self.run_txn(|db| {
-            Ok(Arc::make_mut(&mut db.mirrors.dol)
-                .codebook_mut()
-                .add_subject_union(subjects))
-        })
-    }
-
-    /// Creates a union view for `user` from a subject catalog: the user's
-    /// own subject plus every group reachable through the membership
-    /// hierarchy.
-    pub fn create_user_view(
-        &mut self,
-        catalog: &dol_acl::SubjectCatalog,
-        user: SubjectId,
-    ) -> Result<SubjectId, DbError> {
-        let eff = catalog.effective_subjects(user);
-        self.create_union_view(&eff)
-    }
-
     /// One past the last position of the subtree rooted at `pos`, its
     /// stored size checked against the store.
     fn subtree_end(&self, pos: u64) -> Result<u64, DbError> {
@@ -1639,62 +1613,93 @@ mod tests {
         assert_eq!(live.document().to_xml(), before);
     }
 
-    #[test]
-    fn union_views_combine_rights() {
-        let (mut db, _) = two_subject_db();
-        // Subject 0 sees everything, subject 1 sees {0,3,4,5}: the union
-        // view behaves like subject 0.
-        let view = db.create_union_view(&[SubjectId(0), SubjectId(1)]).unwrap();
-        for p in 0..db.len() as u64 {
-            assert!(db.accessible(p, view).unwrap());
-        }
-        let narrow = db.create_union_view(&[SubjectId(1)]).unwrap();
-        assert!(!db.accessible(1, narrow).unwrap());
-        assert!(db.accessible(4, narrow).unwrap());
-        // Queries run under the view.
-        let res = db.query("//d/e", Security::BindingLevel(narrow)).unwrap();
-        assert_eq!(res.matches, vec![4]);
+    /// The six-node fixture, group-factored: group `g0` holds subject 0's
+    /// column, `g1` subject 1's, and one user belongs to both.
+    fn grouped_db() -> (SecureXmlDb, [SubjectId; 3]) {
+        let (_, map) = two_subject_db();
+        let mut space = dol_acl::GroupSpace::new();
+        let g0 = space.add_subject(&[]);
+        space.bind_direct(g0, 0);
+        let g1 = space.add_subject(&[]);
+        space.bind_direct(g1, 1);
+        let user = space.add_subject(&[g0, g1]);
+        let doc = dol_xml::parse(XML).unwrap();
+        let db = SecureXmlDb::from_document_factored(doc, &map, space).unwrap();
+        (db, [g0, g1, user])
     }
 
+    /// A user's rights are its groups' rights as they stand now (§4): a
+    /// revoke on a group, or a membership edit, changes what a user
+    /// registered before it sees, and a user registered after it starts
+    /// from the edited state.
     #[test]
-    fn union_views_over_unknown_subjects_are_refused() {
-        let (mut db, _) = two_subject_db();
-        let width = db.dol().codebook().width();
-        assert!(matches!(
-            db.create_union_view(&[SubjectId(0), SubjectId(7)]),
-            Err(DbError::UnknownSubject(Some(SubjectId(7))))
-        ));
-        // A catalog whose user belongs to a group the database lacks.
-        let mut catalog = dol_acl::SubjectCatalog::new();
-        let user = catalog.add_user("u"); // SubjectId(0)
-        catalog.add_group("known"); // SubjectId(1)
-        let outsider = catalog.add_group("outsider"); // SubjectId(2)
-        catalog.add_membership(user, outsider);
-        assert!(matches!(
-            db.create_user_view(&catalog, user),
-            Err(DbError::UnknownSubject(Some(SubjectId(2))))
-        ));
-        // Refused before a transaction opened: no column, no epoch, no
-        // poison.
-        assert_eq!(db.dol().codebook().width(), width);
-        assert_eq!(db.epoch(), 0);
-        assert!(!db.is_poisoned());
+    fn a_grouped_user_follows_its_groups_edits() {
+        let (mut db, [g0, g1, user]) = grouped_db();
+        let b = |db: &SecureXmlDb, s| db.query("//b", Security::BindingLevel(s)).unwrap().matches;
+        assert_eq!(b(&db, user), vec![1]);
+        // Neither group sees node 1 after this revoke, so neither does the
+        // user.
+        db.set_node_access(1, g0, false).unwrap();
+        assert!(!db.accessible(1, g0).unwrap() && !db.accessible(1, g1).unwrap());
+        assert!(!db.accessible(1, user).unwrap());
+        assert!(b(&db, user).is_empty());
+        let late = db.add_grouped_subject(&[g0, g1]).unwrap();
+        for p in 0..db.len() as u64 {
+            let expect = db.accessible(p, g0).unwrap() || db.accessible(p, g1).unwrap();
+            assert_eq!(db.accessible(p, user).unwrap(), expect, "pos {p}");
+            assert_eq!(db.accessible(p, late).unwrap(), expect, "pos {p}");
+        }
+        assert!(db.set_group_membership(late, g0, false).unwrap());
+        assert!(!db.accessible(2, late).unwrap() && db.accessible(4, late).unwrap());
+        assert!(db.accessible(2, user).unwrap());
     }
 
+    /// An id the codebook does not know is refused with a typed
+    /// `UnknownSubject` before a transaction opens: no epoch, no column,
+    /// no subject, no poison.
     #[test]
-    fn user_view_follows_group_hierarchy() {
-        let (mut db, _) = two_subject_db();
-        let mut catalog = dol_acl::SubjectCatalog::new();
-        let user = catalog.add_user("u"); // SubjectId(0)
-        let team = catalog.add_group("team"); // SubjectId(1)
-        catalog.add_membership(user, team);
-        // The db's subject 0 = the user's own rights, subject 1 = the team.
-        let view = db.create_user_view(&catalog, user).unwrap();
-        for p in 0..db.len() as u64 {
-            let expect =
-                db.accessible(p, SubjectId(0)).unwrap() || db.accessible(p, SubjectId(1)).unwrap();
-            assert_eq!(db.accessible(p, view).unwrap(), expect);
-        }
+    fn unknown_subjects_are_refused_before_a_transaction_opens() {
+        let unknown = |r: Result<(), DbError>, id: Option<SubjectId>| match r {
+            Err(DbError::UnknownSubject(got)) => assert_eq!(got, id),
+            other => panic!("expected UnknownSubject({id:?}), got {other:?}"),
+        };
+        let untouched = |db: &SecureXmlDb, before: (usize, usize, u64)| {
+            let cb = db.dol().codebook();
+            assert_eq!((cb.width(), cb.logical_subjects(), db.epoch()), before);
+            assert!(!db.is_poisoned());
+        };
+        let shape = |db: &SecureXmlDb| {
+            let cb = db.dol().codebook();
+            (cb.width(), cb.logical_subjects(), db.epoch())
+        };
+
+        let (mut flat, _) = two_subject_db();
+        let before = shape(&flat);
+        let s7 = Some(SubjectId(7));
+        unknown(flat.set_node_access(1, SubjectId(7), false), s7);
+        // A flat database has no group space to register a user in.
+        unknown(flat.add_grouped_subject(&[SubjectId(0)]).map(drop), None);
+        unknown(
+            flat.set_group_membership(SubjectId(0), SubjectId(1), true)
+                .map(drop),
+            None,
+        );
+        untouched(&flat, before);
+
+        let (mut db, [g0, _, user]) = grouped_db();
+        let before = shape(&db);
+        let s9 = Some(SubjectId(9));
+        unknown(db.set_node_access(1, SubjectId(9), true), s9);
+        unknown(db.add_grouped_subject(&[g0, SubjectId(9)]).map(drop), s9);
+        unknown(
+            db.set_group_membership(user, SubjectId(9), true).map(drop),
+            s9,
+        );
+        unknown(
+            db.set_group_membership(SubjectId(9), g0, true).map(drop),
+            s9,
+        );
+        untouched(&db, before);
     }
 
     #[test]

@@ -245,7 +245,7 @@ impl DbReader {
     /// A warm result-cache hit performs **zero page I/O** (the returned
     /// statistics report an all-zero [`IoStats`] and zero elapsed time for
     /// the call). On a miss the query executes normally and the result is
-    /// cached — but only after a second servability check proves the whole
+    /// cached — unless a block failed closed, and only after a second servability check proves the whole
     /// execution was answerable as of this snapshot's epoch. The execution
     /// is pinned to that epoch (concurrent commits never tear or stale it);
     /// a result whose epoch fell out of the retention window mid-flight is
@@ -260,7 +260,8 @@ impl DbReader {
     /// regardless of the deadline (it costs no I/O); a miss that runs past
     /// the deadline aborts with [`DbError::DeadlineExceeded`] carrying the
     /// partial-work statistics, is counted in
-    /// [`CacheStats::deadline_aborts`], and caches nothing.
+    /// [`CacheStats::deadline_aborts`], and caches nothing. Neither does an
+    /// answer with a block that failed closed.
     pub fn query_opts(
         &self,
         query: &str,
@@ -282,12 +283,16 @@ impl DbReader {
         let result = with_read_epoch(self.seen, || {
             self.snap.execute(&self.caches, query, security, opts)
         })?;
-        // Cache (and return) only results that were servable end-to-end:
-        // the retention floor never advanced past the pin mid-query (a
-        // pinned read past the floor may have been served a live frame, so
-        // the result is discarded unseen). This is the only place the query
-        // string is cloned.
+        // Return only results that were servable end-to-end: the retention
+        // floor never advanced past the pin mid-query (a pinned read past
+        // the floor may have been served a live frame, so the result is
+        // discarded unseen). Cache only exact ones: a block that failed
+        // closed makes the answer a subset that must not outlive the fault.
+        // This is the only place the query string is cloned.
         self.check_servable()?;
+        if result.stats.blocks_failed_closed > 0 {
+            return Ok(result);
+        }
         self.caches.results.insert(
             key,
             Arc::new(CachedResult {

@@ -2,9 +2,9 @@
 //! answer-identical to a **flat** database built from the eagerly
 //! materialized per-subject matrix — every `(position, subject)`
 //! accessibility bit and the full query suite under both secure semantics —
-//! across random hierarchies, membership edits, direct-grant updates, and
-//! **interleaved compactions** of churn-induced dead columns and duplicate
-//! entries.
+//! across random hierarchies, membership edits, direct-grant updates, users
+//! registered between edits, and **interleaved compactions** of
+//! churn-induced dead columns and duplicate entries.
 //!
 //! The flat reference is rebuilt from the model after every operation, so
 //! the factored handle's whole incremental machinery (derived-column cache,
@@ -48,6 +48,9 @@ enum Op {
     Churn { pos: u8 },
     /// Compact the codebook and the embedded codes.
     Compact,
+    /// Register a user with up to two parent groups (reduced like a
+    /// world's `user_parents`), after whatever edits came before.
+    AddUser { parents: (u8, u8) },
 }
 
 fn arb_world() -> impl Strategy<Value = World> {
@@ -94,6 +97,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         }),
         any::<u8>().prop_map(|pos| Op::Churn { pos }),
         Just(Op::Compact),
+        (any::<u8>(), any::<u8>()).prop_map(|parents| Op::AddUser { parents }),
     ]
 }
 
@@ -139,6 +143,9 @@ struct Model {
     group_up: Vec<Vec<usize>>,
     /// Direct parent groups of each user.
     user_up: Vec<Vec<usize>>,
+    /// The database's logical id of each user: churned scratch subjects
+    /// take ids too, so a user registered later is not `groups + index`.
+    user_ids: Vec<SubjectId>,
     /// Direct-grant column per logical subject (groups: their physical
     /// column; users: lazily dirtied by SetNode/SetSubtree).
     direct: Vec<BitVec>,
@@ -147,6 +154,15 @@ struct Model {
 impl Model {
     fn subjects(&self) -> usize {
         self.groups + self.users
+    }
+
+    /// The factored database's id of model subject `s` (the flat reference
+    /// uses `s` itself).
+    fn id(&self, s: usize) -> SubjectId {
+        match s.checked_sub(self.groups) {
+            Some(u) => self.user_ids[u],
+            None => SubjectId(s as u32),
+        }
     }
 
     /// Transitive group closure of a logical subject (groups include
@@ -190,16 +206,9 @@ fn setup(w: &World) -> (Document, Model, SecureXmlDb) {
         let pick = w.group_parents[(g - 1) % w.group_parents.len()] as usize % g;
         group_up.push(vec![pick]);
     }
-    let mut user_up = Vec::with_capacity(w.users);
-    for u in 0..w.users {
-        let (a, b) = w.user_parents[u % w.user_parents.len()];
-        let mut ps = vec![a as usize % w.groups];
-        let second = b as usize % w.groups;
-        if ps[0] != second && b % 3 == 0 {
-            ps.push(second);
-        }
-        user_up.push(ps);
-    }
+    let user_up: Vec<Vec<usize>> = (0..w.users)
+        .map(|u| parent_groups(w.groups, w.user_parents[u % w.user_parents.len()]))
+        .collect();
 
     // Initial physical labels: a deterministic pattern per group column.
     let mut direct = Vec::with_capacity(w.groups + w.users);
@@ -221,6 +230,9 @@ fn setup(w: &World) -> (Document, Model, SecureXmlDb) {
         users: w.users,
         group_up,
         user_up,
+        user_ids: (w.groups..w.groups + w.users)
+            .map(|s| SubjectId(s as u32))
+            .collect(),
         direct,
     };
 
@@ -248,6 +260,17 @@ fn setup(w: &World) -> (Document, Model, SecureXmlDb) {
     (doc, model, fact)
 }
 
+/// A user's direct parent groups from two raw picks: the first always, the
+/// second when distinct and picked.
+fn parent_groups(groups: usize, (a, b): (u8, u8)) -> Vec<usize> {
+    let mut ps = vec![a as usize % groups];
+    let second = b as usize % groups;
+    if ps[0] != second && b % 3 == 0 {
+        ps.push(second);
+    }
+    ps
+}
+
 /// Builds the flat reference database from the model's expected matrix.
 fn flat_reference(doc: &Document, model: &Model) -> SecureXmlDb {
     let cols: Vec<BitVec> = (0..model.subjects()).map(|s| model.effective(s)).collect();
@@ -258,21 +281,24 @@ fn flat_reference(doc: &Document, model: &Model) -> SecureXmlDb {
 fn check_equivalent(fact: &SecureXmlDb, doc: &Document, model: &Model) {
     let flat = flat_reference(doc, model);
     for s in 0..model.subjects() {
-        let sid = SubjectId(s as u32);
+        let (fid, sid) = (model.id(s), SubjectId(s as u32));
         let expect = model.effective(s);
         for p in 0..model.nodes as u64 {
-            let fb = fact.accessible(p, sid).expect("factored accessible");
+            let fb = fact.accessible(p, fid).expect("factored accessible");
             let rb = flat.accessible(p, sid).expect("flat accessible");
             assert_eq!(fb, expect.get(p as usize), "factored bit at ({p},{s})");
             assert_eq!(rb, expect.get(p as usize), "flat bit at ({p},{s})");
         }
         for q in SUITE {
-            for sec in [
-                Security::BindingLevel(sid),
-                Security::SubtreeVisibility(sid),
+            for (fsec, sec) in [
+                (Security::BindingLevel(fid), Security::BindingLevel(sid)),
+                (
+                    Security::SubtreeVisibility(fid),
+                    Security::SubtreeVisibility(sid),
+                ),
             ] {
                 assert_eq!(
-                    fact.query(q, sec).expect("factored query").matches,
+                    fact.query(q, fsec).expect("factored query").matches,
                     flat.query(q, sec).expect("flat query").matches,
                     "query {q} diverged for subject {s} under {sec:?}"
                 );
@@ -294,7 +320,7 @@ fn apply(fact: &mut SecureXmlDb, model: &mut Model, op: &Op) {
             }
             let u = user as usize % model.users;
             let g = group as usize % model.groups;
-            let sid = SubjectId((model.groups + u) as u32);
+            let sid = model.user_ids[u];
             let changed = fact
                 .set_group_membership(sid, SubjectId(g as u32), member)
                 .expect("membership edit");
@@ -318,7 +344,7 @@ fn apply(fact: &mut SecureXmlDb, model: &mut Model, op: &Op) {
         } => {
             let p = pos as u64 % nodes;
             let s = subject as usize % model.subjects();
-            fact.set_node_access(p, SubjectId(s as u32), allow)
+            fact.set_node_access(p, model.id(s), allow)
                 .expect("set node");
             let col = &mut model.direct[s];
             col.resize(model.nodes);
@@ -332,7 +358,7 @@ fn apply(fact: &mut SecureXmlDb, model: &mut Model, op: &Op) {
             let p = pos as u64 % nodes;
             let s = subject as usize % model.subjects();
             let size = fact.store().node(p).expect("node header").size as u64;
-            fact.set_subtree_access(p, SubjectId(s as u32), allow)
+            fact.set_subtree_access(p, model.id(s), allow)
                 .expect("set subtree");
             let col = &mut model.direct[s];
             col.resize(model.nodes);
@@ -348,6 +374,15 @@ fn apply(fact: &mut SecureXmlDb, model: &mut Model, op: &Op) {
             fact.remove_subject(scratch).expect("churn remove");
         }
         Op::Compact => fact.compact_subjects().expect("compact subjects"),
+        Op::AddUser { parents } => {
+            let ups = parent_groups(model.groups, parents);
+            let ids: Vec<SubjectId> = ups.iter().map(|&g| SubjectId(g as u32)).collect();
+            let id = fact.add_grouped_subject(&ids).expect("add user");
+            model.user_ids.push(id);
+            model.user_up.push(ups);
+            model.direct.push(BitVec::zeros(model.nodes));
+            model.users += 1;
+        }
     }
 }
 

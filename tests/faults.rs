@@ -98,6 +98,37 @@ fn secure_queries_fail_closed_through_the_public_api() {
     }
 }
 
+/// A fail-closed answer is a subset, not the answer: the shared result
+/// cache must not keep it, or every reader — and the wire's pre-encoded
+/// hit path — goes on serving the subset after the fault clears.
+#[test]
+fn a_fail_closed_answer_is_never_cached() {
+    let (db, fault, map, model) = build_on_faulty(FaultConfig {
+        seed: 5,
+        permanent_read_failure: 1.0,
+        ..FaultConfig::default()
+    });
+    let (q, subject) = ("//item//emph", SubjectId(0));
+    let sec = Security::BindingLevel(subject);
+    let encode = |m: &[u64]| Arc::from(format!("{m:?}").into_bytes());
+    let reader = db.reader();
+    let faulted = reader.query(q, sec).unwrap();
+    assert!(faulted.stats.blocks_failed_closed > 0);
+    assert!(reader.cached_encoded(q, sec, encode).is_none());
+
+    fault.set_armed(false);
+    db.store().pool().clear_cache().unwrap();
+    let expect = naive_eval(&model, q, RefSecurity::Binding(&map, subject));
+    assert!(!expect.is_empty(), "the probe must have something to lose");
+    for r in [&reader, &db.reader()] {
+        let got = r.query(q, sec).unwrap();
+        assert_eq!(got.matches, expect, "{q}: a healed store answers exactly");
+        assert_eq!(got.stats.blocks_failed_closed, 0);
+    }
+    // The exact answer is cached like any other.
+    assert!(reader.cached_encoded(q, sec, encode).is_some());
+}
+
 #[test]
 fn unsecured_queries_surface_the_storage_error() {
     let (db, _fault, _map, _) = build_on_faulty(FaultConfig {

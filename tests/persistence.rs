@@ -198,7 +198,7 @@ fn generated_database_roundtrips_through_disk() {
         // A few updates before saving, so non-pristine state is covered.
         db.set_subtree_access(2, SubjectId(1), false).unwrap();
         db.set_node_access(5, SubjectId(2), true).unwrap();
-        let union = db.create_union_view(&[SubjectId(0), SubjectId(2)]).unwrap();
+        let copy = db.add_subject(Some(SubjectId(2))).unwrap();
 
         let path = tmp(&format!("roundtrip-{seed}.dolx"));
         db.save_to(&path).unwrap();
@@ -209,9 +209,9 @@ fn generated_database_roundtrips_through_disk() {
         assert_eq!(back.len(), db.len());
         assert_eq!(back.document().to_xml(), db.document().to_xml());
         // Accessibility is identical for every position and subject,
-        // including the union view column.
+        // including the copied column.
         for p in 0..db.len() as u64 {
-            for s in [SubjectId(0), SubjectId(1), SubjectId(2), union] {
+            for s in [SubjectId(0), SubjectId(1), SubjectId(2), copy] {
                 assert_eq!(
                     back.accessible(p, s).unwrap(),
                     db.accessible(p, s).unwrap(),
